@@ -120,7 +120,8 @@ fn format_json(points: &[ScalePoint], accel_ms: f64, n_probes: usize, gate_value
     ));
     out.push_str(
         "  \"model\": \"per-device overlapped stream makespan (gpu_sim::sched); dual copy \
-         engines, in-order streams, work-stealing shard queue\",\n",
+         engines, in-order streams, one batch on the phased executor (PhasePipeline) with \
+         modeled-clock claiming\",\n",
     );
     out.push_str(&format!("  \"accelerated_single_device_modeled_ms\": {accel_ms:.4},\n"));
     out.push_str("  \"scaling\": [\n");

@@ -6,9 +6,9 @@
 //!   devices idle); pose blocks spread them across the pool. The CI gate is
 //!   here: pose-block modeled speedup over probe granularity must stay ≥ 2×.
 //! * **Mixed pool** — a small library on a heterogeneous 3×Tesla + 1×Xeon
-//!   pool. At probe granularity the work-stealing fan-out hands the modeled-
+//!   pool. At probe granularity the first-round fan-out hands the modeled-
 //!   slow Xeon a whole probe and the load skew blows up; pose blocks are fine
-//!   enough for the cost-aware stealing to balance (measured skew ~1.14 where
+//!   enough for the modeled-clock claim rule to balance (measured skew ~1.14 where
 //!   probe granularity measures ~1.54; gated at ≤ 1.3 to ride out claim-race
 //!   variance on loaded runners).
 //!
@@ -129,10 +129,10 @@ fn main() {
     );
 
     // Scenario 2: a small library on a mixed Tesla/Xeon pool. Probe
-    // granularity hands the modeled-slow Xeon whole probes (the work-stealing
-    // fan-out gives every idle worker one item before any cost estimate
-    // exists), so its busy time balloons; pose blocks are fine enough for the
-    // cost-aware stealing to shrink its claim to single poses.
+    // granularity hands the modeled-slow Xeon whole probes (the first-round
+    // fan-out gives every idle worker one item before any completion has
+    // advanced a device clock), so its busy time balloons; pose blocks are
+    // fine enough for the claim rule to shrink its share to a few blocks.
     let mixed_library = ProbeLibrary::subset(
         &ff,
         &[
@@ -208,8 +208,9 @@ fn format_json(scenarios: &[&Scenario]) -> String {
     let mut out = String::from("{\n");
     out.push_str("  \"figure\": \"pose-granularity sharding vs whole-probe sharding\",\n");
     out.push_str(
-        "  \"model\": \"per-device overlapped stream makespan (gpu_sim::sched); dock-once + \
-         minimize-pose-block phases, cost-model weighted work stealing\",\n",
+        "  \"model\": \"per-device overlapped stream makespan (gpu_sim::sched); dock items unlock \
+         their probe's pose blocks on the phased executor (PhasePipeline), modeled-clock \
+         claiming\",\n",
     );
     out.push_str("  \"scenarios\": [\n");
     for (i, s) in scenarios.iter().enumerate() {

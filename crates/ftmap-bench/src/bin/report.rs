@@ -163,7 +163,7 @@ fn pairslist_schemes() {
     println!("paper: the pairs-list scheme reaches only ~3x over serial; the final scheme");
     println!("enables the 12.5x minimization speedup. The device model reproduces the ordering");
     println!("final < pairs-list; the neighbor-list scheme's intra-block load imbalance is not");
-    println!("captured by merged counters (see EXPERIMENTS.md).\n");
+    println!("captured by merged counters.\n");
 }
 
 fn batching() {

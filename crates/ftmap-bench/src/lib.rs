@@ -1,8 +1,7 @@
 //! # ftmap-bench
 //!
 //! The benchmark harness that regenerates every table and figure of the paper's
-//! evaluation section (see DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
-//! paper-vs-measured numbers). The heavy lifting lives here so that both the `report`
+//! evaluation section. The heavy lifting lives here so that both the `report`
 //! binary and the Criterion benches share one set of workload builders.
 //!
 //! Absolute numbers cannot match the paper (the accelerator is a device *model*, the

@@ -28,7 +28,7 @@ pub mod profile;
 pub use cluster::{cluster_poses, ClusterInput, ConsensusCluster, ConsensusSite};
 pub use phased::PhasedMapBatch;
 pub use pipeline::{
-    minimize_pose_blocks, AppliedDegrade, DegradePolicy, DockedProbe, FtMapConfig, FtMapPipeline,
-    MappingResult, MinimizePhase, PipelineMode, ProbeShard, DEFAULT_POSE_BLOCK,
+    AppliedDegrade, DegradePolicy, DockedProbe, FtMapConfig, FtMapPipeline, MappingResult,
+    PipelineMode, ProbeShard, DEFAULT_POSE_BLOCK,
 };
 pub use profile::{DeviceLoad, MappingProfile, PhaseStream};

@@ -11,19 +11,19 @@
 //! [`gpu_sim::BackendSelect`] — the pipeline never hand-picks per-phase engines.
 //!
 //! [`PipelineMode::Sharded`] adds the execution axis the single-device modes
-//! lack: the probe library is sharded over a [`DevicePool`] by the
-//! work-stealing [`ShardQueue`], so probe A's docking and minimization overlap
-//! with probe B's on another device, and each device's host↔device transfers
-//! overlap with its compute through the stream model. Results are bit-identical
-//! to [`PipelineMode::Accelerated`] — sharding changes where and when work
-//! runs, never what it computes.
+//! lack: the run becomes one batch on the phased scheduler
+//! ([`gpu_sim::sched::PhasePipeline`]) over a [`DevicePool`], so probe A's
+//! docking and minimization overlap with probe B's on another device, and each
+//! device's host↔device transfers overlap with its compute through the stream
+//! model. Results are bit-identical to [`PipelineMode::Accelerated`] —
+//! sharding changes where and when work runs, never what it computes.
 
 use crate::cluster::{cluster_poses, ClusterInput, ConsensusSite};
 use crate::profile::{DeviceLoad, MappingProfile, PhaseStream};
 use ftmap_energy::minimize::{MinimizationConfig, Minimizer};
 use ftmap_math::{RotationSet, Vec3};
 use ftmap_molecule::{Complex, ForceField, Probe, ProbeLibrary, ProbeType, SyntheticProtein};
-use gpu_sim::sched::{pose_blocks, DevicePool, ShardQueue, WorkItem};
+use gpu_sim::sched::{DevicePool, PhasePipeline, PhasedBatch, PhasedExec};
 use gpu_sim::{wall_timed, BackendSelect, Device, ExecutionBackend};
 use piper_dock::{Docking, DockingConfig, DockingRun};
 use serde::{Deserialize, Serialize};
@@ -39,8 +39,8 @@ pub enum PipelineMode {
     /// GPU direct-correlation docking + GPU minimization kernels (the paper's system).
     Accelerated,
     /// The accelerated engines, with the workload sharded over a pool of
-    /// devices (work-stealing, stream-overlapped transfers, deterministic
-    /// output order).
+    /// devices (modeled-clock load balancing, stream-overlapped transfers,
+    /// deterministic output order).
     Sharded {
         /// Number of Tesla-class devices in the default pool.
         devices: usize,
@@ -48,9 +48,9 @@ pub enum PipelineMode {
         /// per work item. `0` shards at whole-probe granularity (dock +
         /// minimize fused into one item per probe — the coarse schedule);
         /// any positive value splits each docked probe's retained poses into
-        /// blocks of at most `pose_block` poses, scheduled independently
-        /// after a dock-once phase, so one probe's 2000 minimizations spread
-        /// across the pool.
+        /// blocks of at most `pose_block` poses, each runnable as soon as
+        /// its own probe's dock lands, so one probe's 2000 minimizations
+        /// spread across the pool.
         pose_block: usize,
     },
 }
@@ -277,8 +277,8 @@ impl MappingResult {
 /// Everything one probe contributes to a mapping run (the shard unit).
 ///
 /// Public because queued-job consumers (the `ftmap-serve` batch service)
-/// schedule probes from *several* jobs through one [`ShardQueue`] execution and
-/// assemble each job's result themselves from its shards. Under pose-block
+/// schedule probes from *several* jobs as one phased batch and assemble each
+/// job's result themselves from its shards. Under pose-block
 /// scheduling a `ProbeShard` is also the *partial* product of one block
 /// ([`FtMapPipeline::minimize_pose_block`]); partials fold with
 /// [`ProbeShard::absorb`].
@@ -289,8 +289,8 @@ pub struct ProbeShard {
     pub inputs: Vec<ClusterInput>,
     /// Conformations minimized for this probe.
     pub conformations: usize,
-    /// Pure modeled kernel seconds (transfers excluded) — what the shard
-    /// queue's stream model charges to the compute stage.
+    /// Pure modeled kernel seconds (transfers excluded) — what the
+    /// scheduler's stream model charges to the compute stage.
     pub kernel_modeled_s: f64,
 }
 
@@ -311,8 +311,8 @@ impl ProbeShard {
 /// the docking-phase profile.
 ///
 /// Public for the same reason as [`ProbeShard`]: the batch service docks every
-/// job's probes in one sharded phase, then interleaves all jobs' pose blocks
-/// in a second.
+/// job's probes as dock items and interleaves all jobs' pose blocks behind
+/// them.
 pub struct DockedProbe {
     probe: Probe,
     run: DockingRun,
@@ -332,7 +332,7 @@ impl DockedProbe {
     }
 
     /// Pure modeled docking kernel seconds — the dock item's compute-stage
-    /// figure for the shard queue.
+    /// figure for the scheduler's stream model.
     pub fn kernel_modeled_s(&self) -> f64 {
         self.kernel_modeled_s
     }
@@ -443,45 +443,36 @@ impl FtMapPipeline {
 
     /// Maps the protein with every probe in `library`.
     ///
+    /// The single-device modes run the probe loop on the pool's first device.
+    /// [`PipelineMode::Sharded`] runs the library as one batch on a one-run
+    /// phased scheduler over the pool: every probe's pose blocks become
+    /// runnable the moment *its own* dock lands, so docking and minimization
+    /// overlap across probes with no phase barrier
+    /// ([`MappingProfile::pipeline_overlap_saved_s`] reports what that was
+    /// worth). Results are bit-identical to [`PipelineMode::Accelerated`].
+    ///
     /// Resets the pool's transfer accounting at the start of the run, so the
-    /// pool must not be executing other work concurrently (the batch service
-    /// serializes batches for exactly this reason); grid residency survives
-    /// the reset.
+    /// pool must not be executing other work concurrently; grid residency
+    /// survives the reset.
     pub fn map(&self, library: &ProbeLibrary) -> MappingResult {
-        // Pooled devices outlive runs: reset their transfer accounting so a
-        // previous run's transfers cannot leak into this run's overlap model.
-        self.pool.reset_transfer_stats();
         match self.config.mode {
-            PipelineMode::Sharded { .. } => self.map_sharded(library),
+            PipelineMode::Sharded { .. } => self.map_pipelined_traced(library, ftmap_trace::noop()),
             PipelineMode::Serial | PipelineMode::Accelerated => self.map_single(library),
         }
     }
 
-    /// Maps the protein through the cross-batch phased scheduler
-    /// ([`gpu_sim::sched::PhasePipeline`]) instead of the barriered shard
-    /// queue: every probe's pose blocks become runnable the moment *its own*
-    /// dock lands, so the dock and minimize phases overlap across probes —
-    /// there is no batch-wide phase barrier. Results are **bit-identical** to
-    /// [`FtMapPipeline::map`]; only the schedule (and therefore the modeled
-    /// makespan and [`MappingProfile::pipeline_overlap_saved_s`]) changes.
-    ///
-    /// Spins a dedicated dispatcher on this pipeline's pool for the one run;
-    /// services that keep a dispatcher alive across batches use
-    /// [`FtMapPipeline::map_with_dispatcher`] directly.
-    pub fn map_pipelined(&self, library: &ProbeLibrary) -> MappingResult {
-        self.map_pipelined_traced(library, ftmap_trace::noop())
-    }
-
-    /// [`FtMapPipeline::map_pipelined`] with a trace sink: the one-run
-    /// dispatcher records every scheduler, kernel, transfer and cache event
-    /// into `sink` on the modeled virtual timeline (see `ftmap_trace`).
+    /// Maps through a one-run phased scheduler whatever the mode, with a trace
+    /// sink: the scheduler records every scheduler, kernel, transfer and cache
+    /// event into `sink` on the modeled virtual timeline (see `ftmap_trace`).
+    /// With [`ftmap_trace::noop`] this is exactly what [`FtMapPipeline::map`]
+    /// does in [`PipelineMode::Sharded`].
     pub fn map_pipelined_traced(
         &self,
         library: &ProbeLibrary,
         sink: Arc<dyn ftmap_trace::TraceSink>,
     ) -> MappingResult {
         self.pool.reset_transfer_stats();
-        let sched = gpu_sim::sched::PhasePipeline::with_trace(Arc::clone(&self.pool), sink);
+        let sched = PhasePipeline::with_trace(Arc::clone(&self.pool), sink);
         let result = self.map_with_dispatcher(library, &sched, 0);
         sched.shutdown();
         result
@@ -493,7 +484,7 @@ impl FtMapPipeline {
     pub fn map_with_dispatcher(
         &self,
         library: &ProbeLibrary,
-        sched: &gpu_sim::sched::PhasePipeline,
+        sched: &PhasePipeline,
         priority: u32,
     ) -> MappingResult {
         let entries: Vec<(usize, Probe)> =
@@ -502,20 +493,20 @@ impl FtMapPipeline {
         let batch =
             Arc::new(crate::phased::PhasedMapBatch::new(vec![self.clone()], entries, pose_block));
         let handle = sched.submit(
-            gpu_sim::sched::PhasedBatch {
+            PhasedBatch {
                 label: Default::default(),
                 entry_traces: Vec::new(),
                 priority,
                 entries: batch.entries(),
                 dock_weights: batch.dock_weights(),
-                exec: Arc::clone(&batch) as Arc<dyn gpu_sim::sched::PhasedExec>,
+                exec: Arc::clone(&batch) as Arc<dyn PhasedExec>,
             },
             None,
         );
         let report = handle.wait();
         let shards = batch.take_shards().into_iter().map(|(_, shard)| shard).collect();
         let loads = report.per_device.iter().map(DeviceLoad::from).collect();
-        let mut result = self.assemble(shards, loads, Vec::new());
+        let mut result = self.assemble(shards, loads);
         result.profile.pipeline_overlap_saved_s = report.overlap_saved_s();
         result.profile.phase_streams = vec![
             PhaseStream::from_streams("dock", report.per_device.iter().map(|d| &d.dock)),
@@ -526,95 +517,16 @@ impl FtMapPipeline {
 
     /// The single-device probe loop (serial and accelerated modes).
     fn map_single(&self, library: &ProbeLibrary) -> MappingResult {
+        // Pooled devices outlive runs: reset their transfer accounting so a
+        // previous run's transfers cannot leak into this one.
+        self.pool.reset_transfer_stats();
         let device = self.pool.device(0);
-        let shards = library.probes().iter().map(|probe| self.map_probe_on(probe, device));
-        self.assemble(shards.collect(), Vec::new(), Vec::new())
-    }
-
-    /// The sharded loop: one work-stealing worker per pooled device, at the
-    /// granularity the mode selects. Either way results are assembled in
-    /// `(probe, pose)` order regardless of which device serviced what, so the
-    /// output is identical to the single-device accelerated run.
-    fn map_sharded(&self, library: &ProbeLibrary) -> MappingResult {
-        match self.config.mode.pose_block() {
-            0 => self.map_probe_sharded(library),
-            block => self.map_pose_sharded(library, block),
-        }
-    }
-
-    /// Whole-probe granularity: dock + minimize fused into one work item per
-    /// probe. One hot probe serializes on a single device — kept as the
-    /// coarse comparator (`pose_block: 0`) and for probe-rich workloads.
-    fn map_probe_sharded(&self, library: &ProbeLibrary) -> MappingResult {
-        let queue = ShardQueue::new(&self.pool);
-        let items: Vec<&Probe> = library.probes().iter().collect();
-        let outcome = queue.execute(items, |ctx, probe| {
-            let shard = self.map_probe_on(probe, ctx.device);
-            let kernel_s = shard.kernel_modeled_s;
-            (shard, kernel_s)
-        });
-        let loads = outcome.reports.iter().map(DeviceLoad::from).collect();
-        let streams =
-            vec![PhaseStream::from_streams("fused", outcome.reports.iter().map(|r| &r.stream))];
-        let mut result = self.assemble(outcome.results, loads, Vec::new());
-        result.profile.phase_streams = streams;
-        result
-    }
-
-    /// Pose-block granularity: a dock-once phase (one item per probe) and a
-    /// minimize phase (one item per pose block, across **all** probes,
-    /// weighted by pose count) — so a single probe's retained poses spread
-    /// over the whole pool. The two phases are barrier-separated: every block
-    /// needs its probe's dock result, so the modeled makespan is the sum of
-    /// the two phase makespans.
-    fn map_pose_sharded(&self, library: &ProbeLibrary, pose_block: usize) -> MappingResult {
-        let queue = ShardQueue::new(&self.pool);
-
-        // Phase 1: dock every probe once, sharded over the pool.
-        let probes: Vec<&Probe> = library.probes().iter().collect();
-        let dock = queue.execute(probes, |ctx, probe| {
-            let docked = self.dock_probe_shard(probe, ctx.device);
-            let kernel_s = docked.kernel_modeled_s;
-            (docked, kernel_s)
-        });
-
-        // Phase 2: minimize pose blocks from all probes, interleaved.
-        let phase = minimize_pose_blocks(
-            &queue,
-            &dock.results,
-            pose_block,
-            &|docked| self.retained_pose_count(docked),
-            &|ctx, docked, range| self.minimize_pose_block(docked, range, ctx.device),
-        );
-        let phase_makespans = vec![dock.makespan_s(), phase.makespan_s];
-        let phase_streams = vec![
-            PhaseStream::from_streams("dock", dock.reports.iter().map(|r| &r.stream)),
-            PhaseStream::from_streams("minimize", phase.reports.iter().map(|r| &r.stream)),
-        ];
-        let loads = dock
-            .reports
-            .iter()
-            .zip(&phase.reports)
-            .map(|(d, m)| DeviceLoad::from_phases(d, m))
-            .collect();
-        let shards = dock.results.iter().map(DockedProbe::to_shard).zip(phase.block_folds).map(
-            |(mut shard, fold)| {
-                shard.absorb(fold);
-                shard
-            },
-        );
-        let mut result = self.assemble(shards.collect(), loads, phase_makespans);
-        result.profile.phase_streams = phase_streams;
-        result
+        let shards = library.probes().iter().map(|probe| self.map_probe_shard(probe, device));
+        self.assemble(shards.collect(), Vec::new())
     }
 
     /// Folds per-probe shards (in library order) into the mapping result.
-    fn assemble(
-        &self,
-        shards: Vec<ProbeShard>,
-        device_loads: Vec<DeviceLoad>,
-        phase_makespans: Vec<f64>,
-    ) -> MappingResult {
+    fn assemble(&self, shards: Vec<ProbeShard>, device_loads: Vec<DeviceLoad>) -> MappingResult {
         let mut profile = MappingProfile::default();
         let mut cluster_inputs: Vec<ClusterInput> = Vec::new();
         let mut pose_centers = Vec::new();
@@ -628,35 +540,16 @@ impl FtMapPipeline {
             cluster_inputs.extend(shard.inputs);
         }
         profile.device_loads = device_loads;
-        profile.phase_makespans_modeled_s = phase_makespans;
         let sites = cluster_poses(&cluster_inputs, self.config.cluster_radius);
         MappingResult { sites, conformations_minimized: conformations, profile, pose_centers }
     }
 
-    /// Maps a single probe: dock, minimize the top conformations, return cluster inputs.
-    pub fn map_probe(
-        &self,
-        probe: &Probe,
-        conformations: &mut usize,
-    ) -> (MappingProfile, Vec<ClusterInput>) {
-        let shard = self.map_probe_on(probe, self.pool.device(0));
-        *conformations += shard.conformations;
-        (shard.profile, shard.inputs)
-    }
-
     /// Maps a single probe on the given pooled device, returning its shard —
-    /// the queued-job entry: a batch service schedules `(job, probe)` pairs
-    /// from many jobs through one [`ShardQueue`] with this as the work body,
-    /// then assembles each job's result from its own shards.
+    /// the fused (`pose_block: 0`) work body [`crate::phased::PhasedMapBatch`]
+    /// runs as one dock-phase item per `(job, probe)` entry. Expressed as a
+    /// dock phase plus one full-range pose block so both granularities share
+    /// every line of the actual work.
     pub fn map_probe_shard(&self, probe: &Probe, device: &Arc<Device>) -> ProbeShard {
-        self.map_probe_on(probe, device)
-    }
-
-    /// Maps a single probe on the given pooled device: the fused
-    /// dock-then-minimize-everything path, expressed as a dock phase plus one
-    /// full-range pose block so both granularities share every line of the
-    /// actual work.
-    fn map_probe_on(&self, probe: &Probe, device: &Arc<Device>) -> ProbeShard {
         let docked = self.dock_probe_shard(probe, device);
         let n_conf = self.retained_pose_count(&docked);
         let block = self.minimize_pose_block(&docked, 0..n_conf, device);
@@ -745,68 +638,6 @@ impl FtMapPipeline {
         }
         ProbeShard { profile, inputs, conformations, kernel_modeled_s }
     }
-}
-
-/// What the minimize phase of a pose-block schedule produced.
-pub struct MinimizePhase {
-    /// One fold per docked entry, in entry order: that entry's pose blocks
-    /// absorbed in `(entry, pose)` order. Absorb each fold onto its dock-phase
-    /// seed ([`DockedProbe::to_shard`]) to complete the entry's shard.
-    pub block_folds: Vec<ProbeShard>,
-    /// Per-device shard reports of the minimize execution, in pool order.
-    pub reports: Vec<gpu_sim::sched::DeviceShardReport>,
-    /// Modeled makespan of the minimize execution.
-    pub makespan_s: f64,
-    /// Number of pose blocks scheduled.
-    pub n_blocks: usize,
-}
-
-/// The minimize phase of a pose-block schedule, shared by the sharded pipeline
-/// and the `ftmap-serve` batch dispatcher so the two schedulers can never
-/// diverge: lays [`pose_blocks`] out over `docked` entries (`retained` poses
-/// each, in `(entry, pose)` order), executes them over `queue` weighted by
-/// pose count, and folds each entry's block results back in submission order.
-///
-/// `docked` is whatever the dock-once phase produced — [`DockedProbe`]s for a
-/// pipeline run, `(job, DockedProbe)` pairs for a service batch; `minimize`
-/// maps one entry's pose range to its partial shard on the servicing device.
-pub fn minimize_pose_blocks<D: Sync>(
-    queue: &ShardQueue<'_>,
-    docked: &[D],
-    pose_block: usize,
-    retained: &(dyn Fn(&D) -> usize + Sync),
-    minimize: &(dyn Fn(&gpu_sim::sched::ShardCtx<'_>, &D, Range<usize>) -> ProbeShard + Sync),
-) -> MinimizePhase {
-    let counts: Vec<usize> = docked.iter().map(retained).collect();
-    let layout = pose_blocks(&counts, pose_block);
-    let items: Vec<(WorkItem, f64)> = layout.iter().map(|w| (w.clone(), w.weight())).collect();
-    let outcome = queue.execute_weighted(items, |ctx, item| {
-        let shard = minimize(ctx, &docked[item.probe_idx], item.pose_range.clone());
-        let kernel_s = shard.kernel_modeled_s;
-        (shard, kernel_s)
-    });
-    let makespan_s = outcome.makespan_s();
-
-    // Block results arrive in submission order — `(entry, pose)` order — so a
-    // linear scan folds each entry's blocks contiguously and in pose order.
-    let mut blocks = layout.iter().zip(outcome.results).peekable();
-    let block_folds = (0..docked.len())
-        .map(|entry_idx| {
-            let mut fold = ProbeShard {
-                profile: MappingProfile::default(),
-                inputs: Vec::new(),
-                conformations: 0,
-                kernel_modeled_s: 0.0,
-            };
-            while let Some((item, block)) = blocks.next_if(|(item, _)| item.probe_idx == entry_idx)
-            {
-                debug_assert_eq!(item.pose_range.start, fold.conformations);
-                fold.absorb(block);
-            }
-            fold
-        })
-        .collect();
-    MinimizePhase { block_folds, reports: outcome.reports, makespan_s, n_blocks: layout.len() }
 }
 
 #[cfg(test)]
@@ -985,7 +816,8 @@ mod tests {
     fn sharded_pipeline_reports_per_device_loads() {
         // Both granularities must account every probe and report a coherent
         // makespan/skew view; the pose-block schedule additionally reports
-        // its per-device block counts and its two phase makespans.
+        // its per-device block counts, and the per-phase stream rows carry
+        // the dock-item and pose-block counts.
         for pose_block in [0usize, 1] {
             let (pipeline, library) =
                 small_pipeline(PipelineMode::Sharded { devices: 2, pose_block });
@@ -999,13 +831,15 @@ mod tests {
             let blocks: usize = loads.iter().map(|l| l.pose_blocks).sum();
             if pose_block == 0 {
                 assert_eq!(blocks, 0, "probe granularity schedules no blocks");
-                assert!(result.profile.phase_makespans_modeled_s.is_empty());
             } else {
                 // Block size 1 ⇒ one block per minimized conformation.
                 assert_eq!(blocks, result.conformations_minimized);
-                assert_eq!(result.profile.phase_makespans_modeled_s.len(), 2);
-                assert!(result.profile.phase_makespans_modeled_s.iter().all(|&m| m > 0.0));
             }
+            let streams = &result.profile.phase_streams;
+            assert_eq!(streams.len(), 2, "pose_block {pose_block}");
+            assert_eq!((streams[0].phase.as_str(), streams[0].ops), ("dock", library.len()));
+            assert_eq!((streams[1].phase.as_str(), streams[1].ops), ("minimize", blocks));
+            assert!(result.profile.pipeline_overlap_saved_s >= 0.0);
             // Every probe was worked somewhere and the makespan is positive
             // but no larger than the sum of the per-phase modeled totals.
             assert!(result.profile.makespan_modeled_s() > 0.0);
@@ -1091,8 +925,7 @@ mod tests {
         let (pipeline, library) = small_pipeline(PipelineMode::Accelerated);
         let probe = &library.probes()[0];
         let device = Arc::clone(pipeline.pool().device(0));
-        let mut conformations = 0usize;
-        let (_, fused_inputs) = pipeline.map_probe(probe, &mut conformations);
+        let fused = pipeline.map_probe_shard(probe, &device);
         let docked = pipeline.dock_probe_shard(probe, &device);
         let n_conf = pipeline.retained_pose_count(&docked);
         assert!(n_conf >= 2, "need at least two poses to split");
@@ -1100,9 +933,9 @@ mod tests {
         assert!(docked.kernel_modeled_s() > 0.0);
         let mut shard = pipeline.minimize_pose_block(&docked, 0..1, &device);
         shard.absorb(pipeline.minimize_pose_block(&docked, 1..n_conf, &device));
-        assert_eq!(shard.conformations, conformations);
-        assert_eq!(shard.inputs.len(), fused_inputs.len());
-        for (a, b) in shard.inputs.iter().zip(&fused_inputs) {
+        assert_eq!(shard.conformations, fused.conformations);
+        assert_eq!(shard.inputs.len(), fused.inputs.len());
+        for (a, b) in shard.inputs.iter().zip(&fused.inputs) {
             assert_eq!(a.probe, b.probe);
             assert!(a.center.x == b.center.x && a.center.y == b.center.y);
             assert!(a.energy == b.energy);

@@ -2,7 +2,7 @@
 //! §V.C, and — for sharded runs — the per-device load report of the multi-device
 //! scheduler.
 
-use gpu_sim::sched::{DeviceShardReport, PhasedDeviceReport};
+use gpu_sim::sched::PhasedDeviceReport;
 use gpu_sim::StreamStats;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -12,8 +12,8 @@ use std::fmt::Write as _;
 pub struct DeviceLoad {
     /// Human-readable device name.
     pub device: String,
-    /// Number of probes this device serviced (dock items under pose-block
-    /// scheduling; fused dock+minimize items under probe granularity).
+    /// Number of probes this device serviced (dock items; under probe
+    /// granularity each carries its probe's minimization too).
     pub probes: usize,
     /// Number of minimization pose blocks this device serviced (0 under
     /// probe-granularity scheduling, where minimization rides the probe item).
@@ -28,22 +28,9 @@ pub struct DeviceLoad {
     pub overlap_saved_s: f64,
 }
 
-impl From<&DeviceShardReport> for DeviceLoad {
-    fn from(report: &DeviceShardReport) -> Self {
-        DeviceLoad {
-            device: report.device.clone(),
-            probes: report.items(),
-            pose_blocks: 0,
-            busy_modeled_s: report.busy_s(),
-            serialized_modeled_s: report.stream.serialized_s,
-            overlap_saved_s: report.stream.savings_s(),
-        }
-    }
-}
-
 impl From<&PhasedDeviceReport> for DeviceLoad {
-    /// A device's load under the phased (barrier-free) scheduler: dock items
-    /// count as probes, minimize items as pose blocks, and both phase streams
+    /// A device's load under the phased scheduler: dock items count as
+    /// probes, minimize items as pose blocks, and both phase streams
     /// contribute busy/serialized/overlap seconds.
     fn from(report: &PhasedDeviceReport) -> Self {
         DeviceLoad {
@@ -57,28 +44,12 @@ impl From<&PhasedDeviceReport> for DeviceLoad {
     }
 }
 
-impl DeviceLoad {
-    /// Folds one device's dock-phase and minimize-phase shard reports (the two
-    /// barrier-separated executions of a pose-block schedule) into its load.
-    pub fn from_phases(dock: &DeviceShardReport, minimize: &DeviceShardReport) -> Self {
-        DeviceLoad {
-            device: dock.device.clone(),
-            probes: dock.items(),
-            pose_blocks: minimize.items(),
-            busy_modeled_s: dock.busy_s() + minimize.busy_s(),
-            serialized_modeled_s: dock.stream.serialized_s + minimize.stream.serialized_s,
-            overlap_saved_s: dock.stream.savings_s() + minimize.stream.savings_s(),
-        }
-    }
-}
-
-/// Pool-wide stream totals for one scheduling phase of a sharded or phased
-/// run: how many modeled seconds the phase spent in kernels vs transfers,
+/// Pool-wide stream totals for one scheduling phase of a sharded run: how many modeled seconds the phase spent in kernels vs transfers,
 /// and how many transfer seconds copy/compute overlap hid.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PhaseStream {
-    /// Phase name (`"dock"`, `"minimize"`, or `"fused"` for whole-probe
-    /// granularity where both ride one item).
+    /// Phase name (`"dock"` or `"minimize"`; under whole-probe granularity
+    /// every item is a dock item and the minimize row stays empty).
     pub phase: String,
     /// Items the phase executed across the pool.
     pub ops: usize,
@@ -121,16 +92,12 @@ pub struct MappingProfile {
     /// Per-device loads of a sharded run, in pool order (empty for the
     /// single-device pipeline modes).
     pub device_loads: Vec<DeviceLoad>,
-    /// Modeled makespans of the barrier-separated scheduling phases of a
-    /// pose-block run (`[dock, minimize]`), in execution order. Empty for
-    /// single-phase schedules (single-device and probe-granularity runs).
-    pub phase_makespans_modeled_s: Vec<f64>,
-    /// Modeled seconds the phased (barrier-free) scheduler saved versus the
-    /// two-phase-barrier schedule of the same items — how much dock/minimize
-    /// phase overlap was worth. 0 for barriered and single-device runs.
+    /// Modeled seconds the phased scheduler saved versus a two-phase-barrier
+    /// schedule of the same items — how much dock/minimize phase overlap was
+    /// worth. 0 for single-device runs.
     pub pipeline_overlap_saved_s: f64,
     /// Pool-wide per-phase stream totals (kernel/transfer/overlap split), in
-    /// execution order. Attached once by sharded and phased runs; empty for
+    /// execution order. Attached once by sharded runs; empty for
     /// single-device runs, where [`MappingProfile::phase_table`] falls back
     /// to the per-phase modeled kernel seconds.
     pub phase_streams: Vec<PhaseStream>,
@@ -175,13 +142,12 @@ impl MappingProfile {
         self.docking_modeled_s += other.docking_modeled_s;
         self.minimization_modeled_s += other.minimization_modeled_s;
         self.device_loads.extend(other.device_loads.iter().cloned());
-        self.phase_makespans_modeled_s.extend(other.phase_makespans_modeled_s.iter().copied());
         self.pipeline_overlap_saved_s += other.pipeline_overlap_saved_s;
         self.phase_streams.extend(other.phase_streams.iter().cloned());
     }
 
     // --- Multi-device views (meaningful when `device_loads` is populated).
-    // --- The load-balance math delegates to `gpu_sim::sched::shard` so the
+    // --- The load-balance math delegates to `gpu_sim::sched` so the
     // --- profile's report always agrees with the scheduler's own.
 
     /// The per-device busy times, in pool order.
@@ -189,21 +155,15 @@ impl MappingProfile {
         self.device_loads.iter().map(|l| l.busy_modeled_s).collect()
     }
 
-    /// Modeled makespan of the run. For a pose-block schedule this is the
-    /// **sum of the phase makespans** — the dock and minimize executions are
-    /// barrier-separated (every block needs its probe's dock result), so the
-    /// pool is only as fast as each phase's busiest device in turn. For a
-    /// single-phase sharded run it is the busiest device's overlapped stream
-    /// time, and for single-device runs the phase-sum (one device does
-    /// everything back-to-back). This is the number multi-device scaling is
-    /// measured on.
+    /// Modeled makespan of the run: the busiest device's overlapped stream
+    /// time for a sharded run, the phase-sum for single-device runs (one
+    /// device does everything back-to-back). This is the number multi-device
+    /// scaling is measured on.
     pub fn makespan_modeled_s(&self) -> f64 {
-        if !self.phase_makespans_modeled_s.is_empty() {
-            self.phase_makespans_modeled_s.iter().sum()
-        } else if self.device_loads.is_empty() {
+        if self.device_loads.is_empty() {
             self.total_modeled_s()
         } else {
-            gpu_sim::sched::shard::makespan_s(&self.busy())
+            gpu_sim::sched::makespan_s(&self.busy())
         }
     }
 
@@ -217,19 +177,19 @@ impl MappingProfile {
     /// mean busy time. 1.0 means perfectly balanced; also 1.0 for
     /// single-device runs and runs that did no work.
     pub fn load_skew(&self) -> f64 {
-        gpu_sim::sched::shard::load_skew(&self.busy())
+        gpu_sim::sched::load_skew(&self.busy())
     }
 
     /// Per-device utilization `(name, busy / makespan)`, in pool order (empty
     /// for single-device runs).
     pub fn device_utilizations(&self) -> Vec<(String, f64)> {
-        let utilizations = gpu_sim::sched::shard::utilizations(&self.busy());
+        let utilizations = gpu_sim::sched::utilizations(&self.busy());
         self.device_loads.iter().zip(utilizations).map(|(l, u)| (l.device.clone(), u)).collect()
     }
 
     /// Renders the per-phase breakdown as an aligned text table: one row per
     /// scheduling phase with its modeled kernel, transfer and overlap-hidden
-    /// seconds, plus a totals row. Sharded and phased runs report the exact
+    /// seconds, plus a totals row. Sharded runs report the exact
     /// per-phase stream splits ([`MappingProfile::phase_streams`]); for
     /// single-device runs the dock/minimize rows carry the per-phase modeled
     /// kernel seconds with no transfer split.
@@ -358,22 +318,6 @@ mod tests {
         let utils = p.device_utilizations();
         assert_eq!(utils.len(), 2);
         assert!(utils.iter().all(|(_, u)| *u == 0.0));
-    }
-
-    #[test]
-    fn phase_makespans_sum_into_the_run_makespan() {
-        // A pose-block schedule is two barrier-separated executions: the run
-        // makespan is the sum of the phase makespans, not the max of the
-        // per-device busy totals (which ignores the barrier).
-        let p = MappingProfile {
-            device_loads: vec![load("tesla-0", 4.0, 4.0, 2), load("tesla-1", 3.0, 3.0, 2)],
-            phase_makespans_modeled_s: vec![1.5, 3.25],
-            ..Default::default()
-        };
-        assert!((p.makespan_modeled_s() - 4.75).abs() < 1e-12);
-        // Without phases the busy-max view applies.
-        let single = MappingProfile { phase_makespans_modeled_s: Vec::new(), ..p.clone() };
-        assert!((single.makespan_modeled_s() - 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -18,7 +18,9 @@ use crate::pairs::{AssignmentTable, PairsList, SplitPairsLists};
 use crate::terms;
 use ftmap_math::{Real, Vec3};
 use ftmap_molecule::{Complex, ForceField, NeighborList};
-use gpu_sim::{BlockContext, BlockKernel, Device, KernelLaunch, KernelStats, Staged, StatsLedger};
+use gpu_sim::{
+    BlockContext, BlockKernel, BlockOrder, Device, KernelLaunch, KernelStats, Staged, StatsLedger,
+};
 
 /// Ledger phase names for the kernels of one GPU minimization iteration.
 pub mod phases {
@@ -184,7 +186,9 @@ impl<'a> GpuMinimizationEngine<'a> {
         if table.n_blocks() == 0 {
             return;
         }
-        let kernel = TablePassKernel { complex, ff: &self.ff, term, table, energies, forces };
+        let order = BlockOrder::new();
+        let kernel =
+            TablePassKernel { complex, ff: &self.ff, term, table, energies, forces, order: &order };
         KernelLaunch::on(self.device)
             .grid(table.n_blocks())
             .threads(self.threads_per_block)
@@ -261,8 +265,15 @@ impl<'a> GpuMinimizationEngine<'a> {
     ) -> (Vec<Real>, KernelStats) {
         let n = complex.n_atoms();
         let energies: Staged<Vec<Real>> = Staged::zeroed(n);
-        let kernel =
-            NeighborSchemeKernel { complex, ff: &self.ff, term, neighbors, energies: &energies };
+        let order = BlockOrder::new();
+        let kernel = NeighborSchemeKernel {
+            complex,
+            ff: &self.ff,
+            term,
+            neighbors,
+            energies: &energies,
+            order: &order,
+        };
         // One block per first atom — heavily uneven work, under-filled blocks.
         let stats = KernelLaunch::on(self.device)
             .grid(n.max(1))
@@ -363,6 +374,9 @@ struct TablePassKernel<'a> {
     table: &'a AssignmentTable,
     energies: &'a Staged<Vec<Real>>,
     forces: &'a Staged<Vec<Vec3>>,
+    /// An atom with more rows than a block has threads is summed by several
+    /// blocks; committing in block order keeps that sum reproducible.
+    order: &'a BlockOrder,
 }
 
 impl BlockKernel for TablePassKernel<'_> {
@@ -393,21 +407,23 @@ impl BlockKernel for TablePassKernel<'_> {
         ctx.sync_threads();
 
         // Phase 2: master threads accumulate their group from shared memory and add the
-        // totals to the global per-atom arrays.
-        let mut energies = self.energies.write();
-        let mut forces = self.forces.write();
-        for (slot, row) in rows.iter().enumerate() {
-            if row.is_padding() || !row.master {
-                continue;
+        // totals to the global per-atom arrays, in block order.
+        self.order.in_turn(ctx.block_idx, || {
+            let mut energies = self.energies.write();
+            let mut forces = self.forces.write();
+            for (slot, row) in rows.iter().enumerate() {
+                if row.is_padding() || !row.master {
+                    continue;
+                }
+                let group = row.group_size;
+                let e_sum: Real = shared_energy[slot..slot + group].iter().sum();
+                let f_sum: Vec3 = shared_force[slot..slot + group].iter().copied().sum();
+                ctx.record_shared_accesses(group as u64);
+                ctx.record_global_writes(2);
+                energies[row.atom_first] += e_sum;
+                forces[row.atom_first] += f_sum;
             }
-            let group = row.group_size;
-            let e_sum: Real = shared_energy[slot..slot + group].iter().sum();
-            let f_sum: Vec3 = shared_force[slot..slot + group].iter().copied().sum();
-            ctx.record_shared_accesses(group as u64);
-            ctx.record_global_writes(2);
-            energies[row.atom_first] += e_sum;
-            forces[row.atom_first] += f_sum;
-        }
+        });
     }
 }
 
@@ -434,17 +450,16 @@ struct NeighborSchemeKernel<'a> {
     term: PairTerm,
     neighbors: &'a NeighborList,
     energies: &'a Staged<Vec<Real>>,
+    order: &'a BlockOrder,
 }
 
 impl BlockKernel for NeighborSchemeKernel<'_> {
     fn execute_block(&self, ctx: &mut BlockContext) {
         let i = ctx.block_idx;
-        if i >= self.complex.n_atoms() {
-            return;
-        }
-        let partners = self.neighbors.neighbors(i);
+        let partners = if i < self.complex.n_atoms() { self.neighbors.neighbors(i) } else { &[] };
         if partners.is_empty() {
-            return;
+            // Nothing to commit, but the turn still has to pass.
+            return self.order.in_turn(i, || ());
         }
         let mut first_energy = 0.0;
         let mut second_energies = Vec::with_capacity(partners.len());
@@ -465,11 +480,14 @@ impl BlockKernel for NeighborSchemeKernel<'_> {
         ctx.record_global_writes(n_pairs + 1);
         ctx.record_global_reads(n_pairs);
 
-        let mut energies = self.energies.write();
-        energies[i] += first_energy;
-        for (j, e) in second_energies {
-            energies[j] += e;
-        }
+        // Every block adds into its partners' slots: merge in block order.
+        self.order.in_turn(i, || {
+            let mut energies = self.energies.write();
+            energies[i] += first_energy;
+            for (j, e) in second_energies {
+                energies[j] += e;
+            }
+        });
     }
 }
 
@@ -565,6 +583,27 @@ mod tests {
     }
 
     #[test]
+    fn repeated_evaluations_are_bitwise_identical() {
+        // Determinism: an atom with more neighbours than a block has threads
+        // spreads its rows over several blocks, blocks run concurrently on the
+        // launch workers, and float addition is not associative — so the
+        // per-atom sums must be committed in an order fixed by the table, not
+        // by block arrival. Needs a host with at least two cores to bite.
+        let (complex, neighbors, ff) = system();
+        let device = Device::tesla_c1060();
+        let gpu = GpuMinimizationEngine::new(&device, ff, &neighbors);
+        let first = gpu.evaluate(&complex);
+        for run in 1..200 {
+            let again = gpu.evaluate(&complex);
+            assert!(
+                again.atom_energies == first.atom_energies,
+                "run {run}: atom energies moved between identical evaluations"
+            );
+            assert!(again.forces == first.forces, "run {run}: forces moved");
+        }
+    }
+
+    #[test]
     fn kernel_stats_reflect_paper_ordering() {
         // Table 2: the self-energy kernel is the most expensive, then pairwise+vdW,
         // then the force update.
@@ -612,8 +651,8 @@ mod tests {
         // The neighbor-list scheme computes every pair twice and moves every partial
         // energy through global memory; per pair covered it must generate more global
         // traffic than the final scheme. (The merged-counter cost model cannot see the
-        // intra-block load imbalance that is this scheme's other problem — see
-        // EXPERIMENTS.md — so the comparison here is on traffic, not modeled time.)
+        // intra-block load imbalance that is this scheme's other problem, so the
+        // comparison here is on traffic, not modeled time.)
         let split_traffic_per_pair =
             s_split.counters.global_accesses() as f64 / (2.0 * neighbors.n_pairs() as f64);
         let neighbor_traffic_per_pair =

@@ -12,7 +12,7 @@
 //!   Lorentz–Berthelot combination rules of Equations (9)–(10). (The paper's Equation 8
 //!   is a smoothed variant of the same 6-12 form; the truncated-shifted form used here
 //!   has the same cost profile and the same cutoff behaviour, which is what the
-//!   evaluation measures. The substitution is recorded in DESIGN.md.)
+//!   evaluation measures.)
 //! * **bonded terms** — harmonic bonds/angles/impropers and a cosine torsion.
 //!
 //! Every non-bonded function returns `(energy, dE/dr)` so force evaluation reuses the

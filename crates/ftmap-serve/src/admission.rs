@@ -231,8 +231,8 @@ impl CostModel {
 
     /// Feeds one completed batch back into the model: `span_s` is the batch's
     /// start-to-finish modeled span, `device_share` the fraction of the pool
-    /// it occupied (shards / devices; 1.0 under a barrier dispatcher, whose
-    /// batches monopolize the timeline), `weight` its total work units,
+    /// it occupied (devices that ran its items / devices), `weight` its total
+    /// work units,
     /// `cold` whether it paid a receptor upload (then `transfer_s` calibrates
     /// the surcharge).
     pub fn observe_batch(

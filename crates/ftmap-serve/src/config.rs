@@ -5,7 +5,7 @@
 //!
 //! * [`QueueConfig`] — the bounded admission queue (backpressure depth);
 //! * [`BatchConfig`] — batch formation and dispatch (batch size, pose-block
-//!   granularity, dispatcher mode, in-flight window, aging);
+//!   granularity, in-flight window, aging);
 //! * [`AdmissionConfig`] — SLO-aware admission control: per-class modeled
 //!   deadlines, the degrade policy, and the fairness controls (per-receptor
 //!   in-flight caps, weighted per-tenant quotas).
@@ -17,19 +17,6 @@
 use crate::batcher::LatencyClass;
 use ftmap_core::DegradePolicy;
 use serde::{Deserialize, Serialize};
-
-/// How the service turns batches into device work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum DispatchMode {
-    /// Two-phase barrier per batch over a [`gpu_sim::sched::ShardQueue`],
-    /// batches strictly serial — the pre-pipelining behavior, kept as the
-    /// comparator.
-    Barrier,
-    /// Cross-batch phased pipelining over a persistent
-    /// [`gpu_sim::sched::PhasePipeline`] with class priorities. The default.
-    #[default]
-    Pipelined,
-}
 
 /// The admission queue's knobs (the service's front door).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -56,12 +43,10 @@ pub struct BatchConfig {
     /// so one hot job's — or one hot probe's — minimizations spread across
     /// the whole pool.
     pub pose_block: usize,
-    /// Which dispatcher runs the batches.
-    pub dispatch: DispatchMode,
-    /// Pipelined mode only: how many batches may be in flight on the pool at
-    /// once. 2 is the classic double-buffer — batch N+1 docks under batch N's
-    /// minimization; higher values deepen the pipeline at the cost of
-    /// latency-class responsiveness for work already submitted.
+    /// How many batches may be in flight on the pool at once. 2 is the classic
+    /// double-buffer — batch N+1 docks under batch N's minimization; higher
+    /// values deepen the pipeline at the cost of latency-class responsiveness
+    /// for work already submitted.
     pub max_inflight_batches: usize,
     /// Aging bound for the priority batcher: how many interactive batches may
     /// overtake a pending bulk job before it anchors the next batch itself.
@@ -74,7 +59,6 @@ impl Default for BatchConfig {
         BatchConfig {
             max_batch_jobs: 16,
             pose_block: ftmap_core::DEFAULT_POSE_BLOCK,
-            dispatch: DispatchMode::default(),
             max_inflight_batches: 2,
             bulk_aging: 4,
         }
@@ -235,7 +219,6 @@ mod tests {
         assert_eq!(config.queue.max_pending, 64);
         assert_eq!(config.batch.max_batch_jobs, 16);
         assert_eq!(config.batch.pose_block, ftmap_core::DEFAULT_POSE_BLOCK);
-        assert_eq!(config.batch.dispatch, DispatchMode::Pipelined);
         assert_eq!(config.batch.max_inflight_batches, 2);
         assert_eq!(config.batch.bulk_aging, 4);
         // Admission control defaults to off: no deadlines, no fairness.

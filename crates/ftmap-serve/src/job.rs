@@ -37,10 +37,9 @@ pub struct BatchSummary {
     /// Content key of the receptor grids the batch docked against.
     pub receptor_key: u64,
     /// Residency-cache events attributed to the batch, summed over the pool.
-    /// Under the pipelined dispatcher batches overlap on the devices, so the
-    /// per-batch split is the events observed since the previous batch
-    /// *completed* — exact in aggregate across batches, approximate between
-    /// two batches in flight at once.
+    /// Batches overlap on the devices, so the per-batch split is the events
+    /// observed since the previous batch *completed* — exact in aggregate
+    /// across batches, approximate between two batches in flight at once.
     pub cache: CacheStats,
     /// Derived-payload residency events (receptor FFT transforms + plans
     /// cached next to the raw grids by the batched FFT engine) attributed to
@@ -48,10 +47,8 @@ pub struct BatchSummary {
     /// [`cache`](BatchSummary::cache). A later job reusing a batch-mate's
     /// receptor transforms shows up here as hits with zero insertions.
     pub derived_cache: CacheStats,
-    /// Modeled makespan of the batch over the pool: the barriered dispatcher
-    /// reports the busiest device's overlapped stream time per phase, summed;
-    /// the pipelined dispatcher reports the batch's start-to-finish span on
-    /// the modeled virtual timeline.
+    /// Modeled makespan of the batch over the pool: its start-to-finish span
+    /// on the modeled virtual timeline.
     pub makespan_modeled_s: f64,
     /// The latency class the batch ran at (batches are class-homogeneous).
     pub class: LatencyClass,
@@ -68,7 +65,8 @@ pub struct BatchSummary {
     pub completed_modeled_s: f64,
     /// Modeled seconds saved versus running this batch's own items under a
     /// two-phase barrier (dock-phase makespan + minimize-phase makespan) —
-    /// the intra-batch phase-overlap win. 0 under the barriered dispatcher.
+    /// the intra-batch phase-overlap win, so `makespan_modeled_s` plus this is
+    /// what the barriered schedule would have taken.
     pub overlap_saved_modeled_s: f64,
     /// Modeled transfer seconds scoped to exactly this batch's items (never
     /// shared with a concurrently running batch — the per-batch bucket that

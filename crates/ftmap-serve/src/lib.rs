@@ -35,16 +35,13 @@
 //!   fairness gates bound hot spots at batch formation
 //!   ([`config::AdmissionConfig`]): per-receptor in-flight caps and weighted
 //!   per-tenant quotas.
-//! * **Execution** ([`service`]) — by default the **pipelined dispatcher**:
-//!   batches flow through a persistent [`gpu_sim::sched::PhasePipeline`]
-//!   whose phase-tagged items (dock → minimize, per probe) let batch N+1's
-//!   docking overlap batch N's minimization, and let interactive batches
-//!   overtake bulk work at item boundaries. The two-phase-barrier
-//!   [`gpu_sim::sched::ShardQueue`] path remains as
-//!   [`service::DispatchMode::Barrier`]. Either way the per-device
-//!   **receptor-grid residency cache** ([`gpu_sim::ResidencyCache`]) makes
-//!   every shard after the first borrow the uploaded grids for zero transfer
-//!   bytes.
+//! * **Execution** ([`service`]) — batches flow through a persistent
+//!   [`gpu_sim::sched::PhasePipeline`] whose phase-tagged items (dock →
+//!   minimize, per probe) let batch N+1's docking overlap batch N's
+//!   minimization, and let interactive batches overtake bulk work at item
+//!   boundaries. The per-device **receptor-grid residency cache**
+//!   ([`gpu_sim::ResidencyCache`]) makes every shard after the first borrow
+//!   the uploaded grids for zero transfer bytes.
 //! * **Completion** ([`job`]) — [`JobHandle`]s resolve asynchronously to
 //!   deterministic per-job [`JobReport`]s: a job's consensus sites depend only
 //!   on its own request, never on arrival order, class or batch-mates. The
@@ -65,10 +62,8 @@ pub mod service;
 
 pub use admission::{AdmissionVerdict, CostModel, LatencyEstimate, RejectReason};
 pub use batcher::{next_batch_prioritized, Batchable, LatencyClass};
-pub use config::{
-    AdmissionConfig, BatchConfig, DispatchMode, QueueConfig, ServeConfig, TenantQuota,
-};
+pub use config::{AdmissionConfig, BatchConfig, QueueConfig, ServeConfig, TenantQuota};
 pub use job::{BatchSummary, JobHandle, JobId, JobReport, JobStatus};
 pub use queue::{JobQueue, SubmitError};
 pub use request::MappingRequest;
-pub use service::{BatchMappingService, ClassLatency, Observability, ServeStats, ServiceBuilder};
+pub use service::{BatchMappingService, ClassLatency, ServeStats, ServiceBuilder};

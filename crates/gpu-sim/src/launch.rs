@@ -29,6 +29,7 @@ use parking_lot::{Mutex, MutexGuard};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Threads per block used when the builder is not told otherwise — the value
 /// the paper's correlation and minimization kernels use throughout.
@@ -233,6 +234,59 @@ impl<T: Clone + Default> Staged<Vec<T>> {
     /// Stages a zero-initialized buffer of `n` elements.
     pub fn zeroed(n: usize) -> Self {
         Staged::new(vec![T::default(); n])
+    }
+}
+
+/// Orders the commit windows of one launch's blocks by block index.
+///
+/// [`Staged`] makes overlapping block writes safe but not *ordered*: blocks
+/// run on several host threads, so two blocks adding into the same slot (an
+/// atom whose pair rows span blocks) land in arrival order — and float
+/// addition is not associative, so the sum would differ run to run. A kernel
+/// that accumulates into shared slots wraps its commit in
+/// [`BlockOrder::in_turn`], which makes the sum order a function of the
+/// launch grid alone.
+///
+/// Every block of the launch must take exactly one turn (blocks with nothing
+/// to commit pass an empty closure). This cannot deadlock: [`Device::launch`]
+/// hands blocks out in increasing index order and runs each to completion, so
+/// the block being waited for has always been claimed already. One per launch;
+/// it holds a single counter and allocates nothing.
+#[derive(Debug, Default)]
+pub struct BlockOrder {
+    next: AtomicUsize,
+}
+
+impl BlockOrder {
+    /// An order whose first turn belongs to block 0.
+    pub fn new() -> Self {
+        BlockOrder::default()
+    }
+
+    /// Runs `commit` once every lower-indexed block has taken its turn, then
+    /// passes the turn to block `block_idx + 1` (also when `commit` panics,
+    /// so the launch's other workers are not left waiting).
+    pub fn in_turn<R>(&self, block_idx: usize, commit: impl FnOnce() -> R) -> R {
+        struct PassTurn<'a>(&'a AtomicUsize, usize);
+        impl Drop for PassTurn<'_> {
+            fn drop(&mut self) {
+                self.0.store(self.1, Ordering::Release);
+            }
+        }
+        // Commit windows are a few adds long, so the predecessor is nearly
+        // always done or about to be: spin briefly, then give the core away
+        // in case its worker is descheduled.
+        let mut spins = 0u32;
+        while self.next.load(Ordering::Acquire) != block_idx {
+            if spins < 128 {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        let _pass = PassTurn(&self.next, block_idx + 1);
+        commit()
     }
 }
 
@@ -600,6 +654,23 @@ mod tests {
             (derived.hits, derived.misses, derived.evictions, derived.insertions),
             (5, 3, 1, 3)
         );
+    }
+
+    #[test]
+    fn block_order_commits_in_block_index_order() {
+        // Blocks run on several worker threads; whatever order they finish
+        // their compute in, the commits must land 0, 1, 2, ...
+        let device = Device::tesla_c1060();
+        let order = BlockOrder::new();
+        let committed: Staged<Vec<usize>> = Staged::new(Vec::new());
+        let kernel = |ctx: &mut BlockContext| {
+            // Uneven compute so later blocks often finish first.
+            let spin = (ctx.block_idx * 7919) % 64;
+            std::hint::black_box((0..spin * 100).sum::<usize>());
+            order.in_turn(ctx.block_idx, || committed.write().push(ctx.block_idx));
+        };
+        KernelLaunch::on(&device).grid(200).run(&kernel);
+        assert_eq!(committed.take(), (0..200).collect::<Vec<_>>());
     }
 
     #[test]

@@ -34,18 +34,19 @@
 //! * [`kernel`] — the [`BlockKernel`] trait, launch configuration and block context
 //!   (shared memory + counters) passed to kernels.
 //! * [`launch`] — the shared kernel-execution layer every consumer crate goes
-//!   through: the [`KernelLaunch`] builder, [`launch::Staged`] output buffers and
-//!   the [`StatsLedger`] multi-kernel statistics accumulator.
+//!   through: the [`KernelLaunch`] builder, [`launch::Staged`] output buffers
+//!   (with [`BlockOrder`] for block-ordered accumulation) and the
+//!   [`StatsLedger`] multi-kernel statistics accumulator.
 //! * [`backend`] — the [`ExecutionBackend`] (CPU vs GPU) seam and the
 //!   [`BackendSelect`] trait phase crates implement for engine selection.
 //! * [`residency`] — the per-device LRU cache ([`ResidencyCache`]) that keeps
 //!   uploaded buffers (receptor grids) resident in modeled device memory, so
 //!   repeat consumers borrow instead of re-uploading.
 //! * [`sched`] — the multi-device scheduler: [`sched::DevicePool`],
-//!   the copy/compute-overlap [`sched::Stream`], the work-stealing
-//!   [`sched::ShardQueue`] with deterministic result ordering, and the
-//!   cross-batch phased [`sched::PhasePipeline`] (priority-aware
-//!   dock→minimize pipelining with batch-scoped accounting).
+//!   the copy/compute-overlap [`sched::Stream`], and the one executor,
+//!   [`sched::PhasePipeline`] (persistent workers, priority-aware
+//!   dock→minimize pipelining, batch-scoped accounting, deterministic result
+//!   ordering).
 //! * [`memory`] — access counters and the host↔device transfer model.
 //! * [`cost`] — the analytic cost model that turns counters into modeled times.
 //! * [`timing`] — wall-clock helpers and the combined [`timing::KernelStats`] report.
@@ -70,9 +71,9 @@ pub use backend::{BackendSelect, ExecutionBackend};
 pub use cost::CostModel;
 pub use device::{Device, DeviceSpec, TransferSnapshot};
 pub use kernel::{BlockContext, BlockKernel, LaunchConfig};
-pub use launch::{KernelLaunch, Staged, StatsLedger};
+pub use launch::{BlockOrder, KernelLaunch, Staged, StatsLedger};
 pub use memory::{MemoryCounters, Transfer};
 pub use residency::{CacheStats, Fnv1a, Residency, ResidencyCache, ResidentPayload};
-pub use sched::{DevicePool, ShardQueue, Stream};
+pub use sched::{DevicePool, Stream};
 pub use sync::{locked, wait_on};
 pub use timing::{wall_timed, KernelStats, StreamOp, StreamStats};

@@ -4,30 +4,34 @@
 //! The paper maps binding sites on a *single* Tesla C1060; its own profiling
 //! shows the work shards perfectly along the probe axis (16 probes × 500
 //! rotations). This module turns the single [`crate::Device`] into a pool and
-//! the serial per-probe loop into sharded, overlap-aware execution:
+//! the serial per-probe loop into overlap-aware execution on **one executor**:
 //!
 //! * [`pool::DevicePool`] — owns N (possibly heterogeneous) devices behind
-//!   `Arc` handles that consumers borrow instead of constructing their own;
+//!   `Arc` handles that consumers borrow instead of constructing their own,
+//!   plus the load-balance math over per-device busy times
+//!   ([`makespan_s`], [`load_skew`], [`utilizations`]);
 //! * [`stream::Stream`] — models CUDA-stream copy/compute overlap: each work
 //!   item contributes an upload → kernel → download
 //!   [`crate::timing::StreamOp`], and the stream reports both the serialized
 //!   total and the overlapped makespan
 //!   ([`crate::cost::overlapped_stream_time`]), so overlapped transfer time is
 //!   counted once;
-//! * [`shard::ShardQueue`] — a work-stealing executor with one worker thread
-//!   per pooled device. Items are claimed from a shared queue (crossbeam
-//!   scoped threads + an atomic cursor), each worker drives its own device and
-//!   its own stream, and results land in per-item slots so the output order is
-//!   **deterministic** no matter which device serviced which shard;
 //! * [`work::WorkItem`] — the pose-granularity work unit: a block of one
 //!   probe's retained poses with a cost-model weight, so a single hot probe's
 //!   2000 minimizations spread across the pool instead of serializing on one
-//!   device ([`shard::ShardQueue::execute_weighted`]);
-//! * [`pipeline::PhasePipeline`] — the cross-batch phased executor: persistent
-//!   workers, phase-tagged items with a per-probe dock→minimize dependency
-//!   edge, priority-aware claiming, and batch-scoped transfer accounting, so
-//!   batch N+1's docking overlaps batch N's minimization instead of waiting
-//!   out a two-phase barrier.
+//!   device;
+//! * [`pipeline::PhasePipeline`] — the executor: persistent workers (one per
+//!   pooled device), phase-tagged items with a per-probe dock→minimize
+//!   dependency edge, a modeled-clock claim rule that balances heterogeneous
+//!   pools, priority-aware claiming, batch-scoped transfer accounting and
+//!   per-slot results, so output order is **deterministic** no matter which
+//!   device serviced what. A one-shot mapping run is one batch on a
+//!   short-lived pipeline; the batch service keeps one alive so batch N+1's
+//!   docking overlaps batch N's minimization.
+//!
+//! [`shard::ShardQueue`], the earlier one-shot executor, has no dependants
+//! left in the workspace and survives only until the benchmark harness drops
+//! the microbench that names it (see its module doc).
 //!
 //! The scheduling follows the related GPU literature: van Meel et al. overlap
 //! host↔device transfers with compute, and Barros et al. partition lattice
@@ -41,9 +45,9 @@ pub mod work;
 
 pub use pipeline::{
     BatchHandle, BatchLabel, BatchReport, Phase, PhasePipeline, PhasedBatch, PhasedDeviceReport,
-    PhasedExec,
+    PhasedExec, ShardCtx,
 };
-pub use pool::DevicePool;
-pub use shard::{DeviceShardReport, ShardCtx, ShardOutcome, ShardQueue, StealPolicy};
+pub use pool::{load_skew, makespan_s, utilizations, DevicePool};
+pub use shard::{DeviceShardReport, ShardOutcome, ShardQueue};
 pub use stream::Stream;
 pub use work::{pose_blocks, WorkItem};

@@ -1,12 +1,9 @@
-//! The cross-batch phased pipeline: dock → minimize with no global barrier.
+//! The phased pipeline: the workspace's one multi-device executor.
 //!
-//! [`super::ShardQueue`] executes one fixed item list per call, so a two-phase
-//! schedule (dock every probe, then minimize every pose block) is two calls
-//! with a **barrier** between them: at the end of each phase the pool idles
-//! while the slowest device drains, and nothing from the next batch may start
-//! until the current batch's last block lands. [`PhasePipeline`] removes both
-//! waits. Workers are **persistent** (one per pooled device, alive for the
-//! scheduler's lifetime) and feed from one continuously-refilled ready set:
+//! Every mapping run and every serve batch is a [`PhasedBatch`] on a
+//! [`PhasePipeline`]. Workers are **persistent** (one per pooled device, alive
+//! for the scheduler's lifetime) and feed from one continuously-refilled ready
+//! set, so there is no phase barrier and no batch barrier:
 //!
 //! * each batch submits **phase-tagged items** — a dock item per entry, whose
 //!   completion *generates* that entry's minimize-block items (the
@@ -22,28 +19,35 @@
 //!   instead of waiting out its phases. Priority never affects *results* —
 //!   only when work runs.
 //!
+//! Load balance comes from the **claim rule**: a worker may take the next
+//! ready item only while its device's modeled clock is within half a mean
+//! item cost of the pool minimum, so a modeled-slow pool member (a Xeon among
+//! Teslas) services proportionally fewer items and modeled busy times
+//! converge, whatever the host's wall-clock interleaving.
+//!
 //! Determinism: item execution writes into per-entry/per-block slots owned by
 //! the submitting [`PhasedExec`], and folding happens in `(entry, pose)` order
-//! at batch completion, so results are bit-identical to any barriered or
-//! single-device schedule no matter how batches interleave.
+//! at batch completion, so results are bit-identical to a single-device run
+//! no matter how batches interleave.
 //!
 //! Accounting is **batch-scoped**: each item's transfer seconds come from a
 //! [`crate::TransferSnapshot`] delta taken on the servicing device around that
 //! item alone and are recorded on the *owning batch's* per-device streams.
 //! Two batches overlapping on the pool can therefore never double-attribute a
-//! transfer — the fix for the ledger-window scheme ([`crate::StatsLedger`]
-//! buckets filled from `pool.total_transfer_time()` between resets), which
-//! silently charges batch N+1's uploads to batch N once phases overlap.
+//! transfer — which a ledger window ([`crate::StatsLedger`] buckets filled
+//! from `pool.total_transfer_time()` between resets) would, by charging batch
+//! N+1's uploads to batch N once they overlap.
 //!
 //! A modeled **virtual timeline** runs alongside: each device's clock advances
 //! by the modeled seconds of the items it services (an item never starts
 //! before its dependency's completion instant), giving per-batch modeled
-//! span/latency figures and a pool makespan that reflect the overlap — the
-//! quantities the `fig_serve_pipeline` bench gates.
+//! span/latency figures and a pool makespan that reflect the overlap. What a
+//! two-phase barrier would have cost the same items is answered analytically
+//! by [`BatchReport::barrier_equivalent_s`] — the comparator the
+//! `fig_serve_pipeline` bench gates against.
 
 use crate::device::Device;
 use crate::sched::pool::DevicePool;
-use crate::sched::shard::ShardCtx;
 use crate::sched::stream::Stream;
 use crate::sync::{locked, wait_on};
 use crate::timing::{StreamOp, StreamStats};
@@ -62,6 +66,16 @@ pub enum Phase {
     /// Minimization of one pose block: runs only after its entry's dock item
     /// completed (the per-probe dependency edge).
     Minimize,
+}
+
+/// Execution context handed to [`PhasedExec`] code for each work item.
+pub struct ShardCtx<'p> {
+    /// The pooled device servicing this item.
+    pub device: &'p Arc<Device>,
+    /// Index of that device in the pool.
+    pub device_index: usize,
+    /// Index of the item's entry in its batch.
+    pub item_index: usize,
 }
 
 /// What a batch knows how to execute. Implementors own their payloads and
@@ -342,8 +356,7 @@ impl SchedState {
 
     /// Whether worker `idx` may claim work now: its device clock must be
     /// within half a mean item cost of the pool minimum (the min-clock worker
-    /// is never gated, so the queue always drains). Same fairness rule as
-    /// [`super::ShardQueue`]'s modeled-cost stealing, driven by the device
+    /// is never gated, so the queue always drains) — driven by the device
     /// clocks the virtual timeline keeps anyway.
     fn may_claim(&self, idx: usize) -> bool {
         let Some(mean) = self.mean_item_cost() else {
@@ -351,17 +364,6 @@ impl SchedState {
         };
         let min = self.device_clock.iter().copied().fold(f64::INFINITY, f64::min);
         self.device_clock[idx] <= min + 0.5 * mean
-    }
-
-    /// True when every submitted batch has fully completed, callbacks
-    /// included.
-    fn all_batches_done(&self) -> bool {
-        self.unfinished == 0
-    }
-
-    /// Number of batches still incomplete (callbacks included).
-    fn inflight(&self) -> usize {
-        self.unfinished
     }
 }
 
@@ -552,7 +554,7 @@ impl PhasePipeline {
     /// Panics if a scheduler worker panicked (capacity may never free up).
     pub fn wait_capacity(&self, max_inflight: usize) {
         let mut state = locked(&self.shared.state);
-        while state.inflight() >= max_inflight.max(1) {
+        while state.unfinished >= max_inflight.max(1) {
             if state.poisoned {
                 drop(state); // keep the state mutex held by nobody while panicking
                              // lint-allow(no-panic-in-workers): documented loud-failure API
@@ -570,7 +572,7 @@ impl PhasePipeline {
     /// complete — hanging here silently would hide the failure).
     pub fn drain(&self) {
         let mut state = locked(&self.shared.state);
-        while !state.all_batches_done() {
+        while state.unfinished > 0 {
             if state.poisoned {
                 drop(state); // keep the state mutex held by nobody while panicking
                              // lint-allow(no-panic-in-workers): documented loud-failure API
@@ -583,7 +585,7 @@ impl PhasePipeline {
 
     /// Number of batches currently incomplete.
     pub fn inflight(&self) -> usize {
-        locked(&self.shared.state).inflight()
+        locked(&self.shared.state).unfinished
     }
 
     /// The scheduler's current virtual instant: the earliest point any
@@ -598,7 +600,7 @@ impl PhasePipeline {
 
     /// The modeled pool makespan so far: the busiest device's virtual clock.
     /// After [`PhasePipeline::drain`] this is the modeled time the whole
-    /// pipelined run took — the figure barrier dispatch is compared against.
+    /// run took.
     pub fn makespan_modeled_s(&self) -> f64 {
         let state = locked(&self.shared.state);
         state.device_clock.iter().copied().fold(0.0, f64::max)
@@ -788,8 +790,7 @@ impl Drop for StrandGuard {
 /// accounting — the drop handler poisons the scheduler so waiters fail
 /// loudly. Without it, a panicked item would leave its batch's `outstanding`
 /// forever nonzero and every `wait`/`drain`/`wait_capacity`/shutdown would
-/// hang silently (the barriered `ShardQueue` path propagates such panics to
-/// its caller, and the pipelined path must be no quieter).
+/// hang silently.
 struct PoisonGuard<'a> {
     shared: &'a Shared,
 }
@@ -840,7 +841,7 @@ fn worker_loop(shared: &Shared, device_index: usize) {
                 // still join everyone.
                 if state.shutdown
                     && state.ready.is_empty()
-                    && (state.all_batches_done() || state.poisoned)
+                    && (state.unfinished == 0 || state.poisoned)
                 {
                     return;
                 }

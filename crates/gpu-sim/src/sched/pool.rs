@@ -99,6 +99,38 @@ impl DevicePool {
     }
 }
 
+// --- Load-balance math over per-device busy times, shared by every consumer
+// --- that reports on a pool (the scheduler's reports here, `MappingProfile`
+// --- downstream) so the two can never diverge.
+
+/// Makespan of a set of per-device busy times: the busiest device's time
+/// (0 when the set is empty). Devices work concurrently, so a pool finishes
+/// when its slowest member does.
+pub fn makespan_s(busy: &[f64]) -> f64 {
+    busy.iter().copied().fold(0.0, f64::max)
+}
+
+/// Load-balance skew: busiest device's busy time over the mean busy time
+/// (1.0 = perfectly balanced; also 1.0 for empty or fully idle sets).
+pub fn load_skew(busy: &[f64]) -> f64 {
+    if busy.is_empty() {
+        return 1.0;
+    }
+    let mean = busy.iter().sum::<f64>() / busy.len() as f64;
+    if mean <= 0.0 {
+        1.0
+    } else {
+        makespan_s(busy) / mean
+    }
+}
+
+/// Per-device utilization: busy seconds over the makespan, in input order
+/// (all zeros when nothing ran).
+pub fn utilizations(busy: &[f64]) -> Vec<f64> {
+    let makespan = makespan_s(busy);
+    busy.iter().map(|&b| if makespan <= 0.0 { 0.0 } else { b / makespan }).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,45 +1,22 @@
-//! The work-stealing shard executor: one worker per pooled device,
-//! deterministic result ordering.
+//! The one-shot shard executor: one scoped worker per pooled device over a
+//! fixed item list, deterministic result ordering.
+//!
+//! **Slated for deletion.** Every mapping run and every serve batch executes
+//! on [`super::PhasePipeline`]; nothing inside the workspace depends on this
+//! module any more. What remains — [`ShardQueue::new`], [`ShardQueue::execute`],
+//! [`ShardOutcome`] and [`DeviceShardReport`] — is exactly the surface the
+//! benchmark harness's `gpu-sim.sched.shardqueue_item_2dev.us` microbench
+//! compiles against (`benchmark/src/layers.rs`); the harness is frozen for
+//! this change, so the file goes with the next benchmark revision.
 
-use crate::device::Device;
-use crate::sched::pool::DevicePool;
+use crate::sched::pipeline::ShardCtx;
+use crate::sched::pool::{load_skew, makespan_s, utilizations, DevicePool};
 use crate::sched::stream::Stream;
 use crate::sync::{locked, wait_on};
 use crate::timing::StreamStats;
-use ftmap_trace::{Category, ItemScope, Tags, TraceEvent, TraceSink, Track};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use std::sync::{Condvar, Mutex as StdMutex};
-
-/// How [`ShardQueue`] decides which worker claims the next item.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum StealPolicy {
-    /// Pure wall-clock racing: whichever worker returns to the queue first
-    /// claims the next item. On this host every modeled device executes blocks
-    /// at similar wall speed, so a modeled-slow pool member (a Xeon in a Tesla
-    /// pool) claims an equal share and its *modeled* busy time balloons — the
-    /// skew ≈ `n_devices / Σ(relative speeds)` the multi-device example used
-    /// to show.
-    WallClock,
-    /// Modeled-cost stealing (the default): each worker advances a virtual
-    /// clock by the modeled seconds of the items it serviced, and the queue
-    /// only hands an item to a worker whose virtual clock is within slack of
-    /// the pool minimum. A modeled-slow member's clock runs fast, so it
-    /// claims proportionally fewer items and the modeled busy times converge.
-    #[default]
-    ModeledCost,
-}
-
-/// Execution context handed to the shard closure for each work item.
-pub struct ShardCtx<'p> {
-    /// The pooled device servicing this item.
-    pub device: &'p Arc<Device>,
-    /// Index of that device in the pool.
-    pub device_index: usize,
-    /// Index of the item in the submitted work list.
-    pub item_index: usize,
-}
 
 /// What one pooled device did during a [`ShardQueue::execute`] run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -64,38 +41,6 @@ impl DeviceShardReport {
     pub fn busy_s(&self) -> f64 {
         self.stream.overlapped_s
     }
-}
-
-// --- Load-balance math over per-device busy times, shared by every consumer
-// --- that reports on a pool (ShardOutcome here, MappingProfile downstream) so
-// --- the scheduler's report and the pipeline's report can never diverge.
-
-/// Makespan of a set of per-device busy times: the busiest device's time
-/// (0 when the set is empty). Devices work concurrently, so a pool finishes
-/// when its slowest member does.
-pub fn makespan_s(busy: &[f64]) -> f64 {
-    busy.iter().copied().fold(0.0, f64::max)
-}
-
-/// Load-balance skew: busiest device's busy time over the mean busy time
-/// (1.0 = perfectly balanced; also 1.0 for empty or fully idle sets).
-pub fn load_skew(busy: &[f64]) -> f64 {
-    if busy.is_empty() {
-        return 1.0;
-    }
-    let mean = busy.iter().sum::<f64>() / busy.len() as f64;
-    if mean <= 0.0 {
-        1.0
-    } else {
-        makespan_s(busy) / mean
-    }
-}
-
-/// Per-device utilization: busy seconds over the makespan, in input order
-/// (all zeros when nothing ran).
-pub fn utilizations(busy: &[f64]) -> Vec<f64> {
-    let makespan = makespan_s(busy);
-    busy.iter().map(|&b| if makespan <= 0.0 { 0.0 } else { b / makespan }).collect()
 }
 
 /// The outcome of a sharded execution: results in submission order plus a
@@ -142,14 +87,13 @@ impl<R> ShardOutcome<R> {
     }
 }
 
-/// A work-stealing executor over a [`DevicePool`].
+/// A one-shot executor over a [`DevicePool`].
 ///
 /// [`ShardQueue::execute`] spawns one crossbeam-scoped worker per pooled
-/// device. Workers *steal* items from a shared queue; under the default
-/// [`StealPolicy::ModeledCost`] the claim is gated on the worker's **modeled**
-/// virtual clock (see below), so heterogeneous pools balance by modeled speed
-/// rather than by host wall time. Two properties hold regardless of the
-/// interleaving and the policy:
+/// device. Workers claim items from a shared cursor, gated on each worker's
+/// **modeled** virtual clock (see below), so heterogeneous pools balance by
+/// modeled speed rather than by host wall time. Two properties hold
+/// regardless of the interleaving:
 ///
 /// * **exactly-once dispatch** — the queue cursor hands every index to
 ///   exactly one worker, no item is skipped or run twice;
@@ -161,124 +105,47 @@ impl<R> ShardOutcome<R> {
 /// transfer accounting around every item, so per-item upload/download seconds
 /// are attributed exactly and overlap savings are computed per device.
 ///
-/// # Modeled-cost stealing
+/// # Modeled-cost claiming
 ///
-/// Every worker keeps a virtual clock of the modeled seconds (kernel +
-/// transfers) of the items it has serviced. A worker may claim the next item
-/// only when its clock is within one-half of the average item cost of the
-/// pool-wide minimum clock; otherwise it parks until the clocks catch up. At
-/// claim time the clock is advanced by an estimate — the worker's modeled
-/// seconds-per-weight rate so far times the item's cost-model weight (1.0 per
-/// item under [`ShardQueue::execute`], the pose count of a block under
-/// [`ShardQueue::execute_weighted`]) — and corrected to the actual modeled
-/// cost on completion. The worker holding the minimum clock is never parked,
-/// so the queue always makes progress; before any item completes the slack is
-/// unbounded, so the first round fans out one item to every worker exactly as
-/// wall-clock stealing would.
+/// The same rule as [`super::PhasePipeline`]: every worker keeps a virtual
+/// clock of the modeled seconds (kernel + transfers) of the items it has
+/// completed, and may claim the next item only when its clock is within
+/// one-half of the average item cost of the pool-wide minimum clock; otherwise
+/// it parks until the clocks catch up. The worker holding the minimum clock is
+/// never parked, so the queue always makes progress; before any item completes
+/// the slack is unbounded, so the first round fans out one item to every
+/// worker.
 pub struct ShardQueue<'p> {
     pool: &'p DevicePool,
-    policy: StealPolicy,
-    /// Trace sink item spans are recorded into; [`ftmap_trace::noop`] unless
-    /// [`ShardQueue::with_trace`] installed a real one.
-    trace: Arc<dyn TraceSink>,
 }
 
-/// Per-worker completion tally for modeled-cost stealing.
-#[derive(Clone, Copy, Default)]
-struct Completed {
-    /// Modeled seconds of the items this worker finished.
-    cost: f64,
-    /// Summed cost-model weights of those items.
-    weight: f64,
-    /// Number of items finished.
-    items: usize,
-}
-
-/// Shared claim state for modeled-cost stealing.
+/// Shared claim state.
 struct ClaimState {
     /// Index of the next unclaimed item.
     next: usize,
-    /// Per-worker virtual clocks (modeled seconds serviced, including the
-    /// in-flight estimate of a running item).
+    /// Per-worker virtual clocks: modeled seconds of the items completed.
     vtime: Vec<f64>,
-    /// Per-worker completion tallies.
-    completed: Vec<Completed>,
+    /// Items completed across the pool.
+    completed: usize,
 }
 
 impl ClaimState {
-    /// Average modeled cost per completed item across the pool (`None` until
-    /// the first completion) — the slack band of the claim gate.
-    fn mean_item_cost(&self) -> Option<f64> {
-        let (cost, items) =
-            self.completed.iter().fold((0.0, 0usize), |(c, n), w| (c + w.cost, n + w.items));
-        if items == 0 {
-            None
-        } else {
-            Some(cost / items as f64)
-        }
-    }
-
-    /// Pool-wide modeled seconds per unit of item weight (`None` until the
-    /// first weighted completion).
-    fn mean_rate(&self) -> Option<f64> {
-        let (cost, weight) =
-            self.completed.iter().fold((0.0, 0.0), |(c, w), t| (c + t.cost, w + t.weight));
-        if weight > 0.0 {
-            Some(cost / weight)
-        } else {
-            None
-        }
-    }
-
-    /// Estimated cost of an item of `weight` on worker `idx`: the worker's own
-    /// seconds-per-weight rate so far, falling back to the pool-wide rate,
-    /// then zero. Scaling by weight is what keeps a ragged (smaller) block
-    /// from being charged like a full one.
-    fn estimate_for(&self, idx: usize, weight: f64) -> f64 {
-        let own = &self.completed[idx];
-        let rate =
-            if own.weight > 0.0 { own.cost / own.weight } else { self.mean_rate().unwrap_or(0.0) };
-        rate * weight
-    }
-
-    /// Whether worker `idx` may claim an item now.
+    /// Whether worker `idx` may claim an item now: its clock must be within
+    /// half the mean completed-item cost of the pool minimum.
     fn may_claim(&self, idx: usize) -> bool {
-        let Some(mean) = self.mean_item_cost() else {
+        if self.completed == 0 {
             return true; // no completions yet — unbounded slack
-        };
+        }
+        let mean = self.vtime.iter().sum::<f64>() / self.completed as f64;
         let min = self.vtime.iter().copied().fold(f64::INFINITY, f64::min);
         self.vtime[idx] <= min + 0.5 * mean
     }
 }
 
 impl<'p> ShardQueue<'p> {
-    /// A queue executing on `pool` with the default modeled-cost stealing.
+    /// A queue executing on `pool`.
     pub fn new(pool: &'p DevicePool) -> Self {
-        Self::with_policy(pool, StealPolicy::default())
-    }
-
-    /// A queue executing on `pool` with an explicit steal policy.
-    pub fn with_policy(pool: &'p DevicePool, policy: StealPolicy) -> Self {
-        ShardQueue { pool, policy, trace: ftmap_trace::noop() }
-    }
-
-    /// Installs a trace sink: every serviced item records a `Sched` span on
-    /// its device's track (timed on the worker's modeled virtual clock), and
-    /// the kernel/transfer/cache events the item generates are anchored
-    /// inside it.
-    pub fn with_trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.trace = sink;
-        self
-    }
-
-    /// The pool this queue schedules onto.
-    pub fn pool(&self) -> &'p DevicePool {
-        self.pool
-    }
-
-    /// The steal policy in effect.
-    pub fn policy(&self) -> StealPolicy {
-        self.policy
+        ShardQueue { pool }
     }
 
     /// Executes `work` over every item, one worker per pooled device.
@@ -288,31 +155,7 @@ impl<'p> ShardQueue<'p> {
     /// modeled **kernel** seconds (transfers are captured automatically from
     /// the device's transfer accounting, so they must not be folded into the
     /// returned figure — that is what keeps them from being double-counted).
-    ///
-    /// Every item weighs 1.0 — uniform-cost scheduling. When items have known
-    /// unequal costs (pose blocks of different lengths), use
-    /// [`ShardQueue::execute_weighted`] instead.
     pub fn execute<T, R, F>(&self, items: Vec<T>, work: F) -> ShardOutcome<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(&ShardCtx<'_>, T) -> (R, f64) + Sync,
-    {
-        let items = items.into_iter().map(|i| (i, 1.0)).collect();
-        self.execute_weighted(items, work)
-    }
-
-    /// Executes `work` over every `(item, weight)` pair, one worker per pooled
-    /// device.
-    ///
-    /// `weight` is the item's relative cost-model weight (a pose block's pose
-    /// count): under [`StealPolicy::ModeledCost`] the claim-time estimate is
-    /// the worker's modeled seconds-per-weight rate times the item's weight,
-    /// so unevenly sized items advance the virtual clocks proportionally
-    /// instead of all being charged the per-item average. Weights must be
-    /// non-negative; they affect scheduling estimates only, never results or
-    /// result order.
-    pub fn execute_weighted<T, R, F>(&self, items: Vec<(T, f64)>, work: F) -> ShardOutcome<R>
     where
         T: Send,
         R: Send,
@@ -320,22 +163,11 @@ impl<'p> ShardQueue<'p> {
     {
         let n_items = items.len();
         let n_workers = self.pool.len();
-        let policy = self.policy;
-        let mut weights = Vec::with_capacity(n_items);
-        let slots: Vec<Mutex<Option<T>>> = items
-            .into_iter()
-            .map(|(item, weight)| {
-                weights.push(weight.max(0.0));
-                Mutex::new(Some(item))
-            })
-            .collect();
-        let weights = &weights;
+        let slots: Vec<Mutex<Option<T>>> =
+            items.into_iter().map(|item| Mutex::new(Some(item))).collect();
         let results: Vec<Mutex<Option<R>>> = (0..n_items).map(|_| Mutex::new(None)).collect();
-        let claims = StdMutex::new(ClaimState {
-            next: 0,
-            vtime: vec![0.0; n_workers],
-            completed: vec![Completed::default(); n_workers],
-        });
+        let claims =
+            StdMutex::new(ClaimState { next: 0, vtime: vec![0.0; n_workers], completed: 0 });
         let turnstile = Condvar::new();
         let reports: Mutex<Vec<Option<DeviceShardReport>>> =
             Mutex::new((0..n_workers).map(|_| None).collect());
@@ -348,37 +180,25 @@ impl<'p> ShardQueue<'p> {
                 let turnstile = &turnstile;
                 let reports = &reports;
                 let work = &work;
-                let trace = &self.trace;
                 scope.spawn(move |_| {
                     let mut stream = Stream::new();
                     let mut item_indices = Vec::new();
                     loop {
-                        // Claim an item. Under modeled-cost stealing, park
-                        // until this worker's virtual clock is close enough to
-                        // the pool minimum; the minimum-clock worker never
-                        // parks, so the queue cannot stall.
-                        let (item_index, estimate, start_v) = {
+                        // Claim an item: park until this worker's virtual
+                        // clock is close enough to the pool minimum; the
+                        // minimum-clock worker never parks, so the queue
+                        // cannot stall.
+                        let item_index = {
                             let mut state = locked(claims);
-                            loop {
-                                if state.next >= n_items {
-                                    break;
-                                }
-                                if policy == StealPolicy::WallClock || state.may_claim(device_index)
-                                {
-                                    break;
-                                }
+                            while state.next < n_items && !state.may_claim(device_index) {
                                 state = wait_on(turnstile, state);
                             }
                             if state.next >= n_items {
                                 turnstile.notify_all();
                                 break;
                             }
-                            let item_index = state.next;
                             state.next += 1;
-                            let estimate = state.estimate_for(device_index, weights[item_index]);
-                            let start_v = state.vtime[device_index];
-                            state.vtime[device_index] += estimate;
-                            (item_index, estimate, start_v)
+                            state.next - 1
                         };
                         turnstile.notify_all();
 
@@ -391,20 +211,6 @@ impl<'p> ShardQueue<'p> {
                             // loudly; the scope join propagates this by design.
                             .expect("work item claimed twice — claim cursor violated");
                         let ctx = ShardCtx { device, device_index, item_index };
-                        let item_tags = if trace.enabled() {
-                            let mut tags = Tags::device(device_index as u32);
-                            tags.probe = Some(item_index as u32);
-                            Some(tags)
-                        } else {
-                            None
-                        };
-                        let scope_guard = item_tags.as_ref().and_then(|tags| {
-                            ItemScope::enter(
-                                trace,
-                                Track::Device(device_index as u32),
-                                tags.clone(),
-                            )
-                        });
                         let before = device.transfer_snapshot();
                         let (result, kernel_s) = work(&ctx, item);
                         stream.record_between(&before, &device.transfer_snapshot(), kernel_s);
@@ -413,37 +219,15 @@ impl<'p> ShardQueue<'p> {
                             .last()
                             .map(crate::timing::StreamOp::serialized_s)
                             .unwrap_or(kernel_s);
-                        let anchor = scope_guard.as_ref().map(|s| s.anchor());
-                        drop(scope_guard);
-                        if let Some(tags) = item_tags {
-                            let mut event = TraceEvent::span(
-                                Track::Device(device_index as u32),
-                                "item",
-                                Category::Sched,
-                                start_v,
-                                actual_s,
-                            )
-                            .with_tags(
-                                tags.with_num("kernel_s", kernel_s)
-                                    .with_num("weight", weights[item_index]),
-                            );
-                            if let Some(id) = anchor {
-                                event = event.defines(id);
-                            }
-                            trace.record(event);
-                        }
                         item_indices.push(item_index);
                         *results[item_index].lock() = Some(result);
 
-                        // Replace the claim-time estimate with the item's
-                        // actual modeled cost (kernel + transfers).
+                        // Advance this worker's clock by the item's actual
+                        // modeled cost (kernel + transfers).
                         {
                             let mut state = locked(claims);
-                            state.vtime[device_index] += actual_s - estimate;
-                            let tally = &mut state.completed[device_index];
-                            tally.cost += actual_s;
-                            tally.weight += weights[item_index];
-                            tally.items += 1;
+                            state.vtime[device_index] += actual_s;
+                            state.completed += 1;
                         }
                         turnstile.notify_all();
                     }
@@ -456,9 +240,9 @@ impl<'p> ShardQueue<'p> {
                 });
             }
         })
-        // lint-allow(no-panic-in-workers): the barrier path's documented
-        // failure mode — a worker panic re-raises on the caller's thread at
-        // the join, instead of leaving partially-filled results behind.
+        // lint-allow(no-panic-in-workers): the documented failure mode — a
+        // worker panic re-raises on the caller's thread at the join, instead
+        // of leaving partially-filled results behind.
         .expect("shard worker panicked");
 
         // The join above proved every worker ran to completion, and a worker
@@ -523,103 +307,6 @@ mod tests {
         let utils = outcome.utilizations();
         assert_eq!(utils.len(), 2);
         assert!(utils.iter().all(|&u| (0.0..=1.0 + 1e-12).contains(&u)));
-    }
-
-    /// A synthetic heterogeneous workload: the modeled cost of an item depends
-    /// on the servicing device's peak throughput, as real probe shards do.
-    fn modeled_cost_on(device: &Device) -> f64 {
-        1.0e6 / device.spec().peak_gflops().max(1.0) * 1e-6
-    }
-
-    #[test]
-    fn modeled_cost_stealing_starves_the_slow_device() {
-        // Tesla peak ≈ 312 GFLOP/s, quad-Xeon peak = 12 GFLOP/s: per item the
-        // Xeon is ~26× modeled-slower. Under wall-clock stealing it claims
-        // roughly an equal share (every device runs blocks at the same wall
-        // speed here); under modeled-cost stealing it must claim only a
-        // sliver, and the modeled load skew must collapse.
-        let pool = DevicePool::mixed(2, 1);
-        let n_items = 60;
-
-        let wall = ShardQueue::with_policy(&pool, StealPolicy::WallClock);
-        assert_eq!(wall.policy(), StealPolicy::WallClock);
-        let wall_outcome = wall.execute(vec![(); n_items], |ctx, ()| {
-            // Equalize wall time per item so the wall-clock race is fair.
-            std::thread::sleep(std::time::Duration::from_micros(200));
-            ((), modeled_cost_on(ctx.device))
-        });
-
-        let cost = ShardQueue::new(&pool);
-        assert_eq!(cost.policy(), StealPolicy::ModeledCost);
-        let cost_outcome = cost.execute(vec![(); n_items], |ctx, ()| {
-            std::thread::sleep(std::time::Duration::from_micros(200));
-            ((), modeled_cost_on(ctx.device))
-        });
-
-        let xeon_share_wall = wall_outcome.reports[2].items();
-        let xeon_share_cost = cost_outcome.reports[2].items();
-        assert!(
-            xeon_share_cost < xeon_share_wall,
-            "modeled-cost stealing gave the Xeon {xeon_share_cost} items, \
-             wall-clock gave {xeon_share_wall}"
-        );
-        // The Xeon's fair modeled share of 60 items is 60 * 12/(312+312+12)
-        // ≈ 1.1; allow a little slop for the estimate-then-correct clock.
-        assert!(xeon_share_cost <= 4, "Xeon claimed {xeon_share_cost} of {n_items}");
-        assert!(
-            cost_outcome.load_skew() < wall_outcome.load_skew(),
-            "cost-aware skew {} should beat wall-clock skew {}",
-            cost_outcome.load_skew(),
-            wall_outcome.load_skew()
-        );
-        assert!(
-            cost_outcome.load_skew() < 1.5,
-            "cost-aware skew still high: {}",
-            cost_outcome.load_skew()
-        );
-        // Dispatch stays exactly-once under both policies.
-        for outcome in [&wall_outcome, &cost_outcome] {
-            let serviced: usize = outcome.reports.iter().map(DeviceShardReport::items).sum();
-            assert_eq!(serviced, n_items);
-        }
-    }
-
-    #[test]
-    fn modeled_cost_stealing_balances_homogeneous_pools() {
-        // On a homogeneous pool the virtual clocks advance in lockstep, so
-        // modeled-cost stealing degenerates to an even split.
-        let pool = DevicePool::tesla(4);
-        let outcome = ShardQueue::new(&pool).execute(vec![(); 40], |_, ()| ((), 1e-3));
-        for report in &outcome.reports {
-            assert!(
-                (8..=12).contains(&report.items()),
-                "device {} claimed {} of 40",
-                report.device_index,
-                report.items()
-            );
-        }
-        assert!(outcome.load_skew() < 1.3, "skew {}", outcome.load_skew());
-    }
-
-    #[test]
-    fn weighted_execution_keeps_order_and_scales_estimates() {
-        // Items of very different weights (a 50-pose block vs a 1-pose tail):
-        // results stay in submission order, dispatch stays exactly-once, and
-        // the weighted estimates keep the virtual clocks balanced enough that
-        // no device hoards the heavy items.
-        let pool = DevicePool::tesla(2);
-        let queue = ShardQueue::new(&pool);
-        let items: Vec<(usize, f64)> =
-            (0..30).map(|i| if i % 3 == 0 { (i, 50.0) } else { (i, 1.0) }).collect();
-        let outcome = queue.execute_weighted(items, |ctx, item| {
-            assert_eq!(ctx.item_index, item);
-            let weight = if item % 3 == 0 { 50.0 } else { 1.0 };
-            (item, weight * 1e-4)
-        });
-        assert_eq!(outcome.results, (0..30).collect::<Vec<_>>());
-        let serviced: usize = outcome.reports.iter().map(DeviceShardReport::items).sum();
-        assert_eq!(serviced, 30);
-        assert!(outcome.load_skew() < 1.6, "weighted skew {}", outcome.load_skew());
     }
 
     #[test]

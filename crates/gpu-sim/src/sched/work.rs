@@ -10,10 +10,10 @@
 //! like the fine-grained decompositions of the GPU MD/lattice codes the
 //! scheduler borrows from (van Meel et al.; Barros et al.).
 //!
-//! Items carry a **cost-model weight** (their pose count): the shard queue's
-//! modeled-cost stealing scales its claim-time estimate by the weight
-//! ([`super::ShardQueue::execute_weighted`]), so a ragged final block is never
-//! over-charged and heterogeneous pools balance per pose, not per block.
+//! Items carry a **cost-model weight** (their pose count), handed to the
+//! executor with each minimize block ([`super::PhasedExec::dock`]'s layout):
+//! backlog projections price a ragged final block by its poses, not as a full
+//! block.
 
 use serde::{Deserialize, Serialize};
 use std::ops::Range;

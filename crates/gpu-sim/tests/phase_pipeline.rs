@@ -2,15 +2,19 @@
 //! pool size, priority mix and interleaving, every phase-tagged item is
 //! dispatched **exactly once**, every entry's minimize blocks run strictly
 //! after that entry's dock (the per-probe dependency edge), and the
-//! batch-scoped accounting covers every item.
+//! batch-scoped accounting covers every item. Plus the claim rule's
+//! load-balance properties: modeled-slow pool members service fewer items,
+//! homogeneous pools split evenly, and unevenly weighted blocks still land in
+//! their slots.
 
 use gpu_sim::sched::{
-    BatchHandle, DevicePool, PhasePipeline, PhasedBatch, PhasedDeviceReport, PhasedExec, ShardCtx,
+    load_skew, BatchHandle, BatchReport, DevicePool, PhasePipeline, PhasedBatch,
+    PhasedDeviceReport, PhasedExec, ShardCtx,
 };
 use proptest::prelude::*;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Records every dock/minimize event so the properties can audit the run.
 struct AuditExec {
@@ -126,4 +130,115 @@ proptest! {
             pool.total_transfer_time()
         );
     }
+}
+
+/// Runs `exec` as one batch of `entries` dock items on a fresh pipeline.
+fn run_one_batch(pool: DevicePool, entries: usize, exec: Arc<dyn PhasedExec>) -> BatchReport {
+    let pipeline = PhasePipeline::new(Arc::new(pool));
+    let handle = pipeline.submit(
+        PhasedBatch {
+            label: Default::default(),
+            entry_traces: Vec::new(),
+            priority: 0,
+            entries,
+            dock_weights: vec![1.0; entries],
+            exec,
+        },
+        None,
+    );
+    let report = handle.wait();
+    pipeline.shutdown();
+    report
+}
+
+fn busy_times(report: &BatchReport) -> Vec<f64> {
+    report.per_device.iter().map(PhasedDeviceReport::busy_s).collect()
+}
+
+/// Dock-only items whose modeled cost depends on the servicing device's peak
+/// throughput, as real probe shards do.
+struct DeviceCostExec;
+
+impl PhasedExec for DeviceCostExec {
+    fn dock(&self, ctx: &ShardCtx<'_>, _entry: usize) -> (f64, Vec<(Range<usize>, f64)>) {
+        (1.0 / ctx.device.spec().peak_gflops().max(1.0), Vec::new())
+    }
+
+    fn minimize(&self, _: &ShardCtx<'_>, _: usize, _: Range<usize>) -> f64 {
+        unreachable!("dock-only batch")
+    }
+}
+
+#[test]
+fn mixed_pool_starves_the_modeled_slow_device() {
+    // Tesla peak ≈ 312 GFLOP/s, quad-Xeon peak = 12 GFLOP/s: per item the
+    // Xeon is ~26× modeled-slower. Every device runs items at the same wall
+    // speed here, so a wall-clock race would hand it a third of the items;
+    // the claim rule must hand it only a sliver, and busy times converge.
+    let n_items = 200;
+    let report = run_one_batch(DevicePool::mixed(2, 1), n_items, Arc::new(DeviceCostExec));
+    let items: Vec<usize> = report.per_device.iter().map(PhasedDeviceReport::items).collect();
+    assert_eq!(items.iter().sum::<usize>(), n_items, "dispatch stays exactly-once");
+    // The Xeon's fair modeled share of 200 items is 200 · 12/(312+312+12)
+    // ≈ 3.8; allow slop for the half-item slack band.
+    assert!(items[2] <= 8, "Xeon claimed {} of {n_items}", items[2]);
+    assert!(items[2] < items[0] && items[2] < items[1], "per-device items {items:?}");
+    let skew = load_skew(&busy_times(&report));
+    assert!(skew < 1.3, "modeled busy times did not converge: skew {skew}");
+}
+
+#[test]
+fn homogeneous_pool_splits_items_evenly() {
+    // On a homogeneous pool the device clocks advance in lockstep, so the
+    // claim rule degenerates to an even split.
+    struct UniformExec;
+    impl PhasedExec for UniformExec {
+        fn dock(&self, _: &ShardCtx<'_>, _: usize) -> (f64, Vec<(Range<usize>, f64)>) {
+            (1e-3, Vec::new())
+        }
+        fn minimize(&self, _: &ShardCtx<'_>, _: usize, _: Range<usize>) -> f64 {
+            unreachable!("dock-only batch")
+        }
+    }
+    let report = run_one_batch(DevicePool::tesla(4), 40, Arc::new(UniformExec));
+    for (index, device) in report.per_device.iter().enumerate() {
+        assert!((8..=12).contains(&device.items()), "device {index} ran {}", device.items());
+    }
+    let skew = load_skew(&busy_times(&report));
+    assert!(skew < 1.3, "skew {skew}");
+}
+
+#[test]
+fn weighted_blocks_keep_slot_order_and_balance() {
+    // Blocks of very different weights (a 50-pose block, then two 1-pose
+    // tails per entry): every block runs exactly once, results land in the
+    // slot of their (entry, block) no matter which device ran them, and no
+    // device hoards the heavy blocks.
+    const LAYOUT: [Range<usize>; 3] = [0..50, 50..51, 51..52];
+    struct WeightedExec {
+        slots: Vec<Mutex<Vec<Option<usize>>>>,
+    }
+    impl PhasedExec for WeightedExec {
+        fn dock(&self, _: &ShardCtx<'_>, _: usize) -> (f64, Vec<(Range<usize>, f64)>) {
+            (1e-5, LAYOUT.iter().map(|r| (r.clone(), r.len() as f64)).collect())
+        }
+        fn minimize(&self, _: &ShardCtx<'_>, entry: usize, pose_range: Range<usize>) -> f64 {
+            let slot = LAYOUT.iter().position(|r| *r == pose_range).expect("a laid-out block");
+            let previous = self.slots[entry].lock().unwrap()[slot].replace(pose_range.len());
+            assert!(previous.is_none(), "block ({entry}, {slot}) ran twice");
+            pose_range.len() as f64 * 1e-4
+        }
+    }
+    let entries = 10;
+    let exec = Arc::new(WeightedExec {
+        slots: (0..entries).map(|_| Mutex::new(vec![None; LAYOUT.len()])).collect(),
+    });
+    let report =
+        run_one_batch(DevicePool::tesla(2), entries, Arc::clone(&exec) as Arc<dyn PhasedExec>);
+    assert_eq!(report.blocks, entries * LAYOUT.len());
+    for slots in &exec.slots {
+        assert_eq!(*slots.lock().unwrap(), vec![Some(50), Some(1), Some(1)]);
+    }
+    let skew = load_skew(&busy_times(&report));
+    assert!(skew < 1.6, "weighted skew {skew}");
 }

@@ -78,7 +78,7 @@ fn main() {
     }
 
     // A heterogeneous pool: two Teslas plus the quad-core Xeon host as a
-    // third, slower shard consumer — work-stealing balances by speed.
+    // third, slower shard consumer — the claim rule balances by modeled speed.
     let mut config = FtMapConfig::small_test(PipelineMode::sharded(3));
     config.docking.n_rotations = 8;
     config.conformations_per_probe = 2;

@@ -56,9 +56,9 @@ pub mod prelude {
         SyntheticProtein,
     };
     pub use ftmap_serve::{
-        AdmissionConfig, AdmissionVerdict, BatchConfig, BatchMappingService, DispatchMode,
-        JobHandle, JobStatus, LatencyClass, MappingRequest, Observability, QueueConfig,
-        RejectReason, ServeConfig, ServiceBuilder, TenantQuota,
+        AdmissionConfig, AdmissionVerdict, BatchConfig, BatchMappingService, JobHandle, JobStatus,
+        LatencyClass, MappingRequest, QueueConfig, RejectReason, ServeConfig, ServiceBuilder,
+        TenantQuota,
     };
     pub use ftmap_trace::{
         analyze, analyze_all, build_request_trees, export_chrome_trace,
@@ -66,8 +66,8 @@ pub mod prelude {
         Recorder, RequestTrace, SanitizeReport, SloReport, SloSpec, TraceSink,
     };
     pub use gpu_sim::{
-        BackendSelect, Device, DevicePool, DeviceSpec, ExecutionBackend, KernelLaunch, ShardQueue,
-        StatsLedger, Stream,
+        BackendSelect, Device, DevicePool, DeviceSpec, ExecutionBackend, KernelLaunch, StatsLedger,
+        Stream,
     };
     pub use piper_dock::{Docking, DockingConfig, DockingEngineKind, EnergyWeights, Pose};
 }

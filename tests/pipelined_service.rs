@@ -60,12 +60,7 @@ fn dedicated_reference(jobs: &[MappingRequest]) -> HashMap<String, MappingResult
 fn run_pipelined(jobs: Vec<MappingRequest>, devices: usize) -> HashMap<String, MappingResult> {
     let pool = Arc::new(DevicePool::tesla(devices));
     let service = BatchMappingService::builder(pool)
-        .batch(BatchConfig {
-            dispatch: DispatchMode::Pipelined,
-            max_batch_jobs: 3,
-            pose_block: 1,
-            ..BatchConfig::default()
-        })
+        .batch(BatchConfig { max_batch_jobs: 3, pose_block: 1, ..BatchConfig::default() })
         .build();
     let handles: Vec<_> =
         jobs.into_iter().map(|job| service.submit(job).expect_admitted("admitted")).collect();
@@ -138,8 +133,9 @@ fn shuffled_mixed_class_arrival_orders_change_nothing() {
 
 #[test]
 fn single_run_phased_map_matches_barriered_map() {
-    // FtMapPipeline::map_pipelined — the intra-run dock/minimize overlap —
-    // must match the barriered sharded map and the accelerated reference.
+    // FtMapPipeline::map in Sharded mode — one batch on the phased scheduler,
+    // with intra-run dock/minimize overlap — must match the accelerated
+    // single-device reference.
     let ff = ForceField::charmm_like();
     let protein = SyntheticProtein::generate(&ProteinSpec::small_test(), &ff);
     let library = ProbeLibrary::subset(&ff, &[ProbeType::Ethanol, ProbeType::Acetone]);
@@ -154,10 +150,10 @@ fn single_run_phased_map_matches_barriered_map() {
         ff,
         FtMapConfig::small_test(PipelineMode::Sharded { devices: 2, pose_block: 1 }),
     );
-    let phased = pipeline.map_pipelined(&library);
-    assert_bit_identical(&reference, &phased, "map_pipelined");
+    let phased = pipeline.map(&library);
+    assert_bit_identical(&reference, &phased, "sharded map");
     // The phased profile reports scheduler views: per-device loads and the
-    // phase-overlap savings the barrier could not have had.
+    // phase-overlap savings a barrier could not have had.
     assert_eq!(phased.profile.device_loads.len(), 2);
     let probes: usize = phased.profile.device_loads.iter().map(|l| l.probes).sum();
     assert_eq!(probes, library.len());

@@ -3,7 +3,7 @@
 //! `PipelineMode::Accelerated` across pool sizes, block sizes, and pool
 //! shapes. The dock-once / minimize-pose-block split changes where and when a
 //! probe's retained poses are minimized — one probe's blocks spread over the
-//! whole pool — but the shard queue re-assembles block results in
+//! whole pool — but the phased batch folds block results in
 //! `(probe, pose)` order, so nothing downstream can tell the difference.
 
 use ftmap::gpu::sched::DevicePool;
@@ -83,7 +83,17 @@ fn pose_blocks_are_bit_identical_across_pools_and_block_sizes() {
                 3 // block ≥ pose count ⇒ one block per probe
             };
             assert_eq!(blocks, expected_blocks, "{label}: pose blocks");
-            assert_eq!(split.profile.phase_makespans_modeled_s.len(), 2, "{label}");
+            // The per-phase stream rows carry the same counts, and phase
+            // overlap can only have saved time.
+            let streams = &split.profile.phase_streams;
+            assert_eq!(streams.len(), 2, "{label}");
+            assert_eq!((streams[0].phase.as_str(), streams[0].ops), ("dock", 3), "{label}");
+            assert_eq!(
+                (streams[1].phase.as_str(), streams[1].ops),
+                ("minimize", expected_blocks),
+                "{label}"
+            );
+            assert!(split.profile.pipeline_overlap_saved_s >= 0.0, "{label}");
         }
     }
 }

@@ -1,8 +1,8 @@
 //! Determinism of the sharded pipeline at whole-probe granularity
 //! (`pose_block: 0`): `PipelineMode::Sharded` must produce **bit-identical**
 //! consensus sites to `PipelineMode::Accelerated` for any pool size — sharding
-//! changes where and when work runs, never what it computes, and the shard
-//! queue re-assembles results in library order no matter which device serviced
+//! changes where and when work runs, never what it computes, and the phased
+//! batch re-assembles results in library order no matter which device serviced
 //! each probe. The pose-granularity counterpart lives in
 //! `tests/pose_sharded_pipeline.rs`.
 
