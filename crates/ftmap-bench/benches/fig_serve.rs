@@ -69,15 +69,13 @@ fn jobs(n: usize) -> Vec<MappingRequest> {
 /// modeled makespan over the distinct batches the dispatcher formed.
 fn run(label: &'static str, pool: Arc<DevicePool>, requests: Vec<MappingRequest>) -> Measurement {
     let n = requests.len();
-    let cache_before: Vec<CacheStats> =
-        pool.devices().iter().map(|d| d.residency().stats()).collect();
-    let service = BatchMappingService::builder(Arc::clone(&pool)).build();
+    let service = BatchMappingService::builder(pool).build();
     let start = Instant::now();
     let handles: Vec<_> =
         requests.into_iter().map(|r| service.submit(r).expect_admitted("admitted")).collect();
     let reports: Vec<Arc<JobReport>> = handles.iter().map(|h| h.wait()).collect();
     let wall_s = start.elapsed().as_secs_f64();
-    service.shutdown();
+    let cache = service.shutdown().cache();
 
     // Modeled serving time: each batch runs the pool once; distinct batches
     // run back to back, so the run's modeled time is the sum of their
@@ -87,11 +85,6 @@ fn run(label: &'static str, pool: Arc<DevicePool>, requests: Vec<MappingRequest>
         batch_makespans.insert(report.batch.batch_index, report.batch.makespan_modeled_s);
     }
     let modeled_s: f64 = batch_makespans.values().sum();
-
-    let mut cache = CacheStats::default();
-    for (device, before) in pool.devices().iter().zip(&cache_before) {
-        cache.accumulate(&device.residency().stats().delta_since(before));
-    }
     Measurement { label, jobs: n, modeled_s, wall_s, cache }
 }
 

@@ -9,14 +9,16 @@
 //! no batch-wide phase barrier — and a later batch's docks fill whatever the
 //! current batch leaves idle.
 //!
-//! The batch owns its result slots: docked probes, per-block partial shards,
-//! and (for the fused `pose_block == 0` schedule) whole-probe shards. Folding
-//! happens in `(entry, pose)` order in [`PhasedMapBatch::take_shards`], so the
-//! assembled shards are **bit-identical** to the fused single-device path no
-//! matter which devices ran what, in which order, under which priorities.
+//! The batch is the one place that knows how `(job, probe)` entries are laid
+//! out and how their products fold back into per-job results. It owns the
+//! result slots: docked probes, per-block partial shards, and (for the fused
+//! `pose_block == 0` schedule) whole-probe shards. Folding happens in
+//! `(entry, pose)` order in [`PhasedMapBatch::take_results`], so each job's
+//! result is **bit-identical** to the fused single-device path no matter
+//! which devices ran what, in which order, under which priorities.
 
-use crate::pipeline::{DockedProbe, FtMapPipeline, ProbeShard};
-use ftmap_molecule::Probe;
+use crate::pipeline::{DockedProbe, FtMapPipeline, MappingResult, ProbeShard};
+use ftmap_molecule::ProbeLibrary;
 use gpu_sim::sched::{pose_blocks, PhasedExec, ShardCtx};
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
@@ -40,6 +42,31 @@ impl EntrySlots {
             fused: Mutex::new(None),
         }
     }
+
+    /// Takes the entry's assembled shard: the fused shard, or the dock seed
+    /// with its pose blocks absorbed in pose order.
+    fn take_shard(&self, pose_block: usize) -> ProbeShard {
+        if pose_block == 0 {
+            return self
+                .fused
+                .lock()
+                .expect("fused slot poisoned")
+                .take()
+                .expect("fused entry never docked or taken twice");
+        }
+        let docked = self
+            .docked
+            .lock()
+            .expect("docked slot poisoned")
+            .take()
+            .expect("entry never docked or taken twice");
+        let mut shard = docked.to_shard();
+        let blocks = std::mem::take(&mut *self.blocks.lock().expect("blocks poisoned"));
+        for block in blocks {
+            shard.absorb(block.expect("pose block never minimized"));
+        }
+        shard
+    }
 }
 
 /// One schedulable mapping batch: every `(job, probe)` pair of a set of
@@ -50,31 +77,26 @@ impl EntrySlots {
 /// any positive value docks first and then minimizes blocks of at most that
 /// many retained poses, generated per entry as its dock completes.
 pub struct PhasedMapBatch {
-    /// One pipeline per job (each job keeps its own config).
-    pipelines: Vec<FtMapPipeline>,
-    /// The flattened `(job index, probe)` entries, in `(job, probe)` order.
-    entries: Vec<(usize, Probe)>,
+    /// One pipeline and probe library per job (each job keeps its own config).
+    jobs: Vec<(FtMapPipeline, ProbeLibrary)>,
+    /// The flattened `(job index, probe index)` entries, in `(job, probe)`
+    /// order.
+    entries: Vec<(usize, usize)>,
     pose_block: usize,
     slots: Vec<EntrySlots>,
 }
 
 impl PhasedMapBatch {
-    /// Builds a batch over `pipelines` (one per job) and the flattened
-    /// `(job index, probe)` entries.
-    ///
-    /// # Panics
-    /// Panics if any entry's job index is out of range.
-    pub fn new(
-        pipelines: Vec<FtMapPipeline>,
-        entries: Vec<(usize, Probe)>,
-        pose_block: usize,
-    ) -> Self {
-        assert!(
-            entries.iter().all(|(job, _)| *job < pipelines.len()),
-            "entry job index out of range"
-        );
+    /// Builds a batch over `jobs`: one dock entry per probe of each job's
+    /// library, in `(job, probe)` order.
+    pub fn new(jobs: Vec<(FtMapPipeline, ProbeLibrary)>, pose_block: usize) -> Self {
+        let entries: Vec<(usize, usize)> = jobs
+            .iter()
+            .enumerate()
+            .flat_map(|(job, (_, library))| (0..library.len()).map(move |probe| (job, probe)))
+            .collect();
         let slots = (0..entries.len()).map(|_| EntrySlots::new()).collect();
-        PhasedMapBatch { pipelines, entries, pose_block, slots }
+        PhasedMapBatch { jobs, entries, pose_block, slots }
     }
 
     /// Number of `(job, probe)` entries (the batch's dock-item count).
@@ -87,45 +109,25 @@ impl PhasedMapBatch {
         vec![1.0; self.entries.len()]
     }
 
-    /// Takes the assembled per-entry shards, in `(job, probe)` submission
-    /// order — each entry's dock seed with its pose blocks absorbed in pose
-    /// order. Call after the batch completed; panics if any slot is missing
-    /// (an item never ran) or if called twice.
-    pub fn take_shards(&self) -> Vec<(usize, ProbeShard)> {
-        self.entries
+    /// Takes one [`MappingResult`] per job, in job order: each job's entries
+    /// fold — in library order — exactly as a dedicated
+    /// [`FtMapPipeline::map`] folds its probes, so its sites are identical to
+    /// a single-job run. Call after the batch completed; panics if any slot
+    /// is missing (an item never ran) or if called twice.
+    pub fn take_results(&self) -> Vec<MappingResult> {
+        let mut shards = self.slots.iter().map(|slots| slots.take_shard(self.pose_block));
+        self.jobs
             .iter()
-            .zip(&self.slots)
-            .map(|((job_idx, _), slots)| {
-                if self.pose_block == 0 {
-                    let shard = slots
-                        .fused
-                        .lock()
-                        .expect("fused slot poisoned")
-                        .take()
-                        .expect("fused entry never docked or taken twice");
-                    return (*job_idx, shard);
-                }
-                let docked = slots
-                    .docked
-                    .lock()
-                    .expect("docked slot poisoned")
-                    .take()
-                    .expect("entry never docked or taken twice");
-                let mut shard = docked.to_shard();
-                let blocks = std::mem::take(&mut *slots.blocks.lock().expect("blocks poisoned"));
-                for block in blocks {
-                    shard.absorb(block.expect("pose block never minimized"));
-                }
-                (*job_idx, shard)
-            })
+            .map(|(pipeline, library)| pipeline.assemble(shards.by_ref().take(library.len())))
             .collect()
     }
 }
 
 impl PhasedExec for PhasedMapBatch {
     fn dock(&self, ctx: &ShardCtx<'_>, entry: usize) -> (f64, Vec<(Range<usize>, f64)>) {
-        let (job_idx, probe) = &self.entries[entry];
-        let pipeline = &self.pipelines[*job_idx];
+        let (job, probe) = self.entries[entry];
+        let (pipeline, library) = &self.jobs[job];
+        let probe = &library.probes()[probe];
         if self.pose_block == 0 {
             // Fused schedule: the dock item carries the whole probe.
             let shard = pipeline.map_probe_shard(probe, ctx.device);
@@ -135,18 +137,15 @@ impl PhasedExec for PhasedMapBatch {
         }
         let docked = pipeline.dock_probe_shard(probe, ctx.device);
         let kernel_s = docked.kernel_modeled_s();
-        let retained = pipeline.retained_pose_count(&docked);
-        let layout = pose_blocks(&[retained], self.pose_block);
-        let blocks: Vec<(Range<usize>, f64)> =
-            layout.iter().map(|w| (w.pose_range.clone(), w.weight())).collect();
+        let blocks = pose_blocks(pipeline.retained_pose_count(&docked), self.pose_block);
         *self.slots[entry].blocks.lock().expect("blocks poisoned") =
-            (0..layout.len()).map(|_| None).collect();
+            (0..blocks.len()).map(|_| None).collect();
         *self.slots[entry].docked.lock().expect("docked slot poisoned") = Some(Arc::new(docked));
         (kernel_s, blocks)
     }
 
     fn minimize(&self, ctx: &ShardCtx<'_>, entry: usize, pose_range: Range<usize>) -> f64 {
-        let (job_idx, _) = &self.entries[entry];
+        let (pipeline, _) = &self.jobs[self.entries[entry].0];
         let docked = Arc::clone(
             self.slots[entry]
                 .docked
@@ -155,8 +154,7 @@ impl PhasedExec for PhasedMapBatch {
                 .as_ref()
                 .expect("minimize scheduled before dock completed"),
         );
-        let shard =
-            self.pipelines[*job_idx].minimize_pose_block(&docked, pose_range.clone(), ctx.device);
+        let shard = pipeline.minimize_pose_block(&docked, pose_range.clone(), ctx.device);
         let kernel_s = shard.kernel_modeled_s;
         // Blocks are fixed-size except the tail, so the slot index is the
         // range start over the block size.
@@ -193,9 +191,11 @@ mod tests {
             let (pipeline, _) = pipeline_and_library();
             let pool = Arc::new(DevicePool::tesla(2));
             let sched = PhasePipeline::new(Arc::clone(&pool));
-            let entries: Vec<(usize, Probe)> =
-                library.probes().iter().map(|p| (0usize, p.clone())).collect();
-            let batch = Arc::new(PhasedMapBatch::new(vec![pipeline], entries, pose_block));
+            // Two jobs over the same library: each must reproduce the
+            // dedicated run on its own.
+            let jobs = vec![(pipeline.clone(), library.clone()), (pipeline, library.clone())];
+            let batch = Arc::new(PhasedMapBatch::new(jobs, pose_block));
+            assert_eq!(batch.entries(), 2 * library.len());
             let handle = sched.submit(
                 PhasedBatch {
                     label: Default::default(),
@@ -210,25 +210,24 @@ mod tests {
             handle.wait();
             sched.shutdown();
 
-            let shards = batch.take_shards();
-            assert_eq!(shards.len(), library.len());
-            let mut inputs = Vec::new();
-            let mut conformations = 0usize;
-            for (job_idx, shard) in shards {
-                assert_eq!(job_idx, 0);
-                conformations += shard.conformations;
-                inputs.extend(shard.inputs);
-            }
-            assert_eq!(conformations, reference.conformations_minimized, "block {pose_block}");
-            assert_eq!(inputs.len(), reference.pose_centers.len());
-            for (input, (probe, center)) in inputs.iter().zip(&reference.pose_centers) {
-                assert_eq!(input.probe, *probe, "block {pose_block}");
-                assert!(
-                    input.center.x == center.x
-                        && input.center.y == center.y
-                        && input.center.z == center.z,
-                    "block {pose_block}: pose centre moved"
+            let results = batch.take_results();
+            assert_eq!(results.len(), 2);
+            for result in results {
+                assert_eq!(
+                    result.conformations_minimized, reference.conformations_minimized,
+                    "block {pose_block}"
                 );
+                assert_eq!(result.pose_centers.len(), reference.pose_centers.len());
+                for ((probe_a, a), (probe_b, b)) in
+                    result.pose_centers.iter().zip(&reference.pose_centers)
+                {
+                    assert_eq!(probe_a, probe_b, "block {pose_block}");
+                    assert!(
+                        a.x == b.x && a.y == b.y && a.z == b.z,
+                        "block {pose_block}: pose centre moved"
+                    );
+                }
+                assert_eq!(result.sites.len(), reference.sites.len());
             }
         }
     }

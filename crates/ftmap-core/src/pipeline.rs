@@ -19,6 +19,7 @@
 //! sharding changes where and when work runs, never what it computes.
 
 use crate::cluster::{cluster_poses, ClusterInput, ConsensusSite};
+use crate::phased::PhasedMapBatch;
 use crate::profile::{DeviceLoad, MappingProfile, PhaseStream};
 use ftmap_energy::minimize::{MinimizationConfig, Minimizer};
 use ftmap_math::{RotationSet, Vec3};
@@ -112,10 +113,12 @@ impl From<ExecutionBackend> for PipelineMode {
 /// Pipeline configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FtMapConfig {
-    /// Docking configuration (grid size, rotations, retained poses, engine is overridden
-    /// by the pipeline mode).
+    /// Docking configuration (grid size, rotations, retained poses, engine), used as
+    /// given: [`FtMapConfig::paper_scale`] / [`FtMapConfig::small_test`] pick the mode's
+    /// engine, and a caller may swap in another (e.g. `BatchedFft`) without changing the
+    /// mode.
     pub docking: DockingConfig,
-    /// Minimization configuration (evaluation path is overridden by the pipeline mode).
+    /// Minimization configuration (iterations, evaluation path), used as given.
     pub minimization: MinimizationConfig,
     /// Number of top docked poses minimized per probe (FTMap minimizes all retained
     /// poses — 2000 per probe; scaled configurations minimize fewer).
@@ -379,28 +382,18 @@ impl FtMapPipeline {
         Self::with_pool(protein, ff, config, pool)
     }
 
-    /// Creates a pipeline on an explicit (possibly heterogeneous) device pool.
+    /// Creates a pipeline on an explicit (possibly heterogeneous) device pool:
+    /// an owned [`DevicePool`], or an `Arc` handle shared with other consumers
+    /// so all of them land on the same devices (and the same residency
+    /// caches).
     pub fn with_pool(
         protein: SyntheticProtein,
         ff: ForceField,
         config: FtMapConfig,
-        pool: DevicePool,
-    ) -> Self {
-        Self::with_shared_pool(protein, ff, config, Arc::new(pool))
-    }
-
-    /// Creates a pipeline on a pool shared with other consumers — the entry
-    /// point for queued jobs: a batch-mapping service hands every job pipeline
-    /// the same pool handle, so all jobs' shards land on the same devices (and
-    /// the same residency caches).
-    pub fn with_shared_pool(
-        protein: SyntheticProtein,
-        ff: ForceField,
-        config: FtMapConfig,
-        pool: Arc<DevicePool>,
+        pool: impl Into<Arc<DevicePool>>,
     ) -> Self {
         let receptor = Docking::build_receptor(&protein.atoms, &config.docking);
-        Self::with_shared_resources(protein, ff, config, pool, receptor)
+        Self::with_shared_resources(protein, ff, config, pool.into(), receptor)
     }
 
     /// Creates a pipeline from prebuilt receptor grids on a shared pool —
@@ -426,13 +419,9 @@ impl FtMapPipeline {
         &self.protein
     }
 
-    /// The device pool this pipeline executes on.
-    pub fn pool(&self) -> &DevicePool {
-        &self.pool
-    }
-
-    /// The shared handle to the device pool (for co-scheduling other work).
-    pub fn shared_pool(&self) -> &Arc<DevicePool> {
+    /// The device pool this pipeline executes on (clone the handle to
+    /// co-schedule other work onto it).
+    pub fn pool(&self) -> &Arc<DevicePool> {
         &self.pool
     }
 
@@ -473,30 +462,15 @@ impl FtMapPipeline {
     ) -> MappingResult {
         self.pool.reset_transfer_stats();
         let sched = PhasePipeline::with_trace(Arc::clone(&self.pool), sink);
-        let result = self.map_with_dispatcher(library, &sched, 0);
-        sched.shutdown();
-        result
-    }
-
-    /// Runs this mapping as one batch on a shared phased dispatcher at the
-    /// given priority (lower is more urgent), blocking until it completes.
-    /// The dispatcher must schedule onto this pipeline's pool.
-    pub fn map_with_dispatcher(
-        &self,
-        library: &ProbeLibrary,
-        sched: &PhasePipeline,
-        priority: u32,
-    ) -> MappingResult {
-        let entries: Vec<(usize, Probe)> =
-            library.probes().iter().map(|p| (0usize, p.clone())).collect();
-        let pose_block = self.config.mode.pose_block();
-        let batch =
-            Arc::new(crate::phased::PhasedMapBatch::new(vec![self.clone()], entries, pose_block));
+        let batch = Arc::new(PhasedMapBatch::new(
+            vec![(self.clone(), library.clone())],
+            self.config.mode.pose_block(),
+        ));
         let handle = sched.submit(
             PhasedBatch {
                 label: Default::default(),
                 entry_traces: Vec::new(),
-                priority,
+                priority: 0,
                 entries: batch.entries(),
                 dock_weights: batch.dock_weights(),
                 exec: Arc::clone(&batch) as Arc<dyn PhasedExec>,
@@ -504,9 +478,9 @@ impl FtMapPipeline {
             None,
         );
         let report = handle.wait();
-        let shards = batch.take_shards().into_iter().map(|(_, shard)| shard).collect();
-        let loads = report.per_device.iter().map(DeviceLoad::from).collect();
-        let mut result = self.assemble(shards, loads);
+        sched.shutdown();
+        let mut result = batch.take_results().pop().expect("one job in, one result out");
+        result.profile.device_loads = report.per_device.iter().map(DeviceLoad::from).collect();
         result.profile.pipeline_overlap_saved_s = report.overlap_saved_s();
         result.profile.phase_streams = vec![
             PhaseStream::from_streams("dock", report.per_device.iter().map(|d| &d.dock)),
@@ -521,12 +495,12 @@ impl FtMapPipeline {
         // previous run's transfers cannot leak into this one.
         self.pool.reset_transfer_stats();
         let device = self.pool.device(0);
-        let shards = library.probes().iter().map(|probe| self.map_probe_shard(probe, device));
-        self.assemble(shards.collect(), Vec::new())
+        self.assemble(library.probes().iter().map(|probe| self.map_probe_shard(probe, device)))
     }
 
-    /// Folds per-probe shards (in library order) into the mapping result.
-    fn assemble(&self, shards: Vec<ProbeShard>, device_loads: Vec<DeviceLoad>) -> MappingResult {
+    /// Folds per-probe shards (in library order) into the mapping result —
+    /// the one fold behind every mode and every serve job.
+    pub(crate) fn assemble(&self, shards: impl Iterator<Item = ProbeShard>) -> MappingResult {
         let mut profile = MappingProfile::default();
         let mut cluster_inputs: Vec<ClusterInput> = Vec::new();
         let mut pose_centers = Vec::new();
@@ -539,7 +513,6 @@ impl FtMapPipeline {
             }
             cluster_inputs.extend(shard.inputs);
         }
-        profile.device_loads = device_loads;
         let sites = cluster_poses(&cluster_inputs, self.config.cluster_radius);
         MappingResult { sites, conformations_minimized: conformations, profile, pose_centers }
     }

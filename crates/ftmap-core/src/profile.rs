@@ -77,7 +77,7 @@ impl PhaseStream {
 }
 
 /// Time spent in the two phases of a mapping run (per probe), both as measured
-//  wall-clock on this machine and as modeled device/host time.
+/// wall-clock on this machine and as modeled device/host time.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct MappingProfile {
     /// Rigid-docking wall-clock seconds.

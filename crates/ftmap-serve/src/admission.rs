@@ -320,9 +320,6 @@ pub(crate) struct AdmissionState {
     /// Bumped on every job completion and admission; the dispatcher re-checks
     /// fairness eligibility when it changes.
     pub epoch: u64,
-    /// Deadline outcomes per class: `(met, missed)` tallies for the
-    /// deadline-miss gauges.
-    pub deadline_outcomes: [(usize, usize); 2],
 }
 
 impl AdmissionState {
@@ -383,17 +380,6 @@ impl AdmissionState {
     /// Jobs of `tenant` currently in flight.
     pub fn tenant_load(&self, tenant: &str) -> usize {
         self.tenant_inflight.get(tenant).copied().unwrap_or(0)
-    }
-
-    /// Records a deadline outcome for the class at `priority`.
-    pub fn note_deadline(&mut self, priority: u32, missed: bool) {
-        if let Some((met, miss)) = self.deadline_outcomes.get_mut(priority as usize) {
-            if missed {
-                *miss += 1;
-            } else {
-                *met += 1;
-            }
-        }
     }
 }
 

@@ -1,15 +1,15 @@
 //! Batch formation: group compatible pending jobs without starving anyone.
 //!
-//! Policy: **FIFO-fair by receptor, with class-priority admission.** In the
-//! plain form ([`next_batch`]) the oldest pending job anchors the next batch;
-//! every other pending job with the same receptor fingerprint (up to
+//! Policy: **FIFO-fair by receptor, with class-priority admission.** With
+//! every job bulk (the default class) the oldest pending job anchors the next
+//! batch; every other pending job with the same receptor fingerprint (up to
 //! `max_jobs`) rides along, in arrival order. Jobs for other receptors keep
 //! their queue positions. This keeps worst-case latency bounded by arrival
 //! order — a hot receptor cannot starve a cold one, because batches are always
 //! anchored at the queue head — while still coalescing every compatible job
 //! the moment its receptor reaches the front.
 //!
-//! The priority form ([`next_batch_prioritized`]) adds **latency classes**:
+//! On top of that come **latency classes** ([`next_batch_prioritized`]):
 //! the earliest [`LatencyClass::Interactive`] job may overtake older
 //! [`LatencyClass::Bulk`] jobs and anchor the batch instead, so small
 //! interactive requests stop queueing behind bulk library scans. Starvation is
@@ -82,45 +82,9 @@ pub trait Batchable {
     }
 }
 
-/// Extracts the next batch from `pending` (arrival order): the head job plus
-/// every later job with the same fingerprint, up to `max_jobs`. Extracted jobs
-/// are removed; the rest keep their order. Returns an empty vector only when
-/// `pending` is empty.
-///
-/// Edge cases: `max_jobs == 0` is clamped to 1 — a non-empty queue must always
-/// make progress, so the anchor job ships alone rather than being silently
-/// skipped (which would spin the dispatcher forever on a queue it never
-/// drains). `max_jobs == 1` likewise extracts exactly the anchor and touches
-/// nothing else. Scanning stops as soon as the batch is full: jobs past the
-/// cut keep their positions without their fingerprints ever being inspected.
-pub fn next_batch<T: Batchable>(pending: &mut Vec<T>, max_jobs: usize) -> Vec<T> {
-    if pending.is_empty() {
-        return Vec::new();
-    }
-    let max_jobs = max_jobs.max(1);
-    let anchor = pending[0].fingerprint();
-    let mut batch = Vec::new();
-    let mut rest = Vec::with_capacity(pending.len());
-    {
-        let mut drain = pending.drain(..);
-        for job in drain.by_ref() {
-            if job.fingerprint() == anchor {
-                batch.push(job);
-                if batch.len() == max_jobs {
-                    break; // full — stop scanning
-                }
-            } else {
-                rest.push(job);
-            }
-        }
-        // Everything after the early exit keeps its order, unscanned.
-        rest.extend(drain);
-    }
-    *pending = rest;
-    batch
-}
-
-/// Extracts the next batch under class priority with aging. The anchor is:
+/// Extracts the next batch from `pending` (arrival order) under class
+/// priority with aging: [`next_batch_admission`] with both fairness gates
+/// open. The anchor is:
 ///
 /// 1. the **head job**, when no interactive job is pending, or when a bulk job
 ///    ahead of the first interactive one has exhausted its aging allowance
@@ -132,72 +96,38 @@ pub fn next_batch<T: Batchable>(pending: &mut Vec<T>, max_jobs: usize) -> Vec<T>
 ///
 /// The batch is the anchor plus every later job with the same `(fingerprint,
 /// class)` — batches are class-homogeneous, so a batch carries exactly one
-/// scheduler priority — up to `max_jobs` (clamped to at least 1), with the
-/// same early-exit/no-reorder guarantees as [`next_batch`]. With every job
-/// bulk (the default class) this is exactly [`next_batch`].
+/// scheduler priority — up to `max_jobs`. Extracted jobs are removed; the rest
+/// keep their order. Returns an empty vector only when `pending` is empty.
+///
+/// Edge cases: `max_jobs == 0` is clamped to 1 — a non-empty queue must always
+/// make progress, so the anchor job ships alone rather than being silently
+/// skipped (which would spin the dispatcher forever on a queue it never
+/// drains). `max_jobs == 1` likewise extracts exactly the anchor and touches
+/// nothing else. Scanning stops as soon as the batch is full: jobs past the
+/// cut keep their positions without their fingerprints ever being inspected.
 pub fn next_batch_prioritized<T: Batchable>(
     pending: &mut Vec<T>,
     max_jobs: usize,
     aging: usize,
 ) -> Vec<T> {
-    if pending.is_empty() {
-        return Vec::new();
-    }
-    let max_jobs = max_jobs.max(1);
-    let anchor_pos = match pending.iter().position(|j| j.class() == LatencyClass::Interactive) {
-        None => 0,
-        Some(first_interactive) => pending[..first_interactive]
-            .iter()
-            .position(|j| j.class() == LatencyClass::Bulk && j.overtaken() >= aging)
-            .unwrap_or(first_interactive),
-    };
-    let anchor_fp = pending[anchor_pos].fingerprint();
-    let anchor_class = pending[anchor_pos].class();
-    if anchor_class == LatencyClass::Interactive {
-        for job in pending[..anchor_pos].iter_mut() {
-            if job.class() == LatencyClass::Bulk {
-                job.note_overtaken();
-            }
-        }
-    }
-    let mut batch = Vec::new();
-    let mut rest: Vec<T> = Vec::with_capacity(pending.len());
-    rest.extend(pending.drain(..anchor_pos));
-    {
-        let mut drain = pending.drain(..);
-        for job in drain.by_ref() {
-            if job.fingerprint() == anchor_fp && job.class() == anchor_class {
-                batch.push(job);
-                if batch.len() == max_jobs {
-                    break; // full — stop scanning
-                }
-            } else {
-                rest.push(job);
-            }
-        }
-        rest.extend(drain);
-    }
-    *pending = rest;
-    batch
+    next_batch_admission(pending, max_jobs, aging, |_| true, |_| true)
 }
 
-/// [`next_batch_prioritized`] with fairness gates: `eligible` is a pure
-/// per-job check (receptor in-flight cap, tenant quota headroom) consulted
-/// during anchor selection and member collection; `budget` is a stateful
-/// reservation invoked once per job actually added to the batch (in batch
-/// order, anchor first) and may refuse when a cumulative limit — e.g. a
-/// tenant's remaining in-flight allowance — runs out mid-batch. Refused and
-/// ineligible jobs keep their queue positions.
+/// The one batch-formation algorithm: [`next_batch_prioritized`]'s policy
+/// under fairness gates. `eligible` is a pure per-job check (receptor
+/// in-flight cap, tenant quota headroom) consulted during anchor selection and
+/// member collection; `budget` is a stateful reservation invoked once per job
+/// actually added to the batch (in batch order, anchor first) and may refuse
+/// when a cumulative limit — e.g. a tenant's remaining in-flight allowance —
+/// runs out mid-batch. Refused and ineligible jobs keep their queue positions.
 ///
 /// Returns an **empty batch from a non-empty queue** when no eligible job
 /// exists (every pending job is blocked on in-flight work) or when `budget`
 /// refuses the chosen anchor — the caller must then wait for a completion
-/// rather than spin. Anchor selection mirrors [`next_batch_prioritized`]
-/// restricted to eligible jobs: the earliest eligible interactive job
-/// overtakes (bumping every bulk job it passes, eligible or not — they were
-/// passed over either way), unless an eligible aged bulk job ahead of it
-/// blocks the overtake. With both closures always `true` this is exactly
-/// [`next_batch_prioritized`].
+/// rather than spin. Anchor selection is restricted to eligible jobs: the
+/// earliest eligible interactive job overtakes (bumping every bulk job it
+/// passes, eligible or not — they were passed over either way), unless an
+/// eligible aged bulk job ahead of it blocks the overtake.
 pub fn next_batch_admission<T: Batchable>(
     pending: &mut Vec<T>,
     max_jobs: usize,
@@ -286,25 +216,25 @@ mod tests {
     #[test]
     fn batches_anchor_at_the_queue_head() {
         let mut pending = vec![J(1, "a"), J(2, "b"), J(1, "c"), J(2, "d"), J(1, "e")];
-        let batch = next_batch(&mut pending, 8);
+        let batch = next_batch_prioritized(&mut pending, 8, 4);
         assert_eq!(batch, vec![J(1, "a"), J(1, "c"), J(1, "e")]);
         // The other receptor's jobs kept their order and are next.
         assert_eq!(pending, vec![J(2, "b"), J(2, "d")]);
-        let batch = next_batch(&mut pending, 8);
+        let batch = next_batch_prioritized(&mut pending, 8, 4);
         assert_eq!(batch, vec![J(2, "b"), J(2, "d")]);
         assert!(pending.is_empty());
-        assert!(next_batch(&mut pending, 8).is_empty());
+        assert!(next_batch_prioritized(&mut pending, 8, 4).is_empty());
     }
 
     #[test]
     fn max_jobs_caps_a_batch_without_reordering() {
         let mut pending = vec![J(1, "a"), J(1, "b"), J(1, "c"), J(2, "x"), J(1, "d")];
-        let batch = next_batch(&mut pending, 2);
+        let batch = next_batch_prioritized(&mut pending, 2, 4);
         assert_eq!(batch, vec![J(1, "a"), J(1, "b")]);
         // Overflow jobs stay pending, still ahead of other receptors where
         // they arrived earlier.
         assert_eq!(pending, vec![J(1, "c"), J(2, "x"), J(1, "d")]);
-        let batch = next_batch(&mut pending, 2);
+        let batch = next_batch_prioritized(&mut pending, 2, 4);
         assert_eq!(batch, vec![J(1, "c"), J(1, "d")]);
         assert_eq!(pending, vec![J(2, "x")]);
     }
@@ -315,7 +245,7 @@ mod tests {
         // batch from a non-empty queue (the dispatcher would spin forever).
         // It clamps to 1: the anchor ships, everything else is untouched.
         let mut pending = vec![J(1, "a"), J(2, "b"), J(1, "c")];
-        let batch = next_batch(&mut pending, 0);
+        let batch = next_batch_prioritized(&mut pending, 0, 4);
         assert_eq!(batch, vec![J(1, "a")]);
         assert_eq!(pending, vec![J(2, "b"), J(1, "c")]);
     }
@@ -323,14 +253,14 @@ mod tests {
     #[test]
     fn max_jobs_one_extracts_exactly_the_anchor() {
         let mut pending = vec![J(1, "a"), J(1, "b"), J(2, "x")];
-        let batch = next_batch(&mut pending, 1);
+        let batch = next_batch_prioritized(&mut pending, 1, 4);
         assert_eq!(batch, vec![J(1, "a")]);
         assert_eq!(pending, vec![J(1, "b"), J(2, "x")]);
         // Draining one at a time reaches every job in arrival-fair order.
-        assert_eq!(next_batch(&mut pending, 1), vec![J(1, "b")]);
-        assert_eq!(next_batch(&mut pending, 1), vec![J(2, "x")]);
+        assert_eq!(next_batch_prioritized(&mut pending, 1, 4), vec![J(1, "b")]);
+        assert_eq!(next_batch_prioritized(&mut pending, 1, 4), vec![J(2, "x")]);
         assert!(pending.is_empty());
-        assert!(next_batch(&mut pending, 1).is_empty());
+        assert!(next_batch_prioritized(&mut pending, 1, 4).is_empty());
     }
 
     #[test]
@@ -346,7 +276,7 @@ mod tests {
         }
         let mut pending =
             vec![Tripwire(1, false), Tripwire(1, false), Tripwire(9, true), Tripwire(1, true)];
-        let batch = next_batch(&mut pending, 2);
+        let batch = next_batch_prioritized(&mut pending, 2, 4);
         assert_eq!(batch.len(), 2);
         assert_eq!(pending.len(), 2);
         assert_eq!(pending[0].0, 9);
@@ -356,8 +286,8 @@ mod tests {
     #[test]
     fn single_receptor_queue_drains_fifo() {
         let mut pending: Vec<J> = (0..5).map(|_| J(9, "j")).collect();
-        assert_eq!(next_batch(&mut pending, 3).len(), 3);
-        assert_eq!(next_batch(&mut pending, 3).len(), 2);
+        assert_eq!(next_batch_prioritized(&mut pending, 3, 4).len(), 3);
+        assert_eq!(next_batch_prioritized(&mut pending, 3, 4).len(), 2);
         assert!(pending.is_empty());
     }
 
@@ -443,7 +373,7 @@ mod tests {
         let jobs = || vec![bulk(1, "a"), bulk(2, "b"), bulk(1, "c")];
         let mut plain = jobs();
         let mut prioritized = jobs();
-        let a = next_batch(&mut plain, 8);
+        let a = next_batch_prioritized(&mut plain, 8, 4);
         let b = next_batch_prioritized(&mut prioritized, 8, 4);
         assert_eq!(a.iter().map(|j| j.2).collect::<Vec<_>>(), vec!["a", "c"]);
         assert_eq!(b.iter().map(|j| j.2).collect::<Vec<_>>(), vec!["a", "c"]);
@@ -455,7 +385,7 @@ mod tests {
     fn empty_queue_yields_empty_batch_under_priority() {
         let mut pending: Vec<P> = Vec::new();
         assert!(next_batch_prioritized(&mut pending, 4, 4).is_empty());
-        // max_jobs == 0 clamps to the anchor, like the plain form.
+        // max_jobs == 0 clamps to the anchor.
         let mut pending = vec![inter(1, "i"), inter(1, "j")];
         let batch = next_batch_prioritized(&mut pending, 0, 4);
         assert_eq!(batch, vec![inter(1, "i")]);

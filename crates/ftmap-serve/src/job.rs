@@ -36,15 +36,13 @@ pub struct BatchSummary {
     pub pose_blocks: usize,
     /// Content key of the receptor grids the batch docked against.
     pub receptor_key: u64,
-    /// Residency-cache events attributed to the batch, summed over the pool.
-    /// Batches overlap on the devices, so the per-batch split is the events
-    /// observed since the previous batch *completed* — exact in aggregate
-    /// across batches, approximate between two batches in flight at once.
+    /// Residency-cache events this batch's own items caused, summed over the
+    /// pool ([`gpu_sim::sched::BatchReport::cache`]) — exact per batch, also
+    /// with other batches in flight on the same devices.
     pub cache: CacheStats,
     /// Derived-payload residency events (receptor FFT transforms + plans
-    /// cached next to the raw grids by the batched FFT engine) attributed to
-    /// the batch, pool-wide, windowed exactly like
-    /// [`cache`](BatchSummary::cache). A later job reusing a batch-mate's
+    /// cached next to the raw grids by the batched FFT engine) this batch's
+    /// own items caused, pool-wide. A later job reusing a batch-mate's
     /// receptor transforms shows up here as hits with zero insertions.
     pub derived_cache: CacheStats,
     /// Modeled makespan of the batch over the pool: its start-to-finish span
@@ -69,8 +67,7 @@ pub struct BatchSummary {
     /// what the barriered schedule would have taken.
     pub overlap_saved_modeled_s: f64,
     /// Modeled transfer seconds scoped to exactly this batch's items (never
-    /// shared with a concurrently running batch — the per-batch bucket that
-    /// fixes the ledger-window double-attribution).
+    /// shared with a concurrently running batch).
     pub transfer_modeled_s: f64,
 }
 

@@ -29,12 +29,14 @@
 //! the resident set for zero transfer bytes. The service additionally memoizes
 //! the *host-side* grid build per receptor fingerprint.
 //!
-//! Accounting is **batch-scoped**: each item's transfers are measured on the
-//! servicing device around that item alone and land on the owning batch's
-//! streams ([`gpu_sim::sched::BatchReport`]), so two batches in flight can
-//! never double-attribute a transfer second to the ledger — which a
-//! window-based scheme (reset the pool, read `total_transfer_time` at the end)
-//! would, as soon as batches overlap.
+//! Accounting is **batch-scoped**: each item's transfer seconds and residency
+//! events are measured on the servicing device around that item alone and
+//! land on the owning batch ([`gpu_sim::sched::BatchReport`]), so two batches
+//! in flight can never share a transfer second or a cache miss — which a
+//! window-based scheme (read the pool's totals at each completion, subtract
+//! the previous reading) would, as soon as batches overlap. Every count the
+//! service keeps lives once: monotone totals in the metrics registry,
+//! per-batch samples in one bounded window; [`ServeStats`] is a view of those.
 //!
 //! Determinism: a job's report depends only on its own request. Batch
 //! composition, arrival order, latency class, device assignment and
@@ -51,20 +53,18 @@ use crate::config::{AdmissionConfig, BatchConfig, QueueConfig, ServeConfig};
 use crate::job::{BatchSummary, JobHandle, JobId, JobReport, JobSlot};
 use crate::queue::{JobQueue, SubmitError};
 use crate::request::MappingRequest;
-use ftmap_core::{
-    cluster_poses, AppliedDegrade, ClusterInput, FtMapConfig, FtMapPipeline, MappingProfile,
-    MappingResult, PhasedMapBatch, ProbeShard,
-};
+use ftmap_core::{AppliedDegrade, FtMapConfig, FtMapPipeline, PhasedMapBatch};
 use ftmap_trace::{
     AlertState, Category, FlightRecorder, MetricsRegistry, MetricsSnapshot, SampleVerdict,
     SloEngine, SloReport, SloSpec, Tags, TraceEvent, TraceSink, Track,
 };
 use gpu_sim::sched::{BatchLabel, BatchReport, DevicePool, PhasePipeline, PhasedBatch, PhasedExec};
 use gpu_sim::sync::{locked, wait_on};
-use gpu_sim::{CacheStats, StatsLedger};
+use gpu_sim::CacheStats;
 use piper_dock::{Docking, ReceptorGrids};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -87,10 +87,13 @@ impl ClassLatency {
     /// nearest-rank p95, max. The one percentile definition every consumer —
     /// `ServeStats` and the bench gates alike — reports.
     pub fn from_samples(samples: &[f64]) -> Self {
-        if samples.is_empty() {
+        Self::summarize(samples.to_vec())
+    }
+
+    fn summarize(mut sorted: Vec<f64>) -> Self {
+        if sorted.is_empty() {
             return ClassLatency::default();
         }
-        let mut sorted = samples.to_vec();
         sorted.sort_by(f64::total_cmp);
         let n = sorted.len();
         let p95_idx = ((n as f64 * 0.95).ceil() as usize).clamp(1, n) - 1;
@@ -115,11 +118,9 @@ pub struct ServeStats {
     /// ahead of completions while batches are in flight; completed-batch
     /// counts are the per-class latency views' `batches` fields.
     pub batches_run: usize,
-    /// The service ledger: residency-cache events and per-batch transfer
-    /// seconds (phase `"serve.batch"`, batch-scoped).
-    pub ledger: StatsLedger,
-    /// Latency view of completed interactive batches (sliding window: the
-    /// most recent 4096 per class; counters above remain exact forever).
+    /// Latency view of completed interactive batches (sliding window: this
+    /// class's share of the most recent 4096 completed batches; counters
+    /// above remain exact forever).
     pub interactive: ClassLatency,
     /// Latency view of completed bulk batches (same sliding window).
     pub bulk: ClassLatency,
@@ -150,15 +151,22 @@ pub struct ServeStats {
 
 impl ServeStats {
     /// The pooled residency-cache counters (hits/misses/evictions) the
-    /// service's batches caused.
+    /// service's completed batches caused.
     pub fn cache(&self) -> CacheStats {
-        self.ledger.cache_stats()
+        cache_counts(&self.metrics, "raw")
     }
 
     /// The pooled derived-payload cache counters (receptor FFT transforms +
     /// plans the batched FFT engine keeps next to the raw grids).
     pub fn derived_cache(&self) -> CacheStats {
-        self.ledger.derived_cache_stats()
+        cache_counts(&self.metrics, "derived")
+    }
+
+    /// Modeled transfer seconds the service's completed batches caused: the
+    /// sum of the batch-scoped [`BatchSummary::transfer_modeled_s`] figures,
+    /// so it equals the pool's transfer total however batches overlapped.
+    pub fn transfer_modeled_s(&self) -> f64 {
+        self.metrics.counter(TRANSFER_SECONDS, &[]).unwrap_or(0.0)
     }
 
     /// The per-class latency view for `class`.
@@ -248,66 +256,63 @@ impl Batchable for Job {
     }
 }
 
-/// Most recent batches the latency/span views cover. A long-lived service
-/// completes batches indefinitely; bounding the books keeps `stats()` cost
-/// and memory flat — the views are a sliding window, which is what a latency
-/// dashboard wants anyway (the monotone counters remain exact forever).
+/// Most recent completed batches the latency/span views cover. A long-lived
+/// service completes batches indefinitely; bounding the window keeps `stats()`
+/// cost and memory flat — a sliding window is what a latency dashboard wants
+/// anyway (the monotone counters remain exact forever).
 const LATENCY_WINDOW: usize = 4096;
 
-/// Per-batch latency/span bookkeeping (modeled virtual-timeline seconds),
-/// bounded to the most recent [`LATENCY_WINDOW`] entries per series.
-#[derive(Default)]
-struct LatencyBook {
-    interactive_s: Vec<f64>,
-    bulk_s: Vec<f64>,
-    /// `(started, completed)` per batch, completion order.
-    spans: Vec<(f64, f64)>,
+/// What the latency/span views keep of one completed batch (modeled
+/// virtual-timeline seconds).
+struct CompletedBatch {
+    class: LatencyClass,
+    latency_s: f64,
+    started_v_s: f64,
+    completed_v_s: f64,
 }
 
-/// Appends to a sliding-window series, evicting the oldest past the cap.
-fn push_windowed<T>(series: &mut Vec<T>, value: T) {
-    if series.len() == LATENCY_WINDOW {
-        series.remove(0);
+/// Appends to the completed-batch window, evicting the oldest past the cap.
+fn push_windowed(window: &mut VecDeque<CompletedBatch>, batch: CompletedBatch) {
+    if window.len() == LATENCY_WINDOW {
+        window.pop_front();
     }
-    series.push(value);
+    window.push_back(batch);
 }
 
-impl LatencyBook {
-    fn record(&mut self, class: LatencyClass, latency_s: f64, span: (f64, f64)) {
-        match class {
-            LatencyClass::Interactive => push_windowed(&mut self.interactive_s, latency_s),
-            LatencyClass::Bulk => push_windowed(&mut self.bulk_s, latency_s),
-        }
-        push_windowed(&mut self.spans, span);
-    }
+/// The latency view of `class`'s batches in the window.
+fn class_latency(window: &VecDeque<CompletedBatch>, class: LatencyClass) -> ClassLatency {
+    ClassLatency::summarize(
+        window.iter().filter(|b| b.class == class).map(|b| b.latency_s).collect(),
+    )
+}
 
-    /// `(overall span, cross-batch overlap)`: max completion minus min start,
-    /// and Σ span lengths minus their union — an instant covered by k spans
-    /// contributes k−1 (see [`ServeStats::cross_batch_overlap_modeled_s`]).
-    fn span_stats(&self) -> (f64, f64) {
-        if self.spans.is_empty() {
-            return (0.0, 0.0);
-        }
-        let mut sorted = self.spans.clone();
-        sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let total: f64 = sorted.iter().map(|(s, e)| (e - s).max(0.0)).sum();
-        let first_start = sorted[0].0;
-        let mut union = 0.0;
-        let mut last_end = sorted[0].0;
-        let mut cur = sorted[0];
-        for &(s, e) in &sorted[1..] {
-            if s > cur.1 {
-                union += cur.1 - cur.0;
-                cur = (s, e);
-            } else {
-                cur.1 = cur.1.max(e);
-            }
-            last_end = last_end.max(e);
-        }
-        last_end = last_end.max(cur.1);
-        union += cur.1 - cur.0;
-        (last_end - first_start, (total - union).max(0.0))
+/// `(overall span, cross-batch overlap)` of the window: max completion minus
+/// min start, and Σ span lengths minus their union — an instant covered by k
+/// spans contributes k−1 (see [`ServeStats::cross_batch_overlap_modeled_s`]).
+fn span_stats(window: &VecDeque<CompletedBatch>) -> (f64, f64) {
+    let mut sorted: Vec<(f64, f64)> =
+        window.iter().map(|b| (b.started_v_s, b.completed_v_s)).collect();
+    if sorted.is_empty() {
+        return (0.0, 0.0);
     }
+    sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let total: f64 = sorted.iter().map(|(s, e)| (e - s).max(0.0)).sum();
+    let first_start = sorted[0].0;
+    let mut union = 0.0;
+    let mut last_end = sorted[0].0;
+    let mut cur = sorted[0];
+    for &(s, e) in &sorted[1..] {
+        if s > cur.1 {
+            union += cur.1 - cur.0;
+            cur = (s, e);
+        } else {
+            cur.1 = cur.1.max(e);
+        }
+        last_end = last_end.max(e);
+    }
+    last_end = last_end.max(cur.1);
+    union += cur.1 - cur.0;
+    (last_end - first_start, (total - union).max(0.0))
 }
 
 struct Shared {
@@ -331,17 +336,9 @@ struct Shared {
     /// normally the same recorder behind [`Shared::trace`], so the trees it
     /// retains on a breach/outlier verdict are complete.
     flight: Option<Arc<FlightRecorder>>,
-    ledger: Mutex<StatsLedger>,
-    latency: Mutex<LatencyBook>,
-    /// Last-seen per-device residency-cache counters, `(raw, derived)` per
-    /// device; batch completions take deltas against these, so cache events
-    /// partition exactly across completions even when batches overlap. The
-    /// derived bucket counts receptor-transform/plan
-    /// payloads the batched FFT engine caches next to the raw grids.
-    cache_mark: Mutex<Vec<(CacheStats, CacheStats)>>,
-    jobs_submitted: AtomicUsize,
-    jobs_completed: AtomicUsize,
-    batches_run: AtomicUsize,
+    /// The most recent [`LATENCY_WINDOW`] completed batches, completion
+    /// order — the samples behind the latency and span views.
+    completed: Mutex<VecDeque<CompletedBatch>>,
     /// Host-side receptor-grid build memo, keyed by request fingerprint.
     /// MRU-ordered and capped at [`GRIDS_MEMO_CAP`] entries — a long-lived
     /// service streaming ever-new receptors must not grow host memory without
@@ -369,6 +366,38 @@ const GRIDS_MEMO_CAP: usize = 8;
 /// produces, with headroom for deep bulk queues.
 const LATENCY_BOUNDS: [f64; 12] =
     [1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0];
+
+/// The monotone counts live once, in these registry counters: each is fed at
+/// its event and read back by [`BatchMappingService::stats`] /
+/// [`ServeStats`].
+const JOBS_SUBMITTED: &str = "ftmap_serve_jobs_submitted_total";
+const JOBS_COMPLETED: &str = "ftmap_serve_jobs_completed_total";
+const BATCHES_FORMED: &str = "ftmap_serve_batches_formed_total";
+const DEADLINE_OUTCOMES: &str = "ftmap_serve_deadline_outcomes_total";
+const TRANSFER_SECONDS: &str = "ftmap_serve_transfer_modeled_seconds_total";
+const CACHE_EVENTS: &str = "ftmap_serve_cache_events_total";
+/// `kind` label values of [`CACHE_EVENTS`], in [`kind_counts`] order.
+const CACHE_KINDS: [&str; 4] = ["hit", "miss", "evict", "insert"];
+
+fn kind_counts(stats: &CacheStats) -> [u64; 4] {
+    [stats.hits, stats.misses, stats.evictions, stats.insertions]
+}
+
+/// The [`CACHE_EVENTS`] counters of `bucket` (`"raw"` / `"derived"`).
+fn cache_counts(metrics: &MetricsSnapshot, bucket: &str) -> CacheStats {
+    let [hits, misses, evictions, insertions] = CACHE_KINDS.map(|kind| {
+        metrics.counter(CACHE_EVENTS, &[("bucket", bucket), ("kind", kind)]).unwrap_or(0.0) as u64
+    });
+    CacheStats { hits, misses, evictions, insertions }
+}
+
+/// A per-class counter summed over both latency classes.
+fn class_total(metrics: &MetricsSnapshot, name: &str) -> usize {
+    [LatencyClass::Interactive, LatencyClass::Bulk]
+        .iter()
+        .filter_map(|class| metrics.counter(name, &[("class", class.name())]))
+        .sum::<f64>() as usize
+}
 
 /// Per-job admission-to-completion latency histogram — the SLO engine's long
 /// burn-rate window. Unlike the batch histogram it counts every job from its
@@ -399,45 +428,6 @@ impl Shared {
         memo.insert(0, (fingerprint, Arc::clone(&grids)));
         memo.truncate(GRIDS_MEMO_CAP);
         grids
-    }
-
-    /// Residency-cache events since the previous call, pool-wide. Completion
-    /// windows never overlap (each event is counted against exactly one
-    /// completion), which is what keeps the aggregate exact while batches
-    /// overlap.
-    fn take_cache_delta(&self) -> (CacheStats, CacheStats) {
-        let mut mark = locked(&self.cache_mark);
-        let mut raw = CacheStats::default();
-        let mut derived = CacheStats::default();
-        for (device, (raw_before, derived_before)) in
-            self.sched.pool().devices().iter().zip(mark.iter_mut())
-        {
-            let residency = device.residency();
-            let raw_now = residency.stats();
-            let derived_now = residency.derived_stats();
-            raw.accumulate(&raw_now.delta_since(raw_before));
-            derived.accumulate(&derived_now.delta_since(derived_before));
-            *raw_before = raw_now;
-            *derived_before = derived_now;
-        }
-        (raw, derived)
-    }
-
-    /// One pipeline per job (each job keeps its own config), all sharing the
-    /// pool and the prebuilt receptor grids.
-    fn job_pipelines(&self, batch: &[Job], receptor: &Arc<ReceptorGrids>) -> Vec<FtMapPipeline> {
-        batch
-            .iter()
-            .map(|job| {
-                FtMapPipeline::with_shared_resources(
-                    job.request.protein.clone(),
-                    job.request.ff.clone(),
-                    job.request.config.clone(),
-                    Arc::clone(self.sched.pool()),
-                    Arc::clone(receptor),
-                )
-            })
-            .collect()
     }
 
     /// The modeled seconds until the pool's ready backlog at priorities
@@ -526,11 +516,7 @@ impl Shared {
         verdict: &'static str,
     ) {
         self.note_verdict(verdict, class);
-        self.metrics.counter_add(
-            "ftmap_serve_jobs_submitted_total",
-            &[("class", class.name())],
-            1.0,
-        );
+        self.metrics.counter_add(JOBS_SUBMITTED, &[("class", class.name())], 1.0);
         if self.trace.enabled() {
             let tags = Tags {
                 tenant: Some(tenant.to_string()),
@@ -553,11 +539,7 @@ impl Shared {
     /// each job's trace id, so a request's causal tree records how long it
     /// waited between admission and joining a batch.
     fn note_batch_formed(&self, batch_index: usize, jobs: &[Job], class: LatencyClass) {
-        self.metrics.counter_add(
-            "ftmap_serve_batches_formed_total",
-            &[("class", class.name())],
-            1.0,
-        );
+        self.metrics.counter_add(BATCHES_FORMED, &[("class", class.name())], 1.0);
         if self.trace.enabled() {
             let at_v_s = self.sched.now_v_s();
             let tags = Tags {
@@ -626,21 +608,15 @@ impl Shared {
                 );
             }
         }
-        let missed = job.deadline_s.map(|deadline| latency_job_s > deadline);
-        if let Some(missed) = missed {
+        if let Some(deadline) = job.deadline_s {
+            let outcome = if latency_job_s > deadline { "missed" } else { "met" };
             self.metrics.counter_add(
-                "ftmap_serve_deadline_outcomes_total",
-                &[("class", class), ("outcome", if missed { "missed" } else { "met" })],
+                DEADLINE_OUTCOMES,
+                &[("class", class), ("outcome", outcome)],
                 1.0,
             );
         }
-        {
-            let mut admission = locked(&self.admission);
-            admission.release_inflight(job.fingerprint, &job.tenant);
-            if let Some(missed) = missed {
-                admission.note_deadline(job.class.priority(), missed);
-            }
-        }
+        locked(&self.admission).release_inflight(job.fingerprint, &job.tenant);
         self.slack.notify_all();
         if self.trace.enabled() {
             let tags = Tags {
@@ -668,16 +644,14 @@ impl Shared {
         latency_job_s
     }
 
-    /// Batch-completion bookkeeping: completion counters, the per-class latency histogram, residency-event counters,
-    /// and a `batch-resolve` instant on the queue track.
+    /// Batch-completion bookkeeping: completion counters, the per-class
+    /// latency histogram, the batch's own transfer seconds and residency
+    /// events, and a `batch-resolve` instant on the queue track.
     fn note_batch_completed(&self, summary: &BatchSummary) {
         let class = summary.class.name();
         self.metrics.counter_add("ftmap_serve_batches_completed_total", &[("class", class)], 1.0);
-        self.metrics.counter_add(
-            "ftmap_serve_jobs_completed_total",
-            &[("class", class)],
-            summary.jobs as f64,
-        );
+        self.metrics.counter_add(JOBS_COMPLETED, &[("class", class)], summary.jobs as f64);
+        self.metrics.counter_add(TRANSFER_SECONDS, &[], summary.transfer_modeled_s);
         self.metrics.observe(
             "ftmap_serve_batch_latency_modeled_seconds",
             &[("class", class)],
@@ -685,14 +659,9 @@ impl Shared {
             summary.latency_modeled_s,
         );
         for (bucket, stats) in [("raw", &summary.cache), ("derived", &summary.derived_cache)] {
-            for (kind, value) in [
-                ("hit", stats.hits),
-                ("miss", stats.misses),
-                ("evict", stats.evictions),
-                ("insert", stats.insertions),
-            ] {
+            for (kind, value) in CACHE_KINDS.into_iter().zip(kind_counts(stats)) {
                 self.metrics.counter_add(
-                    "ftmap_serve_cache_events_total",
+                    CACHE_EVENTS,
                     &[("bucket", bucket), ("kind", kind)],
                     value as f64,
                 );
@@ -721,10 +690,15 @@ impl Shared {
 
     /// Refreshes every gauge the registry exposes so the snapshot that
     /// follows agrees with the sibling `ServeStats` fields: queue depth,
-    /// per-class latency percentiles, cache hit ratios (raw / derived /
-    /// combined), and per-device busy seconds, utilization, and pool load
-    /// skew.
-    fn refresh_gauges(&self, interactive: &ClassLatency, bulk: &ClassLatency) {
+    /// per-class latency percentiles, the ratios derived from the event-fed
+    /// counters in `fed` (deadline misses; raw / derived / combined cache
+    /// hits), and per-device busy seconds, utilization, and pool load skew.
+    fn refresh_gauges(
+        &self,
+        fed: &MetricsSnapshot,
+        interactive: &ClassLatency,
+        bulk: &ClassLatency,
+    ) {
         let metrics = &self.metrics;
         metrics.gauge_set("ftmap_serve_queue_depth", &[], self.queue.len() as f64);
         // Trace-loss visibility: orphaned anchored events plus (for a flight
@@ -739,21 +713,20 @@ impl Shared {
                 );
             }
         }
-        let outcomes = locked(&self.admission).deadline_outcomes;
-        for (class, (met, missed)) in [("interactive", outcomes[0]), ("bulk", outcomes[1])] {
-            let total = met + missed;
-            if total > 0 {
+        for class in ["interactive", "bulk"] {
+            let [met, missed] = ["met", "missed"].map(|outcome| {
+                fed.counter(DEADLINE_OUTCOMES, &[("class", class), ("outcome", outcome)])
+                    .unwrap_or(0.0)
+            });
+            if met + missed > 0.0 {
                 metrics.gauge_set(
                     "ftmap_serve_deadline_miss_ratio",
                     &[("class", class)],
-                    missed as f64 / total as f64,
+                    missed / (met + missed),
                 );
             }
         }
-        let (raw, derived) = {
-            let ledger = locked(&self.ledger);
-            (ledger.cache_stats(), ledger.derived_cache_stats())
-        };
+        let (raw, derived) = (cache_counts(fed, "raw"), cache_counts(fed, "derived"));
         let mut combined = raw;
         combined.accumulate(&derived);
         for (bucket, stats) in [("raw", &raw), ("derived", &derived), ("combined", &combined)] {
@@ -888,11 +861,6 @@ impl ServiceBuilder {
             config.batch.max_inflight_batches > 0,
             "BatchConfig.max_inflight_batches must be at least 1"
         );
-        let cache_mark = pool
-            .devices()
-            .iter()
-            .map(|d| (d.residency().stats(), d.residency().derived_stats()))
-            .collect();
         let shared = Arc::new(Shared {
             queue: JobQueue::new(config.queue.max_pending),
             sched: PhasePipeline::with_trace(pool, Arc::clone(&sink)),
@@ -901,12 +869,7 @@ impl ServiceBuilder {
             metrics: Arc::new(MetricsRegistry::new()),
             slo: if slos.is_empty() { None } else { Some(Mutex::new(SloEngine::new(slos))) },
             flight,
-            ledger: Mutex::new(StatsLedger::new()),
-            latency: Mutex::new(LatencyBook::default()),
-            cache_mark: Mutex::new(cache_mark),
-            jobs_submitted: AtomicUsize::new(0),
-            jobs_completed: AtomicUsize::new(0),
-            batches_run: AtomicUsize::new(0),
+            completed: Mutex::new(VecDeque::new()),
             grids: Mutex::new(Vec::new()),
             admission: Mutex::new(AdmissionState::default()),
             slack: Condvar::new(),
@@ -957,6 +920,7 @@ impl BatchMappingService {
     fn admit(
         &self,
         request: MappingRequest,
+        fingerprint: u64,
         class: LatencyClass,
         estimated_s: Option<f64>,
         deadline_s: Option<f64>,
@@ -966,7 +930,7 @@ impl BatchMappingService {
         let admitted_v_s = self.shared.sched.now_v_s();
         Job {
             id,
-            fingerprint: request.receptor_fingerprint(),
+            fingerprint,
             class,
             overtaken: 0,
             admitted_v_s,
@@ -1030,7 +994,7 @@ impl BatchMappingService {
                 };
             }
         };
-        let job = self.admit(request, class, estimated_s, deadline_s, degrade);
+        let job = self.admit(request, fingerprint, class, estimated_s, deadline_s, degrade);
         let handle = JobHandle::new(job.id, job.request.tag.clone(), Arc::clone(&job.slot));
         let (priority, weight) = (class.priority(), job.weight);
         let (admitted_v_s, trace_id) = (job.admitted_v_s, job.trace_id);
@@ -1039,7 +1003,6 @@ impl BatchMappingService {
             if blocking { self.shared.queue.push(job) } else { self.shared.queue.try_push(job) };
         match pushed {
             Ok(()) => {
-                self.shared.jobs_submitted.fetch_add(1, Ordering::Relaxed);
                 {
                     let mut admission = locked(&self.shared.admission);
                     admission.add_pending(priority, weight);
@@ -1077,39 +1040,40 @@ impl BatchMappingService {
         }
     }
 
-    /// A snapshot of the service counters, ledger and latency views.
+    /// A snapshot of the service counters and latency views.
     pub fn stats(&self) -> ServeStats {
-        let (span_modeled_s, cross_batch_overlap_modeled_s, interactive, bulk) = {
-            let book = locked(&self.shared.latency);
-            let (span, overlap) = book.span_stats();
+        let shared = &self.shared;
+        let (interactive, bulk, (span_modeled_s, cross_batch_overlap_modeled_s)) = {
+            let window = locked(&shared.completed);
             (
-                span,
-                overlap,
-                ClassLatency::from_samples(&book.interactive_s),
-                ClassLatency::from_samples(&book.bulk_s),
+                class_latency(&window, LatencyClass::Interactive),
+                class_latency(&window, LatencyClass::Bulk),
+                span_stats(&window),
             )
         };
-        self.shared.refresh_gauges(&interactive, &bulk);
-        let slo = match &self.shared.slo {
+        // The event-fed series as they stand now: what the derived gauges and
+        // the SLO evaluation are computed from.
+        let fed = shared.metrics.snapshot();
+        shared.refresh_gauges(&fed, &interactive, &bulk);
+        let slo = match &shared.slo {
             Some(engine) => {
-                let snapshot = self.shared.metrics.snapshot();
                 let report = locked(engine)
-                    .evaluate(|class| snapshot.histogram(JOB_LATENCY_METRIC, &[("class", class)]));
-                report.export_gauges(&self.shared.metrics, "ftmap_serve_slo");
+                    .evaluate(|class| fed.histogram(JOB_LATENCY_METRIC, &[("class", class)]));
+                report.export_gauges(&shared.metrics, "ftmap_serve_slo");
                 report
             }
             None => SloReport::default(),
         };
+        let metrics = shared.metrics.snapshot();
         ServeStats {
-            jobs_submitted: self.shared.jobs_submitted.load(Ordering::Relaxed),
-            jobs_completed: self.shared.jobs_completed.load(Ordering::Relaxed),
-            batches_run: self.shared.batches_run.load(Ordering::Relaxed),
-            ledger: locked(&self.shared.ledger).clone(),
+            jobs_submitted: class_total(&metrics, JOBS_SUBMITTED),
+            jobs_completed: class_total(&metrics, JOBS_COMPLETED),
+            batches_run: class_total(&metrics, BATCHES_FORMED),
             interactive,
             bulk,
             span_modeled_s,
             cross_batch_overlap_modeled_s,
-            metrics: self.shared.metrics.snapshot(),
+            metrics,
             slo,
         }
     }
@@ -1180,6 +1144,7 @@ fn form_batch(shared: &Shared, pending: &mut Vec<Job>) -> (Vec<Job>, u64) {
 /// has in flight.
 fn dispatch_loop(shared: &Arc<Shared>) {
     let mut pending: Vec<Job> = Vec::new();
+    let mut next_batch_index = 0;
     loop {
         // Opportunistic top-up so jobs that arrived during the previous batch
         // can join — or overtake into — the next compatible one.
@@ -1198,23 +1163,23 @@ fn dispatch_loop(shared: &Arc<Shared>) {
             shared.wait_for_slack(epoch);
             continue;
         }
-        submit_batch(shared, batch);
+        submit_batch(shared, batch, next_batch_index);
+        next_batch_index += 1;
     }
     shared.sched.drain();
 }
 
 /// Hands the batch to the phased scheduler and returns as soon as flow
-/// control allows — completion (result assembly, job slots,
-/// ledger) happens in the scheduler's completion callback, while this thread
-/// goes back to forming the next batch.
-fn submit_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
+/// control allows — completion (result assembly, job slots, accounting)
+/// happens in the scheduler's completion callback, while this thread goes
+/// back to forming the next batch.
+fn submit_batch(shared: &Arc<Shared>, batch: Vec<Job>, batch_index: usize) {
     let sched = &shared.sched;
     // Flow control: keep at most `max_inflight_batches` on the pool — enough
     // that batch N+1 docks under batch N's minimization, bounded so priority
     // admission stays responsive and memory stays flat.
     sched.wait_capacity(shared.config.batch.max_inflight_batches);
 
-    let batch_index = shared.batches_run.fetch_add(1, Ordering::Relaxed);
     for job in &batch {
         job.slot.set_running();
     }
@@ -1226,28 +1191,34 @@ fn submit_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
     shared.note_batch_formed(batch_index, &batch, class);
     let receptor = shared.receptor_for(batch[0].fingerprint, &batch[0]);
     let receptor_key = receptor.content_key();
-    let pipelines = shared.job_pipelines(&batch, &receptor);
-    let entries: Vec<(usize, ftmap_molecule::Probe)> = batch
+    // One pipeline per job (each job keeps its own config), all sharing the
+    // pool and the prebuilt receptor grids.
+    let jobs = batch
         .iter()
-        .enumerate()
-        .flat_map(|(job_idx, job)| {
-            job.request
-                .library()
-                .probes()
-                .iter()
-                .map(move |p| (job_idx, p.clone()))
-                .collect::<Vec<_>>()
+        .map(|job| {
+            let pipeline = FtMapPipeline::with_shared_resources(
+                job.request.protein.clone(),
+                job.request.ff.clone(),
+                job.request.config.clone(),
+                Arc::clone(sched.pool()),
+                Arc::clone(&receptor),
+            );
+            (pipeline, job.request.library())
         })
         .collect();
-    // Per-entry trace ids: the scheduler stamps them onto its dock/minimize
-    // item spans (and, via scope-tag inheritance, their kernel / transfer /
-    // cache children), tying device work back to the owning request.
+    // One trace id per `(job, probe)` dock entry: the scheduler stamps them
+    // onto its dock/minimize item spans (and, via scope-tag inheritance,
+    // their kernel / transfer / cache children), tying device work back to
+    // the owning request.
     let entry_traces: Vec<u64> = if shared.trace.enabled() {
-        entries.iter().map(|(job_idx, _)| batch[*job_idx].trace_id).collect()
+        batch
+            .iter()
+            .flat_map(|job| std::iter::repeat_n(job.trace_id, job.request.probes.len()))
+            .collect()
     } else {
         Vec::new()
     };
-    let exec = Arc::new(PhasedMapBatch::new(pipelines, entries, shared.config.batch.pose_block));
+    let exec = Arc::new(PhasedMapBatch::new(jobs, shared.config.batch.pose_block));
 
     // The batch is now the scheduler's: its jobs leave the admission
     // controller's pending backlog (the scheduler projection covers them from
@@ -1263,7 +1234,7 @@ fn submit_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
         let shared = Arc::clone(shared);
         let exec = Arc::clone(&exec);
         Box::new(move |report: BatchReport| {
-            complete_batch(&shared, batch, &exec, receptor_key, batch_index, class, &report);
+            complete_batch(&shared, batch, &exec, receptor_key, batch_index, &report);
         }) as Box<dyn FnOnce(BatchReport) + Send>
     };
     sched.submit(
@@ -1279,32 +1250,24 @@ fn submit_batch(shared: &Arc<Shared>, batch: Vec<Job>) {
     );
 }
 
-/// Completion of a batch (runs on a scheduler worker): batch-scoped
-/// accounting, summary, per-job assembly.
+/// Completion of a batch (runs on a scheduler worker): calibration, the
+/// batch's summary and counters, and each job's report — its own
+/// [`ftmap_core::MappingResult`] out of [`PhasedMapBatch::take_results`].
 fn complete_batch(
     shared: &Shared,
     batch: Vec<Job>,
     exec: &PhasedMapBatch,
     receptor_key: u64,
     batch_index: usize,
-    class: LatencyClass,
     report: &BatchReport,
 ) {
-    let (cache_delta, derived_delta) = shared.take_cache_delta();
+    let class = batch[0].class;
     let transfer_s = report.transfer_modeled_s();
-    {
-        let mut ledger = locked(&shared.ledger);
-        ledger.record_cache(&cache_delta);
-        ledger.record_derived_cache(&derived_delta);
-        // Batch-scoped bucket: `transfer_s` was measured around exactly this
-        // batch's items, so concurrent batches can never double-charge it.
-        ledger.record_transfer_s("serve.batch", transfer_s);
-    }
     // Calibrate the admission controller's cost model and warm set with what
     // the batch actually did.
     {
         let batch_weight: f64 = batch.iter().map(|job| job.weight).sum();
-        let cold = cache_delta.misses > 0;
+        let cold = report.cache.misses > 0;
         // The fraction of the pool this batch actually occupied: devices the
         // scheduler can fill with queue neighbors drain the backlog in
         // parallel, so a half-pool batch works off queued weight twice as
@@ -1327,10 +1290,14 @@ fn complete_batch(
     let admitted_v_s =
         batch.iter().map(|job| job.admitted_v_s).fold(report.submitted_v_s, f64::min);
     let latency_modeled_s = (report.completed_v_s - admitted_v_s).max(0.0);
-    locked(&shared.latency).record(
-        class,
-        latency_modeled_s,
-        (report.started_v_s, report.completed_v_s),
+    push_windowed(
+        &mut locked(&shared.completed),
+        CompletedBatch {
+            class,
+            latency_s: latency_modeled_s,
+            started_v_s: report.started_v_s,
+            completed_v_s: report.completed_v_s,
+        },
     );
     let summary = BatchSummary {
         batch_index,
@@ -1338,8 +1305,8 @@ fn complete_batch(
         probes: report.docks,
         pose_blocks: report.blocks,
         receptor_key,
-        cache: cache_delta,
-        derived_cache: derived_delta,
+        cache: report.cache,
+        derived_cache: report.derived_cache,
         makespan_modeled_s: report.span_modeled_s(),
         class,
         latency_modeled_s,
@@ -1349,36 +1316,11 @@ fn complete_batch(
         transfer_modeled_s: transfer_s,
     };
     shared.note_batch_completed(&summary);
-    finish_jobs(shared, batch, exec.take_shards(), summary);
-}
-
-/// Re-assembles each job's result from its own shards and completes the job
-/// slots. Shards arrive in `(job, probe)` submission order
-/// ([`PhasedMapBatch::take_shards`]), so each job sees its probes in library order and its sites
-/// are identical to a dedicated single-job run.
-fn finish_jobs(
-    shared: &Shared,
-    batch: Vec<Job>,
-    shards: Vec<(usize, ProbeShard)>,
-    summary: BatchSummary,
-) {
-    let mut per_job: Vec<(MappingProfile, Vec<ClusterInput>, usize)> =
-        (0..batch.len()).map(|_| (MappingProfile::default(), Vec::new(), 0)).collect();
-    for (job_idx, shard) in shards {
-        let (profile, inputs, conformations) = &mut per_job[job_idx];
-        profile.merge(&shard.profile);
-        *conformations += shard.conformations;
-        inputs.extend(shard.inputs);
-    }
     // One registry snapshot for the whole batch: the SLO engine compares each
     // job against the long window as it stood *before* this batch completed.
     let slo_snapshot = shared.slo.as_ref().map(|_| shared.metrics.snapshot());
-    for (job, (profile, inputs, conformations)) in batch.into_iter().zip(per_job) {
+    for (job, result) in batch.into_iter().zip(exec.take_results()) {
         let latency_job_s = shared.note_job_resolved(&job, &summary, slo_snapshot.as_ref());
-        let pose_centers = inputs.iter().map(|i| (i.probe, i.center)).collect();
-        let sites = cluster_poses(&inputs, job.request.config.cluster_radius);
-        let result =
-            MappingResult { sites, conformations_minimized: conformations, profile, pose_centers };
         let report = Arc::new(JobReport {
             job_id: job.id,
             tag: job.request.tag.clone(),
@@ -1392,7 +1334,6 @@ fn finish_jobs(
             degrade: job.degrade,
         });
         job.slot.complete(report);
-        shared.jobs_completed.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -1614,10 +1555,10 @@ mod tests {
     fn pipelined_transfer_buckets_are_batch_scoped_not_windowed() {
         // Regression for the double-attribution bug: two batches overlapping
         // on the pool must partition the pool's cumulative transfer time —
-        // the ledger's "serve.batch" bucket equals the pool total exactly,
-        // and each batch's own figure is positive. Under the old windowed
-        // scheme (reset + read total around each batch) the overlap would
-        // charge batch N+1's uploads to batch N as well.
+        // the service total equals the pool total exactly, and so does the
+        // sum of the per-batch figures. Under a windowed scheme (reset + read
+        // total around each batch) the overlap would charge batch N+1's
+        // uploads to batch N as well.
         let pool = Arc::new(DevicePool::tesla(2));
         pool.reset_transfer_stats();
         let service = BatchMappingService::builder(Arc::clone(&pool))
@@ -1639,10 +1580,10 @@ mod tests {
         let stats = service.shutdown();
         let pool_total = pool.total_transfer_time();
         assert!(pool_total > 0.0);
-        let ledger_total = stats.ledger.transfer_s("serve.batch");
+        let service_total = stats.transfer_modeled_s();
         assert!(
-            (ledger_total - pool_total).abs() < 1e-9,
-            "ledger bucket {ledger_total} != pool total {pool_total}"
+            (service_total - pool_total).abs() < 1e-9,
+            "service total {service_total} != pool total {pool_total}"
         );
         let batch_sum: f64 = {
             // Each distinct batch contributes once (jobs share summaries).
@@ -1655,6 +1596,60 @@ mod tests {
         assert!(
             (batch_sum - pool_total).abs() < 1e-9,
             "per-batch transfers {batch_sum} != pool total {pool_total}"
+        );
+    }
+
+    #[test]
+    fn serve_stats_are_a_fold_of_the_batch_summaries_clients_saw() {
+        // Every monotone figure on `ServeStats` must be the sum of what the
+        // job reports carried — one set of books, not two that happen to
+        // agree. The batched FFT engine makes the derived bucket non-empty.
+        let make = |probes: &[ProbeType], tag: &str| {
+            let mut req = request(probes, tag);
+            req.config.docking.engine = piper_dock::DockingEngineKind::BatchedFft { batch: 4 };
+            req
+        };
+        let service = BatchMappingService::builder(Arc::new(DevicePool::tesla(2)))
+            .batch(BatchConfig {
+                max_batch_jobs: 2,
+                max_inflight_batches: 2,
+                ..BatchConfig::default()
+            })
+            .build();
+        let handles: Vec<_> = [
+            make(&[ProbeType::Ethanol, ProbeType::Urea], "f0"),
+            make(&[ProbeType::Acetone], "f1"),
+            make(&[ProbeType::Benzene], "f2").with_class(LatencyClass::Interactive),
+            make(&[ProbeType::Urea, ProbeType::Acetone], "f3"),
+            make(&[ProbeType::Ethanol], "f4"),
+        ]
+        .into_iter()
+        .map(|req| service.submit(req).expect_admitted("admitted"))
+        .collect();
+        let reports: Vec<_> = handles.iter().map(|h| h.wait()).collect();
+        let stats = service.shutdown();
+
+        // Each distinct batch contributes once (jobs share summaries).
+        let batches: std::collections::BTreeMap<usize, &BatchSummary> =
+            reports.iter().map(|r| (r.batch.batch_index, &r.batch)).collect();
+        let (mut cache, mut derived) = (CacheStats::default(), CacheStats::default());
+        let (mut jobs, mut transfer_s) = (0, 0.0);
+        for batch in batches.values() {
+            cache.accumulate(&batch.cache);
+            derived.accumulate(&batch.derived_cache);
+            jobs += batch.jobs;
+            transfer_s += batch.transfer_modeled_s;
+        }
+        assert_eq!(stats.jobs_submitted, reports.len());
+        assert_eq!(stats.jobs_completed, jobs);
+        assert_eq!(stats.batches_run, batches.len());
+        assert_eq!(stats.cache(), cache);
+        assert_eq!(stats.derived_cache(), derived);
+        assert!(derived.lookups() > 0 && cache.lookups() > 0, "the fold is not vacuous");
+        assert!(
+            (stats.transfer_modeled_s() - transfer_s).abs() < 1e-12,
+            "service transfer total {} != Σ batches {transfer_s}",
+            stats.transfer_modeled_s()
         );
     }
 
@@ -1780,15 +1775,48 @@ mod tests {
 
     #[test]
     fn span_stats_measure_cross_batch_overlap() {
-        let mut book = LatencyBook::default();
-        book.record(LatencyClass::Bulk, 4.0, (0.0, 4.0));
-        book.record(LatencyClass::Bulk, 5.0, (3.0, 8.0));
-        book.record(LatencyClass::Interactive, 1.0, (10.0, 11.0));
-        let (span, overlap) = book.span_stats();
+        let mut window = VecDeque::new();
+        for (class, latency_s, (started_v_s, completed_v_s)) in [
+            (LatencyClass::Bulk, 4.0, (0.0, 4.0)),
+            (LatencyClass::Bulk, 5.0, (3.0, 8.0)),
+            (LatencyClass::Interactive, 1.0, (10.0, 11.0)),
+        ] {
+            push_windowed(
+                &mut window,
+                CompletedBatch { class, latency_s, started_v_s, completed_v_s },
+            );
+        }
+        let (span, overlap) = span_stats(&window);
         assert!((span - 11.0).abs() < 1e-12);
         // [3,4) is covered twice: one modeled second of cross-batch overlap.
         assert!((overlap - 1.0).abs() < 1e-12);
-        assert_eq!(LatencyBook::default().span_stats(), (0.0, 0.0));
+        assert_eq!(span_stats(&VecDeque::new()), (0.0, 0.0));
+        // The per-class latency views fold the same records.
+        assert_eq!(class_latency(&window, LatencyClass::Bulk).batches, 2);
+        assert_eq!(class_latency(&window, LatencyClass::Bulk).max_s, 5.0);
+        assert_eq!(class_latency(&window, LatencyClass::Interactive).mean_s, 1.0);
+    }
+
+    #[test]
+    fn completed_batch_window_evicts_the_oldest_past_the_cap() {
+        let mut window = VecDeque::new();
+        for i in 0..LATENCY_WINDOW + 3 {
+            let at = i as f64;
+            push_windowed(
+                &mut window,
+                CompletedBatch {
+                    class: LatencyClass::Bulk,
+                    latency_s: at,
+                    started_v_s: at,
+                    completed_v_s: at + 1.0,
+                },
+            );
+        }
+        assert_eq!(window.len(), LATENCY_WINDOW);
+        assert_eq!(window.front().map(|b| b.latency_s), Some(3.0));
+        let view = class_latency(&window, LatencyClass::Bulk);
+        assert_eq!(view.batches, LATENCY_WINDOW);
+        assert_eq!(view.max_s, (LATENCY_WINDOW + 2) as f64);
     }
 
     #[test]

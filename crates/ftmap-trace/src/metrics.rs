@@ -8,15 +8,17 @@
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::Arc;
 
-/// Metric identity: name plus sorted label pairs.
-type Key = (String, Vec<(String, String)>);
+/// Metric identity: name plus sorted label pairs. Shared, so a snapshot
+/// copies a pointer per series instead of every name and label string.
+type Key = Arc<(String, Vec<(String, String)>)>;
 
 fn key(name: &str, labels: &[(&str, &str)]) -> Key {
     let mut pairs: Vec<(String, String)> =
         labels.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect();
     pairs.sort();
-    (name.to_string(), pairs)
+    Arc::new((name.to_string(), pairs))
 }
 
 /// A fixed-bucket histogram: counts of observations ≤ each upper bound, plus
@@ -208,7 +210,8 @@ impl MetricsSnapshot {
     pub fn prometheus(&self) -> String {
         let mut out = String::new();
         let mut last_name = String::new();
-        for ((name, labels), value) in &self.counters {
+        for (key, value) in &self.counters {
+            let (name, labels) = &**key;
             if *name != last_name {
                 let _ = writeln!(out, "# TYPE {name} counter");
                 last_name = name.clone();
@@ -216,7 +219,8 @@ impl MetricsSnapshot {
             let _ = writeln!(out, "{name}{} {value}", labels_text(labels));
         }
         last_name.clear();
-        for ((name, labels), value) in &self.gauges {
+        for (key, value) in &self.gauges {
+            let (name, labels) = &**key;
             if *name != last_name {
                 let _ = writeln!(out, "# TYPE {name} gauge");
                 last_name = name.clone();
@@ -224,7 +228,8 @@ impl MetricsSnapshot {
             let _ = writeln!(out, "{name}{} {value}", labels_text(labels));
         }
         last_name.clear();
-        for ((name, labels), hist) in &self.histograms {
+        for (key, hist) in &self.histograms {
+            let (name, labels) = &**key;
             if *name != last_name {
                 let _ = writeln!(out, "# TYPE {name} histogram");
                 last_name = name.clone();

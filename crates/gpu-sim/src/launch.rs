@@ -23,7 +23,6 @@
 use crate::device::Device;
 use crate::kernel::{partition_range, BlockKernel, LaunchConfig};
 use crate::memory::MemoryCounters;
-use crate::residency::CacheStats;
 use crate::timing::KernelStats;
 use parking_lot::{Mutex, MutexGuard};
 use serde::{Deserialize, Serialize};
@@ -295,19 +294,11 @@ impl BlockOrder {
 struct PhaseRecord {
     launches: usize,
     stats: KernelStats,
-    /// Modeled host↔device transfer seconds charged to this phase. Kept in its
-    /// own bucket — **not** folded into `stats.modeled_time_s` — so kernel
-    /// totals stay transfer-free. This is the ledger-level counterpart of the
-    /// convention the scheduler enforces end to end (the pipeline's overlap
-    /// accounting itself runs on [`crate::TransferSnapshot`] deltas +
-    /// [`crate::sched::Stream`]): transfers are tracked beside kernel time,
-    /// never inside it, so they can be overlapped without double-counting.
-    transfer_s: f64,
 }
 
 impl PhaseRecord {
     fn zero() -> Self {
-        PhaseRecord { launches: 0, stats: KernelStats::zero(), transfer_s: 0.0 }
+        PhaseRecord { launches: 0, stats: KernelStats::zero() }
     }
 }
 
@@ -317,22 +308,13 @@ impl PhaseRecord {
 ///
 /// Phases are named; recording twice under one name accumulates (blocks and
 /// times add, counters merge, thread width keeps its maximum — the semantics of
-/// [`KernelStats::accumulate`]).
+/// [`KernelStats::accumulate`]). The ledger holds kernel statistics only:
+/// transfer seconds and residency events are attributed per scheduled item by
+/// [`crate::sched::PhasePipeline`] and published on
+/// [`crate::sched::BatchReport`].
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct StatsLedger {
     phases: BTreeMap<String, PhaseRecord>,
-    /// Residency-cache hit/miss/eviction events attributed to this ledger's
-    /// unit of work (a batch, a job, a run). Like the transfer bucket, cache
-    /// events live beside kernel stats, never inside them.
-    cache: CacheStats,
-    /// Derived-payload residency events (transform/plan entries keyed next to
-    /// the raw grids — see [`crate::ResidencyCache::get_or_insert_derived_with`])
-    /// attributed to this ledger's unit of work, in their own bucket: a
-    /// derived hit skips recomputation, a raw hit skips an upload, and the
-    /// reports distinguish the two. `serde(default)` keeps ledgers serialized
-    /// before this bucket existed deserializable.
-    #[serde(default)]
-    derived_cache: CacheStats,
 }
 
 impl StatsLedger {
@@ -346,57 +328,6 @@ impl StatsLedger {
         let entry = self.phases.entry(phase.to_string()).or_insert_with(PhaseRecord::zero);
         entry.launches += 1;
         entry.stats.accumulate(stats);
-    }
-
-    /// Charges `seconds` of modeled host↔device transfer time to `phase`
-    /// (kept separate from kernel time; see [`StatsLedger::total_transfer_s`]).
-    pub fn record_transfer_s(&mut self, phase: &str, seconds: f64) {
-        let entry = self.phases.entry(phase.to_string()).or_insert_with(PhaseRecord::zero);
-        entry.transfer_s += seconds;
-    }
-
-    /// Modeled transfer seconds charged to `phase` (0 if never recorded).
-    pub fn transfer_s(&self, phase: &str) -> f64 {
-        self.phases.get(phase).map(|r| r.transfer_s).unwrap_or(0.0)
-    }
-
-    /// Total modeled transfer seconds over all phases. Transfers live in their
-    /// own bucket so [`StatsLedger::total_modeled_s`] stays kernel-only; a
-    /// stream-overlap model that hides transfers under kernels reports the
-    /// overlapped makespan instead of `total_modeled_s() + total_transfer_s()`.
-    pub fn total_transfer_s(&self) -> f64 {
-        self.phases.values().map(|r| r.transfer_s).sum()
-    }
-
-    /// Total modeled seconds with transfers charged back-to-back (the
-    /// no-overlap upper bound a single synchronous stream would take).
-    pub fn total_serialized_s(&self) -> f64 {
-        self.total_modeled_s() + self.total_transfer_s()
-    }
-
-    /// Folds residency-cache events (typically a [`CacheStats::delta_since`]
-    /// snapshot taken around this ledger's unit of work) into the ledger's
-    /// cache bucket.
-    pub fn record_cache(&mut self, delta: &CacheStats) {
-        self.cache.accumulate(delta);
-    }
-
-    /// The residency-cache events recorded on this ledger.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache
-    }
-
-    /// Folds derived-payload residency events (a
-    /// [`CacheStats::delta_since`] snapshot of
-    /// [`crate::ResidencyCache::derived_stats`]) into the ledger's derived
-    /// bucket, kept separate from the raw-grid bucket.
-    pub fn record_derived_cache(&mut self, delta: &CacheStats) {
-        self.derived_cache.accumulate(delta);
-    }
-
-    /// The derived-payload residency events recorded on this ledger.
-    pub fn derived_cache_stats(&self) -> CacheStats {
-        self.derived_cache
     }
 
     /// The merged stats of a phase (zero if the phase was never recorded).
@@ -439,10 +370,7 @@ impl StatsLedger {
             let entry = self.phases.entry(name.clone()).or_insert_with(PhaseRecord::zero);
             entry.launches += record.launches;
             entry.stats.accumulate(&record.stats);
-            entry.transfer_s += record.transfer_s;
         }
-        self.cache.accumulate(&other.cache);
-        self.derived_cache.accumulate(&other.derived_cache);
     }
 
     /// Phase names with their merged stats, sorted by name.
@@ -453,8 +381,6 @@ impl StatsLedger {
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.phases.is_empty()
-            && self.cache == CacheStats::default()
-            && self.derived_cache == CacheStats::default()
     }
 }
 
@@ -582,26 +508,6 @@ mod tests {
     }
 
     #[test]
-    fn ledger_transfer_bucket_stays_separate_from_kernel_time() {
-        let mut ledger = StatsLedger::new();
-        ledger.record("corr", &stats(10, 100, 0.5));
-        ledger.record_transfer_s("corr", 0.2);
-        ledger.record_transfer_s("upload_only", 0.1);
-        // Kernel totals unchanged by transfer recording.
-        assert!((ledger.total_modeled_s() - 0.5).abs() < 1e-12);
-        assert!((ledger.transfer_s("corr") - 0.2).abs() < 1e-12);
-        assert!((ledger.total_transfer_s() - 0.3).abs() < 1e-12);
-        assert!((ledger.total_serialized_s() - 0.8).abs() < 1e-12);
-        // Transfer-only phases record no launches.
-        assert_eq!(ledger.launches("upload_only"), 0);
-        // Merge carries the transfer bucket along.
-        let mut other = StatsLedger::new();
-        other.record_transfer_s("corr", 0.4);
-        ledger.merge(&other);
-        assert!((ledger.transfer_s("corr") - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
     fn ledger_merge_combines_ledgers() {
         let mut a = StatsLedger::new();
         a.record("x", &stats(1, 10, 0.1));
@@ -613,47 +519,6 @@ mod tests {
         assert_eq!(a.phase("y").counters.flops, 30);
         assert_eq!(a.launches("x"), 2);
         assert_eq!(a.total_launches(), 3);
-    }
-
-    #[test]
-    fn ledger_cache_bucket_accumulates_and_merges() {
-        let mut ledger = StatsLedger::new();
-        assert!(ledger.is_empty());
-        ledger.record_cache(&CacheStats { hits: 2, misses: 1, evictions: 0, insertions: 1 });
-        assert!(!ledger.is_empty());
-        // Cache events never leak into kernel or transfer totals.
-        assert_eq!(ledger.total_modeled_s(), 0.0);
-        assert_eq!(ledger.total_transfer_s(), 0.0);
-        let mut other = StatsLedger::new();
-        other.record_cache(&CacheStats { hits: 1, misses: 1, evictions: 1, insertions: 0 });
-        ledger.merge(&other);
-        let cache = ledger.cache_stats();
-        assert_eq!((cache.hits, cache.misses, cache.evictions, cache.insertions), (3, 2, 1, 1));
-        assert!((cache.hit_rate() - 0.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ledger_derived_cache_bucket_is_separate() {
-        let mut ledger = StatsLedger::new();
-        ledger.record_derived_cache(&CacheStats {
-            hits: 4,
-            misses: 1,
-            evictions: 0,
-            insertions: 1,
-        });
-        assert!(!ledger.is_empty());
-        // The raw-grid bucket is untouched.
-        assert_eq!(ledger.cache_stats(), CacheStats::default());
-        assert_eq!(ledger.derived_cache_stats().hits, 4);
-        // Merge carries the derived bucket along.
-        let mut other = StatsLedger::new();
-        other.record_derived_cache(&CacheStats { hits: 1, misses: 2, evictions: 1, insertions: 2 });
-        ledger.merge(&other);
-        let derived = ledger.derived_cache_stats();
-        assert_eq!(
-            (derived.hits, derived.misses, derived.evictions, derived.insertions),
-            (5, 3, 1, 3)
-        );
     }
 
     #[test]

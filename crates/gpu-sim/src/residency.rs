@@ -25,9 +25,9 @@
 //! * payloads are type-erased (`Arc<dyn Any + Send + Sync>`) because the
 //!   device model cannot depend on the crates that define the cached types;
 //!   callers downcast on hit;
-//! * hit / miss / eviction counts are tracked as [`CacheStats`] — consumers
-//!   fold snapshots of them into a [`crate::StatsLedger`] for per-phase
-//!   reporting;
+//! * hit / miss / eviction counts are tracked as [`CacheStats`] — the
+//!   scheduler brackets every item with a snapshot pair and publishes the
+//!   deltas per batch ([`crate::sched::BatchReport::cache`]);
 //! * an entry can hold **derived** payloads keyed next to it
 //!   ([`ResidencyCache::get_or_insert_derived_with`]): buffers computed *from*
 //!   the raw entry on the device (forward-transformed grids, a shareable FFT
@@ -192,6 +192,15 @@ struct CacheInner {
 }
 
 impl CacheInner {
+    /// The stats bucket and `hook::cache` label of raw / derived entries.
+    fn bucket(&mut self, derived: bool) -> (&mut CacheStats, &'static str) {
+        if derived {
+            (&mut self.derived_stats, "derived")
+        } else {
+            (&mut self.stats, "raw")
+        }
+    }
+
     /// Removes the least-recently-used entry, cascading to the derived
     /// children of an evicted raw entry. Returns the number of entries
     /// removed (0 when the cache is empty). Raw evictions count in the raw
@@ -202,9 +211,10 @@ impl CacheInner {
         };
         self.resident_bytes -= victim.bytes;
         let mut removed = 1;
+        let (stats, bucket) = self.bucket(victim.parent.is_some());
+        stats.evictions += 1;
+        ftmap_trace::hook::cache("evict", bucket, victim.key);
         if victim.parent.is_none() {
-            self.stats.evictions += 1;
-            ftmap_trace::hook::cache("evict", "raw", victim.key);
             // Cascade: drop every derived child of the evicted raw entry.
             let mut idx = 0;
             while idx < self.entries.len() {
@@ -218,9 +228,6 @@ impl CacheInner {
                     idx += 1;
                 }
             }
-        } else {
-            self.derived_stats.evictions += 1;
-            ftmap_trace::hook::cache("evict", "derived", victim.key);
         }
         removed
     }
@@ -311,22 +318,7 @@ impl ResidencyCache {
     /// Looks up `key`, promoting it to most-recently-used on hit. Counts one
     /// hit or one miss.
     pub fn get(&self, key: u64) -> Option<ResidentPayload> {
-        let mut inner = self.inner.lock();
-        match inner.entries.iter().position(|e| e.key == key) {
-            Some(pos) => {
-                inner.stats.hits += 1;
-                ftmap_trace::hook::cache("hit", "raw", key);
-                let entry = inner.entries.remove(pos);
-                let payload = Arc::clone(&entry.payload);
-                inner.entries.insert(0, entry);
-                Some(payload)
-            }
-            None => {
-                inner.stats.misses += 1;
-                ftmap_trace::hook::cache("miss", "raw", key);
-                None
-            }
-        }
+        hit_payload(self.lookup(key, None, None::<NoFill>))
     }
 
     /// Looks up `key`; on miss, materializes `(payload, bytes)` with `fill`
@@ -340,29 +332,7 @@ impl ResidencyCache {
     where
         F: FnOnce() -> (ResidentPayload, usize),
     {
-        let mut inner = self.inner.lock();
-        if let Some(pos) = inner.entries.iter().position(|e| e.key == key) {
-            inner.stats.hits += 1;
-            ftmap_trace::hook::cache("hit", "raw", key);
-            let entry = inner.entries.remove(pos);
-            let payload = Arc::clone(&entry.payload);
-            inner.entries.insert(0, entry);
-            return Residency::Hit(payload);
-        }
-        inner.stats.misses += 1;
-        ftmap_trace::hook::cache("miss", "raw", key);
-        let (payload, bytes) = fill();
-        if !inner.enabled || bytes > self.capacity_bytes {
-            return Residency::Uncacheable;
-        }
-        let mut evicted = 0;
-        while inner.resident_bytes + bytes > self.capacity_bytes {
-            evicted += inner.evict_lru();
-        }
-        inner.resident_bytes += bytes;
-        inner.stats.insertions += 1;
-        inner.entries.insert(0, Entry { key, payload, bytes, parent: None });
-        Residency::Miss { evicted }
+        self.lookup(key, None, Some(fill))
     }
 
     /// The key a derived payload is cached under: a content hash of the
@@ -387,38 +357,7 @@ impl ResidencyCache {
     /// hit or miss; does not touch the raw bucket.
     pub fn get_derived(&self, parent_key: u64, tag: &str) -> Option<ResidentPayload> {
         let key = Self::derived_key(parent_key, tag);
-        let mut inner = self.inner.lock();
-        match inner.entries.iter().position(|e| e.key == key) {
-            Some(pos) => {
-                inner.derived_stats.hits += 1;
-                ftmap_trace::hook::cache("hit", "derived", key);
-                let entry = inner.entries.remove(pos);
-                let payload = Arc::clone(&entry.payload);
-                Self::promote_with_parent(&mut inner, entry);
-                Some(payload)
-            }
-            None => {
-                inner.derived_stats.misses += 1;
-                ftmap_trace::hook::cache("miss", "derived", key);
-                None
-            }
-        }
-    }
-
-    /// Moves a just-hit derived entry to MRU with its raw parent immediately
-    /// behind it, so a hot derived payload keeps the buffer it was derived
-    /// from from aging out underneath it.
-    fn promote_with_parent(inner: &mut CacheInner, entry: Entry) {
-        let parent = entry.parent;
-        inner.entries.insert(0, entry);
-        if let Some(parent_key) = parent {
-            if let Some(pos) = inner.entries.iter().position(|e| e.key == parent_key) {
-                if pos > 1 {
-                    let parent_entry = inner.entries.remove(pos);
-                    inner.entries.insert(1, parent_entry);
-                }
-            }
-        }
+        hit_payload(self.lookup(key, Some(parent_key), None::<NoFill>))
     }
 
     /// Looks up the payload derived from `parent_key` under `tag`; on miss,
@@ -440,21 +379,46 @@ impl ResidencyCache {
     where
         F: FnOnce() -> (ResidentPayload, usize),
     {
-        let key = Self::derived_key(parent_key, tag);
+        self.lookup(Self::derived_key(parent_key, tag), Some(parent_key), Some(fill))
+    }
+
+    /// The one lookup body behind the four public lookups. `parent` is
+    /// `Some(raw key)` for a derived entry: events then count in the derived
+    /// bucket, a hit drags the raw parent to the slot behind the entry (so a
+    /// hot derived payload keeps the buffer it was derived from from aging
+    /// out underneath it), and an insertion requires the parent resident.
+    /// Without `fill` a miss caches nothing and reports
+    /// [`Residency::Uncacheable`].
+    fn lookup<F>(&self, key: u64, parent: Option<u64>, fill: Option<F>) -> Residency
+    where
+        F: FnOnce() -> (ResidentPayload, usize),
+    {
         let mut inner = self.inner.lock();
-        if let Some(pos) = inner.entries.iter().position(|e| e.key == key) {
-            inner.derived_stats.hits += 1;
-            ftmap_trace::hook::cache("hit", "derived", key);
+        let hit = inner.entries.iter().position(|e| e.key == key);
+        let (stats, bucket) = inner.bucket(parent.is_some());
+        if let Some(pos) = hit {
+            stats.hits += 1;
+            ftmap_trace::hook::cache("hit", bucket, key);
             let entry = inner.entries.remove(pos);
             let payload = Arc::clone(&entry.payload);
-            Self::promote_with_parent(&mut inner, entry);
+            inner.entries.insert(0, entry);
+            if let Some(pos) = parent.and_then(|p| inner.entries.iter().position(|e| e.key == p)) {
+                if pos > 1 {
+                    let parent_entry = inner.entries.remove(pos);
+                    inner.entries.insert(1, parent_entry);
+                }
+            }
             return Residency::Hit(payload);
         }
-        inner.derived_stats.misses += 1;
-        ftmap_trace::hook::cache("miss", "derived", key);
-        let parent_resident = inner.entries.iter().any(|e| e.key == parent_key);
+        stats.misses += 1;
+        ftmap_trace::hook::cache("miss", bucket, key);
+        let Some(fill) = fill else {
+            return Residency::Uncacheable;
+        };
+        let parent_resident =
+            |inner: &CacheInner| parent.is_none_or(|p| inner.entries.iter().any(|e| e.key == p));
         let (payload, bytes) = fill();
-        if !inner.enabled || !parent_resident || bytes > self.capacity_bytes {
+        if !inner.enabled || !parent_resident(&inner) || bytes > self.capacity_bytes {
             return Residency::Uncacheable;
         }
         let mut evicted = 0;
@@ -464,13 +428,23 @@ impl ResidencyCache {
         // Eviction pressure may have taken the parent itself out (it was the
         // LRU tail): a derived entry must not be inserted next to a parent
         // that is no longer resident.
-        if !inner.entries.iter().any(|e| e.key == parent_key) {
+        if !parent_resident(&inner) {
             return Residency::Uncacheable;
         }
         inner.resident_bytes += bytes;
-        inner.derived_stats.insertions += 1;
-        inner.entries.insert(0, Entry { key, payload, bytes, parent: Some(parent_key) });
+        inner.bucket(parent.is_some()).0.insertions += 1;
+        inner.entries.insert(0, Entry { key, payload, bytes, parent });
         Residency::Miss { evicted }
+    }
+}
+
+/// The `fill` type of the lookups that never insert.
+type NoFill = fn() -> (ResidentPayload, usize);
+
+fn hit_payload(residency: Residency) -> Option<ResidentPayload> {
+    match residency {
+        Residency::Hit(payload) => Some(payload),
+        Residency::Miss { .. } | Residency::Uncacheable => None,
     }
 }
 

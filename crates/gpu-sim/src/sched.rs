@@ -16,18 +16,18 @@
 //!   total and the overlapped makespan
 //!   ([`crate::cost::overlapped_stream_time`]), so overlapped transfer time is
 //!   counted once;
-//! * [`work::WorkItem`] — the pose-granularity work unit: a block of one
-//!   probe's retained poses with a cost-model weight, so a single hot probe's
-//!   2000 minimizations spread across the pool instead of serializing on one
+//! * [`work::pose_blocks`] — the pose-granularity block layout: one docked
+//!   probe's retained poses as weighted blocks, so a single hot probe's 2000
+//!   minimizations spread across the pool instead of serializing on one
 //!   device;
 //! * [`pipeline::PhasePipeline`] — the executor: persistent workers (one per
 //!   pooled device), phase-tagged items with a per-probe dock→minimize
 //!   dependency edge, a modeled-clock claim rule that balances heterogeneous
-//!   pools, priority-aware claiming, batch-scoped transfer accounting and
-//!   per-slot results, so output order is **deterministic** no matter which
-//!   device serviced what. A one-shot mapping run is one batch on a
-//!   short-lived pipeline; the batch service keeps one alive so batch N+1's
-//!   docking overlaps batch N's minimization.
+//!   pools, priority-aware claiming, per-item transfer and residency
+//!   attribution and per-slot results, so output order is **deterministic**
+//!   no matter which device serviced what. A one-shot mapping run is one
+//!   batch on a short-lived pipeline; the batch service keeps one alive so
+//!   batch N+1's docking overlaps batch N's minimization.
 //!
 //! [`shard::ShardQueue`], the earlier one-shot executor, has no dependants
 //! left in the workspace and survives only until the benchmark harness drops
@@ -50,4 +50,4 @@ pub use pipeline::{
 pub use pool::{load_skew, makespan_s, utilizations, DevicePool};
 pub use shard::{DeviceShardReport, ShardOutcome, ShardQueue};
 pub use stream::Stream;
-pub use work::{pose_blocks, WorkItem};
+pub use work::pose_blocks;

@@ -30,13 +30,17 @@
 //! at batch completion, so results are bit-identical to a single-device run
 //! no matter how batches interleave.
 //!
-//! Accounting is **batch-scoped**: each item's transfer seconds come from a
-//! [`crate::TransferSnapshot`] delta taken on the servicing device around that
-//! item alone and are recorded on the *owning batch's* per-device streams.
-//! Two batches overlapping on the pool can therefore never double-attribute a
-//! transfer — which a ledger window ([`crate::StatsLedger`] buckets filled
-//! from `pool.total_transfer_time()` between resets) would, by charging batch
-//! N+1's uploads to batch N once they overlap.
+//! Accounting is **batch-scoped**: every item is bracketed by one before/after
+//! snapshot of the servicing device's monotone counters — transfer seconds
+//! ([`crate::TransferSnapshot`]) and raw/derived residency events
+//! ([`crate::CacheStats`]) — and the delta lands on the *owning batch*: its
+//! per-device streams and its [`BatchReport::cache`] /
+//! [`BatchReport::derived_cache`] tallies. A device runs one item at a time,
+//! so the delta is exactly that item's, and two batches overlapping on the
+//! pool can never share a transfer second or a cache miss — which any
+//! pool-wide window (read the totals at each batch completion, subtract the
+//! previous reading) would, by charging batch N+1's uploads and misses to
+//! batch N once they overlap.
 //!
 //! A modeled **virtual timeline** runs alongside: each device's clock advances
 //! by the modeled seconds of the items it services (an item never starts
@@ -46,7 +50,8 @@
 //! by [`BatchReport::barrier_equivalent_s`] — the comparator the
 //! `fig_serve_pipeline` bench gates against.
 
-use crate::device::Device;
+use crate::device::{Device, TransferSnapshot};
+use crate::residency::CacheStats;
 use crate::sched::pool::DevicePool;
 use crate::sched::stream::Stream;
 use crate::sync::{locked, wait_on};
@@ -174,6 +179,12 @@ pub struct BatchReport {
     /// Per-device, per-phase stream accounting — **scoped to this batch**, so
     /// overlapping batches never share a transfer second.
     pub per_device: Vec<PhasedDeviceReport>,
+    /// Raw residency-cache events this batch's items caused, summed over the
+    /// pool — exact per batch (see the [module docs](self)).
+    pub cache: CacheStats,
+    /// Derived-payload residency events this batch's items caused (the
+    /// [`crate::ResidencyCache::derived_stats`] bucket), summed over the pool.
+    pub derived_cache: CacheStats,
 }
 
 impl BatchReport {
@@ -188,7 +199,7 @@ impl BatchReport {
     }
 
     /// Total modeled transfer seconds this batch caused (both phases, all
-    /// devices) — the batch-scoped figure a ledger bucket should carry.
+    /// devices).
     pub fn transfer_modeled_s(&self) -> f64 {
         self.per_device
             .iter()
@@ -308,6 +319,9 @@ struct BatchState {
     completed_v_s: f64,
     /// Per-device `[dock, minimize]` streams, scoped to this batch.
     streams: Vec<[Stream; 2]>,
+    /// Raw / derived residency events of this batch's items.
+    cache: CacheStats,
+    derived_cache: CacheStats,
     /// Trace identity the batch was submitted with.
     label: BatchLabel,
     slot: BatchSlot,
@@ -499,6 +513,8 @@ impl PhasePipeline {
             started_v_s: f64::INFINITY,
             completed_v_s: submitted_v_s,
             streams: (0..self.shared.pool.len()).map(|_| [Stream::new(), Stream::new()]).collect(),
+            cache: CacheStats::default(),
+            derived_cache: CacheStats::default(),
             label: batch.label,
             slot: Arc::clone(&slot),
             on_complete,
@@ -704,6 +720,8 @@ fn finish_batch(shared: &Shared, mut batch: BatchState) {
         docks: batch.docks_done,
         blocks: batch.blocks_done,
         per_device,
+        cache: batch.cache,
+        derived_cache: batch.derived_cache,
     };
     if shared.trace.enabled() {
         let tags = Tags {
@@ -822,6 +840,25 @@ impl Drop for PoisonGuard<'_> {
     }
 }
 
+/// One end of the per-item bracket: the servicing device's monotone transfer
+/// and residency counters at one instant.
+struct ItemMark {
+    transfer: TransferSnapshot,
+    cache: CacheStats,
+    derived_cache: CacheStats,
+}
+
+impl ItemMark {
+    fn of(device: &Device) -> Self {
+        let residency = device.residency();
+        ItemMark {
+            transfer: device.transfer_snapshot(),
+            cache: residency.stats(),
+            derived_cache: residency.derived_stats(),
+        }
+    }
+}
+
 /// One persistent worker: claim the most urgent ready item (gated by the
 /// modeled-cost fairness rule), execute it, account it to its batch, generate
 /// follow-on minimize items, complete batches.
@@ -854,8 +891,8 @@ fn worker_loop(shared: &Shared, device_index: usize) {
         let Some(item) = claimed else { continue };
 
         // --- Execute outside the lock. The device runs one item at a time
-        // (it has exactly one worker), so the snapshot delta is exactly this
-        // item's transfers.
+        // (it has exactly one worker), so the bracket's delta is exactly this
+        // item's transfers and residency events.
         let ctx = ShardCtx { device, device_index, item_index: item.entry };
         // Tag assembly and scope entry only happen when a real sink is
         // installed; the untraced path pays one `enabled()` call per item.
@@ -879,7 +916,7 @@ fn worker_loop(shared: &Shared, device_index: usize) {
         let scope = item_tags.as_ref().and_then(|tags| {
             ItemScope::enter(&shared.trace, Track::Device(device_index as u32), tags.clone())
         });
-        let before = device.transfer_snapshot();
+        let before = ItemMark::of(device);
         let batch_slot = item.batch_slot;
         let (kernel_s, unlocked) = match item.phase {
             Phase::Dock => item.exec.dock(&ctx, item.entry),
@@ -887,7 +924,7 @@ fn worker_loop(shared: &Shared, device_index: usize) {
                 (item.exec.minimize(&ctx, item.entry, item.pose_range.clone()), Vec::new())
             }
         };
-        let after = device.transfer_snapshot();
+        let after = ItemMark::of(device);
         let anchor = scope.as_ref().map(|s| s.anchor());
         drop(scope);
 
@@ -895,7 +932,7 @@ fn worker_loop(shared: &Shared, device_index: usize) {
         let (finished, start_v, actual_s) = {
             let mut state = locked(&shared.state);
             let op = {
-                let delta = after.delta_since(&before);
+                let delta = after.transfer.delta_since(&before.transfer);
                 StreamOp::new(delta.upload_s, kernel_s, delta.download_s)
             };
             let actual_s = op.serialized_s();
@@ -922,6 +959,8 @@ fn worker_loop(shared: &Shared, device_index: usize) {
                 Phase::Minimize => 1,
             };
             batch.streams[device_index][phase_idx].record(op);
+            batch.cache.accumulate(&after.cache.delta_since(&before.cache));
+            batch.derived_cache.accumulate(&after.derived_cache.delta_since(&before.derived_cache));
             batch.started_v_s = batch.started_v_s.min(start_v);
             batch.completed_v_s = batch.completed_v_s.max(completion_v);
             batch.outstanding -= 1;

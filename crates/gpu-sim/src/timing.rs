@@ -1,17 +1,14 @@
-//! Kernel statistics and simple phase timers.
+//! Kernel statistics and the stream-overlap summaries.
 //!
 //! [`KernelStats`] is what [`crate::Device::launch`] returns: the merged counters of all
 //! blocks, the measured wall-clock time of the (CPU-parallel) execution and the modeled
-//! device time from the cost model. [`PhaseTimer`] accumulates named phase durations —
-//! it is how the docking and minimization pipelines regenerate the per-step breakdowns
-//! of the paper's Figure 2 and Figure 3. [`StreamOp`] / [`StreamStats`] are the
+//! device time from the cost model. [`StreamOp`] / [`StreamStats`] are the
 //! stream-overlap view used by the multi-device scheduler ([`crate::sched`]): one
 //! upload → kernel → download triple per work item, summarized with and without
 //! copy/compute overlap so overlapped transfer time is never double-counted.
 
 use crate::memory::MemoryCounters;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 // lint-allow(no-wall-clock): this module IS the wall-profiling layer — the one
 // place modeled code is allowed to read the host clock from.
 use std::time::Instant;
@@ -138,64 +135,6 @@ impl StreamStats {
     }
 }
 
-/// Accumulates wall-clock durations (seconds) per named phase.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct PhaseTimer {
-    phases: BTreeMap<String, f64>,
-}
-
-impl PhaseTimer {
-    /// Creates an empty timer.
-    pub fn new() -> Self {
-        PhaseTimer::default()
-    }
-
-    /// Times `f`, charging its duration to `phase`, and returns its result.
-    pub fn time<T>(&mut self, phase: &str, f: impl FnOnce() -> T) -> T {
-        let start = Instant::now();
-        let out = f();
-        self.add(phase, start.elapsed().as_secs_f64());
-        out
-    }
-
-    /// Adds `seconds` to `phase` directly (used when the duration is modeled rather
-    /// than measured).
-    pub fn add(&mut self, phase: &str, seconds: f64) {
-        *self.phases.entry(phase.to_string()).or_insert(0.0) += seconds;
-    }
-
-    /// Accumulated seconds for a phase (0 if the phase was never recorded).
-    pub fn get(&self, phase: &str) -> f64 {
-        self.phases.get(phase).copied().unwrap_or(0.0)
-    }
-
-    /// Total seconds over all phases.
-    pub fn total(&self) -> f64 {
-        self.phases.values().sum()
-    }
-
-    /// All phases with their accumulated seconds, sorted by name.
-    pub fn phases(&self) -> Vec<(String, f64)> {
-        self.phases.iter().map(|(k, v)| (k.clone(), *v)).collect()
-    }
-
-    /// Each phase as a percentage of the total (empty if the total is zero).
-    pub fn percentages(&self) -> Vec<(String, f64)> {
-        let total = self.total();
-        if total <= 0.0 {
-            return Vec::new();
-        }
-        self.phases.iter().map(|(k, v)| (k.clone(), 100.0 * v / total)).collect()
-    }
-
-    /// Merges another timer into this one.
-    pub fn merge(&mut self, other: &PhaseTimer) {
-        for (k, v) in &other.phases {
-            self.add(k, *v);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,57 +163,6 @@ mod tests {
         assert_eq!(total.counters.flops, 150);
         assert!((total.wall_time_s - 0.75).abs() < 1e-12);
         assert!((total.modeled_time_s - 0.03).abs() < 1e-12);
-    }
-
-    #[test]
-    fn phase_timer_accumulates_and_percentages() {
-        let mut t = PhaseTimer::new();
-        t.add("correlation", 93.0);
-        t.add("rotation", 2.3);
-        t.add("accumulation", 2.4);
-        t.add("filtering", 2.3);
-        assert!((t.total() - 100.0).abs() < 1e-12);
-        assert_eq!(t.get("correlation"), 93.0);
-        assert_eq!(t.get("missing"), 0.0);
-        let pct = t.percentages();
-        let corr = pct.iter().find(|(k, _)| k == "correlation").unwrap().1;
-        assert!((corr - 93.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn phase_timer_times_closures() {
-        let mut t = PhaseTimer::new();
-        let result = t.time("work", || {
-            let mut acc = 0u64;
-            for i in 0..10_000u64 {
-                acc = acc.wrapping_add(i * i);
-            }
-            acc
-        });
-        assert!(result > 0);
-        assert!(t.get("work") > 0.0);
-        // A second call accumulates rather than overwrites.
-        t.time("work", || ());
-        assert_eq!(t.phases().len(), 1);
-    }
-
-    #[test]
-    fn phase_timer_merge() {
-        let mut a = PhaseTimer::new();
-        a.add("x", 1.0);
-        let mut b = PhaseTimer::new();
-        b.add("x", 2.0);
-        b.add("y", 3.0);
-        a.merge(&b);
-        assert_eq!(a.get("x"), 3.0);
-        assert_eq!(a.get("y"), 3.0);
-    }
-
-    #[test]
-    fn empty_percentages() {
-        let t = PhaseTimer::new();
-        assert!(t.percentages().is_empty());
-        assert_eq!(t.total(), 0.0);
     }
 
     #[test]

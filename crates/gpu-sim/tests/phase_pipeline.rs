@@ -242,3 +242,74 @@ fn weighted_blocks_keep_slot_order_and_balance() {
     let skew = load_skew(&busy_times(&report));
     assert!(skew < 1.6, "weighted skew {skew}");
 }
+
+#[test]
+fn overlapping_batches_report_exactly_their_own_residency_events() {
+    // Two batches in flight at once on a 2-device pool, each dock doing one
+    // raw residency lookup on its batch's own key: every batch's report must
+    // carry exactly its own lookups — a pool-wide "since the previous
+    // completion" window would hand one batch its neighbour's — and the
+    // per-batch tallies must partition the pool's residency counters.
+    struct LookupExec {
+        key: u64,
+        blocks_per_entry: usize,
+        /// Entry 0 of both batches meets here, so the two batches are
+        /// provably executing at the same time.
+        rendezvous: Arc<std::sync::Barrier>,
+    }
+    impl PhasedExec for LookupExec {
+        fn dock(&self, ctx: &ShardCtx<'_>, entry: usize) -> (f64, Vec<(Range<usize>, f64)>) {
+            if entry == 0 {
+                self.rendezvous.wait();
+            }
+            ctx.device.residency().get_or_insert_with(self.key, || (Arc::new(self.key), 1 << 10));
+            (1e-4, (0..self.blocks_per_entry).map(|b| (b..b + 1, 1.0)).collect())
+        }
+        fn minimize(&self, _: &ShardCtx<'_>, _: usize, _: Range<usize>) -> f64 {
+            2e-4
+        }
+    }
+    let pool = Arc::new(DevicePool::tesla(2));
+    let pipeline = PhasePipeline::new(Arc::clone(&pool));
+    let rendezvous = Arc::new(std::sync::Barrier::new(2));
+    // The first batch has a single dock: nothing can complete (and start
+    // gating claims) before the second batch's entry 0 reaches the barrier
+    // on the other device.
+    let handles: Vec<BatchHandle> = [(1usize, 3usize), (4, 1)]
+        .into_iter()
+        .enumerate()
+        .map(|(key, (entries, blocks_per_entry))| {
+            pipeline.submit(
+                PhasedBatch {
+                    label: Default::default(),
+                    entry_traces: Vec::new(),
+                    priority: 1,
+                    entries,
+                    dock_weights: vec![1.0; entries],
+                    exec: Arc::new(LookupExec {
+                        key: key as u64,
+                        blocks_per_entry,
+                        rendezvous: Arc::clone(&rendezvous),
+                    }),
+                },
+                None,
+            )
+        })
+        .collect();
+    let reports: Vec<BatchReport> = handles.iter().map(BatchHandle::wait).collect();
+    pipeline.shutdown();
+
+    let mut batch_total = gpu_sim::CacheStats::default();
+    for report in &reports {
+        assert_eq!(report.cache.lookups(), report.docks as u64, "batch {}", report.seq);
+        assert!(report.cache.misses >= 1, "batch {}: first touch of its own key", report.seq);
+        assert_eq!(report.cache.misses, report.cache.insertions);
+        assert_eq!(report.derived_cache, gpu_sim::CacheStats::default());
+        batch_total.accumulate(&report.cache);
+    }
+    let mut pool_total = gpu_sim::CacheStats::default();
+    for device in pool.devices() {
+        pool_total.accumulate(&device.residency().stats());
+    }
+    assert_eq!(batch_total, pool_total);
+}

@@ -291,7 +291,6 @@ impl<'a> BatchedFftEngine<'a> {
             .map(|l| l.terms.iter().map(Grid3::len).sum::<usize>() * std::mem::size_of::<Real>())
             .sum();
         let upload_s = self.device.upload_bytes(ligand_bytes as u64);
-        ledger.record_transfer_s(PHASE_LIGAND_FFT, upload_s);
 
         // Frequency-domain workspace: one complex grid per (slot, term),
         // staged as launch-layer output (device global memory).
@@ -356,7 +355,6 @@ impl<'a> BatchedFftEngine<'a> {
         for slot in &poses {
             download_s += self.device.download_slice(slot);
         }
-        ledger.record_transfer_s(PHASE_FUSED_EPILOGUE, download_s);
 
         BatchedDockOutcome { poses, ledger, upload_s, download_s }
     }

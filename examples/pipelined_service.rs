@@ -121,11 +121,11 @@ fn main() {
         1e3 * stats.bulk.mean_s,
         stats.bulk.batches,
     );
-    let ledger_transfer = stats.ledger.transfer_s("serve.batch");
+    let service_transfer = stats.transfer_modeled_s();
     let pool_transfer = pool.total_transfer_time();
     println!(
-        "batch-scoped transfer accounting: ledger {:.6} ms == pool {:.6} ms",
-        1e3 * ledger_transfer,
+        "batch-scoped transfer accounting: service {:.6} ms == pool {:.6} ms",
+        1e3 * service_transfer,
         1e3 * pool_transfer
     );
 
@@ -135,7 +135,7 @@ fn main() {
         "interactive work must not wait out the bulk queue"
     );
     assert!(
-        (ledger_transfer - pool_transfer).abs() < 1e-9,
+        (service_transfer - pool_transfer).abs() < 1e-9,
         "batch-scoped transfers must partition the pool total"
     );
     println!("\npipelined service drained and shut down cleanly");

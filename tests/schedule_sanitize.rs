@@ -118,7 +118,7 @@ fn mutated_streams_fail_loudly() {
     assert_catches(&lossy, "lost-item", "dropped minimize item");
 
     // 4. Re-attribute a transfer to a different batch than the item it ran
-    //    inside — the cross-batch double-counting the ledger must never see.
+    //    inside — the cross-batch double-counting the accounting must never see.
     let mut cross = events.clone();
     let transfer_at = cross
         .iter()

@@ -6,7 +6,7 @@
 //!   reconstruct, from its per-device item spans alone, the per-device busy
 //!   seconds, stream-overlap savings, and makespan that `MappingProfile` /
 //!   `BatchReport` report — within floating-point rounding.
-//! * A warm serve run traced through `BatchMappingService::with_trace` must
+//! * A warm serve run traced through `BatchMappingService::builder(..).trace(..)` must
 //!   produce a Perfetto-loadable export, and its metrics snapshot must agree
 //!   with every `ServeStats` figure it mirrors (latency percentiles, cache
 //!   hit ratios, job/batch counters).
