@@ -19,14 +19,12 @@ use ftmap_energy::pairs::PairsList;
 use ftmap_energy::Evaluator;
 use ftmap_math::Rotation;
 use ftmap_molecule::{
-    Complex, ForceField, NeighborList, Probe, ProbeLibrary, ProbeType, ProteinSpec,
-    SyntheticProtein,
+    Complex, ForceField, NeighborList, Probe, ProbeType, ProteinSpec, SyntheticProtein,
 };
 use gpu_sim::Device;
 use piper_dock::direct::SparseLigand;
 use piper_dock::grids::{GridSpec, LigandGrids, ReceptorGrids};
 use piper_dock::{Docking, DockingConfig, DockingEngineKind};
-use serde::Serialize;
 
 /// Grid dimension used by the benchmark workloads (the paper uses 128³; 32³ keeps the
 /// harness fast while preserving every ratio the experiments compare).
@@ -179,7 +177,7 @@ impl MinimizationWorkload {
 }
 
 /// One row of a reproduced table: label, paper value, reproduced value.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ComparisonRow {
     /// Row label (matches the paper's row).
     pub label: String,
@@ -242,11 +240,6 @@ pub fn crossover_sweep() -> Vec<(usize, usize, f64, f64)> {
         out.push((ligand.dim, sparse.len(), direct_ms, fft_ms));
     }
     out
-}
-
-/// The full 16-probe library over the standard force field (used by the overall bench).
-pub fn full_probe_library() -> ProbeLibrary {
-    ProbeLibrary::standard(&ForceField::charmm_like())
 }
 
 #[cfg(test)]

@@ -7,10 +7,9 @@
 
 use ftmap_math::{Real, Vec3};
 use ftmap_molecule::ProbeType;
-use serde::{Deserialize, Serialize};
 
 /// One minimized pose entering clustering.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterInput {
     /// Probe type the pose belongs to.
     pub probe: ProbeType,
@@ -21,7 +20,7 @@ pub struct ClusterInput {
 }
 
 /// A cluster of poses from (possibly) many probe types.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConsensusCluster {
     /// Cluster centroid, Å.
     pub center: Vec3,
@@ -46,7 +45,7 @@ impl ConsensusCluster {
 }
 
 /// A ranked consensus site (hotspot candidate).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConsensusSite {
     /// Rank (0 = strongest consensus).
     pub rank: usize,

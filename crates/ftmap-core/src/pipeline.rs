@@ -27,13 +27,12 @@ use ftmap_molecule::{Complex, ForceField, Probe, ProbeLibrary, ProbeType, Synthe
 use gpu_sim::sched::{DevicePool, PhasePipeline, PhasedBatch, PhasedExec};
 use gpu_sim::{wall_timed, BackendSelect, Device, ExecutionBackend};
 use piper_dock::{Docking, DockingConfig, DockingRun};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 use std::sync::Arc;
 
 /// Whether the pipeline uses the original serial engines, the accelerated ones,
 /// or the accelerated ones sharded over a device pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PipelineMode {
     /// Serial FFT docking + host minimization (the original FTMap structure).
     Serial,
@@ -111,7 +110,7 @@ impl From<ExecutionBackend> for PipelineMode {
 }
 
 /// Pipeline configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FtMapConfig {
     /// Docking configuration (grid size, rotations, retained poses, engine), used as
     /// given: [`FtMapConfig::paper_scale`] / [`FtMapConfig::small_test`] pick the mode's
@@ -199,7 +198,7 @@ impl FtMapConfig {
 /// otherwise unmeetable: multiplicative reductions of the two per-request
 /// work knobs, each with a floor. `Default` halves both with conservative
 /// floors; a policy with both factors at `1.0` never degrades anything.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegradePolicy {
     /// Multiplier applied to `docking.n_rotations` (clamped to `(0, 1]`).
     pub rotation_factor: f64,
@@ -225,7 +224,7 @@ impl Default for DegradePolicy {
 /// What [`FtMapConfig::degraded`] actually changed, as `(from, to)` pairs —
 /// carried on the admission verdict so clients know what accuracy they
 /// traded for latency.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppliedDegrade {
     /// `docking.n_rotations` before and after.
     pub rotations: (usize, usize),

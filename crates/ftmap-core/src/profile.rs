@@ -4,11 +4,10 @@
 
 use gpu_sim::sched::PhasedDeviceReport;
 use gpu_sim::StreamStats;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
 /// What one pooled device contributed to a sharded mapping run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DeviceLoad {
     /// Human-readable device name.
     pub device: String,
@@ -46,7 +45,7 @@ impl From<&PhasedDeviceReport> for DeviceLoad {
 
 /// Pool-wide stream totals for one scheduling phase of a sharded run: how many modeled seconds the phase spent in kernels vs transfers,
 /// and how many transfer seconds copy/compute overlap hid.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PhaseStream {
     /// Phase name (`"dock"` or `"minimize"`; under whole-probe granularity
     /// every item is a dock item and the minimize row stays empty).
@@ -78,7 +77,7 @@ impl PhaseStream {
 
 /// Time spent in the two phases of a mapping run (per probe), both as measured
 /// wall-clock on this machine and as modeled device/host time.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MappingProfile {
     /// Rigid-docking wall-clock seconds.
     pub docking_wall_s: f64,

@@ -10,10 +10,9 @@ use crate::terms;
 use ftmap_math::{Real, Vec3};
 use ftmap_molecule::{Complex, ForceField, NeighborList};
 use gpu_sim::wall_timed;
-use serde::{Deserialize, Serialize};
 
 /// Energy of one conformation, split by term (the decomposition of Equation 3).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyBreakdown {
     /// ACE electrostatics: Born self energies + pairwise self corrections + GB pairs.
     pub electrostatics: Real,

@@ -13,10 +13,9 @@ use crate::gpu::GpuMinimizationEngine;
 use ftmap_math::{Real, Vec3};
 use ftmap_molecule::{Complex, ForceField, NeighborList};
 use gpu_sim::{wall_timed, BackendSelect, Device, ExecutionBackend};
-use serde::{Deserialize, Serialize};
 
 /// Which engine evaluates energies and forces each iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EvaluationPath {
     /// Serial host evaluation over the neighbor list (the original FTMap structure).
     Host,
@@ -35,7 +34,7 @@ impl BackendSelect for EvaluationPath {
 }
 
 /// Minimization parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MinimizationConfig {
     /// Maximum number of iterations.
     pub max_iterations: usize,

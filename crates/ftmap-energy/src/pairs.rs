@@ -16,10 +16,9 @@
 //!    (Fig. 11).
 
 use ftmap_molecule::NeighborList;
-use serde::{Deserialize, Serialize};
 
 /// One atom pair to be processed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AtomPair {
     /// Index of the first atom.
     pub first: usize,
@@ -28,7 +27,7 @@ pub struct AtomPair {
 }
 
 /// The flat pairs-list of Fig. 9: every neighbor-list pair as an independent work item.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PairsList {
     /// The pairs, in neighbor-list order.
     pub pairs: Vec<AtomPair>,
@@ -55,7 +54,7 @@ impl PairsList {
 }
 
 /// The forward/reverse split pairs-lists of Fig. 10.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SplitPairsLists {
     /// Forward list: pairs ordered and grouped by the original first atom; processing it
     /// updates only the first atom of each pair.
@@ -97,7 +96,7 @@ impl SplitPairsLists {
 /// One row of the work-assignment table of Fig. 11: the pair a GPU thread processes,
 /// whether that thread is the master of its pair-group, and the group size the master
 /// must accumulate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AssignmentRow {
     /// Index into the originating pairs-list (`usize::MAX` for padding rows).
     pub pair_index: usize,
@@ -132,7 +131,7 @@ impl AssignmentRow {
 /// The static work-assignment table: one row per thread slot, organized in blocks of
 /// `threads_per_block` rows. Groups (pairs sharing a first atom) never straddle a block
 /// boundary, so each group's partial energies land in one block's shared memory.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AssignmentTable {
     /// Rows, `threads_per_block` per block.
     pub rows: Vec<AssignmentRow>,

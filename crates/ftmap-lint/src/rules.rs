@@ -61,7 +61,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         name: "launch-layer-only",
-        summary: "raw LaunchConfig / .launch() / .run_serial() confined to gpu-sim; \
+        summary: "raw LaunchConfig / .launch() confined to gpu-sim; \
                   consumers go through the KernelLaunch builder",
     },
     RuleInfo {
@@ -321,22 +321,16 @@ fn launch_layer_only(ctx: &FileCtx<'_>, diags: &mut Vec<Diagnostic>) {
                     .to_string(),
             );
         }
-        if (t.text == "launch" || t.text == "run_serial")
-            && i > 0
-            && ctx.punct_at(i - 1, '.')
-            && ctx.punct_at(i + 1, '(')
-        {
+        if t.text == "launch" && i > 0 && ctx.punct_at(i - 1, '.') && ctx.punct_at(i + 1, '(') {
             emit(
                 ctx,
                 diags,
                 "launch-layer-only",
                 t.line,
-                format!(
-                    "raw `.{}()` device call outside gpu-sim; go through the \
-                     `KernelLaunch` builder so grid shape and stats accounting stay \
-                     in the launch layer",
-                    t.text
-                ),
+                "raw `.launch()` device call outside gpu-sim; go through the \
+                 `KernelLaunch` builder so grid shape and stats accounting stay \
+                 in the launch layer"
+                    .to_string(),
             );
         }
     }

@@ -8,7 +8,7 @@
 //! record_transfer(Transfer::upload(8)), #[allow(dead_code)]
 
 /* Block comment: Instant::now() and state.lock().unwrap() and
-   /* nested: panic!("still a comment") */ device.run_serial(&c, &k) */
+   /* nested: panic!("still a comment") */ device.launch(&c, &k) */
 
 fn strings_only() -> usize {
     let a = "Instant::now()";

@@ -5,7 +5,6 @@ use gpu_sim::{Device, LaunchConfig}; // line 4: violation (LaunchConfig)
 fn raw_launch(device: &Device, kernel: &impl gpu_sim::BlockKernel) {
     let config = LaunchConfig::new(64, 128); // line 7: violation (LaunchConfig)
     let stats = device.launch(&config, kernel); // line 8: violation (.launch)
-    let serial = device.run_serial(&config, kernel); // line 9: violation (.run_serial)
 }
 
 fn sanctioned(device: &std::sync::Arc<Device>, kernel: &impl gpu_sim::BlockKernel) {
@@ -16,5 +15,5 @@ fn sanctioned(device: &std::sync::Arc<Device>, kernel: &impl gpu_sim::BlockKerne
     let launch_count = 3;
     let s = "device.launch(config)";
     // lint-allow(launch-layer-only): fixture shows a justified raw launch.
-    let raw = device.launch(&make_config(), kernel); // line 20: suppressed
+    let raw = device.launch(&make_config(), kernel); // line 19: suppressed
 }

@@ -23,7 +23,6 @@ const PALETTE: &[&str] = &[
     "todo!()",
     "LaunchConfig::new(64, 128)",
     "device.launch(&config, &kernel)",
-    "device.run_serial(&config, &kernel)",
     "record_transfer(Transfer::upload(8))",
     "Transfer::download(1024)",
     "#[allow(dead_code)]",

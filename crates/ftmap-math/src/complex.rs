@@ -6,12 +6,11 @@
 //! functions beyond `exp(i\theta)`) and `Copy` so grids of complex numbers stay flat.
 
 use crate::Real;
-use serde::{Deserialize, Serialize};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// A complex number `re + i*im` in double precision.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex {
     /// Real part.
     pub re: Real,

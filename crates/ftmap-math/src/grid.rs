@@ -7,11 +7,10 @@
 //! device-model kernels index directly.
 
 use crate::{Real, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// A dense 3-D grid of values of type `T`, stored flat in row-major order
 /// (`index = (x * ny + y) * nz + z`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Grid3<T> {
     nx: usize,
     ny: usize,
@@ -134,11 +133,6 @@ impl<T> Grid3<T> {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
-    }
-
-    /// Consumes the grid, returning the flat data.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
     }
 
     /// Physical position (Å) of the center of voxel `(x, y, z)`.

@@ -6,11 +6,10 @@
 //! hot rotate-all-atoms loops.
 
 use crate::{Real, Vec3};
-use serde::{Deserialize, Serialize};
 use std::ops::Mul;
 
 /// A quaternion `w + xi + yj + zk`. Rotations use unit quaternions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quaternion {
     /// Scalar part.
     pub w: Real,
@@ -121,7 +120,7 @@ impl Mul for Quaternion {
 /// The matrix form is what the grid-rotation and atom-rotation inner loops use
 /// (9 multiplies, no trig); the quaternion form is kept for composition and for
 /// measuring angular distances between rotations when clustering poses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rotation {
     quat: Quaternion,
     mat: [[Real; 3]; 3],

@@ -84,12 +84,6 @@ impl RotationSet {
         RotationSet { rotations }
     }
 
-    /// Builds a set from explicit rotations.
-    pub fn from_rotations(rotations: Vec<Rotation>) -> Self {
-        assert!(!rotations.is_empty(), "rotation set must not be empty");
-        RotationSet { rotations }
-    }
-
     /// Number of rotations in the set.
     pub fn len(&self) -> usize {
         self.rotations.len()

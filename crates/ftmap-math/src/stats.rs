@@ -6,10 +6,9 @@
 //! binary prints next to the paper's values.
 
 use crate::Real;
-use serde::{Deserialize, Serialize};
 
 /// Online mean / variance / min / max accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunningStats {
     count: u64,
     mean: Real,

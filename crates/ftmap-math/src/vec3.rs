@@ -6,14 +6,13 @@
 //! non-bonded inner loops of the energy evaluator.
 
 use crate::Real;
-use serde::{Deserialize, Serialize};
 use std::iter::Sum;
 use std::ops::{
     Add, AddAssign, Div, DivAssign, Index, IndexMut, Mul, MulAssign, Neg, Sub, SubAssign,
 };
 
 /// A 3-component vector of [`Real`] values.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     /// X component.
     pub x: Real,
@@ -107,12 +106,6 @@ impl Vec3 {
     #[inline]
     pub fn max(self, rhs: Vec3) -> Vec3 {
         Vec3::new(self.x.max(rhs.x), self.y.max(rhs.y), self.z.max(rhs.z))
-    }
-
-    /// Component-wise multiplication (Hadamard product).
-    #[inline]
-    pub fn hadamard(self, rhs: Vec3) -> Vec3 {
-        Vec3::new(self.x * rhs.x, self.y * rhs.y, self.z * rhs.z)
     }
 
     /// Linear interpolation between `self` (t = 0) and `rhs` (t = 1).

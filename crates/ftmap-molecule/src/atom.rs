@@ -7,10 +7,9 @@
 //! resolved values so the hot evaluation loops never perform table lookups.
 
 use ftmap_math::{Real, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// Chemical element of an atom (the subset occurring in proteins and FTMap probes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Element {
     /// Hydrogen.
     H,
@@ -79,7 +78,7 @@ impl Element {
 /// The kind determines the non-bonded parameter set assigned by the force field; the
 /// small set here covers backbone and generic side-chain environments plus the probe
 /// functional groups, which is sufficient to obtain realistic energy-term balances.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AtomKind {
     /// Backbone amide nitrogen.
     BackboneN,
@@ -156,7 +155,7 @@ impl AtomKind {
 }
 
 /// A single atom with resolved force-field parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Atom {
     /// Index of the atom within its owning molecule (stable identifier).
     pub id: usize,

@@ -10,10 +10,9 @@
 
 use crate::atom::{Atom, AtomKind};
 use ftmap_math::{Real, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// Non-bonded parameters for one atom kind.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NonbondedParams {
     /// Partial charge (elementary charges).
     pub charge: Real,
@@ -28,7 +27,7 @@ pub struct NonbondedParams {
 }
 
 /// Bonded parameters: harmonic bond.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BondParams {
     /// Force constant (kcal/mol/Å²).
     pub k: Real,
@@ -37,7 +36,7 @@ pub struct BondParams {
 }
 
 /// Bonded parameters: harmonic angle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AngleParams {
     /// Force constant (kcal/mol/rad²).
     pub k: Real,
@@ -46,7 +45,7 @@ pub struct AngleParams {
 }
 
 /// Bonded parameters: cosine torsion.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TorsionParams {
     /// Barrier height (kcal/mol).
     pub k: Real,
@@ -57,7 +56,7 @@ pub struct TorsionParams {
 }
 
 /// Bonded parameters: harmonic improper.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImproperParams {
     /// Force constant (kcal/mol/rad²).
     pub k: Real,
@@ -67,7 +66,7 @@ pub struct ImproperParams {
 
 /// The complete force field: per-kind non-bonded parameters, generic bonded parameters
 /// and the global constants of the ACE electrostatics and smoothed-LJ models.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ForceField {
     /// Solvent dielectric constant `eps_s` (water ≈ 78.5), Equation (5).
     pub solvent_dielectric: Real,

@@ -11,7 +11,6 @@
 
 use crate::atom::Atom;
 use ftmap_math::Real;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// A neighbor list: for every atom `i`, the indices of atoms `j > i` within the cutoff
@@ -19,7 +18,7 @@ use std::collections::{HashMap, HashSet};
 ///
 /// Storing only `j > i` halves the memory and matches how FTMap's pair loops count each
 /// interaction once (the energy of *both* atoms is updated when the pair is processed).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct NeighborList {
     /// `lists[i]` = indices of neighbour atoms `j > i`.
     lists: Vec<Vec<usize>>,

@@ -12,10 +12,9 @@ use crate::atom::{Atom, AtomKind};
 use crate::forcefield::ForceField;
 use crate::topology::Topology;
 use ftmap_math::{Real, Rotation, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// The 16 probe types used by FTMap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProbeType {
     /// Ethanol.
     Ethanol,

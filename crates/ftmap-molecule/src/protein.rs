@@ -21,10 +21,9 @@ use crate::forcefield::ForceField;
 use crate::topology::Topology;
 use ftmap_math::{Real, Vec3};
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters controlling synthetic protein generation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ProteinSpec {
     /// Target number of atoms (the generator gets within a few percent of this).
     pub target_atoms: usize,

@@ -5,11 +5,10 @@
 //! and, importantly, the bonded graph defines the 1-2 / 1-3 exclusions used when the
 //! non-bonded neighbor lists are built.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 
 /// A covalent bond between two atoms (indices into the owning molecule's atom list).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Bond {
     /// First atom index.
     pub i: usize,
@@ -18,7 +17,7 @@ pub struct Bond {
 }
 
 /// A bond angle i–j–k centered on `j`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Angle {
     /// First atom index.
     pub i: usize,
@@ -29,7 +28,7 @@ pub struct Angle {
 }
 
 /// A proper torsion i–j–k–l about the j–k bond.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Torsion {
     /// First atom index.
     pub i: usize,
@@ -42,7 +41,7 @@ pub struct Torsion {
 }
 
 /// An improper torsion keeping atom `i` in the plane of `j`, `k`, `l`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Improper {
     /// Central atom index.
     pub i: usize,
@@ -55,7 +54,7 @@ pub struct Improper {
 }
 
 /// The bonded topology of a molecule or complex.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Topology {
     n_atoms: usize,
     bonds: Vec<Bond>,

@@ -21,13 +21,11 @@
 //! interactive arrivals are sequenced (property-tested in
 //! `tests/batcher_props.rs`).
 
-use serde::{Deserialize, Serialize};
-
 /// How urgently a request wants its answer — the admission-priority axis.
 ///
 /// Classes change **scheduling only**: which batch a job joins and when that
 /// batch's items run. Results are bit-identical across classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LatencyClass {
     /// A small, latency-sensitive request (a scientist at a screen): forms
     /// batches ahead of bulk work and overtakes it at phase boundaries.

@@ -10,16 +10,15 @@
 //!   deadlines, the degrade policy, and the fairness controls (per-receptor
 //!   in-flight caps, weighted per-tenant quotas).
 //!
-//! Each sub-config has a `Default` and serde derives, so partial literals
-//! (`BatchConfig { max_batch_jobs: 1, ..BatchConfig::default() }`) and config
-//! files both work.
+//! Each sub-config has a `Default`, so partial literals
+//! (`BatchConfig { max_batch_jobs: 1, ..BatchConfig::default() }`) work.
+//! Configs are plain Rust values: nothing here serializes or reads a file.
 
 use crate::batcher::LatencyClass;
 use ftmap_core::DegradePolicy;
-use serde::{Deserialize, Serialize};
 
 /// The admission queue's knobs (the service's front door).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueConfig {
     /// Maximum jobs pending admission (the backpressure bound).
     pub max_pending: usize,
@@ -32,7 +31,7 @@ impl Default for QueueConfig {
 }
 
 /// Batch formation and dispatch knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
     /// Maximum jobs co-scheduled in one batch.
     pub max_batch_jobs: usize,
@@ -69,7 +68,7 @@ impl Default for BatchConfig {
 /// in-flight job budget is its weight over the sum of all configured weights
 /// plus [`AdmissionConfig::default_tenant_weight`] (the pooled share every
 /// unlisted tenant draws from).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TenantQuota {
     /// The tenant label ([`crate::MappingRequest::tenant_label`]).
     pub tenant: String,
@@ -81,7 +80,7 @@ pub struct TenantQuota {
 /// **nothing**: no deadlines (every request is plainly admitted), no degrade
 /// policy, no receptor caps, no tenant quotas — the pre-admission-control
 /// service behavior.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AdmissionConfig {
     /// Class-wide modeled-latency deadline for interactive requests
     /// (admission-to-completion seconds on the virtual timeline). `None`
@@ -191,7 +190,7 @@ impl AdmissionConfig {
 }
 
 /// Service tuning knobs, composed from the three sub-configs.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ServeConfig {
     /// The admission queue (backpressure).
     pub queue: QueueConfig,

@@ -25,12 +25,13 @@ use crate::event::TraceEvent;
 use crate::perfetto::export_chrome_trace_with_flows;
 use crate::recorder::resolve_counted;
 use crate::sink::TraceSink;
+use crate::sync::locked;
 use crate::tree::build_request_trees;
-use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Ring shards (same sharding scheme as [`crate::Recorder`]).
 const SHARDS: usize = 16;
@@ -93,7 +94,7 @@ impl FlightRecorder {
 
     /// Events currently buffered in the live ring.
     pub fn ring_len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards.iter().map(|s| locked(s).len()).sum()
     }
 
     /// Ring evictions so far (events that aged out before any request
@@ -118,7 +119,7 @@ impl FlightRecorder {
         }
         let mut events = Vec::new();
         for shard in &self.shards {
-            let mut shard = shard.lock();
+            let mut shard = locked(shard);
             let mut kept = VecDeque::with_capacity(shard.len());
             for event in shard.drain(..) {
                 if event.tags.trace == Some(trace_id) {
@@ -133,7 +134,7 @@ impl FlightRecorder {
             return;
         }
         self.retained_total.fetch_add(1, Ordering::Relaxed);
-        let mut retained = self.retained.lock();
+        let mut retained = locked(&self.retained);
         retained.trees.push_back((trace_id, events));
         while retained.trees.len() > self.max_retained {
             retained.trees.pop_front();
@@ -142,16 +143,14 @@ impl FlightRecorder {
 
     /// Trace ids currently retained, oldest first.
     pub fn retained_trace_ids(&self) -> Vec<u64> {
-        self.retained.lock().trees.iter().map(|(id, _)| *id).collect()
+        locked(&self.retained).trees.iter().map(|(id, _)| *id).collect()
     }
 
     /// The retained events, anchor-resolved and merged onto one timeline
     /// (retention is non-destructive — breach dumps shouldn't race each
     /// other for the evidence).
     pub fn retained_events(&self) -> Vec<TraceEvent> {
-        let raw: Vec<TraceEvent> = self
-            .retained
-            .lock()
+        let raw: Vec<TraceEvent> = locked(&self.retained)
             .trees
             .iter()
             .flat_map(|(_, events)| events.iter().cloned())
@@ -174,7 +173,7 @@ impl FlightRecorder {
 
 impl TraceSink for FlightRecorder {
     fn record(&self, event: TraceEvent) {
-        let mut shard = self.shards[Self::shard_index()].lock();
+        let mut shard = locked(&self.shards[Self::shard_index()]);
         if shard.len() >= self.shard_capacity {
             shard.pop_front();
             self.evicted.fetch_add(1, Ordering::Relaxed);

@@ -1,8 +1,7 @@
 //! A minimal JSON value model and recursive-descent parser.
 //!
-//! The workspace's vendored `serde` stub has no serialization backend, so the
-//! Perfetto exporter writes JSON by hand — and this module is the matching
-//! reader: the `trace_check` schema validator and the round-trip tests parse
+//! The workspace has no serialization dependency, so the Perfetto exporter
+//! writes JSON by hand — and this module is the matching reader: the `trace_check` schema validator and the round-trip tests parse
 //! the exported bytes back through it. It accepts exactly RFC 8259 JSON
 //! (objects, arrays, strings with escapes, numbers, booleans, null).
 

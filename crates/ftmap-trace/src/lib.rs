@@ -44,6 +44,7 @@ pub mod sanitize;
 pub mod scope;
 pub mod sink;
 pub mod slo;
+pub mod sync;
 pub mod tree;
 
 pub use critical_path::{analyze, analyze_all, Breakdown, CriticalPath, RequestAnalysis};

@@ -5,10 +5,10 @@
 //! wall clock. Metric identity is `(name, sorted label pairs)`; the render is
 //! deterministic (BTreeMap order) so snapshots diff cleanly.
 
-use parking_lot::Mutex;
+use crate::sync::locked;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Metric identity: name plus sorted label pairs. Shared, so a snapshot
 /// copies a pointer per series instead of every name and label string.
@@ -128,19 +128,18 @@ impl MetricsRegistry {
 
     /// Adds `value` to the counter `name{labels}` (created at 0).
     pub fn counter_add(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        *self.inner.lock().counters.entry(key(name, labels)).or_insert(0.0) += value;
+        *locked(&self.inner).counters.entry(key(name, labels)).or_insert(0.0) += value;
     }
 
     /// Sets the gauge `name{labels}`.
     pub fn gauge_set(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.inner.lock().gauges.insert(key(name, labels), value);
+        locked(&self.inner).gauges.insert(key(name, labels), value);
     }
 
     /// Observes `value` into the histogram `name{labels}` with the given
     /// bucket upper bounds (bounds are fixed on first observation).
     pub fn observe(&self, name: &str, labels: &[(&str, &str)], bounds: &[f64], value: f64) {
-        self.inner
-            .lock()
+        locked(&self.inner)
             .histograms
             .entry(key(name, labels))
             .or_insert_with(|| Histogram::new(bounds))
@@ -149,7 +148,7 @@ impl MetricsRegistry {
 
     /// A point-in-time copy of every metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock();
+        let inner = locked(&self.inner);
         MetricsSnapshot {
             counters: inner.counters.clone(),
             gauges: inner.gauges.clone(),

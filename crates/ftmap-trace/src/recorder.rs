@@ -3,11 +3,12 @@
 
 use crate::event::{Anchor, TraceEvent};
 use crate::sink::TraceSink;
-use parking_lot::Mutex;
+use crate::sync::locked;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Number of independent event buffers. Each recording thread hashes to one
 /// shard, so with a handful of scheduler workers every worker effectively owns
@@ -17,7 +18,7 @@ const SHARDS: usize = 16;
 /// A lock-cheap [`TraceSink`] that buffers events in memory.
 ///
 /// Recording appends to the shard owned by the calling thread's hash — an
-/// uncontended `parking_lot` mutex in the steady state. [`Recorder::events`]
+/// uncontended `std::sync::Mutex` in the steady state. [`Recorder::events`]
 /// merges the shards, rebases anchored sub-events onto their defining item
 /// spans, and returns the timeline sorted by start instant.
 #[derive(Debug, Default)]
@@ -40,7 +41,7 @@ impl Recorder {
 
     /// Number of events buffered so far (across all shards).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.shards.iter().map(|s| locked(s).len()).sum()
     }
 
     /// True when nothing has been recorded.
@@ -53,7 +54,7 @@ impl Recorder {
     pub fn drain_raw(&self) -> Vec<TraceEvent> {
         let mut all = Vec::new();
         for shard in &self.shards {
-            all.append(&mut shard.lock());
+            all.append(&mut locked(shard));
         }
         all
     }
@@ -80,7 +81,7 @@ impl Recorder {
 
 impl TraceSink for Recorder {
     fn record(&self, event: TraceEvent) {
-        self.shards[Self::shard_index()].lock().push(event);
+        locked(&self.shards[Self::shard_index()]).push(event);
     }
 
     fn dropped_events(&self) -> u64 {

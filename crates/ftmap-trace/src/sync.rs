@@ -1,7 +1,8 @@
-//! Poison-tolerant synchronization helpers for scheduler and serve hot paths.
+//! Poison-tolerant synchronization helpers for scheduler and serve hot paths
+//! (also reachable as `gpu_sim::sync`).
 //!
 //! The scheduler layers carry their own explicit failure channel: a worker
-//! that panics mid-item trips the strand/poison flags ([`crate::sched`]'s
+//! that panics mid-item trips the strand/poison flags (`gpu_sim::sched`'s
 //! `stranded` slots), and every waiter surfaces that as a loud, typed
 //! failure. `std`'s mutex poisoning is redundant next to that channel — and
 //! turning every `lock()` into `lock().expect(...)` plants a panic site in

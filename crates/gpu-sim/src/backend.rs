@@ -9,10 +9,8 @@
 //! those per-phase enums implement so the pipeline selects both engines through
 //! one seam instead of two ad-hoc mappings.
 
-use serde::{Deserialize, Serialize};
-
 /// Which substrate executes an accelerated phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExecutionBackend {
     /// Host execution — the original serial FTMap structure.
     Cpu,

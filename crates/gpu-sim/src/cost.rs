@@ -24,7 +24,6 @@ use crate::device::DeviceSpec;
 use crate::kernel::LaunchConfig;
 use crate::memory::{MemoryCounters, Transfer};
 use crate::timing::StreamOp;
-use serde::{Deserialize, Serialize};
 
 /// Makespan (seconds) of a sequence of [`StreamOp`]s executed on one CUDA
 /// stream with asynchronous copy engines — the copy/compute overlap model used
@@ -60,7 +59,7 @@ pub fn overlapped_stream_time(ops: &[StreamOp]) -> f64 {
 }
 
 /// Analytic kernel-time model for one device.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CostModel {
     spec: DeviceSpec,
     /// Number of outstanding global-memory accesses the device can overlap

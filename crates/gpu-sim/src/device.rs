@@ -8,23 +8,23 @@
 //! * [`DeviceSpec::xeon_core`] — a single core of the 3 GHz Xeon Harpertown host the
 //!   paper's serial baseline ran on.
 //!
-//! [`Device`] executes [`BlockKernel`]s: the grid of blocks is distributed over a
-//! crossbeam thread pool (one logical worker per simulated SM, capped at the physical
-//! CPU count), per-block counters are merged, and the cost model converts the totals
-//! into modeled times.
+//! [`Device`] executes [`BlockKernel`]s: the grid of blocks is distributed over
+//! `std::thread::scope` workers (one logical worker per simulated SM, capped at the
+//! physical CPU count), per-block counters are merged, and the cost model converts the
+//! totals into modeled times.
 
 use crate::cost::CostModel;
 use crate::kernel::{BlockContext, BlockKernel, LaunchConfig};
 use crate::memory::{MemoryCounters, SharedMemory, Transfer, TransferDirection};
 use crate::residency::ResidencyCache;
 use crate::timing::KernelStats;
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use ftmap_trace::sync::locked;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Hardware parameters of a (modeled) compute device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceSpec {
     /// Human-readable name.
     pub name: String,
@@ -136,7 +136,7 @@ impl DeviceSpec {
 /// scheduler's stream model ([`crate::sched::Stream`]) attributes upload and
 /// download seconds to individual work items without the device having to know
 /// about work items at all.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TransferSnapshot {
     /// Accumulated modeled host→device transfer seconds.
     pub upload_s: f64,
@@ -174,11 +174,10 @@ pub struct Device {
     spec: DeviceSpec,
     cost: CostModel,
     worker_threads: usize,
-    /// Accumulated modeled transfer time (seconds) since construction / reset,
-    /// split as `(upload, download)`.
-    transfer_time_s: Mutex<(f64, f64)>,
-    /// Accumulated transferred bytes since construction / reset.
-    transfer_bytes: AtomicUsize,
+    /// Accumulated modeled transfer seconds and bytes since construction /
+    /// reset, under one lock so a snapshot never sees an item's seconds
+    /// without its bytes.
+    transfers: Mutex<TransferSnapshot>,
     /// Buffers kept resident in this device's modeled global memory.
     residency: ResidencyCache,
 }
@@ -195,8 +194,7 @@ impl Device {
             spec,
             cost,
             worker_threads,
-            transfer_time_s: Mutex::new((0.0, 0.0)),
-            transfer_bytes: AtomicUsize::new(0),
+            transfers: Mutex::new(TransferSnapshot::default()),
             residency,
         }
     }
@@ -234,17 +232,20 @@ impl Device {
     /// Records a host↔device transfer and returns its modeled duration in seconds.
     pub fn record_transfer(&self, transfer: Transfer) -> f64 {
         let t = self.cost.transfer_time(&transfer);
-        let direction = match transfer.direction {
-            TransferDirection::HostToDevice => {
-                self.transfer_time_s.lock().0 += t;
-                "upload"
-            }
-            TransferDirection::DeviceToHost => {
-                self.transfer_time_s.lock().1 += t;
-                "download"
+        let direction = {
+            let mut account = locked(&self.transfers);
+            account.bytes += transfer.bytes as usize;
+            match transfer.direction {
+                TransferDirection::HostToDevice => {
+                    account.upload_s += t;
+                    "upload"
+                }
+                TransferDirection::DeviceToHost => {
+                    account.download_s += t;
+                    "download"
+                }
             }
         };
-        self.transfer_bytes.fetch_add(transfer.bytes as usize, Ordering::Relaxed);
         ftmap_trace::hook::transfer(direction, transfer.bytes, t);
         t
     }
@@ -282,23 +283,17 @@ impl Device {
     /// Total modeled transfer time (seconds) recorded so far, both directions.
     /// The per-direction split is read through [`Device::transfer_snapshot`].
     pub fn total_transfer_time(&self) -> f64 {
-        let split = self.transfer_time_s.lock();
-        split.0 + split.1
+        self.transfer_snapshot().total_s()
     }
 
     /// Total bytes transferred so far.
     pub fn total_transfer_bytes(&self) -> usize {
-        self.transfer_bytes.load(Ordering::Relaxed)
+        self.transfer_snapshot().bytes
     }
 
     /// A point-in-time copy of the transfer accounting, split by direction.
     pub fn transfer_snapshot(&self) -> TransferSnapshot {
-        let (upload_s, download_s) = *self.transfer_time_s.lock();
-        TransferSnapshot {
-            upload_s,
-            download_s,
-            bytes: self.transfer_bytes.load(Ordering::Relaxed),
-        }
+        *locked(&self.transfers)
     }
 
     /// Resets the transfer accounting.
@@ -308,8 +303,7 @@ impl Device {
     /// pipeline) reset at the start of every run so one run's transfers never
     /// leak into the next run's stream-overlap accounting.
     pub fn reset_transfer_stats(&self) {
-        *self.transfer_time_s.lock() = (0.0, 0.0);
-        self.transfer_bytes.store(0, Ordering::Relaxed);
+        *locked(&self.transfers) = TransferSnapshot::default();
     }
 
     /// Launches a kernel: executes `config.grid_blocks` blocks of the kernel, in
@@ -334,9 +328,9 @@ impl Device {
         let block_counters: Mutex<Vec<MemoryCounters>> = Mutex::new(Vec::with_capacity(n_blocks));
 
         let wall_start = Instant::now();
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..self.worker_threads.min(n_blocks.max(1)) {
-                scope.spawn(|_| {
+                scope.spawn(|| {
                     let mut local: Vec<MemoryCounters> = Vec::new();
                     loop {
                         let block_idx = next_block.fetch_add(1, Ordering::Relaxed);
@@ -352,47 +346,18 @@ impl Device {
                         kernel.execute_block(&mut ctx);
                         local.push(ctx.into_counters());
                     }
-                    block_counters.lock().extend(local);
+                    locked(&block_counters).extend(local);
                 });
             }
-        })
-        .expect("device worker thread panicked");
+        });
         let wall_time = wall_start.elapsed();
 
-        let per_block = block_counters.into_inner();
+        let per_block = block_counters.into_inner().unwrap_or_else(PoisonError::into_inner);
         let totals = MemoryCounters::merged(per_block.iter());
         let modeled = self.cost.kernel_time(&totals, config);
 
         KernelStats {
             blocks: n_blocks,
-            threads_per_block: config.threads_per_block,
-            counters: totals,
-            wall_time_s: wall_time.as_secs_f64(),
-            modeled_time_s: modeled,
-        }
-    }
-
-    /// Runs the kernel as a single "block" covering all work on the host model —
-    /// the serial-baseline path used when modeling the original CPU code. No launch
-    /// overhead is charged and parallel workers are not used.
-    pub fn run_serial<K: BlockKernel>(&self, config: &LaunchConfig, kernel: &K) -> KernelStats {
-        let wall_start = Instant::now();
-        let mut per_block = Vec::with_capacity(config.grid_blocks);
-        for block_idx in 0..config.grid_blocks {
-            let mut ctx = BlockContext::new(
-                block_idx,
-                config.grid_blocks,
-                config.threads_per_block,
-                SharedMemory::new(config.shared_mem_words),
-            );
-            kernel.execute_block(&mut ctx);
-            per_block.push(ctx.into_counters());
-        }
-        let wall_time = wall_start.elapsed();
-        let totals = MemoryCounters::merged(per_block.iter());
-        let modeled = self.cost.serial_time(&totals);
-        KernelStats {
-            blocks: config.grid_blocks,
             threads_per_block: config.threads_per_block,
             counters: totals,
             wall_time_s: wall_time.as_secs_f64(),
@@ -405,12 +370,11 @@ impl Device {
 mod tests {
     use super::*;
     use crate::kernel::{BlockContext, BlockKernel, LaunchConfig};
-    use parking_lot::Mutex as PlMutex;
 
     /// A kernel that squares numbers: block i handles a contiguous chunk of the input.
     struct SquareKernel<'a> {
         input: &'a [f64],
-        output: &'a PlMutex<Vec<f64>>,
+        output: &'a Mutex<Vec<f64>>,
         chunk: usize,
     }
 
@@ -424,7 +388,7 @@ mod tests {
                 ctx.counters.flops += 1;
                 local.push(self.input[i] * self.input[i]);
             }
-            let mut out = self.output.lock();
+            let mut out = locked(self.output);
             for (offset, v) in local.into_iter().enumerate() {
                 ctx.counters.global_writes += 1;
                 out[start + offset] = v;
@@ -457,14 +421,14 @@ mod tests {
     fn launch_executes_all_blocks_and_counts() {
         let device = Device::tesla_c1060();
         let input: Vec<f64> = (0..1000).map(|i| i as f64).collect();
-        let output = PlMutex::new(vec![0.0; input.len()]);
+        let output = Mutex::new(vec![0.0; input.len()]);
         let chunk = 64;
         let kernel = SquareKernel { input: &input, output: &output, chunk };
         let n_blocks = input.len().div_ceil(chunk);
         let config = LaunchConfig::new(n_blocks, 64);
         let stats = device.launch(&config, &kernel);
 
-        let out = output.into_inner();
+        let out = output.into_inner().unwrap();
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, (i * i) as f64);
         }
@@ -474,19 +438,6 @@ mod tests {
         assert_eq!(stats.counters.global_writes, input.len() as u64);
         assert!(stats.modeled_time_s > 0.0);
         assert!(stats.wall_time_s > 0.0);
-    }
-
-    #[test]
-    fn serial_run_matches_launch_results() {
-        let device = Device::new(DeviceSpec::xeon_core());
-        let input: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let output = PlMutex::new(vec![0.0; input.len()]);
-        let kernel = SquareKernel { input: &input, output: &output, chunk: 10 };
-        let config = LaunchConfig::new(10, 1);
-        let stats = device.run_serial(&config, &kernel);
-        assert_eq!(stats.counters.flops, 100);
-        let out = output.into_inner();
-        assert_eq!(out[9], 81.0);
     }
 
     #[test]
@@ -534,6 +485,43 @@ mod tests {
         assert!((delta.download_s - down).abs() < 1e-12);
         assert_eq!(delta.bytes, (2 << 20) + (1 << 19));
         assert!((delta.total_s() - (up + down)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn transfer_snapshot_never_tears_seconds_from_bytes() {
+        // Seconds and bytes live under one lock: no snapshot, however it
+        // interleaves with concurrent uploads, may carry a transfer's
+        // seconds without its bytes (or the reverse).
+        const SIZE: u64 = 4096;
+        const UPLOADS: usize = 5_000;
+        let device = Device::tesla_c1060();
+        let per_transfer_s = device.cost_model().transfer_time(&Transfer::upload(SIZE));
+        let consistent = |snapshot: TransferSnapshot| {
+            let transfers = (snapshot.bytes / SIZE as usize) as f64;
+            let expected = transfers * per_transfer_s;
+            assert!(
+                (snapshot.upload_s - expected).abs() <= 1e-12,
+                "torn snapshot: {} bytes but {} upload seconds (expected {expected})",
+                snapshot.bytes,
+                snapshot.upload_s,
+            );
+        };
+        std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        for _ in 0..UPLOADS {
+                            device.upload_bytes(SIZE);
+                        }
+                    })
+                })
+                .collect();
+            while !writers.iter().all(|w| w.is_finished()) {
+                consistent(device.transfer_snapshot());
+            }
+        });
+        assert_eq!(device.total_transfer_bytes(), 2 * UPLOADS * SIZE as usize);
+        consistent(device.transfer_snapshot());
     }
 
     #[test]

@@ -24,11 +24,11 @@ use crate::device::Device;
 use crate::kernel::{partition_range, BlockKernel, LaunchConfig};
 use crate::memory::MemoryCounters;
 use crate::timing::KernelStats;
-use parking_lot::{Mutex, MutexGuard};
-use serde::{Deserialize, Serialize};
+use ftmap_trace::sync::locked;
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Threads per block used when the builder is not told otherwise — the value
 /// the paper's correlation and minimization kernels use throughout.
@@ -48,8 +48,8 @@ enum GridShape {
 /// Mirrors the CUDA launch configuration (`<<<grid, block, shmem>>>`): choose a
 /// grid with [`grid`](Self::grid) or [`for_items`](Self::for_items), a block
 /// width with [`threads`](Self::threads), optionally request shared memory, and
-/// execute with [`run`](Self::run) (block-parallel) or
-/// [`run_serial`](Self::run_serial) (host-model baseline).
+/// execute block-parallel with [`run`](Self::run). (Host-model baseline times
+/// come from [`crate::CostModel::serial_time`] over the same counters.)
 ///
 /// # Example
 ///
@@ -157,14 +157,6 @@ impl<'d> KernelLaunch<'d> {
         stats
     }
 
-    /// Executes the kernel serially (host-model baseline; no launch overhead,
-    /// no worker threads) and returns its stats.
-    pub fn run_serial<K: BlockKernel>(&self, kernel: &K) -> KernelStats {
-        let stats = self.device.run_serial(&self.config(), kernel);
-        self.trace_launch::<K>(&stats);
-        stats
-    }
-
     /// Emits the launch as an anchored trace stage when an item scope is
     /// active on this thread (free otherwise). The kernel's type name labels
     /// the span.
@@ -219,13 +211,13 @@ impl<T> Staged<T> {
 
     /// Locks the buffer for a block's write window.
     pub fn write(&self) -> MutexGuard<'_, T> {
-        self.slot.lock()
+        locked(&self.slot)
     }
 
     /// Consumes the staging slot, returning the finished buffer (the host-side
     /// "download" of the result).
     pub fn take(self) -> T {
-        self.slot.into_inner()
+        self.slot.into_inner().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -290,7 +282,7 @@ impl BlockOrder {
 }
 
 /// Per-phase record inside a [`StatsLedger`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct PhaseRecord {
     launches: usize,
     stats: KernelStats,
@@ -312,7 +304,7 @@ impl PhaseRecord {
 /// transfer seconds and residency events are attributed per scheduled item by
 /// [`crate::sched::PhasePipeline`] and published on
 /// [`crate::sched::BatchReport`].
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct StatsLedger {
     phases: BTreeMap<String, PhaseRecord>,
 }
@@ -325,8 +317,17 @@ impl StatsLedger {
 
     /// Records one launch's stats under `phase`.
     pub fn record(&mut self, phase: &str, stats: &KernelStats) {
-        let entry = self.phases.entry(phase.to_string()).or_insert_with(PhaseRecord::zero);
-        entry.launches += 1;
+        self.add(phase, 1, stats);
+    }
+
+    /// Adds `launches` launches' merged `stats` to `phase`, allocating the
+    /// key only the first time the phase is seen.
+    fn add(&mut self, phase: &str, launches: usize, stats: &KernelStats) {
+        let entry = match self.phases.get_mut(phase) {
+            Some(entry) => entry,
+            None => self.phases.entry(phase.to_string()).or_insert_with(PhaseRecord::zero),
+        };
+        entry.launches += launches;
         entry.stats.accumulate(stats);
     }
 
@@ -367,9 +368,7 @@ impl StatsLedger {
     /// Merges another ledger into this one, phase by phase.
     pub fn merge(&mut self, other: &StatsLedger) {
         for (name, record) in &other.phases {
-            let entry = self.phases.entry(name.clone()).or_insert_with(PhaseRecord::zero);
-            entry.launches += record.launches;
-            entry.stats.accumulate(&record.stats);
+            self.add(name, record.launches, &record.stats);
         }
     }
 
@@ -388,7 +387,6 @@ impl StatsLedger {
 mod tests {
     use super::*;
     use crate::kernel::BlockContext;
-    use crate::DeviceSpec;
 
     fn stats(blocks: usize, flops: u64, modeled: f64) -> KernelStats {
         KernelStats {
@@ -457,12 +455,22 @@ mod tests {
     }
 
     #[test]
-    fn run_serial_uses_host_model() {
-        let device = Device::new(DeviceSpec::xeon_core());
-        let kernel = |ctx: &mut BlockContext| ctx.record_flops(10);
-        let stats = KernelLaunch::on(&device).grid(4).run_serial(&kernel);
-        assert_eq!(stats.counters.flops, 40);
-        assert_eq!(stats.blocks, 4);
+    fn staged_buffer_survives_a_kernel_panic_under_its_write_guard() {
+        // A block that panics while holding the write guard poisons the
+        // slot's mutex; the host must still get the buffer back rather than
+        // a `PoisonError` panic that masks the kernel's own.
+        let device = Device::tesla_c1060();
+        let output: Staged<Vec<f64>> = Staged::zeroed(2);
+        let launch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            KernelLaunch::on(&device).grid(1).run(&|_: &mut BlockContext| {
+                let mut out = output.write();
+                out[0] = 7.0;
+                panic!("kernel bug");
+            })
+        }));
+        assert!(launch.is_err());
+        output.write()[1] = 8.0;
+        assert_eq!(output.take(), vec![7.0, 8.0]);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! * kernels are written against a CUDA-like execution model — a grid of thread
 //!   **blocks**, each with shared memory, barriers, and per-thread work assignment;
-//! * blocks execute **in parallel on CPU worker threads** (crossbeam), so the
+//! * blocks execute **in parallel on scoped CPU worker threads**, so the
 //!   restructured algorithms really do run concurrently and their results are tested;
 //! * every kernel **accounts** its floating-point work and its global / shared /
 //!   constant memory traffic, and a [`cost::CostModel`] converts those counts into
@@ -50,7 +50,8 @@
 //! * [`memory`] — access counters and the host↔device transfer model.
 //! * [`cost`] — the analytic cost model that turns counters into modeled times.
 //! * [`timing`] — wall-clock helpers and the combined [`timing::KernelStats`] report.
-//! * [`sync`] — poison-tolerant lock helpers for the scheduler/serve hot paths.
+//! * [`sync`] — poison-tolerant lock helpers for the scheduler/serve hot paths
+//!   (defined in `ftmap-trace`, re-exported here).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -64,8 +65,9 @@ pub mod launch;
 pub mod memory;
 pub mod residency;
 pub mod sched;
-pub mod sync;
 pub mod timing;
+
+pub use ftmap_trace::sync;
 
 pub use backend::{BackendSelect, ExecutionBackend};
 pub use cost::CostModel;

@@ -7,10 +7,8 @@
 //! therefore tracks each class of access separately; the cost model weights them with
 //! the very different latencies of a Tesla-class part.
 
-use serde::{Deserialize, Serialize};
-
 /// Counters for one kernel execution (or one block; counters are additive).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoryCounters {
     /// Floating-point operations executed.
     pub flops: u64,
@@ -70,7 +68,7 @@ impl MemoryCounters {
 }
 
 /// A host↔device data transfer (PCIe in the paper's hardware).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Transfer {
     /// Bytes moved.
     pub bytes: u64,
@@ -79,7 +77,7 @@ pub struct Transfer {
 }
 
 /// Direction of a host↔device transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransferDirection {
     /// Host memory → device global/constant memory.
     HostToDevice,

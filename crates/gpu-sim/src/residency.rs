@@ -36,11 +36,10 @@
 //!   ([`ResidencyCache::derived_stats`]), and evicting a raw entry drops its
 //!   derived children with it.
 
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use crate::sync::locked;
 use std::any::Any;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// A type-erased shared handle to a resident buffer.
 pub type ResidentPayload = Arc<dyn Any + Send + Sync>;
@@ -98,7 +97,7 @@ impl Default for Fnv1a {
 /// counters (snapshot and subtract with [`CacheStats::delta_since`] to
 /// attribute events to one unit of work, the same pattern
 /// [`crate::TransferSnapshot`] uses for transfers).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups that found the key resident.
     pub hits: u64,
@@ -261,12 +260,12 @@ impl ResidencyCache {
 
     /// Bytes currently resident.
     pub fn resident_bytes(&self) -> usize {
-        self.inner.lock().resident_bytes
+        locked(&self.inner).resident_bytes
     }
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.inner.lock().entries.len()
+        locked(&self.inner).entries.len()
     }
 
     /// True when nothing is resident.
@@ -277,19 +276,19 @@ impl ResidencyCache {
     /// True when `key` is resident. Does not promote and does not count as a
     /// lookup (use [`ResidencyCache::get`] on the hot path).
     pub fn contains(&self, key: u64) -> bool {
-        self.inner.lock().entries.iter().any(|e| e.key == key)
+        locked(&self.inner).entries.iter().any(|e| e.key == key)
     }
 
     /// Resident keys, most-recently-used first (for tests and reporting).
     pub fn keys_mru(&self) -> Vec<u64> {
-        self.inner.lock().entries.iter().map(|e| e.key).collect()
+        locked(&self.inner).entries.iter().map(|e| e.key).collect()
     }
 
     /// Enables or disables the cache. Disabling clears residency, and every
     /// subsequent lookup reports [`Residency::Uncacheable`] — the pre-cache
     /// behavior (one upload per consumer), kept for cold-baseline benchmarks.
     pub fn set_enabled(&self, enabled: bool) {
-        let mut inner = self.inner.lock();
+        let mut inner = locked(&self.inner);
         inner.enabled = enabled;
         if !enabled {
             inner.entries.clear();
@@ -299,20 +298,20 @@ impl ResidencyCache {
 
     /// True when the cache accepts entries.
     pub fn enabled(&self) -> bool {
-        self.inner.lock().enabled
+        locked(&self.inner).enabled
     }
 
     /// Drops every resident entry (stats are kept — they are monotonic
     /// counters, not a gauge).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock();
+        let mut inner = locked(&self.inner);
         inner.entries.clear();
         inner.resident_bytes = 0;
     }
 
     /// A snapshot of the hit/miss/eviction counters.
     pub fn stats(&self) -> CacheStats {
-        self.inner.lock().stats
+        locked(&self.inner).stats
     }
 
     /// Looks up `key`, promoting it to most-recently-used on hit. Counts one
@@ -349,7 +348,7 @@ impl ResidencyCache {
     /// A snapshot of the derived-entry hit/miss/eviction counters (separate
     /// bucket from [`ResidencyCache::stats`]).
     pub fn derived_stats(&self) -> CacheStats {
-        self.inner.lock().derived_stats
+        locked(&self.inner).derived_stats
     }
 
     /// Looks up the payload derived from `parent_key` under `tag`, promoting
@@ -393,7 +392,7 @@ impl ResidencyCache {
     where
         F: FnOnce() -> (ResidentPayload, usize),
     {
-        let mut inner = self.inner.lock();
+        let mut inner = locked(&self.inner);
         let hit = inner.entries.iter().position(|e| e.key == key);
         let (stats, bucket) = inner.bucket(parent.is_some());
         if let Some(pos) = hit {
@@ -450,7 +449,7 @@ fn hit_payload(residency: Residency) -> Option<ResidentPayload> {
 
 impl fmt::Debug for ResidencyCache {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.lock();
+        let inner = locked(&self.inner);
         f.debug_struct("ResidencyCache")
             .field("capacity_bytes", &self.capacity_bytes)
             .field("resident_bytes", &inner.resident_bytes)
@@ -488,6 +487,28 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.evictions, stats.insertions), (1, 1, 0, 1));
         assert_eq!(cache.resident_bytes(), 100);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn panicking_fill_does_not_wedge_the_cache() {
+        // `fill` runs under the cache lock, and a real fill can panic (a
+        // transform plan on a non-power-of-two grid). One bad request must
+        // not poison a pooled device's cache for every later job.
+        let cache = ResidencyCache::new(1024);
+        cache.get_or_insert_with(1, || (payload(1), 100));
+        let bad = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.get_or_insert_with(2, || panic!("fill failed"))
+        }));
+        assert!(bad.is_err());
+        assert!(matches!(
+            cache.get_or_insert_with(3, || (payload(3), 100)),
+            Residency::Miss { .. }
+        ));
+        assert!(matches!(cache.get_or_insert_with(1, || panic!("resident")), Residency::Hit(_)));
+        assert!(!cache.contains(2));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.insertions), (1, 3, 2));
+        assert_eq!(cache.resident_bytes(), 200);
     }
 
     #[test]

@@ -57,14 +57,13 @@ use crate::sched::stream::Stream;
 use crate::sync::{locked, wait_on};
 use crate::timing::{StreamOp, StreamStats};
 use ftmap_trace::{Category, ItemScope, Tags, TraceEvent, TraceSink, Track};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::Range;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// Which stage of the dock→minimize pipeline an item belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Rigid docking of one entry (probe): runs as soon as a device is free.
     Dock,
@@ -136,7 +135,7 @@ pub struct PhasedBatch {
 }
 
 /// Per-device account of what one batch ran, split by phase.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PhasedDeviceReport {
     /// Human-readable device name.
     pub device: String,
@@ -160,7 +159,7 @@ impl PhasedDeviceReport {
 }
 
 /// What one batch did, returned on completion.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BatchReport {
     /// The batch's submission sequence number (scheduler-wide, 0-based).
     pub seq: usize,

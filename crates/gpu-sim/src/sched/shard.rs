@@ -14,12 +14,10 @@ use crate::sched::pool::{load_skew, makespan_s, utilizations, DevicePool};
 use crate::sched::stream::Stream;
 use crate::sync::{locked, wait_on};
 use crate::timing::StreamStats;
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
-use std::sync::{Condvar, Mutex as StdMutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 
 /// What one pooled device did during a [`ShardQueue::execute`] run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DeviceShardReport {
     /// Human-readable device name (from its spec).
     pub device: String,
@@ -89,7 +87,7 @@ impl<R> ShardOutcome<R> {
 
 /// A one-shot executor over a [`DevicePool`].
 ///
-/// [`ShardQueue::execute`] spawns one crossbeam-scoped worker per pooled
+/// [`ShardQueue::execute`] spawns one scoped worker thread per pooled
 /// device. Workers claim items from a shared cursor, gated on each worker's
 /// **modeled** virtual clock (see below), so heterogeneous pools balance by
 /// modeled speed rather than by host wall time. Two properties hold
@@ -166,13 +164,14 @@ impl<'p> ShardQueue<'p> {
         let slots: Vec<Mutex<Option<T>>> =
             items.into_iter().map(|item| Mutex::new(Some(item))).collect();
         let results: Vec<Mutex<Option<R>>> = (0..n_items).map(|_| Mutex::new(None)).collect();
-        let claims =
-            StdMutex::new(ClaimState { next: 0, vtime: vec![0.0; n_workers], completed: 0 });
+        let claims = Mutex::new(ClaimState { next: 0, vtime: vec![0.0; n_workers], completed: 0 });
         let turnstile = Condvar::new();
         let reports: Mutex<Vec<Option<DeviceShardReport>>> =
             Mutex::new((0..n_workers).map(|_| None).collect());
 
-        crossbeam::thread::scope(|scope| {
+        // A worker panic re-raises on the caller's thread when the scope joins,
+        // instead of leaving partially-filled results behind.
+        std::thread::scope(|scope| {
             for (device_index, device) in self.pool.devices().iter().enumerate() {
                 let slots = &slots;
                 let results = &results;
@@ -180,7 +179,7 @@ impl<'p> ShardQueue<'p> {
                 let turnstile = &turnstile;
                 let reports = &reports;
                 let work = &work;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut stream = Stream::new();
                     let mut item_indices = Vec::new();
                     loop {
@@ -202,8 +201,7 @@ impl<'p> ShardQueue<'p> {
                         };
                         turnstile.notify_all();
 
-                        let item = slots[item_index]
-                            .lock()
+                        let item = locked(&slots[item_index])
                             .take()
                             // lint-allow(no-panic-in-workers): a drained slot
                             // means the claim cursor handed one index out twice
@@ -220,7 +218,7 @@ impl<'p> ShardQueue<'p> {
                             .map(crate::timing::StreamOp::serialized_s)
                             .unwrap_or(kernel_s);
                         item_indices.push(item_index);
-                        *results[item_index].lock() = Some(result);
+                        *locked(&results[item_index]) = Some(result);
 
                         // Advance this worker's clock by the item's actual
                         // modeled cost (kernel + transfers).
@@ -231,7 +229,7 @@ impl<'p> ShardQueue<'p> {
                         }
                         turnstile.notify_all();
                     }
-                    reports.lock()[device_index] = Some(DeviceShardReport {
+                    locked(reports)[device_index] = Some(DeviceShardReport {
                         device: device.spec().name.clone(),
                         device_index,
                         item_indices,
@@ -239,23 +237,25 @@ impl<'p> ShardQueue<'p> {
                     });
                 });
             }
-        })
-        // lint-allow(no-panic-in-workers): the documented failure mode — a
-        // worker panic re-raises on the caller's thread at the join, instead
-        // of leaving partially-filled results behind.
-        .expect("shard worker panicked");
+        });
 
         // The join above proved every worker ran to completion, and a worker
         // only exits its claim loop once the cursor has passed the end, so
         // every slot and report is filled.
         let results = results
             .into_iter()
-            // lint-allow(no-panic-in-workers): post-join completeness
-            // invariant — an empty slot after a clean join is unrecoverable.
-            .map(|slot| slot.into_inner().expect("work item produced no result"))
+            .map(|slot| {
+                slot.into_inner()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    // lint-allow(no-panic-in-workers): post-join completeness
+                    // invariant — an empty slot after a clean join is
+                    // unrecoverable.
+                    .expect("work item produced no result")
+            })
             .collect();
         let reports = reports
             .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
             .into_iter()
             // lint-allow(no-panic-in-workers): same post-join invariant as
             // the result slots above.

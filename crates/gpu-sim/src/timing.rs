@@ -8,7 +8,6 @@
 //! copy/compute overlap so overlapped transfer time is never double-counted.
 
 use crate::memory::MemoryCounters;
-use serde::{Deserialize, Serialize};
 // lint-allow(no-wall-clock): this module IS the wall-profiling layer — the one
 // place modeled code is allowed to read the host clock from.
 use std::time::Instant;
@@ -27,7 +26,7 @@ pub fn wall_timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 }
 
 /// Statistics for one kernel launch (or one serial run).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelStats {
     /// Number of blocks executed.
     pub blocks: usize,
@@ -70,7 +69,7 @@ impl KernelStats {
 /// The three stages are the overlappable intervals of the scheduler's stream
 /// model: on a device with asynchronous copy engines, item `i+1`'s upload can
 /// proceed while item `i`'s kernels run and item `i-1`'s results download.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StreamOp {
     /// Modeled host→device transfer seconds for this item.
     pub upload_s: f64,
@@ -102,7 +101,7 @@ impl StreamOp {
 /// under kernel execution — time that must be counted **once**, which is why
 /// stream consumers report `overlapped_s` instead of adding transfer totals on
 /// top of kernel totals.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StreamStats {
     /// Number of work items issued to the stream.
     pub ops: usize,

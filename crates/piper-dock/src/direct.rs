@@ -9,7 +9,6 @@
 
 use crate::grids::{LigandGrids, ReceptorGrids};
 use ftmap_math::{Grid3, Real};
-use std::sync::Mutex;
 
 /// One occupied voxel of a ligand grid: the component it belongs to, its offset within
 /// the probe footprint and its value.
@@ -92,7 +91,9 @@ impl<'a> DirectCorrelationEngine<'a> {
         for dx in 0..n {
             for dy in 0..n {
                 for dz in 0..n {
-                    self.score_translation(ligand, (dx, dy, dz), &mut results);
+                    self.score_translation(ligand, (dx, dy, dz), |term, v| {
+                        *results[term].at_mut(dx, dy, dz) += v;
+                    });
                 }
             }
         }
@@ -108,55 +109,49 @@ impl<'a> DirectCorrelationEngine<'a> {
     ) -> Vec<Grid3<Real>> {
         assert!(n_threads >= 1, "need at least one thread");
         let n = self.dim();
-        let results: Vec<Mutex<Grid3<Real>>> =
-            (0..ligand.n_terms).map(|_| Mutex::new(Grid3::cubic(n))).collect();
+        let mut results: Vec<Grid3<Real>> = (0..ligand.n_terms).map(|_| Grid3::cubic(n)).collect();
 
-        crossbeam::thread::scope(|scope| {
-            for t in 0..n_threads {
-                let results = &results;
-                scope.spawn(move |_| {
-                    // Each thread owns a slab of x-planes.
-                    let chunk = n.div_ceil(n_threads);
-                    let x_start = (t * chunk).min(n);
-                    let x_end = (x_start + chunk).min(n);
-                    if x_start >= x_end {
-                        return;
-                    }
-                    let mut local: Vec<Grid3<Real>> =
-                        (0..ligand.n_terms).map(|_| Grid3::cubic(n)).collect();
-                    for dx in x_start..x_end {
+        // `Grid3` is x-major, so a run of x-planes is one contiguous chunk of
+        // every term grid: thread `t` owns chunk `t` of all of them outright
+        // and writes its slab in place.
+        let planes = n.div_ceil(n_threads);
+        let mut slabs: Vec<Vec<&mut [Real]>> =
+            (0..n.div_ceil(planes)).map(|_| Vec::with_capacity(ligand.n_terms)).collect();
+        for grid in &mut results {
+            let pieces = grid.as_mut_slice().chunks_mut(planes * n * n);
+            for (slab, piece) in slabs.iter_mut().zip(pieces) {
+                slab.push(piece);
+            }
+        }
+        std::thread::scope(|scope| {
+            for (t, mut slab) in slabs.into_iter().enumerate() {
+                scope.spawn(move || {
+                    let x_start = t * planes;
+                    let mut out = 0;
+                    for dx in x_start..(x_start + planes).min(n) {
                         for dy in 0..n {
                             for dz in 0..n {
-                                self.score_translation(ligand, (dx, dy, dz), &mut local);
-                            }
-                        }
-                    }
-                    // Merge the slab into the shared result grids.
-                    for (term, local_grid) in local.into_iter().enumerate() {
-                        let mut shared = results[term].lock().expect("result lock poisoned");
-                        for dx in x_start..x_end {
-                            for dy in 0..n {
-                                for dz in 0..n {
-                                    *shared.at_mut(dx, dy, dz) = *local_grid.at(dx, dy, dz);
-                                }
+                                self.score_translation(ligand, (dx, dy, dz), |term, v| {
+                                    slab[term][out] += v;
+                                });
+                                out += 1;
                             }
                         }
                     }
                 });
             }
-        })
-        .expect("multicore correlation thread panicked");
-
-        results.into_iter().map(|m| m.into_inner().expect("result lock poisoned")).collect()
+        });
+        results
     }
 
-    /// Scores a single translation `d` for every component, accumulating into `results`.
+    /// Scores a single translation `d`: calls `add(term, L·R)` once per occupied
+    /// ligand voxel, in entry order, for the caller to accumulate at `d`.
     #[inline]
     fn score_translation(
         &self,
         ligand: &SparseLigand,
         d: (usize, usize, usize),
-        results: &mut [Grid3<Real>],
+        mut add: impl FnMut(usize, Real),
     ) {
         let n = self.dim();
         for entry in &ligand.entries {
@@ -164,7 +159,7 @@ impl<'a> DirectCorrelationEngine<'a> {
             let y = (entry.offset.1 + d.1) % n;
             let z = (entry.offset.2 + d.2) % n;
             let r = *self.receptor.terms[entry.term].at(x, y, z);
-            *results[entry.term].at_mut(d.0, d.1, d.2) += entry.value * r;
+            add(entry.term, entry.value * r);
         }
     }
 
@@ -231,7 +226,8 @@ mod tests {
         let sparse = SparseLigand::from_grids(&ligand);
         let engine = DirectCorrelationEngine::new(&receptor);
         let serial = engine.correlate_rotation_serial(&sparse);
-        for threads in [1, 2, 4] {
+        // 5 does not divide the 16 planes; 17 is more threads than planes.
+        for threads in [1, 2, 4, 5, 17] {
             let parallel = engine.correlate_rotation_multicore(&sparse, threads);
             for (s, p) in serial.iter().zip(&parallel) {
                 for (a, b) in s.as_slice().iter().zip(p.as_slice()) {

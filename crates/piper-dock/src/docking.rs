@@ -23,11 +23,10 @@ use ftmap_molecule::{Atom, Probe};
 use gpu_sim::{
     wall_timed, BackendSelect, CostModel, Device, DeviceSpec, ExecutionBackend, MemoryCounters,
 };
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Which engine scores the rotations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DockingEngineKind {
     /// Original PIPER: serial FFT correlation on the host.
     FftSerial,
@@ -79,7 +78,7 @@ impl BackendSelect for DockingEngineKind {
 }
 
 /// Configuration of a docking run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DockingConfig {
     /// Receptor / result grid dimension `N` (must be a power of two for FFT engines).
     pub grid_dim: usize,
@@ -132,7 +131,7 @@ impl DockingConfig {
 
 /// Per-step times for one docking run, in seconds. Each field is the total over all
 /// rotations; divide by `n_rotations` for the per-rotation numbers of Table 1.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StepTimes {
     /// Rotation of the probe and ligand-grid assignment (always on the host).
     pub rotation_grid_s: f64,

@@ -18,7 +18,6 @@
 
 use ftmap_math::{Grid3, Real, Rotation, Vec3};
 use ftmap_molecule::Atom;
-use serde::{Deserialize, Serialize};
 
 /// Number of shape-complementarity components.
 pub const N_SHAPE_TERMS: usize = 2;
@@ -30,7 +29,7 @@ pub const DEFAULT_DESOLV_TERMS: usize = 4;
 pub const MAX_DESOLV_TERMS: usize = 18;
 
 /// Per-energy-function weights of Equation (2): `E = E_shape + w2·E_elec + w3·E_desol`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyWeights {
     /// Weight of the repulsive shape (core-overlap) component.
     pub shape_core: Real,
@@ -51,7 +50,7 @@ impl Default for EnergyWeights {
 }
 
 /// Geometry of the docking grids.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GridSpec {
     /// Grid dimension `N` (the result grid is `N³`). Must be a power of two so the FFT
     /// engine can transform it directly.
@@ -90,7 +89,7 @@ impl GridSpec {
 }
 
 /// Labels for the energy-function components, in grid order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TermKind {
     /// Repulsive shape core.
     ShapeCore,

@@ -6,10 +6,9 @@
 //! become the conformations minimized in phase two.
 
 use ftmap_math::{Real, Rotation, Vec3};
-use serde::{Deserialize, Serialize};
 
 /// A scored rigid-body pose of the probe relative to the protein.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pose {
     /// Index of the rotation in the rotation set used for the docking run.
     pub rotation_index: usize,

@@ -3,10 +3,11 @@
 //!
 //! Run with: `cargo run --release --example gpu_device_model`
 
+use ftmap::gpu::sync::locked;
 // lint-allow(launch-layer-only): this example deliberately tours the raw
 // device layer (see the annotated call sites below).
 use ftmap::gpu::{BlockContext, BlockKernel, Device, DeviceSpec, LaunchConfig, Transfer};
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 /// A toy kernel: each block sums the squares of a chunk of the input.
 struct SumSquares<'a> {
@@ -24,7 +25,7 @@ impl BlockKernel for SumSquares<'_> {
         ctx.record_global_reads(range.len() as u64);
         ctx.record_flops(2 * range.len() as u64);
         ctx.record_global_writes(1);
-        self.partials.lock()[ctx.block_idx] = acc;
+        locked(self.partials)[ctx.block_idx] = acc;
     }
 }
 
@@ -57,18 +58,17 @@ fn main() {
     let upload = gpu.record_transfer(Transfer::upload((n * 8) as u64));
     // lint-allow(launch-layer-only): raw launch shown on purpose (see above).
     let stats = gpu.launch(&config, &kernel);
-    let total: f64 = partials.lock().iter().sum();
+    let total: f64 = locked(&partials).iter().sum();
 
     println!("sum of squares = {total:.1}");
     println!("upload (modeled):        {:.3} ms", 1e3 * upload);
     println!("kernel wall (this CPU):  {:.3} ms", 1e3 * stats.wall_time_s);
     println!("kernel modeled (C1060):  {:.3} ms", 1e3 * stats.modeled_time_s);
 
-    // lint-allow(launch-layer-only): serial baseline through the raw layer,
-    // same teaching purpose as the launch above.
-    let serial = cpu.run_serial(&LaunchConfig::new(blocks, 1), &kernel);
-    println!("serial modeled (Xeon):   {:.3} ms", 1e3 * serial.modeled_time_s);
-    println!("modeled speedup:         {:.1}x", serial.modeled_time_s / stats.modeled_time_s);
+    // The serial baseline is the host cost model over the same counters.
+    let serial_s = cpu.cost_model().serial_time(&stats.counters);
+    println!("serial modeled (Xeon):   {:.3} ms", 1e3 * serial_s);
+    println!("modeled speedup:         {:.1}x", serial_s / stats.modeled_time_s);
     println!(
         "\ncounters: {} flops, {} global reads, arithmetic intensity {:.2} flops/access",
         stats.counters.flops,
