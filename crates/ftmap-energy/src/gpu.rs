@@ -32,6 +32,10 @@ pub mod phases {
     pub const FORCE_UPDATE: &str = "force_update";
 }
 
+/// Threads per block of the minimization kernels (one assignment-table row per
+/// thread), so a table-pass block's shared-memory staging is a fixed-size array.
+const THREADS_PER_BLOCK: usize = 64;
+
 /// Which non-bonded contribution a kernel pass evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PairTerm {
@@ -126,7 +130,6 @@ impl GpuIterationResult {
 pub struct GpuMinimizationEngine<'a> {
     device: &'a Device,
     ff: ForceField,
-    threads_per_block: usize,
     forward_table: AssignmentTable,
     reverse_table: AssignmentTable,
 }
@@ -137,15 +140,14 @@ impl<'a> GpuMinimizationEngine<'a> {
     /// no further data transfer per iteration, unless the neighbor list is updated",
     /// §IV.B).
     pub fn new(device: &'a Device, ff: ForceField, neighbors: &NeighborList) -> Self {
-        let threads_per_block = 64;
         let split = SplitPairsLists::from_neighbor_list(neighbors);
         let forward_table =
-            AssignmentTable::build(&split.forward, split.n_atoms, threads_per_block);
+            AssignmentTable::build(&split.forward, split.n_atoms, THREADS_PER_BLOCK);
         let reverse_table =
-            AssignmentTable::build(&split.reverse, split.n_atoms, threads_per_block);
+            AssignmentTable::build(&split.reverse, split.n_atoms, THREADS_PER_BLOCK);
         let words = forward_table.transfer_words() + reverse_table.transfer_words();
         device.upload_bytes((words * std::mem::size_of::<Real>()) as u64);
-        GpuMinimizationEngine { device, ff, threads_per_block, forward_table, reverse_table }
+        GpuMinimizationEngine { device, ff, forward_table, reverse_table }
     }
 
     /// Number of pairs covered per pass (forward list length).
@@ -158,9 +160,9 @@ impl<'a> GpuMinimizationEngine<'a> {
     pub fn refresh_neighbor_list(&mut self, neighbors: &NeighborList) {
         let split = SplitPairsLists::from_neighbor_list(neighbors);
         self.forward_table =
-            AssignmentTable::build(&split.forward, split.n_atoms, self.threads_per_block);
+            AssignmentTable::build(&split.forward, split.n_atoms, THREADS_PER_BLOCK);
         self.reverse_table =
-            AssignmentTable::build(&split.reverse, split.n_atoms, self.threads_per_block);
+            AssignmentTable::build(&split.reverse, split.n_atoms, THREADS_PER_BLOCK);
         let words = self.forward_table.transfer_words() + self.reverse_table.transfer_words();
         self.device.upload_bytes((words * std::mem::size_of::<Real>()) as u64);
     }
@@ -191,8 +193,8 @@ impl<'a> GpuMinimizationEngine<'a> {
             TablePassKernel { complex, ff: &self.ff, term, table, energies, forces, order: &order };
         KernelLaunch::on(self.device)
             .grid(table.n_blocks())
-            .threads(self.threads_per_block)
-            .shared_mem_words(self.threads_per_block * 2)
+            .threads(THREADS_PER_BLOCK)
+            .shared_mem_words(THREADS_PER_BLOCK * 2)
             .run_recorded(ledger, phase, &kernel);
     }
 
@@ -209,10 +211,11 @@ impl<'a> GpuMinimizationEngine<'a> {
         // corrections come from the two table passes.
         {
             let born_kernel = BornSelfKernel { complex, ff: &self.ff, energies: &energies };
-            KernelLaunch::on(self.device)
-                .threads(self.threads_per_block)
-                .for_items(n)
-                .run_recorded(&mut ledger, phases::SELF_ENERGY, &born_kernel);
+            KernelLaunch::on(self.device).threads(THREADS_PER_BLOCK).for_items(n).run_recorded(
+                &mut ledger,
+                phases::SELF_ENERGY,
+                &born_kernel,
+            );
         }
         for table in [&self.forward_table, &self.reverse_table] {
             self.run_table_pass(
@@ -241,7 +244,7 @@ impl<'a> GpuMinimizationEngine<'a> {
 
         // Kernel (c): force update — per-atom pass combining the accumulated gradients.
         let force_kernel = ForceUpdateKernel { n_atoms: n };
-        KernelLaunch::on(self.device).threads(self.threads_per_block).for_items(n).run_recorded(
+        KernelLaunch::on(self.device).threads(THREADS_PER_BLOCK).for_items(n).run_recorded(
             &mut ledger,
             phases::FORCE_UPDATE,
             &force_kernel,
@@ -296,7 +299,7 @@ impl<'a> GpuMinimizationEngine<'a> {
         let partials: Staged<Vec<(Real, Real)>> = Staged::new(vec![(0.0, 0.0); pairs.len()]);
         let kernel = PairsListKernel { complex, ff: &self.ff, term, pairs, partials: &partials };
         let mut stats = KernelLaunch::on(self.device)
-            .threads(self.threads_per_block)
+            .threads(THREADS_PER_BLOCK)
             .for_items(pairs.len())
             .run(&kernel);
         let partials = partials.take();
@@ -383,8 +386,8 @@ impl BlockKernel for TablePassKernel<'_> {
     fn execute_block(&self, ctx: &mut BlockContext) {
         let rows = self.table.block_rows(ctx.block_idx);
         // Phase 1: every thread computes its pair's energy into shared memory.
-        let mut shared_energy = vec![0.0; rows.len()];
-        let mut shared_force = vec![Vec3::ZERO; rows.len()];
+        let mut shared_energy = [0.0; THREADS_PER_BLOCK];
+        let mut shared_force = [Vec3::ZERO; THREADS_PER_BLOCK];
         let mut work_rows = 0u64;
         for (slot, row) in rows.iter().enumerate() {
             if row.is_padding() {
@@ -600,6 +603,33 @@ mod tests {
                 "run {run}: atom energies moved between identical evaluations"
             );
             assert!(again.forces == first.forces, "run {run}: forces moved");
+        }
+    }
+
+    #[test]
+    fn evaluation_is_invariant_to_the_launch_worker_count() {
+        // One worker (every launch inline on the caller) and the full device
+        // must give the same bits and the same counters; only the modeled
+        // seconds differ, because the specs do.
+        let (complex, neighbors, ff) = system();
+        let one_worker =
+            Device::new(gpu_sim::DeviceSpec { sm_count: 1, ..gpu_sim::DeviceSpec::tesla_c1060() });
+        let full = Device::tesla_c1060();
+        let inline =
+            GpuMinimizationEngine::new(&one_worker, ff.clone(), &neighbors).evaluate(&complex);
+        let spread = GpuMinimizationEngine::new(&full, ff, &neighbors).evaluate(&complex);
+
+        let energy_bits = |r: &GpuIterationResult| -> Vec<u64> {
+            r.atom_energies.iter().map(|e| e.to_bits()).collect()
+        };
+        let force_bits = |r: &GpuIterationResult| -> Vec<[u64; 3]> {
+            r.forces.iter().map(|f| [f.x.to_bits(), f.y.to_bits(), f.z.to_bits()]).collect()
+        };
+        assert_eq!(energy_bits(&inline), energy_bits(&spread));
+        assert_eq!(force_bits(&inline), force_bits(&spread));
+        for phase in [phases::SELF_ENERGY, phases::PAIRWISE_VDW, phases::FORCE_UPDATE] {
+            assert_eq!(inline.ledger.phase(phase).counters, spread.ledger.phase(phase).counters);
+            assert_eq!(inline.ledger.launches(phase), spread.ledger.launches(phase));
         }
     }
 

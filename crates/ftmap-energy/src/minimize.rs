@@ -85,7 +85,9 @@ pub struct MinimizationResult {
     pub iterations: usize,
     /// True when the run stopped because the energy change dropped below tolerance.
     pub converged: bool,
-    /// Final per-term breakdown (from the host evaluator, for reporting).
+    /// Final per-term breakdown (from the host evaluator, for reporting): the
+    /// last accepted evaluation's, re-evaluated only if the neighbor list was
+    /// refreshed after it.
     pub breakdown: EnergyBreakdown,
     /// Wall-clock seconds spent in energy/force evaluation.
     pub evaluation_time_s: f64,
@@ -163,6 +165,10 @@ impl Minimizer {
         eval_time += initial_wall_s;
         let initial_energy = initial_eval.breakdown.total();
         let mut current_energy = initial_energy;
+        // The host breakdown of the current positions against the current
+        // neighbor list: the initial evaluation, then each accepted trial's.
+        // A refresh makes it stale (`None`); otherwise it is the final breakdown.
+        let mut accepted = Some(initial_eval.breakdown);
         let mut step = self.config.initial_step;
         let mut converged = false;
         let mut iterations = 0;
@@ -173,6 +179,7 @@ impl Minimizer {
             // Periodic neighbor-list refresh.
             if iter > 0 && iter % self.config.neighbor_refresh_interval == 0 {
                 neighbors = NeighborList::build(&complex.atoms, self.ff.cutoff, &excluded);
+                accepted = None;
                 if let Some(engine) = gpu_engine.as_mut() {
                     engine.refresh_neighbor_list(&neighbors);
                 }
@@ -208,14 +215,16 @@ impl Minimizer {
             });
             update_time += move_wall_s;
 
-            let (trial_energy, trial_wall_s) =
-                wall_timed(|| evaluator.evaluate(complex, &neighbors).breakdown.total());
+            let (trial, trial_wall_s) =
+                wall_timed(|| evaluator.evaluate(complex, &neighbors).breakdown);
             eval_time += trial_wall_s;
+            let trial_energy = trial.total();
 
             let ((), accept_wall_s) = wall_timed(|| {
                 if trial_energy <= current_energy {
                     let delta = current_energy - trial_energy;
                     current_energy = trial_energy;
+                    accepted = Some(trial);
                     step = (step * 1.2).min(0.05);
                     if delta < self.config.energy_tolerance {
                         converged = true;
@@ -236,13 +245,14 @@ impl Minimizer {
             }
         }
 
-        let final_eval = evaluator.evaluate(complex, &neighbors);
+        let breakdown =
+            accepted.unwrap_or_else(|| evaluator.evaluate(complex, &neighbors).breakdown);
         MinimizationResult {
             initial_energy,
             final_energy: current_energy,
             iterations,
             converged,
-            breakdown: final_eval.breakdown,
+            breakdown,
             evaluation_time_s: eval_time,
             update_time_s: update_time,
             modeled_kernel_times_s: kernel_times,

@@ -16,6 +16,7 @@
 //!    (Fig. 11).
 
 use ftmap_molecule::NeighborList;
+use std::ops::Range;
 
 /// One atom pair to be processed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,19 +71,23 @@ impl SplitPairsLists {
     /// Builds the split lists from a neighbor list.
     pub fn from_neighbor_list(neighbors: &NeighborList) -> Self {
         let n_atoms = neighbors.n_atoms();
-        let mut forward = Vec::new();
-        let mut reverse_buckets: Vec<Vec<usize>> = vec![Vec::new(); n_atoms];
-        for (i, j) in neighbors.iter_pairs() {
-            forward.push(AtomPair { first: i, second: j });
-            reverse_buckets[j].push(i);
-        }
+        let forward: Vec<AtomPair> =
+            neighbors.iter_pairs().map(|(i, j)| AtomPair { first: i, second: j }).collect();
         // Reverse list: grouped by the original second atom, which becomes the atom
-        // whose energy this list updates.
-        let mut reverse = Vec::with_capacity(forward.len());
-        for (j, partners) in reverse_buckets.into_iter().enumerate() {
-            for i in partners {
-                reverse.push(AtomPair { first: j, second: i });
-            }
+        // whose energy this list updates — a stable counting sort of the forward
+        // list by `second`, so each group keeps its partners in forward order.
+        let mut starts = vec![0usize; n_atoms + 1];
+        for pair in &forward {
+            starts[pair.second + 1] += 1;
+        }
+        for j in 0..n_atoms {
+            starts[j + 1] += starts[j];
+        }
+        let mut reverse = vec![AtomPair { first: 0, second: 0 }; forward.len()];
+        for pair in &forward {
+            let slot = &mut starts[pair.second];
+            reverse[*slot] = AtomPair { first: pair.second, second: pair.first };
+            *slot += 1;
         }
         SplitPairsLists { forward, reverse, n_atoms }
     }
@@ -154,54 +159,36 @@ impl AssignmentTable {
     /// Panics if `threads_per_block` is zero.
     pub fn build(pairs: &[AtomPair], n_atoms: usize, threads_per_block: usize) -> Self {
         assert!(threads_per_block > 0, "threads_per_block must be positive");
-        // Group pairs by first atom, preserving order.
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        let mut current_atom = usize::MAX;
-        for (idx, pair) in pairs.iter().enumerate() {
-            if pair.first != current_atom {
-                groups.push(Vec::new());
-                current_atom = pair.first;
+        let tpb = threads_per_block;
+        // A chunk goes at the next free row unless it would cross into the next
+        // block; then the rest of the current block is padding.
+        let place = |cursor: usize, len: usize| {
+            if cursor % tpb + len > tpb {
+                cursor.next_multiple_of(tpb)
+            } else {
+                cursor
             }
-            groups.last_mut().expect("group exists").push(idx);
-        }
-
-        let mut rows: Vec<AssignmentRow> = Vec::new();
-        let mut used_in_block = 0usize;
-        for group in groups {
-            // Split oversized groups into block-sized chunks.
-            for chunk in group.chunks(threads_per_block) {
-                if used_in_block + chunk.len() > threads_per_block {
-                    // Pad out the current block and start a new one.
-                    while used_in_block < threads_per_block {
-                        rows.push(AssignmentRow::padding());
-                        used_in_block += 1;
-                    }
-                    used_in_block = 0;
-                }
-                for (offset, &pair_idx) in chunk.iter().enumerate() {
-                    let pair = pairs[pair_idx];
-                    rows.push(AssignmentRow {
-                        pair_index: pair_idx,
-                        atom_first: pair.first,
-                        atom_second: pair.second,
-                        master: offset == 0,
-                        group_size: if offset == 0 { chunk.len() } else { 0 },
-                    });
-                    used_in_block += 1;
-                }
-                if used_in_block == threads_per_block {
-                    used_in_block = 0;
-                }
+        };
+        // First walk sizes the table, the second fills it in place.
+        let end = group_chunks(pairs, tpb)
+            .fold(0, |cursor, chunk| place(cursor, chunk.len()) + chunk.len());
+        let mut rows = vec![AssignmentRow::padding(); end.next_multiple_of(tpb)];
+        let mut cursor = 0;
+        for chunk in group_chunks(pairs, tpb) {
+            cursor = place(cursor, chunk.len());
+            let group_size = chunk.len();
+            for (offset, pair_index) in chunk.enumerate() {
+                let pair = pairs[pair_index];
+                rows[cursor + offset] = AssignmentRow {
+                    pair_index,
+                    atom_first: pair.first,
+                    atom_second: pair.second,
+                    master: offset == 0,
+                    group_size: if offset == 0 { group_size } else { 0 },
+                };
             }
+            cursor += group_size;
         }
-        // Pad the final block.
-        if used_in_block > 0 {
-            while used_in_block < threads_per_block {
-                rows.push(AssignmentRow::padding());
-                used_in_block += 1;
-            }
-        }
-
         AssignmentTable { rows, threads_per_block, n_atoms }
     }
 
@@ -226,6 +213,21 @@ impl AssignmentTable {
     pub fn transfer_words(&self) -> usize {
         self.rows.len() * 5
     }
+}
+
+/// The pair-index ranges of an [`AssignmentTable`]'s group chunks, in order:
+/// maximal runs of pairs sharing a first atom, cut into pieces of at most
+/// `max` pairs.
+fn group_chunks(pairs: &[AtomPair], max: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let first = pairs.get(start)?.first;
+        let limit = (start + max).min(pairs.len());
+        let end = (start + 1..limit).find(|&k| pairs[k].first != first).unwrap_or(limit);
+        let chunk = start..end;
+        start = end;
+        Some(chunk)
+    })
 }
 
 #[cfg(test)]

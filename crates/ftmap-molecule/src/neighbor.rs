@@ -6,12 +6,14 @@
 //! MD, where cell lists are rebuilt constantly. This module builds that structure;
 //! `ftmap-energy` then restructures it into the pairs-lists of §IV.B.
 //!
-//! Construction uses a uniform spatial hash so building is `O(N)` rather than `O(N²)`,
-//! which matters when the protein has a few thousand atoms.
+//! Construction bins atoms into cubic cells of side `cutoff`, so building is `O(N)`
+//! rather than `O(N²)`, which matters when the protein has a few thousand atoms.
+//! The cells are runs of atom indices sorted by cell key, so memory stays `O(N)`
+//! however far apart the atoms are.
 
 use crate::atom::Atom;
 use ftmap_math::Real;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// A neighbor list: for every atom `i`, the indices of atoms `j > i` within the cutoff
 /// that are not excluded by the bonded topology.
@@ -20,64 +22,85 @@ use std::collections::{HashMap, HashSet};
 /// interaction once (the energy of *both* atoms is updated when the pair is processed).
 #[derive(Debug, Clone, Default)]
 pub struct NeighborList {
-    /// `lists[i]` = indices of neighbour atoms `j > i`.
-    lists: Vec<Vec<usize>>,
+    /// Atom `i`'s neighbours are `partners[starts[i]..starts[i + 1]]`.
+    starts: Vec<usize>,
+    /// Neighbour indices `j > i`, atom by atom, ascending within each atom.
+    partners: Vec<usize>,
     /// Cutoff the list was built with (Å).
     cutoff: Real,
 }
 
+/// The atoms of one occupied cell: `order[atoms]` are their indices.
+struct Cell {
+    key: [i64; 3],
+    atoms: std::ops::Range<usize>,
+}
+
 impl NeighborList {
     /// Builds a neighbor list over `atoms` with the given cutoff, skipping pairs in
-    /// `excluded` (ordered `(min, max)` index pairs, typically 1-2 and 1-3 bonded pairs).
+    /// `excluded` (ordered `(min, max)` index pairs, typically 1-2 and 1-3 bonded pairs;
+    /// reversed or out-of-range entries never match a pair and are ignored).
     pub fn build(atoms: &[Atom], cutoff: Real, excluded: &HashSet<(usize, usize)>) -> Self {
         assert!(cutoff > 0.0, "cutoff must be positive");
         let n = atoms.len();
-        let mut lists = vec![Vec::new(); n];
-        if n == 0 {
-            return NeighborList { lists, cutoff };
+
+        // Cells of side `cutoff`: atom indices sorted by (cell key, index), so each
+        // occupied cell is a contiguous run of `order`, and the cells are sorted by
+        // key — the three cells of a (x, y) column are adjacent.
+        let keys: Vec<[i64; 3]> = atoms
+            .iter()
+            .map(|a| {
+                let p = a.position;
+                [p.x, p.y, p.z].map(|c| (c / cutoff).floor() as i64)
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_unstable_by_key(|&i| (keys[i], i));
+        let mut cells: Vec<Cell> = Vec::new();
+        for (slot, &i) in order.iter().enumerate() {
+            match cells.last_mut() {
+                Some(cell) if cell.key == keys[i] => cell.atoms.end = slot + 1,
+                _ => cells.push(Cell { key: keys[i], atoms: slot..slot + 1 }),
+            }
         }
 
-        // Spatial hash with cell size = cutoff.
-        let cell = cutoff;
-        let key = |a: &Atom| {
-            (
-                (a.position.x / cell).floor() as i64,
-                (a.position.y / cell).floor() as i64,
-                (a.position.z / cell).floor() as i64,
-            )
-        };
-        let mut cells: HashMap<(i64, i64, i64), Vec<usize>> = HashMap::new();
-        for (i, a) in atoms.iter().enumerate() {
-            cells.entry(key(a)).or_default().push(i);
-        }
+        // Exclusions as one sorted list of (i, j), i < j < n: atom i's partners
+        // are one sorted run of it.
+        let mut exclusions: Vec<(usize, usize)> =
+            excluded.iter().copied().filter(|&(i, j)| i < j && j < n).collect();
+        exclusions.sort_unstable();
 
         let cutoff_sq = cutoff * cutoff;
-        for (i, a) in atoms.iter().enumerate() {
-            let (cx, cy, cz) = key(a);
-            for dx in -1..=1 {
-                for dy in -1..=1 {
-                    for dz in -1..=1 {
-                        let Some(bucket) = cells.get(&(cx + dx, cy + dy, cz + dz)) else {
-                            continue;
-                        };
-                        for &j in bucket {
-                            if j <= i {
-                                continue;
-                            }
-                            if excluded.contains(&(i, j)) {
-                                continue;
-                            }
-                            if a.position.distance_sq(atoms[j].position) <= cutoff_sq {
-                                lists[i].push(j);
+        let mut starts = Vec::with_capacity(n + 1);
+        starts.push(0);
+        let mut partners = Vec::new();
+        for (i, atom) in atoms.iter().enumerate() {
+            let excluded_here = &exclusions[exclusions.partition_point(|&(a, _)| a < i)
+                ..exclusions.partition_point(|&(a, _)| a <= i)];
+
+            let first = partners.len();
+            let [cx, cy, cz] = keys[i];
+            for x in cx.saturating_sub(1)..=cx.saturating_add(1) {
+                for y in cy.saturating_sub(1)..=cy.saturating_add(1) {
+                    let (lo, hi) = ([x, y, cz.saturating_sub(1)], [x, y, cz.saturating_add(1)]);
+                    let column = cells.partition_point(|c| c.key < lo);
+                    for cell in cells[column..].iter().take_while(|c| c.key <= hi) {
+                        for &j in &order[cell.atoms.clone()] {
+                            if j > i
+                                && atom.position.distance_sq(atoms[j].position) <= cutoff_sq
+                                && excluded_here.binary_search_by_key(&j, |&(_, b)| b).is_err()
+                            {
+                                partners.push(j);
                             }
                         }
                     }
                 }
             }
-            lists[i].sort_unstable();
+            partners[first..].sort_unstable();
+            starts.push(partners.len());
         }
 
-        NeighborList { lists, cutoff }
+        NeighborList { starts, partners, cutoff }
     }
 
     /// Builds a neighbor list with no exclusions.
@@ -92,34 +115,35 @@ impl NeighborList {
 
     /// Number of "first" atoms (== number of atoms in the system).
     pub fn n_atoms(&self) -> usize {
-        self.lists.len()
+        self.starts.len().saturating_sub(1)
     }
 
     /// The neighbours (`j > i`) of atom `i`.
     pub fn neighbors(&self, i: usize) -> &[usize] {
-        &self.lists[i]
+        &self.partners[self.starts[i]..self.starts[i + 1]]
     }
 
     /// Total number of pairs in the list.
     pub fn n_pairs(&self) -> usize {
-        self.lists.iter().map(|l| l.len()).sum()
+        self.partners.len()
     }
 
     /// Iterates over all `(i, j)` pairs.
     pub fn iter_pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.lists.iter().enumerate().flat_map(|(i, l)| l.iter().map(move |&j| (i, j)))
+        (0..self.n_atoms()).flat_map(move |i| self.neighbors(i).iter().map(move |&j| (i, j)))
     }
 
     /// The distribution of per-atom neighbour counts `(min, mean, max)` — the paper
     /// notes these range "from a few to a few hundred", which is why naive per-atom
     /// work distribution on the GPU is so uneven (§IV.A).
     pub fn neighbor_count_stats(&self) -> (usize, Real, usize) {
-        if self.lists.is_empty() {
+        if self.n_atoms() == 0 {
             return (0, 0.0, 0);
         }
-        let min = self.lists.iter().map(Vec::len).min().unwrap_or(0);
-        let max = self.lists.iter().map(Vec::len).max().unwrap_or(0);
-        let mean = self.n_pairs() as Real / self.lists.len() as Real;
+        let counts = || self.starts.windows(2).map(|w| w[1] - w[0]);
+        let min = counts().min().unwrap_or(0);
+        let max = counts().max().unwrap_or(0);
+        let mean = self.n_pairs() as Real / self.n_atoms() as Real;
         (min, mean, max)
     }
 }
@@ -196,6 +220,98 @@ mod tests {
         let slow = build_reference(&protein.atoms, 6.0, &excluded);
         for (i, reference) in slow.iter().enumerate() {
             assert_eq!(fast.neighbors(i), reference.as_slice(), "atom {i}");
+        }
+    }
+
+    /// Asserts `build` ≡ the brute-force oracle, atom by atom.
+    fn assert_matches_reference(atoms: &[Atom], cutoff: Real, excluded: &HashSet<(usize, usize)>) {
+        let fast = NeighborList::build(atoms, cutoff, excluded);
+        let slow = build_reference(atoms, cutoff, excluded);
+        assert_eq!(fast.n_atoms(), slow.len());
+        for (i, reference) in slow.iter().enumerate() {
+            assert_eq!(fast.neighbors(i), reference.as_slice(), "atom {i}");
+        }
+        assert_eq!(fast.n_pairs(), slow.iter().map(Vec::len).sum::<usize>());
+    }
+
+    #[test]
+    fn matches_brute_force_on_a_posed_probe_complex() {
+        // The `map_minimize` shape: an 800-atom-target protein (~730 atoms once
+        // its pockets are carved) plus a probe posed in its first pocket, the
+        // force-field cutoff, topology exclusions.
+        let ff = ForceField::charmm_like();
+        let protein = SyntheticProtein::generate(&ProteinSpec::medium(), &ff);
+        let mut probe = crate::Probe::new(crate::ProbeType::Acetone, &ff);
+        for a in &mut probe.atoms {
+            a.position += protein.pocket_centers[0];
+        }
+        let complex = crate::Complex::new(&protein, &probe);
+        assert!(complex.n_atoms() > 700, "{} atoms", complex.n_atoms());
+        assert_matches_reference(&complex.atoms, ff.cutoff, &complex.topology.excluded_pairs());
+    }
+
+    #[test]
+    fn reversed_and_out_of_range_exclusions_are_ignored() {
+        let atoms: Vec<Atom> = (0..5).map(|i| atom_at(i, Vec3::new(i as Real, 0.0, 0.0))).collect();
+        let excluded: HashSet<(usize, usize)> =
+            [(0, 1), (2, 1), (4, 3), (0, 99), (99, 0), (3, 3)].into_iter().collect();
+        let nl = NeighborList::build(&atoms, 2.5, &excluded);
+        assert_eq!(nl.neighbors(0), &[2]);
+        assert_eq!(nl.neighbors(1), &[2, 3], "(2, 1) is reversed, so (1, 2) stays");
+        assert_eq!(nl.neighbors(3), &[4], "(4, 3) is reversed, so (3, 4) stays");
+        assert_matches_reference(&atoms, 2.5, &excluded);
+    }
+
+    #[test]
+    fn single_atoms_and_far_outliers_match_brute_force() {
+        let one = [atom_at(0, Vec3::new(-3.5, 0.0, 7.25))];
+        assert_matches_reference(&one, 4.0, &HashSet::new());
+        assert_eq!(NeighborList::build_unexcluded(&one, 4.0).n_pairs(), 0);
+
+        // One atom 10⁴ Å from a small cluster: keyed cells, not a dense grid
+        // spanning the extent.
+        let mut atoms: Vec<Atom> =
+            (0..6).map(|i| atom_at(i, Vec3::new(i as Real * 0.9, -1.0, 0.5))).collect();
+        atoms.push(atom_at(6, Vec3::new(1.0e4, -1.0e4, 1.0e4)));
+        assert_matches_reference(&atoms, 3.0, &HashSet::new());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random clouds with negative coordinates, optionally snapped to the
+        /// cell lattice (atoms exactly on cell boundaries and pairs exactly at
+        /// the cutoff), optionally with a far outlier, under arbitrary
+        /// exclusion sets (reversed and out-of-range pairs included).
+        #[test]
+        fn build_matches_brute_force_on_random_clouds(
+            points in proptest::prelude::prop::collection::vec(
+                proptest::prelude::prop::array::uniform3(-20.0f64..20.0),
+                1..90,
+            ),
+            shape in (2.0f64..7.0, 0u64..4),
+            excluded in proptest::prelude::prop::collection::vec((0usize..100, 0usize..100), 0..60),
+        ) {
+            let (cutoff, variant) = shape;
+            let snap = variant % 2 == 1;
+            let cutoff = if snap { cutoff.round() } else { cutoff };
+            let mut atoms: Vec<Atom> = points
+                .iter()
+                .enumerate()
+                .map(|(i, p)| {
+                    let p = if snap { p.map(Real::round) } else { *p };
+                    atom_at(i, Vec3::from_array(p))
+                })
+                .collect();
+            if variant >= 2 {
+                atoms.push(atom_at(atoms.len(), Vec3::new(-1.0e4, 2.0, 1.0e4)));
+            }
+            let excluded: HashSet<(usize, usize)> = excluded.into_iter().collect();
+            let fast = NeighborList::build(&atoms, cutoff, &excluded);
+            let slow = build_reference(&atoms, cutoff, &excluded);
+            for (i, reference) in slow.iter().enumerate() {
+                proptest::prop_assert_eq!(fast.neighbors(i), reference.as_slice());
+            }
         }
     }
 

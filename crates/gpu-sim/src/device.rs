@@ -10,8 +10,10 @@
 //!
 //! [`Device`] executes [`BlockKernel`]s: the grid of blocks is distributed over
 //! `std::thread::scope` workers (one logical worker per simulated SM, capped at the
-//! physical CPU count), per-block counters are merged, and the cost model converts the
-//! totals into modeled times.
+//! physical CPU count).
+//! Each worker owns one shared-memory arena, zeroed per block, and one counter set
+//! summed at the join; the cost model converts the totals into modeled times. A
+//! launch on a one-worker device runs inline on the caller.
 
 use crate::cost::CostModel;
 use crate::kernel::{BlockContext, BlockKernel, LaunchConfig};
@@ -19,8 +21,10 @@ use crate::memory::{MemoryCounters, SharedMemory, Transfer, TransferDirection};
 use crate::residency::ResidencyCache;
 use crate::timing::KernelStats;
 use ftmap_trace::sync::locked;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::cell::RefCell;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// Hardware parameters of a (modeled) compute device.
@@ -309,12 +313,22 @@ impl Device {
     /// Launches a kernel: executes `config.grid_blocks` blocks of the kernel, in
     /// parallel across the worker threads, and returns merged statistics.
     ///
-    /// Each block gets a [`BlockContext`] with its own shared-memory arena and counter
-    /// set; kernels write their results through whatever interior-mutable output
+    /// Blocks are handed out in increasing index order. Each worker owns one
+    /// [`BlockContext`]: its shared-memory arena is zeroed before every block, and
+    /// its counters accumulate over the worker's blocks and are summed once at the
+    /// join — integer sums, so the totals do not depend on which worker ran which
+    /// block. Kernels write their results through whatever interior-mutable output
     /// structure they captured (mirroring global-memory writes on a real device).
     ///
+    /// On a one-worker device the launch runs entirely inline on the calling
+    /// thread and spawns nothing; otherwise its blocks run on scoped spawns
+    /// (one per worker, at least one) while the caller waits.
+    ///
     /// # Panics
-    /// Panics if the requested shared memory exceeds the device's per-SM capacity.
+    /// Panics if the requested shared memory exceeds the device's per-SM capacity,
+    /// and re-raises the first panic of any block once every worker has stopped
+    /// (blocks waiting in [`crate::BlockOrder::in_turn`] for a panicked block's turn
+    /// give up instead of waiting forever).
     pub fn launch<K: BlockKernel>(&self, config: &LaunchConfig, kernel: &K) -> KernelStats {
         assert!(
             config.shared_mem_words * std::mem::size_of::<f64>() <= self.spec.shared_mem_bytes,
@@ -324,36 +338,25 @@ impl Device {
         );
 
         let n_blocks = config.grid_blocks;
+        let spawns =
+            if self.worker_threads == 1 { 0 } else { self.worker_threads.min(n_blocks.max(1)) };
         let next_block = AtomicUsize::new(0);
-        let block_counters: Mutex<Vec<MemoryCounters>> = Mutex::new(Vec::with_capacity(n_blocks));
+        let run = || {
+            let arena = SharedMemory::new(config.shared_mem_words);
+            let mut ctx = BlockContext::new(0, n_blocks, config.threads_per_block, arena);
+            loop {
+                let block_idx = next_block.fetch_add(1, Ordering::Relaxed);
+                if block_idx >= n_blocks || launch_aborted() {
+                    return ctx.into_counters();
+                }
+                ctx.start_block(block_idx);
+                kernel.execute_block(&mut ctx);
+            }
+        };
 
         let wall_start = Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..self.worker_threads.min(n_blocks.max(1)) {
-                scope.spawn(|| {
-                    let mut local: Vec<MemoryCounters> = Vec::new();
-                    loop {
-                        let block_idx = next_block.fetch_add(1, Ordering::Relaxed);
-                        if block_idx >= n_blocks {
-                            break;
-                        }
-                        let mut ctx = BlockContext::new(
-                            block_idx,
-                            n_blocks,
-                            config.threads_per_block,
-                            SharedMemory::new(config.shared_mem_words),
-                        );
-                        kernel.execute_block(&mut ctx);
-                        local.push(ctx.into_counters());
-                    }
-                    locked(&block_counters).extend(local);
-                });
-            }
-        });
+        let totals = run_on_workers(spawns, run);
         let wall_time = wall_start.elapsed();
-
-        let per_block = block_counters.into_inner().unwrap_or_else(PoisonError::into_inner);
-        let totals = MemoryCounters::merged(per_block.iter());
         let modeled = self.cost.kernel_time(&totals, config);
 
         KernelStats {
@@ -364,6 +367,60 @@ impl Device {
             modeled_time_s: modeled,
         }
     }
+}
+
+thread_local! {
+    /// The abort flag of the launch this thread is running blocks for.
+    static LAUNCH_ABORT: RefCell<Option<Arc<AtomicBool>>> = const { RefCell::new(None) };
+}
+
+/// True when the launch whose blocks this thread is running has a panicked
+/// worker (always false outside a launch).
+pub(crate) fn launch_aborted() -> bool {
+    LAUNCH_ABORT.with(|slot| slot.borrow().as_ref().is_some_and(|a| a.load(Ordering::Acquire)))
+}
+
+/// Runs `run` on `spawns` scoped threads while the caller waits at the join,
+/// or inline on the caller when `spawns` is 0, and sums the counters the
+/// workers return. The caller never claims blocks itself: it is usually a
+/// long-lived scheduler thread, and block work kept on those threads (the
+/// caller as a worker, or one-block launches inline) let the OS leave them on
+/// fixed CPUs for whole `serve_mix` runs — sometimes all on one CPU, a ~30 %
+/// slower run — where fresh spawns per launch keep them re-placed.
+/// A worker whose block panics raises the launch's abort flag (through
+/// [`launch_aborted`] the others stop claiming blocks and blocks waiting on a
+/// turn give up); the first panic is re-raised once every worker has stopped.
+fn run_on_workers(spawns: usize, run: impl Fn() -> MemoryCounters + Sync) -> MemoryCounters {
+    let abort = Arc::new(AtomicBool::new(false));
+    let totals = Mutex::new(MemoryCounters::new());
+    let first_panic = Mutex::new(None);
+    let worker = || {
+        let outer = LAUNCH_ABORT.with(|slot| slot.replace(Some(Arc::clone(&abort))));
+        match catch_unwind(AssertUnwindSafe(&run)) {
+            Ok(counters) => locked(&totals).merge(&counters),
+            Err(payload) => {
+                locked(&first_panic).get_or_insert(payload);
+                // Release pairs with the Acquire in `launch_aborted`: a block
+                // that gives up because of this flag panics only after this
+                // payload is stored, so its own panic never becomes the first.
+                abort.store(true, Ordering::Release);
+            }
+        }
+        LAUNCH_ABORT.with(|slot| *slot.borrow_mut() = outer);
+    };
+    if spawns == 0 {
+        worker();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..spawns {
+                scope.spawn(worker);
+            }
+        });
+    }
+    if let Some(payload) = first_panic.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        resume_unwind(payload);
+    }
+    totals.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -547,6 +604,50 @@ mod tests {
         // Transfers are a per-run gauge; residency is device state and persists.
         assert_eq!(device.total_transfer_bytes(), 0);
         assert!(device.residency().contains(99));
+    }
+
+    #[test]
+    fn one_worker_launches_run_inline_and_wider_ones_on_spawns() {
+        let caller = std::thread::current().id();
+        let on_caller = |device: &Device, blocks: usize| {
+            let ran_on = Mutex::new(Vec::new());
+            let kernel = |_: &mut BlockContext| locked(&ran_on).push(std::thread::current().id());
+            let stats = device.launch(&LaunchConfig::new(blocks, 32), &kernel);
+            let ran_on = ran_on.into_inner().unwrap();
+            assert_eq!(ran_on.len(), blocks);
+            assert_eq!(stats.blocks, blocks);
+            ran_on.iter().all(|&id| id == caller)
+        };
+        let one_worker = Device::new(DeviceSpec { sm_count: 1, ..DeviceSpec::tesla_c1060() });
+        assert_eq!(one_worker.worker_threads(), 1);
+        assert!(on_caller(&one_worker, 40), "a one-worker device spawns nothing");
+        let full = Device::tesla_c1060();
+        if full.worker_threads() > 1 {
+            // The caller only waits, even for a one-block launch.
+            assert!(!on_caller(&full, 1), "a one-block launch runs on a spawn");
+            assert!(!on_caller(&full, 40), "a wide launch runs on spawns");
+        }
+    }
+
+    #[test]
+    fn every_block_starts_from_a_zeroed_arena_and_counters_sum_over_workers() {
+        // Workers reuse one arena across their blocks; a block must never see
+        // what the previous block on its worker left behind.
+        let device = Device::tesla_c1060();
+        let dirty = AtomicUsize::new(0);
+        let kernel = |ctx: &mut BlockContext| {
+            if ctx.shared.as_slice().iter().any(|&v| v != 0.0) {
+                dirty.fetch_add(1, Ordering::Relaxed);
+            }
+            ctx.shared.as_mut_slice().fill(ctx.block_idx as f64 + 1.0);
+            ctx.record_flops(ctx.block_idx as u64);
+            ctx.sync_threads();
+        };
+        let config = LaunchConfig::new(500, 64).with_shared_mem_words(16);
+        let stats = device.launch(&config, &kernel);
+        assert_eq!(dirty.into_inner(), 0);
+        assert_eq!(stats.counters.flops, (0..500u64).sum::<u64>());
+        assert_eq!(stats.counters.barriers, 500);
     }
 
     #[test]

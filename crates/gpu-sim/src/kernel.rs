@@ -63,6 +63,10 @@ impl LaunchConfig {
 }
 
 /// Execution context handed to a kernel for one block.
+///
+/// The device keeps one context per launch worker and re-targets it at each block
+/// the worker runs: the shared arena is zeroed in between, while the counters keep
+/// accumulating over the worker's blocks (kernels only ever add to them).
 #[derive(Debug)]
 pub struct BlockContext {
     /// Index of this block within the launch grid.
@@ -71,9 +75,9 @@ pub struct BlockContext {
     pub n_blocks: usize,
     /// Threads per block configured for the launch.
     pub threads_per_block: usize,
-    /// The block's shared-memory arena.
+    /// The block's shared-memory arena (all zeros when the block starts).
     pub shared: SharedMemory,
-    /// The block's access counters (merged by the device after execution).
+    /// Access counters, summed over the worker's blocks and then over workers.
     pub counters: MemoryCounters,
 }
 
@@ -92,6 +96,13 @@ impl BlockContext {
             shared,
             counters: MemoryCounters::new(),
         }
+    }
+
+    /// Re-targets the context at the worker's next block: zeroes the shared
+    /// arena and keeps the counters (called by the device).
+    pub(crate) fn start_block(&mut self, block_idx: usize) {
+        self.block_idx = block_idx;
+        self.shared.clear();
     }
 
     /// Splits a problem of `n_items` evenly over the launch grid and returns this

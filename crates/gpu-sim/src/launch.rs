@@ -241,8 +241,12 @@ impl<T: Clone + Default> Staged<Vec<T>> {
 /// Every block of the launch must take exactly one turn (blocks with nothing
 /// to commit pass an empty closure). This cannot deadlock: [`Device::launch`]
 /// hands blocks out in increasing index order and runs each to completion, so
-/// the block being waited for has always been claimed already. One per launch;
-/// it holds a single counter and allocates nothing.
+/// the block being waited for has always been claimed already — and if that
+/// block panics before or during its turn, the launch's abort flag makes the
+/// waiting blocks give up, so the launch resolves to the kernel's panic.
+/// Launches on a one-worker device run inline, where every turn is already
+/// due when a block reaches it.
+/// One per launch; it holds a single counter and allocates nothing.
 #[derive(Debug, Default)]
 pub struct BlockOrder {
     next: AtomicUsize,
@@ -255,29 +259,32 @@ impl BlockOrder {
     }
 
     /// Runs `commit` once every lower-indexed block has taken its turn, then
-    /// passes the turn to block `block_idx + 1` (also when `commit` panics,
-    /// so the launch's other workers are not left waiting).
+    /// passes the turn to block `block_idx + 1`.
+    ///
+    /// # Panics
+    /// Panics if another block of the same launch panicked while this one was
+    /// waiting for its turn — before its own turn or inside its commit — and
+    /// the launch then re-raises that first panic.
     pub fn in_turn<R>(&self, block_idx: usize, commit: impl FnOnce() -> R) -> R {
-        struct PassTurn<'a>(&'a AtomicUsize, usize);
-        impl Drop for PassTurn<'_> {
-            fn drop(&mut self) {
-                self.0.store(self.1, Ordering::Release);
-            }
-        }
         // Commit windows are a few adds long, so the predecessor is nearly
         // always done or about to be: spin briefly, then give the core away
-        // in case its worker is descheduled.
+        // in case its worker is descheduled — or gone, if it panicked.
         let mut spins = 0u32;
         while self.next.load(Ordering::Acquire) != block_idx {
             if spins < 128 {
                 spins += 1;
                 std::hint::spin_loop();
             } else {
+                assert!(
+                    !crate::device::launch_aborted(),
+                    "block {block_idx} gave up its turn: another block of the launch panicked"
+                );
                 std::thread::yield_now();
             }
         }
-        let _pass = PassTurn(&self.next, block_idx + 1);
-        commit()
+        let committed = commit();
+        self.next.store(block_idx + 1, Ordering::Release);
+        committed
     }
 }
 
@@ -544,6 +551,40 @@ mod tests {
         };
         KernelLaunch::on(&device).grid(200).run(&kernel);
         assert_eq!(committed.take(), (0..200).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_block_panic_fails_the_launch_instead_of_hanging_it() {
+        // Block 3 panics before taking its turn, or inside its commit; either
+        // way the launch must resolve to that panic. (A panic before the turn
+        // used to leave block 4's worker waiting for turn 3 forever.)
+        for (in_commit, message) in
+            [(false, "block 3 failed before its turn"), (true, "block 3 failed in its commit")]
+        {
+            let (done, outcome) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let device = Device::tesla_c1060();
+                let order = BlockOrder::new();
+                let kernel = |ctx: &mut BlockContext| {
+                    assert!(ctx.block_idx != 3 || in_commit, "block 3 failed before its turn");
+                    order.in_turn(ctx.block_idx, || {
+                        assert!(ctx.block_idx != 3, "block 3 failed in its commit");
+                    });
+                };
+                let launch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    KernelLaunch::on(&device).grid(64).run(&kernel)
+                }));
+                let panic = launch.err().map(|p| match p.downcast::<&str>() {
+                    Ok(text) => text.to_string(),
+                    Err(p) => p.downcast::<String>().map(|text| *text).unwrap_or_default(),
+                });
+                let _ = done.send(panic);
+            });
+            let panic = outcome
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("launch hung ({message})"));
+            assert_eq!(panic.as_deref(), Some(message), "the kernel's own panic surfaces");
+        }
     }
 
     #[test]

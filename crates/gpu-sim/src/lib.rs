@@ -13,8 +13,11 @@
 //!
 //! * kernels are written against a CUDA-like execution model — a grid of thread
 //!   **blocks**, each with shared memory, barriers, and per-thread work assignment;
-//! * blocks execute **in parallel on scoped CPU worker threads**, so the
-//!   restructured algorithms really do run concurrently and their results are tested;
+//! * blocks execute **in parallel on CPU worker threads** (scoped spawns), so the
+//!   restructured algorithms really do run concurrently and their results are
+//!   tested. Each worker owns one shared-memory arena, zeroed per block, and one
+//!   counter set summed at the join; a launch on a one-worker device runs inline
+//!   on the caller;
 //! * every kernel **accounts** its floating-point work and its global / shared /
 //!   constant memory traffic, and a [`cost::CostModel`] converts those counts into
 //!   *modeled* kernel times for the Tesla-class device and for a single Xeon-class
@@ -35,7 +38,8 @@
 //!   (shared memory + counters) passed to kernels.
 //! * [`launch`] — the shared kernel-execution layer every consumer crate goes
 //!   through: the [`KernelLaunch`] builder, [`launch::Staged`] output buffers
-//!   (with [`BlockOrder`] for block-ordered accumulation) and the
+//!   (with [`BlockOrder`] for block-ordered accumulation, which a panicking block
+//!   aborts instead of hanging) and the
 //!   [`StatsLedger`] multi-kernel statistics accumulator.
 //! * [`backend`] — the [`ExecutionBackend`] (CPU vs GPU) seam and the
 //!   [`BackendSelect`] trait phase crates implement for engine selection.

@@ -100,9 +100,10 @@ impl Transfer {
 /// A per-SM shared-memory arena.
 ///
 /// Real shared memory is a small (16 KB on the C1060) banked SRAM private to a thread
-/// block. In the model it is a plain `Vec<f64>` owned by the block context; the size
-/// limit is enforced at launch so kernels cannot "cheat" by staging more data in shared
-/// memory than the modeled device has.
+/// block. In the model it is a plain `Vec<f64>`: each launch worker allocates one and
+/// zeroes it before every block it runs, so a block always starts from a clean arena.
+/// The size limit is enforced at launch so kernels cannot "cheat" by staging more data
+/// in shared memory than the modeled device has.
 #[derive(Debug, Clone)]
 pub struct SharedMemory {
     data: Vec<f64>,
@@ -134,11 +135,10 @@ impl SharedMemory {
         &mut self.data
     }
 
-    /// Zeroes the arena (blocks reuse the arena across groups of work).
+    /// Zeroes the arena (the device does this between blocks; blocks may also
+    /// reuse the arena across groups of work).
     pub fn clear(&mut self) {
-        for v in &mut self.data {
-            *v = 0.0;
-        }
+        self.data.fill(0.0);
     }
 }
 

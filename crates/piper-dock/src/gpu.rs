@@ -415,6 +415,44 @@ mod tests {
     }
 
     #[test]
+    fn kernels_are_invariant_to_the_launch_worker_count() {
+        // One worker (every launch inline on the caller) and the full device
+        // must give the same bits, poses and counters; only the modeled
+        // seconds differ, because the specs do.
+        let (receptor, probe) = setup(16);
+        let one_worker =
+            Device::new(gpu_sim::DeviceSpec { sm_count: 1, ..gpu_sim::DeviceSpec::tesla_c1060() });
+        let full = Device::tesla_c1060();
+        let batch: Vec<SparseLigand> =
+            RotationSet::uniform(8).iter().map(|r| sparse_for(&probe, r)).collect();
+        let bits = |grid: &Grid3<Real>| -> Vec<u64> {
+            grid.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+
+        let run = |device: &Device| {
+            let gpu = GpuDockingEngine::new(device, &receptor);
+            let correlated = gpu.correlate_batch(&batch);
+            let terms = &correlated.results[3];
+            let (desolv, accumulate) = gpu.accumulate_desolvation(terms, 4);
+            let (poses, filter) =
+                gpu.score_and_filter(terms, &desolv, &EnergyWeights::default(), 4, 6, 2, 3);
+            let grids: Vec<Vec<u64>> =
+                correlated.results.iter().flatten().chain([&desolv]).map(bits).collect();
+            let poses: Vec<_> = poses
+                .iter()
+                .map(|p| (p.rotation_index, p.translation, p.score.to_bits()))
+                .collect();
+            let counters = [correlated.stats.counters, accumulate.counters, filter.counters];
+            (grids, poses, counters)
+        };
+        let (inline_grids, inline_poses, inline_counters) = run(&one_worker);
+        let (spread_grids, spread_poses, spread_counters) = run(&full);
+        assert!(inline_grids == spread_grids, "result grids differ bitwise");
+        assert_eq!(inline_poses, spread_poses);
+        assert_eq!(inline_counters, spread_counters);
+    }
+
+    #[test]
     #[should_panic(expected = "must not be empty")]
     fn empty_batch_panics() {
         let (receptor, _) = setup(16);
