@@ -45,15 +45,6 @@ impl MemoryCounters {
         self.barriers += other.barriers;
     }
 
-    /// The merged sum of a collection of counter sets.
-    pub fn merged<'a>(parts: impl IntoIterator<Item = &'a MemoryCounters>) -> MemoryCounters {
-        let mut total = MemoryCounters::new();
-        for p in parts {
-            total.merge(p);
-        }
-        total
-    }
-
     /// Arithmetic intensity: flops per global-memory access (`f64::INFINITY` when the
     /// kernel touches no global memory). High intensity is what the rotation-batching
     /// optimization buys.
@@ -173,8 +164,6 @@ mod tests {
         assert_eq!(m.constant_reads, 3);
         assert_eq!(m.barriers, 2);
         assert_eq!(m.global_accesses(), 8);
-        let merged = MemoryCounters::merged([&a, &b]);
-        assert_eq!(merged, m);
     }
 
     #[test]

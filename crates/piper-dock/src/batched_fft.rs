@@ -68,25 +68,17 @@ pub struct ReceptorTransforms {
 impl ReceptorTransforms {
     /// Forward-transforms every receptor component grid with a fresh plan.
     ///
-    /// Same arithmetic, in the same order, as
-    /// [`crate::fft_engine::FftCorrelationEngine::new`] — the bit-identity of
-    /// the batched path to the per-rotation path starts here.
+    /// [`crate::fft_engine::FftCorrelationEngine::new`] calls this too, so
+    /// the per-rotation and batched paths start from the same spectra by
+    /// construction. The receptor grids are full-size, so
+    /// [`Fft3Plan::forward_real_padded`] pads and skips nothing.
     ///
     /// # Panics
     /// Panics if the receptor grid dimension is not a power of two.
     pub fn compute(receptor: &ReceptorGrids) -> Self {
         let dim = receptor.spec.dim;
         let plan = Fft3Plan::new(dim, dim, dim);
-        let term_ffts = receptor
-            .terms
-            .iter()
-            .map(|grid| {
-                let mut data: Vec<Complex> =
-                    grid.as_slice().iter().map(|&v| Complex::from_real(v)).collect();
-                plan.transform_in_place(&mut data, Direction::Forward);
-                data
-            })
-            .collect();
+        let term_ffts = receptor.terms.iter().map(|grid| plan.forward_real_padded(grid)).collect();
         ReceptorTransforms { dim, n_terms: receptor.n_terms(), plan, term_ffts }
     }
 
@@ -385,9 +377,9 @@ impl BlockKernel for ReceptorTransformKernel<'_> {
     }
 }
 
-/// Batched ligand forward transform: block `g` zero-pads ligand grid
-/// `g = slot * n_terms + term` into the receptor dimensions and
-/// forward-transforms it in place.
+/// Batched ligand forward transform: block `g` forward-transforms ligand grid
+/// `g = slot * n_terms + term` zero-padded into the receptor dimensions
+/// ([`Fft3Plan::forward_real_padded`], the per-rotation path's call).
 struct LigandForwardKernel<'a> {
     batch: &'a [LigandGrids],
     plan: &'a ReceptorTransforms,
@@ -404,11 +396,7 @@ impl BlockKernel for LigandForwardKernel<'_> {
         }
         let (slot, term) = (g / self.n_terms, g % self.n_terms);
         let n = self.n;
-        let padded = self.batch[slot].terms[term].zero_padded(n, n, n);
-        let mut data: Vec<Complex> =
-            padded.as_slice().iter().map(|&v| Complex::from_real(v)).collect();
-        self.plan.plan().transform_in_place(&mut data, Direction::Forward);
-        *self.freq[g].write() = data;
+        *self.freq[g].write() = self.plan.plan().forward_real_padded(&self.batch[slot].terms[term]);
 
         let n3 = (n * n * n) as u64;
         // Read the compact ligand entries, scatter into the padded complex

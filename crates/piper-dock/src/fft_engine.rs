@@ -6,18 +6,17 @@
 //! over all `N³` translations — `O(N³ log N)` per component instead of `O(N⁶)`.
 //! Fig. 2(b) shows this step dominating the per-rotation cost at ~93 %.
 
+use crate::batched_fft::ReceptorTransforms;
 use crate::grids::{LigandGrids, ReceptorGrids};
-use ftmap_math::fft::{Direction, Fft3Plan};
-use ftmap_math::{Complex, Grid3, Real};
+use ftmap_math::fft::Direction;
+use ftmap_math::{Grid3, Real};
 
-/// The FFT correlation engine. Owns the receptor transforms (computed once) and an FFT
-/// plan reused across rotations and components.
+/// The FFT correlation engine. Owns the receptor transforms (computed once) and the
+/// FFT plan that produced them, reused across rotations and components.
 pub struct FftCorrelationEngine {
-    dim: usize,
-    n_terms: usize,
-    plan: Fft3Plan,
-    /// Forward FFT of each receptor component grid.
-    receptor_ffts: Vec<Vec<Complex>>,
+    /// The same receptor-side state the batched engine caches, computed by the same
+    /// call — so the two engines' spectra are equal by construction.
+    transforms: ReceptorTransforms,
 }
 
 impl FftCorrelationEngine {
@@ -26,59 +25,47 @@ impl FftCorrelationEngine {
     /// # Panics
     /// Panics if the receptor grid dimension is not a power of two.
     pub fn new(receptor: &ReceptorGrids) -> Self {
-        let dim = receptor.spec.dim;
-        let plan = Fft3Plan::new(dim, dim, dim);
-        let receptor_ffts = receptor
-            .terms
-            .iter()
-            .map(|grid| {
-                let mut data: Vec<Complex> =
-                    grid.as_slice().iter().map(|&v| Complex::from_real(v)).collect();
-                plan.transform_in_place(&mut data, Direction::Forward);
-                data
-            })
-            .collect();
-        FftCorrelationEngine { dim, n_terms: receptor.n_terms(), plan, receptor_ffts }
+        FftCorrelationEngine { transforms: ReceptorTransforms::compute(receptor) }
     }
 
     /// Grid dimension `N`.
     pub fn dim(&self) -> usize {
-        self.dim
+        self.transforms.dim()
     }
 
     /// Number of energy components.
     pub fn n_terms(&self) -> usize {
-        self.n_terms
+        self.transforms.n_terms()
     }
 
     /// Correlates one rotation's ligand grids against the receptor, returning one
     /// `N³` result grid per component.
     ///
     /// The ligand grid is zero-padded into the receptor dimensions with its footprint
-    /// anchored at the grid origin, so `result[d]` is the score of translating the
+    /// anchored at the grid origin (by [`ftmap_math::fft::Fft3Plan::forward_real_padded`],
+    /// which skips the all-zero lines), so `result[d]` is the score of translating the
     /// probe by `d` voxels (cyclic).
     ///
     /// # Panics
     /// Panics if the ligand has a different number of components than the receptor.
     pub fn correlate_rotation(&self, ligand: &LigandGrids) -> Vec<Grid3<Real>> {
-        assert_eq!(ligand.n_terms(), self.n_terms, "ligand term count must match receptor");
-        let n = self.dim;
-        let mut results = Vec::with_capacity(self.n_terms);
-        for (term_idx, lgrid) in ligand.terms.iter().enumerate() {
-            // Pad ligand into the full grid.
-            let padded = lgrid.zero_padded(n, n, n);
-            let mut freq: Vec<Complex> =
-                padded.as_slice().iter().map(|&v| Complex::from_real(v)).collect();
-            self.plan.transform_in_place(&mut freq, Direction::Forward);
-            // Correlation theorem: FFT(corr) = conj(FFT(ligand)) .* FFT(receptor).
-            for (l, r) in freq.iter_mut().zip(&self.receptor_ffts[term_idx]) {
-                *l = l.conj() * *r;
-            }
-            self.plan.transform_in_place(&mut freq, Direction::Inverse);
-            let real: Vec<Real> = freq.into_iter().map(|c| c.re).collect();
-            results.push(Grid3::from_vec(n, n, n, real));
-        }
-        results
+        assert_eq!(ligand.n_terms(), self.n_terms(), "ligand term count must match receptor");
+        let n = self.dim();
+        let plan = self.transforms.plan();
+        ligand
+            .terms
+            .iter()
+            .enumerate()
+            .map(|(term_idx, lgrid)| {
+                let mut freq = plan.forward_real_padded(lgrid);
+                // Correlation theorem: FFT(corr) = conj(FFT(ligand)) .* FFT(receptor).
+                for (l, r) in freq.iter_mut().zip(self.transforms.term_fft(term_idx)) {
+                    *l = l.conj() * *r;
+                }
+                plan.transform_in_place(&mut freq, Direction::Inverse);
+                Grid3::from_vec(n, n, n, freq.into_iter().map(|c| c.re).collect())
+            })
+            .collect()
     }
 
     /// Estimated floating-point work of correlating one rotation (used for modeled
@@ -91,14 +78,14 @@ impl FftCorrelationEngine {
     /// once per engine construction (the host path recomputes it every time;
     /// the batched path only on a derived-cache miss).
     pub fn flops_per_rotation(&self) -> u64 {
-        let n3 = (self.dim * self.dim * self.dim) as u64;
-        self.n_terms as u64 * (2 * self.plan.flops_per_transform() + 6 * n3)
+        let n3 = self.dim().pow(3) as u64;
+        self.n_terms() as u64 * (2 * self.transforms.plan().flops_per_transform() + 6 * n3)
     }
 
     /// Floating-point work of the one-time receptor forward transforms this
     /// constructor performed: `n_terms × one forward transform`.
     pub fn receptor_transform_flops(&self) -> u64 {
-        self.n_terms as u64 * self.plan.flops_per_transform()
+        self.n_terms() as u64 * self.transforms.plan().flops_per_transform()
     }
 }
 
