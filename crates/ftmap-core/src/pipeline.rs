@@ -6,9 +6,10 @@
 //! original single-core FTMap; [`PipelineMode::Accelerated`] uses the paper's GPU
 //! mapping (device model) for both phases.
 //!
-//! Both phases choose their engine through one seam: a [`PipelineMode`] maps to a
-//! [`gpu_sim::ExecutionBackend`], and each phase's engine enum implements
-//! [`gpu_sim::BackendSelect`] — the pipeline never hand-picks per-phase engines.
+//! The mode names both phases' engines: [`FtMapConfig::paper_scale`] and
+//! [`FtMapConfig::small_test`] pick serial FFT docking and host minimization for
+//! [`PipelineMode::Serial`], and GPU direct-correlation docking and the GPU energy
+//! kernels for the accelerated modes.
 //!
 //! [`PipelineMode::Sharded`] adds the execution axis the single-device modes
 //! lack: the run becomes one batch on the phased scheduler
@@ -21,12 +22,13 @@
 use crate::cluster::{cluster_poses, ClusterInput, ConsensusSite};
 use crate::phased::PhasedMapBatch;
 use crate::profile::{DeviceLoad, MappingProfile, PhaseStream};
-use ftmap_energy::minimize::{MinimizationConfig, Minimizer};
+use ftmap_energy::minimize::{EvaluationPath, MinimizationConfig, Minimizer};
 use ftmap_math::{RotationSet, Vec3};
 use ftmap_molecule::{Complex, ForceField, Probe, ProbeLibrary, ProbeType, SyntheticProtein};
 use gpu_sim::sched::{DevicePool, PhasePipeline, PhasedBatch, PhasedExec};
-use gpu_sim::{wall_timed, BackendSelect, Device, ExecutionBackend};
-use piper_dock::{Docking, DockingConfig, DockingRun};
+use gpu_sim::{wall_timed, Device};
+use piper_dock::docking::DEFAULT_GPU_BATCH;
+use piper_dock::{Docking, DockingConfig, DockingEngineKind, DockingRun};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -78,13 +80,6 @@ impl PipelineMode {
             PipelineMode::Sharded { pose_block, .. } => pose_block,
         }
     }
-    /// The execution backend this mode runs both phases on.
-    pub fn backend(self) -> ExecutionBackend {
-        match self {
-            PipelineMode::Serial => ExecutionBackend::Cpu,
-            PipelineMode::Accelerated | PipelineMode::Sharded { .. } => ExecutionBackend::Gpu,
-        }
-    }
 
     /// Number of devices this mode runs on.
     pub fn device_count(self) -> usize {
@@ -94,17 +89,15 @@ impl PipelineMode {
         }
     }
 
-    /// Selects a phase engine for this mode through the backend seam.
-    pub fn select<T: BackendSelect>(self) -> T {
-        T::for_backend(self.backend())
-    }
-}
-
-impl From<ExecutionBackend> for PipelineMode {
-    fn from(backend: ExecutionBackend) -> Self {
-        match backend {
-            ExecutionBackend::Cpu => PipelineMode::Serial,
-            ExecutionBackend::Gpu => PipelineMode::Accelerated,
+    /// The docking engine and evaluation path this mode runs: serial FFT
+    /// correlation (original PIPER) and host minimization for `Serial`, the
+    /// paper's batched direct correlation and GPU energy kernels otherwise.
+    fn engines(self) -> (DockingEngineKind, EvaluationPath) {
+        match self {
+            PipelineMode::Serial => (DockingEngineKind::FftSerial, EvaluationPath::Host),
+            PipelineMode::Accelerated | PipelineMode::Sharded { .. } => {
+                (DockingEngineKind::Gpu { batch: DEFAULT_GPU_BATCH }, EvaluationPath::Gpu)
+            }
         }
     }
 }
@@ -132,12 +125,10 @@ impl FtMapConfig {
     /// The paper-scale configuration (500 rotations × 4 poses = 2000 conformations per
     /// probe, 128³ grids are reduced to 64³ to keep host memory modest).
     pub fn paper_scale(mode: PipelineMode) -> Self {
+        let (engine, path) = mode.engines();
         FtMapConfig {
-            docking: DockingConfig { engine: mode.select(), ..DockingConfig::default() },
-            minimization: MinimizationConfig {
-                path: mode.select(),
-                ..MinimizationConfig::default()
-            },
+            docking: DockingConfig { engine, ..DockingConfig::default() },
+            minimization: MinimizationConfig { path, ..MinimizationConfig::default() },
             conformations_per_probe: 2000,
             cluster_radius: 4.0,
             mode,
@@ -146,21 +137,17 @@ impl FtMapConfig {
 
     /// A scaled-down configuration for tests and examples.
     pub fn small_test(mode: PipelineMode) -> Self {
+        let (engine, path) = mode.engines();
         FtMapConfig {
-            docking: DockingConfig::small_test(mode.select()),
+            docking: DockingConfig::small_test(engine),
             minimization: MinimizationConfig {
                 max_iterations: 10,
-                ..MinimizationConfig::small_test(mode.select())
+                ..MinimizationConfig::small_test(path)
             },
             conformations_per_probe: 3,
             cluster_radius: 6.0,
             mode,
         }
-    }
-
-    /// A scaled-down configuration addressed by backend rather than mode.
-    pub fn small_test_on(backend: ExecutionBackend) -> Self {
-        Self::small_test(backend.into())
     }
 
     /// Applies a [`DegradePolicy`] to this configuration, returning the
@@ -237,23 +224,6 @@ impl AppliedDegrade {
     pub fn is_noop(&self) -> bool {
         self.rotations.0 == self.rotations.1 && self.conformations.0 == self.conformations.1
     }
-
-    /// Predicted work ratio of the degraded request versus the original:
-    /// docking scales with rotations, minimization with conformations; the
-    /// combined factor assumes the two phases contribute equally, which is
-    /// what an estimator without per-phase costs should assume. Estimators
-    /// with a calibrated per-phase model should use the `(from, to)` pairs
-    /// directly instead.
-    pub fn cost_factor(&self) -> f64 {
-        let ratio = |(from, to): (usize, usize)| {
-            if from == 0 {
-                1.0
-            } else {
-                to as f64 / from as f64
-            }
-        };
-        0.5 * ratio(self.rotations) + 0.5 * ratio(self.conformations)
-    }
 }
 
 /// Result of mapping one protein with a probe library.
@@ -326,13 +296,6 @@ pub struct DockedProbe {
 }
 
 impl DockedProbe {
-    /// Total retained poses of the docking run (before the
-    /// `conformations_per_probe` cap — see
-    /// [`FtMapPipeline::retained_pose_count`]).
-    pub fn pose_count(&self) -> usize {
-        self.run.poses.len()
-    }
-
     /// Pure modeled docking kernel seconds — the dock item's compute-stage
     /// figure for the scheduler's stream model.
     pub fn kernel_modeled_s(&self) -> f64 {
@@ -616,10 +579,9 @@ impl FtMapPipeline {
 mod tests {
     use super::*;
     use ftmap_molecule::{ProbeLibrary, ProteinSpec};
-    use piper_dock::DockingEngineKind;
 
     fn small_pipeline(mode: PipelineMode) -> (FtMapPipeline, ProbeLibrary) {
-        small_pipeline_with_engine(mode, mode.select::<DockingEngineKind>())
+        small_pipeline_with_engine(mode, FtMapConfig::small_test(mode).docking.engine)
     }
 
     fn small_pipeline_with_engine(
@@ -644,7 +606,6 @@ mod tests {
         assert_eq!(degraded.docking.n_rotations, 250);
         assert_eq!(degraded.conformations_per_probe, 1000);
         assert!(!applied.is_noop());
-        assert!(applied.cost_factor() < 1.0);
         // Grid geometry is untouched — the degraded request still batches
         // with its undegraded siblings.
         assert_eq!(degraded.docking.grid_dim, config.docking.grid_dim);
@@ -661,7 +622,7 @@ mod tests {
         let (floored, applied) = config.degraded(&aggressive);
         assert_eq!(floored.docking.n_rotations, 16);
         assert_eq!(floored.conformations_per_probe, 2);
-        assert!(applied.cost_factor() > 0.0);
+        assert_eq!(applied.rotations, (500, 16));
 
         // A no-op policy reports itself as such.
         let noop = DegradePolicy {
@@ -672,7 +633,6 @@ mod tests {
         };
         let (same, applied) = config.degraded(&noop);
         assert!(applied.is_noop());
-        assert_eq!(applied.cost_factor(), 1.0);
         assert_eq!(same.docking.n_rotations, config.docking.n_rotations);
 
         // Conformations never exceed what the degraded docking can retain.
@@ -745,43 +705,35 @@ mod tests {
 
     #[test]
     fn backend_seam_selects_both_phase_engines() {
-        use ftmap_energy::minimize::EvaluationPath;
-        // One ExecutionBackend value drives both per-phase engine choices.
-        assert_eq!(PipelineMode::Serial.backend(), ExecutionBackend::Cpu);
-        assert_eq!(PipelineMode::Accelerated.backend(), ExecutionBackend::Gpu);
-        assert_eq!(
-            PipelineMode::Serial.select::<DockingEngineKind>(),
-            DockingEngineKind::FftSerial
-        );
-        assert!(matches!(
-            PipelineMode::Accelerated.select::<DockingEngineKind>(),
-            DockingEngineKind::Gpu { batch: piper_dock::docking::DEFAULT_GPU_BATCH }
-        ));
-        assert_eq!(PipelineMode::Serial.select::<EvaluationPath>(), EvaluationPath::Host);
-        assert_eq!(PipelineMode::Accelerated.select::<EvaluationPath>(), EvaluationPath::Gpu);
-        // Round-trips through the backend.
-        for backend in ExecutionBackend::ALL {
-            assert_eq!(PipelineMode::from(backend).backend(), backend);
-            let cfg = FtMapConfig::small_test_on(backend);
-            assert_eq!(cfg.mode.backend(), backend);
+        // The mode is the backend seam: every mode's configurations, at both
+        // scales, name matching engines for both phases — serial FFT docking
+        // with host minimization, or the GPU engines for both.
+        let gpu_docking = DockingEngineKind::Gpu { batch: DEFAULT_GPU_BATCH };
+        for (mode, engine, path) in [
+            (PipelineMode::Serial, DockingEngineKind::FftSerial, EvaluationPath::Host),
+            (PipelineMode::Accelerated, gpu_docking, EvaluationPath::Gpu),
+            (PipelineMode::sharded(2), gpu_docking, EvaluationPath::Gpu),
+        ] {
+            for config in [FtMapConfig::small_test(mode), FtMapConfig::paper_scale(mode)] {
+                assert_eq!(config.mode, mode);
+                assert_eq!(config.docking.engine, engine, "{mode:?}");
+                assert_eq!(config.minimization.path, path, "{mode:?}");
+            }
         }
     }
 
     #[test]
     fn sharded_mode_rides_the_gpu_backend() {
         let mode = PipelineMode::sharded(4);
-        assert_eq!(mode.backend(), ExecutionBackend::Gpu);
         assert_eq!(mode.device_count(), 4);
         assert_eq!(mode.pose_block(), DEFAULT_POSE_BLOCK);
         assert_eq!(PipelineMode::Sharded { devices: 0, pose_block: 0 }.device_count(), 1);
         assert_eq!(PipelineMode::Accelerated.device_count(), 1);
         assert_eq!(PipelineMode::Accelerated.pose_block(), 0);
         assert_eq!(PipelineMode::Serial.pose_block(), 0);
-        // The engine seam picks the same accelerated engines as Accelerated.
-        assert!(matches!(
-            mode.select::<DockingEngineKind>(),
-            DockingEngineKind::Gpu { batch: piper_dock::docking::DEFAULT_GPU_BATCH }
-        ));
+        // Sharding runs the accelerated engines.
+        let engine = FtMapConfig::small_test(mode).docking.engine;
+        assert_eq!(engine, DockingEngineKind::Gpu { batch: DEFAULT_GPU_BATCH });
     }
 
     #[test]
@@ -901,7 +853,7 @@ mod tests {
         let docked = pipeline.dock_probe_shard(probe, &device);
         let n_conf = pipeline.retained_pose_count(&docked);
         assert!(n_conf >= 2, "need at least two poses to split");
-        assert!(docked.pose_count() >= n_conf);
+        assert!(docked.run.poses.len() >= n_conf);
         assert!(docked.kernel_modeled_s() > 0.0);
         let mut shard = pipeline.minimize_pose_block(&docked, 0..1, &device);
         shard.absorb(pipeline.minimize_pose_block(&docked, 1..n_conf, &device));

@@ -123,15 +123,6 @@ impl MappingProfile {
         (100.0 * self.docking_wall_s / t, 100.0 * self.minimization_wall_s / t)
     }
 
-    /// Percentage of modeled time in (docking, minimization).
-    pub fn modeled_percentages(&self) -> (f64, f64) {
-        let t = self.total_modeled_s();
-        if t <= 0.0 {
-            return (0.0, 0.0);
-        }
-        (100.0 * self.docking_modeled_s / t, 100.0 * self.minimization_modeled_s / t)
-    }
-
     /// Adds another profile (e.g. accumulate over probes). Per-device loads are
     /// concatenated — per-probe profiles carry none; the pipeline attaches the
     /// pool's loads once, after the sharded run completes.
@@ -262,9 +253,6 @@ mod tests {
         };
         let (dock, min) = p.wall_percentages();
         assert!(dock < 10.0 && min > 90.0);
-        let (dock_m, min_m) = p.modeled_percentages();
-        assert!((dock_m - 7.0).abs() < 1e-9);
-        assert!((min_m - 93.0).abs() < 1e-9);
         assert!((p.total_wall_s() - 430.0 * 60.0).abs() < 1e-9);
     }
 
@@ -286,7 +274,6 @@ mod tests {
     fn empty_profile_has_zero_percentages() {
         let p = MappingProfile::default();
         assert_eq!(p.wall_percentages(), (0.0, 0.0));
-        assert_eq!(p.modeled_percentages(), (0.0, 0.0));
     }
 
     fn load(name: &str, busy: f64, serialized: f64, probes: usize) -> DeviceLoad {

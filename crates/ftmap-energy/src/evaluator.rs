@@ -72,11 +72,6 @@ impl Evaluator {
         Evaluator { ff }
     }
 
-    /// The force field in use.
-    pub fn force_field(&self) -> &ForceField {
-        &self.ff
-    }
-
     /// Evaluates the full potential of `complex` using the pairs of `neighbors`.
     pub fn evaluate(&self, complex: &Complex, neighbors: &NeighborList) -> Evaluation {
         self.evaluate_inner(complex, neighbors, true)
@@ -311,7 +306,7 @@ mod tests {
     #[test]
     fn moving_probe_away_reduces_interaction() {
         let (mut complex, _, evaluator) = small_system();
-        let ff = evaluator.force_field().clone();
+        let ff = evaluator.ff.clone();
         let excluded = complex.topology.excluded_pairs();
         let near_neighbors = NeighborList::build(&complex.atoms, ff.cutoff, &excluded);
         let near = evaluator.evaluate(&complex, &near_neighbors);

@@ -99,11 +99,6 @@ pub struct GpuIterationResult {
 }
 
 impl GpuIterationResult {
-    /// Total non-bonded energy.
-    pub fn total_energy(&self) -> Real {
-        self.atom_energies.iter().sum()
-    }
-
     /// Total modeled device time of one iteration.
     pub fn modeled_time_s(&self) -> f64 {
         self.ledger.total_modeled_s()
@@ -560,7 +555,7 @@ mod tests {
 
         let host = Evaluator::new(ff).evaluate_nonbonded(&complex, &neighbors);
         let host_total = host.breakdown.electrostatics + host.breakdown.vdw;
-        let gpu_total = result.total_energy();
+        let gpu_total: Real = result.atom_energies.iter().sum();
         assert!(
             (host_total - gpu_total).abs() < 1e-6 * (1.0 + host_total.abs()),
             "host {host_total} vs gpu {gpu_total}"

@@ -12,7 +12,7 @@ use crate::evaluator::{EnergyBreakdown, Evaluator};
 use crate::gpu::GpuMinimizationEngine;
 use ftmap_math::{Real, Vec3};
 use ftmap_molecule::{Complex, ForceField, NeighborList};
-use gpu_sim::{wall_timed, BackendSelect, Device, ExecutionBackend};
+use gpu_sim::{wall_timed, Device};
 
 /// Which engine evaluates energies and forces each iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,16 +21,6 @@ pub enum EvaluationPath {
     Host,
     /// The three GPU kernels over the split pairs-lists (the paper's contribution).
     Gpu,
-}
-
-impl BackendSelect for EvaluationPath {
-    /// The evaluation path the pipeline's execution-backend seam selects.
-    fn for_backend(backend: ExecutionBackend) -> Self {
-        match backend {
-            ExecutionBackend::Cpu => EvaluationPath::Host,
-            ExecutionBackend::Gpu => EvaluationPath::Gpu,
-        }
-    }
 }
 
 /// Minimization parameters.

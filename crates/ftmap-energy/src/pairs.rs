@@ -91,11 +91,6 @@ impl SplitPairsLists {
         }
         SplitPairsLists { forward, reverse, n_atoms }
     }
-
-    /// Total pairs across both lists (always `2 ×` the neighbor-list pair count).
-    pub fn total_pairs(&self) -> usize {
-        self.forward.len() + self.reverse.len()
-    }
 }
 
 /// One row of the work-assignment table of Fig. 11: the pair a GPU thread processes,
@@ -264,7 +259,6 @@ mod tests {
         let split = SplitPairsLists::from_neighbor_list(&nl);
         assert_eq!(split.forward.len(), nl.n_pairs());
         assert_eq!(split.reverse.len(), nl.n_pairs());
-        assert_eq!(split.total_pairs(), 2 * nl.n_pairs());
 
         // Forward list is grouped (non-decreasing) by first atom; reverse list too.
         assert!(split.forward.windows(2).all(|w| w[0].first <= w[1].first));

@@ -8,16 +8,17 @@
 //! layer), kernel launches and transfer accounting go through `gpu-sim`'s
 //! audited entry points, and the scheduler/serve hot paths fail through
 //! typed poison channels instead of unwinding. This crate enforces those
-//! invariants with a dependency-free Rust lexer ([`lexer`]) feeding a
-//! token-level rule engine ([`rules`]) — see [`rules::RULES`] for the
-//! catalog and the README's *Correctness tooling* section for the
-//! suppression format.
+//! invariants with a dependency-free Rust lexer feeding a token-level rule
+//! engine — see [`RULES`] for the catalog and the README's *Correctness
+//! tooling* section for the suppression format. One cross-file rule,
+//! `unreferenced-pub`, keeps the workspace's public API down to what it
+//! references.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 #![warn(clippy::all)]
 
-pub mod lexer;
-pub mod rules;
+mod lexer;
+mod rules;
 
-pub use rules::{lint_source, lint_workspace, Diagnostic, RuleInfo, RULES};
+pub use rules::{lint_files, lint_workspace, Diagnostic, RuleInfo, RULES};

@@ -12,15 +12,29 @@
 //! | `accounted-transfers` | transfers go through accounted helpers |
 //! | `no-panic-in-workers` | scheduler/serve hot paths use typed failure paths |
 //! | `justified-allows` | every `#[allow(…)]` carries a written justification |
+//! | `unreferenced-pub` | every public item is referenced outside its own file's tests |
 //!
 //! Suppression: a comment containing `lint-allow(<rule>): <reason>` on the
 //! same line as the finding, anywhere in a contiguous comment block that
 //! spans the finding's line, or in a block ending on the line directly
-//! above it. `#[cfg(test)]` regions are skipped entirely — the invariants
-//! protect shipped modeled-timeline code, not test scaffolding.
+//! above it. `#[cfg(test)]` (and `#[cfg(all(…, test, …))]`) regions are
+//! skipped entirely — the invariants protect shipped modeled-timeline code,
+//! not test scaffolding.
+//!
+//! The first five rules look at one file at a time. `unreferenced-pub` is
+//! the one cross-file pass ([`lint_files`]). Its candidates are the `pub`
+//! functions, constants, statics, structs, enums, traits and type aliases
+//! declared in production code under `crates/*/src`. A candidate is
+//! referenced when its identifier appears outside a `use` declaration in any
+//! other scanned file, test code included (a re-export is not a use). In its
+//! own file only non-test code counts, and for a type only a mention in
+//! another `pub` item's signature or `pub` field — narrowing a type named
+//! there would trip `private_interfaces`. Matching is by identifier, so a
+//! dead method that shares its name with a live one is missed: the rule can
+//! miss dead items, but never calls a live one dead.
 
-use crate::lexer::{lex, Comment, Token, TokenKind};
-use std::collections::BTreeSet;
+use crate::lexer::{lex, Comment, Lexed, Token, TokenKind};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::Path;
 
@@ -78,6 +92,11 @@ pub const RULES: &[RuleInfo] = &[
         name: "justified-allows",
         summary: "every #[allow(...)] needs an adjacent \
                   `lint-allow(justified-allows): reason` comment",
+    },
+    RuleInfo {
+        name: "unreferenced-pub",
+        summary: "every pub item under crates/*/src is referenced from another file \
+                  (tests, examples and benchmark/ included) or from its own non-test code",
     },
 ];
 
@@ -170,10 +189,7 @@ fn test_region_lines(tokens: &[Token]) -> BTreeSet<usize> {
             i += 1;
             continue;
         }
-        let attr_tokens = &tokens[i..attr_end];
-        let is_cfg_test = attr_tokens.iter().any(|t| t.text == "cfg")
-            && attr_tokens.iter().any(|t| t.text == "test");
-        if !is_cfg_test {
+        if !is_cfg_test(&tokens[i..attr_end]) {
             i = attr_end;
             continue;
         }
@@ -217,6 +233,34 @@ fn test_region_lines(tokens: &[Token]) -> BTreeSet<usize> {
     lines
 }
 
+/// Does this attribute compile its item only under test: `cfg(test)` or
+/// `cfg(all(…, test, …))`? `cfg(not(test))` and `cfg(any(test, …))` items
+/// also exist outside tests, so they are production code.
+fn is_cfg_test(attr: &[Token]) -> bool {
+    let texts: Vec<&str> = attr.iter().map(|t| t.text.as_str()).collect();
+    let args = match texts.iter().position(|&t| t == "cfg") {
+        Some(at) if texts.get(at + 1) == Some(&"(") => &texts[at + 2..],
+        _ => return false,
+    };
+    if args.starts_with(&["test", ")"]) {
+        return true;
+    }
+    if !args.starts_with(&["all", "("]) {
+        return false;
+    }
+    let mut depth = 0usize;
+    for &t in &args[2..] {
+        match t {
+            "(" => depth += 1,
+            ")" if depth == 0 => return false,
+            ")" => depth -= 1,
+            "test" if depth == 0 => return true,
+            _ => {}
+        }
+    }
+    false
+}
+
 /// Is `tokens[i..]` the start of an attribute (`#[…]` or `#![…]`)? Returns
 /// the index one past its closing `]`.
 fn attribute_at(tokens: &[Token], i: usize) -> (bool, usize) {
@@ -247,23 +291,40 @@ fn attribute_at(tokens: &[Token], i: usize) -> (bool, usize) {
     (true, tokens.len())
 }
 
-/// Lints one file's source text. `path` must be workspace-relative with
-/// forward slashes — the rules' scoping predicates match on it.
-pub fn lint_source(path: &str, src: &str) -> Vec<Diagnostic> {
-    let lexed = lex(src);
-    let ctx = FileCtx {
-        path,
-        tokens: &lexed.tokens,
-        blocks: group_comments(&lexed.comments),
-        test_lines: test_region_lines(&lexed.tokens),
-    };
-    let mut diags = Vec::new();
-    no_wall_clock(&ctx, &mut diags);
-    launch_layer_only(&ctx, &mut diags);
-    accounted_transfers(&ctx, &mut diags);
-    no_panic_in_workers(&ctx, &mut diags);
-    justified_allows(&ctx, &mut diags);
-    diags.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
+impl<'a> FileCtx<'a> {
+    fn new(path: &'a str, lexed: &'a Lexed) -> Self {
+        FileCtx {
+            path,
+            tokens: &lexed.tokens,
+            blocks: group_comments(&lexed.comments),
+            test_lines: test_region_lines(&lexed.tokens),
+        }
+    }
+
+    /// The per-file rules, in reporting order.
+    fn lint(&self) -> Vec<Diagnostic> {
+        let mut diags = Vec::new();
+        no_wall_clock(self, &mut diags);
+        launch_layer_only(self, &mut diags);
+        accounted_transfers(self, &mut diags);
+        no_panic_in_workers(self, &mut diags);
+        justified_allows(self, &mut diags);
+        diags
+    }
+}
+
+/// Lints a set of `(path, source)` files as one workspace: every per-file
+/// rule on each file, then the cross-file `unreferenced-pub` pass over all of
+/// them. Paths must be workspace-relative with forward slashes — the rules'
+/// scoping predicates match on them. Diagnostics come back sorted by path,
+/// line and rule.
+pub fn lint_files(files: &[(&str, &str)]) -> Vec<Diagnostic> {
+    let lexed: Vec<Lexed> = files.iter().map(|(_, src)| lex(src)).collect();
+    let ctxs: Vec<FileCtx<'_>> =
+        files.iter().zip(&lexed).map(|((path, _), lexed)| FileCtx::new(path, lexed)).collect();
+    let mut diags: Vec<Diagnostic> = ctxs.iter().flat_map(FileCtx::lint).collect();
+    unreferenced_pub(&ctxs, &mut diags);
+    diags.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     diags
 }
 
@@ -351,7 +412,7 @@ fn accounted_transfers(ctx: &FileCtx<'_>, diags: &mut Vec<Diagnostic>) {
                 "accounted-transfers",
                 t.line,
                 "raw `record_transfer` outside gpu-sim; use the accounted \
-                 `upload_bytes`/`upload_slice`/`download_slice` helpers so every byte \
+                 `upload_bytes`/`upload_words`/`download_slice` helpers so every byte \
                  lands in the transfer ledger exactly once"
                     .to_string(),
             );
@@ -437,19 +498,148 @@ fn justified_allows(ctx: &FileCtx<'_>, diags: &mut Vec<Diagnostic>) {
     }
 }
 
+/// A `pub` declaration: an item (`kind` names it) or a `pub` field (`kind`
+/// is `None`). `sig` is the token range whose type mentions make a type
+/// public interface: a function's signature, a const's or static's type, an
+/// enum's or trait's whole body, an alias, a field's type.
+struct PubDecl<'a> {
+    kind: Option<&'a str>,
+    name: usize,
+    sig: std::ops::Range<usize>,
+}
+
+/// Every non-restricted `pub` declaration in `tokens`.
+fn pub_decls(tokens: &[Token]) -> Vec<PubDecl<'_>> {
+    let text = |i: usize| tokens.get(i).map(|t| t.text.as_str()).unwrap_or("");
+    // Index of the first `stop` token at bracket depth 0 from `from` on (a
+    // closing bracket that would go below depth 0 also stops). `->` is not
+    // a closing angle bracket.
+    let scan_to = |from: usize, stop: &[&str]| {
+        let mut depth = 0usize;
+        for i in from..tokens.len() {
+            match text(i) {
+                t if depth == 0 && stop.contains(&t) => return i,
+                "(" | "[" | "{" | "<" => depth += 1,
+                ">" if text(i - 1) == "-" => {}
+                ")" | "]" | "}" | ">" if depth == 0 => return i,
+                ")" | "]" | "}" | ">" => depth -= 1,
+                _ => {}
+            }
+        }
+        tokens.len()
+    };
+    let mut decls = Vec::new();
+    for (i, t) in tokens.iter().enumerate() {
+        if t.kind != TokenKind::Ident || t.text != "pub" || text(i + 1) == "(" {
+            continue;
+        }
+        let mut j = i + 1;
+        while matches!(text(j), "unsafe" | "async" | "extern")
+            || tokens.get(j).is_some_and(|t| t.kind == TokenKind::Literal)
+            || (text(j) == "const" && matches!(text(j + 1), "fn" | "unsafe" | "async"))
+        {
+            j += 1;
+        }
+        let name = if text(j) == "static" && text(j + 1) == "mut" { j + 2 } else { j + 1 };
+        let (kind, sig) = match text(j) {
+            "mod" | "use" | "crate" | "impl" | "macro_rules" => continue,
+            "fn" => (Some("fn"), i..scan_to(j, &["{", ";"])),
+            "const" | "static" => (Some(text(j)), i..scan_to(j, &["=", ";"])),
+            "type" => (Some("type"), i..scan_to(j, &[";"])),
+            "struct" | "union" => (Some(text(j)), i..name + 1),
+            "enum" | "trait" => (Some(text(j)), i..scan_to(scan_to(j, &["{"]) + 1, &[]) + 1),
+            _ if text(j + 1) == ":" && text(j + 2) != ":" => (None, j + 2..scan_to(j + 2, &[","])),
+            _ => (None, j..scan_to(j, &[","])),
+        };
+        decls.push(PubDecl { kind, name, sig: sig.start..sig.end.min(tokens.len()) });
+    }
+    decls
+}
+
+/// Production code whose `pub` items the `unreferenced-pub` rule audits.
+fn is_crate_src(path: &str) -> bool {
+    let mut parts = path.split('/');
+    parts.next() == Some("crates") && parts.nth(1) == Some("src")
+}
+
+/// For each token, whether it lies in a `use` declaration (`use` … `;`).
+fn use_declaration_tokens(tokens: &[Token]) -> Vec<bool> {
+    let mut inside = false;
+    tokens
+        .iter()
+        .map(|t| {
+            if t.kind == TokenKind::Ident && t.text == "use" {
+                inside = true;
+            }
+            let this = inside;
+            if t.kind == TokenKind::Punct && t.text == ";" {
+                inside = false;
+            }
+            this
+        })
+        .collect()
+}
+
+fn unreferenced_pub(files: &[FileCtx<'_>], diags: &mut Vec<Diagnostic>) {
+    let in_use: Vec<Vec<bool>> = files.iter().map(|f| use_declaration_tokens(f.tokens)).collect();
+    // identifier -> the files that mention it outside `use` declarations.
+    let mut mentioned_in: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
+    for (fi, file) in files.iter().enumerate() {
+        for (t, _) in
+            file.tokens.iter().zip(&in_use[fi]).filter(|(t, u)| !**u && t.kind == TokenKind::Ident)
+        {
+            mentioned_in.entry(t.text.as_str()).or_default().insert(fi);
+        }
+    }
+    for (fi, file) in files.iter().enumerate().filter(|(_, f)| is_crate_src(f.path)) {
+        let decls = pub_decls(file.tokens);
+        let live_code = |k: &usize| !in_use[fi][*k] && !file.in_test(file.tokens[*k].line);
+        for decl in decls.iter().filter(|d| d.kind.is_some()) {
+            let Some(name) = file.tokens.get(decl.name).map(|t| t.text.as_str()) else { continue };
+            if mentioned_in.get(name).is_some_and(|files| files.iter().any(|&other| other != fi)) {
+                continue;
+            }
+            let names_it = |k: &usize| *k != decl.name && file.tokens[*k].text == name;
+            let own_use = if matches!(decl.kind, Some("fn" | "const" | "static")) {
+                (0..file.tokens.len()).filter(live_code).any(|k| names_it(&k))
+            } else {
+                let others = decls.iter().filter(|d| d.name != decl.name);
+                others.flat_map(|d| d.sig.clone()).filter(live_code).any(|k| names_it(&k))
+            };
+            if own_use {
+                continue;
+            }
+            let kind = decl.kind.unwrap_or_default();
+            emit(
+                file,
+                diags,
+                "unreferenced-pub",
+                file.tokens[decl.name].line,
+                format!(
+                    "`pub {kind} {name}` is referenced nowhere outside its own file's tests; \
+                     delete it together with the tests whose only subject it is, make it \
+                     `pub(crate)`/private, or justify it with \
+                     `lint-allow(unreferenced-pub): <reason>`"
+                ),
+            );
+        }
+    }
+}
+
 /// Recursively lints every `.rs` file under `root`, skipping `vendor/`,
 /// `target/`, `.git/` and the linter's own violation fixtures. Returns the
 /// diagnostics and the number of files scanned.
 pub fn lint_workspace(root: &Path) -> std::io::Result<(Vec<Diagnostic>, usize)> {
-    let mut files = Vec::new();
-    collect_rs_files(root, root, &mut files)?;
-    files.sort();
-    let mut diags = Vec::new();
-    for rel in &files {
-        let src = std::fs::read_to_string(root.join(rel))?;
-        diags.extend(lint_source(rel, &src));
-    }
-    Ok((diags, files.len()))
+    let mut paths = Vec::new();
+    collect_rs_files(root, root, &mut paths)?;
+    paths.sort();
+    let sources = paths
+        .iter()
+        .map(|rel| std::fs::read_to_string(root.join(rel)))
+        .collect::<std::io::Result<Vec<_>>>()?;
+    let files: Vec<(&str, &str)> =
+        paths.iter().map(String::as_str).zip(sources.iter().map(String::as_str)).collect();
+    Ok((lint_files(&files), files.len()))
 }
 
 const SKIP_DIRS: [&str; 4] = ["vendor", "target", ".git", "fixtures"];

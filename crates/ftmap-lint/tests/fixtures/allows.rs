@@ -18,7 +18,7 @@ enum Justified {
 /// suppression still counts when doc lines sit above it.
 // lint-allow(justified-allows): reason recorded mid-block.
 #[allow(clippy::module_name_repetitions)]
-pub struct AlsoJustified;
+struct AlsoJustified;
 
 // Other attributes never trigger the rule:
 #[derive(Debug, Clone)]

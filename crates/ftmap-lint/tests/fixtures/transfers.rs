@@ -10,7 +10,7 @@ fn raw_transfer(device: &Device, bytes: u64) -> f64 {
 
 fn sanctioned(device: &Device, grid: &[f64]) -> f64 {
     // Accounted helpers are the sanctioned path — no violation.
-    let up = device.upload_slice(grid);
+    let up = device.upload_words(grid.len());
     let down = device.download_bytes(1024);
     // `TransferSnapshot` and `transfer_snapshot()` are observation, not
     // recording — exact-identifier matching must not flag them:

@@ -7,7 +7,7 @@
 //! index vectors, and the wrapper form (line comment / block comment /
 //! string / raw string / byte string) is itself a generated choice.
 
-use ftmap_lint::lint_source;
+use ftmap_lint::lint_files;
 use proptest::prelude::*;
 
 /// Fragments that would each fire a rule if lexed as code on a hot path.
@@ -73,7 +73,7 @@ proptest! {
         indices in prop::collection::vec(0usize..PALETTE.len(), 1..8),
     ) {
         let src = embed(form, &payload(&indices));
-        let diags = lint_source(HOT_PATH, &src);
+        let diags = lint_files(&[(HOT_PATH, &src)]);
         prop_assert!(
             diags.is_empty(),
             "payload leaked out of its wrapper: {:?}\nsource:\n{}",
@@ -91,7 +91,7 @@ proptest! {
         // must still be seen — the wrapper cannot swallow trailing code.
         let mut src = embed(form, &payload(&indices));
         src.push_str("fn tail(v: Option<u32>) -> u32 { v.unwrap() }\n");
-        let diags = lint_source(HOT_PATH, &src);
+        let diags = lint_files(&[(HOT_PATH, &src)]);
         prop_assert!(
             diags.len() == 1 && diags[0].rule == "no-panic-in-workers",
             "expected exactly the tail unwrap, got: {diags:?}\nsource:\n{src}"

@@ -314,8 +314,9 @@ impl Fft3Plan {
     /// Forward transform of `compact` zero-padded into the plan's dimensions,
     /// anchored at the origin.
     ///
-    /// Bit-identical to promoting `compact.zero_padded(nx, ny, nz)` to complex
-    /// values and calling [`Fft3Plan::transform_in_place`] forward. With
+    /// Bit-identical to zero-padding `compact` into the plan's dimensions,
+    /// promoting it to complex values and calling
+    /// [`Fft3Plan::transform_in_place`] forward. With
     /// `(cx, cy, cz) = compact.dims()`, it skips the z-rows outside
     /// `x < cx, y < cy` and the y-pass slabs `x ≥ cx`. Those lines hold only
     /// `+0.0`, and radix-2 butterflies turn `+0.0` inputs into `+0.0` through
@@ -430,31 +431,31 @@ impl Fft3Plan {
     }
 }
 
-/// Naive `O(N^2)` discrete Fourier transform, used only by tests as an oracle for the FFT.
-pub fn dft_reference(data: &[Complex], dir: Direction) -> Vec<Complex> {
-    let n = data.len();
-    let sign = match dir {
-        Direction::Forward => -1.0,
-        Direction::Inverse => 1.0,
-    };
-    let mut out = vec![Complex::ZERO; n];
-    for (k, item) in out.iter_mut().enumerate() {
-        let mut acc = Complex::ZERO;
-        for (t, &x) in data.iter().enumerate() {
-            let ang = sign * 2.0 * std::f64::consts::PI * (k * t) as Real / n as Real;
-            acc += x * Complex::cis(ang);
-        }
-        *item = if dir == Direction::Inverse { acc / n as Real } else { acc };
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::approx_eq;
     use proptest::prelude::*;
     use rand::{rngs::SmallRng, Rng, SeedableRng};
+
+    /// Naive `O(N^2)` discrete Fourier transform: the oracle the FFT is checked against.
+    fn dft_reference(data: &[Complex], dir: Direction) -> Vec<Complex> {
+        let n = data.len();
+        let sign = match dir {
+            Direction::Forward => -1.0,
+            Direction::Inverse => 1.0,
+        };
+        let mut out = vec![Complex::ZERO; n];
+        for (k, item) in out.iter_mut().enumerate() {
+            let mut acc = Complex::ZERO;
+            for (t, &x) in data.iter().enumerate() {
+                let ang = sign * 2.0 * std::f64::consts::PI * (k * t) as Real / n as Real;
+                acc += x * Complex::cis(ang);
+            }
+            *item = if dir == Direction::Inverse { acc / n as Real } else { acc };
+        }
+        out
+    }
 
     fn random_signal(n: usize, seed: u64) -> Vec<Complex> {
         let mut rng = SmallRng::seed_from_u64(seed);

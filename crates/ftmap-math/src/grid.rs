@@ -40,11 +40,6 @@ impl<T: Clone + Default> Grid3<T> {
         Grid3::new(n, n, n)
     }
 
-    /// Creates a grid filled with a specific value.
-    pub fn filled(nx: usize, ny: usize, nz: usize, value: T) -> Self {
-        Grid3 { nx, ny, nz, spacing: 1.0, origin: Vec3::ZERO, data: vec![value; nx * ny * nz] }
-    }
-
     /// Resets every voxel to `T::default()` without reallocating.
     pub fn clear(&mut self) {
         for v in &mut self.data {
@@ -110,19 +105,6 @@ impl<T> Grid3<T> {
         &mut self.data[idx]
     }
 
-    /// Returns the voxel value if the (possibly signed) coordinates are inside the grid.
-    #[inline]
-    pub fn get_checked(&self, x: isize, y: isize, z: isize) -> Option<&T> {
-        if x < 0 || y < 0 || z < 0 {
-            return None;
-        }
-        let (x, y, z) = (x as usize, y as usize, z as usize);
-        if x >= self.nx || y >= self.ny || z >= self.nz {
-            return None;
-        }
-        Some(self.at(x, y, z))
-    }
-
     /// The flat underlying slice.
     #[inline]
     pub fn as_slice(&self) -> &[T] {
@@ -133,28 +115,6 @@ impl<T> Grid3<T> {
     #[inline]
     pub fn as_mut_slice(&mut self) -> &mut [T] {
         &mut self.data
-    }
-
-    /// Physical position (Å) of the center of voxel `(x, y, z)`.
-    #[inline]
-    pub fn voxel_center(&self, x: usize, y: usize, z: usize) -> Vec3 {
-        self.origin + Vec3::new(x as Real, y as Real, z as Real) * self.spacing
-    }
-
-    /// Maps a physical position to the containing voxel, if inside the grid.
-    pub fn position_to_voxel(&self, p: Vec3) -> Option<(usize, usize, usize)> {
-        let rel = (p - self.origin) / self.spacing;
-        let x = rel.x.round();
-        let y = rel.y.round();
-        let z = rel.z.round();
-        if x < 0.0 || y < 0.0 || z < 0.0 {
-            return None;
-        }
-        let (x, y, z) = (x as usize, y as usize, z as usize);
-        if x >= self.nx || y >= self.ny || z >= self.nz {
-            return None;
-        }
-        Some((x, y, z))
     }
 
     /// Iterates over `(x, y, z, &value)` in storage order.
@@ -182,28 +142,21 @@ impl Grid3<Real> {
         self.data.iter().copied().fold(Real::INFINITY, Real::min)
     }
 
-    /// Index and value of the minimum voxel; `None` for an empty grid.
-    /// PIPER-style scoring takes the *most negative* (best) correlation value.
-    pub fn argmin(&self) -> Option<(usize, Real)> {
-        self.data.iter().copied().enumerate().fold(None, |best, (i, v)| match best {
-            None => Some((i, v)),
-            Some((_, bv)) if v < bv => Some((i, v)),
-            other => other,
-        })
-    }
-
     /// Number of voxels whose absolute value exceeds `threshold`.
     pub fn count_above(&self, threshold: Real) -> usize {
         self.data.iter().filter(|v| v.abs() > threshold).count()
     }
+}
 
+#[cfg(test)]
+impl Grid3<Real> {
     /// Copies this grid into the lower corner of a zero-padded grid of dimensions
-    /// `(nx, ny, nz)`; used to pad the (small) ligand grid up to the protein grid
-    /// size before FFT correlation.
+    /// `(nx, ny, nz)`: the reference the footprint-aware
+    /// `Fft3Plan::forward_real_padded` is checked against.
     ///
     /// # Panics
     /// Panics if the target dimensions are smaller than the source dimensions.
-    pub fn zero_padded(&self, nx: usize, ny: usize, nz: usize) -> Grid3<Real> {
+    pub(crate) fn zero_padded(&self, nx: usize, ny: usize, nz: usize) -> Grid3<Real> {
         assert!(
             nx >= self.nx && ny >= self.ny && nz >= self.nz,
             "zero_padded target must not be smaller than source"
@@ -252,26 +205,9 @@ mod tests {
     }
 
     #[test]
-    fn filled_constructor() {
-        let g = Grid3::filled(2, 2, 2, 3.0_f64);
-        assert!(g.as_slice().iter().all(|&v| v == 3.0));
-        assert!(approx_eq(g.sum(), 24.0, 1e-12));
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn from_vec_wrong_length_panics() {
         let _ = Grid3::from_vec(2, 2, 2, vec![0.0_f64; 7]);
-    }
-
-    #[test]
-    fn get_checked_bounds() {
-        let g: Grid3<Real> = Grid3::cubic(2);
-        assert!(g.get_checked(0, 0, 0).is_some());
-        assert!(g.get_checked(1, 1, 1).is_some());
-        assert!(g.get_checked(-1, 0, 0).is_none());
-        assert!(g.get_checked(2, 0, 0).is_none());
-        assert!(g.get_checked(0, 0, 5).is_none());
     }
 
     #[test]
@@ -281,21 +217,7 @@ mod tests {
         *g.at_mut(2, 2, 2) = 4.0;
         assert_eq!(g.max_value(), 4.0);
         assert_eq!(g.min_value(), -5.0);
-        let (idx, v) = g.argmin().unwrap();
-        assert_eq!(v, -5.0);
-        assert_eq!(g.coords(idx), (1, 1, 1));
         assert_eq!(g.count_above(3.0), 2);
-    }
-
-    #[test]
-    fn voxel_center_and_position_round_trip() {
-        let mut g: Grid3<Real> = Grid3::cubic(8);
-        g.spacing = 0.5;
-        g.origin = Vec3::new(-2.0, -2.0, -2.0);
-        let c = g.voxel_center(3, 4, 5);
-        assert_eq!(g.position_to_voxel(c), Some((3, 4, 5)));
-        assert_eq!(g.position_to_voxel(Vec3::new(100.0, 0.0, 0.0)), None);
-        assert_eq!(g.position_to_voxel(Vec3::new(-50.0, 0.0, 0.0)), None);
     }
 
     #[test]

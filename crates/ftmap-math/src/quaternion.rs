@@ -76,16 +76,6 @@ impl Quaternion {
         Quaternion::new(self.w, -self.x, -self.y, -self.z)
     }
 
-    /// Rotates a vector by this (unit) quaternion.
-    #[inline]
-    pub fn rotate(self, v: Vec3) -> Vec3 {
-        // q * (0, v) * q^-1 expanded to avoid building intermediate quaternions.
-        let u = Vec3::new(self.x, self.y, self.z);
-        let uv = u.cross(v);
-        let uuv = u.cross(uv);
-        v + (uv * self.w + uuv) * 2.0
-    }
-
     /// Dot product of two quaternions (cosine of half the angle between rotations,
     /// up to sign).
     #[inline]
@@ -160,12 +150,6 @@ impl Rotation {
         self.quat
     }
 
-    /// The row-major rotation matrix.
-    #[inline]
-    pub fn matrix(&self) -> &[[Real; 3]; 3] {
-        &self.mat
-    }
-
     /// Applies the rotation to a vector using the cached matrix.
     #[inline]
     pub fn apply(&self, v: Vec3) -> Vec3 {
@@ -177,36 +161,14 @@ impl Rotation {
         )
     }
 
-    /// Applies the rotation about a pivot point: `pivot + R (v - pivot)`.
-    #[inline]
-    pub fn apply_about(&self, v: Vec3, pivot: Vec3) -> Vec3 {
-        pivot + self.apply(v - pivot)
-    }
-
     /// The inverse rotation.
     pub fn inverse(&self) -> Rotation {
         Rotation::from_quaternion(self.quat.conjugate())
     }
 
-    /// Composition: `self` applied after `other` (matrix product `self * other`).
-    pub fn compose(&self, other: &Rotation) -> Rotation {
-        Rotation::from_quaternion(self.quat * other.quat)
-    }
-
     /// Geodesic angle (radians) to another rotation.
     pub fn angle_to(&self, other: &Rotation) -> Real {
         self.quat.angle_to(other.quat)
-    }
-
-    /// Rotates every point in `points`, writing results into `out`.
-    ///
-    /// `out` must have the same length as `points`. Used by the docking engine to
-    /// rotate the probe once per rotation, reusing a workhorse buffer.
-    pub fn apply_all_into(&self, points: &[Vec3], out: &mut [Vec3]) {
-        assert_eq!(points.len(), out.len(), "output buffer length mismatch");
-        for (dst, &src) in out.iter_mut().zip(points) {
-            *dst = self.apply(src);
-        }
     }
 }
 
@@ -220,7 +182,17 @@ impl Default for Rotation {
 mod tests {
     use super::*;
     use crate::approx_eq;
-    use std::f64::consts::{FRAC_PI_2, PI};
+    use std::f64::consts::FRAC_PI_2;
+
+    /// Rotates `v` by the unit quaternion `q` as `q (0, v) q⁻¹`, expanded to
+    /// avoid intermediate quaternions: the reference the cached matrix of
+    /// [`Rotation`] is checked against.
+    fn rotate(q: Quaternion, v: Vec3) -> Vec3 {
+        let u = Vec3::new(q.x, q.y, q.z);
+        let uv = u.cross(v);
+        let uuv = u.cross(uv);
+        v + (uv * q.w + uuv) * 2.0
+    }
 
     fn assert_vec_eq(a: Vec3, b: Vec3) {
         assert!(approx_eq(a.x, b.x, 1e-9), "{a:?} vs {b:?}");
@@ -231,7 +203,7 @@ mod tests {
     #[test]
     fn identity_leaves_vectors_unchanged() {
         let v = Vec3::new(1.0, 2.0, 3.0);
-        assert_vec_eq(Quaternion::IDENTITY.rotate(v), v);
+        assert_vec_eq(rotate(Quaternion::IDENTITY, v), v);
         assert_vec_eq(Rotation::identity().apply(v), v);
     }
 
@@ -257,7 +229,7 @@ mod tests {
         let q = Quaternion::from_euler_zyz(0.7, 0.4, 1.9);
         let r = Rotation::from_quaternion(q);
         let v = Vec3::new(0.3, -1.2, 2.2);
-        assert_vec_eq(q.rotate(v), r.apply(v));
+        assert_vec_eq(rotate(q, v), r.apply(v));
     }
 
     #[test]
@@ -272,18 +244,8 @@ mod tests {
         let r1 = Rotation::from_axis_angle(Vec3::X, 0.4);
         let r2 = Rotation::from_axis_angle(Vec3::Y, -1.2);
         let v = Vec3::new(1.0, 2.0, 3.0);
-        let composed = r2.compose(&r1);
+        let composed = Rotation::from_quaternion(r2.quaternion() * r1.quaternion());
         assert_vec_eq(composed.apply(v), r2.apply(r1.apply(v)));
-    }
-
-    #[test]
-    fn apply_about_pivot() {
-        let r = Rotation::from_axis_angle(Vec3::Z, PI);
-        let pivot = Vec3::new(1.0, 1.0, 0.0);
-        // Point at pivot stays fixed.
-        assert_vec_eq(r.apply_about(pivot, pivot), pivot);
-        // Point at origin maps to (2, 2, 0) under a half-turn about the pivot.
-        assert_vec_eq(r.apply_about(Vec3::ZERO, pivot), Vec3::new(2.0, 2.0, 0.0));
     }
 
     #[test]
@@ -297,27 +259,6 @@ mod tests {
         assert!(
             Rotation::from_quaternion(q).angle_to(&Rotation::from_quaternion(negq)).abs() < 1e-9
         );
-    }
-
-    #[test]
-    fn apply_all_into_matches_apply() {
-        let r = Rotation::from_euler_zyz(0.2, 0.9, 1.4);
-        let pts: Vec<Vec3> =
-            (0..10).map(|i| Vec3::new(i as Real, (i * 2) as Real, -(i as Real))).collect();
-        let mut out = vec![Vec3::ZERO; pts.len()];
-        r.apply_all_into(&pts, &mut out);
-        for (o, &p) in out.iter().zip(&pts) {
-            assert_vec_eq(*o, r.apply(p));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn apply_all_into_length_mismatch_panics() {
-        let r = Rotation::identity();
-        let pts = vec![Vec3::ZERO; 3];
-        let mut out = vec![Vec3::ZERO; 2];
-        r.apply_all_into(&pts, &mut out);
     }
 
     #[test]

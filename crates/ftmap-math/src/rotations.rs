@@ -3,10 +3,9 @@
 //! PIPER normally evaluates tens of thousands of rotations; FTMap coarsens the sampling
 //! to **500 rotations** per probe to bound the rigid-docking cost (paper §II.A). This
 //! module generates deterministic, approximately uniform rotation sets of any requested
-//! size, plus the layered Euler-angle sets used when a structured sweep is preferred.
+//! size.
 
-use crate::{Quaternion, Real, Rotation, Vec3};
-use rand::{rngs::SmallRng, Rng, SeedableRng};
+use crate::{Quaternion, Real, Rotation};
 
 /// The rotation-set size FTMap uses for mapping runs.
 pub const FTMAP_ROTATION_COUNT: usize = 500;
@@ -45,45 +44,6 @@ impl RotationSet {
         RotationSet { rotations }
     }
 
-    /// Builds the FTMap default set of [`FTMAP_ROTATION_COUNT`] rotations.
-    pub fn ftmap_default() -> Self {
-        RotationSet::uniform(FTMAP_ROTATION_COUNT)
-    }
-
-    /// Builds a random rotation set (seeded, for tests and synthetic workloads).
-    pub fn random(count: usize, seed: u64) -> Self {
-        assert!(count > 0, "rotation set must contain at least one rotation");
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let rotations = (0..count)
-            .map(|_| {
-                let u1: Real = rng.gen();
-                let u2: Real = rng.gen();
-                let u3: Real = rng.gen();
-                Rotation::from_quaternion(shoemake(u1, u2, u3))
-            })
-            .collect();
-        RotationSet { rotations }
-    }
-
-    /// Builds a structured Euler-angle sweep with `steps` divisions per angle
-    /// (so `steps^3` rotations), the "incremental angle" scheme described for PIPER.
-    pub fn euler_sweep(steps: usize) -> Self {
-        assert!(steps > 0, "euler_sweep needs at least one step per angle");
-        let mut rotations = Vec::with_capacity(steps * steps * steps);
-        let tau = 2.0 * std::f64::consts::PI;
-        for i in 0..steps {
-            for j in 0..steps {
-                for k in 0..steps {
-                    let phi = tau * i as Real / steps as Real;
-                    let theta = std::f64::consts::PI * j as Real / steps as Real;
-                    let psi = tau * k as Real / steps as Real;
-                    rotations.push(Rotation::from_euler_zyz(phi, theta, psi));
-                }
-            }
-        }
-        RotationSet { rotations }
-    }
-
     /// Number of rotations in the set.
     pub fn len(&self) -> usize {
         self.rotations.len()
@@ -116,23 +76,6 @@ impl RotationSet {
         assert!(batch > 0, "batch size must be positive");
         self.rotations.chunks(batch).collect()
     }
-
-    /// The largest geodesic distance from any rotation in the set to its nearest
-    /// neighbour — a coverage metric used by tests to check uniformity.
-    pub fn max_nearest_neighbor_angle(&self) -> Real {
-        let mut worst: Real = 0.0;
-        for (i, a) in self.rotations.iter().enumerate() {
-            let mut nearest = Real::INFINITY;
-            for (j, b) in self.rotations.iter().enumerate() {
-                if i == j {
-                    continue;
-                }
-                nearest = nearest.min(a.angle_to(b));
-            }
-            worst = worst.max(nearest);
-        }
-        worst
-    }
 }
 
 /// Shoemake's algorithm: maps three uniform numbers in `[0, 1)` to a uniformly
@@ -149,16 +92,26 @@ fn shoemake(u1: Real, u2: Real, u3: Real) -> Quaternion {
     )
 }
 
-/// Convenience: the image of the +X axis under every rotation in the set. Used by
-/// examples to visualize coverage of the sphere.
-pub fn rotated_axes(set: &RotationSet) -> Vec<Vec3> {
-    set.iter().map(|r| r.apply(Vec3::X)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx_eq;
+    use crate::{approx_eq, Vec3};
+
+    /// The largest geodesic distance from any rotation in the set to its
+    /// nearest neighbour — the coverage metric the uniformity test bounds.
+    fn max_nearest_neighbor_angle(set: &RotationSet) -> Real {
+        let mut worst: Real = 0.0;
+        for (i, a) in set.iter().enumerate() {
+            let mut nearest = Real::INFINITY;
+            for (j, b) in set.iter().enumerate() {
+                if i != j {
+                    nearest = nearest.min(a.angle_to(b));
+                }
+            }
+            worst = worst.max(nearest);
+        }
+        worst
+    }
 
     #[test]
     fn uniform_set_has_requested_size_and_unit_quaternions() {
@@ -171,7 +124,8 @@ mod tests {
 
     #[test]
     fn ftmap_default_is_500() {
-        assert_eq!(RotationSet::ftmap_default().len(), FTMAP_ROTATION_COUNT);
+        assert_eq!(FTMAP_ROTATION_COUNT, 500);
+        assert_eq!(RotationSet::uniform(FTMAP_ROTATION_COUNT).len(), 500);
     }
 
     #[test]
@@ -190,30 +144,12 @@ mod tests {
     }
 
     #[test]
-    fn random_sets_differ_across_seeds_but_not_within() {
-        let a = RotationSet::random(20, 1);
-        let b = RotationSet::random(20, 1);
-        let c = RotationSet::random(20, 2);
-        for (ra, rb) in a.iter().zip(b.iter()) {
-            assert!(ra.angle_to(rb) < 1e-12);
-        }
-        let any_different = a.iter().zip(c.iter()).any(|(ra, rc)| ra.angle_to(rc) > 1e-6);
-        assert!(any_different);
-    }
-
-    #[test]
     fn rotations_preserve_length() {
-        let set = RotationSet::random(64, 3);
+        let set = RotationSet::uniform(64);
         let v = Vec3::new(1.0, 2.0, -0.5);
         for r in set.iter() {
             assert!(approx_eq(r.apply(v).norm(), v.norm(), 1e-9));
         }
-    }
-
-    #[test]
-    fn euler_sweep_size() {
-        assert_eq!(RotationSet::euler_sweep(3).len(), 27);
-        assert_eq!(RotationSet::euler_sweep(1).len(), 1);
     }
 
     #[test]
@@ -245,14 +181,6 @@ mod tests {
         // A 200-rotation low-discrepancy set should cover SO(3) with every rotation
         // having a reasonably close neighbour; sanity bound rather than a tight one.
         let set = RotationSet::uniform(200);
-        assert!(set.max_nearest_neighbor_angle() < 1.2);
-    }
-
-    #[test]
-    fn rotated_axes_are_unit_vectors() {
-        let set = RotationSet::uniform(30);
-        for axis in rotated_axes(&set) {
-            assert!(approx_eq(axis.norm(), 1.0, 1e-9));
-        }
+        assert!(max_nearest_neighbor_angle(&set) < 1.2);
     }
 }

@@ -108,12 +108,6 @@ impl Vec3 {
         Vec3::new(self.x.max(rhs.x), self.y.max(rhs.y), self.z.max(rhs.z))
     }
 
-    /// Linear interpolation between `self` (t = 0) and `rhs` (t = 1).
-    #[inline]
-    pub fn lerp(self, rhs: Vec3, t: Real) -> Vec3 {
-        self + (rhs - self) * t
-    }
-
     /// Returns `[x, y, z]` as an array.
     #[inline]
     pub fn to_array(self) -> [Real; 3] {
@@ -345,15 +339,6 @@ mod tests {
         assert_eq!(hi, Vec3::new(4.0, 2.0, 2.0));
         assert_eq!(Vec3::centroid(&[]), Vec3::ZERO);
         assert_eq!(Vec3::bounding_box(&[]), (Vec3::ZERO, Vec3::ZERO));
-    }
-
-    #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = Vec3::new(0.0, 0.0, 0.0);
-        let b = Vec3::new(2.0, 4.0, 6.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Vec3::new(1.0, 2.0, 3.0));
     }
 
     #[test]

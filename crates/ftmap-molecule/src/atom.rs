@@ -48,29 +48,6 @@ impl Element {
             Element::S => 32.06,
         }
     }
-
-    /// One-letter symbol.
-    pub fn symbol(self) -> &'static str {
-        match self {
-            Element::H => "H",
-            Element::C => "C",
-            Element::N => "N",
-            Element::O => "O",
-            Element::S => "S",
-        }
-    }
-
-    /// Parses a symbol (case-insensitive); returns `None` for unsupported elements.
-    pub fn from_symbol(s: &str) -> Option<Element> {
-        match s.trim().to_ascii_uppercase().as_str() {
-            "H" => Some(Element::H),
-            "C" => Some(Element::C),
-            "N" => Some(Element::N),
-            "O" => Some(Element::O),
-            "S" => Some(Element::S),
-            _ => None,
-        }
-    }
 }
 
 /// CHARMM-like atom kind: an element in a specific chemical environment.
@@ -147,11 +124,6 @@ impl AtomKind {
             AtomKind::ApolarH | AtomKind::PolarH => Element::H,
         }
     }
-
-    /// True for hydrogen kinds.
-    pub fn is_hydrogen(self) -> bool {
-        self.element() == Element::H
-    }
 }
 
 /// A single atom with resolved force-field parameters.
@@ -210,16 +182,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn element_symbols_round_trip() {
-        for e in Element::ALL {
-            assert_eq!(Element::from_symbol(e.symbol()), Some(e));
-        }
-        assert_eq!(Element::from_symbol("c"), Some(Element::C));
-        assert_eq!(Element::from_symbol("Xx"), None);
-        assert_eq!(Element::from_symbol(""), None);
-    }
-
-    #[test]
     fn element_properties_positive() {
         for e in Element::ALL {
             assert!(e.vdw_radius() > 0.0);
@@ -233,7 +195,7 @@ mod tests {
     fn atom_kind_elements_consistent() {
         for kind in AtomKind::ALL {
             let e = kind.element();
-            assert_eq!(kind.is_hydrogen(), e == Element::H);
+            assert_eq!(matches!(kind, AtomKind::ApolarH | AtomKind::PolarH), e == Element::H);
         }
         assert_eq!(AtomKind::BackboneCA.element(), Element::C);
         assert_eq!(AtomKind::PolarO.element(), Element::O);

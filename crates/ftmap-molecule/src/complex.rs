@@ -10,7 +10,7 @@ use crate::atom::Atom;
 use crate::probe::Probe;
 use crate::protein::SyntheticProtein;
 use crate::topology::Topology;
-use ftmap_math::{Real, Vec3};
+use ftmap_math::Vec3;
 
 /// A protein–probe complex ready for energy minimization.
 #[derive(Debug, Clone)]
@@ -89,18 +89,6 @@ impl Complex {
         let pos: Vec<Vec3> = self.probe_atoms().iter().map(|a| a.position).collect();
         Vec3::centroid(&pos)
     }
-
-    /// Minimum distance between any probe atom and any protein atom (Å); a docked pose
-    /// should have a small positive value (contact without clashes).
-    pub fn min_interface_distance(&self) -> Real {
-        let mut best = Real::INFINITY;
-        for pa in self.probe_atoms() {
-            for ra in self.protein_atoms() {
-                best = best.min(pa.position.distance(ra.position));
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -176,11 +164,5 @@ mod tests {
     fn set_positions_wrong_length_panics() {
         let mut complex = small_complex();
         complex.set_positions(&[Vec3::ZERO]);
-    }
-
-    #[test]
-    fn interface_distance_positive() {
-        let complex = small_complex();
-        assert!(complex.min_interface_distance() > 0.0);
     }
 }

@@ -18,7 +18,6 @@
 //!   needed by the bonded energy terms and by neighbor-list construction.
 //! * [`neighbor::NeighborList`] — the cutoff neighbor lists that the minimization engine
 //!   restructures into pairs-lists (the core of the paper's §IV).
-//! * [`pdbio`] — minimal PDB-like text I/O so examples can dump and reload structures.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -28,7 +27,6 @@ pub mod atom;
 pub mod complex;
 pub mod forcefield;
 pub mod neighbor;
-pub mod pdbio;
 pub mod probe;
 pub mod protein;
 pub mod topology;

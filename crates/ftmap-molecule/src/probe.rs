@@ -11,7 +11,7 @@
 use crate::atom::{Atom, AtomKind};
 use crate::forcefield::ForceField;
 use crate::topology::Topology;
-use ftmap_math::{Real, Rotation, Vec3};
+use ftmap_math::{Real, Vec3};
 
 /// The 16 probe types used by FTMap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -181,12 +181,6 @@ impl ProbeType {
             ],
         }
     }
-
-    /// True for probes carrying a hydrogen-bond donor or acceptor (polar probes);
-    /// used when weighing consensus clusters.
-    pub fn is_polar(self) -> bool {
-        !matches!(self, ProbeType::Cyclohexane | ProbeType::Ethane | ProbeType::Benzene)
-    }
 }
 
 /// Builds a planar hexagon of the given atom kind with the given bond length.
@@ -264,16 +258,6 @@ impl Probe {
     /// voxel footprint of the probe grid.
     pub fn radius(&self) -> Real {
         self.atoms.iter().map(|a| a.position.norm()).fold(0.0, Real::max)
-    }
-
-    /// Returns a copy of the probe rotated by `rotation` (about its centroid) and
-    /// translated by `translation`.
-    pub fn transformed(&self, rotation: &Rotation, translation: Vec3) -> Probe {
-        let mut out = self.clone();
-        for atom in &mut out.atoms {
-            atom.position = rotation.apply(atom.position) + translation;
-        }
-        out
     }
 
     /// Net charge of the probe (sum of partial charges).
@@ -385,30 +369,6 @@ mod tests {
             }
             assert!(seen.iter().all(|&s| s), "{:?} topology disconnected", probe.probe_type);
         }
-    }
-
-    #[test]
-    fn transformed_preserves_internal_geometry() {
-        let ff = ForceField::charmm_like();
-        let probe = Probe::new(ProbeType::Phenol, &ff);
-        let rot = Rotation::from_axis_angle(Vec3::new(1.0, 1.0, 0.0), 1.2);
-        let moved = probe.transformed(&rot, Vec3::new(5.0, -3.0, 2.0));
-        assert_eq!(moved.n_atoms(), probe.n_atoms());
-        for i in 0..probe.n_atoms() {
-            for j in (i + 1)..probe.n_atoms() {
-                let d0 = probe.atoms[i].position.distance(probe.atoms[j].position);
-                let d1 = moved.atoms[i].position.distance(moved.atoms[j].position);
-                assert!((d0 - d1).abs() < 1e-9);
-            }
-        }
-    }
-
-    #[test]
-    fn polar_classification() {
-        assert!(ProbeType::Ethanol.is_polar());
-        assert!(ProbeType::Urea.is_polar());
-        assert!(!ProbeType::Benzene.is_polar());
-        assert!(!ProbeType::Cyclohexane.is_polar());
     }
 
     #[test]

@@ -104,24 +104,6 @@ impl Topology {
         &self.impropers
     }
 
-    /// Adds an explicit angle term.
-    pub fn add_angle(&mut self, i: usize, j: usize, k: usize) {
-        assert!(i < self.n_atoms && j < self.n_atoms && k < self.n_atoms);
-        self.angles.push(Angle { i, j, k });
-    }
-
-    /// Adds an explicit torsion term.
-    pub fn add_torsion(&mut self, i: usize, j: usize, k: usize, l: usize) {
-        assert!(i < self.n_atoms && j < self.n_atoms && k < self.n_atoms && l < self.n_atoms);
-        self.torsions.push(Torsion { i, j, k, l });
-    }
-
-    /// Adds an explicit improper term.
-    pub fn add_improper(&mut self, i: usize, j: usize, k: usize, l: usize) {
-        assert!(i < self.n_atoms && j < self.n_atoms && k < self.n_atoms && l < self.n_atoms);
-        self.impropers.push(Improper { i, j, k, l });
-    }
-
     /// Derives angle and torsion terms from the bond graph (every connected i–j–k path
     /// becomes an angle, every i–j–k–l path a torsion), the way CHARMM topology builders
     /// autogenerate bonded terms.
@@ -306,16 +288,5 @@ mod tests {
         let probe = chain(3);
         let mut combined = Topology::new(4);
         combined.merge_offset(&probe, 2);
-    }
-
-    #[test]
-    fn explicit_terms_are_kept() {
-        let mut t = Topology::new(6);
-        t.add_angle(0, 1, 2);
-        t.add_torsion(0, 1, 2, 3);
-        t.add_improper(1, 0, 2, 3);
-        assert_eq!(t.angles().len(), 1);
-        assert_eq!(t.torsions().len(), 1);
-        assert_eq!(t.impropers().len(), 1);
     }
 }

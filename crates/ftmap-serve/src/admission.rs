@@ -140,11 +140,6 @@ impl AdmissionVerdict {
             None => panic!("{msg}: request was rejected"),
         }
     }
-
-    /// True when the request was refused.
-    pub fn is_rejected(&self) -> bool {
-        matches!(self, AdmissionVerdict::Rejected { .. })
-    }
 }
 
 /// Exponentially weighted moving average with a calibration flag.
@@ -223,12 +218,6 @@ impl LatencyEstimate {
 }
 
 impl CostModel {
-    /// True once at least one batch completion has calibrated the model —
-    /// deadlines are only enforced from then on.
-    pub fn calibrated(&self) -> bool {
-        self.span_per_weight.get().is_some()
-    }
-
     /// Feeds one completed batch back into the model: `span_s` is the batch's
     /// start-to-finish modeled span, `device_share` the fraction of the pool
     /// it occupied (devices that ran its items / devices), `weight` its total
@@ -486,13 +475,13 @@ mod tests {
     #[test]
     fn cost_model_requires_calibration_then_tracks_rates() {
         let mut model = CostModel::default();
-        assert!(!model.calibrated());
+        assert!(model.span_per_weight.get().is_none());
         assert!(model.estimate(0.0, 0.0, 10.0, 1, 2, false).is_none());
         // One batch: 100 work units over 1 modeled second → 0.01 s/unit. A
         // zero device share (footprint unknown) leaves the drain rate
         // uncalibrated.
         model.observe_batch(1.0, 0.0, 100.0, true, 0.2);
-        assert!(model.calibrated());
+        assert!(model.span_per_weight.get().is_some());
         let est = model.estimate(0.5, 200.0, 100.0, 4, 2, true).expect("calibrated");
         // No drain observation yet: wait falls back to the perfectly-parallel
         // rate — 0.5 base + 200 units × 0.01 / 2 devices = 1.5.
@@ -567,7 +556,6 @@ mod tests {
         let handle = JobHandle::new(JobId(1), "t".into(), Arc::clone(&slot));
         let admitted = AdmissionVerdict::Admitted(handle.clone());
         assert_eq!(admitted.name(), "admitted");
-        assert!(!admitted.is_rejected());
         assert!(admitted.handle().is_some());
         assert_eq!(admitted.into_handle().map(|h| h.id()), Some(JobId(1)));
 

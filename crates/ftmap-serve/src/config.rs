@@ -139,11 +139,6 @@ impl AdmissionConfig {
         }
     }
 
-    /// True when any fairness control (receptor cap or tenant quota) is on.
-    pub fn fairness_enabled(&self) -> bool {
-        self.max_inflight_per_receptor.is_some() || !self.tenant_quotas.is_empty()
-    }
-
     /// The weight `tenant` carries: its configured quota weight, or the
     /// default weight for unlisted tenants.
     pub fn tenant_weight(&self, tenant: &str) -> f64 {
@@ -223,7 +218,8 @@ mod tests {
         // Admission control defaults to off: no deadlines, no fairness.
         assert_eq!(config.admission.deadline_for(LatencyClass::Interactive), None);
         assert_eq!(config.admission.deadline_for(LatencyClass::Bulk), None);
-        assert!(!config.admission.fairness_enabled());
+        assert_eq!(config.admission.max_inflight_per_receptor, None);
+        assert!(config.admission.tenant_quotas.is_empty());
         assert_eq!(config.admission.effective_safety_factor(), 1.0);
     }
 

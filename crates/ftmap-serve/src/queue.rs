@@ -139,11 +139,6 @@ impl<T> JobQueue<T> {
         self.work.notify_all();
         self.space.notify_all();
     }
-
-    /// True once [`JobQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        locked(&self.inner).closed
-    }
 }
 
 #[cfg(test)]
@@ -198,7 +193,6 @@ mod tests {
         let queue = JobQueue::new(4);
         queue.try_push(1).expect("admitted");
         queue.close();
-        assert!(queue.is_closed());
         assert_eq!(queue.try_push(2), Err(SubmitError::Closed(2)));
         assert_eq!(queue.push(3), Err(SubmitError::Closed(3)));
         assert_eq!(queue.drain_wait(), Some(vec![1]));

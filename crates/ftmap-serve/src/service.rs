@@ -55,8 +55,8 @@ use crate::queue::{JobQueue, SubmitError};
 use crate::request::MappingRequest;
 use ftmap_core::{AppliedDegrade, FtMapConfig, FtMapPipeline, PhasedMapBatch};
 use ftmap_trace::{
-    AlertState, Category, FlightRecorder, MetricsRegistry, MetricsSnapshot, SampleVerdict,
-    SloEngine, SloReport, SloSpec, Tags, TraceEvent, TraceSink, Track,
+    Category, FlightRecorder, MetricsRegistry, MetricsSnapshot, SampleVerdict, SloEngine,
+    SloReport, SloSpec, Tags, TraceEvent, TraceSink, Track,
 };
 use gpu_sim::sched::{BatchLabel, BatchReport, DevicePool, PhasePipeline, PhasedBatch, PhasedExec};
 use gpu_sim::sync::{locked, wait_on};
@@ -198,12 +198,6 @@ impl ServeStats {
     /// format.
     pub fn prometheus(&self) -> String {
         self.metrics.prometheus()
-    }
-
-    /// The worst alert state across the configured SLOs
-    /// ([`AlertState::Ok`] when none are configured).
-    pub fn slo_alert(&self) -> AlertState {
-        self.slo.worst_state()
     }
 }
 
@@ -958,6 +952,8 @@ impl BatchMappingService {
     /// [`submit`](BatchMappingService::submit) without blocking: a full
     /// admission queue rejects ([`RejectReason::QueueFull`]) instead of
     /// waiting, so the client owns the shedding/retry policy.
+    // lint-allow(unreferenced-pub): client load-shedding API documented in the
+    // README's "The serving layer" section (Admission verdicts); only tests call it.
     pub fn try_submit(&self, request: MappingRequest) -> AdmissionVerdict {
         self.submit_inner(request, false)
     }
@@ -1343,6 +1339,7 @@ mod tests {
     use crate::job::JobStatus;
     use ftmap_core::{FtMapConfig, PipelineMode};
     use ftmap_molecule::{ForceField, ProbeType, ProteinSpec, SyntheticProtein};
+    use ftmap_trace::AlertState;
 
     fn request(probes: &[ProbeType], tag: &str) -> MappingRequest {
         let ff = ForceField::charmm_like();
@@ -1893,7 +1890,7 @@ mod tests {
         assert_eq!(status.samples, 3);
         assert!(status.burn_long >= ftmap_trace::PAGE_BURN);
         assert_eq!(status.state, AlertState::Page);
-        assert_eq!(stats.slo_alert(), AlertState::Page);
+        assert_eq!(stats.slo.worst_state(), AlertState::Page);
         assert!(
             stats.metrics.gauge("ftmap_serve_slo_alert_state", &[("class", "bulk")]).is_some(),
             "alert gauge exported into the registry"
@@ -2032,7 +2029,7 @@ mod tests {
         assert!(report.latency_modeled_s >= 0.0);
         let stats = service.shutdown();
         assert!(stats.slo.classes.is_empty());
-        assert_eq!(stats.slo_alert(), AlertState::Ok);
+        assert_eq!(stats.slo.worst_state(), AlertState::Ok);
         assert_eq!(stats.metrics.gauge("ftmap_trace_dropped_events", &[]), Some(0.0));
     }
 }

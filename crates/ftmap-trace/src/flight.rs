@@ -97,12 +97,6 @@ impl FlightRecorder {
         self.shards.iter().map(|s| locked(s).len()).sum()
     }
 
-    /// Ring evictions so far (events that aged out before any request
-    /// retained them — expected in the steady state).
-    pub fn evicted_events(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
-    }
-
     /// Total trees retained by tail-sampling so far (including ones since
     /// evicted from the bounded retention window).
     pub fn retained_total(&self) -> u64 {
@@ -237,7 +231,7 @@ mod tests {
         // record evicts the first.
         flight.record(event("a", 0, 0.0));
         flight.record(event("b", 0, 1.0));
-        assert_eq!(flight.evicted_events(), 1);
+        assert_eq!(flight.evicted.load(Ordering::Relaxed), 1);
         assert_eq!(flight.dropped_events(), 1);
         assert_eq!(flight.ring_len(), 1);
     }

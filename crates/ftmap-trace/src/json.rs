@@ -3,7 +3,8 @@
 //! The workspace has no serialization dependency, so the Perfetto exporter
 //! writes JSON by hand — and this module is the matching reader: the `trace_check` schema validator and the round-trip tests parse
 //! the exported bytes back through it. It accepts exactly RFC 8259 JSON
-//! (objects, arrays, strings with escapes, numbers, booleans, null).
+//! (objects, arrays, strings with escapes, numbers, booleans, null), nested
+//! at most [`MAX_DEPTH`] levels deep.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -76,9 +77,16 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses a complete JSON document (rejecting trailing garbage).
+/// The deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level and reads user-supplied trace files, so the cap keeps a
+/// hostile document from overflowing the stack; the exporter's documents
+/// nest at most 5 deep.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document (rejecting trailing garbage and nesting
+/// deeper than [`MAX_DEPTH`]).
 pub fn parse(input: &str) -> Result<JsonValue, ParseError> {
-    let mut parser = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut parser = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     parser.skip_ws();
     let value = parser.value()?;
     parser.skip_ws();
@@ -91,6 +99,8 @@ pub fn parse(input: &str) -> Result<JsonValue, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -128,8 +138,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'{' { self.object() } else { self.array() }?;
+                self.depth -= 1;
+                Ok(value)
+            }
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -327,6 +344,30 @@ mod tests {
         for bad in ["{", "[1,]", "{\"a\" 1}", "01x", "\"unterminated", "{} trailing", ""] {
             assert!(parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok(), "a document at the cap parses");
+        let err = parse(&nested(MAX_DEPTH + 1)).expect_err("one level past the cap");
+        assert_eq!(err.offset, MAX_DEPTH);
+        let objects = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(parse(&objects).is_err(), "objects count toward the same cap");
+    }
+
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        // Uncapped, 10 000 levels already overflowed a 2 MiB thread stack and
+        // aborted the process.
+        let doc = "[".repeat(100_000);
+        let result = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || parse(&doc).is_err())
+            .expect("spawn parser thread")
+            .join()
+            .expect("parser thread must not crash");
+        assert!(result);
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use perfetto::{
 pub use recorder::Recorder;
 pub use sanitize::{sanitize, SanitizeReport, ScheduleViolation};
 pub use scope::{hook, ItemScope};
-pub use sink::{noop, NoopSink, TraceSink};
+pub use sink::{noop, TraceSink};
 pub use slo::{
     AlertState, SampleVerdict, SloEngine, SloReport, SloSpec, SloStatus, PAGE_BURN, WARN_BURN,
 };

@@ -8,8 +8,8 @@ use std::sync::Arc;
 /// The contract the instrumentation relies on: when [`TraceSink::enabled`]
 /// returns `false`, callers skip event construction entirely — so a disabled
 /// sink costs one virtual call (schedulers check once per item) or one
-/// thread-local read (leaf hooks), never an allocation. [`NoopSink`] is the
-/// canonical disabled sink and the default everywhere a sink is optional.
+/// thread-local read (leaf hooks), never an allocation. [`noop`] returns the
+/// canonical disabled sink, the default everywhere a sink is optional.
 pub trait TraceSink: Send + Sync {
     /// Whether events should be constructed and recorded at all.
     fn enabled(&self) -> bool {
@@ -33,8 +33,7 @@ pub trait TraceSink: Send + Sync {
 /// The disabled sink: [`TraceSink::enabled`] is `false` and
 /// [`TraceSink::record`] drops events (it is never reached by well-behaved
 /// callers).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoopSink;
+struct NoopSink;
 
 impl TraceSink for NoopSink {
     fn enabled(&self) -> bool {

@@ -163,17 +163,6 @@ impl CostModel {
         self.spec.transfer_latency_us * 1.0e-6
             + transfer.bytes as f64 / (self.spec.transfer_bandwidth_gbps * 1.0e9)
     }
-
-    /// Convenience: the modeled speedup of running `counters` as a launch with `config`
-    /// on this device, relative to running it serially on `baseline`'s single core.
-    pub fn speedup_vs(
-        &self,
-        baseline: &CostModel,
-        counters: &MemoryCounters,
-        config: &LaunchConfig,
-    ) -> f64 {
-        baseline.serial_time(counters) / self.kernel_time(counters, config)
-    }
 }
 
 #[cfg(test)]
@@ -197,7 +186,7 @@ mod tests {
         let cpu = CostModel::new(DeviceSpec::xeon_core());
         let counters = big_parallel_counters();
         let config = LaunchConfig::new(512, 64);
-        let speedup = gpu.speedup_vs(&cpu, &counters, &config);
+        let speedup = cpu.serial_time(&counters) / gpu.kernel_time(&counters, &config);
         assert!(speedup > 50.0, "expected large speedup, got {speedup}");
         assert!(speedup < 1000.0, "speedup unrealistically large: {speedup}");
     }
@@ -210,8 +199,9 @@ mod tests {
         let cpu = CostModel::new(DeviceSpec::xeon_core());
         let counters =
             MemoryCounters { flops: 4_000_000, global_reads: 2_000_000, ..Default::default() };
-        let full = gpu.speedup_vs(&cpu, &counters, &LaunchConfig::new(480, 64));
-        let single = gpu.speedup_vs(&cpu, &counters, &LaunchConfig::new(1, 64));
+        let serial_s = cpu.serial_time(&counters);
+        let full = serial_s / gpu.kernel_time(&counters, &LaunchConfig::new(480, 64));
+        let single = serial_s / gpu.kernel_time(&counters, &LaunchConfig::new(1, 64));
         assert!(single < full / 3.0, "single-block {single} vs full {full}");
         assert!(single > 1.0, "even one SM should beat one host core: {single}");
     }

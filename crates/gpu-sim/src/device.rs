@@ -262,12 +262,6 @@ impl Device {
         self.record_transfer(Transfer::upload(bytes))
     }
 
-    /// Charges an upload of `items` (sized by `std::mem::size_of::<T>()`) and
-    /// returns its modeled duration.
-    pub fn upload_slice<T>(&self, items: &[T]) -> f64 {
-        self.upload_bytes(std::mem::size_of_val(items) as u64)
-    }
-
     /// Charges an upload of `words` f64 words and returns its modeled duration.
     pub fn upload_words(&self, words: usize) -> f64 {
         self.upload_bytes((words * std::mem::size_of::<f64>()) as u64)

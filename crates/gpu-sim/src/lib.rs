@@ -41,8 +41,6 @@
 //!   (with [`BlockOrder`] for block-ordered accumulation, which a panicking block
 //!   aborts instead of hanging) and the
 //!   [`StatsLedger`] multi-kernel statistics accumulator.
-//! * [`backend`] — the [`ExecutionBackend`] (CPU vs GPU) seam and the
-//!   [`BackendSelect`] trait phase crates implement for engine selection.
 //! * [`residency`] — the per-device LRU cache ([`ResidencyCache`]) that keeps
 //!   uploaded buffers (receptor grids) resident in modeled device memory, so
 //!   repeat consumers borrow instead of re-uploading.
@@ -61,7 +59,6 @@
 #![forbid(unsafe_code)]
 #![warn(clippy::all)]
 
-pub mod backend;
 pub mod cost;
 pub mod device;
 pub mod kernel;
@@ -73,7 +70,6 @@ pub mod timing;
 
 pub use ftmap_trace::sync;
 
-pub use backend::{BackendSelect, ExecutionBackend};
 pub use cost::CostModel;
 pub use device::{Device, DeviceSpec, TransferSnapshot};
 pub use kernel::{BlockContext, BlockKernel, LaunchConfig};

@@ -44,7 +44,7 @@ pub mod stream;
 pub mod work;
 
 pub use pipeline::{
-    BatchHandle, BatchLabel, BatchReport, Phase, PhasePipeline, PhasedBatch, PhasedDeviceReport,
+    BatchHandle, BatchLabel, BatchReport, PhasePipeline, PhasedBatch, PhasedDeviceReport,
     PhasedExec, ShardCtx,
 };
 pub use pool::{load_skew, makespan_s, utilizations, DevicePool};

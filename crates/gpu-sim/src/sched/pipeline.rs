@@ -64,7 +64,7 @@ use std::thread::JoinHandle;
 
 /// Which stage of the dock→minimize pipeline an item belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Phase {
+enum Phase {
     /// Rigid docking of one entry (probe): runs as soon as a device is free.
     Dock,
     /// Minimization of one pose block: runs only after its entry's dock item
@@ -596,11 +596,6 @@ impl PhasePipeline {
             }
             state = wait_on(&self.shared.settled, state);
         }
-    }
-
-    /// Number of batches currently incomplete.
-    pub fn inflight(&self) -> usize {
-        locked(&self.shared.state).unfinished
     }
 
     /// The scheduler's current virtual instant: the earliest point any
@@ -1212,12 +1207,12 @@ mod tests {
         let pipeline = PhasePipeline::new(pool);
         for _ in 0..4 {
             pipeline.wait_capacity(2);
-            assert!(pipeline.inflight() < 2);
+            assert!(locked(&pipeline.shared.state).unfinished < 2);
             let exec = Arc::new(TestExec::new(2, 2));
             submit_test_batch(&pipeline, &exec, 1);
         }
         pipeline.drain();
-        assert_eq!(pipeline.inflight(), 0);
+        assert_eq!(locked(&pipeline.shared.state).unfinished, 0);
         pipeline.shutdown();
     }
 

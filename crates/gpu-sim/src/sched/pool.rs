@@ -70,11 +70,6 @@ impl DevicePool {
         &self.devices
     }
 
-    /// Human-readable names of the pooled devices, in pool order.
-    pub fn device_names(&self) -> Vec<String> {
-        self.devices.iter().map(|d| d.spec().name.clone()).collect()
-    }
-
     /// Sum of the pooled devices' peak GFLOP/s (a rough capacity figure for
     /// load-balance reporting).
     pub fn peak_gflops(&self) -> f64 {
@@ -152,9 +147,8 @@ mod tests {
         assert_eq!(pool.len(), 3);
         assert_eq!(pool.device(0).spec(), &DeviceSpec::tesla_c1060());
         assert_eq!(pool.device(2).spec(), &DeviceSpec::xeon_quad());
-        let names = pool.device_names();
-        assert!(names[0].contains("Tesla"));
-        assert!(names[2].contains("Xeon"));
+        assert!(pool.device(0).spec().name.contains("Tesla"));
+        assert!(pool.device(2).spec().name.contains("Xeon"));
     }
 
     #[test]

@@ -64,11 +64,6 @@ impl<R> ShardOutcome<R> {
         makespan_s(&self.busy())
     }
 
-    /// Sum of every device's modeled busy seconds.
-    pub fn total_busy_s(&self) -> f64 {
-        self.busy().iter().sum()
-    }
-
     /// Total modeled transfer seconds hidden under compute, across devices.
     pub fn overlap_saved_s(&self) -> f64 {
         self.reports.iter().map(|r| r.stream.savings_s()).sum()
@@ -302,7 +297,7 @@ mod tests {
             }
         }
         assert!(outcome.makespan_s() > 0.0);
-        assert!(outcome.makespan_s() <= outcome.total_busy_s() + 1e-12);
+        assert!(outcome.makespan_s() <= outcome.busy().iter().sum::<f64>() + 1e-12);
         assert!(outcome.load_skew() >= 1.0 - 1e-12);
         let utils = outcome.utilizations();
         assert_eq!(utils.len(), 2);

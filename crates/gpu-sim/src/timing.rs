@@ -122,16 +122,6 @@ impl StreamStats {
     pub fn savings_s(&self) -> f64 {
         (self.serialized_s - self.overlapped_s).max(0.0)
     }
-
-    /// Fraction of the serialized time saved by overlap (0 for an empty or
-    /// overlap-free stream).
-    pub fn overlap_fraction(&self) -> f64 {
-        if self.serialized_s <= 0.0 {
-            0.0
-        } else {
-            self.savings_s() / self.serialized_s
-        }
-    }
 }
 
 #[cfg(test)]
@@ -182,9 +172,7 @@ mod tests {
             overlapped_s: 10.75,
         };
         assert!((stats.savings_s() - 2.25).abs() < 1e-12);
-        assert!((stats.overlap_fraction() - 2.25 / 13.0).abs() < 1e-12);
         let empty = StreamStats::default();
         assert_eq!(empty.savings_s(), 0.0);
-        assert_eq!(empty.overlap_fraction(), 0.0);
     }
 }

@@ -545,6 +545,57 @@ mod tests {
     }
 
     #[test]
+    fn dock_batch_is_invariant_to_the_launch_worker_count() {
+        // One worker (every launch inline on the caller) and the full device
+        // must give the same receptor transforms, poses, transfer bytes and
+        // ledger counters across the receptor-transform, ligand-forward,
+        // multiply, inverse and fused-epilogue launches; only the modeled
+        // seconds differ, because the specs do.
+        let (receptor, probe) = setup(16);
+        let batch = ligands_for(&probe, &RotationSet::uniform(5));
+        let indices: Vec<usize> = (0..batch.len()).collect();
+        let run = |device: &Device| {
+            let engine = BatchedFftEngine::new(device, &receptor);
+            let out = engine.dock_batch(&batch, &indices, &EnergyWeights::default(), 4, 3, 2);
+            let transforms: Vec<u64> = (0..engine.transforms().n_terms())
+                .flat_map(|t| engine.transforms().term_fft(t).iter())
+                .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
+                .collect();
+            let poses: Vec<_> = out
+                .poses
+                .iter()
+                .flatten()
+                .map(|p| (p.rotation_index, p.translation, p.score.to_bits()))
+                .collect();
+            let ledger: Vec<_> = out
+                .ledger
+                .phases()
+                .map(|(phase, stats)| {
+                    let launches = out.ledger.launches(phase);
+                    (
+                        phase.to_string(),
+                        launches,
+                        stats.blocks,
+                        stats.threads_per_block,
+                        stats.counters,
+                    )
+                })
+                .collect();
+            (transforms, poses, device.transfer_snapshot().bytes, ledger)
+        };
+        let one_worker =
+            Device::new(gpu_sim::DeviceSpec { sm_count: 1, ..gpu_sim::DeviceSpec::tesla_c1060() });
+        let (inline_transforms, inline_poses, inline_bytes, inline_ledger) = run(&one_worker);
+        let (spread_transforms, spread_poses, spread_bytes, spread_ledger) =
+            run(&Device::tesla_c1060());
+        assert!(!inline_poses.is_empty() && inline_ledger.len() == 4, "{inline_ledger:?}");
+        assert!(inline_transforms == spread_transforms, "receptor transforms differ bitwise");
+        assert_eq!(inline_poses, spread_poses);
+        assert_eq!(inline_bytes, spread_bytes, "transfer bytes");
+        assert_eq!(inline_ledger, spread_ledger, "ledger counters");
+    }
+
+    #[test]
     fn batched_poses_are_bit_identical_to_per_rotation_path() {
         let (receptor, probe) = setup(16);
         let device = Device::tesla_c1060();

@@ -18,11 +18,10 @@ use crate::filter;
 use crate::gpu::GpuDockingEngine;
 use crate::grids::{EnergyWeights, GridSpec, LigandGrids, ReceptorGrids};
 use crate::pose::{sort_best_first, Pose};
+use ftmap_math::rotations::FTMAP_ROTATION_COUNT;
 use ftmap_math::{Real, RotationSet};
 use ftmap_molecule::{Atom, Probe};
-use gpu_sim::{
-    wall_timed, BackendSelect, CostModel, Device, DeviceSpec, ExecutionBackend, MemoryCounters,
-};
+use gpu_sim::{wall_timed, CostModel, Device, DeviceSpec, MemoryCounters};
 use std::sync::Arc;
 
 /// Which engine scores the rotations.
@@ -65,18 +64,6 @@ pub const DEFAULT_GPU_BATCH: usize = 8;
 /// into few large launches.
 pub const DEFAULT_FFT_BATCH: usize = 64;
 
-impl BackendSelect for DockingEngineKind {
-    /// The docking engine the pipeline's execution-backend seam selects: serial
-    /// FFT correlation (original PIPER) on the CPU, batched direct correlation
-    /// on the GPU.
-    fn for_backend(backend: ExecutionBackend) -> Self {
-        match backend {
-            ExecutionBackend::Cpu => DockingEngineKind::FftSerial,
-            ExecutionBackend::Gpu => DockingEngineKind::Gpu { batch: DEFAULT_GPU_BATCH },
-        }
-    }
-}
-
 /// Configuration of a docking run.
 #[derive(Debug, Clone)]
 pub struct DockingConfig {
@@ -104,7 +91,7 @@ impl Default for DockingConfig {
             grid_dim: 64,
             spacing: 1.0,
             n_desolv: 4,
-            n_rotations: 500,
+            n_rotations: FTMAP_ROTATION_COUNT,
             poses_per_rotation: 4,
             exclusion_radius: 3,
             weights: EnergyWeights::default(),
@@ -186,11 +173,6 @@ pub struct DockingRun {
 }
 
 impl DockingRun {
-    /// The best pose (lowest score); `None` if nothing was retained.
-    pub fn best_pose(&self) -> Option<&Pose> {
-        self.poses.first()
-    }
-
     /// Places retained pose `pose_index` in Cartesian space: rotates the
     /// probe's centred atom positions by the pose's rotation (looked up in the
     /// `rotations` set the run was scored with) and translates them to the
@@ -222,48 +204,6 @@ impl DockingRun {
     }
 }
 
-/// How a [`Docking`] context's receptor grids reached its device.
-///
-/// GPU-engine contexts consult the device's residency cache
-/// ([`gpu_sim::ResidencyCache`]) at construction: the first context for a given
-/// receptor content on a device uploads the grid set once ([`Miss`]); every
-/// later context **borrows the resident copy** and charges nothing ([`Hit`]).
-/// Host-engine contexts never touch the device ([`HostEngine`]).
-///
-/// [`Miss`]: GridResidency::Miss
-/// [`Hit`]: GridResidency::Hit
-/// [`HostEngine`]: GridResidency::HostEngine
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum GridResidency {
-    /// A host (CPU) engine: no receptor transfer at all.
-    HostEngine,
-    /// The receptor grids were already resident on the device: zero upload
-    /// bytes charged.
-    Hit,
-    /// First sighting of this receptor content on the device: exactly one
-    /// grid-set upload charged, grids now resident.
-    Miss {
-        /// Modeled seconds of the one-time grid-set upload.
-        upload_s: f64,
-    },
-    /// The grid set exceeds the device's memory budget (or its cache is
-    /// disabled); uploaded per construction, as before the cache existed.
-    Uncacheable {
-        /// Modeled seconds of this construction's grid-set upload.
-        upload_s: f64,
-    },
-}
-
-impl GridResidency {
-    /// Modeled upload seconds this construction charged for the receptor.
-    pub fn upload_s(&self) -> f64 {
-        match self {
-            GridResidency::HostEngine | GridResidency::Hit => 0.0,
-            GridResidency::Miss { upload_s } | GridResidency::Uncacheable { upload_s } => *upload_s,
-        }
-    }
-}
-
 /// A docking context: receptor grids built once, reusable across probes and engines.
 pub struct Docking {
     receptor: Arc<ReceptorGrids>,
@@ -274,7 +214,6 @@ pub struct Docking {
     rotations: Arc<RotationSet>,
     xeon: CostModel,
     device: Arc<Device>,
-    residency: GridResidency,
 }
 
 impl Docking {
@@ -303,24 +242,26 @@ impl Docking {
 
     /// Builds the docking context from prebuilt receptor grids.
     ///
-    /// For the GPU engine this is where the receptor meets the device's
-    /// residency cache: a cache hit **borrows the resident grid set** (the
-    /// context adopts the cached `Arc`, so N contexts against one receptor
-    /// share one host copy too) and charges zero upload bytes; a miss charges
-    /// exactly one grid-set upload and leaves the grids resident for the next
-    /// context. Host engines skip the device entirely.
+    /// For the device engines this is where the receptor meets the device's
+    /// residency cache ([`gpu_sim::ResidencyCache`]): a cache hit **borrows the
+    /// resident grid set** (the context adopts the cached `Arc`, so N contexts
+    /// against one receptor share one host copy too) and charges zero upload
+    /// bytes; a miss charges exactly one grid-set upload and leaves the grids
+    /// resident for the next context. A grid set the cache cannot hold (too
+    /// large, or the cache is disabled) is uploaded per construction. Host
+    /// engines skip the device entirely.
     pub fn from_grids(
         receptor: Arc<ReceptorGrids>,
         config: DockingConfig,
         device: Arc<Device>,
     ) -> Self {
-        let (receptor, residency) = if matches!(
+        let receptor = if matches!(
             config.engine,
             DockingEngineKind::Gpu { .. } | DockingEngineKind::BatchedFft { .. }
         ) {
             Self::ensure_resident(&device, receptor)
         } else {
-            (receptor, GridResidency::HostEngine)
+            receptor
         };
         let rotations = Arc::new(RotationSet::uniform(config.n_rotations));
         Docking {
@@ -329,42 +270,28 @@ impl Docking {
             rotations,
             xeon: CostModel::new(DeviceSpec::xeon_core()),
             device,
-            residency,
         }
     }
 
-    /// Looks the receptor up in the device's residency cache, uploading and
-    /// inserting on miss. Returns the grids to dock against (the resident copy
-    /// on hit) and the residency outcome.
-    fn ensure_resident(
-        device: &Device,
-        receptor: Arc<ReceptorGrids>,
-    ) -> (Arc<ReceptorGrids>, GridResidency) {
+    /// Looks the receptor up in the device's residency cache, inserting on
+    /// miss, and charges one grid-set upload unless it was resident. Returns
+    /// the grids to dock against: the resident copy on hit.
+    fn ensure_resident(device: &Device, receptor: Arc<ReceptorGrids>) -> Arc<ReceptorGrids> {
         let key = receptor.content_key();
         let bytes = receptor.resident_bytes();
-        match device
+        if let gpu_sim::Residency::Hit(payload) = device
             .residency()
             .get_or_insert_with(key, || (Arc::clone(&receptor) as gpu_sim::ResidentPayload, bytes))
         {
-            gpu_sim::Residency::Hit(payload) => match payload.downcast::<ReceptorGrids>() {
-                Ok(resident) => (resident, GridResidency::Hit),
-                // A foreign payload under this key (content-hash collision
-                // with another cached type) — dock against our own copy and
-                // treat the construction as uncacheable.
-                Err(_) => {
-                    let upload_s = device.upload_bytes(bytes as u64);
-                    (receptor, GridResidency::Uncacheable { upload_s })
-                }
-            },
-            gpu_sim::Residency::Miss { .. } => {
-                let upload_s = device.upload_bytes(bytes as u64);
-                (receptor, GridResidency::Miss { upload_s })
-            }
-            gpu_sim::Residency::Uncacheable => {
-                let upload_s = device.upload_bytes(bytes as u64);
-                (receptor, GridResidency::Uncacheable { upload_s })
+            // A foreign payload under this key (a content-hash collision with
+            // another cached type) is not ours: dock against our own copy and
+            // upload it, as for an uncacheable grid set.
+            if let Ok(resident) = payload.downcast::<ReceptorGrids>() {
+                return resident;
             }
         }
+        device.upload_bytes(bytes as u64);
+        receptor
     }
 
     /// The device this context launches GPU-engine kernels on.
@@ -372,19 +299,9 @@ impl Docking {
         &self.device
     }
 
-    /// How this context's receptor grids reached the device.
-    pub fn grid_residency(&self) -> GridResidency {
-        self.residency
-    }
-
     /// The receptor grids (the device-resident copy, when this context hit the
     /// residency cache).
     pub fn receptor(&self) -> &ReceptorGrids {
-        &self.receptor
-    }
-
-    /// The shared handle to the receptor grids.
-    pub fn receptor_arc(&self) -> &Arc<ReceptorGrids> {
         &self.receptor
     }
 
@@ -801,9 +718,9 @@ mod tests {
         )
         .run(&probe);
 
-        let f = fft.best_pose().unwrap();
-        let d = direct.best_pose().unwrap();
-        let g = gpu.best_pose().unwrap();
+        let f = fft.poses.first().unwrap();
+        let d = direct.poses.first().unwrap();
+        let g = gpu.poses.first().unwrap();
         assert_eq!(d.translation, g.translation);
         assert_eq!(d.rotation_index, g.rotation_index);
         assert!((d.score - g.score).abs() < 1e-6);
@@ -848,14 +765,14 @@ mod tests {
         let config = DockingConfig::small_test(DockingEngineKind::BatchedFft { batch: 8 });
 
         let first = Docking::with_device(&protein.atoms, config.clone(), Arc::clone(&device));
-        assert!(matches!(first.grid_residency(), GridResidency::Miss { .. }));
+        assert_eq!(device.residency().stats().misses, 1);
         let run_a = first.run(&probe);
         let derived_after_first = device.residency().derived_stats();
         assert_eq!(derived_after_first.insertions, 1, "first run caches the transforms");
 
         let before = device.transfer_snapshot();
         let second = Docking::with_device(&protein.atoms, config, Arc::clone(&device));
-        assert_eq!(second.grid_residency(), GridResidency::Hit);
+        assert_eq!(device.residency().stats().hits, 1);
         let run_b = second.run(&probe);
         assert_eq!(run_a.poses, run_b.poses);
         let derived = device.residency().derived_stats();
@@ -948,22 +865,18 @@ mod tests {
         let first = Docking::with_device(&protein.atoms, config.clone(), Arc::clone(&device));
         let miss_delta = device.transfer_snapshot().delta_since(&before);
         let grid_bytes = first.receptor().resident_bytes();
-        match first.grid_residency() {
-            GridResidency::Miss { upload_s } => {
-                assert!((miss_delta.upload_s - upload_s).abs() < 1e-15);
-                assert_eq!(miss_delta.bytes, grid_bytes, "miss must charge one grid set");
-            }
-            other => panic!("first construction should miss, got {other:?}"),
-        }
+        assert_eq!(device.residency().stats().misses, 1, "first construction should miss");
+        assert_eq!(miss_delta.bytes, grid_bytes, "miss must charge one grid set");
+        assert!(miss_delta.upload_s > 0.0);
 
         let before_hit = device.transfer_snapshot();
         let second = Docking::with_device(&protein.atoms, config.clone(), Arc::clone(&device));
         let hit_delta = device.transfer_snapshot().delta_since(&before_hit);
-        assert_eq!(second.grid_residency(), GridResidency::Hit);
+        assert_eq!(device.residency().stats().hits, 1);
         assert_eq!(hit_delta.bytes, 0, "cache hit must record zero upload bytes");
         assert_eq!(hit_delta.upload_s, 0.0);
         // Borrowed, not rebuilt: the second context shares the first's grids.
-        assert!(Arc::ptr_eq(first.receptor_arc(), second.receptor_arc()));
+        assert!(std::ptr::eq(first.receptor(), second.receptor()));
         // ... and they are bit-identical to a fresh host-side build.
         let fresh = Docking::build_receptor(&protein.atoms, &config);
         for (a, b) in fresh.terms.iter().zip(&second.receptor().terms) {
@@ -977,8 +890,8 @@ mod tests {
         // Host engines never consult the cache.
         let host =
             Docking::new(&protein.atoms, DockingConfig::small_test(DockingEngineKind::FftSerial));
-        assert_eq!(host.grid_residency(), GridResidency::HostEngine);
-        assert_eq!(host.grid_residency().upload_s(), 0.0);
+        assert_eq!(host.device().residency().stats().lookups(), 0);
+        assert_eq!(host.device().total_transfer_bytes(), 0);
     }
 
     #[test]
@@ -991,7 +904,7 @@ mod tests {
             let before = device.transfer_snapshot();
             let docking = Docking::with_device(&protein.atoms, config.clone(), Arc::clone(&device));
             let delta = device.transfer_snapshot().delta_since(&before);
-            assert!(matches!(docking.grid_residency(), GridResidency::Uncacheable { .. }));
+            assert_eq!(device.residency().stats().hits, 0);
             assert_eq!(delta.bytes, docking.receptor().resident_bytes());
         }
     }

@@ -19,12 +19,6 @@
 use ftmap_math::{Grid3, Real, Rotation, Vec3};
 use ftmap_molecule::Atom;
 
-/// Number of shape-complementarity components.
-pub const N_SHAPE_TERMS: usize = 2;
-/// Number of electrostatic components.
-pub const N_ELEC_TERMS: usize = 2;
-/// Default number of desolvation pairwise-potential components (paper: 4 to 18).
-pub const DEFAULT_DESOLV_TERMS: usize = 4;
 /// Maximum number of desolvation components supported (paper's "up to 22 FFTs").
 pub const MAX_DESOLV_TERMS: usize = 18;
 

@@ -44,6 +44,6 @@ pub mod grids;
 pub mod pose;
 
 pub use batched_fft::{BatchedFftEngine, ReceptorTransforms, TransformResidency};
-pub use docking::{Docking, DockingConfig, DockingEngineKind, DockingRun, GridResidency};
+pub use docking::{Docking, DockingConfig, DockingEngineKind, DockingRun};
 pub use grids::{EnergyWeights, LigandGrids, ReceptorGrids};
 pub use pose::Pose;

@@ -19,23 +19,6 @@ pub struct Pose {
 }
 
 impl Pose {
-    /// Converts the voxel translation to a Cartesian offset in Å, given the grid
-    /// spacing and the grid dimensions (translations beyond half the grid wrap to
-    /// negative offsets, the usual cyclic-correlation convention).
-    pub fn cartesian_offset(&self, spacing: Real, dims: (usize, usize, usize)) -> Vec3 {
-        let unwrap = |t: usize, n: usize| -> Real {
-            let t = t as isize;
-            let n = n as isize;
-            let signed = if t > n / 2 { t - n } else { t };
-            signed as Real
-        };
-        Vec3::new(
-            unwrap(self.translation.0, dims.0),
-            unwrap(self.translation.1, dims.1),
-            unwrap(self.translation.2, dims.2),
-        ) * spacing
-    }
-
     /// The probe-centroid position implied by this pose: the receptor-grid location the
     /// probe footprint is translated to. `result[d] = Σ_v L[v]·R[v+d]`, so a probe whose
     /// footprint is anchored at ligand voxel 0 lands at receptor voxel `d`:
@@ -86,16 +69,6 @@ pub fn sort_best_first(poses: &mut [Pose]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cartesian_offset_wraps_large_translations() {
-        let pose = Pose { rotation_index: 0, translation: (1, 0, 7), score: -1.0 };
-        let off = pose.cartesian_offset(1.0, (8, 8, 8));
-        assert_eq!(off, Vec3::new(1.0, 0.0, -1.0));
-        let pose2 = Pose { rotation_index: 0, translation: (4, 4, 4), score: -1.0 };
-        // Exactly half the grid stays positive by convention (t > n/2 wraps).
-        assert_eq!(pose2.cartesian_offset(2.0, (8, 8, 8)), Vec3::new(8.0, 8.0, 8.0));
-    }
 
     #[test]
     fn sort_best_first_orders_by_score_then_ties() {

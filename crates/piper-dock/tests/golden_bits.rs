@@ -5,7 +5,9 @@
 //! rewritten to walk memory in unit stride and before the footprint-aware
 //! forward entry point replaced the docking engines' zero-pad + transform.
 //! That rewrite promises identical bits — same butterflies, same order per
-//! element — and these hashes are what holds it to that promise.
+//! element — and these hashes are what holds it to that promise. The
+//! direct-correlation runs were recorded later, before the public API was
+//! pruned to what the workspace references, under the same promise.
 
 use ftmap_math::fft::{Direction, Fft3Plan};
 use ftmap_math::{Complex, Grid3, Real, RotationSet};
@@ -186,18 +188,15 @@ fn batched_fft_transforms_poses_and_ledger_are_unchanged() {
     ]);
 }
 
-#[test]
-fn fft_docking_runs_are_unchanged() {
+/// Hashes each engine's `small_test` docking run (16³, ethanol): retained
+/// poses, modeled step times and the transfer seconds folded into them.
+fn docking_run_hashes(cases: &[(DockingEngineKind, u64)]) -> Vec<(String, u64, u64)> {
     let ff = ForceField::charmm_like();
     let protein = SyntheticProtein::generate(&ProteinSpec::small_test(), &ff);
     let probe = Probe::new(ProbeType::Ethanol, &ff);
-    let cases = [
-        (DockingEngineKind::FftSerial, 0x8e29_fcd1_fa31_4918),
-        (DockingEngineKind::BatchedFft { batch: 3 }, 0xd9a7_abcd_de1d_dc0f),
-    ];
-    let hashes: Vec<_> = cases
-        .into_iter()
-        .map(|(engine, want)| {
+    cases
+        .iter()
+        .map(|&(engine, want)| {
             let run = Docking::new(&protein.atoms, DockingConfig::small_test(engine)).run(&probe);
             let mut hash = Fnv1a::new();
             write_poses(&mut hash, &run.poses);
@@ -208,6 +207,22 @@ fn fft_docking_runs_are_unchanged() {
             hash.write_f64(run.modeled_transfer_s);
             (format!("{engine:?} docking run"), hash.finish(), want)
         })
-        .collect();
-    assert_golden(&hashes);
+        .collect()
+}
+
+#[test]
+fn fft_docking_runs_are_unchanged() {
+    assert_golden(&docking_run_hashes(&[
+        (DockingEngineKind::FftSerial, 0x8e29_fcd1_fa31_4918),
+        (DockingEngineKind::BatchedFft { batch: 3 }, 0xd9a7_abcd_de1d_dc0f),
+    ]));
+}
+
+#[test]
+fn direct_docking_runs_are_unchanged() {
+    assert_golden(&docking_run_hashes(&[
+        (DockingEngineKind::DirectSerial, 0x48fb_8099_743a_dcb8),
+        (DockingEngineKind::DirectMulticore(3), 0xb38c_8748_f3bc_99fb),
+        (DockingEngineKind::Gpu { batch: 8 }, 0x8db5_eab1_5811_52cb),
+    ]));
 }

@@ -17,15 +17,15 @@
 //! ## Quickstart
 //!
 //! ```
+//! use ftmap::dock::docking::DEFAULT_GPU_BATCH;
 //! use ftmap::prelude::*;
 //!
-//! // Generate a small synthetic protein and dock an ethanol probe against it.
-//! // Engines are selected through the ExecutionBackend seam: `Gpu` picks the
-//! // paper's batched direct-correlation engine on the modeled device.
+//! // Generate a small synthetic protein and dock an ethanol probe against it
+//! // with the paper's batched direct-correlation engine on the modeled device.
 //! let ff = ForceField::charmm_like();
 //! let protein = SyntheticProtein::generate(&ProteinSpec::small_test(), &ff);
 //! let probe = Probe::new(ProbeType::Ethanol, &ff);
-//! let engine = DockingEngineKind::for_backend(ExecutionBackend::Gpu);
+//! let engine = DockingEngineKind::Gpu { batch: DEFAULT_GPU_BATCH };
 //! let docking = Docking::new(&protein.atoms, DockingConfig::small_test(engine));
 //! let run = docking.run(&probe);
 //! assert!(!run.poses.is_empty());
@@ -65,9 +65,6 @@ pub mod prelude {
         export_chrome_trace_with_flows, sanitize, AlertState, FlightRecorder, MetricsSnapshot,
         Recorder, RequestTrace, SanitizeReport, SloReport, SloSpec, TraceSink,
     };
-    pub use gpu_sim::{
-        BackendSelect, Device, DevicePool, DeviceSpec, ExecutionBackend, KernelLaunch, StatsLedger,
-        Stream,
-    };
+    pub use gpu_sim::{Device, DevicePool, DeviceSpec, KernelLaunch, StatsLedger, Stream};
     pub use piper_dock::{Docking, DockingConfig, DockingEngineKind, EnergyWeights, Pose};
 }
