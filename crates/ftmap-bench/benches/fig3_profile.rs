@@ -19,7 +19,8 @@ fn bench_fig3(c: &mut Criterion) {
                 let ai = &w.complex.atoms[i];
                 let aj = &w.complex.atoms[j];
                 let r = ai.position.distance(aj.position);
-                acc += terms::ace_pair_self_energy(ai, aj, r, ff).0;
+                let [(e_ik, _), (e_ki, _)] = terms::ace_pair_self_energies(ai, aj, r, ff);
+                acc += e_ik + e_ki;
                 acc += terms::gb_pair_energy(ai, aj, r, ff).0;
             }
             std::hint::black_box(acc)

@@ -4,9 +4,10 @@
 //! through the atom pairs of the neighbor list, compute the partial energies of both
 //! atoms of each pair, and accumulate them into the per-atom energy array. It is the
 //! correctness oracle for every GPU scheme in [`crate::gpu`], and its per-term timing
-//! split regenerates Fig. 3(b).
+//! split regenerates Fig. 3(b). [`Evaluator::energy`] runs the same loops for callers
+//! that read only the energy.
 
-use crate::terms;
+use crate::terms::{self, PairGeometry};
 use ftmap_math::{Real, Vec3};
 use ftmap_molecule::{Complex, ForceField, NeighborList};
 use gpu_sim::wall_timed;
@@ -74,16 +75,28 @@ impl Evaluator {
 
     /// Evaluates the full potential of `complex` using the pairs of `neighbors`.
     pub fn evaluate(&self, complex: &Complex, neighbors: &NeighborList) -> Evaluation {
-        self.evaluate_inner(complex, neighbors, true)
+        self.evaluate_inner::<true>(complex, neighbors, true)
     }
 
-    fn evaluate_inner(
+    /// Evaluates only the energy: the breakdown [`Evaluator::evaluate`] returns,
+    /// bit for bit and with the same per-term timings, without the per-atom
+    /// energies and forces — and so without any derivative arithmetic. The
+    /// minimizer's trial steps read nothing else.
+    pub fn energy(&self, complex: &Complex, neighbors: &NeighborList) -> EnergyBreakdown {
+        self.evaluate_inner::<false>(complex, neighbors, true).breakdown
+    }
+
+    /// The evaluation body. `FORCES` selects the full output (per-atom
+    /// energies and forces); without it both vectors stay empty, and the
+    /// derivatives the terms return are dead code. Either way each term total
+    /// sums the same values in the same order, so the breakdowns agree bitwise.
+    fn evaluate_inner<const FORCES: bool>(
         &self,
         complex: &Complex,
         neighbors: &NeighborList,
         include_bonded: bool,
     ) -> Evaluation {
-        let n = complex.n_atoms();
+        let n = if FORCES { complex.n_atoms() } else { 0 };
         let mut atom_energies = vec![0.0; n];
         let mut forces = vec![Vec3::ZERO; n];
         let mut breakdown = EnergyBreakdown::default();
@@ -93,28 +106,30 @@ impl Evaluator {
             let mut elec = 0.0;
             for (i, atom) in complex.atoms.iter().enumerate() {
                 let e = terms::born_self_energy(atom, &self.ff);
-                atom_energies[i] += e;
+                if FORCES {
+                    atom_energies[i] += e;
+                }
                 elec += e;
             }
             for (i, j) in neighbors.iter_pairs() {
                 let ai = &complex.atoms[i];
                 let aj = &complex.atoms[j];
-                let r = ai.position.distance(aj.position);
+                let geom = PairGeometry::new(ai.position, aj.position);
 
                 // ACE pairwise self-energy corrections, both directions (E_ik and E_ki).
-                let (e_ik, d_ik) = terms::ace_pair_self_energy(ai, aj, r, &self.ff);
-                let (e_ki, d_ki) = terms::ace_pair_self_energy(aj, ai, r, &self.ff);
+                let [(e_ik, d_ik), (e_ki, d_ki)] =
+                    terms::ace_pair_self_energies(ai, aj, geom.r, &self.ff);
                 // GB pairwise interaction, shared half-and-half between the two atoms.
-                let (e_gb, d_gb) = terms::gb_pair_energy(ai, aj, r, &self.ff);
-
-                atom_energies[i] += e_ik + 0.5 * e_gb;
-                atom_energies[j] += e_ki + 0.5 * e_gb;
+                let (e_gb, d_gb) = terms::gb_pair_energy(ai, aj, geom.r, &self.ff);
                 elec += e_ik + e_ki + e_gb;
 
-                let de_dr = d_ik + d_ki + d_gb;
-                let f = terms::radial_force(ai.position, aj.position, de_dr);
-                forces[i] += f;
-                forces[j] -= f;
+                if FORCES {
+                    atom_energies[i] += e_ik + 0.5 * e_gb;
+                    atom_energies[j] += e_ki + 0.5 * e_gb;
+                    let f = geom.force(d_ik + d_ki + d_gb);
+                    forces[i] += f;
+                    forces[j] -= f;
+                }
             }
             elec
         });
@@ -127,14 +142,16 @@ impl Evaluator {
             for (i, j) in neighbors.iter_pairs() {
                 let ai = &complex.atoms[i];
                 let aj = &complex.atoms[j];
-                let r = ai.position.distance(aj.position);
-                let (e, de_dr) = terms::vdw_pair_energy(ai, aj, r, &self.ff);
-                atom_energies[i] += 0.5 * e;
-                atom_energies[j] += 0.5 * e;
+                let geom = PairGeometry::new(ai.position, aj.position);
+                let (e, de_dr) = terms::vdw_pair_energy(ai, aj, geom.r, &self.ff);
                 vdw += e;
-                let f = terms::radial_force(ai.position, aj.position, de_dr);
-                forces[i] += f;
-                forces[j] -= f;
+                if FORCES {
+                    atom_energies[i] += 0.5 * e;
+                    atom_energies[j] += 0.5 * e;
+                    let f = geom.force(de_dr);
+                    forces[i] += f;
+                    forces[j] -= f;
+                }
             }
             vdw
         });
@@ -148,14 +165,17 @@ impl Evaluator {
         let (bonded, bonded_wall_s) = wall_timed(|| {
             let mut bonded = 0.0;
             for bond in complex.topology.bonds() {
-                let pi = complex.atoms[bond.i].position;
-                let pj = complex.atoms[bond.j].position;
-                let r = pi.distance(pj);
-                let (e, de_dr) = terms::bond_energy(r, &self.ff);
+                let geom = PairGeometry::new(
+                    complex.atoms[bond.i].position,
+                    complex.atoms[bond.j].position,
+                );
+                let (e, de_dr) = terms::bond_energy(geom.r, &self.ff);
                 bonded += e;
-                let f = terms::radial_force(pi, pj, de_dr);
-                forces[bond.i] += f;
-                forces[bond.j] -= f;
+                if FORCES {
+                    let f = geom.force(de_dr);
+                    forces[bond.i] += f;
+                    forces[bond.j] -= f;
+                }
             }
             for angle in complex.topology.angles() {
                 let (e, _) = terms::angle_energy(
@@ -198,7 +218,7 @@ impl Evaluator {
     /// bonded contributions); used by tests comparing against the GPU kernels, which
     /// handle exactly this part.
     pub fn evaluate_nonbonded(&self, complex: &Complex, neighbors: &NeighborList) -> Evaluation {
-        self.evaluate_inner(complex, neighbors, false)
+        self.evaluate_inner::<true>(complex, neighbors, false)
     }
 }
 
@@ -206,6 +226,7 @@ impl Evaluator {
 mod tests {
     use super::*;
     use ftmap_molecule::{Probe, ProbeType, ProteinSpec, SyntheticProtein};
+    use proptest::prelude::*;
 
     fn small_system() -> (Complex, NeighborList, Evaluator) {
         let ff = ForceField::charmm_like();
@@ -232,6 +253,33 @@ mod tests {
         assert!(eval.breakdown.total().is_finite());
         assert!(eval.atom_energies.iter().all(|e| e.is_finite()));
         assert!(eval.forces.iter().all(|f| f.is_finite()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+        #[test]
+        fn energy_only_evaluation_matches_the_full_breakdown_bitwise(
+            x in -4.0f64..4.0,
+            y in -4.0f64..4.0,
+            z in -4.0f64..4.0,
+        ) {
+            // The probe anywhere around the pocket, with the list rebuilt there.
+            let (mut complex, _, evaluator) = small_system();
+            let mut positions = complex.positions();
+            for pos in positions.iter_mut().skip(complex.probe_offset) {
+                *pos += Vec3::new(x, y, z);
+            }
+            complex.set_positions(&positions);
+            let excluded = complex.topology.excluded_pairs();
+            let neighbors = NeighborList::build(&complex.atoms, evaluator.ff.cutoff, &excluded);
+
+            let full = evaluator.evaluate(&complex, &neighbors).breakdown;
+            let energy = evaluator.energy(&complex, &neighbors);
+            let bits =
+                |b: &EnergyBreakdown| [b.electrostatics, b.vdw, b.bonded].map(f64::to_bits);
+            prop_assert_eq!(bits(&energy), bits(&full));
+            prop_assert!(energy.elec_time_s > 0.0 && energy.vdw_time_s > 0.0);
+        }
     }
 
     #[test]

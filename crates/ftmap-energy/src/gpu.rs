@@ -13,11 +13,16 @@
 //! pass and accumulation can happen in shared memory (the paper's final scheme). The
 //! module also implements the two earlier schemes (§IV.A neighbor-list mapping and the
 //! single pairs-list with host accumulation) so the ablation benches can compare them.
+//!
+//! Kernel counters come from the assignment table, not from the arithmetic: every
+//! launch records the work of every pair. So the host simulation may skip output
+//! slots its caller never reads ([`GpuMinimizationEngine::evaluate_mobile`]) without
+//! moving a modeled second.
 
 use crate::pairs::{AssignmentTable, PairsList, SplitPairsLists};
-use crate::terms;
+use crate::terms::{self, PairGeometry};
 use ftmap_math::{Real, Vec3};
-use ftmap_molecule::{Complex, ForceField, NeighborList};
+use ftmap_molecule::{Atom, Complex, ForceField, NeighborList};
 use gpu_sim::{
     BlockContext, BlockKernel, BlockOrder, Device, KernelLaunch, KernelStats, Staged, StatsLedger,
 };
@@ -54,24 +59,16 @@ fn flops_per_pair(term: PairTerm) -> u64 {
     }
 }
 
-/// Evaluates one ordered pair for the given term: returns the energy credited to the
-/// *first* atom and the **full** radial derivative dE/dr of the pair's contribution to
-/// the total energy (the force on the first atom depends on every term the pair
-/// contributes, even when only part of the energy is credited to it in this pass).
-fn pair_energy(
-    term: PairTerm,
-    complex: &Complex,
-    ff: &ForceField,
-    first: usize,
-    second: usize,
-) -> (Real, Real) {
-    let ai = &complex.atoms[first];
-    let aj = &complex.atoms[second];
-    let r = ai.position.distance(aj.position);
+/// Evaluates one ordered pair at distance `r` for the given term: returns the energy
+/// credited to the *first* atom and the **full** radial derivative dE/dr of the pair's
+/// contribution to the total energy (the force on the first atom depends on every term
+/// the pair contributes, even when only part of the energy is credited to it in this
+/// pass).
+#[inline]
+fn pair_energy(term: PairTerm, ai: &Atom, aj: &Atom, r: Real, ff: &ForceField) -> (Real, Real) {
     match term {
         PairTerm::AceSelf => {
-            let (e_ij, d_ij) = terms::ace_pair_self_energy(ai, aj, r, ff);
-            let (_, d_ji) = terms::ace_pair_self_energy(aj, ai, r, ff);
+            let [(e_ij, d_ij), (_, d_ji)] = terms::ace_pair_self_energies(ai, aj, r, ff);
             (e_ij, d_ij + d_ji)
         }
         PairTerm::PairwiseAndVdw => {
@@ -83,6 +80,21 @@ fn pair_energy(
             (0.5 * (e_gb + e_vdw), d_gb + d_vdw)
         }
     }
+}
+
+/// The energies [`pair_energy`] credits to each atom of the pair `(i, j)`,
+/// `(first = i, first = j)`, from one shared distance: what the two earlier
+/// schemes compute per pair, two evaluations each.
+fn pair_energies_both_ways(
+    term: PairTerm,
+    complex: &Complex,
+    ff: &ForceField,
+    i: usize,
+    j: usize,
+) -> (Real, Real) {
+    let (ai, aj) = (&complex.atoms[i], &complex.atoms[j]);
+    let r = PairGeometry::new(ai.position, aj.position).r;
+    (pair_energy(term, ai, aj, r, ff).0, pair_energy(term, aj, ai, r, ff).0)
 }
 
 /// Per-iteration outputs of the GPU evaluation path. Per-kernel statistics live
@@ -166,17 +178,12 @@ impl<'a> GpuMinimizationEngine<'a> {
     /// scheme: pair energies land in shared memory, master threads accumulate their
     /// group and add the sum to the global per-atom arrays. The launch is recorded into
     /// `ledger` under `phase` (empty tables launch nothing).
-    // lint-allow(justified-allows): the pass takes the full kernel wiring
-    // (complex, term, table, ledger, phase) — bundling them into a struct
-    // for one private helper hides more than it clarifies.
-    #[allow(clippy::too_many_arguments)]
     fn run_table_pass(
         &self,
         complex: &Complex,
         term: PairTerm,
         table: &AssignmentTable,
-        energies: &Staged<Vec<Real>>,
-        forces: &Staged<Vec<Vec3>>,
+        outputs: Outputs<'_>,
         ledger: &mut StatsLedger,
         phase: &str,
     ) {
@@ -184,8 +191,7 @@ impl<'a> GpuMinimizationEngine<'a> {
             return;
         }
         let order = BlockOrder::new();
-        let kernel =
-            TablePassKernel { complex, ff: &self.ff, term, table, energies, forces, order: &order };
+        let kernel = TablePassKernel { complex, ff: &self.ff, term, table, outputs, order: &order };
         KernelLaunch::on(self.device)
             .grid(table.n_blocks())
             .threads(THREADS_PER_BLOCK)
@@ -197,15 +203,32 @@ impl<'a> GpuMinimizationEngine<'a> {
     /// forward and a reverse table pass) and the force-update kernel. Per-kernel stats
     /// are merged by a [`StatsLedger`] under the [`phases`] names.
     pub fn evaluate(&self, complex: &Complex) -> GpuIterationResult {
+        self.evaluate_from(complex, 0)
+    }
+
+    /// Runs the iteration of [`GpuMinimizationEngine::evaluate`] for a caller that
+    /// reads only the mobile atoms (`complex.is_mobile`, the probe): their energies
+    /// and forces are bit for bit those of `evaluate`, and every other slot stays
+    /// zero. The launches, their counters and the modeled times are the full
+    /// iteration's — the modeled device still evaluates every pair; the host
+    /// simulation skips the pairs whose results land only in slots nobody reads.
+    pub fn evaluate_mobile(&self, complex: &Complex) -> GpuIterationResult {
+        self.evaluate_from(complex, complex.probe_offset)
+    }
+
+    /// The iteration body: computes the output slots of atoms `first_output..`
+    /// and records every launch in full.
+    fn evaluate_from(&self, complex: &Complex, first_output: usize) -> GpuIterationResult {
         let n = complex.n_atoms();
         let energies: Staged<Vec<Real>> = Staged::zeroed(n);
         let forces: Staged<Vec<Vec3>> = Staged::zeroed(n);
+        let outputs = Outputs { energies: &energies, forces: &forces, first: first_output };
         let mut ledger = StatsLedger::new();
 
         // Kernel (a): atom self energies. The Born term is per-atom; the ACE pairwise
         // corrections come from the two table passes.
         {
-            let born_kernel = BornSelfKernel { complex, ff: &self.ff, energies: &energies };
+            let born_kernel = BornSelfKernel { complex, ff: &self.ff, outputs };
             KernelLaunch::on(self.device).threads(THREADS_PER_BLOCK).for_items(n).run_recorded(
                 &mut ledger,
                 phases::SELF_ENERGY,
@@ -217,8 +240,7 @@ impl<'a> GpuMinimizationEngine<'a> {
                 complex,
                 PairTerm::AceSelf,
                 table,
-                &energies,
-                &forces,
+                outputs,
                 &mut ledger,
                 phases::SELF_ENERGY,
             );
@@ -230,8 +252,7 @@ impl<'a> GpuMinimizationEngine<'a> {
                 complex,
                 PairTerm::PairwiseAndVdw,
                 table,
-                &energies,
-                &forces,
+                outputs,
                 &mut ledger,
                 phases::PAIRWISE_VDW,
             );
@@ -329,19 +350,29 @@ impl<'a> GpuMinimizationEngine<'a> {
         let n = complex.n_atoms();
         let energies: Staged<Vec<Real>> = Staged::zeroed(n);
         let forces: Staged<Vec<Vec3>> = Staged::zeroed(n);
+        let outputs = Outputs { energies: &energies, forces: &forces, first: 0 };
         let mut ledger = StatsLedger::new();
         for table in [&self.forward_table, &self.reverse_table] {
-            self.run_table_pass(complex, term, table, &energies, &forces, &mut ledger, "split");
+            self.run_table_pass(complex, term, table, outputs, &mut ledger, "split");
         }
         (energies.take(), ledger.total())
     }
+}
+
+/// The per-atom output arrays of one iteration, and the first atom whose
+/// slots the caller reads: kernels skip the arithmetic of slots below it.
+#[derive(Clone, Copy)]
+struct Outputs<'a> {
+    energies: &'a Staged<Vec<Real>>,
+    forces: &'a Staged<Vec<Vec3>>,
+    first: usize,
 }
 
 /// Kernel: per-atom Born self energies.
 struct BornSelfKernel<'a> {
     complex: &'a Complex,
     ff: &'a ForceField,
-    energies: &'a Staged<Vec<Real>>,
+    outputs: Outputs<'a>,
 }
 
 impl BlockKernel for BornSelfKernel<'_> {
@@ -350,16 +381,13 @@ impl BlockKernel for BornSelfKernel<'_> {
         if range.is_empty() {
             return;
         }
-        let mut local = Vec::with_capacity(range.len());
-        for i in range.clone() {
-            local.push(terms::born_self_energy(&self.complex.atoms[i], self.ff));
-        }
         ctx.record_global_reads(2 * range.len() as u64);
         ctx.record_flops(5 * range.len() as u64);
         ctx.record_global_writes(range.len() as u64);
-        let mut out = self.energies.write();
-        for (offset, e) in local.into_iter().enumerate() {
-            out[range.start + offset] += e;
+        // Each atom is one thread's own slot: no staging, no ordering needed.
+        let mut out = self.outputs.energies.write();
+        for i in range.start.max(self.outputs.first)..range.end {
+            out[i] += terms::born_self_energy(&self.complex.atoms[i], self.ff);
         }
     }
 }
@@ -370,8 +398,7 @@ struct TablePassKernel<'a> {
     ff: &'a ForceField,
     term: PairTerm,
     table: &'a AssignmentTable,
-    energies: &'a Staged<Vec<Real>>,
-    forces: &'a Staged<Vec<Vec3>>,
+    outputs: Outputs<'a>,
     /// An atom with more rows than a block has threads is summed by several
     /// blocks; committing in block order keeps that sum reproducible.
     order: &'a BlockOrder,
@@ -388,15 +415,17 @@ impl BlockKernel for TablePassKernel<'_> {
             if row.is_padding() {
                 continue;
             }
+            // Every row is the device's work; only rows whose slot is read are simulated.
             work_rows += 1;
-            let (e, de_dr) =
-                pair_energy(self.term, self.complex, self.ff, row.atom_first, row.atom_second);
+            if row.atom_first < self.outputs.first {
+                continue;
+            }
+            let ai = &self.complex.atoms[row.atom_first];
+            let aj = &self.complex.atoms[row.atom_second];
+            let geom = PairGeometry::new(ai.position, aj.position);
+            let (e, de_dr) = pair_energy(self.term, ai, aj, geom.r, self.ff);
             shared_energy[slot] = e;
-            shared_force[slot] = terms::radial_force(
-                self.complex.atoms[row.atom_first].position,
-                self.complex.atoms[row.atom_second].position,
-                de_dr,
-            );
+            shared_force[slot] = geom.force(de_dr);
         }
         // Accounting: table row + two atoms' data from global, compute, store to shared.
         ctx.record_global_reads(work_rows * 13);
@@ -407,17 +436,20 @@ impl BlockKernel for TablePassKernel<'_> {
         // Phase 2: master threads accumulate their group from shared memory and add the
         // totals to the global per-atom arrays, in block order.
         self.order.in_turn(ctx.block_idx, || {
-            let mut energies = self.energies.write();
-            let mut forces = self.forces.write();
+            let mut energies = self.outputs.energies.write();
+            let mut forces = self.outputs.forces.write();
             for (slot, row) in rows.iter().enumerate() {
                 if row.is_padding() || !row.master {
                     continue;
                 }
                 let group = row.group_size;
-                let e_sum: Real = shared_energy[slot..slot + group].iter().sum();
-                let f_sum: Vec3 = shared_force[slot..slot + group].iter().copied().sum();
                 ctx.record_shared_accesses(group as u64);
                 ctx.record_global_writes(2);
+                if row.atom_first < self.outputs.first {
+                    continue;
+                }
+                let e_sum: Real = shared_energy[slot..slot + group].iter().sum();
+                let f_sum: Vec3 = shared_force[slot..slot + group].iter().copied().sum();
                 energies[row.atom_first] += e_sum;
                 forces[row.atom_first] += f_sum;
             }
@@ -462,8 +494,7 @@ impl BlockKernel for NeighborSchemeKernel<'_> {
         let mut first_energy = 0.0;
         let mut second_energies = Vec::with_capacity(partners.len());
         for &j in partners {
-            let (e_ij, _) = pair_energy(self.term, self.complex, self.ff, i, j);
-            let (e_ji, _) = pair_energy(self.term, self.complex, self.ff, j, i);
+            let (e_ij, e_ji) = pair_energies_both_ways(self.term, self.complex, self.ff, i, j);
             first_energy += e_ij;
             second_energies.push((j, e_ji));
         }
@@ -507,11 +538,13 @@ impl BlockKernel for PairsListKernel<'_> {
         let mut local = Vec::with_capacity(range.len());
         for idx in range.clone() {
             let pair = self.pairs.pairs[idx];
-            let (e_first, _) =
-                pair_energy(self.term, self.complex, self.ff, pair.first, pair.second);
-            let (e_second, _) =
-                pair_energy(self.term, self.complex, self.ff, pair.second, pair.first);
-            local.push((e_first, e_second));
+            local.push(pair_energies_both_ways(
+                self.term,
+                self.complex,
+                self.ff,
+                pair.first,
+                pair.second,
+            ));
         }
         let n = range.len() as u64;
         ctx.record_global_reads(n * 13);
@@ -625,6 +658,37 @@ mod tests {
         for phase in [phases::SELF_ENERGY, phases::PAIRWISE_VDW, phases::FORCE_UPDATE] {
             assert_eq!(inline.ledger.phase(phase).counters, spread.ledger.phase(phase).counters);
             assert_eq!(inline.ledger.launches(phase), spread.ledger.launches(phase));
+        }
+    }
+
+    #[test]
+    fn mobile_evaluation_matches_the_full_one_on_mobile_atoms_and_in_every_launch() {
+        let (complex, neighbors, ff) = system();
+        let device = Device::tesla_c1060();
+        let gpu = GpuMinimizationEngine::new(&device, ff, &neighbors);
+        let full = gpu.evaluate(&complex);
+        let mobile = gpu.evaluate_mobile(&complex);
+
+        for i in 0..complex.n_atoms() {
+            let (e, f) = (mobile.atom_energies[i], mobile.forces[i]);
+            if complex.is_mobile(i) {
+                assert_eq!(e.to_bits(), full.atom_energies[i].to_bits(), "atom {i} energy");
+                assert_eq!(
+                    f.to_array().map(f64::to_bits),
+                    full.forces[i].to_array().map(f64::to_bits),
+                    "atom {i} force"
+                );
+            } else {
+                assert_eq!((e, f), (0.0, Vec3::ZERO), "immobile atom {i} was computed");
+            }
+        }
+        // The modeled device still runs the whole iteration.
+        for phase in [phases::SELF_ENERGY, phases::PAIRWISE_VDW, phases::FORCE_UPDATE] {
+            let (a, b) = (full.ledger.phase(phase), mobile.ledger.phase(phase));
+            assert_eq!(a.counters, b.counters, "{phase}");
+            assert_eq!((a.blocks, a.threads_per_block), (b.blocks, b.threads_per_block));
+            assert_eq!(a.modeled_time_s.to_bits(), b.modeled_time_s.to_bits(), "{phase}");
+            assert_eq!(full.ledger.launches(phase), mobile.ledger.launches(phase));
         }
     }
 

@@ -6,7 +6,10 @@
 //! on the host in the paper ("two computations … are left on the host"); the expensive
 //! part — the non-bonded energy and force evaluation — runs either on the host
 //! ([`EvaluationPath::Host`]) or through the three GPU kernels
-//! ([`EvaluationPath::Gpu`]).
+//! ([`EvaluationPath::Gpu`]). Each iteration evaluates forces once, on the chosen
+//! path, and judges its trial step with a host [`Evaluator::energy`], which computes
+//! no forces. The GPU path reads forces only for the probe
+//! ([`GpuMinimizationEngine::evaluate_mobile`]).
 
 use crate::evaluator::{EnergyBreakdown, Evaluator};
 use crate::gpu::GpuMinimizationEngine;
@@ -151,14 +154,15 @@ impl Minimizer {
         let mut kernel_times = (0.0, 0.0, 0.0);
 
         // Evaluate the starting energy (bonded terms always from the host evaluator).
-        let (initial_eval, initial_wall_s) = wall_timed(|| evaluator.evaluate(complex, &neighbors));
+        // Only the energy is read, so no forces are computed for it.
+        let (initial, initial_wall_s) = wall_timed(|| evaluator.energy(complex, &neighbors));
         eval_time += initial_wall_s;
-        let initial_energy = initial_eval.breakdown.total();
+        let initial_energy = initial.total();
         let mut current_energy = initial_energy;
         // The host breakdown of the current positions against the current
         // neighbor list: the initial evaluation, then each accepted trial's.
         // A refresh makes it stale (`None`); otherwise it is the final breakdown.
-        let mut accepted = Some(initial_eval.breakdown);
+        let mut accepted = Some(initial);
         let mut step = self.config.initial_step;
         let mut converged = false;
         let mut iterations = 0;
@@ -179,7 +183,8 @@ impl Minimizer {
             let (forces, forces_wall_s) = wall_timed(|| -> Vec<Vec3> {
                 match (&self.config.path, gpu_engine.as_mut()) {
                     (EvaluationPath::Gpu, Some(engine)) => {
-                        let result = engine.evaluate(complex);
+                        // The descent moves only the probe: read only its forces.
+                        let result = engine.evaluate_mobile(complex);
                         kernel_times.0 += result.self_energy_stats().modeled_time_s;
                         kernel_times.1 += result.pairwise_vdw_stats().modeled_time_s;
                         kernel_times.2 += result.force_update_stats().modeled_time_s;
@@ -205,8 +210,8 @@ impl Minimizer {
             });
             update_time += move_wall_s;
 
-            let (trial, trial_wall_s) =
-                wall_timed(|| evaluator.evaluate(complex, &neighbors).breakdown);
+            // The trial step is judged by its energy alone.
+            let (trial, trial_wall_s) = wall_timed(|| evaluator.energy(complex, &neighbors));
             eval_time += trial_wall_s;
             let trial_energy = trial.total();
 
@@ -235,8 +240,7 @@ impl Minimizer {
             }
         }
 
-        let breakdown =
-            accepted.unwrap_or_else(|| evaluator.evaluate(complex, &neighbors).breakdown);
+        let breakdown = accepted.unwrap_or_else(|| evaluator.energy(complex, &neighbors));
         MinimizationResult {
             initial_energy,
             final_energy: current_energy,

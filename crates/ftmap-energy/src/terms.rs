@@ -5,7 +5,8 @@
 //! Equations (5)–(10):
 //!
 //! * **ACE self energy** — a Born term plus a sum of pairwise corrections with a
-//!   Gaussian short-range part and a `r⁴/(r⁴+µ⁴)²` volume part (Equations 5–6).
+//!   Gaussian short-range part and a `r⁴/(r⁴+µ⁴)²` volume part (Equations 5–6),
+//!   evaluated for both atoms of a pair at once.
 //! * **Generalized-Born pairwise interaction** — screened Coulomb (Equation 7) using
 //!   the Still et al. GB denominator.
 //! * **van der Waals** — a truncated-and-shifted Lennard-Jones 6-12 potential with the
@@ -15,9 +16,12 @@
 //!   evaluation measures.)
 //! * **bonded terms** — harmonic bonds/angles/impropers and a cosine torsion.
 //!
-//! Every non-bonded function returns `(energy, dE/dr)` so force evaluation reuses the
-//! pair geometry; Born radii are treated as fixed during a minimization run (their
-//! update is much less frequent than the per-iteration energy evaluation).
+//! Every non-bonded function takes the pair distance from one [`PairGeometry`] and
+//! returns `(energy, dE/dr)`, so the distance is computed once per pair and the force
+//! reuses it. The functions are `#[inline]`: a caller that reads only the energies
+//! leaves the derivative arithmetic dead, and the compiler drops it. Born radii are
+//! treated as fixed during a minimization run (their update is much less frequent than
+//! the per-iteration energy evaluation).
 
 use ftmap_math::{Real, Vec3};
 use ftmap_molecule::{Atom, ForceField};
@@ -33,36 +37,70 @@ pub fn born_self_energy(atom: &Atom, ff: &ForceField) -> Real {
         / (2.0 * ff.solvent_dielectric * atom.born_radius.max(0.1))
 }
 
-/// ACE pairwise self-energy correction `E_ik^self` of Equation (6) for the ordered pair
-/// (i, k), together with its derivative with respect to `r`.
+/// The geometry of one atom pair `(i, j)`, computed once and shared by every
+/// term of the pair and by its force: the separation `p_i − p_j` and its length.
+#[derive(Debug, Clone, Copy)]
+pub struct PairGeometry {
+    /// `p_i − p_j`.
+    delta: Vec3,
+    /// `|p_i − p_j|` (Å), bit for bit `p_i.distance(p_j)`.
+    pub r: Real,
+}
+
+impl PairGeometry {
+    /// The geometry of the pair at positions `pi` and `pj`.
+    #[inline]
+    pub fn new(pi: Vec3, pj: Vec3) -> Self {
+        let delta = pi - pj;
+        PairGeometry { delta, r: delta.norm() }
+    }
+
+    /// Force on atom `i` from a radial pair term with derivative `de_dr`:
+    /// `−dE/dr · r̂_ij`, where `r̂_ij` points from j to i. The force on j is
+    /// the negative.
+    #[inline]
+    pub fn force(&self, de_dr: Real) -> Vec3 {
+        self.delta * (-de_dr / self.r.max(1e-6))
+    }
+}
+
+/// Both ACE pairwise self-energy corrections of Equation (6) for the pair
+/// (i, k) — `E_ik^self` (atom i's, from k's volume) then `E_ki^self` — each as
+/// `(energy, dE/dr)`.
+///
+/// σ and µ are symmetric in the pair, so the Gaussian and the volume
+/// denominators are evaluated once for both sides; only the charge and
+/// volume prefactors differ. Each side is bit for bit what a one-sided
+/// evaluation of that ordered pair gives.
 #[inline]
-pub fn ace_pair_self_energy(
+pub fn ace_pair_self_energies(
     atom_i: &Atom,
     atom_k: &Atom,
     r: Real,
     ff: &ForceField,
-) -> (Real, Real) {
-    let qi2 = atom_i.charge * atom_i.charge;
+) -> [(Real, Real); 2] {
     let sigma = ff.ace_sigma * 0.5 * (atom_i.born_radius + atom_k.born_radius);
     let mu = ff.ace_mu * 0.5 * (atom_i.born_radius + atom_k.born_radius);
-    let omega = ff.tau * qi2 * COULOMB_CONSTANT / (2.0 * sigma.max(0.1));
 
-    // Gaussian short-range part.
+    // Gaussian short-range part: ω_i · exp(−r²/σ²).
     let g = (-r * r / (sigma * sigma)).exp();
-    let gaussian = omega * g;
-    let d_gaussian = omega * g * (-2.0 * r / (sigma * sigma));
+    let d_g = -2.0 * r / (sigma * sigma);
 
     // Volume part: (τ q_i² V~_k / 8π) · r⁴ / (r⁴ + µ⁴)².
-    let vk = atom_k.ace_volume;
-    let pref = ff.tau * qi2 * COULOMB_CONSTANT * vk / (8.0 * std::f64::consts::PI);
     let r4 = r.powi(4);
-    let mu4 = mu.powi(4);
-    let denom = (r4 + mu4).powi(2);
-    let volume = pref * r4 / denom;
-    let d_volume = pref * (4.0 * r.powi(3) * (r4 + mu4) - 8.0 * r.powi(7)) / (r4 + mu4).powi(3);
-    let _ = denom;
+    let s = r4 + mu.powi(4);
+    let denom = s.powi(2);
+    let d_numerator = 4.0 * r.powi(3) * s - 8.0 * r.powi(7);
+    let d_denom = s.powi(3);
 
-    (gaussian + volume, d_gaussian + d_volume)
+    let side = |charge: Real, other_volume: Real| {
+        let q2 = charge * charge;
+        let omega = ff.tau * q2 * COULOMB_CONSTANT / (2.0 * sigma.max(0.1));
+        let pref = ff.tau * q2 * COULOMB_CONSTANT * other_volume / (8.0 * std::f64::consts::PI);
+        let gaussian = omega * g;
+        (gaussian + pref * r4 / denom, gaussian * d_g + pref * d_numerator / d_denom)
+    };
+    [side(atom_i.charge, atom_k.ace_volume), side(atom_k.charge, atom_i.ace_volume)]
 }
 
 /// Generalized-Born screened Coulomb interaction of Equation (7) for the pair (i, j):
@@ -157,25 +195,76 @@ pub fn improper_energy(pi: Vec3, pj: Vec3, pk: Vec3, pl: Vec3, ff: &ForceField) 
     (ff.improper.k * psi * psi, psi)
 }
 
-/// Pairwise force contribution on atom `i` from a radial pair term: `-dE/dr · r̂_ij`
-/// where `r̂_ij` points from j to i. The force on j is the negative.
-#[inline]
-pub fn radial_force(pi: Vec3, pj: Vec3, de_dr: Real) -> Vec3 {
-    let delta = pi - pj;
-    let r = delta.norm().max(1e-6);
-    delta * (-de_dr / r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ftmap_molecule::AtomKind;
+    use proptest::prelude::*;
 
     fn pair() -> (Atom, Atom, ForceField) {
         let ff = ForceField::charmm_like();
         let a = ff.make_atom(0, AtomKind::PolarO, Vec3::ZERO, false);
         let b = ff.make_atom(1, AtomKind::PolarH, Vec3::new(2.0, 0.0, 0.0), true);
         (a, b, ff)
+    }
+
+    /// The one-sided ACE correction `E_ik^self` for the ordered pair (i, k),
+    /// written out on its own: the reference each side of
+    /// [`ace_pair_self_energies`] must match bit for bit.
+    fn ace_pair_self_energy_reference(
+        atom_i: &Atom,
+        atom_k: &Atom,
+        r: Real,
+        ff: &ForceField,
+    ) -> (Real, Real) {
+        let qi2 = atom_i.charge * atom_i.charge;
+        let sigma = ff.ace_sigma * 0.5 * (atom_i.born_radius + atom_k.born_radius);
+        let mu = ff.ace_mu * 0.5 * (atom_i.born_radius + atom_k.born_radius);
+        let omega = ff.tau * qi2 * COULOMB_CONSTANT / (2.0 * sigma.max(0.1));
+        let g = (-r * r / (sigma * sigma)).exp();
+        let gaussian = omega * g;
+        let d_gaussian = omega * g * (-2.0 * r / (sigma * sigma));
+        let vk = atom_k.ace_volume;
+        let pref = ff.tau * qi2 * COULOMB_CONSTANT * vk / (8.0 * std::f64::consts::PI);
+        let r4 = r.powi(4);
+        let mu4 = mu.powi(4);
+        let denom = (r4 + mu4).powi(2);
+        let volume = pref * r4 / denom;
+        let d_volume = pref * (4.0 * r.powi(3) * (r4 + mu4) - 8.0 * r.powi(7)) / (r4 + mu4).powi(3);
+        (gaussian + volume, d_gaussian + d_volume)
+    }
+
+    proptest! {
+        #[test]
+        fn two_sided_ace_matches_two_one_sided_evaluations_bitwise(
+            ki in 0usize..AtomKind::ALL.len(),
+            kk in 0usize..AtomKind::ALL.len(),
+            r in 0.01f64..12.0,
+        ) {
+            let ff = ForceField::charmm_like();
+            let a = ff.make_atom(0, AtomKind::ALL[ki], Vec3::ZERO, false);
+            let b = ff.make_atom(1, AtomKind::ALL[kk], Vec3::X * r, true);
+            let [(e_ik, d_ik), (e_ki, d_ki)] = ace_pair_self_energies(&a, &b, r, &ff);
+            let bits = |(e, d): (Real, Real)| (e.to_bits(), d.to_bits());
+            prop_assert_eq!(bits((e_ik, d_ik)), bits(ace_pair_self_energy_reference(&a, &b, r, &ff)));
+            prop_assert_eq!(bits((e_ki, d_ki)), bits(ace_pair_self_energy_reference(&b, &a, r, &ff)));
+        }
+
+        #[test]
+        fn pair_geometry_matches_distance_and_the_radial_force_bitwise(
+            x in -20.0f64..20.0,
+            y in -20.0f64..20.0,
+            z in -20.0f64..20.0,
+            de_dr in -50.0f64..50.0,
+        ) {
+            let (pi, pj) = (Vec3::new(x, y, z), Vec3::new(0.5, -1.25, 3.0));
+            let geom = PairGeometry::new(pi, pj);
+            prop_assert_eq!(geom.r.to_bits(), pi.distance(pj).to_bits());
+            // Reference: the radial force from its own norm of `pi - pj`.
+            let delta = pi - pj;
+            let f = delta * (-de_dr / delta.norm().max(1e-6));
+            prop_assert_eq!(geom.force(de_dr).to_array().map(f64::to_bits), f.to_array().map(f64::to_bits));
+        }
     }
 
     /// Checks dE/dr against a central finite difference.
@@ -204,16 +293,20 @@ mod tests {
     #[test]
     fn ace_pair_self_energy_decays_with_distance() {
         let (a, b, ff) = pair();
-        let (e_near, _) = ace_pair_self_energy(&a, &b, 2.0, &ff);
-        let (e_far, _) = ace_pair_self_energy(&a, &b, 8.0, &ff);
-        assert!(e_near.abs() > e_far.abs());
+        let near = ace_pair_self_energies(&a, &b, 2.0, &ff);
+        let far = ace_pair_self_energies(&a, &b, 8.0, &ff);
+        for side in 0..2 {
+            assert!(near[side].0.abs() > far[side].0.abs());
+        }
     }
 
     #[test]
     fn ace_gradient_matches_finite_difference() {
         let (a, b, ff) = pair();
         for r in [1.5, 2.5, 4.0, 6.0] {
-            check_gradient(|r| ace_pair_self_energy(&a, &b, r, &ff), r, 1e-4);
+            for side in 0..2 {
+                check_gradient(|r| ace_pair_self_energies(&a, &b, r, &ff)[side], r, 1e-4);
+            }
         }
     }
 
@@ -327,11 +420,10 @@ mod tests {
     fn radial_force_direction() {
         // Repulsive pair (positive dE/dr means energy increases with distance, i.e.
         // attraction; negative dE/dr is repulsion pushing atoms apart).
-        let pi = Vec3::new(2.0, 0.0, 0.0);
-        let pj = Vec3::ZERO;
-        let f_repulsive = radial_force(pi, pj, -1.0);
+        let geom = PairGeometry::new(Vec3::new(2.0, 0.0, 0.0), Vec3::ZERO);
+        let f_repulsive = geom.force(-1.0);
         assert!(f_repulsive.x > 0.0, "repulsion pushes i away from j");
-        let f_attractive = radial_force(pi, pj, 1.0);
+        let f_attractive = geom.force(1.0);
         assert!(f_attractive.x < 0.0, "attraction pulls i toward j");
     }
 }

@@ -5,17 +5,23 @@
 //! the pair-structure builds, block execution and the minimizer's final
 //! breakdown were reworked for speed. Those reworks promise identical bits;
 //! these hashes are what holds them to it — including the final-breakdown
-//! reuse across neighbor-list refreshes (intervals 1, 2 and 250).
+//! reuse across neighbor-list refreshes (intervals 1, 2 and 250). The serial
+//! evaluator's full output and the three §IV schemes were pinned the same
+//! way, before the energy-only evaluations, the two-sided ACE term and the
+//! shared pair geometry went in.
 
-use ftmap_energy::gpu::GpuMinimizationEngine;
+use ftmap_energy::evaluator::Evaluation;
+use ftmap_energy::gpu::{GpuMinimizationEngine, PairTerm};
 use ftmap_energy::minimize::EvaluationPath;
 use ftmap_energy::pairs::{AssignmentTable, AtomPair};
-use ftmap_energy::{MinimizationConfig, MinimizationResult, Minimizer, SplitPairsLists};
+use ftmap_energy::{
+    Evaluator, MinimizationConfig, MinimizationResult, Minimizer, PairsList, SplitPairsLists,
+};
 use ftmap_math::Vec3;
 use ftmap_molecule::{
     Complex, ForceField, NeighborList, Probe, ProbeType, ProteinSpec, SyntheticProtein,
 };
-use gpu_sim::{Device, Fnv1a};
+use gpu_sim::{Device, Fnv1a, KernelStats};
 
 /// The `small_test` protein with an ethanol probe at its first pocket centre,
 /// shifted by `offset` Å.
@@ -61,6 +67,18 @@ fn write_table(hash: &mut Fnv1a, table: &AssignmentTable) {
         }
         hash.write_u64(row.group_size as u64);
     }
+}
+
+fn write_stats(hash: &mut Fnv1a, stats: &KernelStats) {
+    hash.write_u64(stats.blocks as u64);
+    hash.write_u64(stats.threads_per_block as u64);
+    let c = stats.counters;
+    for v in
+        [c.flops, c.global_reads, c.global_writes, c.shared_accesses, c.constant_reads, c.barriers]
+    {
+        hash.write_u64(v);
+    }
+    hash.write_f64(stats.modeled_time_s);
 }
 
 fn minimization_hash(result: &MinimizationResult) -> u64 {
@@ -134,25 +152,86 @@ fn gpu_evaluate_energies_forces_and_ledger_are_unchanged() {
     for (phase, stats) in result.ledger.phases() {
         ledger.write(phase.as_bytes());
         ledger.write_u64(result.ledger.launches(phase) as u64);
-        ledger.write_u64(stats.blocks as u64);
-        ledger.write_u64(stats.threads_per_block as u64);
-        let c = stats.counters;
-        for v in [
-            c.flops,
-            c.global_reads,
-            c.global_writes,
-            c.shared_accesses,
-            c.constant_reads,
-            c.barriers,
-        ] {
-            ledger.write_u64(v);
-        }
-        ledger.write_f64(stats.modeled_time_s);
+        write_stats(&mut ledger, &stats);
     }
     assert_golden(&[
         ("energies and forces".into(), values.finish(), 0xd53b_aa76_5918_ae53),
         ("ledger".into(), ledger.finish(), 0xea65_4812_3dbb_f31b),
     ]);
+}
+
+fn evaluation_hash(eval: &Evaluation) -> u64 {
+    let mut hash = Fnv1a::new();
+    for &e in &eval.atom_energies {
+        hash.write_f64(e);
+    }
+    for &f in &eval.forces {
+        write_vec3(&mut hash, f);
+    }
+    let b = &eval.breakdown;
+    for e in [b.electrostatics, b.vdw, b.bonded] {
+        hash.write_f64(e);
+    }
+    hash.finish()
+}
+
+#[test]
+fn host_evaluations_are_unchanged() {
+    // The serial evaluator's full output — per-atom energies, forces and the
+    // term totals — with and without the bonded terms, centred and shifted.
+    let cases = [
+        (Vec3::ZERO, 0x520e_88aa_4726_c3d9, 0x4f91_0294_846d_d6fb),
+        (Vec3::new(-2.0, 2.0, 0.0), 0x23ae_23f2_0237_8c45, 0x1d0c_1a3a_f464_22b7),
+        (Vec3::new(1.5, 0.5, -3.0), 0xbea4_45fb_1b26_c99e, 0x7cfc_bf99_feb5_57e4),
+    ];
+    let mut hashes = Vec::new();
+    for (offset, want_full, want_nonbonded) in cases {
+        let (complex, neighbors, ff) = system_at(offset);
+        let evaluator = Evaluator::new(ff);
+        let at = offset.to_array();
+        hashes.push((
+            format!("evaluate, probe shifted {at:?}"),
+            evaluation_hash(&evaluator.evaluate(&complex, &neighbors)),
+            want_full,
+        ));
+        hashes.push((
+            format!("evaluate_nonbonded, probe shifted {at:?}"),
+            evaluation_hash(&evaluator.evaluate_nonbonded(&complex, &neighbors)),
+            want_nonbonded,
+        ));
+    }
+    assert_golden(&hashes);
+}
+
+#[test]
+fn gpu_mapping_schemes_are_unchanged() {
+    // The three §IV mapping schemes, per pair term: energies and stats.
+    let (complex, neighbors, ff) = system();
+    let device = Device::tesla_c1060();
+    let engine = GpuMinimizationEngine::new(&device, ff, &neighbors);
+    let pairs = PairsList::from_neighbor_list(&neighbors);
+    let cases = [
+        (PairTerm::AceSelf, 0xc243_13f2_31f3_5b27),
+        (PairTerm::PairwiseAndVdw, 0xc7b3_a668_43ce_0fd6),
+    ];
+    let hashes: Vec<_> = cases
+        .into_iter()
+        .map(|(term, want)| {
+            let mut hash = Fnv1a::new();
+            for (energies, stats) in [
+                engine.scheme_neighbor_list(&complex, &neighbors, term),
+                engine.scheme_pairs_list_host_accum(&complex, &pairs, term),
+                engine.scheme_split_assignment(&complex, term),
+            ] {
+                for e in energies {
+                    hash.write_f64(e);
+                }
+                write_stats(&mut hash, &stats);
+            }
+            (format!("{term:?} schemes"), hash.finish(), want)
+        })
+        .collect();
+    assert_golden(&hashes);
 }
 
 #[test]
