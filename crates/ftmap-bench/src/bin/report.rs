@@ -5,7 +5,8 @@
 //!   cargo run --release -p ftmap-bench --bin report -- table1       # one experiment
 //!
 //! Experiments: table1, table2, fig2a, fig2b, fig3a, fig3b, overall, batching,
-//! crossover, pairslist-schemes, multicore.
+//! crossover, pairslist-schemes, multicore. Any other name prints the valid ones
+//! and exits with status 2.
 
 use ftmap_bench::{format_table, ComparisonRow, DockingWorkload, MinimizationWorkload};
 use ftmap_core::{FtMapConfig, FtMapPipeline, PipelineMode};
@@ -17,39 +18,37 @@ use piper_dock::gpu::GpuDockingEngine;
 use piper_dock::grids::{GridSpec, LigandGrids, ReceptorGrids};
 use piper_dock::DockingEngineKind;
 
+/// An experiment: the names that select it and the function that runs it.
+type Experiment = (&'static [&'static str], fn());
+
+/// Every experiment, in run order.
+const EXPERIMENTS: &[Experiment] = &[
+    (&["fig2a"], fig2a),
+    (&["fig2b"], fig2b),
+    (&["table1"], table1),
+    (&["fig3a", "fig3b"], fig3),
+    (&["table2"], table2),
+    (&["pairslist-schemes"], pairslist_schemes),
+    (&["batching"], batching),
+    (&["crossover"], crossover),
+    (&["multicore"], multicore),
+    (&["overall"], overall),
+];
+
 fn main() {
     let filter = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    let run = |name: &str| filter == "all" || filter == name;
-
-    if run("fig2a") {
-        fig2a();
+    let selected: Vec<fn()> = EXPERIMENTS
+        .iter()
+        .filter(|(names, _)| filter == "all" || names.contains(&filter.as_str()))
+        .map(|&(_, run)| run)
+        .collect();
+    if selected.is_empty() {
+        let names: Vec<&str> = EXPERIMENTS.iter().flat_map(|(names, _)| names.to_vec()).collect();
+        eprintln!("report: unknown experiment `{filter}`; valid names: all {}", names.join(" "));
+        std::process::exit(2);
     }
-    if run("fig2b") {
-        fig2b();
-    }
-    if run("table1") {
-        table1();
-    }
-    if run("fig3a") || run("fig3b") {
-        fig3();
-    }
-    if run("table2") {
-        table2();
-    }
-    if run("pairslist-schemes") {
-        pairslist_schemes();
-    }
-    if run("batching") {
-        batching();
-    }
-    if run("crossover") {
-        crossover();
-    }
-    if run("multicore") {
-        multicore();
-    }
-    if run("overall") {
-        overall();
+    for run in selected {
+        run();
     }
 }
 

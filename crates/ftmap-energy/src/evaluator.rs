@@ -6,6 +6,14 @@
 //! correctness oracle for every GPU scheme in [`crate::gpu`], and its per-term timing
 //! split regenerates Fig. 3(b). [`Evaluator::energy`] runs the same loops for callers
 //! that read only the energy.
+//!
+//! The protein is rigid during minimization; only the probe moves. A term whose
+//! atoms are all immobile — a protein–protein pair, a protein-only bonded term — and
+//! the whole Born sum, which does not depend on position, keep their values for the
+//! life of a neighbor list. [`Evaluator::energy_cached`] records those values in a
+//! [`RigidTerms`] once, then re-adds them in loop order and computes only the terms
+//! that touch the probe: bit for bit [`Evaluator::energy`], for the cost of the
+//! probe's terms plus one add per cached term.
 
 use crate::terms::{self, PairGeometry};
 use ftmap_math::{Real, Vec3};
@@ -51,6 +59,82 @@ impl EnergyBreakdown {
     }
 }
 
+/// The values of the terms whose atoms are all immobile (`!complex.is_mobile`),
+/// for one neighbor list and one placement of the immobile atoms, in loop order.
+/// Filled by the first [`Evaluator::energy_cached`] call after
+/// [`RigidTerms::new`] or [`RigidTerms::clear`]; clear it whenever the neighbor
+/// list changes.
+#[derive(Debug, Clone, Default)]
+pub struct RigidTerms {
+    filled: bool,
+    /// One stream per term loop: the Born sum (which does not depend on
+    /// position) followed by `e_ik + e_ki + e_gb` of each rigid pair; the van
+    /// der Waals term of each rigid pair; each rigid bond, angle, torsion and
+    /// improper term.
+    streams: [Vec<Real>; 3],
+}
+
+impl RigidTerms {
+    /// An empty cache.
+    pub fn new() -> Self {
+        RigidTerms::default()
+    }
+
+    /// Forgets the recorded values (keeping the allocations), so the next
+    /// evaluation records them afresh.
+    pub fn clear(&mut self) {
+        self.filled = false;
+        self.streams.iter_mut().for_each(Vec::clear);
+    }
+
+    /// The three streams, replaying when filled, else recording — after
+    /// which the cache counts as filled. A recording pair stream reserves
+    /// room for every pair.
+    fn streams(&mut self, n_pairs: usize) -> [TermCache<'_>; 3] {
+        let filled = std::mem::replace(&mut self.filled, true);
+        if !filled {
+            self.streams[0].reserve(1 + n_pairs);
+            self.streams[1].reserve(n_pairs);
+        }
+        self.streams.each_mut().map(|values| {
+            if filled {
+                TermCache::Replay(values.iter())
+            } else {
+                TermCache::Record(values)
+            }
+        })
+    }
+}
+
+/// One term loop's side of a [`RigidTerms`] cache.
+enum TermCache<'a> {
+    /// No cache: every term is computed.
+    Off,
+    /// Each rigid term's computed value is appended.
+    Record(&'a mut Vec<Real>),
+    /// A rigid term's value is the next recorded one.
+    Replay(std::slice::Iter<'a, Real>),
+}
+
+impl TermCache<'_> {
+    /// The recorded value of the next term, if it is rigid and recorded.
+    #[inline]
+    fn replay(&mut self, rigid: bool) -> Option<Real> {
+        match self {
+            TermCache::Replay(values) if rigid => values.next().copied(),
+            _ => None,
+        }
+    }
+
+    /// Records a computed term's value, if it is rigid and being recorded.
+    #[inline]
+    fn record(&mut self, rigid: bool, value: Real) {
+        if let (TermCache::Record(values), true) = (self, rigid) {
+            values.push(value);
+        }
+    }
+}
+
 /// The serial neighbor-list evaluator.
 pub struct Evaluator {
     ff: ForceField,
@@ -75,7 +159,7 @@ impl Evaluator {
 
     /// Evaluates the full potential of `complex` using the pairs of `neighbors`.
     pub fn evaluate(&self, complex: &Complex, neighbors: &NeighborList) -> Evaluation {
-        self.evaluate_inner::<true>(complex, neighbors, true)
+        self.evaluate_inner::<true, false>(complex, neighbors, true, None)
     }
 
     /// Evaluates only the energy: the breakdown [`Evaluator::evaluate`] returns,
@@ -83,35 +167,77 @@ impl Evaluator {
     /// energies and forces — and so without any derivative arithmetic. The
     /// minimizer's trial steps read nothing else.
     pub fn energy(&self, complex: &Complex, neighbors: &NeighborList) -> EnergyBreakdown {
-        self.evaluate_inner::<false>(complex, neighbors, true).breakdown
+        self.evaluate_inner::<false, false>(complex, neighbors, true, None).breakdown
+    }
+
+    /// [`Evaluator::energy`] for a caller that moves only the mobile atoms:
+    /// the same breakdown bit for bit, as long as the immobile atoms and the
+    /// neighbor list are those `rigid` was filled for. An empty `rigid` is
+    /// filled by this call, which costs what `energy` costs; after that each
+    /// call re-adds the recorded values in loop order and computes only the
+    /// terms that touch a mobile atom. Its timings are of that work.
+    pub fn energy_cached(
+        &self,
+        complex: &Complex,
+        neighbors: &NeighborList,
+        rigid: &mut RigidTerms,
+    ) -> EnergyBreakdown {
+        self.evaluate_inner::<false, true>(complex, neighbors, true, Some(rigid)).breakdown
     }
 
     /// The evaluation body. `FORCES` selects the full output (per-atom
     /// energies and forces); without it both vectors stay empty, and the
-    /// derivatives the terms return are dead code. Either way each term total
-    /// sums the same values in the same order, so the breakdowns agree bitwise.
-    fn evaluate_inner<const FORCES: bool>(
+    /// derivatives the terms return are dead code. `CACHED` (energy-only, with
+    /// `rigid` given) takes the rigid terms' values from the cache, or records
+    /// them there; without it the cache code is dead too. Either way each term
+    /// total sums the same values in the same order, so the breakdowns agree
+    /// bitwise.
+    fn evaluate_inner<const FORCES: bool, const CACHED: bool>(
         &self,
         complex: &Complex,
         neighbors: &NeighborList,
         include_bonded: bool,
+        rigid: Option<&mut RigidTerms>,
     ) -> Evaluation {
+        debug_assert!(!(FORCES && CACHED), "cached terms carry no forces");
+        debug_assert_eq!(CACHED, rigid.is_some());
         let n = if FORCES { complex.n_atoms() } else { 0 };
         let mut atom_energies = vec![0.0; n];
         let mut forces = vec![Vec3::ZERO; n];
         let mut breakdown = EnergyBreakdown::default();
 
+        let [mut elec_cache, mut vdw_cache, mut bonded_cache] = match rigid {
+            Some(rigid) => rigid.streams(neighbors.n_pairs()),
+            None => [TermCache::Off, TermCache::Off, TermCache::Off],
+        };
+        // Atom `i` is mobile iff `i >= first_mobile`.
+        let first_mobile = complex.probe_offset;
+        let all_rigid = |atoms: &[usize]| CACHED && atoms.iter().all(|&a| a < first_mobile);
+
         // --- Electrostatics: Born self term per atom, ACE pair corrections and GB pairs.
         let (elec, elec_wall_s) = wall_timed(|| {
-            let mut elec = 0.0;
-            for (i, atom) in complex.atoms.iter().enumerate() {
-                let e = terms::born_self_energy(atom, &self.ff);
-                if FORCES {
-                    atom_energies[i] += e;
+            // The Born sum does not depend on position: the stream's first value.
+            let mut elec = match elec_cache.replay(CACHED) {
+                Some(born) => born,
+                None => {
+                    let mut born = 0.0;
+                    for (i, atom) in complex.atoms.iter().enumerate() {
+                        let e = terms::born_self_energy(atom, &self.ff);
+                        if FORCES {
+                            atom_energies[i] += e;
+                        }
+                        born += e;
+                    }
+                    born
                 }
-                elec += e;
-            }
+            };
+            elec_cache.record(CACHED, elec);
             for (i, j) in neighbors.iter_pairs() {
+                let rigid = all_rigid(&[i, j]);
+                if let Some(e) = elec_cache.replay(rigid) {
+                    elec += e;
+                    continue;
+                }
                 let ai = &complex.atoms[i];
                 let aj = &complex.atoms[j];
                 let geom = PairGeometry::new(ai.position, aj.position);
@@ -121,7 +247,9 @@ impl Evaluator {
                     terms::ace_pair_self_energies(ai, aj, geom.r, &self.ff);
                 // GB pairwise interaction, shared half-and-half between the two atoms.
                 let (e_gb, d_gb) = terms::gb_pair_energy(ai, aj, geom.r, &self.ff);
-                elec += e_ik + e_ki + e_gb;
+                let e = e_ik + e_ki + e_gb;
+                elec_cache.record(rigid, e);
+                elec += e;
 
                 if FORCES {
                     atom_energies[i] += e_ik + 0.5 * e_gb;
@@ -140,10 +268,16 @@ impl Evaluator {
         let (vdw, vdw_wall_s) = wall_timed(|| {
             let mut vdw = 0.0;
             for (i, j) in neighbors.iter_pairs() {
+                let rigid = all_rigid(&[i, j]);
+                if let Some(e) = vdw_cache.replay(rigid) {
+                    vdw += e;
+                    continue;
+                }
                 let ai = &complex.atoms[i];
                 let aj = &complex.atoms[j];
                 let geom = PairGeometry::new(ai.position, aj.position);
                 let (e, de_dr) = terms::vdw_pair_energy(ai, aj, geom.r, &self.ff);
+                vdw_cache.record(rigid, e);
                 vdw += e;
                 if FORCES {
                     atom_energies[i] += 0.5 * e;
@@ -165,11 +299,17 @@ impl Evaluator {
         let (bonded, bonded_wall_s) = wall_timed(|| {
             let mut bonded = 0.0;
             for bond in complex.topology.bonds() {
+                let rigid = all_rigid(&[bond.i, bond.j]);
+                if let Some(e) = bonded_cache.replay(rigid) {
+                    bonded += e;
+                    continue;
+                }
                 let geom = PairGeometry::new(
                     complex.atoms[bond.i].position,
                     complex.atoms[bond.j].position,
                 );
                 let (e, de_dr) = terms::bond_energy(geom.r, &self.ff);
+                bonded_cache.record(rigid, e);
                 bonded += e;
                 if FORCES {
                     let f = geom.force(de_dr);
@@ -178,15 +318,26 @@ impl Evaluator {
                 }
             }
             for angle in complex.topology.angles() {
+                let rigid = all_rigid(&[angle.i, angle.j, angle.k]);
+                if let Some(e) = bonded_cache.replay(rigid) {
+                    bonded += e;
+                    continue;
+                }
                 let (e, _) = terms::angle_energy(
                     complex.atoms[angle.i].position,
                     complex.atoms[angle.j].position,
                     complex.atoms[angle.k].position,
                     &self.ff,
                 );
+                bonded_cache.record(rigid, e);
                 bonded += e;
             }
             for torsion in complex.topology.torsions() {
+                let rigid = all_rigid(&[torsion.i, torsion.j, torsion.k, torsion.l]);
+                if let Some(e) = bonded_cache.replay(rigid) {
+                    bonded += e;
+                    continue;
+                }
                 let (e, _) = terms::torsion_energy(
                     complex.atoms[torsion.i].position,
                     complex.atoms[torsion.j].position,
@@ -194,9 +345,15 @@ impl Evaluator {
                     complex.atoms[torsion.l].position,
                     &self.ff,
                 );
+                bonded_cache.record(rigid, e);
                 bonded += e;
             }
             for improper in complex.topology.impropers() {
+                let rigid = all_rigid(&[improper.i, improper.j, improper.k, improper.l]);
+                if let Some(e) = bonded_cache.replay(rigid) {
+                    bonded += e;
+                    continue;
+                }
                 let (e, _) = terms::improper_energy(
                     complex.atoms[improper.i].position,
                     complex.atoms[improper.j].position,
@@ -204,6 +361,7 @@ impl Evaluator {
                     complex.atoms[improper.l].position,
                     &self.ff,
                 );
+                bonded_cache.record(rigid, e);
                 bonded += e;
             }
             bonded
@@ -218,7 +376,7 @@ impl Evaluator {
     /// bonded contributions); used by tests comparing against the GPU kernels, which
     /// handle exactly this part.
     pub fn evaluate_nonbonded(&self, complex: &Complex, neighbors: &NeighborList) -> Evaluation {
-        self.evaluate_inner::<true>(complex, neighbors, false)
+        self.evaluate_inner::<true, false>(complex, neighbors, false, None)
     }
 }
 
@@ -280,6 +438,82 @@ mod tests {
             prop_assert_eq!(bits(&energy), bits(&full));
             prop_assert!(energy.elec_time_s > 0.0 && energy.vdw_time_s > 0.0);
         }
+    }
+
+    /// Moves the probe atoms of `complex` by `offset`.
+    fn shift_probe(complex: &mut Complex, offset: Vec3) {
+        let first = complex.probe_offset;
+        for atom in &mut complex.atoms[first..] {
+            atom.position += offset;
+        }
+    }
+
+    /// Asserts the cached energy equals the plain one bitwise, term by term.
+    fn assert_cached_matches(
+        evaluator: &Evaluator,
+        complex: &Complex,
+        neighbors: &NeighborList,
+        rigid: &mut RigidTerms,
+    ) -> TestCaseResult {
+        let bits = |b: &EnergyBreakdown| [b.electrostatics, b.vdw, b.bonded].map(f64::to_bits);
+        let plain = evaluator.energy(complex, neighbors);
+        let cached = evaluator.energy_cached(complex, neighbors, rigid);
+        prop_assert_eq!(bits(&cached), bits(&plain));
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+        #[test]
+        fn cached_energy_matches_the_plain_energy_bitwise(
+            start in prop::array::uniform3(-4.0f64..4.0),
+            moves in prop::collection::vec(prop::array::uniform3(-0.6f64..0.6), 1..5),
+        ) {
+            // The probe anywhere around the pocket, the list built there: the
+            // first call records, the ones after it replay as the probe moves.
+            let (mut complex, _, evaluator) = small_system();
+            shift_probe(&mut complex, Vec3::from_array(start));
+            let excluded = complex.topology.excluded_pairs();
+            let cutoff = evaluator.ff.cutoff;
+            let mut neighbors = NeighborList::build(&complex.atoms, cutoff, &excluded);
+            let mut rigid = RigidTerms::new();
+            assert_cached_matches(&evaluator, &complex, &neighbors, &mut rigid)?;
+            for (k, step) in moves.iter().enumerate() {
+                shift_probe(&mut complex, Vec3::from_array(*step));
+                // Halfway through, the list is rebuilt where the probe now is.
+                if k == moves.len() / 2 {
+                    neighbors = NeighborList::build(&complex.atoms, cutoff, &excluded);
+                    rigid.clear();
+                }
+                assert_cached_matches(&evaluator, &complex, &neighbors, &mut rigid)?;
+            }
+            // The cache holds exactly the rigid pairs' two terms.
+            let rigid_pairs =
+                neighbors.iter_pairs().filter(|&(_, j)| !complex.is_mobile(j)).count();
+            prop_assert_eq!((rigid.streams[0].len(), rigid.streams[1].len()), (1 + rigid_pairs, rigid_pairs));
+        }
+    }
+
+    #[test]
+    fn cached_energy_matches_for_a_probe_with_no_protein_pairs() {
+        // 100 Å from the protein the probe pairs only with itself; the cache
+        // then covers every protein pair and every protein bonded term.
+        let (mut complex, _, evaluator) = small_system();
+        shift_probe(&mut complex, Vec3::new(100.0, 0.0, 0.0));
+        let excluded = complex.topology.excluded_pairs();
+        let neighbors = NeighborList::build(&complex.atoms, evaluator.ff.cutoff, &excluded);
+        let offset = complex.probe_offset;
+        assert!(neighbors.iter_pairs().all(|(i, j)| (i < offset) == (j < offset)));
+
+        let mut rigid = RigidTerms::new();
+        for step in [Vec3::ZERO, Vec3::new(0.3, -0.2, 0.1), Vec3::new(-0.5, 0.0, 0.4)] {
+            shift_probe(&mut complex, step);
+            assert_cached_matches(&evaluator, &complex, &neighbors, &mut rigid).unwrap();
+        }
+        let protein_pairs = neighbors.iter_pairs().filter(|&(_, j)| j < offset).count();
+        assert_eq!(rigid.streams[0].len(), 1 + protein_pairs);
+        let protein_bonds = complex.topology.bonds().iter().filter(|b| b.j < offset).count();
+        assert!(rigid.streams[2].len() >= protein_bonds && protein_bonds > 0);
     }
 
     #[test]

@@ -15,11 +15,15 @@
 //! single pairs-list with host accumulation) so the ablation benches can compare them.
 //!
 //! Kernel counters come from the assignment table, not from the arithmetic: every
-//! launch records the work of every pair. So the host simulation may skip output
-//! slots its caller never reads ([`GpuMinimizationEngine::evaluate_mobile`]) without
-//! moving a modeled second.
+//! launch records the work of every pair, and a table-pass block records its
+//! counters from the totals the table stored for it when it was built. So the host
+//! simulation may skip output slots its caller never reads
+//! ([`GpuMinimizationEngine::evaluate_mobile`]) without moving a modeled second. The
+//! tables ascend by first atom and the probe's atoms come last, so the rows a
+//! mobile-only caller reads are a suffix of each table: the blocks before it record
+//! their counters and stop, and the block order's turns start where the suffix does.
 
-use crate::pairs::{AssignmentTable, PairsList, SplitPairsLists};
+use crate::pairs::{AssignmentTable, BlockTotals, PairsList};
 use crate::terms::{self, PairGeometry};
 use ftmap_math::{Real, Vec3};
 use ftmap_molecule::{Atom, Complex, ForceField, NeighborList};
@@ -147,13 +151,7 @@ impl<'a> GpuMinimizationEngine<'a> {
     /// no further data transfer per iteration, unless the neighbor list is updated",
     /// §IV.B).
     pub fn new(device: &'a Device, ff: ForceField, neighbors: &NeighborList) -> Self {
-        let split = SplitPairsLists::from_neighbor_list(neighbors);
-        let forward_table =
-            AssignmentTable::build(&split.forward, split.n_atoms, THREADS_PER_BLOCK);
-        let reverse_table =
-            AssignmentTable::build(&split.reverse, split.n_atoms, THREADS_PER_BLOCK);
-        let words = forward_table.transfer_words() + reverse_table.transfer_words();
-        device.upload_bytes((words * std::mem::size_of::<Real>()) as u64);
+        let [forward_table, reverse_table] = upload_tables(device, neighbors);
         GpuMinimizationEngine { device, ff, forward_table, reverse_table }
     }
 
@@ -165,13 +163,7 @@ impl<'a> GpuMinimizationEngine<'a> {
     /// Rebuilds the assignment tables after a neighbor-list update (happens only a few
     /// times per 1000 iterations) and charges the re-transfer.
     pub fn refresh_neighbor_list(&mut self, neighbors: &NeighborList) {
-        let split = SplitPairsLists::from_neighbor_list(neighbors);
-        self.forward_table =
-            AssignmentTable::build(&split.forward, split.n_atoms, THREADS_PER_BLOCK);
-        self.reverse_table =
-            AssignmentTable::build(&split.reverse, split.n_atoms, THREADS_PER_BLOCK);
-        let words = self.forward_table.transfer_words() + self.reverse_table.transfer_words();
-        self.device.upload_bytes((words * std::mem::size_of::<Real>()) as u64);
+        [self.forward_table, self.reverse_table] = upload_tables(self.device, neighbors);
     }
 
     /// Runs one pass of a pair kernel over an assignment table using the paper's final
@@ -190,8 +182,17 @@ impl<'a> GpuMinimizationEngine<'a> {
         if table.n_blocks() == 0 {
             return;
         }
-        let order = BlockOrder::new();
-        let kernel = TablePassKernel { complex, ff: &self.ff, term, table, outputs, order: &order };
+        let first_block = table.first_block_from(outputs.first);
+        let order = BlockOrder::starting_at(first_block);
+        let kernel = TablePassKernel {
+            complex,
+            ff: &self.ff,
+            term,
+            table,
+            outputs,
+            first_block,
+            order: &order,
+        };
         KernelLaunch::on(self.device)
             .grid(table.n_blocks())
             .threads(THREADS_PER_BLOCK)
@@ -211,7 +212,9 @@ impl<'a> GpuMinimizationEngine<'a> {
     /// and forces are bit for bit those of `evaluate`, and every other slot stays
     /// zero. The launches, their counters and the modeled times are the full
     /// iteration's — the modeled device still evaluates every pair; the host
-    /// simulation skips the pairs whose results land only in slots nobody reads.
+    /// simulation skips the pairs whose results land only in slots nobody reads,
+    /// and the table-pass blocks before the first block holding a mobile atom's
+    /// row only record their counters.
     pub fn evaluate_mobile(&self, complex: &Complex) -> GpuIterationResult {
         self.evaluate_from(complex, complex.probe_offset)
     }
@@ -359,6 +362,16 @@ impl<'a> GpuMinimizationEngine<'a> {
     }
 }
 
+/// Builds the forward and reverse assignment tables of `neighbors` and charges
+/// their transfer to `device` ("there is no further data transfer per iteration,
+/// unless the neighbor list is updated", §IV.B).
+fn upload_tables(device: &Device, neighbors: &NeighborList) -> [AssignmentTable; 2] {
+    let tables = AssignmentTable::forward_and_reverse(neighbors, THREADS_PER_BLOCK);
+    let words: usize = tables.iter().map(AssignmentTable::transfer_words).sum();
+    device.upload_bytes((words * std::mem::size_of::<Real>()) as u64);
+    tables
+}
+
 /// The per-atom output arrays of one iteration, and the first atom whose
 /// slots the caller reads: kernels skip the arithmetic of slots below it.
 #[derive(Clone, Copy)]
@@ -399,24 +412,40 @@ struct TablePassKernel<'a> {
     term: PairTerm,
     table: &'a AssignmentTable,
     outputs: Outputs<'a>,
+    /// The first block holding a row whose slot is read: the blocks before it
+    /// record their counters and neither compute nor commit.
+    first_block: usize,
     /// An atom with more rows than a block has threads is summed by several
-    /// blocks; committing in block order keeps that sum reproducible.
+    /// blocks; committing in block order keeps that sum reproducible. Its
+    /// turns start at `first_block`.
     order: &'a BlockOrder,
 }
 
 impl BlockKernel for TablePassKernel<'_> {
     fn execute_block(&self, ctx: &mut BlockContext) {
-        let rows = self.table.block_rows(ctx.block_idx);
-        // Phase 1: every thread computes its pair's energy into shared memory.
+        // The device's work, the same for every block whether or not it is
+        // simulated: every work row reads its table row and two atoms' data
+        // from global, computes, and stores to shared; each master then reads
+        // its group from shared (the groups cover the work rows) and writes
+        // the energy and force sums to global.
+        let BlockTotals { work_rows, master_rows, .. } = self.table.block_totals(ctx.block_idx);
+        let (work, masters) = (work_rows as u64, master_rows as u64);
+        ctx.record_global_reads(work * 13);
+        ctx.record_flops(work * flops_per_pair(self.term));
+        ctx.record_shared_accesses(work * 2);
+        ctx.sync_threads();
+        ctx.record_shared_accesses(work);
+        ctx.record_global_writes(masters * 2);
+        if ctx.block_idx < self.first_block {
+            return;
+        }
+
+        // Phase 1: every thread computes its pair's energy into shared memory;
+        // only rows whose slot is read are simulated.
+        let rows = &self.table.block_rows(ctx.block_idx)[..work_rows];
         let mut shared_energy = [0.0; THREADS_PER_BLOCK];
         let mut shared_force = [Vec3::ZERO; THREADS_PER_BLOCK];
-        let mut work_rows = 0u64;
         for (slot, row) in rows.iter().enumerate() {
-            if row.is_padding() {
-                continue;
-            }
-            // Every row is the device's work; only rows whose slot is read are simulated.
-            work_rows += 1;
             if row.atom_first < self.outputs.first {
                 continue;
             }
@@ -427,11 +456,6 @@ impl BlockKernel for TablePassKernel<'_> {
             shared_energy[slot] = e;
             shared_force[slot] = geom.force(de_dr);
         }
-        // Accounting: table row + two atoms' data from global, compute, store to shared.
-        ctx.record_global_reads(work_rows * 13);
-        ctx.record_flops(work_rows * flops_per_pair(self.term));
-        ctx.record_shared_accesses(work_rows * 2);
-        ctx.sync_threads();
 
         // Phase 2: master threads accumulate their group from shared memory and add the
         // totals to the global per-atom arrays, in block order.
@@ -439,15 +463,10 @@ impl BlockKernel for TablePassKernel<'_> {
             let mut energies = self.outputs.energies.write();
             let mut forces = self.outputs.forces.write();
             for (slot, row) in rows.iter().enumerate() {
-                if row.is_padding() || !row.master {
+                if !row.master || row.atom_first < self.outputs.first {
                     continue;
                 }
                 let group = row.group_size;
-                ctx.record_shared_accesses(group as u64);
-                ctx.record_global_writes(2);
-                if row.atom_first < self.outputs.first {
-                    continue;
-                }
                 let e_sum: Real = shared_energy[slot..slot + group].iter().sum();
                 let f_sum: Vec3 = shared_force[slot..slot + group].iter().copied().sum();
                 energies[row.atom_first] += e_sum;

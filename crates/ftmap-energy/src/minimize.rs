@@ -7,11 +7,18 @@
 //! part — the non-bonded energy and force evaluation — runs either on the host
 //! ([`EvaluationPath::Host`]) or through the three GPU kernels
 //! ([`EvaluationPath::Gpu`]). Each iteration evaluates forces once, on the chosen
-//! path, and judges its trial step with a host [`Evaluator::energy`], which computes
-//! no forces. The GPU path reads forces only for the probe
-//! ([`GpuMinimizationEngine::evaluate_mobile`]).
+//! path, and judges its trial step by a host energy evaluation, which computes no
+//! forces.
+//!
+//! On the GPU path the host does work only for the probe. It reads forces only
+//! for the probe ([`GpuMinimizationEngine::evaluate_mobile`]), and it evaluates
+//! the starting and trial energies with [`Evaluator::energy_cached`]: the rigid
+//! protein's terms are recorded once per neighbor list and re-added, and only the
+//! probe's terms are computed — bit for bit [`Evaluator::energy`]. The host path
+//! keeps calling [`Evaluator::energy`], because its measured wall time is the
+//! serial pipeline's modeled minimization time.
 
-use crate::evaluator::{EnergyBreakdown, Evaluator};
+use crate::evaluator::{EnergyBreakdown, Evaluator, RigidTerms};
 use crate::gpu::GpuMinimizationEngine;
 use ftmap_math::{Real, Vec3};
 use ftmap_molecule::{Complex, ForceField, NeighborList};
@@ -149,13 +156,23 @@ impl Minimizer {
             EvaluationPath::Host => None,
         };
 
+        // The GPU path's rigid protein terms, recorded by the first energy
+        // evaluation against each neighbor list.
+        let mut rigid = RigidTerms::new();
+        let path = self.config.path;
+        let energy =
+            |complex: &Complex, neighbors: &NeighborList, rigid: &mut RigidTerms| match path {
+                EvaluationPath::Gpu => evaluator.energy_cached(complex, neighbors, rigid),
+                EvaluationPath::Host => evaluator.energy(complex, neighbors),
+            };
+
         let mut eval_time = 0.0;
         let mut update_time = 0.0;
         let mut kernel_times = (0.0, 0.0, 0.0);
 
         // Evaluate the starting energy (bonded terms always from the host evaluator).
         // Only the energy is read, so no forces are computed for it.
-        let (initial, initial_wall_s) = wall_timed(|| evaluator.energy(complex, &neighbors));
+        let (initial, initial_wall_s) = wall_timed(|| energy(complex, &neighbors, &mut rigid));
         eval_time += initial_wall_s;
         let initial_energy = initial.total();
         let mut current_energy = initial_energy;
@@ -174,6 +191,7 @@ impl Minimizer {
             if iter > 0 && iter % self.config.neighbor_refresh_interval == 0 {
                 neighbors = NeighborList::build(&complex.atoms, self.ff.cutoff, &excluded);
                 accepted = None;
+                rigid.clear();
                 if let Some(engine) = gpu_engine.as_mut() {
                     engine.refresh_neighbor_list(&neighbors);
                 }
@@ -195,23 +213,20 @@ impl Minimizer {
             });
             eval_time += forces_wall_s;
 
-            // Optimization move (host): steepest descent on the mobile atoms with a
-            // backtracking step-size control.
+            // Optimization move (host): steepest descent on the mobile atoms (the
+            // probe, `probe_offset..`) with a backtracking step-size control.
+            let offset = complex.probe_offset;
             let (saved_positions, move_wall_s) = wall_timed(|| {
-                let mut trial_positions = complex.positions();
-                for (i, pos) in trial_positions.iter_mut().enumerate() {
-                    if complex.is_mobile(i) {
-                        *pos += forces[i] * step;
-                    }
+                let saved: Vec<Vec3> = complex.probe_atoms().iter().map(|a| a.position).collect();
+                for (atom, force) in complex.atoms[offset..].iter_mut().zip(&forces[offset..]) {
+                    atom.position += *force * step;
                 }
-                let saved_positions = complex.positions();
-                complex.set_positions(&trial_positions);
-                saved_positions
+                saved
             });
             update_time += move_wall_s;
 
             // The trial step is judged by its energy alone.
-            let (trial, trial_wall_s) = wall_timed(|| evaluator.energy(complex, &neighbors));
+            let (trial, trial_wall_s) = wall_timed(|| energy(complex, &neighbors, &mut rigid));
             eval_time += trial_wall_s;
             let trial_energy = trial.total();
 
@@ -226,7 +241,9 @@ impl Minimizer {
                     }
                 } else {
                     // Reject the step, shrink and retry next iteration.
-                    complex.set_positions(&saved_positions);
+                    for (atom, &saved) in complex.atoms[offset..].iter_mut().zip(&saved_positions) {
+                        atom.position = saved;
+                    }
                     step *= 0.5;
                     if step < 1e-9 {
                         converged = true;
@@ -240,7 +257,7 @@ impl Minimizer {
             }
         }
 
-        let breakdown = accepted.unwrap_or_else(|| evaluator.energy(complex, &neighbors));
+        let breakdown = accepted.unwrap_or_else(|| energy(complex, &neighbors, &mut rigid));
         MinimizationResult {
             initial_energy,
             final_energy: current_energy,

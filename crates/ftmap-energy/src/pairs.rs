@@ -16,7 +16,6 @@
 //!    (Fig. 11).
 
 use ftmap_molecule::NeighborList;
-use std::ops::Range;
 
 /// One atom pair to be processed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,26 +69,46 @@ pub struct SplitPairsLists {
 impl SplitPairsLists {
     /// Builds the split lists from a neighbor list.
     pub fn from_neighbor_list(neighbors: &NeighborList) -> Self {
-        let n_atoms = neighbors.n_atoms();
         let forward: Vec<AtomPair> =
             neighbors.iter_pairs().map(|(i, j)| AtomPair { first: i, second: j }).collect();
-        // Reverse list: grouped by the original second atom, which becomes the atom
-        // whose energy this list updates — a stable counting sort of the forward
-        // list by `second`, so each group keeps its partners in forward order.
+        let groups = ReverseGroups::new(neighbors);
+        let reverse = (0..neighbors.n_atoms())
+            .flat_map(|j| groups.partners(j).iter().map(move |&i| AtomPair { first: j, second: i }))
+            .collect();
+        SplitPairsLists { forward, reverse, n_atoms: neighbors.n_atoms() }
+    }
+}
+
+/// The reverse list's groups without its pairs: atom `j`'s partners are the
+/// atoms `i < j` whose neighbor lists hold `j`, in forward-list order — a
+/// stable counting sort of the forward list by its second atom.
+struct ReverseGroups {
+    /// Atom `j`'s partners are `partners[starts[j]..starts[j + 1]]`.
+    starts: Vec<usize>,
+    partners: Vec<usize>,
+}
+
+impl ReverseGroups {
+    fn new(neighbors: &NeighborList) -> Self {
+        let n_atoms = neighbors.n_atoms();
         let mut starts = vec![0usize; n_atoms + 1];
-        for pair in &forward {
-            starts[pair.second + 1] += 1;
+        for (_, j) in neighbors.iter_pairs() {
+            starts[j + 1] += 1;
         }
         for j in 0..n_atoms {
             starts[j + 1] += starts[j];
         }
-        let mut reverse = vec![AtomPair { first: 0, second: 0 }; forward.len()];
-        for pair in &forward {
-            let slot = &mut starts[pair.second];
-            reverse[*slot] = AtomPair { first: pair.second, second: pair.first };
-            *slot += 1;
+        let mut next = starts[..n_atoms].to_vec();
+        let mut partners = vec![0; neighbors.n_pairs()];
+        for (i, j) in neighbors.iter_pairs() {
+            partners[next[j]] = i;
+            next[j] += 1;
         }
-        SplitPairsLists { forward, reverse, n_atoms }
+        ReverseGroups { starts, partners }
+    }
+
+    fn partners(&self, j: usize) -> &[usize] {
+        &self.partners[self.starts[j]..self.starts[j + 1]]
     }
 }
 
@@ -121,17 +140,12 @@ impl AssignmentRow {
             group_size: 0,
         }
     }
-
-    /// True when this row carries no work.
-    pub fn is_padding(&self) -> bool {
-        self.pair_index == usize::MAX
-    }
 }
 
 /// The static work-assignment table: one row per thread slot, organized in blocks of
 /// `threads_per_block` rows. Groups (pairs sharing a first atom) never straddle a block
 /// boundary, so each group's partial energies land in one block's shared memory.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AssignmentTable {
     /// Rows, `threads_per_block` per block.
     pub rows: Vec<AssignmentRow>,
@@ -139,6 +153,22 @@ pub struct AssignmentTable {
     pub threads_per_block: usize,
     /// Number of atoms in the system.
     pub n_atoms: usize,
+    /// Each block's totals, counted while the rows are placed.
+    blocks: Vec<BlockTotals>,
+}
+
+/// What one block of an [`AssignmentTable`] holds, for kernels that record a
+/// block's work without walking its rows. A block's work rows come first and
+/// its padding last. Its groups cover exactly its work rows, so the group
+/// sizes of its masters sum to `work_rows`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct BlockTotals {
+    /// Non-padding rows.
+    pub(crate) work_rows: usize,
+    /// Master rows: one per group chunk.
+    pub(crate) master_rows: usize,
+    /// The first atom of its last work row.
+    pub(crate) last_first_atom: usize,
 }
 
 impl AssignmentTable {
@@ -153,8 +183,52 @@ impl AssignmentTable {
     /// # Panics
     /// Panics if `threads_per_block` is zero.
     pub fn build(pairs: &[AtomPair], n_atoms: usize, threads_per_block: usize) -> Self {
+        let groups = || {
+            pairs
+                .chunk_by(|a, b| a.first == b.first)
+                .map(|run| (run[0].first, run.iter().map(|pair| pair.second)))
+        };
+        AssignmentTable::from_groups(groups, n_atoms, threads_per_block)
+    }
+
+    /// The tables [`AssignmentTable::build`] makes from the forward and the
+    /// reverse list of [`SplitPairsLists::from_neighbor_list`], without making
+    /// the lists: the forward groups are the neighbor list's own runs, and the
+    /// reverse grouping keeps only partner indices.
+    ///
+    /// # Panics
+    /// Panics if `threads_per_block` is zero.
+    pub fn forward_and_reverse(neighbors: &NeighborList, threads_per_block: usize) -> [Self; 2] {
+        let n_atoms = neighbors.n_atoms();
+        let reverse = ReverseGroups::new(neighbors);
+        [
+            AssignmentTable::from_groups(
+                || (0..n_atoms).map(|i| (i, neighbors.neighbors(i).iter().copied())),
+                n_atoms,
+                threads_per_block,
+            ),
+            AssignmentTable::from_groups(
+                || (0..n_atoms).map(|j| (j, reverse.partners(j).iter().copied())),
+                n_atoms,
+                threads_per_block,
+            ),
+        ]
+    }
+
+    /// The one table build. `groups()` yields a pairs-list's runs of pairs
+    /// sharing a first atom, in list order, as `(first atom, second atoms)`;
+    /// the pair indices count the pairs in that order. It is walked twice:
+    /// once to size the table, once to fill it in place.
+    fn from_groups<G, S>(groups: impl Fn() -> G, n_atoms: usize, threads_per_block: usize) -> Self
+    where
+        G: Iterator<Item = (usize, S)>,
+        S: ExactSizeIterator<Item = usize>,
+    {
         assert!(threads_per_block > 0, "threads_per_block must be positive");
         let tpb = threads_per_block;
+        // A run is cut into chunks of at most a block's threads.
+        let chunks =
+            move |len: usize| (0..len).step_by(tpb).map(move |start| (len - start).min(tpb));
         // A chunk goes at the next free row unless it would cross into the next
         // block; then the rest of the current block is padding.
         let place = |cursor: usize, len: usize| {
@@ -164,32 +238,38 @@ impl AssignmentTable {
                 cursor
             }
         };
-        // First walk sizes the table, the second fills it in place.
-        let end = group_chunks(pairs, tpb)
-            .fold(0, |cursor, chunk| place(cursor, chunk.len()) + chunk.len());
+        let end = groups()
+            .flat_map(|(_, seconds)| chunks(seconds.len()))
+            .fold(0, |cursor, len| place(cursor, len) + len);
         let mut rows = vec![AssignmentRow::padding(); end.next_multiple_of(tpb)];
-        let mut cursor = 0;
-        for chunk in group_chunks(pairs, tpb) {
-            cursor = place(cursor, chunk.len());
-            let group_size = chunk.len();
-            for (offset, pair_index) in chunk.enumerate() {
-                let pair = pairs[pair_index];
-                rows[cursor + offset] = AssignmentRow {
-                    pair_index,
-                    atom_first: pair.first,
-                    atom_second: pair.second,
-                    master: offset == 0,
-                    group_size: if offset == 0 { group_size } else { 0 },
-                };
+        let mut blocks = vec![BlockTotals::default(); rows.len() / tpb];
+        let (mut cursor, mut pair_index) = (0, 0);
+        for (first, mut seconds) in groups() {
+            for group_size in chunks(seconds.len()) {
+                cursor = place(cursor, group_size);
+                let block = &mut blocks[cursor / tpb];
+                block.work_rows += group_size;
+                block.master_rows += 1;
+                block.last_first_atom = first;
+                for (offset, second) in seconds.by_ref().take(group_size).enumerate() {
+                    rows[cursor + offset] = AssignmentRow {
+                        pair_index,
+                        atom_first: first,
+                        atom_second: second,
+                        master: offset == 0,
+                        group_size: if offset == 0 { group_size } else { 0 },
+                    };
+                    pair_index += 1;
+                }
+                cursor += group_size;
             }
-            cursor += group_size;
         }
-        AssignmentTable { rows, threads_per_block, n_atoms }
+        AssignmentTable { rows, threads_per_block, n_atoms, blocks }
     }
 
     /// Number of thread blocks the table spans.
     pub fn n_blocks(&self) -> usize {
-        self.rows.len() / self.threads_per_block
+        self.blocks.len()
     }
 
     /// The rows of block `b`.
@@ -198,9 +278,22 @@ impl AssignmentTable {
         &self.rows[start..start + self.threads_per_block]
     }
 
+    /// The totals of block `b`.
+    pub(crate) fn block_totals(&self, b: usize) -> BlockTotals {
+        self.blocks[b]
+    }
+
+    /// The first block holding a row whose first atom is `atom` or later
+    /// (`n_blocks()` if none does). Every block before it holds only earlier
+    /// first atoms, provided the rows ascend by first atom — as the split
+    /// lists' tables do, both lists being grouped in atom order.
+    pub(crate) fn first_block_from(&self, atom: usize) -> usize {
+        self.blocks.partition_point(|block| block.last_first_atom < atom)
+    }
+
     /// Number of non-padding rows (total pairs covered).
     pub fn work_rows(&self) -> usize {
-        self.rows.iter().filter(|r| !r.is_padding()).count()
+        self.blocks.iter().map(|b| b.work_rows).sum()
     }
 
     /// Size of the table in f64-equivalent words when transferred to the device
@@ -210,27 +303,17 @@ impl AssignmentTable {
     }
 }
 
-/// The pair-index ranges of an [`AssignmentTable`]'s group chunks, in order:
-/// maximal runs of pairs sharing a first atom, cut into pieces of at most
-/// `max` pairs.
-fn group_chunks(pairs: &[AtomPair], max: usize) -> impl Iterator<Item = Range<usize>> + '_ {
-    let mut start = 0;
-    std::iter::from_fn(move || {
-        let first = pairs.get(start)?.first;
-        let limit = (start + max).min(pairs.len());
-        let end = (start + 1..limit).find(|&k| pairs[k].first != first).unwrap_or(limit);
-        let chunk = start..end;
-        start = end;
-        Some(chunk)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use ftmap_molecule::{
         Complex, ForceField, NeighborList, Probe, ProbeType, ProteinSpec, SyntheticProtein,
     };
+
+    /// True when `row` carries no work.
+    fn is_padding(row: &AssignmentRow) -> bool {
+        row.pair_index == usize::MAX
+    }
 
     fn neighbor_list() -> NeighborList {
         let ff = ForceField::charmm_like();
@@ -281,13 +364,69 @@ mod tests {
         assert_eq!(table.work_rows(), split.forward.len());
         // Every pair index appears exactly once.
         let mut seen = vec![false; split.forward.len()];
-        for row in table.rows.iter().filter(|r| !r.is_padding()) {
+        for row in table.rows.iter().filter(|r| !is_padding(r)) {
             assert!(!seen[row.pair_index], "pair {} assigned twice", row.pair_index);
             seen[row.pair_index] = true;
         }
         assert!(seen.iter().all(|&s| s));
         assert_eq!(table.rows.len() % 64, 0);
         assert_eq!(table.n_blocks() * 64, table.rows.len());
+    }
+
+    #[test]
+    fn tables_from_the_neighbor_list_equal_the_tables_of_the_split_lists() {
+        let nl = neighbor_list();
+        let split = SplitPairsLists::from_neighbor_list(&nl);
+        for tpb in [16, 32, 64] {
+            let [forward, reverse] = AssignmentTable::forward_and_reverse(&nl, tpb);
+            assert_eq!(forward, AssignmentTable::build(&split.forward, split.n_atoms, tpb));
+            assert_eq!(reverse, AssignmentTable::build(&split.reverse, split.n_atoms, tpb));
+        }
+    }
+
+    #[test]
+    fn block_totals_equal_a_row_walk() {
+        let nl = neighbor_list();
+        for tpb in [16, 32, 64] {
+            for table in AssignmentTable::forward_and_reverse(&nl, tpb) {
+                for b in 0..table.n_blocks() {
+                    let rows = table.block_rows(b);
+                    let work = rows.iter().filter(|r| !is_padding(r)).count();
+                    let masters: Vec<_> = rows.iter().filter(|r| r.master).collect();
+                    let group_rows: usize = masters.iter().map(|r| r.group_size).sum();
+                    let totals = table.block_totals(b);
+                    let last_first_atom = rows[work - 1].atom_first;
+                    let walk = BlockTotals {
+                        work_rows: work,
+                        master_rows: masters.len(),
+                        last_first_atom,
+                    };
+                    assert_eq!(totals, walk, "tpb {tpb} block {b}");
+                    assert_eq!(group_rows, work, "tpb {tpb} block {b}: groups cover the work rows");
+                    assert!(rows[..work].iter().all(|r| !is_padding(r)), "padding trails");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn first_block_from_finds_the_first_block_with_a_later_first_atom() {
+        let nl = neighbor_list();
+        for tpb in [16, 32, 64] {
+            for table in AssignmentTable::forward_and_reverse(&nl, tpb) {
+                for atom in [0, 1, nl.n_atoms() / 2, nl.n_atoms() - 3, nl.n_atoms(), usize::MAX] {
+                    let walk = (0..table.n_blocks())
+                        .find(|&b| {
+                            table
+                                .block_rows(b)
+                                .iter()
+                                .any(|r| !is_padding(r) && r.atom_first >= atom)
+                        })
+                        .unwrap_or(table.n_blocks());
+                    assert_eq!(table.first_block_from(atom), walk, "tpb {tpb}, atom {atom}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -301,7 +440,7 @@ mod tests {
             // Within a block, each first atom present must have its master row in the
             // same block (i.e. group chunks start with a master).
             let mut current_atom = usize::MAX;
-            for row in rows.iter().filter(|r| !r.is_padding()) {
+            for row in rows.iter().filter(|r| !is_padding(r)) {
                 if row.atom_first != current_atom {
                     assert!(row.master, "group chunk must start with a master row");
                     current_atom = row.atom_first;
@@ -337,15 +476,7 @@ mod tests {
         let table = AssignmentTable::build(&pairs, 3, 8);
         assert_eq!(table.rows.len(), 8);
         assert_eq!(table.work_rows(), 2);
-        assert!(table.rows[7].is_padding());
-        assert!(!AssignmentRow {
-            pair_index: 0,
-            atom_first: 0,
-            atom_second: 1,
-            master: true,
-            group_size: 1
-        }
-        .is_padding());
+        assert_eq!(table.rows[2..], [AssignmentRow::padding(); 6]);
         assert!(table.transfer_words() >= 40);
     }
 

@@ -238,14 +238,16 @@ impl<T: Clone + Default> Staged<Vec<T>> {
 /// [`BlockOrder::in_turn`], which makes the sum order a function of the
 /// launch grid alone.
 ///
-/// Every block of the launch must take exactly one turn (blocks with nothing
-/// to commit pass an empty closure). This cannot deadlock: [`Device::launch`]
-/// hands blocks out in increasing index order and runs each to completion, so
-/// the block being waited for has always been claimed already — and if that
-/// block panics before or during its turn, the launch's abort flag makes the
-/// waiting blocks give up, so the launch resolves to the kernel's panic.
-/// Launches on a one-worker device run inline, where every turn is already
-/// due when a block reaches it.
+/// The turns start at a block the order is made with (block 0 by default).
+/// Every block from there on must take exactly one turn (blocks with nothing
+/// to commit pass an empty closure); the blocks below it take none, so they
+/// never wait and nobody waits for them. This cannot deadlock:
+/// [`Device::launch`] hands blocks out in increasing index order and runs
+/// each to completion, so the block being waited for has always been claimed
+/// already — and if that block panics before or during its turn, the
+/// launch's abort flag makes the waiting blocks give up, so the launch
+/// resolves to the kernel's panic. Launches on a one-worker device run
+/// inline, where every turn is already due when a block reaches it.
 /// One per launch; it holds a single counter and allocates nothing.
 #[derive(Debug, Default)]
 pub struct BlockOrder {
@@ -256,6 +258,12 @@ impl BlockOrder {
     /// An order whose first turn belongs to block 0.
     pub fn new() -> Self {
         BlockOrder::default()
+    }
+
+    /// An order whose first turn belongs to block `first`: a kernel whose
+    /// blocks below `first` commit nothing skips their turns.
+    pub fn starting_at(first: usize) -> Self {
+        BlockOrder { next: AtomicUsize::new(first) }
     }
 
     /// Runs `commit` once every lower-indexed block has taken its turn, then
@@ -584,6 +592,87 @@ mod tests {
                 .recv_timeout(std::time::Duration::from_secs(10))
                 .unwrap_or_else(|_| panic!("launch hung ({message})"));
             assert_eq!(panic.as_deref(), Some(message), "the kernel's own panic surfaces");
+        }
+    }
+
+    #[test]
+    fn turns_starting_past_block_zero_order_only_the_blocks_from_there_on() {
+        // Blocks below the first turn take none. They must never wait, nor be
+        // waited for: on a multi-worker device block 0 finishes only after
+        // every ordered block has committed, so a turn waiting on it, or it
+        // on a turn, would hang the launch.
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let device = Device::tesla_c1060();
+            let block_0_waits = device.worker_threads() > 1;
+            let order = BlockOrder::starting_at(5);
+            let committed: Staged<Vec<usize>> = Staged::new(Vec::new());
+            let unordered = std::sync::atomic::AtomicUsize::new(0);
+            let kernel = |ctx: &mut BlockContext| {
+                if ctx.block_idx >= 5 {
+                    let spin = (ctx.block_idx * 7919) % 64;
+                    std::hint::black_box((0..spin * 100).sum::<usize>());
+                    return order.in_turn(ctx.block_idx, || committed.write().push(ctx.block_idx));
+                }
+                if ctx.block_idx == 0 && block_0_waits {
+                    while committed.write().len() < 59 {
+                        std::thread::yield_now();
+                    }
+                }
+                unordered.fetch_add(1, Ordering::Relaxed);
+            };
+            KernelLaunch::on(&device).grid(64).run(&kernel);
+            let _ = done.send((committed.take(), unordered.into_inner()));
+        });
+        let (committed, unordered) = outcome
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("launch hung"));
+        assert_eq!(committed, (5..64).collect::<Vec<_>>());
+        assert_eq!(unordered, 5);
+
+        // A one-worker device runs the same launch inline, in block order.
+        let inline =
+            Device::new(crate::DeviceSpec { sm_count: 1, ..crate::DeviceSpec::tesla_c1060() });
+        let order = BlockOrder::starting_at(3);
+        let committed: Staged<Vec<usize>> = Staged::new(Vec::new());
+        let kernel = |ctx: &mut BlockContext| {
+            if ctx.block_idx >= 3 {
+                order.in_turn(ctx.block_idx, || committed.write().push(ctx.block_idx));
+            }
+        };
+        KernelLaunch::on(&inline).grid(10).run(&kernel);
+        assert_eq!(committed.take(), (3..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_block_panic_fails_a_launch_whose_turns_start_late() {
+        // Block 6 panics before its turn; blocks 7.. wait on it and must give
+        // up, and block 2 (below the first turn, also panicking) must not
+        // matter for the order either way.
+        for panicking in [6, 2] {
+            let (done, outcome) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let device = Device::tesla_c1060();
+                let order = BlockOrder::starting_at(4);
+                let kernel = |ctx: &mut BlockContext| {
+                    assert!(ctx.block_idx != panicking, "block {panicking} failed");
+                    if ctx.block_idx >= 4 {
+                        order.in_turn(ctx.block_idx, || ());
+                    }
+                };
+                let launch = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    KernelLaunch::on(&device).grid(64).run(&kernel)
+                }));
+                let panic = launch.err().map(|p| match p.downcast::<&str>() {
+                    Ok(text) => text.to_string(),
+                    Err(p) => p.downcast::<String>().map(|text| *text).unwrap_or_default(),
+                });
+                let _ = done.send(panic);
+            });
+            let panic = outcome
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("launch hung (block {panicking} panicked)"));
+            assert_eq!(panic, Some(format!("block {panicking} failed")));
         }
     }
 
