@@ -58,6 +58,11 @@ impl<T> Grid3<T> {
         Grid3 { nx, ny, nz, spacing: 1.0, origin: Vec3::ZERO, data }
     }
 
+    /// Consumes the grid, returning its flat data.
+    pub fn into_vec(self) -> Vec<T> {
+        self.data
+    }
+
     /// Grid dimensions `(nx, ny, nz)`.
     #[inline]
     pub fn dims(&self) -> (usize, usize, usize) {

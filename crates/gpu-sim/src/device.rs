@@ -173,6 +173,13 @@ impl TransferSnapshot {
 }
 
 /// The block-parallel execution engine for one modeled device.
+///
+/// Besides the launch engine, a device holds its transfer accounting, its
+/// [`ResidencyCache`] and a free list of `f64` result buffers
+/// ([`Device::result_buffer`]). The free list models kernel outputs allocated
+/// once in device global memory and reused: it keeps at most as many buffers
+/// as the device has had out at once, and it is host memory only, so no
+/// modeled byte, residency hit or eviction depends on it.
 #[derive(Debug)]
 pub struct Device {
     spec: DeviceSpec,
@@ -184,6 +191,27 @@ pub struct Device {
     transfers: Mutex<TransferSnapshot>,
     /// Buffers kept resident in this device's modeled global memory.
     residency: ResidencyCache,
+    /// Result buffers the device keeps between launches.
+    result_buffers: Mutex<ResultBuffers>,
+}
+
+/// The free list behind [`Device::result_buffer`]: at most `peak` buffers, the
+/// most the device has had out at once. `Debug` prints counts, not contents.
+#[derive(Default)]
+struct ResultBuffers {
+    free: Vec<Vec<f64>>,
+    out: usize,
+    peak: usize,
+}
+
+impl std::fmt::Debug for ResultBuffers {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ResultBuffers")
+            .field("free", &self.free.len())
+            .field("out", &self.out)
+            .field("peak", &self.peak)
+            .finish()
+    }
 }
 
 impl Device {
@@ -200,6 +228,7 @@ impl Device {
             worker_threads,
             transfers: Mutex::new(TransferSnapshot::default()),
             residency,
+            result_buffers: Mutex::default(),
         }
     }
 
@@ -231,6 +260,38 @@ impl Device {
     /// cache hits (zero upload bytes) model.
     pub fn residency(&self) -> &ResidencyCache {
         &self.residency
+    }
+
+    /// Takes a `len`-word result buffer from the device's free list, or
+    /// allocates one when the list is empty — the model of a kernel's output
+    /// grid allocated once in device global memory, as CUDA code does.
+    ///
+    /// The buffer's contents are unspecified (a reused one holds whatever its
+    /// last user left): the kernel that fills it must write every word. Hand
+    /// it back with [`Device::recycle_result_buffers`]. The list is host
+    /// memory only and is never charged to [`Device::residency`].
+    pub fn result_buffer(&self, len: usize) -> Vec<f64> {
+        let reused = {
+            let mut buffers = locked(&self.result_buffers);
+            buffers.out += 1;
+            buffers.peak = buffers.peak.max(buffers.out);
+            buffers.free.pop()
+        };
+        let mut buffer = reused.unwrap_or_default();
+        buffer.resize(len, 0.0);
+        buffer
+    }
+
+    /// Hands result buffers back to the free list. The list keeps at most as
+    /// many buffers as the device has had out at once and drops the rest.
+    pub fn recycle_result_buffers(&self, returned: impl IntoIterator<Item = Vec<f64>>) {
+        let mut buffers = locked(&self.result_buffers);
+        for buffer in returned {
+            buffers.out = buffers.out.saturating_sub(1);
+            if buffers.free.len() < buffers.peak {
+                buffers.free.push(buffer);
+            }
+        }
     }
 
     /// Records a host↔device transfer and returns its modeled duration in seconds.
@@ -649,5 +710,33 @@ mod tests {
         let device = Device::new(DeviceSpec::xeon_quad());
         assert!(device.worker_threads() <= 4);
         assert!(device.worker_threads() >= 1);
+    }
+
+    #[test]
+    fn result_buffer_free_list_is_bounded_by_the_peak_out_at_once() {
+        let device = Device::tesla_c1060();
+        let held = |device: &Device| locked(&device.result_buffers).free.len();
+        // Buffers the device never lent out are dropped.
+        device.recycle_result_buffers([vec![1.0; 4]]);
+        assert_eq!(held(&device), 0);
+
+        let out: Vec<Vec<f64>> = (0..3).map(|_| device.result_buffer(8)).collect();
+        assert!(out.iter().all(|b| b.len() == 8));
+        // Five back for three out: the list keeps three.
+        device.recycle_result_buffers(out.into_iter().chain([vec![0.0; 8], vec![0.0; 2]]));
+        assert_eq!(held(&device), 3);
+
+        // Reuse takes from the list, at the requested length, and never
+        // raises the peak past what was out at once.
+        for _ in 0..4 {
+            let a = device.result_buffer(5);
+            let b = device.result_buffer(12);
+            assert_eq!((a.len(), b.len()), (5, 12));
+            assert_eq!(held(&device), 1);
+            device.recycle_result_buffers([a, b]);
+            assert_eq!(held(&device), 3);
+        }
+        let buffers = locked(&device.result_buffers);
+        assert_eq!((buffers.out, buffers.peak), (0, 3));
     }
 }

@@ -6,6 +6,12 @@
 //! can share each receptor fetch, and there is no transform overhead (paper §III, and
 //! the earlier FPGA/GPU PIPER studies it cites). This module provides the serial and
 //! multicore host implementations; the device-model version lives in [`crate::gpu`].
+//!
+//! All three run one slab routine, a sparse `conv3d` with its loops inverted: per
+//! ligand entry, `value × receptor row` is added into each output row, as two
+//! segments split at the cyclic `z` wrap. Each voxel still sums in entry order from
+//! `+0.0`, so the bits are those of the per-voxel sum. The GPU kernel's counters
+//! describe the modeled access pattern, not this host loop order.
 
 use crate::grids::{LigandGrids, ReceptorGrids};
 use ftmap_math::{Grid3, Real};
@@ -86,18 +92,7 @@ impl<'a> DirectCorrelationEngine<'a> {
     /// `result_t[d] = Σ_v L_t[v] · R_t[(v + d) mod N]`, matching the FFT engine's
     /// cyclic convention exactly.
     pub fn correlate_rotation_serial(&self, ligand: &SparseLigand) -> Vec<Grid3<Real>> {
-        let n = self.dim();
-        let mut results: Vec<Grid3<Real>> = (0..ligand.n_terms).map(|_| Grid3::cubic(n)).collect();
-        for dx in 0..n {
-            for dy in 0..n {
-                for dz in 0..n {
-                    self.score_translation(ligand, (dx, dy, dz), |term, v| {
-                        *results[term].at_mut(dx, dy, dz) += v;
-                    });
-                }
-            }
-        }
-        results
+        self.correlate_rotation_multicore(ligand, 1)
     }
 
     /// Correlates one rotation with the receptor-grid passes split over `n_threads`
@@ -110,57 +105,20 @@ impl<'a> DirectCorrelationEngine<'a> {
         assert!(n_threads >= 1, "need at least one thread");
         let n = self.dim();
         let mut results: Vec<Grid3<Real>> = (0..ligand.n_terms).map(|_| Grid3::cubic(n)).collect();
-
-        // `Grid3` is x-major, so a run of x-planes is one contiguous chunk of
-        // every term grid: thread `t` owns chunk `t` of all of them outright
-        // and writes its slab in place.
+        // `Grid3` is x-major: thread `t` owns the contiguous x-planes
+        // `t · planes ..` of every term grid.
         let planes = n.div_ceil(n_threads);
-        let mut slabs: Vec<Vec<&mut [Real]>> =
-            (0..n.div_ceil(planes)).map(|_| Vec::with_capacity(ligand.n_terms)).collect();
-        for grid in &mut results {
-            let pieces = grid.as_mut_slice().chunks_mut(planes * n * n);
-            for (slab, piece) in slabs.iter_mut().zip(pieces) {
-                slab.push(piece);
-            }
+        let mut slabs = chunk_slots(results.iter_mut().map(Grid3::as_mut_slice), planes * n * n);
+        if let [slab] = &mut slabs[..] {
+            correlate_slab(self.receptor, ligand, 0, slab);
+            return results;
         }
         std::thread::scope(|scope| {
             for (t, mut slab) in slabs.into_iter().enumerate() {
-                scope.spawn(move || {
-                    let x_start = t * planes;
-                    let mut out = 0;
-                    for dx in x_start..(x_start + planes).min(n) {
-                        for dy in 0..n {
-                            for dz in 0..n {
-                                self.score_translation(ligand, (dx, dy, dz), |term, v| {
-                                    slab[term][out] += v;
-                                });
-                                out += 1;
-                            }
-                        }
-                    }
-                });
+                scope.spawn(move || correlate_slab(self.receptor, ligand, t * planes, &mut slab));
             }
         });
         results
-    }
-
-    /// Scores a single translation `d`: calls `add(term, L·R)` once per occupied
-    /// ligand voxel, in entry order, for the caller to accumulate at `d`.
-    #[inline]
-    fn score_translation(
-        &self,
-        ligand: &SparseLigand,
-        d: (usize, usize, usize),
-        mut add: impl FnMut(usize, Real),
-    ) {
-        let n = self.dim();
-        for entry in &ligand.entries {
-            let x = (entry.offset.0 + d.0) % n;
-            let y = (entry.offset.1 + d.1) % n;
-            let z = (entry.offset.2 + d.2) % n;
-            let r = *self.receptor.terms[entry.term].at(x, y, z);
-            add(entry.term, entry.value * r);
-        }
     }
 
     /// Estimated floating-point work for correlating one rotation directly:
@@ -168,6 +126,61 @@ impl<'a> DirectCorrelationEngine<'a> {
     pub fn flops_per_rotation(&self, ligand: &SparseLigand) -> u64 {
         let n3 = (self.dim() * self.dim() * self.dim()) as u64;
         2 * n3 * ligand.len() as u64
+    }
+}
+
+/// Splits buffers into `len`-word chunks: slot `i` holds chunk `i` of every
+/// buffer, in buffer order.
+pub(crate) fn chunk_slots<'a>(
+    buffers: impl IntoIterator<Item = &'a mut [Real]>,
+    len: usize,
+) -> Vec<Vec<&'a mut [Real]>> {
+    let mut slots: Vec<Vec<&mut [Real]>> = Vec::new();
+    for buffer in buffers {
+        for (i, chunk) in buffer.chunks_mut(len).enumerate() {
+            if i == slots.len() {
+                slots.push(Vec::new());
+            }
+            slots[i].push(chunk);
+        }
+    }
+    slots
+}
+
+/// The slab routine of every direct engine (see the module docs): `out[t]` holds
+/// whole x-planes of term `t`'s result grid from plane `x_start` on. Each plane is
+/// zeroed, then every entry adds `value × receptor row` into each row, in entry
+/// order, as two segments split at the cyclic `z` wrap.
+pub(crate) fn correlate_slab(
+    receptor: &ReceptorGrids,
+    ligand: &SparseLigand,
+    x_start: usize,
+    out: &mut [&mut [Real]],
+) {
+    let n = receptor.spec.dim;
+    let n_planes = out.first().map_or(0, |slab| slab.len() / (n * n));
+    for p in 0..n_planes {
+        let words = p * n * n..(p + 1) * n * n;
+        for slab in out.iter_mut() {
+            slab[words.clone()].fill(0.0);
+        }
+        for entry in &ligand.entries {
+            let (ox, oy, oz) = entry.offset;
+            let x = (ox + x_start + p) % n;
+            let oz = oz % n;
+            let plane = &mut out[entry.term][words.clone()];
+            for (dy, row) in plane.chunks_exact_mut(n).enumerate() {
+                let start = (x * n + (oy + dy) % n) * n;
+                let r = &receptor.terms[entry.term].as_slice()[start..start + n];
+                let (head, tail) = row.split_at_mut(n - oz);
+                for (o, &r) in head.iter_mut().zip(&r[oz..]) {
+                    *o += entry.value * r;
+                }
+                for (o, &r) in tail.iter_mut().zip(&r[..oz]) {
+                    *o += entry.value * r;
+                }
+            }
+        }
     }
 }
 
@@ -231,7 +244,7 @@ mod tests {
             let parallel = engine.correlate_rotation_multicore(&sparse, threads);
             for (s, p) in serial.iter().zip(&parallel) {
                 for (a, b) in s.as_slice().iter().zip(p.as_slice()) {
-                    assert!((a - b).abs() < 1e-12);
+                    assert_eq!(a.to_bits(), b.to_bits(), "{threads} threads: {a:e} vs {b:e}");
                 }
             }
         }

@@ -19,7 +19,7 @@ use crate::gpu::GpuDockingEngine;
 use crate::grids::{EnergyWeights, GridSpec, LigandGrids, ReceptorGrids};
 use crate::pose::{sort_best_first, Pose};
 use ftmap_math::rotations::FTMAP_ROTATION_COUNT;
-use ftmap_math::{Real, RotationSet};
+use ftmap_math::{Grid3, Real, RotationSet};
 use ftmap_molecule::{Atom, Probe};
 use gpu_sim::{wall_timed, CostModel, Device, DeviceSpec, MemoryCounters};
 use std::sync::Arc;
@@ -480,13 +480,8 @@ impl Docking {
                 ..Default::default()
             };
 
-            let (results, corr_wall_s) = wall_timed(|| {
-                if n_threads == 1 {
-                    engine.correlate_rotation_serial(&sparse)
-                } else {
-                    engine.correlate_rotation_multicore(&sparse, n_threads)
-                }
-            });
+            let (results, corr_wall_s) =
+                wall_timed(|| engine.correlate_rotation_multicore(&sparse, n_threads));
             wall.correlation_s += corr_wall_s;
             modeled.correlation_s += self.xeon.serial_time(&direct_counters) / n_threads as f64;
 
@@ -570,7 +565,11 @@ impl Docking {
                 wall.scoring_filtering_s += score_wall_s;
                 modeled.scoring_filtering_s += score_stats.modeled_time_s;
                 poses.extend(selected);
+                self.device.recycle_result_buffers([desolv.into_vec()]);
             }
+            // The batch is scored: its result grids go back to the device.
+            let grids = corr.results.into_iter().flatten().map(Grid3::into_vec);
+            self.device.recycle_result_buffers(grids);
         }
         sort_best_first(&mut poses);
         DockingRun {

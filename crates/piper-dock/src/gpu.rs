@@ -9,7 +9,8 @@
 //!   result voxel the receptor value at a given (term, offset) is fetched from global
 //!   memory **once** and reused by every rotation in the batch that touches that offset
 //!   — the data-reuse optimization that buys the reported 2.7× over one-rotation-at-a-
-//!   time correlation.
+//!   time correlation. The counters record that modeled pattern; the host simulation
+//!   runs the direct engines' row-wise slab routine per plane, with the same bits.
 //! * [`GpuDockingEngine::accumulate_desolvation`] — sums the desolvation component
 //!   results on the device (Table 1's "Accum. desolvation terms" row).
 //! * [`GpuDockingEngine::score_and_filter`] — weighted scoring plus top-K filtering with
@@ -17,10 +18,14 @@
 //!   multiprocessors would incur large communication overhead", §III.B), which is why
 //!   its speedup is modest.
 //!
+//! The correlation and accumulation grids are device result buffers
+//! ([`Device::result_buffer`]), which [`crate::Docking`] hands back once a batch is
+//! scored. Each block zeroes its plane and writes straight into it.
+//!
 //! Each method returns both the numerically exact results (computed by the block-
 //! parallel CPU execution) and the [`KernelStats`] whose modeled time feeds Table 1.
 
-use crate::direct::SparseLigand;
+use crate::direct::{chunk_slots, correlate_slab, SparseLigand};
 use crate::filter;
 use crate::grids::{EnergyWeights, ReceptorGrids};
 use crate::pose::Pose;
@@ -81,18 +86,14 @@ impl<'a> GpuDockingEngine<'a> {
         let unique_fetches_per_voxel = unique_fetches.len() as u64;
         let entries_per_voxel: u64 = batch.iter().map(|l| l.len() as u64).sum();
 
-        // Output: per rotation, per term; blocks own disjoint x-plane slabs, staged
-        // through the launch layer (disjoint regions, so write order does not matter).
-        let output: Vec<Vec<Staged<Grid3<Real>>>> = batch
-            .iter()
-            .map(|_| (0..n_terms).map(|_| Staged::new(Grid3::cubic(n))).collect())
-            .collect();
-
+        // Output: per rotation, per term, from the device's result buffers.
+        // Block `x` owns plane `x` of every grid and writes it in place.
+        let mut buffers: Vec<Vec<Real>> =
+            (0..batch.len() * n_terms).map(|_| self.device.result_buffer(n * n * n)).collect();
         let kernel = CorrelationKernel {
             receptor: self.receptor,
             batch,
-            output: &output,
-            n,
+            planes: plane_slots(&mut buffers, n),
             unique_fetches_per_voxel,
             entries_per_voxel,
         };
@@ -102,12 +103,13 @@ impl<'a> GpuDockingEngine<'a> {
             .shared_mem_capped(batch.len() * n_terms)
             .run(&kernel);
 
-        let results =
-            output.into_iter().map(|terms| terms.into_iter().map(Staged::take).collect()).collect();
+        let mut grids = buffers.into_iter().map(|buffer| Grid3::from_vec(n, n, n, buffer));
+        let results = batch.iter().map(|_| grids.by_ref().take(n_terms).collect()).collect();
         BatchCorrelationResult { results, stats, upload_time_s }
     }
 
-    /// Device-side accumulation of the desolvation component results into one grid.
+    /// Device-side accumulation of the desolvation component results into one grid
+    /// (a device result buffer, like the correlation grids).
     pub fn accumulate_desolvation(
         &self,
         term_results: &[Grid3<Real>],
@@ -115,11 +117,13 @@ impl<'a> GpuDockingEngine<'a> {
     ) -> (Grid3<Real>, KernelStats) {
         assert_eq!(term_results.len(), 4 + n_desolv, "unexpected term count");
         let n = self.receptor.spec.dim;
-        let output = Staged::new(Grid3::cubic(n));
-        let kernel = AccumulationKernel { term_results, n_desolv, output: &output, n };
+        let mut buffer = [self.device.result_buffer(n * n * n)];
+        let kernel =
+            AccumulationKernel { term_results, n_desolv, planes: plane_slots(&mut buffer, n) };
         let stats =
             KernelLaunch::on(self.device).grid(n).threads(self.threads_per_block).run(&kernel);
-        (output.take(), stats)
+        let [buffer] = buffer;
+        (Grid3::from_vec(n, n, n, buffer), stats)
     }
 
     /// Device-side scoring + filtering on a single block.
@@ -162,61 +166,44 @@ impl<'a> GpuDockingEngine<'a> {
     }
 }
 
+/// Per-x-plane write slots of `N³` result buffers: slot `x` holds plane `x` of
+/// every buffer, in buffer order, for block `x` to write in place.
+fn plane_slots(buffers: &mut [Vec<Real>], n: usize) -> Vec<Staged<Vec<&mut [Real]>>> {
+    chunk_slots(buffers.iter_mut().map(Vec::as_mut_slice), n * n)
+        .into_iter()
+        .map(Staged::new)
+        .collect()
+}
+
 /// Batched direct-correlation kernel: block `b` computes x-plane `b` of every rotation's
 /// result grids.
 struct CorrelationKernel<'a> {
     receptor: &'a ReceptorGrids,
     batch: &'a [SparseLigand],
-    output: &'a [Vec<Staged<Grid3<Real>>>],
-    n: usize,
+    /// Plane slots of the result grids, rotation-major ([`plane_slots`]).
+    planes: Vec<Staged<Vec<&'a mut [Real]>>>,
     unique_fetches_per_voxel: u64,
     entries_per_voxel: u64,
 }
 
 impl BlockKernel for CorrelationKernel<'_> {
     fn execute_block(&self, ctx: &mut BlockContext) {
-        let n = self.n;
-        let dx = ctx.block_idx;
-        if dx >= n {
+        let Some(slot) = self.planes.get(ctx.block_idx) else {
             return;
-        }
-        let n_terms = self.receptor.n_terms();
-        // Local slab: [rotation][term] -> plane of n*n scores.
-        let mut slab: Vec<Vec<Vec<Real>>> =
-            self.batch.iter().map(|_| (0..n_terms).map(|_| vec![0.0; n * n]).collect()).collect();
+        };
+        let n = self.receptor.spec.dim;
+        let voxels = (n * n) as u64;
+        // Accounting, per result voxel of the plane: one global fetch per distinct
+        // (term, offset), reused across the rotations of the batch; every entry costs
+        // a constant-memory read and a multiply-accumulate.
+        ctx.record_global_reads(voxels * self.unique_fetches_per_voxel);
+        ctx.record_constant_reads(voxels * self.entries_per_voxel);
+        ctx.record_flops(voxels * 2 * self.entries_per_voxel);
 
-        for dy in 0..n {
-            for dz in 0..n {
-                // Accounting: one global fetch per distinct (term, offset), reused
-                // across the rotations of the batch; every entry costs a constant-memory
-                // read and a multiply-accumulate.
-                ctx.record_global_reads(self.unique_fetches_per_voxel);
-                ctx.record_constant_reads(self.entries_per_voxel);
-                ctx.record_flops(2 * self.entries_per_voxel);
-
-                for (rot_idx, ligand) in self.batch.iter().enumerate() {
-                    for entry in &ligand.entries {
-                        let x = (entry.offset.0 + dx) % n;
-                        let y = (entry.offset.1 + dy) % n;
-                        let z = (entry.offset.2 + dz) % n;
-                        let r = *self.receptor.terms[entry.term].at(x, y, z);
-                        slab[rot_idx][entry.term][dy * n + dz] += entry.value * r;
-                    }
-                }
-            }
-        }
-
-        // Write the slab back to "global memory" (the shared result grids).
-        for (rot_idx, rot_slab) in slab.into_iter().enumerate() {
-            for (term, plane) in rot_slab.into_iter().enumerate() {
-                ctx.record_global_writes((n * n) as u64);
-                let mut grid = self.output[rot_idx][term].write();
-                for dy in 0..n {
-                    for dz in 0..n {
-                        *grid.at_mut(dx, dy, dz) = plane[dy * n + dz];
-                    }
-                }
-            }
+        let mut planes = slot.write();
+        ctx.record_global_writes(voxels * planes.len() as u64);
+        for (ligand, grids) in self.batch.iter().zip(planes.chunks_mut(self.receptor.n_terms())) {
+            correlate_slab(self.receptor, ligand, ctx.block_idx, grids);
         }
         ctx.sync_threads();
     }
@@ -227,34 +214,28 @@ impl BlockKernel for CorrelationKernel<'_> {
 struct AccumulationKernel<'a> {
     term_results: &'a [Grid3<Real>],
     n_desolv: usize,
-    output: &'a Staged<Grid3<Real>>,
-    n: usize,
+    /// Plane slots of the one output grid ([`plane_slots`]).
+    planes: Vec<Staged<Vec<&'a mut [Real]>>>,
 }
 
 impl BlockKernel for AccumulationKernel<'_> {
     fn execute_block(&self, ctx: &mut BlockContext) {
-        let n = self.n;
-        let x = ctx.block_idx;
-        if x >= n {
+        let Some(slot) = self.planes.get(ctx.block_idx) else {
             return;
-        }
-        let mut plane = vec![0.0; n * n];
+        };
+        let mut planes = slot.write();
+        let out = &mut *planes[0];
+        let voxels = out.len();
+        let plane = ctx.block_idx * voxels..(ctx.block_idx + 1) * voxels;
+        out.fill(0.0);
         for grid in &self.term_results[4..4 + self.n_desolv] {
-            for y in 0..n {
-                for z in 0..n {
-                    plane[y * n + z] += *grid.at(x, y, z);
-                }
+            for (o, &v) in out.iter_mut().zip(&grid.as_slice()[plane.clone()]) {
+                *o += v;
             }
         }
-        ctx.record_global_reads((self.n_desolv * n * n) as u64);
-        ctx.record_flops((self.n_desolv * n * n) as u64);
-        ctx.record_global_writes((n * n) as u64);
-        let mut out = self.output.write();
-        for y in 0..n {
-            for z in 0..n {
-                *out.at_mut(x, y, z) = plane[y * n + z];
-            }
-        }
+        ctx.record_global_reads((self.n_desolv * voxels) as u64);
+        ctx.record_flops((self.n_desolv * voxels) as u64);
+        ctx.record_global_writes(voxels as u64);
     }
 }
 
@@ -336,7 +317,7 @@ mod tests {
             let host_results = host.correlate_rotation_serial(sparse);
             for (hg, gg) in host_results.iter().zip(&gpu_out.results[rot_idx]) {
                 for (a, b) in hg.as_slice().iter().zip(gg.as_slice()) {
-                    assert!((a - b).abs() < 1e-9, "host {a} vs gpu {b}");
+                    assert_eq!(a.to_bits(), b.to_bits(), "host {a:e} vs gpu {b:e}");
                 }
             }
         }
@@ -450,6 +431,57 @@ mod tests {
         assert!(inline_grids == spread_grids, "result grids differ bitwise");
         assert_eq!(inline_poses, spread_poses);
         assert_eq!(inline_counters, spread_counters);
+    }
+
+    #[test]
+    fn dirty_result_buffers_never_leak_into_results() {
+        // A device whose free list holds NaN, garbage and wrong-length
+        // buffers must give the same bits, poses and counters as a fresh one.
+        let (receptor, probe) = setup(16);
+        let batch: Vec<SparseLigand> =
+            RotationSet::uniform(8).iter().map(|r| sparse_for(&probe, r)).collect();
+        let run = |device: &Device| {
+            let gpu = GpuDockingEngine::new(device, &receptor);
+            let correlated = gpu.correlate_batch(&batch);
+            let mut grids: Vec<Vec<u64>> = Vec::new();
+            let mut poses = Vec::new();
+            let mut counters = vec![correlated.stats.counters];
+            for (slot, terms) in correlated.results.iter().enumerate() {
+                let (desolv, accumulate) = gpu.accumulate_desolvation(terms, 4);
+                let (selected, filter) =
+                    gpu.score_and_filter(terms, &desolv, &EnergyWeights::default(), 4, 6, 2, slot);
+                grids.extend(
+                    terms
+                        .iter()
+                        .chain([&desolv])
+                        .map(|g| g.as_slice().iter().map(|v| v.to_bits()).collect()),
+                );
+                poses.extend(
+                    selected.iter().map(|p| (p.rotation_index, p.translation, p.score.to_bits())),
+                );
+                counters.extend([accumulate.counters, filter.counters]);
+                device.recycle_result_buffers([desolv.into_vec()]);
+            }
+            device.recycle_result_buffers(
+                correlated.results.into_iter().flatten().map(Grid3::into_vec),
+            );
+            (grids, poses, counters)
+        };
+
+        let dirty = Device::tesla_c1060();
+        let out: Vec<Vec<f64>> = (0..80).map(|_| dirty.result_buffer(1)).collect();
+        let garbage = out.into_iter().enumerate().map(|(i, _)| match i % 4 {
+            0 => vec![f64::NAN; 16 * 16 * 16],
+            1 => vec![-1.0e300; 16 * 16 * 16 + 37],
+            2 => vec![f64::from_bits(0x7ff4_dead_beef_0001); 100],
+            _ => (0..16 * 16 * 16).map(|k| k as f64 - 0.0).collect(),
+        });
+        dirty.recycle_result_buffers(garbage);
+
+        let fresh = run(&Device::tesla_c1060());
+        assert!(run(&dirty) == fresh, "a dirty free list changed a result");
+        // Second pass: every buffer now comes back from a previous run.
+        assert!(run(&dirty) == fresh, "a reused result buffer changed a result");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use ftmap_math::{Grid3, Real, RotationSet};
 use ftmap_molecule::{ForceField, Probe, ProbeType, ProteinSpec, SyntheticProtein};
 use gpu_sim::Device;
-use piper_dock::direct::{DirectCorrelationEngine, SparseLigand};
+use piper_dock::direct::{DirectCorrelationEngine, SparseEntry, SparseLigand};
 use piper_dock::fft_engine::FftCorrelationEngine;
 use piper_dock::filter;
 use piper_dock::gpu::GpuDockingEngine;
@@ -117,6 +117,53 @@ fn random_ligand(dim: usize, rng: &mut SmallRng) -> LigandGrids {
     LigandGrids { dim, spacing: 1.0, terms }
 }
 
+/// The per-voxel loop over a sparse ligand: every translation adds its
+/// entries' products in entry order, from `+0.0`.
+fn naive_sparse(ligand: &SparseLigand, receptor: &ReceptorGrids) -> Vec<Grid3<Real>> {
+    let n = receptor.spec.dim;
+    let mut out: Vec<Grid3<Real>> = (0..ligand.n_terms).map(|_| Grid3::cubic(n)).collect();
+    for dx in 0..n {
+        for dy in 0..n {
+            for dz in 0..n {
+                for e in &ligand.entries {
+                    let (x, y, z) = e.offset;
+                    let r = *receptor.terms[e.term].at((x + dx) % n, (y + dy) % n, (z + dz) % n);
+                    *out[e.term].at_mut(dx, dy, dz) += e.value * r;
+                }
+            }
+        }
+    }
+    out
+}
+
+/// A hand-built sparse ligand over an `n³` receptor: one entry per `z`
+/// offset `0..n` (so a row splits at every possible wrap), with `x` and `y`
+/// offsets at either edge or in between, terms drawn at random (so they
+/// interleave out of order and repeat offsets), a few values `±0.0`, in
+/// shuffled order.
+fn hand_built_ligand(n: usize, n_terms: usize, rng: &mut SmallRng) -> SparseLigand {
+    let edge = |rng: &mut SmallRng| match rng.gen_range(0..3) {
+        0 => 0,
+        1 => n - 1,
+        _ => rng.gen_range(0..n),
+    };
+    let mut entries: Vec<SparseEntry> = (0..n)
+        .map(|oz| SparseEntry {
+            term: rng.gen_range(0..n_terms),
+            offset: (edge(rng), edge(rng), oz),
+            value: match rng.gen_range(0..5) {
+                0 => -0.0,
+                1 => 0.0,
+                _ => rng.gen_range(-2.0..2.0),
+            },
+        })
+        .collect();
+    for i in (1..entries.len()).rev() {
+        entries.swap(i, rng.gen_range(0..i + 1));
+    }
+    SparseLigand { dim: n, n_terms, entries }
+}
+
 fn assert_bitwise(engine: &str, got: &[Grid3<Real>], want: &[Grid3<Real>]) {
     assert_eq!(got.len(), want.len(), "{engine}: term count");
     for (t, (g, w)) in got.iter().zip(want).enumerate() {
@@ -198,6 +245,37 @@ proptest! {
         let ligands: Vec<LigandGrids> =
             footprints.iter().map(|&dim| random_ligand(dim, &mut rng)).collect();
         check_engines(&receptor, &ligands);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Hand-built sparse ligands over random 8³ receptor grids: every direct
+    /// engine must equal the per-voxel entry-order loop bitwise.
+    #[test]
+    fn direct_engines_match_the_per_voxel_loop_on_hand_built_ligands(seed in 0u64..u64::MAX) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let receptor = receptor(8, Some(rng.gen_range(0..u64::MAX)));
+        let (n, n_terms) = (receptor.spec.dim, receptor.n_terms());
+        let ligands: Vec<SparseLigand> =
+            (0..3).map(|_| hand_built_ligand(n, n_terms, &mut rng)).collect();
+        let want: Vec<Vec<Grid3<Real>>> =
+            ligands.iter().map(|l| naive_sparse(l, &receptor)).collect();
+
+        let direct = DirectCorrelationEngine::new(&receptor);
+        for (ligand, want) in ligands.iter().zip(&want) {
+            assert_bitwise("DirectSerial", &direct.correlate_rotation_serial(ligand), want);
+            for threads in [3, 9] {
+                let got = direct.correlate_rotation_multicore(ligand, threads);
+                assert_bitwise("DirectMulticore", &got, want);
+            }
+        }
+        let device = Device::tesla_c1060();
+        let gpu = GpuDockingEngine::new(&device, &receptor).correlate_batch(&ligands);
+        for (got, want) in gpu.results.iter().zip(&want) {
+            assert_bitwise("Gpu", got, want);
+        }
     }
 }
 
