@@ -101,7 +101,7 @@ fn scenario(
         probe_skew: probe.profile.load_skew(),
         pose_makespan_ms: 1e3 * pose_makespan,
         pose_skew: pose.profile.load_skew(),
-        pose_blocks: pose.profile.device_loads.iter().map(|l| l.pose_blocks).sum(),
+        pose_blocks: pose.profile.schedule.as_ref().map_or(0, |schedule| schedule.blocks),
         speedup: probe_makespan / pose_makespan.max(1e-12),
         wall_ms: 1e3 * start.elapsed().as_secs_f64(),
     }

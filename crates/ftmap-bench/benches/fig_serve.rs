@@ -82,7 +82,7 @@ fn run(label: &'static str, pool: Arc<DevicePool>, requests: Vec<MappingRequest>
     // makespans (robust to however the dispatcher happened to batch).
     let mut batch_makespans: BTreeMap<usize, f64> = BTreeMap::new();
     for report in &reports {
-        batch_makespans.insert(report.batch.batch_index, report.batch.makespan_modeled_s);
+        batch_makespans.insert(report.batch.batch_index, report.batch.report.span_modeled_s());
     }
     let modeled_s: f64 = batch_makespans.values().sum();
     Measurement { label, jobs: n, modeled_s, wall_s, cache }

@@ -149,7 +149,10 @@ fn run_with(
     let barrier_by_batch: BTreeMap<usize, f64> = reports
         .iter()
         .map(|r| {
-            (r.batch.batch_index, r.batch.makespan_modeled_s + r.batch.overlap_saved_modeled_s)
+            (
+                r.batch.batch_index,
+                r.batch.report.span_modeled_s() + r.batch.report.overlap_saved_s(),
+            )
         })
         .collect();
     RunOutcome {
@@ -177,7 +180,7 @@ impl AdmissionRun {
     /// Admission-to-completion span of the burst on the virtual timeline.
     fn burst_span_s(&self) -> f64 {
         let start = self.reports.iter().map(|r| r.admitted_modeled_s).fold(f64::INFINITY, f64::min);
-        let end = self.reports.iter().map(|r| r.batch.completed_modeled_s).fold(0.0f64, f64::max);
+        let end = self.reports.iter().map(|r| r.batch.report.completed_v_s).fold(0.0f64, f64::max);
         (end - start).max(1e-12)
     }
 

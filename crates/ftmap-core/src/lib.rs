@@ -31,4 +31,4 @@ pub use pipeline::{
     AppliedDegrade, DegradePolicy, DockedProbe, FtMapConfig, FtMapPipeline, MappingResult,
     PipelineMode, ProbeShard, DEFAULT_POSE_BLOCK,
 };
-pub use profile::{DeviceLoad, MappingProfile, PhaseStream};
+pub use profile::{phase_table, MappingProfile};

@@ -21,7 +21,7 @@
 
 use crate::cluster::{cluster_poses, ClusterInput, ConsensusSite};
 use crate::phased::PhasedMapBatch;
-use crate::profile::{DeviceLoad, MappingProfile, PhaseStream};
+use crate::profile::MappingProfile;
 use ftmap_energy::minimize::{EvaluationPath, MinimizationConfig, Minimizer};
 use ftmap_math::{RotationSet, Vec3};
 use ftmap_molecule::{Complex, ForceField, Probe, ProbeLibrary, ProbeType, SyntheticProtein};
@@ -442,12 +442,7 @@ impl FtMapPipeline {
         let report = handle.wait();
         sched.shutdown();
         let mut result = batch.take_results().pop().expect("one job in, one result out");
-        result.profile.device_loads = report.per_device.iter().map(DeviceLoad::from).collect();
-        result.profile.pipeline_overlap_saved_s = report.overlap_saved_s();
-        result.profile.phase_streams = vec![
-            PhaseStream::from_streams("dock", report.per_device.iter().map(|d| &d.dock)),
-            PhaseStream::from_streams("minimize", report.per_device.iter().map(|d| &d.minimize)),
-        ];
+        result.profile.schedule = Some(Box::new(report));
         result
     }
 
@@ -748,22 +743,19 @@ mod tests {
             assert_eq!(pipeline.pool().len(), 2);
             let result = pipeline.map(&library);
             assert!(!result.sites.is_empty());
-            let loads = &result.profile.device_loads;
-            assert_eq!(loads.len(), 2);
-            let serviced: usize = loads.iter().map(|l| l.probes).sum();
+            let schedule = result.profile.schedule.as_ref().expect("sharded runs keep a schedule");
+            assert_eq!(schedule.per_device.len(), 2);
+            let serviced: usize = schedule.per_device.iter().map(|d| d.dock.ops).sum();
             assert_eq!(serviced, library.len(), "pose_block {pose_block}");
-            let blocks: usize = loads.iter().map(|l| l.pose_blocks).sum();
+            let blocks: usize = schedule.per_device.iter().map(|d| d.minimize.ops).sum();
             if pose_block == 0 {
                 assert_eq!(blocks, 0, "probe granularity schedules no blocks");
             } else {
                 // Block size 1 ⇒ one block per minimized conformation.
                 assert_eq!(blocks, result.conformations_minimized);
             }
-            let streams = &result.profile.phase_streams;
-            assert_eq!(streams.len(), 2, "pose_block {pose_block}");
-            assert_eq!((streams[0].phase.as_str(), streams[0].ops), ("dock", library.len()));
-            assert_eq!((streams[1].phase.as_str(), streams[1].ops), ("minimize", blocks));
-            assert!(result.profile.pipeline_overlap_saved_s >= 0.0);
+            assert_eq!((schedule.docks, schedule.blocks), (library.len(), blocks));
+            assert!(result.profile.pipeline_overlap_saved_s() >= 0.0);
             // Every probe was worked somewhere and the makespan is positive
             // but no larger than the sum of the per-phase modeled totals.
             assert!(result.profile.makespan_modeled_s() > 0.0);

@@ -1,79 +1,10 @@
 //! Mapping-run profiles: the phase breakdown of Fig. 2(a), the overall speedup of
-//! §V.C, and — for sharded runs — the per-device load report of the multi-device
-//! scheduler.
+//! §V.C, and — for sharded runs — views over the multi-device scheduler's
+//! [`BatchReport`], the one record of the run's schedule.
 
-use gpu_sim::sched::PhasedDeviceReport;
+use gpu_sim::sched::{BatchReport, PhasedDeviceReport};
 use gpu_sim::StreamStats;
 use std::fmt::Write as _;
-
-/// What one pooled device contributed to a sharded mapping run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct DeviceLoad {
-    /// Human-readable device name.
-    pub device: String,
-    /// Number of probes this device serviced (dock items; under probe
-    /// granularity each carries its probe's minimization too).
-    pub probes: usize,
-    /// Number of minimization pose blocks this device serviced (0 under
-    /// probe-granularity scheduling, where minimization rides the probe item).
-    pub pose_blocks: usize,
-    /// Modeled busy seconds with stream copy/compute overlap applied (the
-    /// device's overlapped stream makespan; both phases summed for a
-    /// pose-block schedule).
-    pub busy_modeled_s: f64,
-    /// Modeled busy seconds with every transfer serialized (no overlap).
-    pub serialized_modeled_s: f64,
-    /// Modeled transfer seconds hidden under kernel execution on this device.
-    pub overlap_saved_s: f64,
-}
-
-impl From<&PhasedDeviceReport> for DeviceLoad {
-    /// A device's load under the phased scheduler: dock items count as
-    /// probes, minimize items as pose blocks, and both phase streams
-    /// contribute busy/serialized/overlap seconds.
-    fn from(report: &PhasedDeviceReport) -> Self {
-        DeviceLoad {
-            device: report.device.clone(),
-            probes: report.dock.ops,
-            pose_blocks: report.minimize.ops,
-            busy_modeled_s: report.busy_s(),
-            serialized_modeled_s: report.dock.serialized_s + report.minimize.serialized_s,
-            overlap_saved_s: report.dock.savings_s() + report.minimize.savings_s(),
-        }
-    }
-}
-
-/// Pool-wide stream totals for one scheduling phase of a sharded run: how many modeled seconds the phase spent in kernels vs transfers,
-/// and how many transfer seconds copy/compute overlap hid.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PhaseStream {
-    /// Phase name (`"dock"` or `"minimize"`; under whole-probe granularity
-    /// every item is a dock item and the minimize row stays empty).
-    pub phase: String,
-    /// Items the phase executed across the pool.
-    pub ops: usize,
-    /// Modeled kernel seconds, summed over devices.
-    pub kernel_modeled_s: f64,
-    /// Modeled transfer seconds (uploads + downloads), summed over devices.
-    pub transfer_modeled_s: f64,
-    /// Modeled transfer seconds hidden under kernels by stream overlap.
-    pub overlap_saved_s: f64,
-}
-
-impl PhaseStream {
-    /// Folds the per-device stream summaries of one phase into its pool-wide
-    /// totals.
-    pub fn from_streams<'a>(phase: &str, streams: impl Iterator<Item = &'a StreamStats>) -> Self {
-        let mut out = PhaseStream { phase: phase.to_string(), ..PhaseStream::default() };
-        for s in streams {
-            out.ops += s.ops;
-            out.kernel_modeled_s += s.kernel_s;
-            out.transfer_modeled_s += s.upload_s + s.download_s;
-            out.overlap_saved_s += s.savings_s();
-        }
-        out
-    }
-}
 
 /// Time spent in the two phases of a mapping run (per probe), both as measured
 /// wall-clock on this machine and as modeled device/host time.
@@ -88,18 +19,12 @@ pub struct MappingProfile {
     pub docking_modeled_s: f64,
     /// Energy-minimization modeled seconds.
     pub minimization_modeled_s: f64,
-    /// Per-device loads of a sharded run, in pool order (empty for the
-    /// single-device pipeline modes).
-    pub device_loads: Vec<DeviceLoad>,
-    /// Modeled seconds the phased scheduler saved versus a two-phase-barrier
-    /// schedule of the same items — how much dock/minimize phase overlap was
-    /// worth. 0 for single-device runs.
-    pub pipeline_overlap_saved_s: f64,
-    /// Pool-wide per-phase stream totals (kernel/transfer/overlap split), in
-    /// execution order. Attached once by sharded runs; empty for
-    /// single-device runs, where [`MappingProfile::phase_table`] falls back
-    /// to the per-phase modeled kernel seconds.
-    pub phase_streams: Vec<PhaseStream>,
+    /// The scheduler's report of a sharded run: per-device, per-phase stream
+    /// accounting and the batch's virtual-timeline window. Attached once,
+    /// after the run completes; `None` for the single-device pipeline modes
+    /// and for per-probe profiles (boxed, so those stay small). The
+    /// multi-device views below read it.
+    pub schedule: Option<Box<BatchReport>>,
 }
 
 impl MappingProfile {
@@ -123,26 +48,30 @@ impl MappingProfile {
         (100.0 * self.docking_wall_s / t, 100.0 * self.minimization_wall_s / t)
     }
 
-    /// Adds another profile (e.g. accumulate over probes). Per-device loads are
-    /// concatenated — per-probe profiles carry none; the pipeline attaches the
-    /// pool's loads once, after the sharded run completes.
+    /// Adds another profile's phase seconds (e.g. accumulate over probes).
+    /// [`MappingProfile::schedule`] is left alone: per-probe profiles carry
+    /// none, and the pipeline attaches the run's report once, after the
+    /// sharded run completes.
     pub fn merge(&mut self, other: &MappingProfile) {
         self.docking_wall_s += other.docking_wall_s;
         self.minimization_wall_s += other.minimization_wall_s;
         self.docking_modeled_s += other.docking_modeled_s;
         self.minimization_modeled_s += other.minimization_modeled_s;
-        self.device_loads.extend(other.device_loads.iter().cloned());
-        self.pipeline_overlap_saved_s += other.pipeline_overlap_saved_s;
-        self.phase_streams.extend(other.phase_streams.iter().cloned());
     }
 
-    // --- Multi-device views (meaningful when `device_loads` is populated).
-    // --- The load-balance math delegates to `gpu_sim::sched` so the
-    // --- profile's report always agrees with the scheduler's own.
+    // --- Multi-device views over `schedule`. The load-balance math
+    // --- delegates to `gpu_sim::sched` so the profile's report always
+    // --- agrees with the scheduler's own.
+
+    /// The scheduled devices' reports, in pool order (empty for
+    /// single-device runs).
+    fn devices(&self) -> &[PhasedDeviceReport] {
+        self.schedule.as_deref().map_or(&[], |report| &report.per_device)
+    }
 
     /// The per-device busy times, in pool order.
     fn busy(&self) -> Vec<f64> {
-        self.device_loads.iter().map(|l| l.busy_modeled_s).collect()
+        self.devices().iter().map(PhasedDeviceReport::busy_s).collect()
     }
 
     /// Modeled makespan of the run: the busiest device's overlapped stream
@@ -150,17 +79,16 @@ impl MappingProfile {
     /// device does everything back-to-back). This is the number multi-device
     /// scaling is measured on.
     pub fn makespan_modeled_s(&self) -> f64 {
-        if self.device_loads.is_empty() {
-            self.total_modeled_s()
-        } else {
-            gpu_sim::sched::makespan_s(&self.busy())
+        match self.schedule {
+            Some(_) => gpu_sim::sched::makespan_s(&self.busy()),
+            None => self.total_modeled_s(),
         }
     }
 
     /// Total modeled transfer seconds hidden under compute by stream overlap,
     /// across devices (0 for single-device runs).
     pub fn overlap_saved_s(&self) -> f64 {
-        self.device_loads.iter().map(|l| l.overlap_saved_s).sum()
+        self.devices().iter().map(PhasedDeviceReport::overlap_saved_s).sum()
     }
 
     /// Load-balance skew of a sharded run: busiest device's busy time over the
@@ -174,68 +102,62 @@ impl MappingProfile {
     /// for single-device runs).
     pub fn device_utilizations(&self) -> Vec<(String, f64)> {
         let utilizations = gpu_sim::sched::utilizations(&self.busy());
-        self.device_loads.iter().zip(utilizations).map(|(l, u)| (l.device.clone(), u)).collect()
+        self.devices().iter().zip(utilizations).map(|(d, u)| (d.device.clone(), u)).collect()
     }
 
-    /// Renders the per-phase breakdown as an aligned text table: one row per
-    /// scheduling phase with its modeled kernel, transfer and overlap-hidden
-    /// seconds, plus a totals row. Sharded runs report the exact
-    /// per-phase stream splits ([`MappingProfile::phase_streams`]); for
-    /// single-device runs the dock/minimize rows carry the per-phase modeled
-    /// kernel seconds with no transfer split.
-    pub fn phase_table(&self) -> String {
-        let rows: Vec<PhaseStream> = if self.phase_streams.is_empty() {
-            vec![
-                PhaseStream {
-                    phase: "dock".to_string(),
-                    kernel_modeled_s: self.docking_modeled_s,
-                    ..PhaseStream::default()
-                },
-                PhaseStream {
-                    phase: "minimize".to_string(),
-                    kernel_modeled_s: self.minimization_modeled_s,
-                    ..PhaseStream::default()
-                },
-            ]
-        } else {
-            self.phase_streams.clone()
-        };
-        let mut total = PhaseStream { phase: "total".to_string(), ..PhaseStream::default() };
-        for row in &rows {
-            total.ops += row.ops;
-            total.kernel_modeled_s += row.kernel_modeled_s;
-            total.transfer_modeled_s += row.transfer_modeled_s;
-            total.overlap_saved_s += row.overlap_saved_s;
-        }
-        let name_w =
-            rows.iter().map(|r| r.phase.len()).chain(["total".len(), "phase".len()]).max().unwrap();
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{:<name_w$}  {:>6}  {:>12}  {:>12}  {:>12}",
-            "phase", "items", "kernel s", "transfer s", "overlap s"
-        );
-        for row in rows.iter().chain(std::iter::once(&total)) {
-            let _ = writeln!(
-                out,
-                "{:<name_w$}  {:>6}  {:>12.6}  {:>12.6}  {:>12.6}",
-                row.phase,
-                row.ops,
-                row.kernel_modeled_s,
-                row.transfer_modeled_s,
-                row.overlap_saved_s
-            );
-        }
-        let _ = writeln!(
-            out,
-            "{:<name_w$}  {:>6}  makespan {:.6} s, pipeline overlap saved {:.6} s",
-            "",
-            "",
-            self.makespan_modeled_s(),
-            self.pipeline_overlap_saved_s
-        );
-        out
+    /// Modeled seconds the phased scheduler saved versus a two-phase-barrier
+    /// schedule of the same items — how much dock/minimize phase overlap was
+    /// worth ([`BatchReport::overlap_saved_s`]). 0 for single-device runs.
+    pub fn pipeline_overlap_saved_s(&self) -> f64 {
+        self.schedule.as_deref().map_or(0.0, BatchReport::overlap_saved_s)
     }
+}
+
+/// Renders a scheduled batch's per-phase breakdown as an aligned text table:
+/// one row per scheduling phase (`dock`, then `minimize`; under whole-probe
+/// granularity every item is a dock item and the minimize row stays empty)
+/// with its items and its modeled kernel, transfer (uploads + downloads) and
+/// overlap-hidden seconds summed over the pool, plus a totals row and the
+/// batch's makespan (busiest device) and phase-overlap saving.
+pub fn phase_table(report: &BatchReport) -> String {
+    let phase = |stream: fn(&PhasedDeviceReport) -> &StreamStats| {
+        let mut row = (0, [0.0; 3]);
+        for s in report.per_device.iter().map(stream) {
+            row.0 += s.ops;
+            row.1[0] += s.kernel_s;
+            row.1[1] += s.upload_s + s.download_s;
+            row.1[2] += s.savings_s();
+        }
+        row
+    };
+    let rows = [("dock", phase(|d| &d.dock)), ("minimize", phase(|d| &d.minimize))];
+    let mut total = (0, [0.0; 3]);
+    for (_, (ops, seconds)) in &rows {
+        total.0 += ops;
+        for (sum, s) in total.1.iter_mut().zip(seconds) {
+            *sum += s;
+        }
+    }
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{:<8}  {:>6}  {:>12}  {:>12}  {:>12}",
+        "phase", "items", "kernel s", "transfer s", "overlap s"
+    );
+    for (name, (ops, [kernel, transfer, overlap])) in rows.into_iter().chain([("total", total)]) {
+        let _ =
+            writeln!(out, "{name:<8}  {ops:>6}  {kernel:>12.6}  {transfer:>12.6}  {overlap:>12.6}");
+    }
+    let busy: Vec<f64> = report.per_device.iter().map(PhasedDeviceReport::busy_s).collect();
+    let _ = writeln!(
+        out,
+        "{:<8}  {:>6}  makespan {:.6} s, pipeline overlap saved {:.6} s",
+        "",
+        "",
+        gpu_sim::sched::makespan_s(&busy),
+        report.overlap_saved_s()
+    );
+    out
 }
 
 #[cfg(test)]
@@ -276,15 +198,56 @@ mod tests {
         assert_eq!(p.wall_percentages(), (0.0, 0.0));
     }
 
-    fn load(name: &str, busy: f64, serialized: f64, probes: usize) -> DeviceLoad {
-        DeviceLoad {
+    fn stream(
+        ops: usize,
+        upload_s: f64,
+        kernel_s: f64,
+        download_s: f64,
+        overlapped_s: f64,
+    ) -> StreamStats {
+        let serialized_s = upload_s + kernel_s + download_s;
+        StreamStats { ops, upload_s, kernel_s, download_s, serialized_s, overlapped_s }
+    }
+
+    /// A device that ran `probes` dock items and `blocks` minimize items,
+    /// with its busy seconds split over the two phases.
+    fn device(
+        name: &str,
+        busy: f64,
+        serialized: f64,
+        probes: usize,
+        blocks: usize,
+    ) -> PhasedDeviceReport {
+        let phase = |ops, share: f64| StreamStats {
+            ops,
+            serialized_s: share * serialized,
+            overlapped_s: share * busy,
+            ..StreamStats::default()
+        };
+        PhasedDeviceReport {
             device: name.to_string(),
-            probes,
-            pose_blocks: 0,
-            busy_modeled_s: busy,
-            serialized_modeled_s: serialized,
-            overlap_saved_s: serialized - busy,
+            dock: phase(probes, 0.5),
+            minimize: phase(blocks, 0.5),
         }
+    }
+
+    fn report(per_device: Vec<PhasedDeviceReport>) -> BatchReport {
+        BatchReport {
+            seq: 0,
+            priority: 0,
+            submitted_v_s: 0.0,
+            started_v_s: 0.0,
+            completed_v_s: 0.0,
+            docks: per_device.iter().map(|d| d.dock.ops).sum(),
+            blocks: per_device.iter().map(|d| d.minimize.ops).sum(),
+            per_device,
+            cache: Default::default(),
+            derived_cache: Default::default(),
+        }
+    }
+
+    fn scheduled(per_device: Vec<PhasedDeviceReport>) -> MappingProfile {
+        MappingProfile { schedule: Some(Box::new(report(per_device))), ..Default::default() }
     }
 
     #[test]
@@ -293,10 +256,8 @@ mod tests {
         // all report zero busy time — an empty library, or a pool reset
         // before any work landed — must report skew 1.0 and zero
         // utilizations, never NaN.
-        let p = MappingProfile {
-            device_loads: vec![load("tesla-0", 0.0, 0.0, 0), load("tesla-1", 0.0, 0.0, 0)],
-            ..Default::default()
-        };
+        let p =
+            scheduled(vec![device("tesla-0", 0.0, 0.0, 0, 0), device("tesla-1", 0.0, 0.0, 0, 0)]);
         let skew = p.load_skew();
         assert!(!skew.is_nan(), "all-idle skew must not be NaN");
         assert_eq!(skew, 1.0);
@@ -315,20 +276,18 @@ mod tests {
         };
         assert!((p.makespan_modeled_s() - 10.0).abs() < 1e-12);
         assert_eq!(p.overlap_saved_s(), 0.0);
+        assert_eq!(p.pipeline_overlap_saved_s(), 0.0);
         assert_eq!(p.load_skew(), 1.0);
         assert!(p.device_utilizations().is_empty());
     }
 
     #[test]
     fn sharded_views_report_makespan_skew_and_overlap() {
-        let p = MappingProfile {
-            device_loads: vec![
-                load("tesla-0", 4.0, 4.5, 5),
-                load("tesla-1", 3.0, 3.4, 4),
-                load("tesla-2", 2.0, 2.3, 3),
-            ],
-            ..Default::default()
-        };
+        let p = scheduled(vec![
+            device("tesla-0", 4.0, 4.5, 5, 0),
+            device("tesla-1", 3.0, 3.4, 4, 0),
+            device("tesla-2", 2.0, 2.3, 3, 0),
+        ]);
         assert!((p.makespan_modeled_s() - 4.0).abs() < 1e-12);
         assert!((p.overlap_saved_s() - (0.5 + 0.4 + 0.3)).abs() < 1e-12);
         // Skew: max 4.0 over mean 3.0.
@@ -341,14 +300,62 @@ mod tests {
     }
 
     #[test]
-    fn merge_concatenates_device_loads() {
-        let mut a = MappingProfile::default();
-        let b = MappingProfile {
-            device_loads: vec![load("tesla-0", 1.0, 1.0, 1)],
+    fn merge_leaves_the_schedule_alone() {
+        let mut a = scheduled(vec![device("tesla-0", 1.0, 1.0, 1, 0)]);
+        let before = a.schedule.clone();
+        a.merge(&scheduled(vec![device("tesla-1", 2.0, 2.0, 1, 0)]));
+        assert_eq!(a.schedule, before);
+    }
+
+    #[test]
+    fn hand_built_report_views_match_the_retired_copies_bit_for_bit() {
+        // Three devices, one idle, with uploads, downloads and overlap in
+        // both phases, and a span shorter than the two-phase barrier. The
+        // expected figures are what the views returned when the profile
+        // still copied this report into per-device load and per-phase
+        // stream structs.
+        let p = MappingProfile {
+            schedule: Some(Box::new(BatchReport {
+                started_v_s: 0.001,
+                completed_v_s: 0.701,
+                ..report(vec![
+                    PhasedDeviceReport {
+                        device: "tesla-0".into(),
+                        dock: stream(3, 0.0125, 0.25, 0.0075, 0.2575),
+                        minimize: stream(4, 0.02, 0.5, 0.01, 0.515),
+                    },
+                    PhasedDeviceReport {
+                        device: "tesla-1".into(),
+                        dock: stream(2, 0.01, 0.125, 0.005, 0.13),
+                        minimize: stream(5, 0.015, 0.375, 0.0125, 0.39),
+                    },
+                    device("xeon-2", 0.0, 0.0, 0, 0),
+                ])
+            })),
             ..Default::default()
         };
-        a.merge(&b);
-        a.merge(&b);
-        assert_eq!(a.device_loads.len(), 2);
+        assert_eq!(p.makespan_modeled_s(), 0.7725);
+        assert_eq!(p.load_skew(), 1.793036750483559);
+        assert_eq!(
+            p.device_utilizations(),
+            [
+                ("tesla-0".into(), 1.0),
+                ("tesla-1".into(), 0.6731391585760519),
+                ("xeon-2".into(), 0.0)
+            ]
+        );
+        assert_eq!(p.overlap_saved_s(), 0.050000000000000044);
+        assert_eq!(p.pipeline_overlap_saved_s(), 0.07250000000000001);
+        assert_eq!(p.busy(), [0.7725, 0.52, 0.0]);
+        let saved: Vec<f64> = p.devices().iter().map(PhasedDeviceReport::overlap_saved_s).collect();
+        assert_eq!(saved, [0.027500000000000024, 0.02250000000000002, 0.0]);
+        assert_eq!(
+            phase_table(p.schedule.as_ref().unwrap()),
+            "phase      items      kernel s    transfer s     overlap s\n\
+             dock           5      0.375000      0.035000      0.022500\n\
+             minimize       9      0.875000      0.057500      0.027500\n\
+             total         14      1.250000      0.092500      0.050000\n                  \
+             makespan 0.772500 s, pipeline overlap saved 0.072500 s\n"
+        );
     }
 }

@@ -2,8 +2,8 @@
 
 use crate::batcher::LatencyClass;
 use ftmap_core::{AppliedDegrade, MappingResult};
+use gpu_sim::sched::BatchReport;
 use gpu_sim::sync::{locked, wait_on};
-use gpu_sim::CacheStats;
 use std::sync::{Arc, Condvar, Mutex};
 
 /// Opaque job identifier, unique within one service instance.
@@ -21,33 +21,16 @@ pub enum JobStatus {
     Completed,
 }
 
-/// What one batch did, attached to every job report from that batch.
+/// What one batch did, shared by every job report from that batch: the
+/// scheduler's [`BatchReport`] plus what only the service knows.
 #[derive(Debug, Clone)]
 pub struct BatchSummary {
     /// Sequence number of the batch within the service.
     pub batch_index: usize,
     /// Number of jobs co-scheduled in the batch.
     pub jobs: usize,
-    /// Total probes the batch dispatched over the pool (fused shards under
-    /// probe granularity; dock-phase items under pose-block scheduling).
-    pub probes: usize,
-    /// Total minimization pose blocks the batch dispatched (0 under
-    /// probe-granularity scheduling, where minimization rides the probe item).
-    pub pose_blocks: usize,
     /// Content key of the receptor grids the batch docked against.
     pub receptor_key: u64,
-    /// Residency-cache events this batch's own items caused, summed over the
-    /// pool ([`gpu_sim::sched::BatchReport::cache`]) — exact per batch, also
-    /// with other batches in flight on the same devices.
-    pub cache: CacheStats,
-    /// Derived-payload residency events (receptor FFT transforms + plans
-    /// cached next to the raw grids by the batched FFT engine) this batch's
-    /// own items caused, pool-wide. A later job reusing a batch-mate's
-    /// receptor transforms shows up here as hits with zero insertions.
-    pub derived_cache: CacheStats,
-    /// Modeled makespan of the batch over the pool: its start-to-finish span
-    /// on the modeled virtual timeline.
-    pub makespan_modeled_s: f64,
     /// The latency class the batch ran at (batches are class-homogeneous).
     pub class: LatencyClass,
     /// Modeled admission-to-completion latency: batch completion minus the
@@ -57,37 +40,18 @@ pub struct BatchSummary {
     /// figure the per-class latency views and the `fig_serve_pipeline` gate
     /// are built on.
     pub latency_modeled_s: f64,
-    /// Virtual-timeline instant the batch's first item started.
-    pub started_modeled_s: f64,
-    /// Virtual-timeline instant the batch's last item completed.
-    pub completed_modeled_s: f64,
-    /// Modeled seconds saved versus running this batch's own items under a
-    /// two-phase barrier (dock-phase makespan + minimize-phase makespan) —
-    /// the intra-batch phase-overlap win, so `makespan_modeled_s` plus this is
-    /// what the barriered schedule would have taken.
+    /// Equals `report.span_modeled_s()`. Kept as a field only because the
+    /// benchmark harness (`benchmark/src/rounds.rs`) reads it; it goes once
+    /// the harness reads [`BatchSummary::report`].
+    pub makespan_modeled_s: f64,
+    /// Equals `report.overlap_saved_s()`; kept as a field for the same
+    /// reason as [`BatchSummary::makespan_modeled_s`].
     pub overlap_saved_modeled_s: f64,
-    /// Modeled transfer seconds scoped to exactly this batch's items (never
-    /// shared with a concurrently running batch).
-    pub transfer_modeled_s: f64,
-}
-
-impl BatchSummary {
-    /// The raw-grid and derived-payload residency windows folded into one:
-    /// the combined view next to the side-by-side
-    /// [`cache`](BatchSummary::cache) / [`derived_cache`](BatchSummary::derived_cache)
-    /// buckets, so consumers wanting a single residency figure for the batch
-    /// do not re-derive it inconsistently.
-    pub fn combined_cache(&self) -> CacheStats {
-        let mut combined = self.cache;
-        combined.accumulate(&self.derived_cache);
-        combined
-    }
-
-    /// Combined hit ratio over both residency buckets: total hits over total
-    /// lookups, in `[0, 1]` (0 when the batch looked nothing up).
-    pub fn combined_hit_ratio(&self) -> f64 {
-        self.combined_cache().hit_rate()
-    }
+    /// What the scheduler reported for the batch: its virtual-timeline
+    /// window, dock/minimize item counts, per-device per-phase stream
+    /// accounting and residency events — all scoped to exactly this batch's
+    /// items, never shared with a concurrently running batch.
+    pub report: BatchReport,
 }
 
 /// The finished product a client receives for one job.
@@ -101,8 +65,9 @@ pub struct JobReport {
     /// deterministic for the job's inputs, independent of arrival order and
     /// batch-mates.
     pub result: MappingResult,
-    /// What the batch that carried this job did.
-    pub batch: BatchSummary,
+    /// What the batch that carried this job did, shared with its
+    /// batch-mates' reports.
+    pub batch: Arc<BatchSummary>,
     /// The trace id this job carried through the pipeline (client-supplied or
     /// the job id) — the key for the per-request causal tree in the trace.
     pub trace_id: u64,
@@ -241,22 +206,27 @@ mod tests {
                 profile: MappingProfile::default(),
                 pose_centers: Vec::new(),
             },
-            batch: BatchSummary {
+            batch: Arc::new(BatchSummary {
                 batch_index: 0,
                 jobs: 1,
-                probes: 0,
-                pose_blocks: 0,
                 receptor_key: 0,
-                cache: CacheStats::default(),
-                derived_cache: CacheStats::default(),
-                makespan_modeled_s: 0.0,
                 class: LatencyClass::Bulk,
                 latency_modeled_s: 0.0,
-                started_modeled_s: 0.0,
-                completed_modeled_s: 0.0,
+                makespan_modeled_s: 0.0,
                 overlap_saved_modeled_s: 0.0,
-                transfer_modeled_s: 0.0,
-            },
+                report: BatchReport {
+                    seq: 0,
+                    priority: 0,
+                    submitted_v_s: 0.0,
+                    started_v_s: 0.0,
+                    completed_v_s: 0.0,
+                    docks: 0,
+                    blocks: 0,
+                    per_device: Vec::new(),
+                    cache: Default::default(),
+                    derived_cache: Default::default(),
+                },
+            }),
             trace_id: id.0,
             admitted_modeled_s: 0.0,
             latency_modeled_s: 0.0,

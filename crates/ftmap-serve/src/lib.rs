@@ -45,8 +45,10 @@
 //! * **Completion** ([`job`]) — [`JobHandle`]s resolve asynchronously to
 //!   deterministic per-job [`JobReport`]s: a job's consensus sites depend only
 //!   on its own request, never on arrival order, class or batch-mates. The
-//!   attached [`BatchSummary`] carries the batch's modeled span, latency,
-//!   phase-overlap savings and batch-scoped transfer seconds.
+//!   attached [`BatchSummary`], shared by every job of the batch, is the
+//!   scheduler's [`gpu_sim::sched::BatchReport`] (modeled span, phase-overlap
+//!   savings, batch-scoped transfer seconds and residency events) plus the
+//!   batch's admission latency, class and receptor.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -19,8 +19,9 @@
 //! priority and overtake bulk work at item boundaries (the batcher's aging
 //! bound keeps bulk from starving). What a two-phase barrier per batch would
 //! have cost is reported analytically per batch
-//! ([`BatchSummary::overlap_saved_modeled_s`]); the `fig_serve_pipeline`
-//! bench gates throughput against that comparator.
+//! ([`BatchReport::overlap_saved_s`] of the batch's
+//! [`BatchSummary::report`]); the `fig_serve_pipeline` bench gates
+//! throughput against that comparator.
 //!
 //! Per-device receptor-grid residency (`gpu_sim::ResidencyCache`, fed by
 //! `piper_dock::Docking::from_grids`) is what makes multi-tenancy cheap: the
@@ -35,8 +36,9 @@
 //! in flight can never share a transfer second or a cache miss — which a
 //! window-based scheme (read the pool's totals at each completion, subtract
 //! the previous reading) would, as soon as batches overlap. Every count the
-//! service keeps lives once: monotone totals in the metrics registry,
-//! per-batch samples in one bounded window; [`ServeStats`] is a view of those.
+//! service keeps lives once: monotone totals in the metrics registry, and the
+//! completed batches' shared [`BatchSummary`]s — the same ones their jobs'
+//! reports carry — in one bounded window; [`ServeStats`] is a view of those.
 //!
 //! Determinism: a job's report depends only on its own request. Batch
 //! composition, arrival order, latency class, device assignment and
@@ -163,18 +165,10 @@ impl ServeStats {
     }
 
     /// Modeled transfer seconds the service's completed batches caused: the
-    /// sum of the batch-scoped [`BatchSummary::transfer_modeled_s`] figures,
+    /// sum of their batch-scoped [`BatchReport::transfer_modeled_s`] figures,
     /// so it equals the pool's transfer total however batches overlapped.
     pub fn transfer_modeled_s(&self) -> f64 {
         self.metrics.counter(TRANSFER_SECONDS, &[]).unwrap_or(0.0)
-    }
-
-    /// The per-class latency view for `class`.
-    pub fn latency(&self, class: LatencyClass) -> ClassLatency {
-        match class {
-            LatencyClass::Interactive => self.interactive,
-            LatencyClass::Bulk => self.bulk,
-        }
     }
 
     /// Raw + derived residency counters folded into one window — the
@@ -256,17 +250,12 @@ impl Batchable for Job {
 /// anyway (the monotone counters remain exact forever).
 const LATENCY_WINDOW: usize = 4096;
 
-/// What the latency/span views keep of one completed batch (modeled
-/// virtual-timeline seconds).
-struct CompletedBatch {
-    class: LatencyClass,
-    latency_s: f64,
-    started_v_s: f64,
-    completed_v_s: f64,
-}
+/// The completed batches the latency/span views cover, oldest first: the
+/// summaries their jobs' reports share.
+type CompletedWindow = VecDeque<Arc<BatchSummary>>;
 
 /// Appends to the completed-batch window, evicting the oldest past the cap.
-fn push_windowed(window: &mut VecDeque<CompletedBatch>, batch: CompletedBatch) {
+fn push_windowed(window: &mut CompletedWindow, batch: Arc<BatchSummary>) {
     if window.len() == LATENCY_WINDOW {
         window.pop_front();
     }
@@ -274,18 +263,18 @@ fn push_windowed(window: &mut VecDeque<CompletedBatch>, batch: CompletedBatch) {
 }
 
 /// The latency view of `class`'s batches in the window.
-fn class_latency(window: &VecDeque<CompletedBatch>, class: LatencyClass) -> ClassLatency {
+fn class_latency(window: &CompletedWindow, class: LatencyClass) -> ClassLatency {
     ClassLatency::summarize(
-        window.iter().filter(|b| b.class == class).map(|b| b.latency_s).collect(),
+        window.iter().filter(|b| b.class == class).map(|b| b.latency_modeled_s).collect(),
     )
 }
 
 /// `(overall span, cross-batch overlap)` of the window: max completion minus
 /// min start, and Σ span lengths minus their union — an instant covered by k
 /// spans contributes k−1 (see [`ServeStats::cross_batch_overlap_modeled_s`]).
-fn span_stats(window: &VecDeque<CompletedBatch>) -> (f64, f64) {
+fn span_stats(window: &CompletedWindow) -> (f64, f64) {
     let mut sorted: Vec<(f64, f64)> =
-        window.iter().map(|b| (b.started_v_s, b.completed_v_s)).collect();
+        window.iter().map(|b| (b.report.started_v_s, b.report.completed_v_s)).collect();
     if sorted.is_empty() {
         return (0.0, 0.0);
     }
@@ -332,7 +321,7 @@ struct Shared {
     flight: Option<Arc<FlightRecorder>>,
     /// The most recent [`LATENCY_WINDOW`] completed batches, completion
     /// order — the samples behind the latency and span views.
-    completed: Mutex<VecDeque<CompletedBatch>>,
+    completed: Mutex<CompletedWindow>,
     /// Host-side receptor-grid build memo, keyed by request fingerprint.
     /// MRU-ordered and capped at [`GRIDS_MEMO_CAP`] entries — a long-lived
     /// service streaming ever-new receptors must not grow host memory without
@@ -573,7 +562,7 @@ impl Shared {
         summary: &BatchSummary,
         slo_snapshot: Option<&MetricsSnapshot>,
     ) -> f64 {
-        let latency_job_s = (summary.completed_modeled_s - job.admitted_v_s).max(0.0);
+        let latency_job_s = (summary.report.completed_v_s - job.admitted_v_s).max(0.0);
         let class = job.class.name();
         // Observe into the engine *before* the metric: the long window must
         // not yet contain this sample when classifying it as a p99 outlier.
@@ -626,7 +615,7 @@ impl Shared {
                     Track::Queue,
                     "job-resolve",
                     Category::Serve,
-                    summary.completed_modeled_s,
+                    summary.report.completed_v_s,
                 )
                 .with_tags(tags),
             );
@@ -645,14 +634,15 @@ impl Shared {
         let class = summary.class.name();
         self.metrics.counter_add("ftmap_serve_batches_completed_total", &[("class", class)], 1.0);
         self.metrics.counter_add(JOBS_COMPLETED, &[("class", class)], summary.jobs as f64);
-        self.metrics.counter_add(TRANSFER_SECONDS, &[], summary.transfer_modeled_s);
+        self.metrics.counter_add(TRANSFER_SECONDS, &[], summary.report.transfer_modeled_s());
         self.metrics.observe(
             "ftmap_serve_batch_latency_modeled_seconds",
             &[("class", class)],
             &LATENCY_BOUNDS,
             summary.latency_modeled_s,
         );
-        for (bucket, stats) in [("raw", &summary.cache), ("derived", &summary.derived_cache)] {
+        let report = &summary.report;
+        for (bucket, stats) in [("raw", &report.cache), ("derived", &report.derived_cache)] {
             for (kind, value) in CACHE_KINDS.into_iter().zip(kind_counts(stats)) {
                 self.metrics.counter_add(
                     CACHE_EVENTS,
@@ -669,13 +659,13 @@ impl Shared {
             }
             .with_num("jobs", summary.jobs as f64)
             .with_num("latency_s", summary.latency_modeled_s)
-            .with_num("makespan_s", summary.makespan_modeled_s);
+            .with_num("makespan_s", report.span_modeled_s());
             self.trace.record(
                 TraceEvent::instant(
                     Track::Queue,
                     "batch-resolve",
                     Category::Serve,
-                    summary.completed_modeled_s,
+                    report.completed_v_s,
                 )
                 .with_tags(tags),
             );
@@ -1230,7 +1220,7 @@ fn submit_batch(shared: &Arc<Shared>, batch: Vec<Job>, batch_index: usize) {
         let shared = Arc::clone(shared);
         let exec = Arc::clone(&exec);
         Box::new(move |report: BatchReport| {
-            complete_batch(&shared, batch, &exec, receptor_key, batch_index, &report);
+            complete_batch(&shared, batch, &exec, receptor_key, batch_index, report);
         }) as Box<dyn FnOnce(BatchReport) + Send>
     };
     sched.submit(
@@ -1255,10 +1245,8 @@ fn complete_batch(
     exec: &PhasedMapBatch,
     receptor_key: u64,
     batch_index: usize,
-    report: &BatchReport,
+    report: BatchReport,
 ) {
-    let class = batch[0].class;
-    let transfer_s = report.transfer_modeled_s();
     // Calibrate the admission controller's cost model and warm set with what
     // the batch actually did.
     {
@@ -1276,7 +1264,7 @@ fn complete_batch(
             device_share,
             batch_weight,
             cold,
-            transfer_s,
+            report.transfer_modeled_s(),
         );
         admission.note_warm(batch[0].fingerprint);
     }
@@ -1285,32 +1273,17 @@ fn complete_batch(
     // overtaking) is part of the figure — not just scheduler residence.
     let admitted_v_s =
         batch.iter().map(|job| job.admitted_v_s).fold(report.submitted_v_s, f64::min);
-    let latency_modeled_s = (report.completed_v_s - admitted_v_s).max(0.0);
-    push_windowed(
-        &mut locked(&shared.completed),
-        CompletedBatch {
-            class,
-            latency_s: latency_modeled_s,
-            started_v_s: report.started_v_s,
-            completed_v_s: report.completed_v_s,
-        },
-    );
-    let summary = BatchSummary {
+    let summary = Arc::new(BatchSummary {
         batch_index,
         jobs: batch.len(),
-        probes: report.docks,
-        pose_blocks: report.blocks,
         receptor_key,
-        cache: report.cache,
-        derived_cache: report.derived_cache,
+        class: batch[0].class,
+        latency_modeled_s: (report.completed_v_s - admitted_v_s).max(0.0),
         makespan_modeled_s: report.span_modeled_s(),
-        class,
-        latency_modeled_s,
-        started_modeled_s: report.started_v_s,
-        completed_modeled_s: report.completed_v_s,
         overlap_saved_modeled_s: report.overlap_saved_s(),
-        transfer_modeled_s: transfer_s,
-    };
+        report,
+    });
+    push_windowed(&mut locked(&shared.completed), Arc::clone(&summary));
     shared.note_batch_completed(&summary);
     // One registry snapshot for the whole batch: the SLO engine compares each
     // job against the long window as it stood *before* this batch completed.
@@ -1321,7 +1294,7 @@ fn complete_batch(
             job_id: job.id,
             tag: job.request.tag.clone(),
             result,
-            batch: summary.clone(),
+            batch: Arc::clone(&summary),
             trace_id: job.trace_id,
             admitted_modeled_s: job.admitted_v_s,
             latency_modeled_s: latency_job_s,
@@ -1365,7 +1338,7 @@ mod tests {
         assert!(!report_a.result.sites.is_empty());
         assert_eq!(report_a.result.conformations_minimized, 1);
         assert_eq!(report_b.result.conformations_minimized, 2);
-        assert!(report_b.batch.makespan_modeled_s > 0.0);
+        assert!(report_b.batch.report.span_modeled_s() > 0.0);
         assert_eq!(report_b.batch.class, LatencyClass::Bulk);
         let stats = service.shutdown();
         assert_eq!(stats.jobs_submitted, 2);
@@ -1459,7 +1432,7 @@ mod tests {
             .batch(BatchConfig { pose_block: 0, ..BatchConfig::default() })
             .build();
         let fused = fused_service.submit(make()).expect_admitted("admitted").wait();
-        assert_eq!(fused.batch.pose_blocks, 0, "fused batches schedule no blocks");
+        assert_eq!(fused.batch.report.blocks, 0, "fused batches schedule no blocks");
 
         let pose_service = BatchMappingService::builder(Arc::new(DevicePool::tesla(2)))
             .batch(BatchConfig { pose_block: 1, ..BatchConfig::default() })
@@ -1467,8 +1440,8 @@ mod tests {
         let pose = pose_service.submit(make()).expect_admitted("admitted").wait();
         assert_eq!(pose.result.conformations_minimized, 4);
         // Block size 1 ⇒ one block per minimized conformation across the batch.
-        assert_eq!(pose.batch.pose_blocks, pose.result.conformations_minimized);
-        assert!(pose.batch.makespan_modeled_s > 0.0);
+        assert_eq!(pose.batch.report.blocks, pose.result.conformations_minimized);
+        assert!(pose.batch.report.span_modeled_s() > 0.0);
 
         assert_eq!(fused.result.pose_centers.len(), pose.result.pose_centers.len());
         for ((pa, ca), (pb, cb)) in fused.result.pose_centers.iter().zip(&pose.result.pose_centers)
@@ -1507,14 +1480,14 @@ mod tests {
                 assert_eq!(a.rank, b.rank);
                 assert!(a.cluster.center.distance(b.cluster.center) == 0.0);
             }
-            assert!(report.batch.completed_modeled_s >= report.batch.started_modeled_s);
+            assert!(report.batch.report.completed_v_s >= report.batch.report.started_v_s);
         }
         // Each distinct batch contributes once (jobs share summaries).
         let mut barrier = std::collections::BTreeMap::new();
         for r in &reports {
             barrier.insert(
                 r.batch.batch_index,
-                r.batch.makespan_modeled_s + r.batch.overlap_saved_modeled_s,
+                r.batch.report.span_modeled_s() + r.batch.report.overlap_saved_s(),
             );
         }
         let barrier_sum: f64 = barrier.values().sum();
@@ -1543,7 +1516,6 @@ mod tests {
         let stats = service.shutdown();
         assert_eq!(stats.interactive.batches, 1);
         assert!(stats.bulk.batches >= 1);
-        assert_eq!(stats.latency(LatencyClass::Interactive), stats.interactive);
         assert!(stats.interactive.max_s >= stats.interactive.p95_s);
         assert!(stats.interactive.p95_s >= 0.0);
     }
@@ -1586,7 +1558,7 @@ mod tests {
             // Each distinct batch contributes once (jobs share summaries).
             let mut seen = std::collections::BTreeMap::new();
             for r in &reports {
-                seen.insert(r.batch.batch_index, r.batch.transfer_modeled_s);
+                seen.insert(r.batch.batch_index, r.batch.report.transfer_modeled_s());
             }
             seen.values().sum()
         };
@@ -1628,14 +1600,14 @@ mod tests {
 
         // Each distinct batch contributes once (jobs share summaries).
         let batches: std::collections::BTreeMap<usize, &BatchSummary> =
-            reports.iter().map(|r| (r.batch.batch_index, &r.batch)).collect();
+            reports.iter().map(|r| (r.batch.batch_index, r.batch.as_ref())).collect();
         let (mut cache, mut derived) = (CacheStats::default(), CacheStats::default());
         let (mut jobs, mut transfer_s) = (0, 0.0);
         for batch in batches.values() {
-            cache.accumulate(&batch.cache);
-            derived.accumulate(&batch.derived_cache);
+            cache.accumulate(&batch.report.cache);
+            derived.accumulate(&batch.report.derived_cache);
             jobs += batch.jobs;
-            transfer_s += batch.transfer_modeled_s;
+            transfer_s += batch.report.transfer_modeled_s();
         }
         assert_eq!(stats.jobs_submitted, reports.len());
         assert_eq!(stats.jobs_completed, jobs);
@@ -1770,6 +1742,36 @@ mod tests {
         assert_eq!(one.batches, 1);
     }
 
+    /// A completed batch with just the fields the window views read.
+    fn completed(
+        class: LatencyClass,
+        latency_modeled_s: f64,
+        started_v_s: f64,
+        completed_v_s: f64,
+    ) -> Arc<BatchSummary> {
+        Arc::new(BatchSummary {
+            batch_index: 0,
+            jobs: 1,
+            receptor_key: 0,
+            class,
+            latency_modeled_s,
+            makespan_modeled_s: completed_v_s - started_v_s,
+            overlap_saved_modeled_s: 0.0,
+            report: BatchReport {
+                seq: 0,
+                priority: class.priority(),
+                submitted_v_s: started_v_s,
+                started_v_s,
+                completed_v_s,
+                docks: 0,
+                blocks: 0,
+                per_device: Vec::new(),
+                cache: CacheStats::default(),
+                derived_cache: CacheStats::default(),
+            },
+        })
+    }
+
     #[test]
     fn span_stats_measure_cross_batch_overlap() {
         let mut window = VecDeque::new();
@@ -1778,10 +1780,7 @@ mod tests {
             (LatencyClass::Bulk, 5.0, (3.0, 8.0)),
             (LatencyClass::Interactive, 1.0, (10.0, 11.0)),
         ] {
-            push_windowed(
-                &mut window,
-                CompletedBatch { class, latency_s, started_v_s, completed_v_s },
-            );
+            push_windowed(&mut window, completed(class, latency_s, started_v_s, completed_v_s));
         }
         let (span, overlap) = span_stats(&window);
         assert!((span - 11.0).abs() < 1e-12);
@@ -1799,18 +1798,10 @@ mod tests {
         let mut window = VecDeque::new();
         for i in 0..LATENCY_WINDOW + 3 {
             let at = i as f64;
-            push_windowed(
-                &mut window,
-                CompletedBatch {
-                    class: LatencyClass::Bulk,
-                    latency_s: at,
-                    started_v_s: at,
-                    completed_v_s: at + 1.0,
-                },
-            );
+            push_windowed(&mut window, completed(LatencyClass::Bulk, at, at, at + 1.0));
         }
         assert_eq!(window.len(), LATENCY_WINDOW);
-        assert_eq!(window.front().map(|b| b.latency_s), Some(3.0));
+        assert_eq!(window.front().map(|b| b.latency_modeled_s), Some(3.0));
         let view = class_latency(&window, LatencyClass::Bulk);
         assert_eq!(view.batches, LATENCY_WINDOW);
         assert_eq!(view.max_s, (LATENCY_WINDOW + 2) as f64);

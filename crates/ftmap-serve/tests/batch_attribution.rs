@@ -75,14 +75,15 @@ fn overlapping_batches_are_charged_exactly_their_own_residency_events() {
     assert_eq!(batches.len(), 6, "max_batch_jobs 1 ⇒ one batch per request");
     let mut batch_total = CacheStats::default();
     for (index, batch) in &batches {
+        let report = &batch.report;
         assert_eq!(
-            batch.cache.lookups(),
-            batch.probes as u64,
+            report.cache.lookups(),
+            report.docks as u64,
             "batch {index}: {} probes but cache {:?}",
-            batch.probes,
-            batch.cache
+            report.docks,
+            report.cache
         );
-        batch_total.accumulate(&batch.cache);
+        batch_total.accumulate(&report.cache);
     }
     assert_eq!(batch_total, stats.cache(), "Σ per-batch events vs the service total");
     let mut pool_total = CacheStats::default();

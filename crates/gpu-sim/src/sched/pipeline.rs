@@ -135,7 +135,7 @@ pub struct PhasedBatch {
 }
 
 /// Per-device account of what one batch ran, split by phase.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhasedDeviceReport {
     /// Human-readable device name.
     pub device: String,
@@ -156,10 +156,16 @@ impl PhasedDeviceReport {
     pub fn items(&self) -> usize {
         self.dock.ops + self.minimize.ops
     }
+
+    /// Modeled transfer seconds hidden under kernels on this device (both
+    /// phase streams).
+    pub fn overlap_saved_s(&self) -> f64 {
+        self.dock.savings_s() + self.minimize.savings_s()
+    }
 }
 
 /// What one batch did, returned on completion.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchReport {
     /// The batch's submission sequence number (scheduler-wide, 0-based).
     pub seq: usize,

@@ -71,8 +71,8 @@ fn main() {
             report.batch.batch_index,
             report.result.sites.len(),
             report.result.conformations_minimized,
-            report.batch.probes,
-            1e3 * report.batch.makespan_modeled_s,
+            report.batch.report.docks,
+            1e3 * report.batch.report.span_modeled_s(),
         );
         assert!(!report.result.sites.is_empty(), "{}: no consensus sites", report.tag);
     }

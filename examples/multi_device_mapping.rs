@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --release --example multi_device_mapping`
 
+use ftmap::core::phase_table;
 use ftmap::gpu::sched::DevicePool;
 use ftmap::prelude::*;
 
@@ -47,15 +48,17 @@ fn main() {
             1e3 * sharded.profile.overlap_saved_s(),
             sharded.profile.load_skew(),
         );
-        // Utilizations and loads are both in pool order; homogeneous pool
-        // members share a name, so pair them by index, not by name.
+        // Utilizations and the schedule's devices are both in pool order;
+        // homogeneous pool members share a name, so pair them by index, not
+        // by name.
         let utilizations = sharded.profile.device_utilizations();
-        for ((name, utilization), load) in utilizations.iter().zip(&sharded.profile.device_loads) {
+        let schedule = sharded.profile.schedule.as_ref().expect("sharded runs keep a schedule");
+        for ((name, utilization), device) in utilizations.iter().zip(&schedule.per_device) {
             println!(
                 "    {:<42} probes {:>2}  pose blocks {:>2}  utilization {:>5.1} %",
                 name,
-                load.probes,
-                load.pose_blocks,
+                device.dock.ops,
+                device.minimize.ops,
                 100.0 * utilization
             );
         }
@@ -70,7 +73,7 @@ fn main() {
 
         if devices == 4 {
             println!("\n    Per-phase breakdown ({devices} devices):");
-            for line in sharded.profile.phase_table().lines() {
+            for line in phase_table(schedule).lines() {
                 println!("    {line}");
             }
             println!();
@@ -86,14 +89,15 @@ fn main() {
         FtMapPipeline::with_pool(protein.clone(), ff.clone(), config, DevicePool::mixed(2, 1))
             .map(&library);
     println!("\nHeterogeneous pool (2 × Tesla + 1 × Xeon quad):");
-    for load in &mixed.profile.device_loads {
+    let schedule = mixed.profile.schedule.as_ref().expect("sharded runs keep a schedule");
+    for device in &schedule.per_device {
         println!(
             "    {:<42} probes {:>2}  pose blocks {:>2}  busy {:>8.2} ms  overlap saved {:>6.3} ms",
-            load.device,
-            load.probes,
-            load.pose_blocks,
-            1e3 * load.busy_modeled_s,
-            1e3 * load.overlap_saved_s,
+            device.device,
+            device.dock.ops,
+            device.minimize.ops,
+            1e3 * device.busy_s(),
+            1e3 * device.overlap_saved_s(),
         );
     }
     println!(

@@ -81,15 +81,17 @@ fn main() {
             report.batch.batch_index,
             format!("{:?}", report.batch.class),
             1e3 * report.batch.latency_modeled_s,
-            1e3 * report.batch.makespan_modeled_s,
-            1e3 * report.batch.overlap_saved_modeled_s,
+            1e3 * report.batch.report.span_modeled_s(),
+            1e3 * report.batch.report.overlap_saved_s(),
         );
         assert!(!report.result.sites.is_empty(), "{}: no consensus sites", report.tag);
     }
 
-    // Per-phase profile of one job (modeled kernel/transfer/overlap seconds).
-    println!("\nper-phase profile of {}:", reports[0].tag);
-    print!("{}", reports[0].result.profile.phase_table());
+    // Per-phase breakdown of the batch that carried one job (modeled
+    // kernel/transfer/overlap seconds over the pool).
+    let batch = &reports[0].batch;
+    println!("\nper-phase breakdown of batch {} (carried {}):", batch.batch_index, reports[0].tag);
+    print!("{}", ftmap::core::phase_table(&batch.report));
 
     let stats = service.shutdown();
     let barrier_sum: f64 = {
@@ -100,7 +102,7 @@ fn main() {
         for r in &reports {
             seen.insert(
                 r.batch.batch_index,
-                r.batch.makespan_modeled_s + r.batch.overlap_saved_modeled_s,
+                r.batch.report.span_modeled_s() + r.batch.report.overlap_saved_s(),
             );
         }
         seen.values().sum()

@@ -154,10 +154,11 @@ fn single_run_phased_map_matches_barriered_map() {
     assert_bit_identical(&reference, &phased, "sharded map");
     // The phased profile reports scheduler views: per-device loads and the
     // phase-overlap savings a barrier could not have had.
-    assert_eq!(phased.profile.device_loads.len(), 2);
-    let probes: usize = phased.profile.device_loads.iter().map(|l| l.probes).sum();
+    let schedule = phased.profile.schedule.as_ref().expect("sharded runs keep a schedule");
+    assert_eq!(schedule.per_device.len(), 2);
+    let probes: usize = schedule.per_device.iter().map(|d| d.dock.ops).sum();
     assert_eq!(probes, library.len());
-    let blocks: usize = phased.profile.device_loads.iter().map(|l| l.pose_blocks).sum();
+    let blocks: usize = schedule.per_device.iter().map(|d| d.minimize.ops).sum();
     assert_eq!(blocks, phased.conformations_minimized, "block size 1 ⇒ one block per pose");
-    assert!(phased.profile.pipeline_overlap_saved_s >= 0.0);
+    assert!(phased.profile.pipeline_overlap_saved_s() >= 0.0);
 }

@@ -72,28 +72,22 @@ fn pose_blocks_are_bit_identical_across_pools_and_block_sizes() {
             let label = format!("{devices} devices, block {pose_block}");
             assert_bit_identical(&reference, &split, &label);
             // The load report accounts every dock item and every block.
-            let loads = &split.profile.device_loads;
-            assert_eq!(loads.len(), devices, "{label}");
-            let dock_items: usize = loads.iter().map(|l| l.probes).sum();
+            let schedule = split.profile.schedule.as_ref().expect("sharded runs keep a schedule");
+            let devices_run = &schedule.per_device;
+            assert_eq!(devices_run.len(), devices, "{label}");
+            let dock_items: usize = devices_run.iter().map(|d| d.dock.ops).sum();
             assert_eq!(dock_items, 3, "{label}: dock items");
-            let blocks: usize = loads.iter().map(|l| l.pose_blocks).sum();
+            let blocks: usize = devices_run.iter().map(|d| d.minimize.ops).sum();
             let expected_blocks = if pose_block == 1 {
                 split.conformations_minimized // one block per pose
             } else {
                 3 // block ≥ pose count ⇒ one block per probe
             };
             assert_eq!(blocks, expected_blocks, "{label}: pose blocks");
-            // The per-phase stream rows carry the same counts, and phase
-            // overlap can only have saved time.
-            let streams = &split.profile.phase_streams;
-            assert_eq!(streams.len(), 2, "{label}");
-            assert_eq!((streams[0].phase.as_str(), streams[0].ops), ("dock", 3), "{label}");
-            assert_eq!(
-                (streams[1].phase.as_str(), streams[1].ops),
-                ("minimize", expected_blocks),
-                "{label}"
-            );
-            assert!(split.profile.pipeline_overlap_saved_s >= 0.0, "{label}");
+            // The scheduler's item counts agree, and phase overlap can only
+            // have saved time.
+            assert_eq!((schedule.docks, schedule.blocks), (3, expected_blocks), "{label}");
+            assert!(split.profile.pipeline_overlap_saved_s() >= 0.0, "{label}");
         }
     }
 }
@@ -122,7 +116,8 @@ fn mixed_pool_pose_blocks_produce_identical_sites() {
     let mixed =
         FtMapPipeline::with_pool(protein, ff, config, DevicePool::mixed(2, 1)).map(&library);
     assert_bit_identical(&reference, &mixed, "mixed pool");
-    let names: Vec<&str> = mixed.profile.device_loads.iter().map(|l| l.device.as_str()).collect();
+    let schedule = mixed.profile.schedule.as_ref().expect("sharded runs keep a schedule");
+    let names: Vec<&str> = schedule.per_device.iter().map(|d| d.device.as_str()).collect();
     assert!(names.iter().any(|n| n.contains("Tesla")));
     assert!(names.iter().any(|n| n.contains("Xeon")));
 }
@@ -147,10 +142,13 @@ fn single_hot_probe_spreads_across_the_pool() {
     assert_bit_identical(&coarse, &fine, "hot probe");
 
     // Probe granularity: one device owns the probe, three idle.
-    let coarse_active = coarse.profile.device_loads.iter().filter(|l| l.probes > 0).count();
+    let per_device = |result: &MappingResult| {
+        result.profile.schedule.clone().expect("sharded runs keep a schedule").per_device
+    };
+    let coarse_active = per_device(&coarse).iter().filter(|d| d.dock.ops > 0).count();
     assert_eq!(coarse_active, 1);
     // Pose granularity: 16 poses in blocks of 2 = 8 blocks over 4 devices.
-    let fine_active = fine.profile.device_loads.iter().filter(|l| l.pose_blocks > 0).count();
+    let fine_active = per_device(&fine).iter().filter(|d| d.minimize.ops > 0).count();
     assert!(fine_active >= 3, "only {fine_active} of 4 devices claimed blocks");
     assert!(
         fine.profile.makespan_modeled_s() < coarse.profile.makespan_modeled_s(),

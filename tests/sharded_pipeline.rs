@@ -64,8 +64,9 @@ fn sharded_output_is_bit_identical_to_accelerated_for_1_2_4_devices() {
         let sharded = mapped(PipelineMode::Sharded { devices, pose_block: 0 });
         assert_bit_identical(&reference, &sharded, &format!("{devices} devices"));
         // The sharded run additionally carries the pool's load report.
-        assert_eq!(sharded.profile.device_loads.len(), devices);
-        let serviced: usize = sharded.profile.device_loads.iter().map(|l| l.probes).sum();
+        let schedule = sharded.profile.schedule.as_ref().expect("sharded runs keep a schedule");
+        assert_eq!(schedule.per_device.len(), devices);
+        let serviced: usize = schedule.per_device.iter().map(|d| d.dock.ops).sum();
         assert_eq!(serviced, 4, "{devices} devices serviced the wrong probe count");
     }
 }
@@ -96,7 +97,8 @@ fn heterogeneous_pool_produces_identical_sites() {
         FtMapPipeline::with_pool(protein, ff, config, ftmap::gpu::sched::DevicePool::mixed(1, 1))
             .map(&library);
     assert_bit_identical(&reference, &mixed, "mixed pool");
-    let names: Vec<&str> = mixed.profile.device_loads.iter().map(|l| l.device.as_str()).collect();
+    let schedule = mixed.profile.schedule.as_ref().expect("sharded runs keep a schedule");
+    let names: Vec<&str> = schedule.per_device.iter().map(|d| d.device.as_str()).collect();
     assert!(names.iter().any(|n| n.contains("Tesla")));
     assert!(names.iter().any(|n| n.contains("Xeon")));
 }

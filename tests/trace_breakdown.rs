@@ -80,9 +80,9 @@ proptest! {
             let span = analysis.path.execution_span_s();
             prop_assert!(span >= 0.0);
             prop_assert!(
-                span <= report.batch.makespan_modeled_s + 1e-9,
+                span <= report.batch.report.span_modeled_s() + 1e-9,
                 "trace {}: critical-path span {} exceeds batch makespan {}",
-                report.trace_id, span, report.batch.makespan_modeled_s
+                report.trace_id, span, report.batch.report.span_modeled_s()
             );
         }
     }
@@ -111,10 +111,10 @@ fn single_chain_critical_path_reproduces_the_batch_span() {
     let analysis = &analyses[0];
     assert_eq!(analysis.trace_id, report.trace_id);
     assert!(
-        (analysis.path.execution_span_s() - report.batch.makespan_modeled_s).abs() < 1e-9,
+        (analysis.path.execution_span_s() - report.batch.report.span_modeled_s()).abs() < 1e-9,
         "single-chain critical path {} != batch makespan {}",
         analysis.path.execution_span_s(),
-        report.batch.makespan_modeled_s
+        report.batch.report.span_modeled_s()
     );
     assert!(
         (analysis.breakdown.total_s() - report.latency_modeled_s).abs() < 1e-9,
