@@ -166,38 +166,13 @@ impl<'a> GpuMinimizationEngine<'a> {
         [self.forward_table, self.reverse_table] = upload_tables(self.device, neighbors);
     }
 
-    /// Runs one pass of a pair kernel over an assignment table using the paper's final
-    /// scheme: pair energies land in shared memory, master threads accumulate their
-    /// group and add the sum to the global per-atom arrays. The launch is recorded into
-    /// `ledger` under `phase` (empty tables launch nothing).
-    fn run_table_pass(
-        &self,
-        complex: &Complex,
-        term: PairTerm,
-        table: &AssignmentTable,
-        outputs: Outputs<'_>,
-        ledger: &mut StatsLedger,
-        phase: &str,
-    ) {
-        if table.n_blocks() == 0 {
-            return;
-        }
-        let first_block = table.first_block_from(outputs.first);
-        let order = BlockOrder::starting_at(first_block);
-        let kernel = TablePassKernel {
-            complex,
-            ff: &self.ff,
-            term,
-            table,
-            outputs,
-            first_block,
-            order: &order,
-        };
+    /// The launch of one pass of a pair kernel over `table` (one block per
+    /// table block, one thread per row, shared memory for the row results).
+    fn table_pass_launch(&self, table: &AssignmentTable) -> KernelLaunch<'a> {
         KernelLaunch::on(self.device)
             .grid(table.n_blocks())
             .threads(THREADS_PER_BLOCK)
             .shared_mem_words(THREADS_PER_BLOCK * 2)
-            .run_recorded(ledger, phase, &kernel);
     }
 
     /// Runs one full GPU iteration: self-energy kernel, pairwise+vdW kernel (each as a
@@ -220,55 +195,52 @@ impl<'a> GpuMinimizationEngine<'a> {
     }
 
     /// The iteration body: computes the output slots of atoms `first_output..`
-    /// and records every launch in full.
+    /// and records every launch in full. The iteration's launches depend on
+    /// each other only through the device's launch order, so they run as one
+    /// launch sequence: one set of host workers per evaluation, not one per
+    /// launch.
     fn evaluate_from(&self, complex: &Complex, first_output: usize) -> GpuIterationResult {
         let n = complex.n_atoms();
         let energies: Staged<Vec<Real>> = Staged::zeroed(n);
         let forces: Staged<Vec<Vec3>> = Staged::zeroed(n);
         let outputs = Outputs { energies: &energies, forces: &forces, first: first_output };
-        let mut ledger = StatsLedger::new();
 
         // Kernel (a): atom self energies. The Born term is per-atom; the ACE pairwise
-        // corrections come from the two table passes.
-        {
-            let born_kernel = BornSelfKernel { complex, ff: &self.ff, outputs };
-            KernelLaunch::on(self.device).threads(THREADS_PER_BLOCK).for_items(n).run_recorded(
-                &mut ledger,
-                phases::SELF_ENERGY,
-                &born_kernel,
-            );
-        }
-        for table in [&self.forward_table, &self.reverse_table] {
-            self.run_table_pass(
-                complex,
-                PairTerm::AceSelf,
-                table,
-                outputs,
-                &mut ledger,
-                phases::SELF_ENERGY,
-            );
-        }
+        // corrections come from the two table passes. Kernel (b): pairwise GB + van
+        // der Waals, two more passes. Kernel (c): force update — per-atom pass
+        // combining the accumulated gradients.
+        let born = BornSelfKernel { complex, ff: &self.ff, outputs };
+        let passes = [
+            (phases::SELF_ENERGY, PairTerm::AceSelf, &self.forward_table),
+            (phases::SELF_ENERGY, PairTerm::AceSelf, &self.reverse_table),
+            (phases::PAIRWISE_VDW, PairTerm::PairwiseAndVdw, &self.forward_table),
+            (phases::PAIRWISE_VDW, PairTerm::PairwiseAndVdw, &self.reverse_table),
+        ];
+        let pass_kernels = passes
+            .map(|(_, term, table)| TablePassKernel::new(complex, &self.ff, term, table, outputs));
+        let force = ForceUpdateKernel { n_atoms: n };
 
-        // Kernel (b): pairwise GB + van der Waals.
-        for table in [&self.forward_table, &self.reverse_table] {
-            self.run_table_pass(
-                complex,
-                PairTerm::PairwiseAndVdw,
-                table,
-                outputs,
-                &mut ledger,
-                phases::PAIRWISE_VDW,
-            );
+        let per_atom = KernelLaunch::on(self.device).threads(THREADS_PER_BLOCK).for_items(n);
+        let mut launches = [per_atom.queue(&born); 6];
+        let mut launch_phases = [phases::SELF_ENERGY; 6];
+        let mut len = 1;
+        for ((phase, _, table), kernel) in passes.iter().zip(&pass_kernels) {
+            // Empty tables launch nothing.
+            if table.n_blocks() > 0 {
+                (launches[len], launch_phases[len]) =
+                    (self.table_pass_launch(table).queue(kernel), phase);
+                len += 1;
+            }
         }
+        (launches[len], launch_phases[len]) = (per_atom.queue(&force), phases::FORCE_UPDATE);
+        len += 1;
 
-        // Kernel (c): force update — per-atom pass combining the accumulated gradients.
-        let force_kernel = ForceUpdateKernel { n_atoms: n };
-        KernelLaunch::on(self.device).threads(THREADS_PER_BLOCK).for_items(n).run_recorded(
-            &mut ledger,
-            phases::FORCE_UPDATE,
-            &force_kernel,
-        );
-
+        let mut stats = [KernelStats::zero(); 6];
+        self.device.launch_sequence(&launches[..len], &mut stats[..len]);
+        let mut ledger = StatsLedger::new();
+        for (phase, stats) in launch_phases.iter().zip(&stats[..len]) {
+            ledger.record(phase, stats);
+        }
         GpuIterationResult { atom_energies: energies.take(), forces: forces.take(), ledger }
     }
 
@@ -356,7 +328,11 @@ impl<'a> GpuMinimizationEngine<'a> {
         let outputs = Outputs { energies: &energies, forces: &forces, first: 0 };
         let mut ledger = StatsLedger::new();
         for table in [&self.forward_table, &self.reverse_table] {
-            self.run_table_pass(complex, term, table, outputs, &mut ledger, "split");
+            // Empty tables launch nothing.
+            if table.n_blocks() > 0 {
+                let kernel = TablePassKernel::new(complex, &self.ff, term, table, outputs);
+                self.table_pass_launch(table).run_recorded(&mut ledger, "split", &kernel);
+            }
         }
         (energies.take(), ledger.total())
     }
@@ -418,7 +394,23 @@ struct TablePassKernel<'a> {
     /// An atom with more rows than a block has threads is summed by several
     /// blocks; committing in block order keeps that sum reproducible. Its
     /// turns start at `first_block`.
-    order: &'a BlockOrder,
+    order: BlockOrder,
+}
+
+impl<'a> TablePassKernel<'a> {
+    /// One pass of `term` over `table`, simulating the rows of the atoms
+    /// `outputs` reads.
+    fn new(
+        complex: &'a Complex,
+        ff: &'a ForceField,
+        term: PairTerm,
+        table: &'a AssignmentTable,
+        outputs: Outputs<'a>,
+    ) -> Self {
+        let first_block = table.first_block_from(outputs.first);
+        let order = BlockOrder::starting_at(first_block);
+        TablePassKernel { complex, ff, term, table, outputs, first_block, order }
+    }
 }
 
 impl BlockKernel for TablePassKernel<'_> {
@@ -655,16 +647,16 @@ mod tests {
 
     #[test]
     fn evaluation_is_invariant_to_the_launch_worker_count() {
-        // One worker (every launch inline on the caller) and the full device
-        // must give the same bits and the same counters; only the modeled
-        // seconds differ, because the specs do.
+        // One worker (every launch sequence inline on the caller) and the full
+        // device must give the same bits and the same counters, for the full
+        // evaluation and for the mobile-only one the minimizer runs; only the
+        // modeled seconds differ, because the specs do.
         let (complex, neighbors, ff) = system();
         let one_worker =
             Device::new(gpu_sim::DeviceSpec { sm_count: 1, ..gpu_sim::DeviceSpec::tesla_c1060() });
         let full = Device::tesla_c1060();
-        let inline =
-            GpuMinimizationEngine::new(&one_worker, ff.clone(), &neighbors).evaluate(&complex);
-        let spread = GpuMinimizationEngine::new(&full, ff, &neighbors).evaluate(&complex);
+        let inline_engine = GpuMinimizationEngine::new(&one_worker, ff.clone(), &neighbors);
+        let spread_engine = GpuMinimizationEngine::new(&full, ff, &neighbors);
 
         let energy_bits = |r: &GpuIterationResult| -> Vec<u64> {
             r.atom_energies.iter().map(|e| e.to_bits()).collect()
@@ -672,11 +664,63 @@ mod tests {
         let force_bits = |r: &GpuIterationResult| -> Vec<[u64; 3]> {
             r.forces.iter().map(|f| [f.x.to_bits(), f.y.to_bits(), f.z.to_bits()]).collect()
         };
-        assert_eq!(energy_bits(&inline), energy_bits(&spread));
-        assert_eq!(force_bits(&inline), force_bits(&spread));
-        for phase in [phases::SELF_ENERGY, phases::PAIRWISE_VDW, phases::FORCE_UPDATE] {
-            assert_eq!(inline.ledger.phase(phase).counters, spread.ledger.phase(phase).counters);
-            assert_eq!(inline.ledger.launches(phase), spread.ledger.launches(phase));
+        for evaluate in [GpuMinimizationEngine::evaluate, GpuMinimizationEngine::evaluate_mobile] {
+            let inline = evaluate(&inline_engine, &complex);
+            let spread = evaluate(&spread_engine, &complex);
+            assert_eq!(energy_bits(&inline), energy_bits(&spread));
+            assert_eq!(force_bits(&inline), force_bits(&spread));
+            for phase in [phases::SELF_ENERGY, phases::PAIRWISE_VDW, phases::FORCE_UPDATE] {
+                let (a, b) = (inline.ledger.phase(phase), spread.ledger.phase(phase));
+                assert_eq!(a.counters, b.counters, "{phase}");
+                assert_eq!(inline.ledger.launches(phase), spread.ledger.launches(phase));
+            }
+        }
+    }
+
+    #[test]
+    fn an_evaluation_traces_one_event_per_launch_in_launch_order() {
+        // The iteration runs as one launch sequence, but the trace still shows
+        // the six launches of Table 2's three kernels, named by kernel type,
+        // with the grid and modeled seconds the ledger recorded.
+        use ftmap_trace::{ItemScope, Recorder, Tags, TraceSink, Track};
+        use std::sync::Arc;
+        let (complex, neighbors, ff) = system();
+        let device = Device::tesla_c1060();
+        let gpu = GpuMinimizationEngine::new(&device, ff, &neighbors);
+        for evaluate in [GpuMinimizationEngine::evaluate, GpuMinimizationEngine::evaluate_mobile] {
+            let recorder = Arc::new(Recorder::new());
+            let sink: Arc<dyn TraceSink> = Arc::clone(&recorder) as _;
+            let scope = ItemScope::enter(&sink, Track::Device(0), Tags::device(0));
+            let result = evaluate(&gpu, &complex);
+            drop(scope);
+            let events = recorder.drain_raw();
+            let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
+            assert_eq!(
+                names,
+                [
+                    "BornSelfKernel<'_>",
+                    "TablePassKernel<'_>",
+                    "TablePassKernel<'_>",
+                    "TablePassKernel<'_>",
+                    "TablePassKernel<'_>",
+                    "ForceUpdateKernel"
+                ]
+            );
+            assert_eq!(events.len(), result.ledger.total_launches());
+            let grid = |e: &ftmap_trace::TraceEvent| {
+                e.tags.nums.iter().find(|(k, _)| *k == "grid_blocks").map(|&(_, v)| v as usize)
+            };
+            let blocks: usize = events.iter().filter_map(grid).sum();
+            assert_eq!(blocks, result.ledger.total().blocks);
+            for (phase, range) in [
+                (phases::SELF_ENERGY, 0..3),
+                (phases::PAIRWISE_VDW, 3..5),
+                (phases::FORCE_UPDATE, 5..6),
+            ] {
+                let traced: f64 = events[range].iter().map(|e| e.dur_s).sum();
+                let recorded = result.ledger.phase(phase).modeled_time_s;
+                assert_eq!(traced.to_bits(), recorded.to_bits(), "{phase}");
+            }
         }
     }
 

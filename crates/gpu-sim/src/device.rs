@@ -8,15 +8,19 @@
 //! * [`DeviceSpec::xeon_core`] — a single core of the 3 GHz Xeon Harpertown host the
 //!   paper's serial baseline ran on.
 //!
-//! [`Device`] executes [`BlockKernel`]s: the grid of blocks is distributed over
-//! `std::thread::scope` workers (one logical worker per simulated SM, capped at the
-//! physical CPU count).
-//! Each worker owns one shared-memory arena, zeroed per block, and one counter set
-//! summed at the join; the cost model converts the totals into modeled times. A
-//! launch on a one-worker device runs inline on the caller.
+//! [`Device`] executes [`BlockKernel`]s, one launch ([`Device::launch`]) or an
+//! ordered launch sequence ([`Device::launch_sequence`]) at a time: each grid of
+//! blocks is distributed over `std::thread::scope` workers (one logical worker per
+//! simulated SM, capped at the physical CPU count). A sequence spawns its workers
+//! once and runs its launches one after another, with a barrier in between; a
+//! single launch is the one-element sequence.
+//! For each launch, each worker owns one shared-memory arena, zeroed per block, and
+//! one counter set summed when the launch ends; the cost model converts the totals
+//! into modeled times. A sequence on a one-worker device runs inline on the caller.
 
 use crate::cost::CostModel;
 use crate::kernel::{BlockContext, BlockKernel, LaunchConfig};
+use crate::launch::QueuedLaunch;
 use crate::memory::{MemoryCounters, SharedMemory, Transfer, TransferDirection};
 use crate::residency::ResidencyCache;
 use crate::timing::KernelStats;
@@ -366,100 +370,208 @@ impl Device {
     }
 
     /// Launches a kernel: executes `config.grid_blocks` blocks of the kernel, in
-    /// parallel across the worker threads, and returns merged statistics.
-    ///
-    /// Blocks are handed out in increasing index order. Each worker owns one
-    /// [`BlockContext`]: its shared-memory arena is zeroed before every block, and
-    /// its counters accumulate over the worker's blocks and are summed once at the
-    /// join — integer sums, so the totals do not depend on which worker ran which
-    /// block. Kernels write their results through whatever interior-mutable output
-    /// structure they captured (mirroring global-memory writes on a real device).
-    ///
-    /// On a one-worker device the launch runs entirely inline on the calling
-    /// thread and spawns nothing; otherwise its blocks run on scoped spawns
-    /// (one per worker, at least one) while the caller waits.
+    /// parallel across the worker threads, and returns merged statistics. This
+    /// is the one-launch case of [`Device::launch_sequence`], which documents
+    /// how blocks run and how a panic fails the launch.
     ///
     /// # Panics
-    /// Panics if the requested shared memory exceeds the device's per-SM capacity,
-    /// and re-raises the first panic of any block once every worker has stopped
-    /// (blocks waiting in [`crate::BlockOrder::in_turn`] for a panicked block's turn
-    /// give up instead of waiting forever).
+    /// As [`Device::launch_sequence`].
     pub fn launch<K: BlockKernel>(&self, config: &LaunchConfig, kernel: &K) -> KernelStats {
-        assert!(
-            config.shared_mem_words * std::mem::size_of::<f64>() <= self.spec.shared_mem_bytes,
-            "kernel requests {} words of shared memory; device has {} bytes per SM",
-            config.shared_mem_words,
-            self.spec.shared_mem_bytes
-        );
+        let mut stats = [KernelStats::zero()];
+        self.launch_sequence(&[QueuedLaunch::new(*config, kernel)], &mut stats);
+        stats[0]
+    }
 
-        let n_blocks = config.grid_blocks;
-        let spawns =
-            if self.worker_threads == 1 { 0 } else { self.worker_threads.min(n_blocks.max(1)) };
-        let next_block = AtomicUsize::new(0);
-        let run = || {
-            let arena = SharedMemory::new(config.shared_mem_words);
-            let mut ctx = BlockContext::new(0, n_blocks, config.threads_per_block, arena);
-            loop {
-                let block_idx = next_block.fetch_add(1, Ordering::Relaxed);
-                if block_idx >= n_blocks || launch_aborted() {
-                    return ctx.into_counters();
-                }
-                ctx.start_block(block_idx);
-                kernel.execute_block(&mut ctx);
-            }
+    /// Runs `launches` in order, as one launch sequence, and writes each one's
+    /// statistics into the matching slot of `stats`.
+    ///
+    /// Each launch hands its blocks out in increasing index order from its own
+    /// claim counter. Each worker gives it a fresh [`BlockContext`]: the
+    /// shared-memory arena is zeroed before every block, and the counters
+    /// accumulate over the worker's blocks of that launch and are summed once
+    /// it ends — integer sums, so the totals do not depend on which worker ran
+    /// which block. Kernels write their results through whatever
+    /// interior-mutable output structure they captured (mirroring global-memory
+    /// writes on a real device). After the sequence, each launch gets its
+    /// modeled time from its own counters and emits its own `ftmap_trace`
+    /// kernel event, in launch order, under the kernel's type name: `stats`
+    /// and the trace are bit for bit those of separate [`Device::launch`]
+    /// calls, and only `wall_time_s` differs.
+    ///
+    /// The whole sequence runs on one set of workers: on a one-worker device,
+    /// inline on the calling thread; otherwise on scoped spawns (one per
+    /// worker, at most one per block of the widest launch) while the caller
+    /// waits. A barrier separates consecutive launches, as the device's stream
+    /// separates dependent kernels: no block of a launch starts before every
+    /// block of the one before it has finished.
+    ///
+    /// # Panics
+    /// Panics if `stats` and `launches` differ in length, or if a launch
+    /// requests more shared memory than the device has per SM. Re-raises the
+    /// first panic of any block once every worker has stopped: the other
+    /// workers stop claiming blocks, blocks waiting in
+    /// [`crate::BlockOrder::in_turn`] for a panicked block's turn give up, and
+    /// workers waiting at the barrier leave, so later launches never start.
+    pub fn launch_sequence(&self, launches: &[QueuedLaunch<'_>], stats: &mut [KernelStats]) {
+        assert_eq!(launches.len(), stats.len(), "one stats slot per launch");
+        for launch in launches {
+            assert!(
+                launch.config.shared_mem_words * std::mem::size_of::<f64>()
+                    <= self.spec.shared_mem_bytes,
+                "kernel requests {} words of shared memory; device has {} bytes per SM",
+                launch.config.shared_mem_words,
+                self.spec.shared_mem_bytes
+            );
+        }
+        let Some(widest) = launches.iter().map(|launch| launch.config.grid_blocks).max() else {
+            return;
         };
+        stats.fill(KernelStats::zero());
 
-        let wall_start = Instant::now();
-        let totals = run_on_workers(spawns, run);
-        let wall_time = wall_start.elapsed();
-        let modeled = self.cost.kernel_time(&totals, config);
+        let spawns = if self.worker_threads == 1 { 0 } else { self.worker_threads.min(widest) };
+        let barrier = LaunchBarrier::new(spawns.max(1), stats);
+        run_on_workers(spawns, || {
+            for (index, launch) in launches.iter().enumerate() {
+                if !wait_until(|| barrier.current.load(Ordering::Acquire) == index) {
+                    return;
+                }
+                let config = &launch.config;
+                let arena = SharedMemory::new(config.shared_mem_words);
+                let mut ctx =
+                    BlockContext::new(0, config.grid_blocks, config.threads_per_block, arena);
+                loop {
+                    let block_idx = barrier.next_block.fetch_add(1, Ordering::Relaxed);
+                    if block_idx >= config.grid_blocks || launch_aborted() {
+                        break;
+                    }
+                    ctx.start_block(block_idx);
+                    launch.kernel.execute_block(&mut ctx);
+                }
+                barrier.arrive(index, &ctx.into_counters());
+            }
+        });
 
-        KernelStats {
-            blocks: n_blocks,
-            threads_per_block: config.threads_per_block,
-            counters: totals,
-            wall_time_s: wall_time.as_secs_f64(),
-            modeled_time_s: modeled,
+        let stats = barrier.into_stats();
+        for (slot, launch) in stats.iter_mut().zip(launches) {
+            let config = &launch.config;
+            (slot.blocks, slot.threads_per_block) = (config.grid_blocks, config.threads_per_block);
+            slot.modeled_time_s = self.cost.kernel_time(&slot.counters, config);
+            if ftmap_trace::hook::active() {
+                let (blocks, threads) = (slot.blocks, slot.threads_per_block);
+                ftmap_trace::hook::kernel(launch.name, slot.modeled_time_s, blocks, threads);
+            }
         }
     }
 }
 
+/// The state the workers of one launch sequence share: the launch being run,
+/// its block claim counter, and the barrier between consecutive launches.
+struct LaunchBarrier<'s> {
+    /// Index of the launch whose blocks are being claimed. The last worker
+    /// to finish a launch advances it (Release, after resetting
+    /// `next_block`); workers waiting to start the next launch read it
+    /// (Acquire), so they see the reset counter.
+    current: AtomicUsize,
+    /// The current launch's next unclaimed block.
+    next_block: AtomicUsize,
+    workers: usize,
+    arrivals: Mutex<Arrivals<'s>>,
+}
+
+/// What the barrier guards: how many workers have finished the current
+/// launch, when it started, and every launch's statistics.
+struct Arrivals<'s> {
+    finished: usize,
+    started: Instant,
+    stats: &'s mut [KernelStats],
+}
+
+impl<'s> LaunchBarrier<'s> {
+    fn new(workers: usize, stats: &'s mut [KernelStats]) -> Self {
+        LaunchBarrier {
+            current: AtomicUsize::new(0),
+            next_block: AtomicUsize::new(0),
+            workers,
+            arrivals: Mutex::new(Arrivals { finished: 0, started: Instant::now(), stats }),
+        }
+    }
+
+    /// Adds one worker's counters for launch `index`; the last worker to
+    /// arrive closes the launch and opens the next.
+    fn arrive(&self, index: usize, counters: &MemoryCounters) {
+        let mut arrivals = locked(&self.arrivals);
+        arrivals.stats[index].counters.merge(counters);
+        arrivals.finished += 1;
+        if arrivals.finished == self.workers {
+            let now = Instant::now();
+            arrivals.stats[index].wall_time_s = (now - arrivals.started).as_secs_f64();
+            arrivals.started = now;
+            arrivals.finished = 0;
+            self.next_block.store(0, Ordering::Relaxed);
+            self.current.store(index + 1, Ordering::Release);
+        }
+    }
+
+    fn into_stats(self) -> &'s mut [KernelStats] {
+        self.arrivals.into_inner().unwrap_or_else(PoisonError::into_inner).stats
+    }
+}
+
 thread_local! {
-    /// The abort flag of the launch this thread is running blocks for.
+    /// The abort flag of the launch sequence this thread is running blocks for.
     static LAUNCH_ABORT: RefCell<Option<Arc<AtomicBool>>> = const { RefCell::new(None) };
 }
 
-/// True when the launch whose blocks this thread is running has a panicked
-/// worker (always false outside a launch).
+/// True when the launch sequence whose blocks this thread is running has a
+/// panicked worker (always false outside a launch).
 pub(crate) fn launch_aborted() -> bool {
     LAUNCH_ABORT.with(|slot| slot.borrow().as_ref().is_some_and(|a| a.load(Ordering::Acquire)))
 }
 
+/// Waits until `ready` holds; false if the launch sequence this thread runs
+/// blocks for was aborted first. The waits it serves (a block's turn, the
+/// barrier before the next launch) are a few microseconds of block work long,
+/// so it spins briefly, then gives the core away in case the awaited worker is
+/// descheduled — or gone, if it panicked.
+pub(crate) fn wait_until(ready: impl Fn() -> bool) -> bool {
+    let mut spins = 0u32;
+    while !ready() {
+        if spins < 128 {
+            spins += 1;
+            std::hint::spin_loop();
+        } else if launch_aborted() {
+            return false;
+        } else {
+            std::thread::yield_now();
+        }
+    }
+    true
+}
+
 /// Runs `run` on `spawns` scoped threads while the caller waits at the join,
-/// or inline on the caller when `spawns` is 0, and sums the counters the
-/// workers return. The caller never claims blocks itself: it is usually a
-/// long-lived scheduler thread, and block work kept on those threads (the
-/// caller as a worker, or one-block launches inline) let the OS leave them on
-/// fixed CPUs for whole `serve_mix` runs — sometimes all on one CPU, a ~30 %
-/// slower run — where fresh spawns per launch keep them re-placed.
-/// A worker whose block panics raises the launch's abort flag (through
-/// [`launch_aborted`] the others stop claiming blocks and blocks waiting on a
-/// turn give up); the first panic is re-raised once every worker has stopped.
-fn run_on_workers(spawns: usize, run: impl Fn() -> MemoryCounters + Sync) -> MemoryCounters {
+/// or inline on the caller when `spawns` is 0. This is the one place
+/// [`Device`] puts block work on host threads: a launch sequence, however
+/// many launches it holds, spawns once. The caller never claims blocks
+/// itself: it is usually a long-lived scheduler thread, and block work kept
+/// on those threads (the caller as a worker, or one-block launches inline)
+/// let the OS leave them on fixed CPUs for whole `serve_mix` runs — sometimes
+/// all on one CPU, a ~30 % slower run — where fresh spawns per sequence keep
+/// them re-placed.
+/// A worker whose block panics raises the sequence's abort flag (through
+/// [`launch_aborted`] the others stop claiming blocks, leave the barrier, and
+/// blocks waiting on a turn give up); the first panic is re-raised once every
+/// worker has stopped.
+fn run_on_workers(spawns: usize, run: impl Fn() + Sync) {
     let abort = Arc::new(AtomicBool::new(false));
-    let totals = Mutex::new(MemoryCounters::new());
     let first_panic = Mutex::new(None);
     let worker = || {
         let outer = LAUNCH_ABORT.with(|slot| slot.replace(Some(Arc::clone(&abort))));
-        match catch_unwind(AssertUnwindSafe(&run)) {
-            Ok(counters) => locked(&totals).merge(&counters),
-            Err(payload) => {
-                locked(&first_panic).get_or_insert(payload);
-                // Release pairs with the Acquire in `launch_aborted`: a block
-                // that gives up because of this flag panics only after this
-                // payload is stored, so its own panic never becomes the first.
-                abort.store(true, Ordering::Release);
-            }
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(&run)) {
+            locked(&first_panic).get_or_insert(payload);
+            // Release pairs with the Acquire in `launch_aborted`: a block
+            // that gives up because of this flag panics only after this
+            // payload is stored, so its own panic never becomes the first.
+            abort.store(true, Ordering::Release);
         }
         LAUNCH_ABORT.with(|slot| *slot.borrow_mut() = outer);
     };
@@ -475,13 +587,13 @@ fn run_on_workers(spawns: usize, run: impl Fn() -> MemoryCounters + Sync) -> Mem
     if let Some(payload) = first_panic.into_inner().unwrap_or_else(PoisonError::into_inner) {
         resume_unwind(payload);
     }
-    totals.into_inner().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kernel::{BlockContext, BlockKernel, LaunchConfig};
+    use crate::launch::{BlockOrder, KernelLaunch, Staged};
 
     /// A kernel that squares numbers: block i handles a contiguous chunk of the input.
     struct SquareKernel<'a> {
@@ -681,6 +793,199 @@ mod tests {
             // The caller only waits, even for a one-block launch.
             assert!(!on_caller(&full, 1), "a one-block launch runs on a spawn");
             assert!(!on_caller(&full, 40), "a wide launch runs on spawns");
+        }
+
+        // A sequence spawns once: its five launches share one set of workers
+        // (thread ids are never reused, so separate launches would show up
+        // to five sets), and on a one-worker device it runs on the caller.
+        for device in [&one_worker, &full] {
+            let ran_on = Mutex::new(Vec::new());
+            let kernel = |_: &mut BlockContext| locked(&ran_on).push(std::thread::current().id());
+            let launch = KernelLaunch::on(device).grid(40);
+            let mut stats = [KernelStats::zero(); 5];
+            device.launch_sequence(&[launch.queue(&kernel); 5], &mut stats);
+            let ran_on = ran_on.into_inner().unwrap();
+            assert_eq!(ran_on.len(), 5 * 40);
+            assert!(stats.iter().all(|s| s.blocks == 40));
+            let workers: std::collections::HashSet<_> = ran_on.into_iter().collect();
+            if device.worker_threads() == 1 {
+                assert_eq!(
+                    workers,
+                    [caller].into(),
+                    "a one-worker device runs the sequence inline"
+                );
+            } else {
+                assert!(workers.len() <= device.worker_threads(), "{} workers", workers.len());
+                assert!(!workers.contains(&caller), "the caller only waits");
+            }
+        }
+    }
+
+    /// Three dependent launches: squares of the input, a block-ordered float
+    /// sum of those squares staged through shared memory, and a one-block
+    /// launch reading that sum. Returns each launch's stats and the output
+    /// bits, from separate launches or from one sequence.
+    fn dependent_launches(device: &Device, as_sequence: bool) -> ([KernelStats; 3], Vec<u64>) {
+        let input: Vec<f64> = (0..1000).map(|i| (i as f64).sqrt()).collect();
+        let squares = Staged::zeroed(input.len());
+        let sum = Staged::new(0.0f64);
+        let scaled = Staged::new(0.0f64);
+        let order = BlockOrder::new();
+        let square = |ctx: &mut BlockContext| {
+            let span = ctx.block_range(input.len());
+            ctx.record_global_reads(span.len() as u64);
+            ctx.record_flops(span.len() as u64);
+            let mut out = squares.write();
+            for i in span {
+                out[i] = input[i] * input[i] * 1.1;
+            }
+        };
+        let accumulate = |ctx: &mut BlockContext| {
+            let span = ctx.block_range(input.len());
+            assert!(ctx.shared.as_slice().iter().all(|&v| v == 0.0), "dirty arena");
+            let staged = ctx.shared.as_mut_slice();
+            for (slot, i) in span.clone().enumerate() {
+                staged[slot] = squares.write()[i] * 0.3;
+            }
+            ctx.record_shared_accesses(2 * span.len() as u64);
+            ctx.sync_threads();
+            let part: f64 = ctx.shared.as_slice()[..span.len()].iter().sum();
+            order.in_turn(ctx.block_idx, || *sum.write() += part);
+        };
+        let read_sum = |ctx: &mut BlockContext| {
+            ctx.record_global_reads(1);
+            ctx.record_global_writes(1);
+            *scaled.write() = *sum.write() / 7.0;
+        };
+        let wide = KernelLaunch::on(device).grid(37).threads(32);
+        let staging = wide.clone().shared_mem_words(32);
+        let single = KernelLaunch::on(device).threads(128);
+        let stats = if as_sequence {
+            let mut stats = [KernelStats::zero(); 3];
+            let launches =
+                [wide.queue(&square), staging.queue(&accumulate), single.queue(&read_sum)];
+            device.launch_sequence(&launches, &mut stats);
+            stats
+        } else {
+            [wide.run(&square), staging.run(&accumulate), single.run(&read_sum)]
+        };
+        let mut bits: Vec<u64> = squares.take().iter().map(|v| v.to_bits()).collect();
+        bits.extend([sum.take().to_bits(), scaled.take().to_bits()]);
+        (stats, bits)
+    }
+
+    #[test]
+    fn a_sequence_matches_separate_launches_in_stats_and_output_bits() {
+        for device in [
+            Device::new(DeviceSpec { sm_count: 1, ..DeviceSpec::tesla_c1060() }),
+            Device::tesla_c1060(),
+        ] {
+            let (separate, separate_bits) = dependent_launches(&device, false);
+            for _ in 0..20 {
+                let (sequenced, sequenced_bits) = dependent_launches(&device, true);
+                assert_eq!(sequenced_bits, separate_bits, "output bits");
+                for (a, b) in separate.iter().zip(&sequenced) {
+                    assert_eq!((a.blocks, a.threads_per_block), (b.blocks, b.threads_per_block));
+                    assert_eq!(a.counters, b.counters);
+                    assert_eq!(a.modeled_time_s.to_bits(), b.modeled_time_s.to_bits());
+                    assert!(b.wall_time_s > 0.0);
+                }
+            }
+            assert_eq!(separate[1].counters.barriers, 37);
+        }
+    }
+
+    #[test]
+    fn a_sequence_emits_the_trace_events_of_separate_launches_in_launch_order() {
+        use ftmap_trace::{ItemScope, Recorder, Tags, TraceSink, Track};
+        let device = Device::tesla_c1060();
+        let events = |as_sequence: bool| {
+            let recorder = Arc::new(Recorder::new());
+            let sink: Arc<dyn TraceSink> = Arc::clone(&recorder) as _;
+            let scope = ItemScope::enter(&sink, Track::Device(0), Tags::device(0));
+            dependent_launches(&device, as_sequence);
+            drop(scope);
+            recorder.drain_raw()
+        };
+        let (separate, sequenced) = (events(false), events(true));
+        assert_eq!(sequenced.len(), 3);
+        let names: Vec<&str> = sequenced.iter().map(|e| e.name.as_str()).collect();
+        // Closures are named by their type, as a separate launch names them.
+        assert_eq!(names, ["{{closure}}"; 3]);
+        for (a, b) in separate.iter().zip(&sequenced) {
+            assert_eq!((&a.name, a.cat, &a.tags.nums), (&b.name, b.cat, &b.tags.nums));
+            assert_eq!(
+                (a.start_s.to_bits(), a.dur_s.to_bits()),
+                (b.start_s.to_bits(), b.dur_s.to_bits())
+            );
+        }
+    }
+
+    #[test]
+    fn a_panic_anywhere_in_a_sequence_fails_it_without_hanging() {
+        // Three launches of 64 blocks, each committing in block order; block 3
+        // of one launch panics before its turn or inside its commit. Workers
+        // waiting at the barrier for that launch must leave, the launches
+        // after it must never start, and the kernel's own panic must surface.
+        struct Step<'a> {
+            launch: usize,
+            fail: (usize, bool),
+            order: BlockOrder,
+            blocks_run: &'a [AtomicUsize; 3],
+        }
+        impl BlockKernel for Step<'_> {
+            fn execute_block(&self, ctx: &mut BlockContext) {
+                let (launch, (failing, in_commit)) = (self.launch, self.fail);
+                let fails = launch == failing && ctx.block_idx == 3;
+                assert!(!fails || in_commit, "launch {launch}: block 3 failed before its turn");
+                self.order.in_turn(ctx.block_idx, || {
+                    assert!(!fails, "launch {launch}: block 3 failed in its commit");
+                });
+                self.blocks_run[launch].fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let cases = [
+            (0, false, "launch 0: block 3 failed before its turn"),
+            (1, false, "launch 1: block 3 failed before its turn"),
+            (1, true, "launch 1: block 3 failed in its commit"),
+            (2, true, "launch 2: block 3 failed in its commit"),
+        ];
+        for one_worker in [false, true] {
+            for (failing, in_commit, message) in cases {
+                let (done, outcome) = std::sync::mpsc::channel();
+                std::thread::spawn(move || {
+                    let spec = DeviceSpec::tesla_c1060();
+                    let device = if one_worker {
+                        Device::new(DeviceSpec { sm_count: 1, ..spec })
+                    } else {
+                        Device::new(spec)
+                    };
+                    let blocks_run = [(); 3].map(|_| AtomicUsize::new(0));
+                    let steps = [0, 1, 2].map(|launch| Step {
+                        launch,
+                        fail: (failing, in_commit),
+                        order: BlockOrder::new(),
+                        blocks_run: &blocks_run,
+                    });
+                    let launch = KernelLaunch::on(&device).grid(64);
+                    let mut stats = [KernelStats::zero(); 3];
+                    let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                        device
+                            .launch_sequence(&steps.each_ref().map(|k| launch.queue(k)), &mut stats)
+                    }));
+                    let panic = run.err().map(|p| match p.downcast::<&str>() {
+                        Ok(text) => text.to_string(),
+                        Err(p) => p.downcast::<String>().map(|text| *text).unwrap_or_default(),
+                    });
+                    let _ = done.send((panic, blocks_run.map(AtomicUsize::into_inner)));
+                });
+                let (panic, blocks_run) = outcome
+                    .recv_timeout(std::time::Duration::from_secs(10))
+                    .unwrap_or_else(|_| panic!("sequence hung ({message})"));
+                assert_eq!(panic.as_deref(), Some(message), "the kernel's own panic surfaces");
+                assert!(blocks_run[..failing].iter().all(|&n| n == 64), "{blocks_run:?}");
+                assert!(blocks_run[failing + 1..].iter().all(|&n| n == 0), "{blocks_run:?}");
+            }
         }
     }
 

@@ -32,7 +32,7 @@ pub fn partition_range(
 
 /// Launch configuration: how many blocks, how many threads per block, and how much
 /// shared memory each block gets.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaunchConfig {
     /// Number of thread blocks in the grid.
     pub grid_blocks: usize,

@@ -14,11 +14,14 @@
 //!
 //! [`KernelLaunch`] replaces (1): a builder that mirrors CUDA's
 //! `kernel<<<grid, block, shmem>>>` launch syntax and knows the device it will
-//! run on. [`Staged`] replaces (2): an output buffer owned by the launch layer
-//! that kernels write through and the host *takes back* after the launch — the
-//! model's equivalent of `cudaMemcpy(DeviceToHost)` for results, with the
-//! locking hidden. [`StatsLedger`] replaces (3): a named accumulator that
-//! merges stats and counters across the launches of a multi-kernel phase.
+//! run on. It runs its kernel alone ([`KernelLaunch::run`]) or queues it
+//! ([`KernelLaunch::queue`]) for a [`Device::launch_sequence`] of dependent
+//! launches that share one set of host workers. [`Staged`] replaces (2): an
+//! output buffer owned by the launch layer that kernels write through and the
+//! host *takes back* after the launch — the model's equivalent of
+//! `cudaMemcpy(DeviceToHost)` for results, with the locking hidden.
+//! [`StatsLedger`] replaces (3): a named accumulator that merges stats and
+//! counters across the launches of a multi-kernel phase.
 
 use crate::device::Device;
 use crate::kernel::{partition_range, BlockKernel, LaunchConfig};
@@ -152,24 +155,14 @@ impl<'d> KernelLaunch<'d> {
 
     /// Executes the kernel block-parallel on the device and returns its stats.
     pub fn run<K: BlockKernel>(&self, kernel: &K) -> KernelStats {
-        let stats = self.device.launch(&self.config(), kernel);
-        self.trace_launch::<K>(&stats);
-        stats
+        self.device.launch(&self.config(), kernel)
     }
 
-    /// Emits the launch as an anchored trace stage when an item scope is
-    /// active on this thread (free otherwise). The kernel's type name labels
-    /// the span.
-    fn trace_launch<K>(&self, stats: &KernelStats) {
-        if ftmap_trace::hook::active() {
-            let name = std::any::type_name::<K>().rsplit("::").next().unwrap_or("kernel");
-            ftmap_trace::hook::kernel(
-                name,
-                stats.modeled_time_s,
-                self.grid_blocks(),
-                self.threads_per_block,
-            );
-        }
+    /// This launch with its kernel, for [`Device::launch_sequence`]: the
+    /// device's way to run several dependent launches on one set of host
+    /// workers.
+    pub fn queue<'k, K: BlockKernel>(&self, kernel: &'k K) -> QueuedLaunch<'k> {
+        QueuedLaunch::new(self.config(), kernel)
     }
 
     /// Executes the kernel block-parallel and records the stats into `ledger`
@@ -183,6 +176,24 @@ impl<'d> KernelLaunch<'d> {
         let stats = self.run(kernel);
         ledger.record(phase, &stats);
         stats
+    }
+}
+
+/// One launch of a [`Device::launch_sequence`]: its configuration, its
+/// kernel, and the name of its trace event. Built by [`KernelLaunch::queue`].
+#[derive(Clone, Copy)]
+pub struct QueuedLaunch<'k> {
+    pub(crate) config: LaunchConfig,
+    pub(crate) kernel: &'k dyn BlockKernel,
+    /// The kernel's type name without its path, resolved while the type is
+    /// still known: a sequence holds its kernels as trait objects.
+    pub(crate) name: &'static str,
+}
+
+impl<'k> QueuedLaunch<'k> {
+    pub(crate) fn new<K: BlockKernel>(config: LaunchConfig, kernel: &'k K) -> Self {
+        let name = std::any::type_name::<K>().rsplit("::").next().unwrap_or("kernel");
+        QueuedLaunch { config, kernel, name }
     }
 }
 
@@ -242,12 +253,19 @@ impl<T: Clone + Default> Staged<Vec<T>> {
 /// Every block from there on must take exactly one turn (blocks with nothing
 /// to commit pass an empty closure); the blocks below it take none, so they
 /// never wait and nobody waits for them. This cannot deadlock:
-/// [`Device::launch`] hands blocks out in increasing index order and runs
-/// each to completion, so the block being waited for has always been claimed
-/// already — and if that block panics before or during its turn, the
-/// launch's abort flag makes the waiting blocks give up, so the launch
-/// resolves to the kernel's panic. Launches on a one-worker device run
-/// inline, where every turn is already due when a block reaches it.
+/// [`Device::launch_sequence`] (and [`Device::launch`], its one-launch case)
+/// hands a launch's blocks out in increasing index order from the launch's
+/// own counter and runs each to completion, so the block being waited for
+/// has always been claimed already. The barrier between a sequence's
+/// launches adds no wait a turn can be caught in: a worker reaches it only
+/// after its last block of the launch has finished, turn included, and it
+/// waits there only for workers still running blocks of that same launch —
+/// never for a later one, whose blocks no worker claims until every worker
+/// has arrived. If the awaited block panics before or during its turn, the
+/// sequence's abort flag makes the waiting blocks give up and the workers at
+/// the barrier leave, so the sequence resolves to the kernel's panic.
+/// Sequences on a one-worker device run inline, where every turn is already
+/// due when a block reaches it and every barrier is already complete.
 /// One per launch; it holds a single counter and allocates nothing.
 #[derive(Debug, Default)]
 pub struct BlockOrder {
@@ -274,22 +292,10 @@ impl BlockOrder {
     /// waiting for its turn — before its own turn or inside its commit — and
     /// the launch then re-raises that first panic.
     pub fn in_turn<R>(&self, block_idx: usize, commit: impl FnOnce() -> R) -> R {
-        // Commit windows are a few adds long, so the predecessor is nearly
-        // always done or about to be: spin briefly, then give the core away
-        // in case its worker is descheduled — or gone, if it panicked.
-        let mut spins = 0u32;
-        while self.next.load(Ordering::Acquire) != block_idx {
-            if spins < 128 {
-                spins += 1;
-                std::hint::spin_loop();
-            } else {
-                assert!(
-                    !crate::device::launch_aborted(),
-                    "block {block_idx} gave up its turn: another block of the launch panicked"
-                );
-                std::thread::yield_now();
-            }
-        }
+        assert!(
+            crate::device::wait_until(|| self.next.load(Ordering::Acquire) == block_idx),
+            "block {block_idx} gave up its turn: another block of the launch panicked"
+        );
         let committed = commit();
         self.next.store(block_idx + 1, Ordering::Release);
         committed

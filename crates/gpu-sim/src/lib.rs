@@ -73,7 +73,7 @@ pub use ftmap_trace::sync;
 pub use cost::CostModel;
 pub use device::{Device, DeviceSpec, TransferSnapshot};
 pub use kernel::{BlockContext, BlockKernel, LaunchConfig};
-pub use launch::{BlockOrder, KernelLaunch, Staged, StatsLedger};
+pub use launch::{BlockOrder, KernelLaunch, QueuedLaunch, Staged, StatsLedger};
 pub use memory::{MemoryCounters, Transfer};
 pub use residency::{CacheStats, Fnv1a, Residency, ResidencyCache, ResidentPayload};
 pub use sched::{DevicePool, Stream};
