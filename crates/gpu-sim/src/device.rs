@@ -10,13 +10,17 @@
 //!
 //! [`Device`] executes [`BlockKernel`]s, one launch ([`Device::launch`]) or an
 //! ordered launch sequence ([`Device::launch_sequence`]) at a time: each grid of
-//! blocks is distributed over `std::thread::scope` workers (one logical worker per
-//! simulated SM, capped at the physical CPU count). A sequence spawns its workers
-//! once and runs its launches one after another, with a barrier in between; a
-//! single launch is the one-element sequence.
+//! blocks is distributed over launch workers — the calling thread plus
+//! `std::thread::scope` spawns. A device's worker count is a share of the
+//! host's CPUs: at most one per simulated SM, at most the CPU count for a
+//! stand-alone device, and at most the device's even share of them in a
+//! [`crate::sched::DevicePool`]. A sequence spawns its extra workers once and
+//! runs its launches one after another, with a barrier in between; a single
+//! launch is the one-element sequence. A one-block launch, or any launch on a
+//! one-worker device, runs inline on the caller and spawns nothing.
 //! For each launch, each worker owns one shared-memory arena, zeroed per block, and
 //! one counter set summed when the launch ends; the cost model converts the totals
-//! into modeled times. A sequence on a one-worker device runs inline on the caller.
+//! into modeled times.
 
 use crate::cost::CostModel;
 use crate::kernel::{BlockContext, BlockKernel, LaunchConfig};
@@ -220,10 +224,17 @@ impl std::fmt::Debug for ResultBuffers {
 
 impl Device {
     /// Creates a device with the given spec, using up to `min(spec.sm_count, CPU count)`
-    /// worker threads for block execution.
+    /// launch workers for block execution, the launching thread among them.
+    /// A [`crate::sched::DevicePool`] gives each of its devices only its share
+    /// of the CPUs instead.
     pub fn new(spec: DeviceSpec) -> Self {
-        let physical = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let worker_threads = spec.sm_count.min(physical).max(1);
+        Device::with_cpus(spec, host_cpus())
+    }
+
+    /// A device whose launches may occupy `cpus` host CPUs: it gets
+    /// `min(spec.sm_count, cpus)` launch workers, and at least one.
+    pub(crate) fn with_cpus(spec: DeviceSpec, cpus: usize) -> Self {
+        let worker_threads = spec.sm_count.min(cpus).max(1);
         let cost = CostModel::new(spec.clone());
         let residency = ResidencyCache::new(spec.global_mem_bytes);
         Device {
@@ -251,7 +262,8 @@ impl Device {
         &self.cost
     }
 
-    /// Number of CPU worker threads used to execute blocks.
+    /// Number of launch workers that execute blocks: the launching thread
+    /// plus at most this many minus one spawns per launch sequence.
     pub fn worker_threads(&self) -> usize {
         self.worker_threads
     }
@@ -398,10 +410,11 @@ impl Device {
     /// and the trace are bit for bit those of separate [`Device::launch`]
     /// calls, and only `wall_time_s` differs.
     ///
-    /// The whole sequence runs on one set of workers: on a one-worker device,
-    /// inline on the calling thread; otherwise on scoped spawns (one per
-    /// worker, at most one per block of the widest launch) while the caller
-    /// waits. A barrier separates consecutive launches, as the device's stream
+    /// The whole sequence runs on one set of workers: the calling thread plus
+    /// `min(worker_threads, widest launch's blocks) − 1` scoped spawns, all
+    /// running the same worker loop. So a one-block launch, or any sequence on
+    /// a one-worker device, runs inline on the caller and spawns nothing. A
+    /// barrier separates consecutive launches, as the device's stream
     /// separates dependent kernels: no block of a launch starts before every
     /// block of the one before it has finished.
     ///
@@ -428,9 +441,9 @@ impl Device {
         };
         stats.fill(KernelStats::zero());
 
-        let spawns = if self.worker_threads == 1 { 0 } else { self.worker_threads.min(widest) };
-        let barrier = LaunchBarrier::new(spawns.max(1), stats);
-        run_on_workers(spawns, || {
+        let workers = self.worker_threads.min(widest);
+        let barrier = LaunchBarrier::new(workers, stats);
+        run_on_workers(workers - 1, || {
             for (index, launch) in launches.iter().enumerate() {
                 if !wait_until(|| barrier.current.load(Ordering::Acquire) == index) {
                     return;
@@ -517,6 +530,11 @@ impl<'s> LaunchBarrier<'s> {
     }
 }
 
+/// The host's CPU count (1 when it cannot be read).
+pub(crate) fn host_cpus() -> usize {
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+}
+
 thread_local! {
     /// The abort flag of the launch sequence this thread is running blocks for.
     static LAUNCH_ABORT: RefCell<Option<Arc<AtomicBool>>> = const { RefCell::new(None) };
@@ -548,19 +566,15 @@ pub(crate) fn wait_until(ready: impl Fn() -> bool) -> bool {
     true
 }
 
-/// Runs `run` on `spawns` scoped threads while the caller waits at the join,
-/// or inline on the caller when `spawns` is 0. This is the one place
-/// [`Device`] puts block work on host threads: a launch sequence, however
-/// many launches it holds, spawns once. The caller never claims blocks
-/// itself: it is usually a long-lived scheduler thread, and block work kept
-/// on those threads (the caller as a worker, or one-block launches inline)
-/// let the OS leave them on fixed CPUs for whole `serve_mix` runs — sometimes
-/// all on one CPU, a ~30 % slower run — where fresh spawns per sequence keep
-/// them re-placed.
-/// A worker whose block panics raises the sequence's abort flag (through
-/// [`launch_aborted`] the others stop claiming blocks, leave the barrier, and
-/// blocks waiting on a turn give up); the first panic is re-raised once every
-/// worker has stopped.
+/// Runs `run` on the caller and on `spawns` scoped threads beside it, and
+/// returns once all of them have finished. This is the one place [`Device`]
+/// puts block work on host threads: a launch sequence, however many launches
+/// it holds, spawns once, and the caller is one of its workers, so a
+/// one-worker run spawns nothing.
+/// A worker whose block panics — the caller's included — raises the
+/// sequence's abort flag (through [`launch_aborted`] the others stop claiming
+/// blocks, leave the barrier, and blocks waiting on a turn give up); the
+/// first panic is re-raised once every worker has stopped.
 fn run_on_workers(spawns: usize, run: impl Fn() + Sync) {
     let abort = Arc::new(AtomicBool::new(false));
     let first_panic = Mutex::new(None);
@@ -575,15 +589,12 @@ fn run_on_workers(spawns: usize, run: impl Fn() + Sync) {
         }
         LAUNCH_ABORT.with(|slot| *slot.borrow_mut() = outer);
     };
-    if spawns == 0 {
+    std::thread::scope(|scope| {
+        for _ in 0..spawns {
+            scope.spawn(worker);
+        }
         worker();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..spawns {
-                scope.spawn(worker);
-            }
-        });
-    }
+    });
     if let Some(payload) = first_panic.into_inner().unwrap_or_else(PoisonError::into_inner) {
         resume_unwind(payload);
     }
@@ -774,51 +785,58 @@ mod tests {
     }
 
     #[test]
-    fn one_worker_launches_run_inline_and_wider_ones_on_spawns() {
-        let caller = std::thread::current().id();
-        let on_caller = |device: &Device, blocks: usize| {
-            let ran_on = Mutex::new(Vec::new());
-            let kernel = |_: &mut BlockContext| locked(&ran_on).push(std::thread::current().id());
-            let stats = device.launch(&LaunchConfig::new(blocks, 32), &kernel);
-            let ran_on = ran_on.into_inner().unwrap();
-            assert_eq!(ran_on.len(), blocks);
-            assert_eq!(stats.blocks, blocks);
-            ran_on.iter().all(|&id| id == caller)
-        };
-        let one_worker = Device::new(DeviceSpec { sm_count: 1, ..DeviceSpec::tesla_c1060() });
-        assert_eq!(one_worker.worker_threads(), 1);
-        assert!(on_caller(&one_worker, 40), "a one-worker device spawns nothing");
-        let full = Device::tesla_c1060();
-        if full.worker_threads() > 1 {
-            // The caller only waits, even for a one-block launch.
-            assert!(!on_caller(&full, 1), "a one-block launch runs on a spawn");
-            assert!(!on_caller(&full, 40), "a wide launch runs on spawns");
-        }
-
-        // A sequence spawns once: its five launches share one set of workers
-        // (thread ids are never reused, so separate launches would show up
-        // to five sets), and on a one-worker device it runs on the caller.
-        for device in [&one_worker, &full] {
-            let ran_on = Mutex::new(Vec::new());
-            let kernel = |_: &mut BlockContext| locked(&ran_on).push(std::thread::current().id());
-            let launch = KernelLaunch::on(device).grid(40);
+    fn launches_run_on_the_caller_and_at_most_workers_minus_one_spawns() {
+        use std::collections::HashSet;
+        use std::thread::ThreadId;
+        // The caller is one of a sequence's workers. Returns the threads that
+        // ran blocks of a five-launch sequence of `blocks`-block launches. In
+        // the first launch, blocks below `hold` keep their worker until that
+        // many distinct threads have run a block, so each of them is claimed
+        // by a different worker: with `hold` = the worker count, every worker
+        // (the caller included) must run one, or the sequence hangs.
+        fn threads_of(device: &Device, blocks: usize, hold: usize) -> HashSet<ThreadId> {
+            let ran_on = Mutex::new(HashSet::new());
+            let kernel = |ctx: &mut BlockContext| {
+                locked(&ran_on).insert(std::thread::current().id());
+                if ctx.block_idx < hold {
+                    wait_until(|| locked(&ran_on).len() >= hold);
+                }
+            };
+            let launch = KernelLaunch::on(device).grid(blocks);
             let mut stats = [KernelStats::zero(); 5];
             device.launch_sequence(&[launch.queue(&kernel); 5], &mut stats);
-            let ran_on = ran_on.into_inner().unwrap();
-            assert_eq!(ran_on.len(), 5 * 40);
-            assert!(stats.iter().all(|s| s.blocks == 40));
-            let workers: std::collections::HashSet<_> = ran_on.into_iter().collect();
-            if device.worker_threads() == 1 {
-                assert_eq!(
-                    workers,
-                    [caller].into(),
-                    "a one-worker device runs the sequence inline"
-                );
-            } else {
-                assert!(workers.len() <= device.worker_threads(), "{} workers", workers.len());
-                assert!(!workers.contains(&caller), "the caller only waits");
-            }
+            assert!(stats.iter().all(|s| s.blocks == blocks));
+            ran_on.into_inner().unwrap()
         }
+        let spec = DeviceSpec::tesla_c1060();
+        for workers in [1, 2, 3, 4] {
+            let (done, outcome) = std::sync::mpsc::channel();
+            let spec = spec.clone();
+            std::thread::spawn(move || {
+                let caller = std::thread::current().id();
+                let device = Device::with_cpus(spec, workers);
+                assert_eq!(device.worker_threads(), workers);
+                // A one-block launch, and anything on a one-worker device,
+                // runs on the caller alone.
+                assert_eq!(threads_of(&device, 1, 0), [caller].into(), "one block spawns");
+                let wide = threads_of(&device, 40, workers);
+                assert!(wide.contains(&caller), "the caller is a worker");
+                assert_eq!(wide.len(), workers, "the caller plus {} spawns", workers - 1);
+                let _ = done.send(());
+            });
+            outcome
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("a {workers}-worker sequence had too few workers"));
+        }
+        // Without holds, a device runs a sequence on at most its worker
+        // count of threads, the caller included: one spawn set per sequence
+        // (thread ids are never reused, so five sets would show).
+        let caller = std::thread::current().id();
+        let full = Device::tesla_c1060();
+        let ran_on = threads_of(&full, 40, 0);
+        let spawned = ran_on.iter().filter(|&&id| id != caller).count();
+        assert!(ran_on.len() <= full.worker_threads(), "{} threads", ran_on.len());
+        assert!(spawned < full.worker_threads(), "{spawned} spawns");
     }
 
     /// Three dependent launches: squares of the input, a block-ordered float
@@ -986,6 +1004,66 @@ mod tests {
                 assert!(blocks_run[..failing].iter().all(|&n| n == 64), "{blocks_run:?}");
                 assert!(blocks_run[failing + 1..].iter().all(|&n| n == 0), "{blocks_run:?}");
             }
+        }
+
+        // The caller is a worker too, so a panic in a block it runs must fail
+        // the sequence the same way: a one-block launch (the caller alone),
+        // and a two-worker device whose caller fails its first block only
+        // once the spawn has run every other block of the launch and is
+        // waiting at the barrier. Until the caller has claimed a block, the
+        // spawn's blocks wait for it, so the caller always gets one.
+        struct OnCaller<'a> {
+            caller: std::thread::ThreadId,
+            blocks: usize,
+            caller_started: AtomicBool,
+            panics: &'a AtomicUsize,
+            blocks_run: &'a AtomicUsize,
+        }
+        impl BlockKernel for OnCaller<'_> {
+            fn execute_block(&self, ctx: &mut BlockContext) {
+                if std::thread::current().id() != self.caller {
+                    wait_until(|| self.caller_started.load(Ordering::Acquire));
+                } else if !self.caller_started.swap(true, Ordering::AcqRel) {
+                    wait_until(|| self.blocks_run.load(Ordering::Acquire) == self.blocks - 1);
+                    self.panics.fetch_add(1, Ordering::Relaxed);
+                    panic!("the caller's block {} failed", ctx.block_idx);
+                }
+                self.blocks_run.fetch_add(1, Ordering::Release);
+            }
+        }
+        for (workers, blocks) in [(DeviceSpec::tesla_c1060().sm_count, 1), (2, 64)] {
+            let (done, outcome) = std::sync::mpsc::channel();
+            std::thread::spawn(move || {
+                let device = Device::with_cpus(DeviceSpec::tesla_c1060(), workers);
+                let (panics, blocks_run) =
+                    (AtomicUsize::new(0), [(); 2].map(|_| AtomicUsize::new(0)));
+                let steps = [0, 1].map(|launch| OnCaller {
+                    caller: std::thread::current().id(),
+                    blocks,
+                    caller_started: AtomicBool::new(false),
+                    panics: &panics,
+                    blocks_run: &blocks_run[launch],
+                });
+                let launch = KernelLaunch::on(&device).grid(blocks);
+                let mut stats = [KernelStats::zero(); 2];
+                let run = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    device.launch_sequence(&steps.each_ref().map(|k| launch.queue(k)), &mut stats)
+                }));
+                let panic = run.err().and_then(|p| p.downcast::<String>().ok()).map(|text| *text);
+                let _ = done.send((
+                    panic,
+                    panics.into_inner(),
+                    blocks_run.map(AtomicUsize::into_inner),
+                ));
+            });
+            let (panic, panics, blocks_run) =
+                outcome.recv_timeout(std::time::Duration::from_secs(10)).unwrap_or_else(|_| {
+                    panic!("a panic on the caller hung the sequence ({blocks} blocks)")
+                });
+            let panic = panic.expect("the caller's panic fails the sequence");
+            assert!(panic.starts_with("the caller's block "), "{panic}");
+            assert_eq!(panics, 1, "the kernel panicked once");
+            assert_eq!(blocks_run, [blocks - 1, 0], "the spawn ran the rest; launch 1 never ran");
         }
     }
 

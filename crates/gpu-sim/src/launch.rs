@@ -261,11 +261,17 @@ impl<T: Clone + Default> Staged<Vec<T>> {
 /// after its last block of the launch has finished, turn included, and it
 /// waits there only for workers still running blocks of that same launch —
 /// never for a later one, whose blocks no worker claims until every worker
-/// has arrived. If the awaited block panics before or during its turn, the
-/// sequence's abort flag makes the waiting blocks give up and the workers at
-/// the barrier leave, so the sequence resolves to the kernel's panic.
-/// Sequences on a one-worker device run inline, where every turn is already
-/// due when a block reaches it and every barrier is already complete.
+/// has arrived. The calling thread is one of those workers, not a bystander:
+/// it claims blocks from the same counter, runs each to completion and
+/// arrives at the same barrier, so a block it holds is a claimed block like
+/// any other and the argument covers it unchanged; the caller waits at the
+/// join only after its own worker loop has ended. If the awaited block panics
+/// before or during its turn — on the caller or on a spawn — the sequence's
+/// abort flag makes the waiting blocks give up and the workers at the
+/// barrier leave, so the sequence resolves to the kernel's panic. A one-block
+/// launch, and any sequence on a one-worker device, runs on the caller
+/// alone, where every turn is already due when a block reaches it and every
+/// barrier is already complete.
 /// One per launch; it holds a single counter and allocates nothing.
 #[derive(Debug, Default)]
 pub struct BlockOrder {

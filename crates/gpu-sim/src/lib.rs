@@ -13,11 +13,12 @@
 //!
 //! * kernels are written against a CUDA-like execution model — a grid of thread
 //!   **blocks**, each with shared memory, barriers, and per-thread work assignment;
-//! * blocks execute **in parallel on CPU worker threads** (scoped spawns), so the
+//! * blocks execute **in parallel on CPU worker threads** (the launching thread
+//!   plus scoped spawns, at most the device's share of the host's CPUs), so the
 //!   restructured algorithms really do run concurrently and their results are
 //!   tested. Each worker owns one shared-memory arena, zeroed per block, and one
-//!   counter set summed at the join; a launch on a one-worker device runs inline
-//!   on the caller;
+//!   counter set summed at the join; a one-block launch, or any launch on a
+//!   one-worker device, runs inline on the caller;
 //! * every kernel **accounts** its floating-point work and its global / shared /
 //!   constant memory traffic, and a [`cost::CostModel`] converts those counts into
 //!   *modeled* kernel times for the Tesla-class device and for a single Xeon-class

@@ -1,6 +1,6 @@
 //! A pool of modeled devices shared by the scheduler's workers.
 
-use crate::device::{Device, DeviceSpec};
+use crate::device::{host_cpus, Device, DeviceSpec};
 use std::sync::Arc;
 
 /// Owns N modeled devices and hands out shared handles to them.
@@ -17,13 +17,26 @@ pub struct DevicePool {
 }
 
 impl DevicePool {
-    /// A pool with one device per spec.
+    /// A pool with one device per spec, sharing the host's CPUs: each device
+    /// gets `min(sm_count, max(1, cpus / devices))` launch workers, so the
+    /// pool's launches never run more block-executing threads than the host
+    /// has CPUs (or one per device, when it has fewer CPUs than devices).
+    /// Each device's scheduler thread is one of its own workers, so a device
+    /// whose share is one CPU runs every launch inline on that thread.
     ///
     /// # Panics
     /// Panics if `specs` is empty — a pool must schedule onto something.
     pub fn new(specs: Vec<DeviceSpec>) -> Self {
+        Self::sharing(host_cpus(), specs)
+    }
+
+    /// A pool whose devices share `cpus` host CPUs evenly.
+    fn sharing(cpus: usize, specs: Vec<DeviceSpec>) -> Self {
         assert!(!specs.is_empty(), "a device pool needs at least one device");
-        DevicePool { devices: specs.into_iter().map(|s| Arc::new(Device::new(s))).collect() }
+        let share = (cpus / specs.len()).max(1);
+        DevicePool {
+            devices: specs.into_iter().map(|s| Arc::new(Device::with_cpus(s, share))).collect(),
+        }
     }
 
     /// A pool of `n` identical devices.
@@ -161,6 +174,50 @@ mod tests {
         assert_eq!(pool.total_transfer_time(), 0.0);
         for device in pool.devices() {
             assert_eq!(device.total_transfer_bytes(), 0);
+        }
+    }
+
+    #[test]
+    fn a_pool_never_has_more_launch_workers_than_cpus() {
+        for cpus in 1..=9 {
+            for (n_tesla, n_xeon) in [(1, 0), (2, 0), (3, 0), (5, 0), (1, 1), (2, 1), (0, 4)] {
+                let mut specs = vec![DeviceSpec::tesla_c1060(); n_tesla];
+                specs.extend(vec![DeviceSpec::xeon_quad(); n_xeon]);
+                let devices = specs.len();
+                let pool = DevicePool::sharing(cpus, specs);
+                let workers: Vec<usize> =
+                    pool.devices().iter().map(|d| d.worker_threads()).collect();
+                assert!(
+                    workers.iter().sum::<usize>() <= cpus.max(devices),
+                    "{cpus} cpus, {devices} devices: {workers:?}"
+                );
+                for (device, &w) in pool.devices().iter().zip(&workers) {
+                    let share = (cpus / devices).max(1);
+                    assert_eq!(w, device.spec().sm_count.min(share), "{cpus} cpus: {workers:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_pool_with_a_device_per_cpu_launches_on_the_calling_thread() {
+        // With at least as many devices as CPUs, every device's share is one
+        // worker: its launches and sequences run on whichever thread calls
+        // them, a device's scheduler thread in a run, and spawn nothing.
+        let pool = DevicePool::tesla(host_cpus().max(2));
+        let caller = std::thread::current().id();
+        for device in pool.devices() {
+            assert_eq!(device.worker_threads(), 1);
+            let ran_on = std::sync::Mutex::new(Vec::new());
+            let kernel = |_: &mut crate::BlockContext| {
+                ftmap_trace::sync::locked(&ran_on).push(std::thread::current().id())
+            };
+            let launch = crate::KernelLaunch::on(device).grid(40);
+            let mut stats = [crate::KernelStats::zero(); 3];
+            device.launch_sequence(&[launch.queue(&kernel); 3], &mut stats);
+            let ran_on = ran_on.into_inner().unwrap();
+            assert_eq!(ran_on.len(), 3 * 40);
+            assert!(ran_on.iter().all(|&id| id == caller), "a pooled launch spawned a worker");
         }
     }
 
