@@ -22,7 +22,7 @@
 use crate::cluster::{cluster_poses, ClusterInput, ConsensusSite};
 use crate::phased::PhasedMapBatch;
 use crate::profile::MappingProfile;
-use ftmap_energy::minimize::{EvaluationPath, MinimizationConfig, Minimizer};
+use ftmap_energy::minimize::{EvaluationPath, MinimizationConfig, Minimizer, ReceptorHalf};
 use ftmap_math::{RotationSet, Vec3};
 use ftmap_molecule::{Complex, ForceField, Probe, ProbeLibrary, ProbeType, SyntheticProtein};
 use gpu_sim::sched::{DevicePool, PhasePipeline, PhasedBatch, PhasedExec};
@@ -30,7 +30,7 @@ use gpu_sim::{wall_timed, Device};
 use piper_dock::docking::DEFAULT_GPU_BATCH;
 use piper_dock::{Docking, DockingConfig, DockingEngineKind, DockingRun};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Whether the pipeline uses the original serial engines, the accelerated ones,
 /// or the accelerated ones sharded over a device pool.
@@ -317,9 +317,10 @@ impl DockedProbe {
 
 /// The FTMap pipeline over one protein.
 ///
-/// Cloning is cheap where it matters: the pool and the receptor grids are
-/// shared `Arc`s, so a clone schedules onto the same devices and borrows the
-/// same resident grids — which is what lets a pipeline be moved into a
+/// Cloning is cheap where it matters: the pool, the receptor grids and the
+/// receptor's half of minimization set-up are shared `Arc`s, so a clone
+/// schedules onto the same devices and borrows the same resident grids and
+/// protein neighbor list — which is what lets a pipeline be moved into a
 /// long-lived phased batch ([`crate::phased::PhasedMapBatch`]) while the
 /// caller keeps its own handle.
 #[derive(Clone)]
@@ -333,6 +334,10 @@ pub struct FtMapPipeline {
     /// device's residency cache — so N probes (or N queued jobs) against one
     /// receptor cost one host build and one upload per device.
     receptor: Arc<piper_dock::ReceptorGrids>,
+    /// The receptor's half of minimization set-up, built by the first pose
+    /// any clone minimizes and shared by every later one — every block, every
+    /// device, every probe.
+    receptor_half: Arc<OnceLock<ReceptorHalf>>,
 }
 
 impl FtMapPipeline {
@@ -355,20 +360,23 @@ impl FtMapPipeline {
         pool: impl Into<Arc<DevicePool>>,
     ) -> Self {
         let receptor = Docking::build_receptor(&protein.atoms, &config.docking);
-        Self::with_shared_resources(protein, ff, config, pool.into(), receptor)
+        Self::with_shared_resources(protein, ff, config, pool.into(), receptor, Arc::default())
     }
 
-    /// Creates a pipeline from prebuilt receptor grids on a shared pool —
-    /// lets a service memoize the host-side grid build across jobs for the
-    /// same receptor content.
+    /// Creates a pipeline from prebuilt receptor grids and a receptor half
+    /// (built or not) on a shared pool — lets a service memoize the host-side
+    /// set-up across jobs for the same receptor content. `receptor_half` must
+    /// only be shared between pipelines whose protein atoms, protein topology
+    /// and force field are equal.
     pub fn with_shared_resources(
         protein: SyntheticProtein,
         ff: ForceField,
         config: FtMapConfig,
         pool: Arc<DevicePool>,
         receptor: Arc<piper_dock::ReceptorGrids>,
+        receptor_half: Arc<OnceLock<ReceptorHalf>>,
     ) -> Self {
-        FtMapPipeline { protein, ff, config, pool, receptor }
+        FtMapPipeline { protein, ff, config, pool, receptor, receptor_half }
     }
 
     /// The configuration.
@@ -544,7 +552,10 @@ impl FtMapPipeline {
             }
             let mut complex = Complex::new(&self.protein, &posed_probe);
 
-            let (result, minimize_wall_s) = wall_timed(|| minimizer.minimize(&mut complex, device));
+            let (result, minimize_wall_s) = wall_timed(|| {
+                let half = self.receptor_half.get_or_init(|| ReceptorHalf::new(&complex, &self.ff));
+                minimizer.minimize_against(half, &mut complex, device)
+            });
             profile.minimization_wall_s += minimize_wall_s;
             let modeled_s = match self.config.mode {
                 PipelineMode::Accelerated | PipelineMode::Sharded { .. } => {
@@ -729,6 +740,25 @@ mod tests {
         // Sharding runs the accelerated engines.
         let engine = FtMapConfig::small_test(mode).docking.engine;
         assert_eq!(engine, DockingEngineKind::Gpu { batch: DEFAULT_GPU_BATCH });
+    }
+
+    #[test]
+    fn a_sharded_map_builds_the_receptor_half_once() {
+        // Pose blocks of one pose on two devices: every block minimizes on a
+        // clone of the pipeline, on a scheduler thread, and all of them share
+        // the one half the first pose builds — the original's, which never
+        // minimized anything itself. A second library reuses it.
+        let mode = PipelineMode::Sharded { devices: 2, pose_block: 1 };
+        let (pipeline, library) = small_pipeline(mode);
+        let clone = pipeline.clone();
+        assert!(Arc::ptr_eq(&pipeline.receptor_half, &clone.receptor_half));
+        assert!(pipeline.receptor_half.get().is_none(), "built lazily, by the first pose");
+        let first = pipeline.map(&library);
+        let half = pipeline.receptor_half.get().expect("the clones built the shared half");
+        let ff = ForceField::charmm_like();
+        let again = pipeline.map(&ProbeLibrary::subset(&ff, &[ProbeType::Urea]));
+        assert!(std::ptr::eq(half, pipeline.receptor_half.get().expect("still built")));
+        assert!(first.conformations_minimized > 1 && again.conformations_minimized > 0);
     }
 
     #[test]

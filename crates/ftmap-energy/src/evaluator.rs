@@ -9,16 +9,17 @@
 //!
 //! The protein is rigid during minimization; only the probe moves. A term whose
 //! atoms are all immobile — a protein–protein pair, a protein-only bonded term — and
-//! the whole Born sum, which does not depend on position, keep their values for the
-//! life of a neighbor list. [`Evaluator::energy_cached`] records those values in a
-//! [`RigidTerms`] once, then re-adds them in loop order and computes only the terms
-//! that touch the probe: bit for bit [`Evaluator::energy`], for the cost of the
-//! probe's terms plus one add per cached term.
+//! the protein's Born sum, which does not depend on position, keep their values as
+//! long as the protein does. [`Evaluator::energy_recording`] records those values in
+//! a [`RigidTerms`] once; [`Evaluator::energy_cached`] re-adds them in loop order and
+//! computes only the terms that touch the probe: bit for bit [`Evaluator::energy`],
+//! for the cost of the probe's terms plus one add per recorded term.
 
 use crate::terms::{self, PairGeometry};
 use ftmap_math::{Real, Vec3};
 use ftmap_molecule::{Complex, ForceField, NeighborList};
 use gpu_sim::wall_timed;
+use std::ops::Range;
 
 /// Energy of one conformation, split by term (the decomposition of Equation 3).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -60,49 +61,31 @@ impl EnergyBreakdown {
 }
 
 /// The values of the terms whose atoms are all immobile (`!complex.is_mobile`),
-/// for one neighbor list and one placement of the immobile atoms, in loop order.
-/// Filled by the first [`Evaluator::energy_cached`] call after
-/// [`RigidTerms::new`] or [`RigidTerms::clear`]; clear it whenever the neighbor
-/// list changes.
-#[derive(Debug, Clone, Default)]
+/// in loop order: recorded by [`Evaluator::energy_recording`], replayed by
+/// [`Evaluator::energy_cached`].
+///
+/// A record is valid for one set of immobile atoms, not for one neighbor list.
+/// It holds for any complex whose immobile atoms (positions, parameters, bonded
+/// terms) and force field are the recording's, evaluated against any list whose
+/// pairs among the immobile atoms are the recording list's, in the same order.
+/// The mobile atoms may be of any kind and anywhere. Every list
+/// [`NeighborList::splice`] makes from one list of the immobile atoms
+/// qualifies, and so does [`NeighborList::build`] over the whole complex. So
+/// one record serves every probe type and survives every neighbor-list refresh.
+#[derive(Debug)]
 pub struct RigidTerms {
-    filled: bool,
-    /// One stream per term loop: the Born sum (which does not depend on
-    /// position) followed by `e_ik + e_ki + e_gb` of each rigid pair; the van
-    /// der Waals term of each rigid pair; each rigid bond, angle, torsion and
-    /// improper term.
+    /// One stream per term loop: the Born sum of the immobile atoms (which does
+    /// not depend on position; a replay adds the mobile atoms' terms to it in
+    /// order, so the fold is the one over every atom) followed by
+    /// `e_ik + e_ki + e_gb` of each rigid pair; the van der Waals term of each
+    /// rigid pair; each rigid bond, angle, torsion and improper term.
     streams: [Vec<Real>; 3],
 }
 
 impl RigidTerms {
-    /// An empty cache.
-    pub fn new() -> Self {
-        RigidTerms::default()
-    }
-
-    /// Forgets the recorded values (keeping the allocations), so the next
-    /// evaluation records them afresh.
-    pub fn clear(&mut self) {
-        self.filled = false;
-        self.streams.iter_mut().for_each(Vec::clear);
-    }
-
-    /// The three streams, replaying when filled, else recording — after
-    /// which the cache counts as filled. A recording pair stream reserves
-    /// room for every pair.
-    fn streams(&mut self, n_pairs: usize) -> [TermCache<'_>; 3] {
-        let filled = std::mem::replace(&mut self.filled, true);
-        if !filled {
-            self.streams[0].reserve(1 + n_pairs);
-            self.streams[1].reserve(n_pairs);
-        }
-        self.streams.each_mut().map(|values| {
-            if filled {
-                TermCache::Replay(values.iter())
-            } else {
-                TermCache::Record(values)
-            }
-        })
+    /// The three streams, replaying.
+    fn replay(&self) -> [TermCache<'_>; 3] {
+        self.streams.each_ref().map(|values| TermCache::Replay(values.iter()))
     }
 }
 
@@ -117,6 +100,9 @@ enum TermCache<'a> {
 }
 
 impl TermCache<'_> {
+    /// No cache for any of the three term loops.
+    const OFF: [TermCache<'static>; 3] = [TermCache::Off, TermCache::Off, TermCache::Off];
+
     /// The recorded value of the next term, if it is rigid and recorded.
     #[inline]
     fn replay(&mut self, rigid: bool) -> Option<Real> {
@@ -159,7 +145,7 @@ impl Evaluator {
 
     /// Evaluates the full potential of `complex` using the pairs of `neighbors`.
     pub fn evaluate(&self, complex: &Complex, neighbors: &NeighborList) -> Evaluation {
-        self.evaluate_inner::<true, false>(complex, neighbors, true, None)
+        self.evaluate_inner::<true, false>(complex, neighbors, true, TermCache::OFF)
     }
 
     /// Evaluates only the energy: the breakdown [`Evaluator::evaluate`] returns,
@@ -167,71 +153,78 @@ impl Evaluator {
     /// energies and forces — and so without any derivative arithmetic. The
     /// minimizer's trial steps read nothing else.
     pub fn energy(&self, complex: &Complex, neighbors: &NeighborList) -> EnergyBreakdown {
-        self.evaluate_inner::<false, false>(complex, neighbors, true, None).breakdown
+        self.evaluate_inner::<false, false>(complex, neighbors, true, TermCache::OFF).breakdown
+    }
+
+    /// [`Evaluator::energy`], recording the terms whose atoms are all immobile
+    /// as it goes. Costs what `energy` costs.
+    pub fn energy_recording(
+        &self,
+        complex: &Complex,
+        neighbors: &NeighborList,
+    ) -> (EnergyBreakdown, RigidTerms) {
+        let mut streams = [1 + neighbors.n_pairs(), neighbors.n_pairs(), 0].map(Vec::with_capacity);
+        let caches = streams.each_mut().map(TermCache::Record);
+        let breakdown =
+            self.evaluate_inner::<false, true>(complex, neighbors, true, caches).breakdown;
+        (breakdown, RigidTerms { streams })
     }
 
     /// [`Evaluator::energy`] for a caller that moves only the mobile atoms:
-    /// the same breakdown bit for bit, as long as the immobile atoms and the
-    /// neighbor list are those `rigid` was filled for. An empty `rigid` is
-    /// filled by this call, which costs what `energy` costs; after that each
-    /// call re-adds the recorded values in loop order and computes only the
-    /// terms that touch a mobile atom. Its timings are of that work.
+    /// the same breakdown bit for bit, as long as `rigid` is valid for
+    /// `complex` and `neighbors` (see [`RigidTerms`]). It re-adds the recorded
+    /// values in loop order and computes only the terms that touch a mobile
+    /// atom; its timings are of that work.
     pub fn energy_cached(
         &self,
         complex: &Complex,
         neighbors: &NeighborList,
-        rigid: &mut RigidTerms,
+        rigid: &RigidTerms,
     ) -> EnergyBreakdown {
-        self.evaluate_inner::<false, true>(complex, neighbors, true, Some(rigid)).breakdown
+        self.evaluate_inner::<false, true>(complex, neighbors, true, rigid.replay()).breakdown
     }
 
     /// The evaluation body. `FORCES` selects the full output (per-atom
     /// energies and forces); without it both vectors stay empty, and the
     /// derivatives the terms return are dead code. `CACHED` (energy-only, with
-    /// `rigid` given) takes the rigid terms' values from the cache, or records
-    /// them there; without it the cache code is dead too. Either way each term
-    /// total sums the same values in the same order, so the breakdowns agree
-    /// bitwise.
+    /// recording or replaying `caches`) takes the rigid terms' values from the
+    /// cache, or records them there; without it (`caches` off) the cache code
+    /// is dead too. Either way each term total sums the same values in the
+    /// same order, so the breakdowns agree bitwise.
     fn evaluate_inner<const FORCES: bool, const CACHED: bool>(
         &self,
         complex: &Complex,
         neighbors: &NeighborList,
         include_bonded: bool,
-        rigid: Option<&mut RigidTerms>,
+        caches: [TermCache<'_>; 3],
     ) -> Evaluation {
         debug_assert!(!(FORCES && CACHED), "cached terms carry no forces");
-        debug_assert_eq!(CACHED, rigid.is_some());
+        debug_assert_eq!(CACHED, !matches!(caches[0], TermCache::Off));
         let n = if FORCES { complex.n_atoms() } else { 0 };
         let mut atom_energies = vec![0.0; n];
         let mut forces = vec![Vec3::ZERO; n];
         let mut breakdown = EnergyBreakdown::default();
 
-        let [mut elec_cache, mut vdw_cache, mut bonded_cache] = match rigid {
-            Some(rigid) => rigid.streams(neighbors.n_pairs()),
-            None => [TermCache::Off, TermCache::Off, TermCache::Off],
-        };
+        let [mut elec_cache, mut vdw_cache, mut bonded_cache] = caches;
         // Atom `i` is mobile iff `i >= first_mobile`.
         let first_mobile = complex.probe_offset;
         let all_rigid = |atoms: &[usize]| CACHED && atoms.iter().all(|&a| a < first_mobile);
 
         // --- Electrostatics: Born self term per atom, ACE pair corrections and GB pairs.
         let (elec, elec_wall_s) = wall_timed(|| {
-            // The Born sum does not depend on position: the stream's first value.
+            // The Born sum does not depend on position: the immobile atoms'
+            // prefix is the stream's first value, and the mobile atoms' terms
+            // continue the same left fold.
             let mut elec = match elec_cache.replay(CACHED) {
-                Some(born) => born,
+                Some(prefix) => prefix,
                 None => {
-                    let mut born = 0.0;
-                    for (i, atom) in complex.atoms.iter().enumerate() {
-                        let e = terms::born_self_energy(atom, &self.ff);
-                        if FORCES {
-                            atom_energies[i] += e;
-                        }
-                        born += e;
-                    }
-                    born
+                    let prefix = self.add_born(0.0, complex, 0..first_mobile, &mut atom_energies);
+                    elec_cache.record(CACHED, prefix);
+                    prefix
                 }
             };
-            elec_cache.record(CACHED, elec);
+            elec =
+                self.add_born(elec, complex, first_mobile..complex.n_atoms(), &mut atom_energies);
             for (i, j) in neighbors.iter_pairs() {
                 let rigid = all_rigid(&[i, j]);
                 if let Some(e) = elec_cache.replay(rigid) {
@@ -372,11 +365,30 @@ impl Evaluator {
         Evaluation { atom_energies, forces, breakdown }
     }
 
+    /// `sum` plus the Born self energies of `atoms` in order, each also added
+    /// to its atom's entry of `energies` when there is one.
+    fn add_born(
+        &self,
+        mut sum: Real,
+        complex: &Complex,
+        atoms: Range<usize>,
+        energies: &mut [Real],
+    ) -> Real {
+        for i in atoms {
+            let e = terms::born_self_energy(&complex.atoms[i], &self.ff);
+            if let Some(energy) = energies.get_mut(i) {
+                *energy += e;
+            }
+            sum += e;
+        }
+        sum
+    }
+
     /// Evaluates only the non-bonded energy terms (energies *and* forces exclude the
     /// bonded contributions); used by tests comparing against the GPU kernels, which
     /// handle exactly this part.
     pub fn evaluate_nonbonded(&self, complex: &Complex, neighbors: &NeighborList) -> Evaluation {
-        self.evaluate_inner::<true, false>(complex, neighbors, false, None)
+        self.evaluate_inner::<true, false>(complex, neighbors, false, TermCache::OFF)
     }
 }
 
@@ -448,18 +460,30 @@ mod tests {
         }
     }
 
+    /// The bits of a breakdown's three term totals.
+    fn bits(b: &EnergyBreakdown) -> [u64; 3] {
+        [b.electrostatics, b.vdw, b.bonded].map(f64::to_bits)
+    }
+
     /// Asserts the cached energy equals the plain one bitwise, term by term.
     fn assert_cached_matches(
         evaluator: &Evaluator,
         complex: &Complex,
         neighbors: &NeighborList,
-        rigid: &mut RigidTerms,
+        rigid: &RigidTerms,
     ) -> TestCaseResult {
-        let bits = |b: &EnergyBreakdown| [b.electrostatics, b.vdw, b.bonded].map(f64::to_bits);
         let plain = evaluator.energy(complex, neighbors);
         let cached = evaluator.energy_cached(complex, neighbors, rigid);
         prop_assert_eq!(bits(&cached), bits(&plain));
         Ok(())
+    }
+
+    /// Records `complex`'s rigid terms against `neighbors`, asserting that the
+    /// recording evaluation is [`Evaluator::energy`] bit for bit.
+    fn record(evaluator: &Evaluator, complex: &Complex, neighbors: &NeighborList) -> RigidTerms {
+        let (breakdown, rigid) = evaluator.energy_recording(complex, neighbors);
+        assert_eq!(bits(&breakdown), bits(&evaluator.energy(complex, neighbors)));
+        rigid
     }
 
     proptest! {
@@ -469,25 +493,23 @@ mod tests {
             start in prop::array::uniform3(-4.0f64..4.0),
             moves in prop::collection::vec(prop::array::uniform3(-0.6f64..0.6), 1..5),
         ) {
-            // The probe anywhere around the pocket, the list built there: the
-            // first call records, the ones after it replay as the probe moves.
+            // The probe anywhere around the pocket, the list built there: one
+            // record, replayed as the probe moves and, the protein unmoved,
+            // after the list is rebuilt where the probe now is.
             let (mut complex, _, evaluator) = small_system();
             shift_probe(&mut complex, Vec3::from_array(start));
             let excluded = complex.topology.excluded_pairs();
             let cutoff = evaluator.ff.cutoff;
             let mut neighbors = NeighborList::build(&complex.atoms, cutoff, &excluded);
-            let mut rigid = RigidTerms::new();
-            assert_cached_matches(&evaluator, &complex, &neighbors, &mut rigid)?;
+            let rigid = record(&evaluator, &complex, &neighbors);
             for (k, step) in moves.iter().enumerate() {
                 shift_probe(&mut complex, Vec3::from_array(*step));
-                // Halfway through, the list is rebuilt where the probe now is.
                 if k == moves.len() / 2 {
                     neighbors = NeighborList::build(&complex.atoms, cutoff, &excluded);
-                    rigid.clear();
                 }
-                assert_cached_matches(&evaluator, &complex, &neighbors, &mut rigid)?;
+                assert_cached_matches(&evaluator, &complex, &neighbors, &rigid)?;
             }
-            // The cache holds exactly the rigid pairs' two terms.
+            // The record holds exactly the rigid pairs' two terms.
             let rigid_pairs =
                 neighbors.iter_pairs().filter(|&(_, j)| !complex.is_mobile(j)).count();
             prop_assert_eq!((rigid.streams[0].len(), rigid.streams[1].len()), (1 + rigid_pairs, rigid_pairs));
@@ -495,8 +517,45 @@ mod tests {
     }
 
     #[test]
+    fn one_record_serves_every_probe_type() {
+        // One record of the protein's terms, made with ethanol in the pocket,
+        // then replayed for every probe type at two poses, after the probe
+        // moves and after a refresh: every list is spliced from the protein's.
+        let ff = ForceField::charmm_like();
+        let protein = SyntheticProtein::generate(&ProteinSpec::small_test(), &ff);
+        let evaluator = Evaluator::new(ff.clone());
+        let protein_excluded = protein.topology.excluded_pairs();
+        let protein_list = NeighborList::build(&protein.atoms, ff.cutoff, &protein_excluded);
+        let splice = |complex: &Complex| {
+            let probe = complex.probe_offset..complex.n_atoms();
+            protein_list.splice(&complex.atoms, &complex.topology.excluded_pairs_within(probe))
+        };
+        let posed = |probe_type, at: Vec3| {
+            let mut probe = Probe::new(probe_type, &ff);
+            for a in &mut probe.atoms {
+                a.position += at;
+            }
+            Complex::new(&protein, &probe)
+        };
+
+        let pocket = protein.pocket_centers[0];
+        let first = posed(ProbeType::Ethanol, pocket);
+        let rigid = record(&evaluator, &first, &splice(&first));
+        for probe_type in ProbeType::ALL {
+            for at in [pocket, pocket + Vec3::new(1.5, -2.0, 0.5)] {
+                let mut complex = posed(probe_type, at);
+                let neighbors = splice(&complex);
+                assert_cached_matches(&evaluator, &complex, &neighbors, &rigid).unwrap();
+                shift_probe(&mut complex, Vec3::new(0.4, 0.3, -0.6));
+                assert_cached_matches(&evaluator, &complex, &neighbors, &rigid).unwrap();
+                assert_cached_matches(&evaluator, &complex, &splice(&complex), &rigid).unwrap();
+            }
+        }
+    }
+
+    #[test]
     fn cached_energy_matches_for_a_probe_with_no_protein_pairs() {
-        // 100 Å from the protein the probe pairs only with itself; the cache
+        // 100 Å from the protein the probe pairs only with itself; the record
         // then covers every protein pair and every protein bonded term.
         let (mut complex, _, evaluator) = small_system();
         shift_probe(&mut complex, Vec3::new(100.0, 0.0, 0.0));
@@ -505,10 +564,10 @@ mod tests {
         let offset = complex.probe_offset;
         assert!(neighbors.iter_pairs().all(|(i, j)| (i < offset) == (j < offset)));
 
-        let mut rigid = RigidTerms::new();
+        let rigid = record(&evaluator, &complex, &neighbors);
         for step in [Vec3::ZERO, Vec3::new(0.3, -0.2, 0.1), Vec3::new(-0.5, 0.0, 0.4)] {
             shift_probe(&mut complex, step);
-            assert_cached_matches(&evaluator, &complex, &neighbors, &mut rigid).unwrap();
+            assert_cached_matches(&evaluator, &complex, &neighbors, &rigid).unwrap();
         }
         let protein_pairs = neighbors.iter_pairs().filter(|&(_, j)| j < offset).count();
         assert_eq!(rigid.streams[0].len(), 1 + protein_pairs);

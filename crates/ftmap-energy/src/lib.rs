@@ -34,5 +34,5 @@ pub mod pairs;
 pub mod terms;
 
 pub use evaluator::{EnergyBreakdown, Evaluator};
-pub use minimize::{MinimizationConfig, MinimizationResult, Minimizer};
+pub use minimize::{MinimizationConfig, MinimizationResult, Minimizer, ReceptorHalf};
 pub use pairs::{AssignmentTable, PairsList, SplitPairsLists};

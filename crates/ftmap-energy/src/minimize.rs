@@ -10,19 +10,30 @@
 //! path, and judges its trial step by a host energy evaluation, which computes no
 //! forces.
 //!
+//! The protein is rigid; only the probe moves. So the half of the set-up that
+//! depends on the protein alone is a [`ReceptorHalf`], built once per receptor
+//! and shared by every pose minimized against it: the protein's own neighbor
+//! list, and its rigid terms ([`RigidTerms`]), recorded by the first GPU-path
+//! evaluation. Each pose (and each neighbor-list refresh) splices the probe into
+//! the protein's list ([`NeighborList::splice`]), which is bit for bit the list
+//! [`NeighborList::build`] makes for the whole complex, on both evaluation
+//! paths. [`Minimizer::minimize`] is the cold case: it builds a half for its one
+//! complex, then runs the same path as [`Minimizer::minimize_against`].
+//!
 //! On the GPU path the host does work only for the probe. It reads forces only
 //! for the probe ([`GpuMinimizationEngine::evaluate_mobile`]), and it evaluates
-//! the starting and trial energies with [`Evaluator::energy_cached`]: the rigid
-//! protein's terms are recorded once per neighbor list and re-added, and only the
-//! probe's terms are computed — bit for bit [`Evaluator::energy`]. The host path
-//! keeps calling [`Evaluator::energy`], because its measured wall time is the
-//! serial pipeline's modeled minimization time.
+//! the starting and trial energies with [`Evaluator::energy_cached`]: the half's
+//! recorded protein terms are re-added and only the probe's terms are computed
+//! — bit for bit [`Evaluator::energy`]. The host path keeps calling
+//! [`Evaluator::energy`], because its measured wall time is the serial
+//! pipeline's modeled minimization time.
 
 use crate::evaluator::{EnergyBreakdown, Evaluator, RigidTerms};
 use crate::gpu::GpuMinimizationEngine;
 use ftmap_math::{Real, Vec3};
 use ftmap_molecule::{Complex, ForceField, NeighborList};
 use gpu_sim::{wall_timed, Device};
+use std::sync::OnceLock;
 
 /// Which engine evaluates energies and forces each iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,6 +132,71 @@ impl MinimizationResult {
     }
 }
 
+/// The receptor's half of minimization set-up: what depends on the rigid
+/// protein alone, built once per receptor and shared (`&ReceptorHalf`) by
+/// every pose minimized against it.
+///
+/// It is valid for the complexes whose protein atoms and bonded terms are
+/// those it was built from, under the force field it was built with, and in
+/// which no bond joins the protein to the probe ([`Complex::new`] makes them
+/// so). The probe may be of any type and anywhere.
+#[derive(Debug)]
+pub struct ReceptorHalf {
+    /// The force field it was built with; [`Minimizer::minimize_against`]
+    /// checks it against the minimizer's.
+    ff: ForceField,
+    /// The protein's own neighbor list, built with the protein's exclusions.
+    neighbors: NeighborList,
+    /// The protein's terms, recorded by the first GPU-path energy evaluation
+    /// against this half, whatever its probe (the host path never reads them).
+    rigid: OnceLock<RigidTerms>,
+}
+
+impl ReceptorHalf {
+    /// Builds the half for the protein part of `complex` (atoms before
+    /// `complex.probe_offset`) under `ff`.
+    pub fn new(complex: &Complex, ff: &ForceField) -> Self {
+        let excluded = complex.topology.excluded_pairs_within(0..complex.probe_offset);
+        let neighbors = NeighborList::build(complex.protein_atoms(), ff.cutoff, &excluded);
+        ReceptorHalf { ff: ff.clone(), neighbors, rigid: OnceLock::new() }
+    }
+
+    /// `complex`'s neighbor list: the protein's runs, with the probe spliced
+    /// in. Bit for bit [`NeighborList::build`] over the whole complex.
+    ///
+    /// # Panics
+    /// Panics if `complex`'s protein is not this half's size, or a bond joins
+    /// its protein to its probe.
+    fn neighbors(&self, complex: &Complex) -> NeighborList {
+        let first = complex.probe_offset;
+        assert_eq!(first, self.neighbors.n_atoms(), "the complex's protein is not this half's");
+        assert!(
+            complex.topology.bonds().iter().all(|b| (b.i < first) == (b.j < first)),
+            "a bond joins the protein to the probe"
+        );
+        let probe_excluded = complex.topology.excluded_pairs_within(first..complex.n_atoms());
+        self.neighbors.splice(&complex.atoms, &probe_excluded)
+    }
+
+    /// [`Evaluator::energy`] of `complex` against a list spliced from this
+    /// half: the first call records the protein's terms, every later one (any
+    /// pose, any probe, any thread) replays them.
+    fn energy(
+        &self,
+        evaluator: &Evaluator,
+        complex: &Complex,
+        neighbors: &NeighborList,
+    ) -> EnergyBreakdown {
+        let mut recorded = None;
+        let rigid = self.rigid.get_or_init(|| {
+            let (breakdown, rigid) = evaluator.energy_recording(complex, neighbors);
+            recorded = Some(breakdown);
+            rigid
+        });
+        recorded.unwrap_or_else(|| evaluator.energy_cached(complex, neighbors, rigid))
+    }
+}
+
 /// The minimizer.
 pub struct Minimizer {
     ff: ForceField,
@@ -141,14 +217,37 @@ impl Minimizer {
     /// Minimizes the probe atoms of `complex` in place and returns the run summary.
     /// `device` is only used when the configuration selects the GPU path.
     ///
+    /// This is the cold case of [`Minimizer::minimize_against`]: it builds the
+    /// protein's [`ReceptorHalf`] for this one complex first. A caller that
+    /// minimizes many poses against one receptor builds the half once and
+    /// calls `minimize_against`; the results are bit for bit the same.
+    ///
     /// The minimizer never constructs a device of its own: callers hand it a
     /// handle — the pipeline passes a member of its
     /// [`gpu_sim::sched::DevicePool`], so a sharded run's per-iteration
     /// transfers are charged to the device that actually serviced the shard.
     pub fn minimize(&self, complex: &mut Complex, device: &Device) -> MinimizationResult {
+        self.minimize_against(&ReceptorHalf::new(complex, &self.ff), complex, device)
+    }
+
+    /// [`Minimizer::minimize`] against a prebuilt [`ReceptorHalf`], which must
+    /// be valid for `complex` and this minimizer's force field. Only the probe's
+    /// half of the set-up is done here: its pairs, spliced into the protein's
+    /// neighbor list (again at each refresh).
+    ///
+    /// # Panics
+    /// Panics if the half was built with another force field, if `complex`'s
+    /// protein is not the half's size, or if a bond joins its protein to its
+    /// probe.
+    pub fn minimize_against(
+        &self,
+        receptor: &ReceptorHalf,
+        complex: &mut Complex,
+        device: &Device,
+    ) -> MinimizationResult {
+        assert_eq!(receptor.ff, self.ff, "the receptor half was built with another force field");
         let evaluator = Evaluator::new(self.ff.clone());
-        let excluded = complex.topology.excluded_pairs();
-        let mut neighbors = NeighborList::build(&complex.atoms, self.ff.cutoff, &excluded);
+        let mut neighbors = receptor.neighbors(complex);
         let mut gpu_engine = match self.config.path {
             EvaluationPath::Gpu => {
                 Some(GpuMinimizationEngine::new(device, self.ff.clone(), &neighbors))
@@ -156,15 +255,11 @@ impl Minimizer {
             EvaluationPath::Host => None,
         };
 
-        // The GPU path's rigid protein terms, recorded by the first energy
-        // evaluation against each neighbor list.
-        let mut rigid = RigidTerms::new();
         let path = self.config.path;
-        let energy =
-            |complex: &Complex, neighbors: &NeighborList, rigid: &mut RigidTerms| match path {
-                EvaluationPath::Gpu => evaluator.energy_cached(complex, neighbors, rigid),
-                EvaluationPath::Host => evaluator.energy(complex, neighbors),
-            };
+        let energy = |complex: &Complex, neighbors: &NeighborList| match path {
+            EvaluationPath::Gpu => receptor.energy(&evaluator, complex, neighbors),
+            EvaluationPath::Host => evaluator.energy(complex, neighbors),
+        };
 
         let mut eval_time = 0.0;
         let mut update_time = 0.0;
@@ -172,7 +267,7 @@ impl Minimizer {
 
         // Evaluate the starting energy (bonded terms always from the host evaluator).
         // Only the energy is read, so no forces are computed for it.
-        let (initial, initial_wall_s) = wall_timed(|| energy(complex, &neighbors, &mut rigid));
+        let (initial, initial_wall_s) = wall_timed(|| energy(complex, &neighbors));
         eval_time += initial_wall_s;
         let initial_energy = initial.total();
         let mut current_energy = initial_energy;
@@ -187,11 +282,11 @@ impl Minimizer {
         for iter in 0..self.config.max_iterations {
             iterations = iter + 1;
 
-            // Periodic neighbor-list refresh.
+            // Periodic neighbor-list refresh: the probe is spliced in where it
+            // now is. The protein has not moved, so its recorded terms stay valid.
             if iter > 0 && iter % self.config.neighbor_refresh_interval == 0 {
-                neighbors = NeighborList::build(&complex.atoms, self.ff.cutoff, &excluded);
+                neighbors = receptor.neighbors(complex);
                 accepted = None;
-                rigid.clear();
                 if let Some(engine) = gpu_engine.as_mut() {
                     engine.refresh_neighbor_list(&neighbors);
                 }
@@ -226,7 +321,7 @@ impl Minimizer {
             update_time += move_wall_s;
 
             // The trial step is judged by its energy alone.
-            let (trial, trial_wall_s) = wall_timed(|| energy(complex, &neighbors, &mut rigid));
+            let (trial, trial_wall_s) = wall_timed(|| energy(complex, &neighbors));
             eval_time += trial_wall_s;
             let trial_energy = trial.total();
 
@@ -257,7 +352,7 @@ impl Minimizer {
             }
         }
 
-        let breakdown = accepted.unwrap_or_else(|| energy(complex, &neighbors, &mut rigid));
+        let breakdown = accepted.unwrap_or_else(|| energy(complex, &neighbors));
         MinimizationResult {
             initial_energy,
             final_energy: current_energy,
@@ -360,6 +455,62 @@ mod tests {
             host.final_energy,
             gpu.final_energy
         );
+    }
+
+    #[test]
+    fn a_shared_receptor_half_minimizes_bit_for_bit_like_a_cold_one() {
+        // One half, built and recorded against an ethanol pose, then shared
+        // by other probes' poses on both paths, across neighbor-list refreshes
+        // (every 4 iterations): each run equals the cold `minimize`.
+        let ff = ForceField::charmm_like();
+        let protein = SyntheticProtein::generate(&ProteinSpec::small_test(), &ff);
+        let device = Device::tesla_c1060();
+        let posed = |probe_type, shift: Vec3| {
+            let mut probe = Probe::new(probe_type, &ff);
+            for a in &mut probe.atoms {
+                a.position += protein.pocket_centers[0] + shift;
+            }
+            Complex::new(&protein, &probe)
+        };
+        let half = ReceptorHalf::new(&posed(ProbeType::Ethanol, Vec3::ZERO), &ff);
+        let bits = |r: &MinimizationResult| {
+            let (a, b, c) = r.modeled_kernel_times_s;
+            let mut bits = vec![r.final_energy, r.breakdown.total(), a, b, c];
+            bits.extend(r.final_positions.iter().flat_map(|p| p.to_array()));
+            (r.iterations, bits.into_iter().map(f64::to_bits).collect::<Vec<_>>())
+        };
+        for path in [EvaluationPath::Gpu, EvaluationPath::Host] {
+            let config = MinimizationConfig {
+                neighbor_refresh_interval: 4,
+                ..MinimizationConfig::small_test(path)
+            };
+            let minimizer = Minimizer::new(ff.clone(), config);
+            for (probe_type, shift) in [
+                (ProbeType::Ethanol, Vec3::ZERO),
+                (ProbeType::Benzene, Vec3::new(1.0, -0.5, 0.5)),
+                (ProbeType::Urea, Vec3::new(-1.5, 0.0, 1.0)),
+            ] {
+                let cold = minimizer.minimize(&mut posed(probe_type, shift), &device);
+                let warm =
+                    minimizer.minimize_against(&half, &mut posed(probe_type, shift), &device);
+                assert!(cold.iterations > 4, "{path:?}: no refresh");
+                assert_eq!(bits(&warm), bits(&cold), "{path:?} {probe_type:?}");
+            }
+        }
+        assert!(half.rigid.get().is_some(), "the GPU path recorded the protein once");
+    }
+
+    #[test]
+    #[should_panic(expected = "built with another force field")]
+    fn a_receptor_half_of_another_force_field_is_refused() {
+        // Same protein, same size, other cutoff: splicing against it would
+        // silently give the wrong list, so the minimizer refuses it.
+        let ff = ForceField::charmm_like();
+        let protein = SyntheticProtein::generate(&ProteinSpec::small_test(), &ff);
+        let mut complex = Complex::new(&protein, &Probe::new(ProbeType::Ethanol, &ff));
+        let half = ReceptorHalf::new(&complex, &ForceField { cutoff: 7.0, ..ff.clone() });
+        let minimizer = Minimizer::new(ff, MinimizationConfig::small_test(EvaluationPath::Gpu));
+        minimizer.minimize_against(&half, &mut complex, &Device::tesla_c1060());
     }
 
     #[test]

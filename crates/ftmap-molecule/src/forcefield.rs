@@ -66,7 +66,7 @@ pub struct ImproperParams {
 
 /// The complete force field: per-kind non-bonded parameters, generic bonded parameters
 /// and the global constants of the ACE electrostatics and smoothed-LJ models.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ForceField {
     /// Solvent dielectric constant `eps_s` (water ≈ 78.5), Equation (5).
     pub solvent_dielectric: Real,

@@ -10,6 +10,11 @@
 //! rather than `O(N²)`, which matters when the protein has a few thousand atoms.
 //! The cells are runs of atom indices sorted by cell key, so memory stays `O(N)`
 //! however far apart the atoms are.
+//!
+//! During minimization only the probe moves, and its atoms come last. So a
+//! rigid receptor's list is built once, and each pose's list is
+//! [`NeighborList::splice`]d from it: the same list `build` makes for the whole
+//! complex, for the cost of the probe's pairs.
 
 use crate::atom::Atom;
 use ftmap_math::Real;
@@ -47,13 +52,7 @@ impl NeighborList {
         // Cells of side `cutoff`: atom indices sorted by (cell key, index), so each
         // occupied cell is a contiguous run of `order`, and the cells are sorted by
         // key — the three cells of a (x, y) column are adjacent.
-        let keys: Vec<[i64; 3]> = atoms
-            .iter()
-            .map(|a| {
-                let p = a.position;
-                [p.x, p.y, p.z].map(|c| (c / cutoff).floor() as i64)
-            })
-            .collect();
+        let keys: Vec<[i64; 3]> = atoms.iter().map(|a| cell_key(a, cutoff)).collect();
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_unstable_by_key(|&i| (keys[i], i));
         let mut cells: Vec<Cell> = Vec::new();
@@ -64,19 +63,14 @@ impl NeighborList {
             }
         }
 
-        // Exclusions as one sorted list of (i, j), i < j < n: atom i's partners
-        // are one sorted run of it.
-        let mut exclusions: Vec<(usize, usize)> =
-            excluded.iter().copied().filter(|&(i, j)| i < j && j < n).collect();
-        exclusions.sort_unstable();
+        let exclusions = sorted_exclusions(excluded, n);
 
         let cutoff_sq = cutoff * cutoff;
         let mut starts = Vec::with_capacity(n + 1);
         starts.push(0);
         let mut partners = Vec::new();
         for (i, atom) in atoms.iter().enumerate() {
-            let excluded_here = &exclusions[exclusions.partition_point(|&(a, _)| a < i)
-                ..exclusions.partition_point(|&(a, _)| a <= i)];
+            let excluded_here = excluded_run(&exclusions, i);
 
             let first = partners.len();
             let [cx, cy, cz] = keys[i];
@@ -88,7 +82,7 @@ impl NeighborList {
                         for &j in &order[cell.atoms.clone()] {
                             if j > i
                                 && atom.position.distance_sq(atoms[j].position) <= cutoff_sq
-                                && excluded_here.binary_search_by_key(&j, |&(_, b)| b).is_err()
+                                && !is_excluded(excluded_here, j)
                             {
                                 partners.push(j);
                             }
@@ -101,6 +95,54 @@ impl NeighborList {
         }
 
         NeighborList { starts, partners, cutoff }
+    }
+
+    /// The list [`NeighborList::build`] returns for `atoms`, spliced from
+    /// `self`, which must be what `build` returned for the *head*
+    /// `atoms[..self.n_atoms()]` with the same cutoff and `excluded`'s pairs
+    /// among the head. Each head atom keeps its run and gains its partners in
+    /// the tail, then the tail atoms' runs follow. Only the pairs that touch
+    /// the tail are tested, by `build`'s own rule (adjacent cells, the same
+    /// distance test), so `excluded` needs only the pairs that touch the tail:
+    /// a rigid receptor's list is built once and each pose of a small mobile
+    /// probe splices in for the cost of the probe's pairs.
+    pub fn splice(&self, atoms: &[Atom], excluded: &HashSet<(usize, usize)>) -> Self {
+        let (head, n) = (self.n_atoms(), atoms.len());
+        assert!(head <= n, "the head list covers more atoms than the system has");
+        let cutoff_sq = self.cutoff * self.cutoff;
+        let tail_keys: Vec<[i64; 3]> =
+            atoms[head..].iter().map(|a| cell_key(a, self.cutoff)).collect();
+        let exclusions = sorted_exclusions(excluded, n);
+
+        // The new pairs `(i, j)`, `j` in the tail, in list order.
+        let mut added = Vec::new();
+        for (i, atom) in atoms.iter().enumerate() {
+            let excluded_here = excluded_run(&exclusions, i);
+            let key = cell_key(atom, self.cutoff);
+            for j in (i + 1).max(head)..n {
+                if key.iter().zip(&tail_keys[j - head]).all(|(a, b)| a.abs_diff(*b) <= 1)
+                    && atom.position.distance_sq(atoms[j].position) <= cutoff_sq
+                    && !is_excluded(excluded_here, j)
+                {
+                    added.push((i, j));
+                }
+            }
+        }
+
+        let mut starts = Vec::with_capacity(n + 1);
+        starts.push(0);
+        let mut partners = Vec::with_capacity(self.n_pairs() + added.len());
+        let mut added = added.into_iter().peekable();
+        for i in 0..n {
+            if i < head {
+                partners.extend_from_slice(self.neighbors(i));
+            }
+            while let Some((_, j)) = added.next_if(|&(a, _)| a == i) {
+                partners.push(j);
+            }
+            starts.push(partners.len());
+        }
+        NeighborList { starts, partners, cutoff: self.cutoff }
     }
 
     /// Builds a neighbor list with no exclusions.
@@ -132,6 +174,33 @@ impl NeighborList {
     pub fn iter_pairs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         (0..self.n_atoms()).flat_map(move |i| self.neighbors(i).iter().map(move |&j| (i, j)))
     }
+}
+
+/// The cell of side `cutoff` holding `atom`. Two atoms' cells are adjacent
+/// when every coordinate of their keys differs by at most one.
+fn cell_key(atom: &Atom, cutoff: Real) -> [i64; 3] {
+    let p = atom.position;
+    [p.x, p.y, p.z].map(|c| (c / cutoff).floor() as i64)
+}
+
+/// `excluded`'s pairs `(i, j)` with `i < j < n`, sorted: each atom's excluded
+/// partners are one run of it ([`excluded_run`]).
+fn sorted_exclusions(excluded: &HashSet<(usize, usize)>, n: usize) -> Vec<(usize, usize)> {
+    let mut exclusions: Vec<(usize, usize)> =
+        excluded.iter().copied().filter(|&(i, j)| i < j && j < n).collect();
+    exclusions.sort_unstable();
+    exclusions
+}
+
+/// Atom `i`'s run of a [`sorted_exclusions`] list.
+fn excluded_run(exclusions: &[(usize, usize)], i: usize) -> &[(usize, usize)] {
+    &exclusions
+        [exclusions.partition_point(|&(a, _)| a < i)..exclusions.partition_point(|&(a, _)| a <= i)]
+}
+
+/// True when `j` is an excluded partner in an [`excluded_run`].
+fn is_excluded(run: &[(usize, usize)], j: usize) -> bool {
+    run.binary_search_by_key(&j, |&(_, b)| b).is_ok()
 }
 
 #[cfg(test)]
@@ -300,6 +369,95 @@ mod tests {
                 proptest::prop_assert_eq!(fast.neighbors(i), reference.as_slice());
             }
         }
+    }
+
+    /// Asserts that `head` (the protein's list) spliced with the probe of
+    /// `complex` is `build`'s list for the whole complex and the brute-force
+    /// oracle's, atom by atom.
+    fn assert_splice_matches(
+        head: &NeighborList,
+        complex: &crate::Complex,
+        cutoff: Real,
+    ) -> proptest::test_runner::TestCaseResult {
+        let probe = complex.probe_offset..complex.n_atoms();
+        let spliced = head.splice(&complex.atoms, &complex.topology.excluded_pairs_within(probe));
+        let excluded = complex.topology.excluded_pairs();
+        let built = NeighborList::build(&complex.atoms, cutoff, &excluded);
+        let slow = build_reference(&complex.atoms, cutoff, &excluded);
+        proptest::prop_assert_eq!(spliced.n_atoms(), slow.len());
+        for (i, reference) in slow.iter().enumerate() {
+            proptest::prop_assert_eq!(spliced.neighbors(i), built.neighbors(i));
+            proptest::prop_assert_eq!(spliced.neighbors(i), reference.as_slice());
+        }
+        proptest::prop_assert_eq!(spliced.cutoff(), cutoff);
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// A receptor's own list, spliced with every probe type at a random
+        /// rigid pose — overlapping the receptor, touching it or far away —
+        /// under a random cutoff, optionally on a half-Å lattice with a
+        /// whole-Å cutoff (atoms on cell boundaries, pairs exactly at the
+        /// cutoff); then again after the probe moves (a refresh).
+        #[test]
+        fn splice_matches_build_and_brute_force(
+            receptor in (0u64..1000, 0usize..10_000),
+            euler in proptest::prelude::prop::array::uniform3(0.0f64..6.3),
+            placement in (proptest::prelude::prop::array::uniform3(-1.0f64..1.0), 0usize..6),
+            cutoff in 2.0f64..10.0,
+            step in proptest::prelude::prop::array::uniform3(-3.0f64..3.0),
+        ) {
+            let (seed, anchor) = receptor;
+            let (direction, variant) = placement;
+            let snap = variant >= 3;
+            let on_lattice = |p: Vec3| if snap { Vec3::from_array(p.to_array().map(|c| (2.0 * c).round() / 2.0)) } else { p };
+            let cutoff = if snap { cutoff.round() } else { cutoff };
+            let ff = ForceField::charmm_like();
+            let spec = ProteinSpec {
+                target_atoms: 150,
+                radius: 9.0,
+                n_pockets: 1,
+                pocket_radius: 3.0,
+                seed,
+            };
+            let mut protein = SyntheticProtein::generate(&spec, &ff);
+            for atom in &mut protein.atoms {
+                atom.position = on_lattice(atom.position);
+            }
+            let head = NeighborList::build(&protein.atoms, cutoff, &protein.topology.excluded_pairs());
+
+            // Overlapping (on a receptor atom), touching (3.5 Å off one) or
+            // 200 Å away.
+            let reach = [0.0, 3.5, 200.0][variant % 3];
+            let at = protein.atoms[anchor % protein.atoms.len()].position
+                + Vec3::from_array(direction).normalized() * reach;
+            let rotation = ftmap_math::Rotation::from_euler_zyz(euler[0], euler[1], euler[2]);
+            for probe_type in crate::ProbeType::ALL {
+                let mut probe = crate::Probe::new(probe_type, &ff);
+                for atom in &mut probe.atoms {
+                    atom.position = on_lattice(rotation.apply(atom.position) + at);
+                }
+                let mut complex = crate::Complex::new(&protein, &probe);
+                assert_splice_matches(&head, &complex, cutoff)?;
+                let step = on_lattice(Vec3::from_array(step));
+                for atom in &mut complex.atoms[complex.probe_offset..] {
+                    atom.position += step;
+                }
+                assert_splice_matches(&head, &complex, cutoff)?;
+            }
+        }
+    }
+
+    #[test]
+    fn splice_of_an_empty_tail_is_the_list_itself() {
+        let ff = ForceField::charmm_like();
+        let protein = SyntheticProtein::generate(&ProteinSpec::small_test(), &ff);
+        let excluded = protein.topology.excluded_pairs();
+        let head = NeighborList::build(&protein.atoms, 6.0, &excluded);
+        let spliced = head.splice(&protein.atoms, &HashSet::new());
+        assert_eq!((spliced.starts, spliced.partners), (head.starts, head.partners));
     }
 
     #[test]

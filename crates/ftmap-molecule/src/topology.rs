@@ -6,6 +6,7 @@
 //! non-bonded neighbor lists are built.
 
 use std::collections::HashSet;
+use std::ops::Range;
 
 /// A covalent bond between two atoms (indices into the owning molecule's atom list).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -54,7 +55,7 @@ pub struct Improper {
 }
 
 /// The bonded topology of a molecule or complex.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Topology {
     n_atoms: usize,
     bonds: Vec<Bond>,
@@ -151,21 +152,29 @@ impl Topology {
     /// The set of excluded non-bonded pairs: directly bonded atoms (1-2) and atoms
     /// separated by two bonds (1-3). Returned as ordered `(min, max)` pairs.
     pub fn excluded_pairs(&self) -> HashSet<(usize, usize)> {
-        let adjacency = self.adjacency();
+        self.excluded_pairs_within(0..self.n_atoms)
+    }
+
+    /// [`Topology::excluded_pairs`] of the atoms in `atoms`, from the bonds with
+    /// both ends among them. When no bond joins an atom of `atoms` to one outside
+    /// (a complex's protein and probe), these are exactly the whole set's pairs
+    /// inside `atoms`, for the cost of `atoms`' bonds alone.
+    pub fn excluded_pairs_within(&self, atoms: Range<usize>) -> HashSet<(usize, usize)> {
+        let mut adjacency = vec![Vec::new(); atoms.len()];
         let mut excluded = HashSet::new();
-        for b in &self.bonds {
+        for b in self.bonds.iter().filter(|b| atoms.contains(&b.i) && atoms.contains(&b.j)) {
             excluded.insert((b.i.min(b.j), b.i.max(b.j)));
+            adjacency[b.i - atoms.start].push(b.j);
+            adjacency[b.j - atoms.start].push(b.i);
         }
-        for (j, neigh) in adjacency.iter().enumerate() {
-            for a in 0..neigh.len() {
-                for b in (a + 1)..neigh.len() {
-                    let (lo, hi) = (neigh[a].min(neigh[b]), neigh[a].max(neigh[b]));
-                    if lo != hi {
-                        excluded.insert((lo, hi));
+        for neigh in &adjacency {
+            for (a, &x) in neigh.iter().enumerate() {
+                for &y in &neigh[a + 1..] {
+                    if x != y {
+                        excluded.insert((x.min(y), x.max(y)));
                     }
                 }
             }
-            let _ = j;
         }
         excluded
     }
@@ -267,6 +276,25 @@ mod tests {
         assert!(ex.contains(&(1, 3)));
         assert!(!ex.contains(&(0, 3)));
         assert_eq!(ex.len(), 5);
+    }
+
+    #[test]
+    fn excluded_pairs_within_split_a_complex_at_its_seam() {
+        // A 3-chain and a 2-chain merged side by side: no bond crosses index
+        // 3, so the two parts' exclusions are the whole set's, split.
+        let mut combined = Topology::new(5);
+        combined.merge_offset(&chain(3), 0);
+        combined.merge_offset(&chain(2), 3);
+        let (head, tail) =
+            (combined.excluded_pairs_within(0..3), combined.excluded_pairs_within(3..5));
+        assert_eq!(head, [(0, 1), (1, 2), (0, 2)].into_iter().collect());
+        assert_eq!(tail, [(3, 4)].into_iter().collect());
+        assert_eq!(&head | &tail, combined.excluded_pairs());
+
+        // A bond leaving the range is not read: 1-2 and 1-3 through it are not
+        // the range's.
+        let whole = chain(4);
+        assert_eq!(whole.excluded_pairs_within(2..4), [(2, 3)].into_iter().collect());
     }
 
     #[test]

@@ -56,6 +56,8 @@ use crate::job::{BatchSummary, JobHandle, JobId, JobReport, JobSlot};
 use crate::queue::{JobQueue, SubmitError};
 use crate::request::MappingRequest;
 use ftmap_core::{AppliedDegrade, FtMapConfig, FtMapPipeline, PhasedMapBatch};
+use ftmap_energy::ReceptorHalf;
+use ftmap_molecule::{Atom, ForceField, Topology};
 use ftmap_trace::{
     Category, FlightRecorder, MetricsRegistry, MetricsSnapshot, SampleVerdict, SloEngine,
     SloReport, SloSpec, Tags, TraceEvent, TraceSink, Track,
@@ -67,7 +69,7 @@ use piper_dock::{Docking, ReceptorGrids};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 
 /// Latency summary over one class's completed batches (modeled seconds on the
@@ -322,13 +324,13 @@ struct Shared {
     /// The most recent [`LATENCY_WINDOW`] completed batches, completion
     /// order — the samples behind the latency and span views.
     completed: Mutex<CompletedWindow>,
-    /// Host-side receptor-grid build memo, keyed by request fingerprint.
-    /// MRU-ordered and capped at [`GRIDS_MEMO_CAP`] entries — a long-lived
-    /// service streaming ever-new receptors must not grow host memory without
-    /// bound (the device-side residency cache is budgeted for the same
-    /// reason; resident `Arc`s stay alive through the caches even after the
-    /// memo forgets them).
-    grids: Mutex<Vec<(u64, Arc<ReceptorGrids>)>>,
+    /// Host-side receptor memo: grids and a receptor half each, keyed by request
+    /// fingerprint. MRU-ordered and capped at [`GRIDS_MEMO_CAP`] entries — a
+    /// long-lived service streaming ever-new receptors must not grow host
+    /// memory without bound (the device-side residency cache is budgeted for
+    /// the same reason; resident `Arc`s stay alive through the caches even
+    /// after the memo forgets them).
+    grids: Mutex<Vec<ReceptorMemo>>,
     /// The admission controller's mutable state: the calibrated cost model,
     /// the not-yet-scheduled backlog per class, the fairness in-flight
     /// counters, warm-receptor tracking and the slack epoch. Lock ordering:
@@ -343,6 +345,53 @@ struct Shared {
 
 /// Receptor grid sets the host-side memo retains (MRU).
 const GRIDS_MEMO_CAP: usize = 8;
+
+/// One receptor of the host-side memo: the grids every request with its
+/// fingerprint docks against, and the receptor half of minimization set-up
+/// its jobs share. The fingerprint covers neither the force field, the
+/// topology nor every atom parameter, so the half is handed only to requests
+/// whose protein atoms, protein topology and force field equal those of the
+/// request that made the entry; any other request gets a fresh half of its
+/// own.
+struct ReceptorMemo {
+    fingerprint: u64,
+    grids: Arc<ReceptorGrids>,
+    half: Arc<OnceLock<ReceptorHalf>>,
+    /// What `half` is for.
+    atoms: Vec<Atom>,
+    topology: Topology,
+    ff: ForceField,
+}
+
+impl ReceptorMemo {
+    /// The entry for `request`, whose fingerprint is `fingerprint`: its
+    /// receptor grids, built here, and an unbuilt half for its protein and
+    /// force field.
+    fn new(fingerprint: u64, request: &MappingRequest) -> Self {
+        ReceptorMemo {
+            fingerprint,
+            grids: Docking::build_receptor(&request.protein.atoms, &request.config.docking),
+            half: Arc::default(),
+            atoms: request.protein.atoms.clone(),
+            topology: request.protein.topology.clone(),
+            ff: request.ff.clone(),
+        }
+    }
+
+    /// The half `request`'s job minimizes against: the memo's if the
+    /// request's protein and force field are the ones it is for, else a
+    /// fresh unshared one.
+    fn half_for(&self, request: &MappingRequest) -> Arc<OnceLock<ReceptorHalf>> {
+        if request.protein.atoms == self.atoms
+            && request.protein.topology == self.topology
+            && request.ff == self.ff
+        {
+            Arc::clone(&self.half)
+        } else {
+            Arc::default()
+        }
+    }
+}
 
 /// Upper bounds (modeled seconds) of the per-class batch-latency histograms —
 /// log-spaced around the sub-second modeled latencies the simulated pool
@@ -396,21 +445,23 @@ const ERROR_RATIO_BOUNDS: [f64; 7] = [0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0];
 
 impl Shared {
     /// The memoized receptor grids for `fingerprint`, building them from the
-    /// anchor job's request on first sight. Promotes to MRU; evicts LRU past
-    /// the cap.
-    fn receptor_for(&self, fingerprint: u64, anchor: &Job) -> Arc<ReceptorGrids> {
+    /// anchor job's request on first sight, and each of `batch`'s jobs' receptor
+    /// half ([`ReceptorMemo::half_for`]). Promotes to MRU; evicts LRU past the
+    /// cap.
+    fn receptor_for(
+        &self,
+        fingerprint: u64,
+        batch: &[Job],
+    ) -> (Arc<ReceptorGrids>, Vec<Arc<OnceLock<ReceptorHalf>>>) {
         let mut memo = locked(&self.grids);
-        if let Some(pos) = memo.iter().position(|(key, _)| *key == fingerprint) {
-            let entry = memo.remove(pos);
-            let grids = Arc::clone(&entry.1);
-            memo.insert(0, entry);
-            return grids;
-        }
-        let grids =
-            Docking::build_receptor(&anchor.request.protein.atoms, &anchor.request.config.docking);
-        memo.insert(0, (fingerprint, Arc::clone(&grids)));
+        let entry = match memo.iter().position(|entry| entry.fingerprint == fingerprint) {
+            Some(pos) => memo.remove(pos),
+            None => ReceptorMemo::new(fingerprint, &batch[0].request),
+        };
+        memo.insert(0, entry);
         memo.truncate(GRIDS_MEMO_CAP);
-        grids
+        let halves = batch.iter().map(|job| memo[0].half_for(&job.request)).collect();
+        (Arc::clone(&memo[0].grids), halves)
     }
 
     /// The modeled seconds until the pool's ready backlog at priorities
@@ -1175,19 +1226,22 @@ fn submit_batch(shared: &Arc<Shared>, batch: Vec<Job>, batch_index: usize) {
     // instants).
     let tenant = batch[0].tenant.clone();
     shared.note_batch_formed(batch_index, &batch, class);
-    let receptor = shared.receptor_for(batch[0].fingerprint, &batch[0]);
+    let (receptor, halves) = shared.receptor_for(batch[0].fingerprint, &batch);
     let receptor_key = receptor.content_key();
     // One pipeline per job (each job keeps its own config), all sharing the
-    // pool and the prebuilt receptor grids.
+    // pool and the prebuilt receptor grids, and a receptor half with every
+    // job of equal protein and force field.
     let jobs = batch
         .iter()
-        .map(|job| {
+        .zip(halves)
+        .map(|(job, half)| {
             let pipeline = FtMapPipeline::with_shared_resources(
                 job.request.protein.clone(),
                 job.request.ff.clone(),
                 job.request.config.clone(),
                 Arc::clone(sched.pool()),
                 Arc::clone(&receptor),
+                half,
             );
             (pipeline, job.request.library())
         })
@@ -2022,5 +2076,121 @@ mod tests {
         assert!(stats.slo.classes.is_empty());
         assert_eq!(stats.slo.worst_state(), AlertState::Ok);
         assert_eq!(stats.metrics.gauge("ftmap_trace_dropped_events", &[]), Some(0.0));
+    }
+
+    /// The bits a mapping result carries: sites, pose centres, conformation
+    /// count (`Debug` prints every `f64` round-trip exactly).
+    fn result_bits(result: &ftmap_core::MappingResult) -> String {
+        format!("{:?}", (&result.sites, &result.pose_centers, result.conformations_minimized))
+    }
+
+    /// Maps each request through one batch of a service and checks that it
+    /// was one batch and that every job's result is its one-shot
+    /// `FtMapPipeline::map`'s, bit for bit. Two blocker jobs on another
+    /// receptor go first, one batch in flight at a time: while they run the
+    /// requests queue up, so they form one batch. Returns the service.
+    fn map_in_one_batch(requests: Vec<MappingRequest>) -> BatchMappingService {
+        let one_shot: Vec<String> = requests
+            .iter()
+            .map(|req| {
+                let pipeline =
+                    FtMapPipeline::new(req.protein.clone(), req.ff.clone(), req.config.clone());
+                result_bits(&pipeline.map(&req.library()))
+            })
+            .collect();
+        let service = BatchMappingService::builder(Arc::new(DevicePool::tesla(2)))
+            .batch(BatchConfig { max_inflight_batches: 1, ..BatchConfig::default() })
+            .build();
+        let ff = ForceField::charmm_like();
+        let other =
+            SyntheticProtein::generate(&ProteinSpec { seed: 99, ..ProteinSpec::small_test() }, &ff);
+        let blockers: Vec<_> = ["blocker-1", "blocker-2"]
+            .map(|tag| {
+                let mut blocker = request(&[ProbeType::Ethanol], tag);
+                blocker.protein = other.clone();
+                service.submit(blocker).expect_admitted("admitted")
+            })
+            .into();
+        let handles: Vec<_> = requests
+            .into_iter()
+            .map(|req| service.submit(req).expect_admitted("admitted"))
+            .collect();
+        let reports: Vec<_> = handles.iter().map(JobHandle::wait).collect();
+        blockers.iter().for_each(|blocker| drop(blocker.wait()));
+        for (report, want) in reports.iter().zip(&one_shot) {
+            assert!(Arc::ptr_eq(&report.batch, &reports[0].batch), "{}: not one batch", report.tag);
+            assert_eq!(&result_bits(&report.result), want, "{}", report.tag);
+        }
+        service
+    }
+
+    /// Runs `check` on the memo entry for `request`'s fingerprint.
+    fn with_memo_entry(
+        service: &BatchMappingService,
+        request: &MappingRequest,
+        check: impl FnOnce(&ReceptorMemo),
+    ) {
+        let memo = locked(&service.shared.grids);
+        let fingerprint = request.receptor_fingerprint();
+        check(memo.iter().find(|entry| entry.fingerprint == fingerprint).expect("memoized"));
+    }
+
+    #[test]
+    fn a_batch_on_one_receptor_builds_one_receptor_half() {
+        let probes = [ProbeType::Ethanol, ProbeType::Acetone, ProbeType::Urea, ProbeType::Benzene];
+        let requests: Vec<_> = probes.iter().map(|&p| request(&[p], p.name())).collect();
+        let anchor = requests[0].clone();
+        let service = map_in_one_batch(requests.clone());
+        with_memo_entry(&service, &anchor, |entry| {
+            assert!(entry.half.get().is_some(), "built by the batch's poses");
+            for request in &requests {
+                assert!(Arc::ptr_eq(&entry.half, &entry.half_for(request)), "four jobs, one half");
+            }
+        });
+        service.shutdown();
+    }
+
+    #[test]
+    fn jobs_that_differ_only_in_cutoff_share_a_batch_but_not_a_half() {
+        // The fingerprint ignores the force field, so these two batch
+        // together; the cutoff changes the protein's neighbor list, so the
+        // cutoff-7 job gets a half of its own (one made for the cutoff-9
+        // force field would make its minimizer panic), and each result is
+        // its one-shot map's.
+        let near = request(&[ProbeType::Ethanol], "cutoff-9");
+        let mut far = request(&[ProbeType::Ethanol], "cutoff-7");
+        far.ff.cutoff = 7.0;
+        assert_eq!(near.receptor_fingerprint(), far.receptor_fingerprint());
+        let service = map_in_one_batch(vec![near.clone(), far.clone()]);
+        with_memo_entry(&service, &near, |entry| {
+            assert_eq!(entry.ff, near.ff, "the memo's half is the first job's");
+            assert!(entry.half.get().is_some());
+            assert!(!Arc::ptr_eq(&entry.half, &entry.half_for(&far)));
+        });
+        service.shutdown();
+    }
+
+    #[test]
+    fn receptor_memo_shares_a_half_only_between_equal_proteins_and_force_fields() {
+        let base = request(&[ProbeType::Ethanol], "base");
+        let memo = ReceptorMemo::new(base.receptor_fingerprint(), &base);
+        // Other probes, tag and minimization settings share it.
+        let mut sibling = request(&[ProbeType::Acetone, ProbeType::Urea], "sibling");
+        sibling.config.conformations_per_probe = 5;
+        assert!(Arc::ptr_eq(&memo.half, &memo.half_for(&sibling)));
+        // A different cutoff, protein topology or atom parameter does not,
+        // though none of them changes the fingerprint.
+        let mut cutoff = base.clone();
+        cutoff.ff.cutoff = 8.0;
+        let mut topology = base.clone();
+        topology.protein.topology = Topology::new(base.protein.atoms.len());
+        let mut atom = base.clone();
+        atom.protein.atoms[0].lj_eps *= 2.0;
+        for other in [cutoff, topology, atom] {
+            assert_eq!(other.receptor_fingerprint(), memo.fingerprint);
+            let half = memo.half_for(&other);
+            assert!(!Arc::ptr_eq(&memo.half, &half));
+            assert!(!Arc::ptr_eq(&half, &memo.half_for(&other)), "each a fresh, unshared one");
+        }
     }
 }

@@ -37,8 +37,8 @@ fn main() {
             100.0 * result.evaluation_fraction()
         );
         if path == EvaluationPath::Host {
-            // The GPU path's trial energies re-add cached protein terms, so
-            // only the host path times the full serial evaluation.
+            // The GPU path's trial energies re-add the recorded protein
+            // terms, so only the host path times the full serial evaluation.
             let (e, v, b) = result.breakdown.time_percentages();
             println!("  energy-evaluation split: electrostatics {e:.1} %, vdW {v:.1} %, bonded {b:.1} % (paper Fig. 3(b): 94.4 / 5.4 / 0.2)");
         } else {
