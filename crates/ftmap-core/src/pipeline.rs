@@ -82,7 +82,7 @@ impl PipelineMode {
     }
 
     /// Number of devices this mode runs on.
-    pub fn device_count(self) -> usize {
+    fn device_count(self) -> usize {
         match self {
             PipelineMode::Serial | PipelineMode::Accelerated => 1,
             PipelineMode::Sharded { devices, .. } => devices.max(1),
@@ -298,7 +298,7 @@ pub struct DockedProbe {
 impl DockedProbe {
     /// Pure modeled docking kernel seconds — the dock item's compute-stage
     /// figure for the scheduler's stream model.
-    pub fn kernel_modeled_s(&self) -> f64 {
+    pub(crate) fn kernel_modeled_s(&self) -> f64 {
         self.kernel_modeled_s
     }
 
@@ -487,7 +487,7 @@ impl FtMapPipeline {
     /// runs as one dock-phase item per `(job, probe)` entry. Expressed as a
     /// dock phase plus one full-range pose block so both granularities share
     /// every line of the actual work.
-    pub fn map_probe_shard(&self, probe: &Probe, device: &Arc<Device>) -> ProbeShard {
+    pub(crate) fn map_probe_shard(&self, probe: &Probe, device: &Arc<Device>) -> ProbeShard {
         let docked = self.dock_probe_shard(probe, device);
         let n_conf = self.retained_pose_count(&docked);
         let block = self.minimize_pose_block(&docked, 0..n_conf, device);

@@ -29,7 +29,7 @@ pub struct MappingProfile {
 
 impl MappingProfile {
     /// Total wall-clock seconds.
-    pub fn total_wall_s(&self) -> f64 {
+    pub(crate) fn total_wall_s(&self) -> f64 {
         self.docking_wall_s + self.minimization_wall_s
     }
 

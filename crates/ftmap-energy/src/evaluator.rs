@@ -10,8 +10,8 @@
 //! The protein is rigid during minimization; only the probe moves. A term whose
 //! atoms are all immobile — a protein–protein pair, a protein-only bonded term — and
 //! the protein's Born sum, which does not depend on position, keep their values as
-//! long as the protein does. [`Evaluator::energy_recording`] records those values in
-//! a [`RigidTerms`] once; [`Evaluator::energy_cached`] re-adds them in loop order and
+//! long as the protein does. `Evaluator::energy_recording` records those values in
+//! a `RigidTerms` once; `Evaluator::energy_cached` re-adds them in loop order and
 //! computes only the terms that touch the probe: bit for bit [`Evaluator::energy`],
 //! for the cost of the probe's terms plus one add per recorded term.
 
@@ -45,7 +45,7 @@ impl EnergyBreakdown {
     }
 
     /// Total evaluation time.
-    pub fn total_time_s(&self) -> f64 {
+    fn total_time_s(&self) -> f64 {
         self.elec_time_s + self.vdw_time_s + self.bonded_time_s
     }
 
@@ -73,7 +73,7 @@ impl EnergyBreakdown {
 /// qualifies, and so does [`NeighborList::build`] over the whole complex. So
 /// one record serves every probe type and survives every neighbor-list refresh.
 #[derive(Debug)]
-pub struct RigidTerms {
+pub(crate) struct RigidTerms {
     /// One stream per term loop: the Born sum of the immobile atoms (which does
     /// not depend on position; a replay adds the mobile atoms' terms to it in
     /// order, so the fold is the one over every atom) followed by
@@ -158,7 +158,7 @@ impl Evaluator {
 
     /// [`Evaluator::energy`], recording the terms whose atoms are all immobile
     /// as it goes. Costs what `energy` costs.
-    pub fn energy_recording(
+    pub(crate) fn energy_recording(
         &self,
         complex: &Complex,
         neighbors: &NeighborList,
@@ -175,7 +175,7 @@ impl Evaluator {
     /// `complex` and `neighbors` (see [`RigidTerms`]). It re-adds the recorded
     /// values in loop order and computes only the terms that touch a mobile
     /// atom; its timings are of that work.
-    pub fn energy_cached(
+    pub(crate) fn energy_cached(
         &self,
         complex: &Complex,
         neighbors: &NeighborList,

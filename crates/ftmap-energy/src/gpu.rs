@@ -18,7 +18,7 @@
 //! launch records the work of every pair, and a table-pass block records its
 //! counters from the totals the table stored for it when it was built. So the host
 //! simulation may skip output slots its caller never reads
-//! ([`GpuMinimizationEngine::evaluate_mobile`]) without moving a modeled second. The
+//! (`GpuMinimizationEngine::evaluate_mobile`) without moving a modeled second. The
 //! tables ascend by first atom and the probe's atoms come last, so the rows a
 //! mobile-only caller reads are a suffix of each table: the blocks before it record
 //! their counters and stop, and the block order's turns start where the suffix does.
@@ -32,13 +32,13 @@ use gpu_sim::{
 };
 
 /// Ledger phase names for the kernels of one GPU minimization iteration.
-pub mod phases {
+mod phases {
     /// Kernel (a): Born self energies + ACE pairwise self-energy corrections.
-    pub const SELF_ENERGY: &str = "self_energy";
+    pub(super) const SELF_ENERGY: &str = "self_energy";
     /// Kernel (b): generalized-Born pair interactions + van der Waals.
-    pub const PAIRWISE_VDW: &str = "pairwise_vdw";
+    pub(super) const PAIRWISE_VDW: &str = "pairwise_vdw";
     /// Kernel (c): per-atom force update.
-    pub const FORCE_UPDATE: &str = "force_update";
+    pub(super) const FORCE_UPDATE: &str = "force_update";
 }
 
 /// Threads per block of the minimization kernels (one assignment-table row per
@@ -102,7 +102,7 @@ fn pair_energies_both_ways(
 }
 
 /// Per-iteration outputs of the GPU evaluation path. Per-kernel statistics live
-/// in the [`StatsLedger`] under the [`phases`] names; the accessors below are
+/// in the [`StatsLedger`] under the `phases` names; the accessors below are
 /// the conventional views.
 #[derive(Debug, Clone)]
 pub struct GpuIterationResult {
@@ -115,11 +115,6 @@ pub struct GpuIterationResult {
 }
 
 impl GpuIterationResult {
-    /// Total modeled device time of one iteration.
-    pub fn modeled_time_s(&self) -> f64 {
-        self.ledger.total_modeled_s()
-    }
-
     /// Stats of the self-energy kernel (forward + reverse passes merged).
     pub fn self_energy_stats(&self) -> KernelStats {
         self.ledger.phase(phases::SELF_ENERGY)
@@ -162,7 +157,7 @@ impl<'a> GpuMinimizationEngine<'a> {
 
     /// Rebuilds the assignment tables after a neighbor-list update (happens only a few
     /// times per 1000 iterations) and charges the re-transfer.
-    pub fn refresh_neighbor_list(&mut self, neighbors: &NeighborList) {
+    pub(crate) fn refresh_neighbor_list(&mut self, neighbors: &NeighborList) {
         [self.forward_table, self.reverse_table] = upload_tables(self.device, neighbors);
     }
 
@@ -177,7 +172,7 @@ impl<'a> GpuMinimizationEngine<'a> {
 
     /// Runs one full GPU iteration: self-energy kernel, pairwise+vdW kernel (each as a
     /// forward and a reverse table pass) and the force-update kernel. Per-kernel stats
-    /// are merged by a [`StatsLedger`] under the [`phases`] names.
+    /// are merged by a [`StatsLedger`] under the `phases` names.
     pub fn evaluate(&self, complex: &Complex) -> GpuIterationResult {
         self.evaluate_from(complex, 0)
     }
@@ -190,7 +185,7 @@ impl<'a> GpuMinimizationEngine<'a> {
     /// simulation skips the pairs whose results land only in slots nobody reads,
     /// and the table-pass blocks before the first block holding a mobile atom's
     /// row only record their counters.
-    pub fn evaluate_mobile(&self, complex: &Complex) -> GpuIterationResult {
+    pub(crate) fn evaluate_mobile(&self, complex: &Complex) -> GpuIterationResult {
         self.evaluate_from(complex, complex.probe_offset)
     }
 
@@ -608,7 +603,7 @@ mod tests {
         for (h, g) in host.atom_energies.iter().zip(&result.atom_energies) {
             assert!((h - g).abs() < 1e-6 * (1.0 + h.abs()), "{h} vs {g}");
         }
-        assert!(result.modeled_time_s() > 0.0);
+        assert!(result.ledger.total_modeled_s() > 0.0);
         assert_eq!(result.forces.len(), complex.n_atoms());
     }
 

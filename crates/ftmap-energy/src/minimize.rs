@@ -13,7 +13,7 @@
 //! The protein is rigid; only the probe moves. So the half of the set-up that
 //! depends on the protein alone is a [`ReceptorHalf`], built once per receptor
 //! and shared by every pose minimized against it: the protein's own neighbor
-//! list, and its rigid terms ([`RigidTerms`]), recorded by the first GPU-path
+//! list, and its rigid terms (`RigidTerms`), recorded by the first GPU-path
 //! evaluation. Each pose (and each neighbor-list refresh) splices the probe into
 //! the protein's list ([`NeighborList::splice`]), which is bit for bit the list
 //! [`NeighborList::build`] makes for the whole complex, on both evaluation
@@ -21,8 +21,8 @@
 //! complex, then runs the same path as [`Minimizer::minimize_against`].
 //!
 //! On the GPU path the host does work only for the probe. It reads forces only
-//! for the probe ([`GpuMinimizationEngine::evaluate_mobile`]), and it evaluates
-//! the starting and trial energies with [`Evaluator::energy_cached`]: the half's
+//! for the probe (`GpuMinimizationEngine::evaluate_mobile`), and it evaluates
+//! the starting and trial energies with `Evaluator::energy_cached`: the half's
 //! recorded protein terms are re-added and only the probe's terms are computed
 //! — bit for bit [`Evaluator::energy`]. The host path keeps calling
 //! [`Evaluator::energy`], because its measured wall time is the serial

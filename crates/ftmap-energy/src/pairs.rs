@@ -131,7 +131,7 @@ pub struct AssignmentRow {
 
 impl AssignmentRow {
     /// A padding row for unused thread slots.
-    pub fn padding() -> Self {
+    fn padding() -> Self {
         AssignmentRow {
             pair_index: usize::MAX,
             atom_first: usize::MAX,
@@ -198,7 +198,10 @@ impl AssignmentTable {
     ///
     /// # Panics
     /// Panics if `threads_per_block` is zero.
-    pub fn forward_and_reverse(neighbors: &NeighborList, threads_per_block: usize) -> [Self; 2] {
+    pub(crate) fn forward_and_reverse(
+        neighbors: &NeighborList,
+        threads_per_block: usize,
+    ) -> [Self; 2] {
         let n_atoms = neighbors.n_atoms();
         let reverse = ReverseGroups::new(neighbors);
         [
@@ -273,7 +276,7 @@ impl AssignmentTable {
     }
 
     /// The rows of block `b`.
-    pub fn block_rows(&self, b: usize) -> &[AssignmentRow] {
+    pub(crate) fn block_rows(&self, b: usize) -> &[AssignmentRow] {
         let start = b * self.threads_per_block;
         &self.rows[start..start + self.threads_per_block]
     }
@@ -292,13 +295,13 @@ impl AssignmentTable {
     }
 
     /// Number of non-padding rows (total pairs covered).
-    pub fn work_rows(&self) -> usize {
+    pub(crate) fn work_rows(&self) -> usize {
         self.blocks.iter().map(|b| b.work_rows).sum()
     }
 
     /// Size of the table in f64-equivalent words when transferred to the device
     /// (5 fields per row). Transferred once per neighbor-list rebuild, not per iteration.
-    pub fn transfer_words(&self) -> usize {
+    pub(crate) fn transfer_words(&self) -> usize {
         self.rows.len() * 5
     }
 }

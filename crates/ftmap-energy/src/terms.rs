@@ -16,7 +16,7 @@
 //!   evaluation measures.)
 //! * **bonded terms** — harmonic bonds/angles/impropers and a cosine torsion.
 //!
-//! Every non-bonded function takes the pair distance from one [`PairGeometry`] and
+//! Every non-bonded function takes the pair distance from one `PairGeometry` and
 //! returns `(energy, dE/dr)`, so the distance is computed once per pair and the force
 //! reuses it. The functions are `#[inline]`: a caller that reads only the energies
 //! leaves the derivative arithmetic dead, and the compiler drops it. Born radii are
@@ -27,12 +27,12 @@ use ftmap_math::{Real, Vec3};
 use ftmap_molecule::{Atom, ForceField};
 
 /// Coulomb constant in kcal·Å/(mol·e²), the `332` of Equation (7).
-pub const COULOMB_CONSTANT: Real = 332.0;
+const COULOMB_CONSTANT: Real = 332.0;
 
 /// ACE self-energy of atom `i` due to its own Born term (first part of Equation 5):
 /// `q_i² / (2 ε_s R_i)`.
 #[inline]
-pub fn born_self_energy(atom: &Atom, ff: &ForceField) -> Real {
+pub(crate) fn born_self_energy(atom: &Atom, ff: &ForceField) -> Real {
     atom.charge * atom.charge * COULOMB_CONSTANT
         / (2.0 * ff.solvent_dielectric * atom.born_radius.max(0.1))
 }
@@ -40,7 +40,7 @@ pub fn born_self_energy(atom: &Atom, ff: &ForceField) -> Real {
 /// The geometry of one atom pair `(i, j)`, computed once and shared by every
 /// term of the pair and by its force: the separation `p_i − p_j` and its length.
 #[derive(Debug, Clone, Copy)]
-pub struct PairGeometry {
+pub(crate) struct PairGeometry {
     /// `p_i − p_j`.
     delta: Vec3,
     /// `|p_i − p_j|` (Å), bit for bit `p_i.distance(p_j)`.
@@ -160,7 +160,7 @@ pub fn bond_energy(r: Real, ff: &ForceField) -> (Real, Real) {
 /// Harmonic angle energy `k (θ − θ₀)²` for the angle i–j–k, returned with the angle
 /// itself (gradient propagation uses finite differences at the minimizer level for
 /// angular terms; their cost share is ~0.2 %, Fig. 3(b)).
-pub fn angle_energy(pi: Vec3, pj: Vec3, pk: Vec3, ff: &ForceField) -> (Real, Real) {
+pub(crate) fn angle_energy(pi: Vec3, pj: Vec3, pk: Vec3, ff: &ForceField) -> (Real, Real) {
     let v1 = (pi - pj).normalized();
     let v2 = (pk - pj).normalized();
     let cos_t = v1.dot(v2).clamp(-1.0, 1.0);
@@ -171,7 +171,13 @@ pub fn angle_energy(pi: Vec3, pj: Vec3, pk: Vec3, ff: &ForceField) -> (Real, Rea
 
 /// Cosine torsion energy `k (1 + cos(nφ − δ))` for the dihedral i–j–k–l, returned with
 /// the dihedral angle.
-pub fn torsion_energy(pi: Vec3, pj: Vec3, pk: Vec3, pl: Vec3, ff: &ForceField) -> (Real, Real) {
+pub(crate) fn torsion_energy(
+    pi: Vec3,
+    pj: Vec3,
+    pk: Vec3,
+    pl: Vec3,
+    ff: &ForceField,
+) -> (Real, Real) {
     let b1 = pj - pi;
     let b2 = pk - pj;
     let b3 = pl - pk;
@@ -187,7 +193,13 @@ pub fn torsion_energy(pi: Vec3, pj: Vec3, pk: Vec3, pl: Vec3, ff: &ForceField) -
 
 /// Harmonic improper energy `k ψ²` where ψ is the angle between the plane (j, k, l) and
 /// the bond j–i, returned with ψ.
-pub fn improper_energy(pi: Vec3, pj: Vec3, pk: Vec3, pl: Vec3, ff: &ForceField) -> (Real, Real) {
+pub(crate) fn improper_energy(
+    pi: Vec3,
+    pj: Vec3,
+    pk: Vec3,
+    pl: Vec3,
+    ff: &ForceField,
+) -> (Real, Real) {
     let normal = (pk - pj).cross(pl - pj).normalized();
     let dir = (pi - pj).normalized();
     let sin_psi = normal.dot(dir).clamp(-1.0, 1.0);

@@ -20,7 +20,7 @@
 
 /// What a token is, as far as the rule engine cares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// An identifier or keyword.
     Ident,
     /// A string/char/byte/numeric literal (content is opaque to rules).
@@ -31,7 +31,7 @@ pub enum TokenKind {
 
 /// One code token with its 1-indexed source line.
 #[derive(Debug, Clone)]
-pub struct Token {
+pub(crate) struct Token {
     /// Classification of the token.
     pub kind: TokenKind,
     /// The token's text. For [`TokenKind::Literal`] this is the full literal
@@ -43,7 +43,7 @@ pub struct Token {
 
 /// One comment (line or block) with its line span.
 #[derive(Debug, Clone)]
-pub struct Comment {
+pub(crate) struct Comment {
     /// Comment text including the delimiters.
     pub text: String,
     /// 1-indexed first line of the comment.
@@ -54,7 +54,7 @@ pub struct Comment {
 
 /// Lexer output: the code-token stream and the comment list, separated.
 #[derive(Debug, Default)]
-pub struct Lexed {
+pub(crate) struct Lexed {
     /// Identifier / literal / punctuation tokens, in source order.
     pub tokens: Vec<Token>,
     /// Comments, in source order.
@@ -74,7 +74,7 @@ fn is_ident_continue(c: char) -> bool {
 /// Unterminated strings or block comments do not panic: the open construct
 /// simply swallows the rest of the file (the compiler rejects such a file
 /// anyway; the linter's job is just to not crash before rustc reports it).
-pub fn lex(src: &str) -> Lexed {
+pub(crate) fn lex(src: &str) -> Lexed {
     Lexer { chars: src.chars().collect(), pos: 0, line: 1, out: Lexed::default() }.run()
 }
 

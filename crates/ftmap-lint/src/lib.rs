@@ -10,9 +10,10 @@
 //! typed poison channels instead of unwinding. This crate enforces those
 //! invariants with a dependency-free Rust lexer feeding a token-level rule
 //! engine — see [`RULES`] for the catalog and the README's *Correctness
-//! tooling* section for the suppression format. One cross-file rule,
-//! `unreferenced-pub`, keeps the workspace's public API down to what it
-//! references.
+//! tooling* section for the suppression format. Two cross-file rules keep
+//! the workspace's public API down to what it uses: `unreferenced-pub`
+//! (nothing references the item) and `overexposed-pub` (no other crate names
+//! it).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

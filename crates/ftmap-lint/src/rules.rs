@@ -13,6 +13,7 @@
 //! | `no-panic-in-workers` | scheduler/serve hot paths use typed failure paths |
 //! | `justified-allows` | every `#[allow(…)]` carries a written justification |
 //! | `unreferenced-pub` | every public item is referenced outside its own file's tests |
+//! | `overexposed-pub` | every public item is named outside its own crate's library |
 //!
 //! Suppression: a comment containing `lint-allow(<rule>): <reason>` on the
 //! same line as the finding, anywhere in a contiguous comment block that
@@ -21,21 +22,41 @@
 //! skipped entirely — the invariants protect shipped modeled-timeline code,
 //! not test scaffolding.
 //!
-//! The first five rules look at one file at a time. `unreferenced-pub` is
-//! the one cross-file pass ([`lint_files`]). Its candidates are the `pub`
-//! functions, constants, statics, structs, enums, traits and type aliases
-//! declared in production code under `crates/*/src`. A candidate is
-//! referenced when its identifier appears outside a `use` declaration in any
-//! other scanned file, test code included (a re-export is not a use). In its
-//! own file only non-test code counts, and for a type only a mention in
+//! The first five rules look at one file at a time. The two `pub` rules are
+//! cross-file passes ([`lint_files`]) over one shared index of who names
+//! what.
+//!
+//! `unreferenced-pub` audits the `pub` functions, constants, statics,
+//! structs, enums, traits and type aliases declared in production code under
+//! `crates/*/src`. A candidate is referenced when its identifier appears
+//! outside a `use` declaration in any other scanned file, test code included
+//! (a re-export is not a use; the name before a `use … as` rename is). In
+//! its own file only non-test code counts, and for a type only a mention in
 //! another `pub` item's signature or `pub` field — narrowing a type named
-//! there would trip `private_interfaces`. Matching is by identifier, so a
-//! dead method that shares its name with a live one is missed: the rule can
-//! miss dead items, but never calls a live one dead.
+//! there would trip `private_interfaces`.
+//!
+//! `overexposed-pub` audits the same items, and `pub mod`s, in a crate's
+//! library sources (`crates/<c>/src/` except `main.rs` and `src/bin/`). An
+//! item stays `pub` when some other crate names it: another crate's
+//! sources, any `tests/` or `benches/` file, a bin, the root package,
+//! `examples/`, `benchmark/`, or a compiled doc-test. `use` paths count
+//! there, so a module reached only through `use c::m::item` stays public. So
+//! does a type named in the signature or `pub` field of an item that stays
+//! `pub`. Anything else is flagged: `pub(crate)` when another file of the
+//! crate, or code outside the item's inline module, names it; private
+//! otherwise. An item `unreferenced-pub` reports is left to it (one finding
+//! per item: delete it, do not narrow it).
+//!
+//! Both rules match by identifier, so they can only under-report: a dead
+//! method that shares its name with a live one, or an internal item that
+//! shares its name with something another crate names, is missed, but a live
+//! item is never called dead and an item another crate names is never
+//! called overexposed.
 
 use crate::lexer::{lex, Comment, Lexed, Token, TokenKind};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::ops::Range;
 use std::path::Path;
 
 /// One rule violation, anchored to a workspace-relative file and line.
@@ -97,6 +118,12 @@ pub const RULES: &[RuleInfo] = &[
         name: "unreferenced-pub",
         summary: "every pub item under crates/*/src is referenced from another file \
                   (tests, examples and benchmark/ included) or from its own non-test code",
+    },
+    RuleInfo {
+        name: "overexposed-pub",
+        summary: "every pub item of a crate's library is named by another crate (its tests, \
+                  benches, bins, doc-tests, examples, benchmark/ included) or by a pub \
+                  signature that is; else pub(crate), or private if only its file names it",
     },
 ];
 
@@ -314,8 +341,8 @@ impl<'a> FileCtx<'a> {
 }
 
 /// Lints a set of `(path, source)` files as one workspace: every per-file
-/// rule on each file, then the cross-file `unreferenced-pub` pass over all of
-/// them. Paths must be workspace-relative with forward slashes — the rules'
+/// rule on each file, then the cross-file `unreferenced-pub` and
+/// `overexposed-pub` passes over all of them. Paths must be workspace-relative with forward slashes — the rules'
 /// scoping predicates match on them. Diagnostics come back sorted by path,
 /// line and rule.
 pub fn lint_files(files: &[(&str, &str)]) -> Vec<Diagnostic> {
@@ -323,7 +350,9 @@ pub fn lint_files(files: &[(&str, &str)]) -> Vec<Diagnostic> {
     let ctxs: Vec<FileCtx<'_>> =
         files.iter().zip(&lexed).map(|((path, _), lexed)| FileCtx::new(path, lexed)).collect();
     let mut diags: Vec<Diagnostic> = ctxs.iter().flat_map(FileCtx::lint).collect();
-    unreferenced_pub(&ctxs, &mut diags);
+    let index = PubIndex::new(&ctxs);
+    unreferenced_pub(&ctxs, &index, &mut diags);
+    overexposed_pub(&ctxs, &index, &mut diags);
     diags.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     diags
 }
@@ -412,7 +441,7 @@ fn accounted_transfers(ctx: &FileCtx<'_>, diags: &mut Vec<Diagnostic>) {
                 "accounted-transfers",
                 t.line,
                 "raw `record_transfer` outside gpu-sim; use the accounted \
-                 `upload_bytes`/`upload_words`/`download_slice` helpers so every byte \
+                 `upload_bytes`/`download_slice` helpers so every byte \
                  lands in the transfer ledger exactly once"
                     .to_string(),
             );
@@ -501,33 +530,39 @@ fn justified_allows(ctx: &FileCtx<'_>, diags: &mut Vec<Diagnostic>) {
 /// A `pub` declaration: an item (`kind` names it) or a `pub` field (`kind`
 /// is `None`). `sig` is the token range whose type mentions make a type
 /// public interface: a function's signature, a const's or static's type, an
-/// enum's or trait's whole body, an alias, a field's type.
+/// enum's or trait's whole body, an alias, a field's type. `body` is a
+/// struct's or union's field list (empty for everything else), so a field
+/// can find the struct it belongs to.
 struct PubDecl<'a> {
     kind: Option<&'a str>,
     name: usize,
-    sig: std::ops::Range<usize>,
+    sig: Range<usize>,
+    body: Range<usize>,
+}
+
+/// Index of the first `stop` token at bracket depth 0 from `from` on (a
+/// closing bracket that would go below depth 0 also stops). `->` is not a
+/// closing angle bracket.
+fn scan_to(tokens: &[Token], from: usize, stop: &[&str]) -> usize {
+    let text = |i: usize| tokens.get(i).map(|t| t.text.as_str()).unwrap_or("");
+    let mut depth = 0usize;
+    for i in from..tokens.len() {
+        match text(i) {
+            t if depth == 0 && stop.contains(&t) => return i,
+            "(" | "[" | "{" | "<" => depth += 1,
+            ">" if text(i - 1) == "-" => {}
+            ")" | "]" | "}" | ">" if depth == 0 => return i,
+            ")" | "]" | "}" | ">" => depth -= 1,
+            _ => {}
+        }
+    }
+    tokens.len()
 }
 
 /// Every non-restricted `pub` declaration in `tokens`.
 fn pub_decls(tokens: &[Token]) -> Vec<PubDecl<'_>> {
     let text = |i: usize| tokens.get(i).map(|t| t.text.as_str()).unwrap_or("");
-    // Index of the first `stop` token at bracket depth 0 from `from` on (a
-    // closing bracket that would go below depth 0 also stops). `->` is not
-    // a closing angle bracket.
-    let scan_to = |from: usize, stop: &[&str]| {
-        let mut depth = 0usize;
-        for i in from..tokens.len() {
-            match text(i) {
-                t if depth == 0 && stop.contains(&t) => return i,
-                "(" | "[" | "{" | "<" => depth += 1,
-                ">" if text(i - 1) == "-" => {}
-                ")" | "]" | "}" | ">" if depth == 0 => return i,
-                ")" | "]" | "}" | ">" => depth -= 1,
-                _ => {}
-            }
-        }
-        tokens.len()
-    };
+    let scan_to = |from: usize, stop: &[&str]| scan_to(tokens, from, stop);
     let mut decls = Vec::new();
     for (i, t) in tokens.iter().enumerate() {
         if t.kind != TokenKind::Ident || t.text != "pub" || text(i + 1) == "(" {
@@ -542,7 +577,8 @@ fn pub_decls(tokens: &[Token]) -> Vec<PubDecl<'_>> {
         }
         let name = if text(j) == "static" && text(j + 1) == "mut" { j + 2 } else { j + 1 };
         let (kind, sig) = match text(j) {
-            "mod" | "use" | "crate" | "impl" | "macro_rules" => continue,
+            "use" | "crate" | "impl" | "macro_rules" => continue,
+            "mod" => (Some("mod"), i..name + 1),
             "fn" => (Some("fn"), i..scan_to(j, &["{", ";"])),
             "const" | "static" => (Some(text(j)), i..scan_to(j, &["=", ";"])),
             "type" => (Some("type"), i..scan_to(j, &[";"])),
@@ -551,7 +587,18 @@ fn pub_decls(tokens: &[Token]) -> Vec<PubDecl<'_>> {
             _ if text(j + 1) == ":" && text(j + 2) != ":" => (None, j + 2..scan_to(j + 2, &[","])),
             _ => (None, j..scan_to(j, &[","])),
         };
-        decls.push(PubDecl { kind, name, sig: sig.start..sig.end.min(tokens.len()) });
+        let body = match kind {
+            Some("struct" | "union") => {
+                let open = scan_to(name + 1, &["{", "(", ";"]);
+                if text(open) == ";" {
+                    0..0
+                } else {
+                    open..scan_to(open + 1, &[])
+                }
+            }
+            _ => 0..0,
+        };
+        decls.push(PubDecl { kind, name, sig: sig.start..sig.end.min(tokens.len()), body });
     }
     decls
 }
@@ -562,16 +609,27 @@ fn is_crate_src(path: &str) -> bool {
     parts.next() == Some("crates") && parts.nth(1) == Some("src")
 }
 
-/// For each token, whether it lies in a `use` declaration (`use` … `;`).
+/// The crate whose library `path` belongs to: `<c>` for `crates/<c>/src/`,
+/// except `src/main.rs` and `src/bin/`, which are crates of their own.
+fn library_crate(path: &str) -> Option<&str> {
+    let (krate, rest) = path.strip_prefix("crates/")?.split_once('/')?;
+    let src = rest.strip_prefix("src/")?;
+    (src != "main.rs" && !src.starts_with("bin/")).then_some(krate)
+}
+
+/// For each token, whether it lies in a `use` declaration (`use` … `;`). The
+/// name before an `as` does not: it is used under its new name.
 fn use_declaration_tokens(tokens: &[Token]) -> Vec<bool> {
     let mut inside = false;
+    let renamed = |i: usize| tokens.get(i + 1).is_some_and(|t| t.text == "as");
     tokens
         .iter()
-        .map(|t| {
+        .enumerate()
+        .map(|(i, t)| {
             if t.kind == TokenKind::Ident && t.text == "use" {
                 inside = true;
             }
-            let this = inside;
+            let this = inside && !renamed(i);
             if t.kind == TokenKind::Punct && t.text == ";" {
                 inside = false;
             }
@@ -580,36 +638,123 @@ fn use_declaration_tokens(tokens: &[Token]) -> Vec<bool> {
         .collect()
 }
 
-fn unreferenced_pub(files: &[FileCtx<'_>], diags: &mut Vec<Diagnostic>) {
-    let in_use: Vec<Vec<bool>> = files.iter().map(|f| use_declaration_tokens(f.tokens)).collect();
-    // identifier -> the files that mention it outside `use` declarations.
-    let mut mentioned_in: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
-    for (fi, file) in files.iter().enumerate() {
-        for (t, _) in
-            file.tokens.iter().zip(&in_use[fi]).filter(|(t, u)| !**u && t.kind == TokenKind::Ident)
-        {
-            mentioned_in.entry(t.text.as_str()).or_default().insert(fi);
+/// Does a doc-comment fence with this info string hold a compiled doc-test?
+/// Rustdoc compiles an untagged fence and one tagged only with its own
+/// attributes; `ignore`, `text` and any other language are not compiled.
+fn compiled_fence(info: &str) -> bool {
+    info.split(|c: char| c == ',' || c.is_whitespace()).filter(|t| !t.is_empty()).all(|t| {
+        matches!(t, "rust" | "no_run" | "should_panic" | "compile_fail" | "test_harness")
+            || t.starts_with("edition")
+    })
+}
+
+/// The words of every line inside a compiled doc-test fence in a `///` or
+/// `//!` comment. Each doc-test is a crate of its own, so what it names is
+/// named from outside.
+fn doctest_words(blocks: &[CommentBlock]) -> Vec<&str> {
+    let mut words = Vec::new();
+    for block in blocks {
+        let mut fence = None; // Some(compiled) inside a fence
+        for line in block.text.lines().map(str::trim_start) {
+            let Some(doc) = line.strip_prefix("///").or_else(|| line.strip_prefix("//!")) else {
+                continue;
+            };
+            if doc.starts_with('/') {
+                continue; // `////` is a plain comment
+            }
+            if let Some(info) = doc.trim_start().strip_prefix("```") {
+                fence = if fence.is_some() { None } else { Some(compiled_fence(info)) };
+            } else if fence == Some(true) {
+                let is_word = |w: &&str| w.starts_with(|c: char| c == '_' || c.is_alphabetic());
+                words.extend(doc.split(|c: char| c != '_' && !c.is_alphanumeric()).filter(is_word));
+            }
         }
     }
+    words
+}
+
+/// The token ranges of every inline `mod name { … }` body in `tokens`.
+fn inline_mod_bodies(tokens: &[Token]) -> Vec<Range<usize>> {
+    let opens =
+        |i: &usize| tokens[*i].text == "mod" && tokens.get(i + 2).is_some_and(|t| t.text == "{");
+    (0..tokens.len()).filter(opens).map(|i| i + 2..scan_to(tokens, i + 3, &[])).collect()
+}
+
+/// The cross-file index both `pub` rules read.
+struct PubIndex<'f> {
+    /// Each file's `pub` declarations.
+    decls: Vec<Vec<PubDecl<'f>>>,
+    /// Each file's tokens: whether each lies in a `use` declaration.
+    in_use: Vec<Vec<bool>>,
+    /// identifier -> the files that mention it outside `use` declarations.
+    used_in: BTreeMap<&'f str, BTreeSet<usize>>,
+    /// identifier -> every `(crate, file)` that names it, `use` paths
+    /// included. The crate is `Some(c)` in `c`'s library sources and `None`
+    /// in every other crate: bins, tests, benches, examples, the root
+    /// package, `benchmark/` and doc-tests.
+    named_by: BTreeMap<&'f str, BTreeSet<(Option<&'f str>, usize)>>,
+}
+
+impl<'f> PubIndex<'f> {
+    fn new(files: &'f [FileCtx<'_>]) -> Self {
+        let mut index = PubIndex {
+            decls: Vec::new(),
+            in_use: Vec::new(),
+            used_in: BTreeMap::new(),
+            named_by: BTreeMap::new(),
+        };
+        for (fi, file) in files.iter().enumerate() {
+            let in_use = use_declaration_tokens(file.tokens);
+            let krate = library_crate(file.path);
+            for (t, &used) in file.tokens.iter().zip(&in_use) {
+                if t.kind != TokenKind::Ident {
+                    continue;
+                }
+                if !used {
+                    index.used_in.entry(t.text.as_str()).or_default().insert(fi);
+                }
+                index.named_by.entry(t.text.as_str()).or_default().insert((krate, fi));
+            }
+            for word in doctest_words(&file.blocks) {
+                index.named_by.entry(word).or_default().insert((None, fi));
+            }
+            index.decls.push(pub_decls(file.tokens));
+            index.in_use.push(in_use);
+        }
+        index
+    }
+
+    fn name(&self, files: &'f [FileCtx<'_>], fi: usize, d: usize) -> &'f str {
+        files[fi].tokens[self.decls[fi][d].name].text.as_str()
+    }
+
+    /// Is item `d` of file `fi` what `unreferenced-pub` reports: named by no
+    /// other file outside `use` declarations, and in its own file by no live
+    /// code (for a type, by no other `pub` signature or field)?
+    fn unreferenced(&self, files: &'f [FileCtx<'_>], fi: usize, d: usize) -> bool {
+        let (file, decl, name) = (&files[fi], &self.decls[fi][d], self.name(files, fi, d));
+        if self.used_in.get(name).is_some_and(|files| files.iter().any(|&other| other != fi)) {
+            return false;
+        }
+        let live_code = |k: &usize| !self.in_use[fi][*k] && !file.in_test(file.tokens[*k].line);
+        let names_it = |k: &usize| *k != decl.name && file.tokens[*k].text == name;
+        if matches!(decl.kind, Some("fn" | "const" | "static")) {
+            !(0..file.tokens.len()).filter(live_code).any(|k| names_it(&k))
+        } else {
+            let others = self.decls[fi].iter().filter(|o| o.name != decl.name);
+            !others.flat_map(|o| o.sig.clone()).filter(live_code).any(|k| names_it(&k))
+        }
+    }
+}
+
+fn unreferenced_pub(files: &[FileCtx<'_>], index: &PubIndex<'_>, diags: &mut Vec<Diagnostic>) {
     for (fi, file) in files.iter().enumerate().filter(|(_, f)| is_crate_src(f.path)) {
-        let decls = pub_decls(file.tokens);
-        let live_code = |k: &usize| !in_use[fi][*k] && !file.in_test(file.tokens[*k].line);
-        for decl in decls.iter().filter(|d| d.kind.is_some()) {
-            let Some(name) = file.tokens.get(decl.name).map(|t| t.text.as_str()) else { continue };
-            if mentioned_in.get(name).is_some_and(|files| files.iter().any(|&other| other != fi)) {
+        for (d, decl) in index.decls[fi].iter().enumerate() {
+            let Some(kind) = decl.kind.filter(|&k| k != "mod") else { continue };
+            if !index.unreferenced(files, fi, d) {
                 continue;
             }
-            let names_it = |k: &usize| *k != decl.name && file.tokens[*k].text == name;
-            let own_use = if matches!(decl.kind, Some("fn" | "const" | "static")) {
-                (0..file.tokens.len()).filter(live_code).any(|k| names_it(&k))
-            } else {
-                let others = decls.iter().filter(|d| d.name != decl.name);
-                others.flat_map(|d| d.sig.clone()).filter(live_code).any(|k| names_it(&k))
-            };
-            if own_use {
-                continue;
-            }
-            let kind = decl.kind.unwrap_or_default();
+            let name = index.name(files, fi, d);
             emit(
                 file,
                 diags,
@@ -623,6 +768,92 @@ fn unreferenced_pub(files: &[FileCtx<'_>], diags: &mut Vec<Diagnostic>) {
                 ),
             );
         }
+    }
+}
+
+/// An item `overexposed-pub` audits, and whether it stays `pub`.
+struct Audited<'f> {
+    file: usize,
+    decl: usize,
+    krate: &'f str,
+    stays: bool,
+}
+
+fn overexposed_pub(files: &[FileCtx<'_>], index: &PubIndex<'_>, diags: &mut Vec<Diagnostic>) {
+    const RULE: &str = "overexposed-pub";
+    let mut items: Vec<Audited<'_>> = Vec::new();
+    for (fi, file) in files.iter().enumerate() {
+        let Some(krate) = library_crate(file.path) else { continue };
+        for (d, decl) in index.decls[fi].iter().enumerate() {
+            let line = file.tokens[decl.name].line;
+            if decl.kind.is_none() || file.in_test(line) {
+                continue;
+            }
+            let named_by = &index.named_by[index.name(files, fi, d)];
+            let stays = named_by.iter().any(|&(c, _)| c != Some(krate))
+                || file.suppressed(RULE, line)
+                || (decl.kind != Some("mod") && index.unreferenced(files, fi, d));
+            items.push(Audited { file: fi, decl: d, krate, stays });
+        }
+    }
+    // A type named in the signature of an item that stays `pub`, or in a
+    // `pub` field of a struct that stays `pub`, stays `pub` too: narrowing it
+    // would trip rustc's `private_interfaces`.
+    let mut types: BTreeMap<(&str, &str), Vec<usize>> = BTreeMap::new();
+    for (i, it) in items.iter().enumerate() {
+        let kind = index.decls[it.file][it.decl].kind;
+        if matches!(kind, Some("struct" | "union" | "enum" | "trait" | "type")) {
+            types.entry((it.krate, index.name(files, it.file, it.decl))).or_default().push(i);
+        }
+    }
+    let mut kept: Vec<usize> = (0..items.len()).filter(|&i| items[i].stays).collect();
+    while let Some(i) = kept.pop() {
+        let (file, krate) = (&files[items[i].file], items[i].krate);
+        let decls = &index.decls[items[i].file];
+        let decl = &decls[items[i].decl];
+        let fields = decls.iter().filter(|f| f.kind.is_none() && decl.body.contains(&f.name));
+        for k in std::iter::once(decl).chain(fields).flat_map(|d| d.sig.clone()) {
+            for &j in types.get(&(krate, file.tokens[k].text.as_str())).into_iter().flatten() {
+                if !items[j].stays {
+                    items[j].stays = true;
+                    kept.push(j);
+                }
+            }
+        }
+    }
+    for it in items.iter().filter(|it| !it.stays) {
+        let (file, decl) = (&files[it.file], &index.decls[it.file][it.decl]);
+        let (kind, name) = (decl.kind.unwrap_or_default(), index.name(files, it.file, it.decl));
+        // Private reaches the module the item is declared in, which is its
+        // file unless an inline `mod { … }` in the file encloses it.
+        let module = inline_mod_bodies(file.tokens)
+            .into_iter()
+            .filter(|body| body.contains(&decl.name))
+            .min_by_key(|body| body.len())
+            .unwrap_or(0..file.tokens.len());
+        let beyond_module =
+            (0..file.tokens.len()).any(|k| !module.contains(&k) && file.tokens[k].text == name);
+        let crate_wide = beyond_module
+            || index.named_by[name].iter().any(|&(c, f)| c == Some(it.krate) && f != it.file);
+        let (scope, fix) = match (crate_wide, kind) {
+            (true, _) => ("its own crate", "`pub(crate)`"),
+            (false, "fn" | "const" | "static" | "mod") => ("its own file", "private"),
+            // A private type named by a `pub(crate)` signature in a submodule
+            // would trip `private_interfaces`.
+            (false, _) => {
+                ("its own file", "private (`pub(crate)` if a `pub(crate)` signature names it)")
+            }
+        };
+        emit(
+            file,
+            diags,
+            RULE,
+            file.tokens[decl.name].line,
+            format!(
+                "`pub {kind} {name}` is named nowhere outside {scope}; make it {fix}, or \
+                 justify it with `lint-allow(overexposed-pub): <reason>`"
+            ),
+        );
     }
 }
 

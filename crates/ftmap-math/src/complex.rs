@@ -22,9 +22,7 @@ impl Complex {
     /// Zero.
     pub const ZERO: Complex = Complex { re: 0.0, im: 0.0 };
     /// One.
-    pub const ONE: Complex = Complex { re: 1.0, im: 0.0 };
-    /// The imaginary unit.
-    pub const I: Complex = Complex { re: 0.0, im: 1.0 };
+    pub(crate) const ONE: Complex = Complex { re: 1.0, im: 0.0 };
 
     /// Creates a complex number from real and imaginary parts.
     #[inline]
@@ -40,7 +38,7 @@ impl Complex {
 
     /// `exp(i * theta)` — the unit phasor used to build FFT twiddle factors.
     #[inline]
-    pub fn cis(theta: Real) -> Self {
+    pub(crate) fn cis(theta: Real) -> Self {
         Complex { re: theta.cos(), im: theta.sin() }
     }
 
@@ -52,7 +50,7 @@ impl Complex {
 
     /// Squared magnitude.
     #[inline]
-    pub fn norm_sq(self) -> Real {
+    pub(crate) fn norm_sq(self) -> Real {
         self.re * self.re + self.im * self.im
     }
 
@@ -156,6 +154,9 @@ mod tests {
     use crate::approx_eq;
     use std::f64::consts::PI;
 
+    /// The imaginary unit.
+    const I: Complex = Complex { re: 0.0, im: 1.0 };
+
     #[test]
     fn arithmetic() {
         let a = Complex::new(1.0, 2.0);
@@ -195,7 +196,7 @@ mod tests {
 
     #[test]
     fn sum_and_from() {
-        let v = vec![Complex::ONE, Complex::I, Complex::new(2.0, 3.0)];
+        let v = vec![Complex::ONE, I, Complex::new(2.0, 3.0)];
         let s: Complex = v.into_iter().sum();
         assert_eq!(s, Complex::new(3.0, 4.0));
         assert_eq!(Complex::from(2.5), Complex::new(2.5, 0.0));
@@ -206,9 +207,9 @@ mod tests {
         let mut a = Complex::new(1.0, 1.0);
         a += Complex::ONE;
         assert_eq!(a, Complex::new(2.0, 1.0));
-        a -= Complex::I;
+        a -= I;
         assert_eq!(a, Complex::new(2.0, 0.0));
-        a *= Complex::I;
+        a *= I;
         assert_eq!(a, Complex::new(0.0, 2.0));
     }
 }

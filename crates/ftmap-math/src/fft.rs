@@ -22,7 +22,7 @@
 //!
 //! The plan computes its twiddle tables and each axis's bit-reversal swap list once,
 //! in [`Fft3Plan::new`]. Every element sees exactly the operations, in exactly the
-//! order, of one textbook 1-D transform per line ([`fft_in_place`], with the
+//! order, of one textbook 1-D transform per line (`fft_in_place`, with the
 //! twiddles read from the tables), including the `1/n` scale after each inverse
 //! pass, so results are bit-identical to that per-line path. A 1-D transform is the
 //! one-lane case of the same routine.
@@ -57,7 +57,7 @@ pub fn next_pow2(n: usize) -> usize {
 }
 
 /// Returns true if `n` is a power of two (and nonzero).
-pub fn is_pow2(n: usize) -> bool {
+fn is_pow2(n: usize) -> bool {
     n != 0 && (n & (n - 1)) == 0
 }
 
@@ -74,7 +74,7 @@ pub enum Direction {
 ///
 /// # Panics
 /// Panics if `data.len()` is not a power of two.
-pub fn fft_in_place(data: &mut [Complex], dir: Direction) {
+fn fft_in_place(data: &mut [Complex], dir: Direction) {
     let n = data.len();
     assert!(is_pow2(n), "FFT length must be a power of two, got {n}");
     if n <= 1 {

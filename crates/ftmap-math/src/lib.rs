@@ -27,10 +27,10 @@
 pub mod complex;
 pub mod fft;
 pub mod grid;
-pub mod quaternion;
+pub(crate) mod quaternion;
 pub mod rotations;
 pub mod stats;
-pub mod vec3;
+mod vec3;
 
 pub use complex::Complex;
 pub use grid::Grid3;
@@ -41,9 +41,6 @@ pub use vec3::Vec3;
 /// Workspace-wide floating point type used for physics (double precision, as the
 /// original FTMap/CHARMM code uses doubles for energies).
 pub type Real = f64;
-
-/// Tolerance used by approximate floating-point comparisons in tests and invariants.
-pub const EPSILON: Real = 1e-9;
 
 /// Returns true when two reals are equal within `tol` absolute or relative tolerance.
 ///

@@ -23,7 +23,7 @@ pub struct Quaternion {
 
 impl Quaternion {
     /// The identity rotation.
-    pub const IDENTITY: Quaternion = Quaternion { w: 1.0, x: 0.0, y: 0.0, z: 0.0 };
+    const IDENTITY: Quaternion = Quaternion { w: 1.0, x: 0.0, y: 0.0, z: 0.0 };
 
     /// Creates a quaternion from components.
     #[inline]
@@ -50,7 +50,7 @@ impl Quaternion {
 
     /// Squared norm.
     #[inline]
-    pub fn norm_sq(self) -> Real {
+    pub(crate) fn norm_sq(self) -> Real {
         self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
     }
 
@@ -72,7 +72,7 @@ impl Quaternion {
 
     /// Conjugate; for unit quaternions this is the inverse rotation.
     #[inline]
-    pub fn conjugate(self) -> Quaternion {
+    fn conjugate(self) -> Quaternion {
         Quaternion::new(self.w, -self.x, -self.y, -self.z)
     }
 
@@ -81,13 +81,6 @@ impl Quaternion {
     #[inline]
     pub fn dot(self, rhs: Quaternion) -> Real {
         self.w * rhs.w + self.x * rhs.x + self.y * rhs.y + self.z * rhs.z
-    }
-
-    /// Geodesic angle (radians, in `[0, pi]`) between the two rotations represented
-    /// by unit quaternions, accounting for the double cover.
-    pub fn angle_to(self, rhs: Quaternion) -> Real {
-        let d = self.dot(rhs).abs().clamp(0.0, 1.0);
-        2.0 * d.acos()
     }
 }
 
@@ -108,8 +101,7 @@ impl Mul for Quaternion {
 /// 3×3 row-major matrix.
 ///
 /// The matrix form is what the grid-rotation and atom-rotation inner loops use
-/// (9 multiplies, no trig); the quaternion form is kept for composition and for
-/// measuring angular distances between rotations when clustering poses.
+/// (9 multiplies, no trig); the quaternion form is kept for the inverse.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rotation {
     quat: Quaternion,
@@ -123,7 +115,7 @@ impl Rotation {
     }
 
     /// Builds a rotation from a quaternion (normalized internally).
-    pub fn from_quaternion(q: Quaternion) -> Self {
+    pub(crate) fn from_quaternion(q: Quaternion) -> Self {
         let q = q.normalized();
         let (w, x, y, z) = (q.w, q.x, q.y, q.z);
         let mat = [
@@ -144,12 +136,6 @@ impl Rotation {
         Rotation::from_quaternion(Quaternion::from_euler_zyz(phi, theta, psi))
     }
 
-    /// The underlying unit quaternion.
-    #[inline]
-    pub fn quaternion(&self) -> Quaternion {
-        self.quat
-    }
-
     /// Applies the rotation to a vector using the cached matrix.
     #[inline]
     pub fn apply(&self, v: Vec3) -> Vec3 {
@@ -165,16 +151,26 @@ impl Rotation {
     pub fn inverse(&self) -> Rotation {
         Rotation::from_quaternion(self.quat.conjugate())
     }
-
-    /// Geodesic angle (radians) to another rotation.
-    pub fn angle_to(&self, other: &Rotation) -> Real {
-        self.quat.angle_to(other.quat)
-    }
 }
 
 impl Default for Rotation {
     fn default() -> Self {
         Rotation::identity()
+    }
+}
+
+/// What the rotation tests measure: the quaternion form and the geodesic
+/// angle between two rotations.
+#[cfg(test)]
+impl Rotation {
+    pub(crate) fn quaternion(&self) -> Quaternion {
+        self.quat
+    }
+
+    /// Geodesic angle (radians, in `[0, pi]`), accounting for the double
+    /// cover.
+    pub(crate) fn angle_to(&self, other: &Rotation) -> Real {
+        2.0 * self.quat.dot(other.quat).abs().clamp(0.0, 1.0).acos()
     }
 }
 

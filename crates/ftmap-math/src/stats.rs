@@ -1,23 +1,7 @@
-//! Small statistics helpers used by the benchmark harness and the profiling reports.
-//!
-//! The paper's evaluation reports speedup ratios (Tables 1/2): [`speedup`] computes
-//! them, and [`median`] summarises repeated timing samples.
+//! Small statistics helpers used by the benchmark harness and the profiling reports:
+//! [`median`] summarises repeated timing samples.
 
 use crate::Real;
-
-/// Speedup of `accelerated` relative to `baseline` (baseline / accelerated).
-/// Returns `+inf` when the accelerated time is zero and `0` when the baseline is zero.
-pub fn speedup(baseline: Real, accelerated: Real) -> Real {
-    if accelerated <= 0.0 {
-        if baseline <= 0.0 {
-            0.0
-        } else {
-            Real::INFINITY
-        }
-    } else {
-        baseline / accelerated
-    }
-}
 
 /// Median of a slice (averaging the two central elements for even lengths); 0 if empty.
 pub fn median(values: &[Real]) -> Real {
@@ -38,13 +22,6 @@ pub fn median(values: &[Real]) -> Real {
 mod tests {
     use super::*;
     use crate::approx_eq;
-
-    #[test]
-    fn speedup_ratios() {
-        assert!(approx_eq(speedup(4060.0, 125.5), 32.35, 0.01));
-        assert_eq!(speedup(1.0, 0.0), Real::INFINITY);
-        assert_eq!(speedup(0.0, 0.0), 0.0);
-    }
 
     #[test]
     fn geometric_mean_and_median() {

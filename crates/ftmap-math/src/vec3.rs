@@ -30,7 +30,7 @@ impl Vec3 {
     /// Unit vector along Y.
     pub const Y: Vec3 = Vec3 { x: 0.0, y: 1.0, z: 0.0 };
     /// Unit vector along Z.
-    pub const Z: Vec3 = Vec3 { x: 0.0, y: 0.0, z: 1.0 };
+    pub(crate) const Z: Vec3 = Vec3 { x: 0.0, y: 0.0, z: 1.0 };
 
     /// Creates a vector from components.
     #[inline]
@@ -62,7 +62,7 @@ impl Vec3 {
 
     /// Squared Euclidean norm. Preferred in distance cutoffs to avoid the sqrt.
     #[inline]
-    pub fn norm_sq(self) -> Real {
+    pub(crate) fn norm_sq(self) -> Real {
         self.dot(self)
     }
 

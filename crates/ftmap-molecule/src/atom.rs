@@ -3,7 +3,7 @@
 //! An [`Atom`] carries the per-atom quantities the paper's energy functions consume:
 //! position, partial charge `q_i`, Lennard-Jones parameters `eps_i` / `rm_i`
 //! (Equations 8–10), the ACE solute volume `V~_i` and the Born radius `alpha_i`
-//! (Equations 5–7). The numbers live in [`crate::forcefield`]; the atom stores the
+//! (Equations 5–7). The numbers live in `crate::forcefield`; the atom stores the
 //! resolved values so the hot evaluation loops never perform table lookups.
 
 use ftmap_math::{Real, Vec3};
@@ -35,17 +35,6 @@ impl Element {
             Element::N => 1.55,
             Element::O => 1.52,
             Element::S => 1.80,
-        }
-    }
-
-    /// Atomic mass in Daltons.
-    pub fn mass(self) -> Real {
-        match self {
-            Element::H => 1.008,
-            Element::C => 12.011,
-            Element::N => 14.007,
-            Element::O => 15.999,
-            Element::S => 32.06,
         }
     }
 }
@@ -110,7 +99,7 @@ impl AtomKind {
     ];
 
     /// The element underlying this kind.
-    pub fn element(self) -> Element {
+    fn element(self) -> Element {
         match self {
             AtomKind::BackboneN | AtomKind::PolarN | AtomKind::ProbeN => Element::N,
             AtomKind::BackboneCA
@@ -152,18 +141,13 @@ pub struct Atom {
 
 impl Atom {
     /// The element of this atom.
-    pub fn element(&self) -> Element {
+    fn element(&self) -> Element {
         self.kind.element()
     }
 
     /// The van der Waals radius (Å) used by grid voxelization.
     pub fn vdw_radius(&self) -> Real {
         self.element().vdw_radius()
-    }
-
-    /// The atomic mass in Daltons.
-    pub fn mass(&self) -> Real {
-        self.element().mass()
     }
 
     /// Distance to another atom in Å.
@@ -185,9 +169,7 @@ mod tests {
     fn element_properties_positive() {
         for e in Element::ALL {
             assert!(e.vdw_radius() > 0.0);
-            assert!(e.mass() > 0.0);
         }
-        assert!(Element::S.mass() > Element::C.mass());
         assert!(Element::H.vdw_radius() < Element::C.vdw_radius());
     }
 
@@ -220,7 +202,6 @@ mod tests {
         assert!((a.distance(&b) - 5.0).abs() < 1e-12);
         assert!((a.distance_sq(&b) - 25.0).abs() < 1e-12);
         assert_eq!(a.element(), Element::C);
-        assert!(a.mass() > 0.0);
         assert!(a.vdw_radius() > 0.0);
     }
 }

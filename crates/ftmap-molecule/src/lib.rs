@@ -25,8 +25,8 @@
 
 pub mod atom;
 pub mod complex;
-pub mod forcefield;
-pub mod neighbor;
+pub(crate) mod forcefield;
+mod neighbor;
 pub mod probe;
 pub mod protein;
 pub mod topology;

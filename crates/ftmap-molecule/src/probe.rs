@@ -259,11 +259,6 @@ impl Probe {
     pub fn radius(&self) -> Real {
         self.atoms.iter().map(|a| a.position.norm()).fold(0.0, Real::max)
     }
-
-    /// Net charge of the probe (sum of partial charges).
-    pub fn net_charge(&self) -> Real {
-        self.atoms.iter().map(|a| a.charge).sum()
-    }
 }
 
 /// The full library of 16 probes.

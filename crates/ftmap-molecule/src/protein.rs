@@ -220,11 +220,6 @@ impl SyntheticProtein {
         let pos: Vec<Vec3> = self.atoms.iter().map(|a| a.position).collect();
         Vec3::bounding_box(&pos)
     }
-
-    /// Net charge (sum of partial charges).
-    pub fn net_charge(&self) -> Real {
-        self.atoms.iter().map(|a| a.charge).sum()
-    }
 }
 
 #[cfg(test)]

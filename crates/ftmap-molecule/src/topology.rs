@@ -79,7 +79,7 @@ impl Topology {
     ///
     /// # Panics
     /// Panics if either index is out of range or `i == j`.
-    pub fn add_bond(&mut self, i: usize, j: usize) {
+    pub(crate) fn add_bond(&mut self, i: usize, j: usize) {
         assert!(i < self.n_atoms && j < self.n_atoms, "bond index out of range");
         assert_ne!(i, j, "an atom cannot bond to itself");
         self.bonds.push(Bond { i: i.min(j), j: i.max(j) });
@@ -108,7 +108,7 @@ impl Topology {
     /// Derives angle and torsion terms from the bond graph (every connected i–j–k path
     /// becomes an angle, every i–j–k–l path a torsion), the way CHARMM topology builders
     /// autogenerate bonded terms.
-    pub fn autogenerate_bonded_terms(&mut self) {
+    pub(crate) fn autogenerate_bonded_terms(&mut self) {
         let adjacency = self.adjacency();
         self.angles.clear();
         self.torsions.clear();
@@ -140,7 +140,7 @@ impl Topology {
     }
 
     /// The adjacency list of the bond graph.
-    pub fn adjacency(&self) -> Vec<Vec<usize>> {
+    pub(crate) fn adjacency(&self) -> Vec<Vec<usize>> {
         let mut adj = vec![Vec::new(); self.n_atoms];
         for b in &self.bonds {
             adj[b.i].push(b.j);
@@ -181,7 +181,7 @@ impl Topology {
 
     /// Merges another topology whose atom indices are offset by `offset`
     /// (used to combine a protein topology with a probe topology into a complex).
-    pub fn merge_offset(&mut self, other: &Topology, offset: usize) {
+    pub(crate) fn merge_offset(&mut self, other: &Topology, offset: usize) {
         assert!(offset + other.n_atoms <= self.n_atoms, "merged topology exceeds atom count");
         for b in &other.bonds {
             self.bonds.push(Bond { i: b.i + offset, j: b.j + offset });

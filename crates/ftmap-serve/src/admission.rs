@@ -224,7 +224,7 @@ impl CostModel {
     /// work units,
     /// `cold` whether it paid a receptor upload (then `transfer_s` calibrates
     /// the surcharge).
-    pub fn observe_batch(
+    pub(crate) fn observe_batch(
         &mut self,
         span_s: f64,
         device_share: f64,
@@ -278,7 +278,7 @@ impl CostModel {
 /// The work units a request contributes under `config`: docking rotations
 /// plus minimized conformations, summed over its probes. The unit the
 /// [`CostModel`] is calibrated in.
-pub fn request_weight(config: &FtMapConfig, n_probes: usize) -> f64 {
+pub(crate) fn request_weight(config: &FtMapConfig, n_probes: usize) -> f64 {
     (n_probes * (config.docking.n_rotations + config.conformations_per_probe)) as f64
 }
 
@@ -313,12 +313,12 @@ pub(crate) struct AdmissionState {
 
 impl AdmissionState {
     /// Backlog weight at priorities `<= priority` (more or equally urgent).
-    pub fn pending_weight_through(&self, priority: u32) -> f64 {
+    pub(crate) fn pending_weight_through(&self, priority: u32) -> f64 {
         self.pending_weight.iter().take(priority as usize + 1).sum()
     }
 
     /// Adds a job's weight to the not-yet-scheduled backlog.
-    pub fn add_pending(&mut self, priority: u32, weight: f64) {
+    pub(crate) fn add_pending(&mut self, priority: u32, weight: f64) {
         if let Some(slot) = self.pending_weight.get_mut(priority as usize) {
             *slot += weight;
         }
@@ -326,7 +326,7 @@ impl AdmissionState {
 
     /// Removes a job's weight from the backlog (it was handed to a
     /// dispatcher; the scheduler's own projection covers it from here).
-    pub fn remove_pending(&mut self, priority: u32, weight: f64) {
+    pub(crate) fn remove_pending(&mut self, priority: u32, weight: f64) {
         if let Some(slot) = self.pending_weight.get_mut(priority as usize) {
             *slot = (*slot - weight).max(0.0);
         }
@@ -334,12 +334,12 @@ impl AdmissionState {
 
     /// True when `fingerprint`'s receptor grids were built recently enough
     /// that the estimator should treat them as resident.
-    pub fn is_warm(&self, fingerprint: u64) -> bool {
+    pub(crate) fn is_warm(&self, fingerprint: u64) -> bool {
         self.warm.contains(&fingerprint)
     }
 
     /// Marks `fingerprint` warm (MRU promote, capped).
-    pub fn note_warm(&mut self, fingerprint: u64) {
+    pub(crate) fn note_warm(&mut self, fingerprint: u64) {
         if let Some(pos) = self.warm.iter().position(|&fp| fp == fingerprint) {
             self.warm.remove(pos);
         }
@@ -348,26 +348,26 @@ impl AdmissionState {
     }
 
     /// Reserves an in-flight slot for a job joining a batch.
-    pub fn reserve_inflight(&mut self, fingerprint: u64, tenant: &str) {
+    pub(crate) fn reserve_inflight(&mut self, fingerprint: u64, tenant: &str) {
         *self.receptor_inflight.entry(fingerprint).or_insert(0) += 1;
         *self.tenant_inflight.entry(tenant.to_string()).or_insert(0) += 1;
     }
 
     /// Releases a job's in-flight slot at resolve time and bumps the epoch
     /// so a fairness-blocked dispatcher re-checks eligibility.
-    pub fn release_inflight(&mut self, fingerprint: u64, tenant: &str) {
+    pub(crate) fn release_inflight(&mut self, fingerprint: u64, tenant: &str) {
         release_count(&mut self.receptor_inflight, &fingerprint);
         release_count(&mut self.tenant_inflight, &tenant.to_string());
         self.epoch = self.epoch.wrapping_add(1);
     }
 
     /// Jobs of `fingerprint` currently in flight.
-    pub fn receptor_load(&self, fingerprint: u64) -> usize {
+    pub(crate) fn receptor_load(&self, fingerprint: u64) -> usize {
         self.receptor_inflight.get(&fingerprint).copied().unwrap_or(0)
     }
 
     /// Jobs of `tenant` currently in flight.
-    pub fn tenant_load(&self, tenant: &str) -> usize {
+    pub(crate) fn tenant_load(&self, tenant: &str) -> usize {
         self.tenant_inflight.get(tenant).copied().unwrap_or(0)
     }
 }
@@ -428,13 +428,12 @@ pub(crate) fn decide(
     let Some(deadline) = deadline_s else {
         return Decision::Admit { estimated_s: Some(estimated_s) };
     };
-    let safety = admission.effective_safety_factor();
-    if estimated_s * safety <= deadline {
+    if estimated_s <= deadline {
         return Decision::Admit { estimated_s: Some(estimated_s) };
     }
     if admission.reprioritize && class == LatencyClass::Bulk {
         if let Some(bumped) = estimate(config, LatencyClass::Interactive) {
-            if bumped.total_s() * safety <= deadline {
+            if bumped.total_s() <= deadline {
                 return Decision::Reprioritize {
                     to: LatencyClass::Interactive,
                     estimated_s: bumped.total_s(),
@@ -446,7 +445,7 @@ pub(crate) fn decide(
         let (degraded, applied) = config.degraded(policy);
         if !applied.is_noop() {
             if let Some(reduced) = estimate(&degraded, class) {
-                if reduced.total_s() * safety <= deadline {
+                if reduced.total_s() <= deadline {
                     return Decision::Degrade {
                         config: degraded,
                         applied,
@@ -667,20 +666,5 @@ mod tests {
             }
             other => panic!("expected reject, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn decide_applies_the_safety_factor() {
-        let admission = AdmissionConfig { safety_factor: 2.0, ..AdmissionConfig::default() };
-        let config = test_config(); // bulk estimate 1.0
-                                    // Raw estimate fits (1.0 ≤ 1.5) but not with 2× safety margin.
-        assert!(matches!(
-            decide(&admission, LatencyClass::Bulk, Some(1.5), &config, fake_estimate),
-            Decision::Reject { .. }
-        ));
-        assert!(matches!(
-            decide(&admission, LatencyClass::Bulk, Some(2.5), &config, fake_estimate),
-            Decision::Admit { .. }
-        ));
     }
 }

@@ -81,7 +81,7 @@ pub trait Batchable {
 }
 
 /// Extracts the next batch from `pending` (arrival order) under class
-/// priority with aging: [`next_batch_admission`] with both fairness gates
+/// priority with aging: `next_batch_admission` with both fairness gates
 /// open. The anchor is:
 ///
 /// 1. the **head job**, when no interactive job is pending, or when a bulk job
@@ -126,7 +126,7 @@ pub fn next_batch_prioritized<T: Batchable>(
 /// earliest eligible interactive job overtakes (bumping every bulk job it
 /// passes, eligible or not — they were passed over either way), unless an
 /// eligible aged bulk job ahead of it blocks the overtake.
-pub fn next_batch_admission<T: Batchable>(
+pub(crate) fn next_batch_admission<T: Batchable>(
     pending: &mut Vec<T>,
     max_jobs: usize,
     aging: usize,

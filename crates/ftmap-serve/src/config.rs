@@ -66,11 +66,10 @@ impl Default for BatchConfig {
 
 /// One tenant's weight in the fairness quota: a tenant's share of the
 /// in-flight job budget is its weight over the sum of all configured weights
-/// plus [`AdmissionConfig::default_tenant_weight`] (the pooled share every
-/// unlisted tenant draws from).
+/// plus 1 (the pooled share every unlisted tenant draws from).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantQuota {
-    /// The tenant label ([`crate::MappingRequest::tenant_label`]).
+    /// The tenant label (`crate::MappingRequest::tenant_label`).
     pub tenant: String,
     /// Relative weight (must be positive to grant any share).
     pub weight: f64,
@@ -89,12 +88,6 @@ pub struct AdmissionConfig {
     pub interactive_deadline_s: Option<f64>,
     /// Class-wide modeled-latency deadline for bulk requests.
     pub bulk_deadline_s: Option<f64>,
-    /// Multiplier on the latency estimate before it is compared to the
-    /// deadline: values above 1 admit conservatively (an estimate within
-    /// `deadline / safety_factor` is required), values in `(0, 1)` admit
-    /// optimistically. `0` (the `Default`) means 1 — compare the raw
-    /// estimate.
-    pub safety_factor: f64,
     /// When set, a request whose deadline is unmeetable as-is may be admitted
     /// **degraded**: fewer rotations / conformations per
     /// [`FtMapConfig::degraded`](ftmap_core::FtMapConfig::degraded), with the
@@ -112,10 +105,6 @@ pub struct AdmissionConfig {
     /// Fairness: weighted per-tenant shares of the in-flight job budget.
     /// Empty disables tenant quotas.
     pub tenant_quotas: Vec<TenantQuota>,
-    /// Weight every tenant *not* listed in
-    /// [`tenant_quotas`](AdmissionConfig::tenant_quotas) carries. `0` (the
-    /// `Default`) means 1.
-    pub default_tenant_weight: f64,
     /// The in-flight job budget tenant shares divide. `0` (the `Default`)
     /// derives it as `max_inflight_batches * max_batch_jobs`.
     pub quota_inflight_total: usize,
@@ -123,38 +112,17 @@ pub struct AdmissionConfig {
 
 impl AdmissionConfig {
     /// The class-wide deadline for `class`, if configured.
-    pub fn deadline_for(&self, class: LatencyClass) -> Option<f64> {
+    pub(crate) fn deadline_for(&self, class: LatencyClass) -> Option<f64> {
         match class {
             LatencyClass::Interactive => self.interactive_deadline_s,
             LatencyClass::Bulk => self.bulk_deadline_s,
         }
     }
 
-    /// The effective safety factor (the `0` default means 1).
-    pub fn effective_safety_factor(&self) -> f64 {
-        if self.safety_factor > 0.0 {
-            self.safety_factor
-        } else {
-            1.0
-        }
-    }
-
-    /// The weight `tenant` carries: its configured quota weight, or the
-    /// default weight for unlisted tenants.
-    pub fn tenant_weight(&self, tenant: &str) -> f64 {
-        self.tenant_quotas
-            .iter()
-            .find(|q| q.tenant == tenant)
-            .map(|q| q.weight)
-            .unwrap_or(self.effective_default_weight())
-    }
-
-    fn effective_default_weight(&self) -> f64 {
-        if self.default_tenant_weight > 0.0 {
-            self.default_tenant_weight
-        } else {
-            1.0
-        }
+    /// The weight `tenant` carries: its configured quota weight, or 1 for
+    /// unlisted tenants.
+    fn tenant_weight(&self, tenant: &str) -> f64 {
+        self.tenant_quotas.iter().find(|q| q.tenant == tenant).map(|q| q.weight).unwrap_or(1.0)
     }
 
     /// How many jobs `tenant` may have in flight at once under the quota:
@@ -164,8 +132,8 @@ impl AdmissionConfig {
         if self.tenant_quotas.is_empty() {
             return usize::MAX;
         }
-        let weight_sum: f64 = self.tenant_quotas.iter().map(|q| q.weight.max(0.0)).sum::<f64>()
-            + self.effective_default_weight();
+        let weight_sum: f64 =
+            self.tenant_quotas.iter().map(|q| q.weight.max(0.0)).sum::<f64>() + 1.0;
         let weight = self.tenant_weight(tenant).max(0.0);
         if weight_sum <= 0.0 {
             return total.max(1);
@@ -175,7 +143,7 @@ impl AdmissionConfig {
 
     /// The in-flight job budget the tenant shares divide (see
     /// [`quota_inflight_total`](AdmissionConfig::quota_inflight_total)).
-    pub fn quota_total(&self, batch: &BatchConfig) -> usize {
+    pub(crate) fn quota_total(&self, batch: &BatchConfig) -> usize {
         if self.quota_inflight_total > 0 {
             self.quota_inflight_total
         } else {
@@ -220,7 +188,6 @@ mod tests {
         assert_eq!(config.admission.deadline_for(LatencyClass::Bulk), None);
         assert_eq!(config.admission.max_inflight_per_receptor, None);
         assert!(config.admission.tenant_quotas.is_empty());
-        assert_eq!(config.admission.effective_safety_factor(), 1.0);
     }
 
     #[test]
@@ -256,11 +223,9 @@ mod tests {
         let admission = AdmissionConfig {
             interactive_deadline_s: Some(0.5),
             bulk_deadline_s: Some(10.0),
-            safety_factor: 1.25,
             ..AdmissionConfig::default()
         };
         assert_eq!(admission.deadline_for(LatencyClass::Interactive), Some(0.5));
         assert_eq!(admission.deadline_for(LatencyClass::Bulk), Some(10.0));
-        assert_eq!(admission.effective_safety_factor(), 1.25);
     }
 }

@@ -92,15 +92,6 @@ pub struct JobReport {
     pub degrade: Option<AppliedDegrade>,
 }
 
-impl JobReport {
-    /// Whether the job missed its modeled deadline: `Some(true)` when a
-    /// deadline applied and the realized latency exceeded it, `Some(false)`
-    /// when it was met, `None` when no deadline applied.
-    pub fn deadline_missed(&self) -> Option<bool> {
-        self.deadline_s.map(|deadline| self.latency_modeled_s > deadline)
-    }
-}
-
 /// Shared completion slot between a [`JobHandle`] and the dispatcher.
 #[derive(Debug)]
 pub(crate) struct JobSlot {

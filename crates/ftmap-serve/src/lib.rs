@@ -28,7 +28,7 @@
 //!   retry-after hint. [`BatchMappingService::submit`] blocks while the queue
 //!   is full (backpressure); [`BatchMappingService::try_submit`] rejects
 //!   instead (load shedding).
-//! * **Batching** ([`batcher`]) — FIFO-fair grouping of jobs that share a
+//! * **Batching** (`batcher`) — FIFO-fair grouping of jobs that share a
 //!   receptor, with **latency classes** on top: interactive jobs form batches
 //!   ahead of bulk scans (aging-bounded, so bulk never starves), and batches
 //!   are class-homogeneous so each carries one scheduler priority. Two
@@ -55,7 +55,7 @@
 #![warn(clippy::all)]
 
 pub mod admission;
-pub mod batcher;
+pub(crate) mod batcher;
 pub mod config;
 pub mod job;
 pub mod queue;

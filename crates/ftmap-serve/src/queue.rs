@@ -3,10 +3,10 @@
 //! A production mapping service cannot admit unbounded work — a burst of
 //! requests must either wait at the door ([`JobQueue::push`] blocks) or be
 //! turned away immediately with the request handed back
-//! ([`JobQueue::try_push`]), never pile up until memory dies. The queue is a
+//! (`JobQueue::try_push`), never pile up until memory dies. The queue is a
 //! plain mutex + two condvars (one for writers waiting on space, one for the
 //! dispatcher waiting on work); the dispatcher drains whole pending runs with
-//! [`JobQueue::drain_wait`] so the batcher sees every compatible job at once.
+//! `JobQueue::drain_wait` so the batcher sees every compatible job at once.
 
 use gpu_sim::sync::{locked, wait_on};
 use std::collections::VecDeque;
@@ -88,7 +88,7 @@ impl<T> JobQueue<T> {
     /// Admits `item` without blocking; a full queue refuses and hands the item
     /// back (the client decides whether to retry, shed, or block via
     /// [`JobQueue::push`]).
-    pub fn try_push(&self, item: T) -> Result<(), SubmitError<T>> {
+    pub(crate) fn try_push(&self, item: T) -> Result<(), SubmitError<T>> {
         let mut inner = locked(&self.inner);
         if inner.closed {
             return Err(SubmitError::Closed(item));
@@ -104,7 +104,7 @@ impl<T> JobQueue<T> {
     /// Takes every pending item, blocking until at least one is available.
     /// Returns `None` once the queue is closed **and** drained — the
     /// dispatcher's termination condition.
-    pub fn drain_wait(&self) -> Option<Vec<T>> {
+    pub(crate) fn drain_wait(&self) -> Option<Vec<T>> {
         let mut inner = locked(&self.inner);
         loop {
             if !inner.items.is_empty() {
@@ -133,7 +133,7 @@ impl<T> JobQueue<T> {
 
     /// Closes the queue: pending items still drain, new submissions are
     /// refused, and a dispatcher blocked in [`JobQueue::drain_wait`] wakes.
-    pub fn close(&self) {
+    pub(crate) fn close(&self) {
         let mut inner = locked(&self.inner);
         inner.closed = true;
         self.work.notify_all();

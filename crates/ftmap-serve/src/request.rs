@@ -25,7 +25,7 @@ pub struct MappingRequest {
     pub tag: String,
     /// Latency class: interactive requests form batches ahead of bulk work
     /// and overtake it at phase boundaries (aging-bounded — see
-    /// [`crate::batcher`]). Scheduling only; results never depend on it.
+    /// `crate::batcher`). Scheduling only; results never depend on it.
     /// Defaults to [`LatencyClass::Bulk`].
     pub class: LatencyClass,
     /// Client-supplied trace id for end-to-end causal tracing. When `None`
@@ -80,13 +80,6 @@ impl MappingRequest {
         self
     }
 
-    /// Sets a client-supplied trace id (see
-    /// [`trace_id`](MappingRequest::trace_id)).
-    pub fn with_trace_id(mut self, trace_id: u64) -> Self {
-        self.trace_id = Some(trace_id);
-        self
-    }
-
     /// Sets the tenant identity the fairness controls account this request
     /// under (see [`tenant`](MappingRequest::tenant)).
     pub fn with_tenant(mut self, tenant: impl Into<String>) -> Self {
@@ -94,17 +87,10 @@ impl MappingRequest {
         self
     }
 
-    /// Sets a per-request modeled-latency deadline (see
-    /// [`deadline_s`](MappingRequest::deadline_s)).
-    pub fn with_deadline_s(mut self, deadline_s: f64) -> Self {
-        self.deadline_s = Some(deadline_s);
-        self
-    }
-
     /// The tenant label fairness accounting uses: the explicit
     /// [`tenant`](MappingRequest::tenant) when set, the
     /// [`tag`](MappingRequest::tag) otherwise.
-    pub fn tenant_label(&self) -> &str {
+    pub(crate) fn tenant_label(&self) -> &str {
         self.tenant.as_deref().unwrap_or(&self.tag)
     }
 

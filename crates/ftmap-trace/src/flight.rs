@@ -143,7 +143,7 @@ impl FlightRecorder {
     /// The retained events, anchor-resolved and merged onto one timeline
     /// (retention is non-destructive — breach dumps shouldn't race each
     /// other for the evidence).
-    pub fn retained_events(&self) -> Vec<TraceEvent> {
+    fn retained_events(&self) -> Vec<TraceEvent> {
         let raw: Vec<TraceEvent> = locked(&self.retained)
             .trees
             .iter()

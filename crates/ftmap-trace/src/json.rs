@@ -4,7 +4,7 @@
 //! writes JSON by hand — and this module is the matching reader: the `trace_check` schema validator and the round-trip tests parse
 //! the exported bytes back through it. It accepts exactly RFC 8259 JSON
 //! (objects, arrays, strings with escapes, numbers, booleans, null), nested
-//! at most [`MAX_DEPTH`] levels deep.
+//! at most 128 levels deep (`MAX_DEPTH`).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -81,10 +81,10 @@ impl std::error::Error for ParseError {}
 /// once per level and reads user-supplied trace files, so the cap keeps a
 /// hostile document from overflowing the stack; the exporter's documents
 /// nest at most 5 deep.
-pub const MAX_DEPTH: usize = 128;
+const MAX_DEPTH: usize = 128;
 
 /// Parses a complete JSON document (rejecting trailing garbage and nesting
-/// deeper than [`MAX_DEPTH`]).
+/// deeper than 128 levels).
 pub fn parse(input: &str) -> Result<JsonValue, ParseError> {
     let mut parser = Parser { bytes: input.as_bytes(), pos: 0, depth: 0 };
     parser.skip_ws();

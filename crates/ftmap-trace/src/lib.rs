@@ -20,7 +20,7 @@
 //!
 //! On top of the raw stream sit the request-centric analysis layers:
 //! [`tree`] reassembles per-request **causal trees** from trace-id tags,
-//! [`critical_path`] cuts each request's admission-to-completion latency
+//! `critical_path` cuts each request's admission-to-completion latency
 //! into exact summing segments and extracts its critical path (exported to
 //! Perfetto as flow arrows), [`slo`] evaluates declarative latency
 //! objectives as multi-window burn rates, and [`flight`] is the bounded
@@ -33,12 +33,12 @@
 #![forbid(unsafe_code)]
 #![warn(clippy::all)]
 
-pub mod critical_path;
+pub(crate) mod critical_path;
 pub mod event;
 pub mod flight;
 pub mod json;
 pub mod metrics;
-pub mod perfetto;
+pub(crate) mod perfetto;
 pub mod recorder;
 pub mod sanitize;
 pub mod scope;
@@ -58,7 +58,5 @@ pub use recorder::Recorder;
 pub use sanitize::{sanitize, SanitizeReport, ScheduleViolation};
 pub use scope::{hook, ItemScope};
 pub use sink::{noop, TraceSink};
-pub use slo::{
-    AlertState, SampleVerdict, SloEngine, SloReport, SloSpec, SloStatus, PAGE_BURN, WARN_BURN,
-};
+pub use slo::{AlertState, SampleVerdict, SloEngine, SloReport, SloSpec, SloStatus, PAGE_BURN};
 pub use tree::{build_request_trees, ItemNode, RequestTrace};

@@ -52,7 +52,7 @@ impl Histogram {
 
     /// Cumulative count of observations ≤ `bounds[i]` (Prometheus `le`
     /// semantics); `i == bounds.len()` is the `+Inf` bucket (== `count`).
-    pub fn cumulative(&self, i: usize) -> u64 {
+    fn cumulative(&self, i: usize) -> u64 {
         self.counts.iter().take(i + 1).sum()
     }
 
@@ -60,7 +60,7 @@ impl Histogram {
     /// boundary). `value` is rounded **up** to the nearest bucket bound, the
     /// resolution the histogram actually has; exact when `value` is a bound.
     /// Returns 1.0 for an empty histogram (no observations ⇒ no breaches).
-    pub fn fraction_le(&self, value: f64) -> f64 {
+    pub(crate) fn fraction_le(&self, value: f64) -> f64 {
         if self.count == 0 {
             return 1.0;
         }
@@ -78,7 +78,7 @@ impl Histogram {
     /// Quantiles landing in the `+Inf` overflow bucket clamp to the last
     /// finite bound. Returns `None` for an empty histogram or `q` outside
     /// `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<f64> {
         if self.count == 0 || !(0.0..=1.0).contains(&q) {
             return None;
         }

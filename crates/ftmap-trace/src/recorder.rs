@@ -63,7 +63,7 @@ impl Recorder {
     /// spans, sorted by absolute start instant (ties broken longest-first so
     /// enclosing spans sort before their children). Leaves the buffers empty.
     /// Orphans dropped during resolution are added to
-    /// [`Recorder::dropped_orphans`].
+    /// `Recorder::dropped_orphans`.
     pub fn events(&self) -> Vec<TraceEvent> {
         let (resolved, orphans) = resolve_counted(self.drain_raw());
         self.dropped_orphans.fetch_add(orphans, Ordering::Relaxed);
@@ -74,7 +74,7 @@ impl Recorder {
     /// span was never recorded (counted across every [`Recorder::events`]
     /// call). Surfaced through [`TraceSink::dropped_events`] so the serve
     /// layer can export trace data loss as a gauge.
-    pub fn dropped_orphans(&self) -> u64 {
+    pub(crate) fn dropped_orphans(&self) -> u64 {
         self.dropped_orphans.load(Ordering::Relaxed)
     }
 }
@@ -98,7 +98,7 @@ pub fn resolve(events: Vec<TraceEvent>) -> Vec<TraceEvent> {
 }
 
 /// [`resolve`], also returning how many orphaned anchored events were dropped.
-pub fn resolve_counted(events: Vec<TraceEvent>) -> (Vec<TraceEvent>, u64) {
+pub(crate) fn resolve_counted(events: Vec<TraceEvent>) -> (Vec<TraceEvent>, u64) {
     let mut origins: HashMap<u64, f64> = HashMap::new();
     for event in &events {
         if let Anchor::Defines(id) = event.anchor {

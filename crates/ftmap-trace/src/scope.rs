@@ -65,12 +65,6 @@ impl ItemScope {
     pub fn anchor(&self) -> u64 {
         ACTIVE.with(|active| active.borrow().as_ref().map(|s| s.anchor).unwrap_or(0))
     }
-
-    /// Modeled seconds of stage events consumed so far (the running offset the
-    /// next stage event starts at).
-    pub fn cursor_s(&self) -> f64 {
-        ACTIVE.with(|active| active.borrow().as_ref().map(|s| s.cursor_s).unwrap_or(0.0))
-    }
 }
 
 impl Drop for ItemScope {
@@ -183,7 +177,8 @@ mod tests {
             hook::transfer("upload", 64, 0.5);
             hook::kernel("dock", 2.0, 8, 128);
             hook::cache("hit", "raw", 0xdead_beef);
-            assert!((scope.cursor_s() - 2.5).abs() < 1e-12);
+            let cursor_s = ACTIVE.with(|active| active.borrow().as_ref().map(|s| s.cursor_s));
+            assert!(cursor_s.is_some_and(|c| (c - 2.5).abs() < 1e-12));
         }
         assert!(!hook::active());
         // Record the defining span the way a scheduler worker would.

@@ -14,11 +14,11 @@
 //! engine evaluates the burn over two windows and only raises an alert when
 //! **both** agree — a long window (the cumulative per-class latency histogram
 //! in the [`MetricsRegistry`]) filters noise, a short
-//! window (the most recent [`SHORT_WINDOW`] samples) makes the alert reset
+//! window (the most recent 32 samples, `SHORT_WINDOW`) makes the alert reset
 //! quickly once the condition clears:
 //!
 //! * [`AlertState::Page`] — both windows burn ≥ [`PAGE_BURN`];
-//! * [`AlertState::Warn`] — both windows burn ≥ [`WARN_BURN`];
+//! * [`AlertState::Warn`] — both windows burn ≥ 1.0 (`WARN_BURN`);
 //! * [`AlertState::Ok`] — otherwise.
 //!
 //! All timing is modeled seconds; the engine never reads a wall clock.
@@ -28,14 +28,14 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 
 /// Samples in the short (recent) evaluation window.
-pub const SHORT_WINDOW: usize = 32;
+const SHORT_WINDOW: usize = 32;
 /// Burn-rate threshold (on both windows) for [`AlertState::Warn`].
-pub const WARN_BURN: f64 = 1.0;
+pub(crate) const WARN_BURN: f64 = 1.0;
 /// Burn-rate threshold (on both windows) for [`AlertState::Page`].
 pub const PAGE_BURN: f64 = 2.0;
 /// Minimum long-window samples before p99-outlier tail-sampling activates
 /// (below this the quantile estimate is mostly bucket shape).
-pub const MIN_OUTLIER_SAMPLES: u64 = 16;
+const MIN_OUTLIER_SAMPLES: u64 = 16;
 
 /// One declarative latency objective: "`objective` of `class` requests
 /// complete within `target_s` modeled seconds".
@@ -68,7 +68,7 @@ pub enum AlertState {
     /// Burning within budget.
     #[default]
     Ok,
-    /// Both windows burn at ≥ [`WARN_BURN`].
+    /// Both windows burn at ≥ 1.0.
     Warn,
     /// Both windows burn at ≥ [`PAGE_BURN`].
     Page,
@@ -76,7 +76,7 @@ pub enum AlertState {
 
 impl AlertState {
     /// Gauge encoding: Ok = 0, Warn = 1, Page = 2.
-    pub fn as_gauge(self) -> f64 {
+    fn as_gauge(self) -> f64 {
         match self {
             AlertState::Ok => 0.0,
             AlertState::Warn => 1.0,
@@ -107,7 +107,7 @@ pub struct SloStatus {
     pub error_rate: f64,
     /// Long-window burn rate.
     pub burn_long: f64,
-    /// Short-window burn rate (last [`SHORT_WINDOW`] samples).
+    /// Short-window burn rate (last 32 samples).
     pub burn_short: f64,
     /// Long-window p99 latency estimate, when a histogram was available.
     pub p99_s: Option<f64>,
@@ -166,7 +166,7 @@ pub struct SampleVerdict {
     /// The request exceeded its class's SLO target.
     pub breach: bool,
     /// The request exceeded the long-window p99 for its class (with at least
-    /// [`MIN_OUTLIER_SAMPLES`] prior samples).
+    /// 16 prior samples).
     pub outlier: bool,
 }
 
@@ -199,13 +199,8 @@ impl SloEngine {
         SloEngine { specs, windows: BTreeMap::new() }
     }
 
-    /// The configured objectives.
-    pub fn specs(&self) -> &[SloSpec] {
-        &self.specs
-    }
-
     /// The objective for `class`, if configured.
-    pub fn spec_for(&self, class: &str) -> Option<&SloSpec> {
+    fn spec_for(&self, class: &str) -> Option<&SloSpec> {
         self.specs.iter().find(|s| s.class == class)
     }
 

@@ -15,7 +15,7 @@
 //! [`build_request_trees`] groups a resolved event list (from
 //! [`crate::Recorder::events`] or re-imported via
 //! [`crate::import_chrome_trace`]) by trace id into [`RequestTrace`] values —
-//! the input to [`crate::critical_path`] analysis.
+//! the input to `crate::critical_path` analysis.
 
 use crate::event::{Category, TraceEvent};
 use std::collections::BTreeMap;
@@ -54,7 +54,7 @@ impl ItemNode {
 
     /// Sum of modeled transfer seconds among the children, split as
     /// `(upload_s, download_s)`.
-    pub fn transfer_split_s(&self) -> (f64, f64) {
+    pub(crate) fn transfer_split_s(&self) -> (f64, f64) {
         let mut upload = 0.0;
         let mut download = 0.0;
         for child in &self.children {
@@ -71,7 +71,7 @@ impl ItemNode {
 
     /// True when a residency-cache miss was recorded inside this item (its
     /// uploads paid a cache-miss penalty rather than steady-state staging).
-    pub fn had_cache_miss(&self) -> bool {
+    pub(crate) fn had_cache_miss(&self) -> bool {
         self.children.iter().any(|c| c.cat == Category::Cache && c.name == "cache-miss")
     }
 }
@@ -115,12 +115,12 @@ impl RequestTrace {
 
     /// The item finishing last — the one that gates this request's batch
     /// completion from the request's own point of view.
-    pub fn last_item(&self) -> Option<&ItemNode> {
+    pub(crate) fn last_item(&self) -> Option<&ItemNode> {
         self.items.iter().max_by(|a, b| a.span.end_s().total_cmp(&b.span.end_s()))
     }
 
     /// The dock item for `entry`, if recorded.
-    pub fn dock_for_entry(&self, entry: Option<u32>) -> Option<&ItemNode> {
+    pub(crate) fn dock_for_entry(&self, entry: Option<u32>) -> Option<&ItemNode> {
         self.items.iter().find(|item| item.is_dock() && item.entry() == entry)
     }
 }

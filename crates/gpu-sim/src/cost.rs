@@ -46,7 +46,7 @@ use crate::timing::StreamOp;
 /// * the result is always ≥ `max(Σ uploads, Σ kernels, Σ downloads)` and
 ///   ≤ the serialized sum, with equality to the serialized sum for a single
 ///   item (a one-item stream has nothing to overlap with).
-pub fn overlapped_stream_time(ops: &[StreamOp]) -> f64 {
+pub(crate) fn overlapped_stream_time(ops: &[StreamOp]) -> f64 {
     let mut upload_free = 0.0_f64;
     let mut kernel_free = 0.0_f64;
     let mut download_free = 0.0_f64;
@@ -101,7 +101,7 @@ impl CostModel {
     /// ("heavy under-utilization of the available GPU computation power", §III.B);
     /// this factor is what makes its modeled speedup land near the reported 6.7×
     /// instead of the 200×+ of the correlation kernel.
-    pub fn occupancy(&self, config: &LaunchConfig) -> f64 {
+    fn occupancy(&self, config: &LaunchConfig) -> f64 {
         let sm_fill = (config.grid_blocks as f64 / self.spec.sm_count as f64).min(1.0);
         let warp_width = 32.0_f64.min(self.spec.cores_per_sm as f64 * 4.0);
         let thread_fill = (config.threads_per_block as f64 / warp_width).min(1.0);
@@ -110,7 +110,7 @@ impl CostModel {
 
     /// Modeled execution time (seconds) of a kernel with the given merged counters and
     /// launch configuration on this device.
-    pub fn kernel_time(&self, counters: &MemoryCounters, config: &LaunchConfig) -> f64 {
+    pub(crate) fn kernel_time(&self, counters: &MemoryCounters, config: &LaunchConfig) -> f64 {
         let occupancy = self.occupancy(config);
         let peak_flops = self.spec.peak_gflops() * 1.0e9 * occupancy;
         let compute_s = counters.flops as f64 / peak_flops.max(1.0);

@@ -118,7 +118,7 @@ impl DeviceSpec {
 
     /// The quad-core variant of the host, used for the paper's multicore comparison
     /// (§V.A: GPU-PIPER vs multicore FFT-PIPER).
-    pub fn xeon_quad() -> Self {
+    pub(crate) fn xeon_quad() -> Self {
         let mut spec = Self::xeon_core();
         spec.name = "Intel Xeon Harpertown, 4 cores (modeled)".to_string();
         spec.sm_count = 4;
@@ -337,11 +337,6 @@ impl Device {
     /// Charges an upload of `bytes` bytes and returns its modeled duration.
     pub fn upload_bytes(&self, bytes: u64) -> f64 {
         self.record_transfer(Transfer::upload(bytes))
-    }
-
-    /// Charges an upload of `words` f64 words and returns its modeled duration.
-    pub fn upload_words(&self, words: usize) -> f64 {
-        self.upload_bytes((words * std::mem::size_of::<f64>()) as u64)
     }
 
     /// Charges a download of `bytes` bytes and returns its modeled duration.

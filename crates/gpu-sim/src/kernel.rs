@@ -51,13 +51,13 @@ impl LaunchConfig {
     }
 
     /// Sets the per-block shared-memory allocation (f64 words).
-    pub fn with_shared_mem_words(mut self, words: usize) -> Self {
+    pub(crate) fn with_shared_mem_words(mut self, words: usize) -> Self {
         self.shared_mem_words = words;
         self
     }
 
     /// Total threads in the launch.
-    pub fn total_threads(&self) -> usize {
+    pub(crate) fn total_threads(&self) -> usize {
         self.grid_blocks * self.threads_per_block
     }
 }
@@ -147,7 +147,7 @@ impl BlockContext {
     }
 
     /// Consumes the context, returning its counters (called by the device).
-    pub fn into_counters(self) -> MemoryCounters {
+    pub(crate) fn into_counters(self) -> MemoryCounters {
         self.counters
     }
 }

@@ -35,7 +35,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Threads per block used when the builder is not told otherwise — the value
 /// the paper's correlation and minimization kernels use throughout.
-pub const DEFAULT_THREADS_PER_BLOCK: usize = 64;
+const DEFAULT_THREADS_PER_BLOCK: usize = 64;
 
 /// How the launch grid is sized: an explicit block count, or derived from a
 /// work-item count when the launch runs (so the builder methods compose in any
@@ -78,7 +78,7 @@ pub struct KernelLaunch<'d> {
 
 impl<'d> KernelLaunch<'d> {
     /// Starts a launch on `device` with a 1-block grid of
-    /// [`DEFAULT_THREADS_PER_BLOCK`] threads and no shared memory.
+    /// 64 threads (`DEFAULT_THREADS_PER_BLOCK`) and no shared memory.
     pub fn on(device: &'d Device) -> Self {
         KernelLaunch {
             device,

@@ -50,9 +50,9 @@
 //!   [`sched::PhasePipeline`] (persistent workers, priority-aware
 //!   dock→minimize pipelining, batch-scoped accounting, deterministic result
 //!   ordering).
-//! * [`memory`] — access counters and the host↔device transfer model.
-//! * [`cost`] — the analytic cost model that turns counters into modeled times.
-//! * [`timing`] — wall-clock helpers and the combined [`timing::KernelStats`] report.
+//! * `memory` — access counters and the host↔device transfer model.
+//! * `cost` — the analytic cost model that turns counters into modeled times.
+//! * `timing` — wall-clock helpers and the combined [`KernelStats`] report.
 //! * [`sync`] — poison-tolerant lock helpers for the scheduler/serve hot paths
 //!   (defined in `ftmap-trace`, re-exported here).
 
@@ -60,14 +60,14 @@
 #![forbid(unsafe_code)]
 #![warn(clippy::all)]
 
-pub mod cost;
+pub(crate) mod cost;
 pub mod device;
 pub mod kernel;
 pub mod launch;
-pub mod memory;
+pub(crate) mod memory;
 pub mod residency;
 pub mod sched;
-pub mod timing;
+pub(crate) mod timing;
 
 pub use ftmap_trace::sync;
 

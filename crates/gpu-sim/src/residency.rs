@@ -338,7 +338,7 @@ impl ResidencyCache {
     /// parent's key and the derivation `tag` (e.g. `"fft-transforms"`), so
     /// derived entries sit next to their raw parent in the same key space
     /// without the caller hashing the derived bytes.
-    pub fn derived_key(parent_key: u64, tag: &str) -> u64 {
+    fn derived_key(parent_key: u64, tag: &str) -> u64 {
         let mut hash = Fnv1a::new();
         hash.write_u64(parent_key);
         hash.write(tag.as_bytes());

@@ -14,7 +14,7 @@
 //!   item contributes an upload → kernel → download
 //!   [`crate::timing::StreamOp`], and the stream reports both the serialized
 //!   total and the overlapped makespan
-//!   ([`crate::cost::overlapped_stream_time`]), so overlapped transfer time is
+//!   (`crate::cost::overlapped_stream_time`), so overlapped transfer time is
 //!   counted once;
 //! * [`work::pose_blocks`] — the pose-granularity block layout: one docked
 //!   probe's retained poses as weighted blocks, so a single hot probe's 2000

@@ -47,7 +47,7 @@
 //! before its dependency's completion instant), giving per-batch modeled
 //! span/latency figures and a pool makespan that reflect the overlap. What a
 //! two-phase barrier would have cost the same items is answered analytically
-//! by [`BatchReport::barrier_equivalent_s`] — the comparator the
+//! by `BatchReport::barrier_equivalent_s` — the comparator the
 //! `fig_serve_pipeline` bench gates against.
 
 use crate::device::{Device, TransferSnapshot};
@@ -217,7 +217,7 @@ impl BatchReport {
     /// What the same work would have cost under a per-batch two-phase
     /// barrier run in isolation: dock-phase makespan plus minimize-phase
     /// makespan (each phase as slow as its busiest device).
-    pub fn barrier_equivalent_s(&self) -> f64 {
+    fn barrier_equivalent_s(&self) -> f64 {
         let dock = self.per_device.iter().map(|d| d.dock.overlapped_s).fold(0.0, f64::max);
         let minimize = self.per_device.iter().map(|d| d.minimize.overlapped_s).fold(0.0, f64::max);
         dock + minimize
@@ -252,11 +252,6 @@ pub struct BatchHandle {
 }
 
 impl BatchHandle {
-    /// The batch's scheduler-wide sequence number.
-    pub fn seq(&self) -> usize {
-        self.seq
-    }
-
     /// True once the batch completed ([`BatchHandle::wait`] will not block).
     pub fn is_completed(&self) -> bool {
         locked(&self.slot.0).report.is_some()

@@ -9,7 +9,7 @@ use std::sync::Arc;
 /// hold a pooled handle instead of constructing their own device — the pool is
 /// the single owner of accelerator state for a run. Pools may be
 /// heterogeneous: mixing [`DeviceSpec::tesla_c1060`] and
-/// [`DeviceSpec::xeon_quad`] specs models offloading shards to whatever
+/// `DeviceSpec::xeon_quad` specs models offloading shards to whatever
 /// silicon the host has.
 #[derive(Debug)]
 pub struct DevicePool {

@@ -9,13 +9,13 @@ use crate::timing::{StreamOp, StreamStats};
 ///
 /// Consumers record one [`StreamOp`] per work item — either directly
 /// ([`Stream::record`]) or from a pair of [`TransferSnapshot`]s taken around
-/// the item's execution ([`Stream::record_between`]), which attributes exactly
+/// the item's execution (`Stream::record_between`), which attributes exactly
 /// the transfers the item caused. The stream then reports two totals:
 ///
 /// * [`Stream::serialized_s`] — every stage back-to-back (what PR 1's
 ///   accounting would have summed: kernel time plus transfer time);
 /// * [`Stream::overlapped_s`] — the three-stage pipeline makespan
-///   ([`overlapped_stream_time`]), in which item `i+1`'s upload hides under
+///   (`overlapped_stream_time`), in which item `i+1`'s upload hides under
 ///   item `i`'s kernels.
 ///
 /// Reporting `overlapped_s` instead of `kernel + transfer` sums is what keeps
@@ -39,7 +39,7 @@ impl Stream {
     /// Records a work item from the device transfer snapshots taken before and
     /// after it ran, plus its modeled kernel seconds: the snapshot delta is
     /// the item's upload/download time, attributed to this item alone.
-    pub fn record_between(
+    pub(crate) fn record_between(
         &mut self,
         before: &TransferSnapshot,
         after: &TransferSnapshot,

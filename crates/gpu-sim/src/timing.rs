@@ -96,7 +96,7 @@ impl StreamOp {
 ///
 /// `serialized_s` is what a device without asynchronous copy engines would
 /// take (every stage back-to-back); `overlapped_s` is the makespan of the
-/// three-stage pipeline computed by [`crate::cost::overlapped_stream_time`].
+/// three-stage pipeline computed by `crate::cost::overlapped_stream_time`.
 /// The difference ([`StreamStats::savings_s`]) is modeled transfer time hidden
 /// under kernel execution — time that must be counted **once**, which is why
 /// stream consumers report `overlapped_s` instead of adding transfer totals on

@@ -41,18 +41,18 @@ use std::sync::Arc;
 /// Derivation tag for the receptor's forward transforms + FFT plan in the
 /// device residency cache (keyed next to the raw grids via
 /// [`gpu_sim::ResidencyCache::derived_key`]).
-pub const RECEPTOR_TRANSFORM_TAG: &str = "fft-transforms";
+const RECEPTOR_TRANSFORM_TAG: &str = "fft-transforms";
 
 /// Ledger phase name for the one-time receptor forward transforms.
-pub const PHASE_RECEPTOR_FFT: &str = "receptor_fft";
+const PHASE_RECEPTOR_FFT: &str = "receptor_fft";
 /// Ledger phase name for the batched ligand forward transforms.
-pub const PHASE_LIGAND_FFT: &str = "ligand_fft";
+pub(crate) const PHASE_LIGAND_FFT: &str = "ligand_fft";
 /// Ledger phase name for the pointwise conjugate-multiply pass.
-pub const PHASE_CONJ_MULTIPLY: &str = "conj_multiply";
+pub(crate) const PHASE_CONJ_MULTIPLY: &str = "conj_multiply";
 /// Ledger phase name for the batched inverse transforms.
-pub const PHASE_INVERSE_FFT: &str = "inverse_fft";
+pub(crate) const PHASE_INVERSE_FFT: &str = "inverse_fft";
 /// Ledger phase name for the fused accumulate + score + top-K epilogue.
-pub const PHASE_FUSED_EPILOGUE: &str = "fused_epilogue";
+pub(crate) const PHASE_FUSED_EPILOGUE: &str = "fused_epilogue";
 
 /// The receptor-side state the batched engine shares across constructions: the
 /// forward FFT of each receptor component grid plus the twiddle-table plan
@@ -75,7 +75,7 @@ impl ReceptorTransforms {
     ///
     /// # Panics
     /// Panics if the receptor grid dimension is not a power of two.
-    pub fn compute(receptor: &ReceptorGrids) -> Self {
+    pub(crate) fn compute(receptor: &ReceptorGrids) -> Self {
         let dim = receptor.spec.dim;
         let plan = Fft3Plan::new(dim, dim, dim);
         let term_ffts = receptor.terms.iter().map(|grid| plan.forward_real_padded(grid)).collect();
@@ -173,7 +173,7 @@ impl<'a> BatchedFftEngine<'a> {
     /// Creates the engine, resolving the receptor transforms through the
     /// device's derived-payload residency: a warm receptor reuses the cached
     /// transforms + plan for free; a cold one pays one modeled transform pass
-    /// (recorded as the [`PHASE_RECEPTOR_FFT`] launch) and leaves the result
+    /// (recorded as the `PHASE_RECEPTOR_FFT` launch) and leaves the result
     /// cached next to the raw grids.
     ///
     /// # Panics

@@ -232,10 +232,8 @@ impl Docking {
         Arc::new(ReceptorGrids::build(protein_atoms, spec, config.n_desolv))
     }
 
-    /// Builds the docking context on a shared (pooled) device handle instead of
-    /// constructing a private device — the entry point the multi-device
-    /// scheduler uses, so every shard's transfers land on its own pool member.
-    pub fn with_device(protein_atoms: &[Atom], config: DockingConfig, device: Arc<Device>) -> Self {
+    /// Builds the receptor grids, then the docking context on `device`.
+    fn with_device(protein_atoms: &[Atom], config: DockingConfig, device: Arc<Device>) -> Self {
         let receptor = Self::build_receptor(protein_atoms, &config);
         Self::from_grids(receptor, config, device)
     }

@@ -74,7 +74,7 @@ impl FftCorrelationEngine {
     /// This is the **warm-transform** figure: the receptor's forward FFTs are
     /// amortized to zero per rotation, matching a batched-engine construction
     /// that hits the derived residency cache. The one-time receptor transform
-    /// cost is [`FftCorrelationEngine::receptor_transform_flops`], charged
+    /// cost is `FftCorrelationEngine::receptor_transform_flops`, charged
     /// once per engine construction (the host path recomputes it every time;
     /// the batched path only on a derived-cache miss).
     pub fn flops_per_rotation(&self) -> u64 {
@@ -84,7 +84,7 @@ impl FftCorrelationEngine {
 
     /// Floating-point work of the one-time receptor forward transforms this
     /// constructor performed: `n_terms × one forward transform`.
-    pub fn receptor_transform_flops(&self) -> u64 {
+    pub(crate) fn receptor_transform_flops(&self) -> u64 {
         self.n_terms() as u64 * self.transforms.plan().flops_per_transform()
     }
 }

@@ -5,7 +5,7 @@
 //! * [`GpuDockingEngine::correlate_batch`] — **batched direct correlation**. The result
 //!   grid is divided into x-plane slabs, one per thread block (the paper's second
 //!   work-distribution scheme, Fig. 4). The sparse ligand entries of up to
-//!   [`GpuDockingEngine::max_batch`] rotations are staged in constant memory; for each
+//!   `GpuDockingEngine::max_batch` rotations are staged in constant memory; for each
 //!   result voxel the receptor value at a given (term, offset) is fetched from global
 //!   memory **once** and reused by every rotation in the batch that touches that offset
 //!   — the data-reuse optimization that buys the reported 2.7× over one-rotation-at-a-
@@ -13,7 +13,7 @@
 //!   runs the direct engines' row-wise slab routine per plane, with the same bits.
 //! * [`GpuDockingEngine::accumulate_desolvation`] — sums the desolvation component
 //!   results on the device (Table 1's "Accum. desolvation terms" row).
-//! * [`GpuDockingEngine::score_and_filter`] — weighted scoring plus top-K filtering with
+//! * `GpuDockingEngine::score_and_filter` — weighted scoring plus top-K filtering with
 //!   region exclusion, run on a **single block** ("distribution across multiple
 //!   multiprocessors would incur large communication overhead", §III.B), which is why
 //!   its speedup is modest.
@@ -63,7 +63,7 @@ impl<'a> GpuDockingEngine<'a> {
 
     /// Maximum number of rotations whose ligand grids fit in constant memory together —
     /// the batching factor (8 for 4³ probes on the C1060).
-    pub fn max_batch(&self, ligand: &SparseLigand) -> usize {
+    pub(crate) fn max_batch(&self, ligand: &SparseLigand) -> usize {
         let words = ligand.constant_mem_words().max(1);
         (self.device.spec().constant_mem_words() / words).clamp(1, 8)
     }
@@ -135,7 +135,7 @@ impl<'a> GpuDockingEngine<'a> {
     // parameter list (weights, desolvation depth, top-K, exclusion radius)
     // so the two paths stay diffable side by side.
     #[allow(clippy::too_many_arguments)]
-    pub fn score_and_filter(
+    pub(crate) fn score_and_filter(
         &self,
         term_results: &[Grid3<Real>],
         desolv_total: &Grid3<Real>,

@@ -20,7 +20,7 @@ use ftmap_math::{Grid3, Real, Rotation, Vec3};
 use ftmap_molecule::Atom;
 
 /// Maximum number of desolvation components supported (paper's "up to 22 FFTs").
-pub const MAX_DESOLV_TERMS: usize = 18;
+const MAX_DESOLV_TERMS: usize = 18;
 
 /// Per-energy-function weights of Equation (2): `E = E_shape + w2·E_elec + w3·E_desol`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -75,7 +75,7 @@ impl GridSpec {
     }
 
     /// Voxel index (clamped into the grid) of a Cartesian position.
-    pub fn voxel_of(&self, p: Vec3) -> (usize, usize, usize) {
+    fn voxel_of(&self, p: Vec3) -> (usize, usize, usize) {
         let rel = (p - self.origin) / self.spacing;
         let clamp = |v: Real| (v.round().max(0.0) as usize).min(self.dim - 1);
         (clamp(rel.x), clamp(rel.y), clamp(rel.z))
@@ -112,7 +112,7 @@ pub fn term_kinds(n_desolv: usize) -> Vec<TermKind> {
 }
 
 /// The per-term weight applied when combining correlation results into the pose score.
-pub fn term_weight(kind: TermKind, weights: &EnergyWeights, n_desolv: usize) -> Real {
+pub(crate) fn term_weight(kind: TermKind, weights: &EnergyWeights, n_desolv: usize) -> Real {
     match kind {
         TermKind::ShapeCore => weights.shape_core,
         TermKind::ShapeAttraction => weights.shape_attr,
@@ -313,10 +313,13 @@ impl LigandGrids {
     pub fn n_terms(&self) -> usize {
         self.terms.len()
     }
+}
 
-    /// Total non-zero voxels over all terms — the work per translation in direct
-    /// correlation.
-    pub fn nonzero_voxels(&self) -> usize {
+#[cfg(test)]
+impl LigandGrids {
+    /// Total non-zero voxels over all terms — the work per translation in
+    /// direct correlation.
+    pub(crate) fn nonzero_voxels(&self) -> usize {
         self.terms.iter().map(|g| g.as_slice().iter().filter(|v| **v != 0.0).count()).sum()
     }
 }

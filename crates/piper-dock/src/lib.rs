@@ -34,7 +34,7 @@
 #![forbid(unsafe_code)]
 #![warn(clippy::all)]
 
-pub mod batched_fft;
+pub(crate) mod batched_fft;
 pub mod direct;
 pub mod docking;
 pub mod fft_engine;

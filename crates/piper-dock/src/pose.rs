@@ -24,12 +24,7 @@ impl Pose {
     /// footprint is anchored at ligand voxel 0 lands at receptor voxel `d`:
     /// `origin + d · spacing` (the small half-footprint offset of the probe centroid
     /// within its own grid is neglected — under one voxel for FTMap-sized probes).
-    pub fn probe_center(
-        &self,
-        grid_origin: Vec3,
-        spacing: Real,
-        dims: (usize, usize, usize),
-    ) -> Vec3 {
+    fn probe_center(&self, grid_origin: Vec3, spacing: Real, dims: (usize, usize, usize)) -> Vec3 {
         let _ = dims;
         grid_origin
             + Vec3::new(
@@ -41,7 +36,7 @@ impl Pose {
 
     /// Applies the pose to a set of probe atom positions (already centred on the probe
     /// centroid): rotate, then translate to the pose centre.
-    pub fn place_probe(
+    pub(crate) fn place_probe(
         &self,
         rotation: &Rotation,
         centered_positions: &[Vec3],
@@ -56,7 +51,7 @@ impl Pose {
 
 /// Orders poses best-first (most negative score first), with stable tie-breaking on
 /// rotation index and translation so sorting is deterministic.
-pub fn sort_best_first(poses: &mut [Pose]) {
+pub(crate) fn sort_best_first(poses: &mut [Pose]) {
     poses.sort_by(|a, b| {
         a.score
             .partial_cmp(&b.score)
