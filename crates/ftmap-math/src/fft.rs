@@ -32,6 +32,9 @@
 //! zero. It stays bit-identical because a radix-2 butterfly whose inputs are `+0.0`
 //! yields `+0.0` through any finite twiddle: the product `0 · w` is `±0.0`, and
 //! `+0 + (±0)` and `+0 - (±0)` are both `+0.0` in round-to-nearest.
+//! [`Fft3Plan::forward_real_padded_into`] writes the same bits into a kept buffer,
+//! which it first resets to `+0.0` everywhere, so the skip holds whatever the
+//! buffer held before.
 //!
 //! Sizes must be powers of two; [`next_pow2`] is used by the docking engine to pad
 //! grids up to a legal transform size.
@@ -326,19 +329,39 @@ impl Fft3Plan {
     /// # Panics
     /// Panics if `compact` is larger than the plan along any axis.
     pub fn forward_real_padded(&self, compact: &Grid3<Real>) -> Vec<Complex> {
-        self.forward_real(compact.as_slice(), compact.dims())
+        let mut spectrum = Vec::new();
+        self.forward_real_padded_into(compact, &mut spectrum);
+        spectrum
     }
 
-    /// Scatters the row-major real values of a `(cx, cy, cz)` block into a
-    /// zeroed complex grid of the plan's size and forward-transforms it,
-    /// skipping the lines that stay `+0.0`.
-    fn forward_real(&self, values: &[Real], (cx, cy, cz): (usize, usize, usize)) -> Vec<Complex> {
+    /// [`Fft3Plan::forward_real_padded`] into a caller-kept buffer, with the
+    /// same bits: `spectrum` is resized to the plan's length and every element
+    /// is overwritten, whatever it held before.
+    ///
+    /// # Panics
+    /// Panics if `compact` is larger than the plan along any axis.
+    pub fn forward_real_padded_into(&self, compact: &Grid3<Real>, spectrum: &mut Vec<Complex>) {
+        self.forward_real_into(compact.as_slice(), compact.dims(), spectrum);
+    }
+
+    /// Scatters the row-major real values of a `(cx, cy, cz)` block into
+    /// `data`, reset to a `+0.0` complex grid of the plan's size, and
+    /// forward-transforms it, skipping the lines that stay `+0.0`.
+    fn forward_real_into(
+        &self,
+        values: &[Real],
+        (cx, cy, cz): (usize, usize, usize),
+        data: &mut Vec<Complex>,
+    ) {
         assert!(
             cx <= self.nx && cy <= self.ny && cz <= self.nz,
             "compact grid ({cx}, {cy}, {cz}) exceeds the plan's {:?}",
             self.dims()
         );
-        let mut data = vec![Complex::ZERO; self.len()];
+        // Every element, not just the new tail: the skipped lines must hold
+        // `+0.0`, and a reused buffer holds its last transform.
+        data.clear();
+        data.resize(self.len(), Complex::ZERO);
         for x in 0..cx {
             for y in 0..cy {
                 let src = &values[(x * cy + y) * cz..][..cz];
@@ -348,8 +371,7 @@ impl Fft3Plan {
                 }
             }
         }
-        self.transform_footprint(&mut data, Direction::Forward, (cx, cy));
-        data
+        self.transform_footprint(data, Direction::Forward, (cx, cy));
     }
 
     /// The three axis passes, with the z pass limited to rows `x < cx, y < cy`
@@ -411,8 +433,9 @@ impl Fft3Plan {
         assert_eq!(a.len(), self.len(), "correlate_real: lhs length mismatch");
         assert_eq!(b.len(), self.len(), "correlate_real: rhs length mismatch");
 
-        let mut fa = self.forward_real(a, self.dims());
-        let fb = self.forward_real(b, self.dims());
+        let (mut fa, mut fb) = (Vec::new(), Vec::new());
+        self.forward_real_into(a, self.dims(), &mut fa);
+        self.forward_real_into(b, self.dims(), &mut fb);
         // Correlation theorem: FFT(corr) = conj(FFT(a)) .* FFT(b)
         for (x, y) in fa.iter_mut().zip(fb.iter()) {
             *x = x.conj() * *y;
@@ -773,6 +796,41 @@ mod tests {
                 .collect();
             reference_transform(&plan, &mut want, Direction::Forward);
             let mismatch = bit_mismatch(&got, &want);
+            prop_assert!(mismatch.is_none(), "{:?}: {}", plan.dims(), mismatch.unwrap_or_default());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// A kept spectrum buffer changes no bit: `forward_real_padded_into`
+        /// over a buffer of NaN, `-0.0`, huge or random values, shorter or
+        /// longer than the plan, equals `forward_real_padded`.
+        #[test]
+        fn forward_real_padded_into_ignores_what_the_buffer_held(
+            compact in prop::array::uniform3(1usize..9),
+            growth in prop::array::uniform3(0u32..3),
+            fill in 0u32..4,
+            len_delta in -600i64..600,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let (cx, cy, cz) = (compact[0], compact[1], compact[2]);
+            let grid = Grid3::from_vec(cx, cy, cz, signed_zero_reals(cx * cy * cz, &mut rng));
+            let dim = |c: usize, g: u32| next_pow2(c) << g;
+            let plan = Fft3Plan::new(dim(cx, growth[0]), dim(cy, growth[1]), dim(cz, growth[2]));
+
+            let len = (plan.len() as i64 + len_delta).max(0) as usize;
+            let garbage = match fill {
+                0 => Complex::new(Real::NAN, Real::NAN),
+                1 => Complex::new(-0.0, -0.0),
+                2 => Complex::new(-1e300, 1e300),
+                _ => Complex::new(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)),
+            };
+            let mut kept = vec![garbage; len];
+            plan.forward_real_padded_into(&grid, &mut kept);
+            let want = plan.forward_real_padded(&grid);
+            let mismatch = bit_mismatch(&kept, &want);
             prop_assert!(mismatch.is_none(), "{:?}: {}", plan.dims(), mismatch.unwrap_or_default());
         }
     }

@@ -68,14 +68,6 @@ impl RotationSet {
     pub fn iter(&self) -> impl Iterator<Item = &Rotation> {
         self.rotations.iter()
     }
-
-    /// Splits the set into contiguous batches of at most `batch` rotations each —
-    /// the multi-rotation batching unit of the GPU direct-correlation kernel
-    /// (8 rotations per pass for 4³ probes in the paper).
-    pub fn batches(&self, batch: usize) -> Vec<&[Rotation]> {
-        assert!(batch > 0, "batch size must be positive");
-        self.rotations.chunks(batch).collect()
-    }
 }
 
 /// Shoemake's algorithm: maps three uniform numbers in `[0, 1)` to a uniformly
@@ -150,24 +142,6 @@ mod tests {
         for r in set.iter() {
             assert!(approx_eq(r.apply(v).norm(), v.norm(), 1e-9));
         }
-    }
-
-    #[test]
-    fn batches_cover_all_rotations() {
-        let set = RotationSet::uniform(20);
-        let batches = set.batches(8);
-        assert_eq!(batches.len(), 3);
-        assert_eq!(batches[0].len(), 8);
-        assert_eq!(batches[2].len(), 4);
-        let total: usize = batches.iter().map(|b| b.len()).sum();
-        assert_eq!(total, 20);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size must be positive")]
-    fn zero_batch_size_panics() {
-        let set = RotationSet::uniform(4);
-        let _ = set.batches(0);
     }
 
     #[test]

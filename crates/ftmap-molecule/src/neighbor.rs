@@ -150,11 +150,6 @@ impl NeighborList {
         NeighborList::build(atoms, cutoff, &HashSet::new())
     }
 
-    /// The cutoff used to build this list (Å).
-    pub fn cutoff(&self) -> Real {
-        self.cutoff
-    }
-
     /// Number of "first" atoms (== number of atoms in the system).
     pub fn n_atoms(&self) -> usize {
         self.starts.len().saturating_sub(1)
@@ -250,7 +245,6 @@ mod tests {
         assert!(nl.neighbors(1).is_empty());
         assert!(nl.neighbors(2).is_empty());
         assert_eq!(nl.n_pairs(), 1);
-        assert_eq!(nl.cutoff(), 2.0);
     }
 
     #[test]
@@ -389,7 +383,7 @@ mod tests {
             proptest::prop_assert_eq!(spliced.neighbors(i), built.neighbors(i));
             proptest::prop_assert_eq!(spliced.neighbors(i), reference.as_slice());
         }
-        proptest::prop_assert_eq!(spliced.cutoff(), cutoff);
+        proptest::prop_assert_eq!(spliced.cutoff, cutoff);
         Ok(())
     }
 

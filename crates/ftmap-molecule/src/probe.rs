@@ -253,12 +253,6 @@ impl Probe {
     pub fn n_atoms(&self) -> usize {
         self.atoms.len()
     }
-
-    /// The maximum distance of any atom from the probe centroid (Å) — controls the
-    /// voxel footprint of the probe grid.
-    pub fn radius(&self) -> Real {
-        self.atoms.iter().map(|a| a.position.norm()).fold(0.0, Real::max)
-    }
 }
 
 /// The full library of 16 probes.
@@ -323,7 +317,8 @@ mod tests {
         for probe in ProbeLibrary::standard(&ff).probes() {
             assert!(probe.n_atoms() >= 2, "{:?}", probe.probe_type);
             assert!(probe.n_atoms() <= 8, "{:?}", probe.probe_type);
-            assert!(probe.radius() < 4.0, "{:?} radius {}", probe.probe_type, probe.radius());
+            let radius = probe.atoms.iter().map(|a| a.position.norm()).fold(0.0, Real::max);
+            assert!(radius < 4.0, "{:?} radius {radius}", probe.probe_type);
         }
     }
 

@@ -170,12 +170,6 @@ impl JobHandle {
         self.slot.status()
     }
 
-    /// True once the report is available ([`wait`](JobHandle::wait) will not
-    /// block).
-    pub fn is_completed(&self) -> bool {
-        self.status() == JobStatus::Completed
-    }
-
     /// Blocks until the job completes, returning its report.
     pub fn wait(&self) -> Arc<JobReport> {
         self.slot.wait()
@@ -236,9 +230,8 @@ mod tests {
         assert_eq!(handle.tag(), "t");
         slot.set_running();
         assert_eq!(handle.status(), JobStatus::Running);
-        assert!(!handle.is_completed());
         slot.complete(dummy_report(JobId(3)));
-        assert!(handle.is_completed());
+        assert_eq!(handle.status(), JobStatus::Completed);
         assert_eq!(handle.wait().job_id, JobId(3));
     }
 

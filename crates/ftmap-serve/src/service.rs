@@ -1778,7 +1778,8 @@ mod tests {
         let stats = service.shutdown();
         assert_eq!(stats.jobs_completed, 3);
         for handle in &handles {
-            assert!(handle.is_completed(), "{} left incomplete by shutdown", handle.tag());
+            let (tag, status) = (handle.tag(), handle.status());
+            assert_eq!(status, JobStatus::Completed, "{tag} left incomplete by shutdown");
         }
     }
 

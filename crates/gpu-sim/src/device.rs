@@ -29,6 +29,7 @@ use crate::memory::{MemoryCounters, SharedMemory, Transfer, TransferDirection};
 use crate::residency::ResidencyCache;
 use crate::timing::KernelStats;
 use ftmap_trace::sync::locked;
+use std::any::{Any, TypeId};
 use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -183,11 +184,11 @@ impl TransferSnapshot {
 /// The block-parallel execution engine for one modeled device.
 ///
 /// Besides the launch engine, a device holds its transfer accounting, its
-/// [`ResidencyCache`] and a free list of `f64` result buffers
-/// ([`Device::result_buffer`]). The free list models kernel outputs allocated
-/// once in device global memory and reused: it keeps at most as many buffers
-/// as the device has had out at once, and it is host memory only, so no
-/// modeled byte, residency hit or eviction depends on it.
+/// [`ResidencyCache`] and one free list of result buffers per element type
+/// ([`Device::result_buffer`]). The lists model kernel outputs allocated once
+/// in device global memory and reused: each keeps at most as many buffers as
+/// the device has had out at once of its type, and they are host memory only,
+/// so no modeled byte, residency hit or eviction depends on them.
 #[derive(Debug)]
 pub struct Device {
     spec: DeviceSpec,
@@ -203,22 +204,46 @@ pub struct Device {
     result_buffers: Mutex<ResultBuffers>,
 }
 
-/// The free list behind [`Device::result_buffer`]: at most `peak` buffers, the
-/// most the device has had out at once. `Debug` prints counts, not contents.
+/// The free lists behind [`Device::result_buffer`], one [`FreeList`] per
+/// element type, keyed by its `TypeId`. `Debug` prints the type count, not
+/// contents.
 #[derive(Default)]
 struct ResultBuffers {
-    free: Vec<Vec<f64>>,
-    out: usize,
-    peak: usize,
+    lists: Vec<(TypeId, Box<dyn Any + Send>)>,
+}
+
+impl ResultBuffers {
+    /// The free list of `T` buffers, made empty on first use.
+    fn list<T: Send + 'static>(&mut self) -> &mut FreeList<T> {
+        let key = TypeId::of::<T>();
+        let at = match self.lists.iter().position(|(id, _)| *id == key) {
+            Some(at) => at,
+            None => {
+                self.lists.push((key, Box::new(FreeList::<T>::default())));
+                self.lists.len() - 1
+            }
+        };
+        self.lists[at].1.downcast_mut().expect("a list is stored under its own TypeId")
+    }
 }
 
 impl std::fmt::Debug for ResultBuffers {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ResultBuffers")
-            .field("free", &self.free.len())
-            .field("out", &self.out)
-            .field("peak", &self.peak)
-            .finish()
+        f.debug_struct("ResultBuffers").field("element_types", &self.lists.len()).finish()
+    }
+}
+
+/// One element type's free list: at most `peak` buffers, the most the device
+/// has had out at once of that type.
+struct FreeList<T> {
+    free: Vec<Vec<T>>,
+    out: usize,
+    peak: usize,
+}
+
+impl<T> Default for FreeList<T> {
+    fn default() -> Self {
+        FreeList { free: Vec::new(), out: 0, peak: 0 }
     }
 }
 
@@ -278,34 +303,46 @@ impl Device {
         &self.residency
     }
 
-    /// Takes a `len`-word result buffer from the device's free list, or
-    /// allocates one when the list is empty — the model of a kernel's output
-    /// grid allocated once in device global memory, as CUDA code does.
+    /// Takes a `len`-element result buffer from the device's free list for
+    /// `T`, or allocates one when that list is empty — the model of a
+    /// kernel's output grid allocated once in device global memory, as CUDA
+    /// code does. The docking engines keep `f64` correlation, accumulation
+    /// and score grids and complex FFT spectra this way; each element type
+    /// has its own list, so a buffer only ever comes back as the type it was
+    /// handed in as.
     ///
     /// The buffer's contents are unspecified (a reused one holds whatever its
-    /// last user left): the kernel that fills it must write every word. Hand
-    /// it back with [`Device::recycle_result_buffers`]. The list is host
-    /// memory only and is never charged to [`Device::residency`].
-    pub fn result_buffer(&self, len: usize) -> Vec<f64> {
+    /// last user left, and `T::default()` only past its old length): the
+    /// kernel that fills it must write every element. Hand it back with
+    /// [`Device::recycle_result_buffers`] once the last launch that reads it
+    /// has finished. The lists are host memory only and are never charged to
+    /// [`Device::residency`].
+    pub fn result_buffer<T: Copy + Default + Send + 'static>(&self, len: usize) -> Vec<T> {
         let reused = {
             let mut buffers = locked(&self.result_buffers);
-            buffers.out += 1;
-            buffers.peak = buffers.peak.max(buffers.out);
-            buffers.free.pop()
+            let list = buffers.list::<T>();
+            list.out += 1;
+            list.peak = list.peak.max(list.out);
+            list.free.pop()
         };
         let mut buffer = reused.unwrap_or_default();
-        buffer.resize(len, 0.0);
+        buffer.resize(len, T::default());
         buffer
     }
 
-    /// Hands result buffers back to the free list. The list keeps at most as
-    /// many buffers as the device has had out at once and drops the rest.
-    pub fn recycle_result_buffers(&self, returned: impl IntoIterator<Item = Vec<f64>>) {
+    /// Hands result buffers back to their element type's free list. Each list
+    /// keeps at most as many buffers as the device has had out at once of
+    /// its type and drops the rest.
+    pub fn recycle_result_buffers<T: Copy + Default + Send + 'static>(
+        &self,
+        returned: impl IntoIterator<Item = Vec<T>>,
+    ) {
         let mut buffers = locked(&self.result_buffers);
+        let list = buffers.list::<T>();
         for buffer in returned {
-            buffers.out = buffers.out.saturating_sub(1);
-            if buffers.free.len() < buffers.peak {
-                buffers.free.push(buffer);
+            list.out = list.out.saturating_sub(1);
+            if list.free.len() < list.peak {
+                list.free.push(buffer);
             }
         }
     }
@@ -1090,12 +1127,19 @@ mod tests {
         assert!(device.worker_threads() >= 1);
     }
 
+    /// `(free, out, peak)` of the device's `T` list.
+    fn list_counts<T: Send + 'static>(device: &Device) -> (usize, usize, usize) {
+        let mut buffers = locked(&device.result_buffers);
+        let list = buffers.list::<T>();
+        (list.free.len(), list.out, list.peak)
+    }
+
     #[test]
     fn result_buffer_free_list_is_bounded_by_the_peak_out_at_once() {
         let device = Device::tesla_c1060();
-        let held = |device: &Device| locked(&device.result_buffers).free.len();
+        let held = |device: &Device| list_counts::<f64>(device).0;
         // Buffers the device never lent out are dropped.
-        device.recycle_result_buffers([vec![1.0; 4]]);
+        device.recycle_result_buffers([vec![1.0f64; 4]]);
         assert_eq!(held(&device), 0);
 
         let out: Vec<Vec<f64>> = (0..3).map(|_| device.result_buffer(8)).collect();
@@ -1107,14 +1151,44 @@ mod tests {
         // Reuse takes from the list, at the requested length, and never
         // raises the peak past what was out at once.
         for _ in 0..4 {
-            let a = device.result_buffer(5);
-            let b = device.result_buffer(12);
+            let a: Vec<f64> = device.result_buffer(5);
+            let b: Vec<f64> = device.result_buffer(12);
             assert_eq!((a.len(), b.len()), (5, 12));
             assert_eq!(held(&device), 1);
             device.recycle_result_buffers([a, b]);
             assert_eq!(held(&device), 3);
         }
-        let buffers = locked(&device.result_buffers);
-        assert_eq!((buffers.out, buffers.peak), (0, 3));
+        assert_eq!(list_counts::<f64>(&device), (3, 0, 3));
+    }
+
+    #[test]
+    fn result_buffer_element_types_never_cross() {
+        // Two element types of the same size: a buffer handed back as one
+        // type never comes out as the other, and each type's list is bounded
+        // by its own peak, not the other's.
+        #[derive(Debug, Clone, Copy, Default, PartialEq)]
+        struct Pair(f64, f64);
+        let device = Device::tesla_c1060();
+
+        let floats: Vec<Vec<f64>> = (0..4).map(|_| device.result_buffer(3)).collect();
+        let pair: Vec<Pair> = device.result_buffer(2);
+        assert_eq!(pair, vec![Pair::default(); 2]);
+        device.recycle_result_buffers(floats.into_iter().map(|_| vec![7.0f64; 3]));
+        device.recycle_result_buffers([vec![Pair(1.0, 2.0); 2], vec![Pair(3.0, 4.0); 2]]);
+        assert_eq!(list_counts::<f64>(&device), (4, 0, 4));
+        // One `Pair` was out at once, so its list keeps one of the two.
+        assert_eq!(list_counts::<Pair>(&device), (1, 0, 1));
+
+        // The kept `Pair` buffer comes back with its contents; the `f64`
+        // buffers stay in their own list.
+        let again: Vec<Pair> = device.result_buffer(2);
+        assert_eq!(again, vec![Pair(1.0, 2.0); 2]);
+        let fresh: Vec<Pair> = device.result_buffer(2);
+        assert_eq!(fresh, vec![Pair::default(); 2], "an f64 buffer crossed into the Pair list");
+        assert_eq!(list_counts::<Pair>(&device), (0, 2, 2));
+        assert_eq!(list_counts::<f64>(&device), (4, 0, 4));
+        let float: Vec<f64> = device.result_buffer(3);
+        assert_eq!(float, vec![7.0; 3]);
+        assert_eq!(list_counts::<f64>(&device), (3, 1, 4));
     }
 }

@@ -296,11 +296,6 @@ impl ResidencyCache {
         }
     }
 
-    /// True when the cache accepts entries.
-    pub fn enabled(&self) -> bool {
-        locked(&self.inner).enabled
-    }
-
     /// Drops every resident entry (stats are kept — they are monotonic
     /// counters, not a gauge).
     pub fn clear(&self) {
@@ -549,7 +544,6 @@ mod tests {
         cache.get_or_insert_with(1, || (payload(1), 10));
         assert_eq!(cache.len(), 1);
         cache.set_enabled(false);
-        assert!(!cache.enabled());
         assert!(cache.is_empty());
         assert!(matches!(cache.get_or_insert_with(2, || (payload(2), 10)), Residency::Uncacheable));
         cache.set_enabled(true);

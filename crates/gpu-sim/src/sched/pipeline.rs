@@ -252,11 +252,6 @@ pub struct BatchHandle {
 }
 
 impl BatchHandle {
-    /// True once the batch completed ([`BatchHandle::wait`] will not block).
-    pub fn is_completed(&self) -> bool {
-        locked(&self.slot.0).report.is_some()
-    }
-
     /// Blocks until the batch completes, returning its report.
     ///
     /// # Panics
@@ -1185,7 +1180,6 @@ mod tests {
         );
         handle.wait();
         assert_eq!(fired.load(Ordering::SeqCst), 1);
-        assert!(handle.is_completed());
         pipeline.shutdown();
     }
 

@@ -29,6 +29,12 @@
 //! `FftCorrelationEngine::correlate_rotation` followed by the host
 //! accumulate/score/filter tail, so retained poses are bit-identical to the
 //! per-rotation path.
+//!
+//! A batch's grid-sized buffers are kept device buffers
+//! ([`Device::result_buffer`]), so a warm batch allocates none: the spectra,
+//! whose real parts are read in place as the correlation grids once inverted,
+//! and the epilogue's desolvation and score grids. All of them go back to the
+//! device after the epilogue, the last launch that reads them.
 
 use crate::filter;
 use crate::grids::{EnergyWeights, LigandGrids, ReceptorGrids};
@@ -284,10 +290,11 @@ impl<'a> BatchedFftEngine<'a> {
             .sum();
         let upload_s = self.device.upload_bytes(ligand_bytes as u64);
 
-        // Frequency-domain workspace: one complex grid per (slot, term),
-        // staged as launch-layer output (device global memory).
+        // Frequency-domain workspace: one complex grid per (slot, term), a
+        // kept device buffer that the forward kernel sizes and overwrites in
+        // full. After the inverse it holds the slot's correlation grid.
         let freq: Vec<Staged<Vec<Complex>>> =
-            (0..n_grids).map(|_| Staged::new(Vec::new())).collect();
+            (0..n_grids).map(|_| Staged::new(self.device.result_buffer(0))).collect();
 
         // 1. One batched forward transform over every ligand grid.
         ftmap_trace::hook::mark(PHASE_LIGAND_FFT);
@@ -309,24 +316,29 @@ impl<'a> BatchedFftEngine<'a> {
             &multiply,
         );
 
-        // 3. One batched inverse transform, leaving real correlation grids.
+        // 3. One batched inverse transform, in place: the real parts of each
+        //    spectrum are its correlation grid.
         ftmap_trace::hook::mark(PHASE_INVERSE_FFT);
-        let results: Vec<Staged<Grid3<Real>>> =
-            (0..n_grids).map(|_| Staged::new(Grid3::cubic(n))).collect();
-        let inverse = InverseKernel { plan: &self.transforms, freq: &freq, results: &results, n };
+        let inverse = InverseKernel { plan: &self.transforms, freq: &freq };
         KernelLaunch::on(self.device).grid(n_grids).threads(self.threads_per_block).run_recorded(
             &mut ledger,
             PHASE_INVERSE_FFT,
             &inverse,
         );
-        let results: Vec<Grid3<Real>> = results.into_iter().map(Staged::take).collect();
+        let spectra: Vec<Vec<Complex>> = freq.into_iter().map(Staged::take).collect();
 
         // 4. Fused epilogue: accumulate + score + filter per rotation, one
         //    block per batch slot, before anything is downloaded.
         ftmap_trace::hook::mark(PHASE_FUSED_EPILOGUE);
+        let n3 = n * n * n;
+        let kept_grid = || Grid3::from_vec(n, n, n, self.device.result_buffer(n3));
+        let scratch: Vec<Staged<EpilogueGrids>> = (0..batch.len())
+            .map(|_| Staged::new(EpilogueGrids { desolv: kept_grid(), scores: kept_grid() }))
+            .collect();
         let poses: Staged<Vec<Vec<Pose>>> = Staged::new(vec![Vec::new(); batch.len()]);
         let epilogue = FusedEpilogueKernel {
-            results: &results,
+            spectra: &spectra,
+            scratch: &scratch,
             rotation_indices,
             weights: *weights,
             n_terms,
@@ -341,6 +353,11 @@ impl<'a> BatchedFftEngine<'a> {
             .shared_mem_capped(256 * (k + 1))
             .run_recorded(&mut ledger, PHASE_FUSED_EPILOGUE, &epilogue);
         let poses = poses.take();
+        // The epilogue was the last reader of the spectra and scratch grids.
+        self.device.recycle_result_buffers(spectra);
+        self.device.recycle_result_buffers(
+            scratch.into_iter().map(Staged::take).flat_map(EpilogueGrids::into_vecs),
+        );
 
         // Download only the retained poses — never the N³ score grids.
         let mut download_s = 0.0;
@@ -378,8 +395,9 @@ impl BlockKernel for ReceptorTransformKernel<'_> {
 }
 
 /// Batched ligand forward transform: block `g` forward-transforms ligand grid
-/// `g = slot * n_terms + term` zero-padded into the receptor dimensions
-/// ([`Fft3Plan::forward_real_padded`], the per-rotation path's call).
+/// `g = slot * n_terms + term` zero-padded into the receptor dimensions, into
+/// its kept spectrum ([`Fft3Plan::forward_real_padded_into`], the per-rotation
+/// path's call).
 struct LigandForwardKernel<'a> {
     batch: &'a [LigandGrids],
     plan: &'a ReceptorTransforms,
@@ -396,7 +414,8 @@ impl BlockKernel for LigandForwardKernel<'_> {
         }
         let (slot, term) = (g / self.n_terms, g % self.n_terms);
         let n = self.n;
-        *self.freq[g].write() = self.plan.plan().forward_real_padded(&self.batch[slot].terms[term]);
+        let ligand = &self.batch[slot].terms[term];
+        self.plan.plan().forward_real_padded_into(ligand, &mut self.freq[g].write());
 
         let n3 = (n * n * n) as u64;
         // Read the compact ligand entries, scatter into the padded complex
@@ -441,14 +460,12 @@ impl BlockKernel for ConjMultiplyKernel<'_> {
     }
 }
 
-/// Batched inverse transform: block `g` inverse-transforms its spectrum and
-/// keeps the real part — that grid stays in device global memory for the
-/// epilogue; it is never downloaded.
+/// Batched inverse transform: block `g` inverse-transforms its spectrum in
+/// place, whose real parts are then the correlation grid — it stays in device
+/// global memory for the epilogue; it is never downloaded.
 struct InverseKernel<'a> {
     plan: &'a ReceptorTransforms,
     freq: &'a [Staged<Vec<Complex>>],
-    results: &'a [Staged<Grid3<Real>>],
-    n: usize,
 }
 
 impl BlockKernel for InverseKernel<'_> {
@@ -457,17 +474,27 @@ impl BlockKernel for InverseKernel<'_> {
         if g >= self.freq.len() {
             return;
         }
-        let n = self.n;
-        let mut data = std::mem::take(&mut *self.freq[g].write());
+        let mut data = self.freq[g].write();
         self.plan.plan().transform_in_place(&mut data, Direction::Inverse);
-        let real: Vec<Real> = data.into_iter().map(|c| c.re).collect();
-        *self.results[g].write() = Grid3::from_vec(n, n, n, real);
 
-        let n3 = (n * n * n) as u64;
+        let n3 = data.len() as u64;
         ctx.record_global_reads(2 * n3);
         ctx.record_flops(self.plan.plan().flops_per_transform());
         ctx.record_global_writes(n3);
         ctx.sync_threads();
+    }
+}
+
+/// One batch slot's epilogue grids, kept device buffers the epilogue
+/// overwrites in full.
+struct EpilogueGrids {
+    desolv: Grid3<Real>,
+    scores: Grid3<Real>,
+}
+
+impl EpilogueGrids {
+    fn into_vecs(self) -> [Vec<Real>; 2] {
+        [self.desolv.into_vec(), self.scores.into_vec()]
     }
 }
 
@@ -476,8 +503,11 @@ impl BlockKernel for InverseKernel<'_> {
 /// exclusion for batch slot `s` — exact [`crate::filter`] arithmetic, entirely
 /// on the device side of the modeled link.
 struct FusedEpilogueKernel<'a> {
-    /// Correlation result grids, `results[slot * n_terms + term]`.
-    results: &'a [Grid3<Real>],
+    /// Inverse-transformed spectra, `spectra[slot * n_terms + term]`; their
+    /// real parts are the correlation grids.
+    spectra: &'a [Vec<Complex>],
+    /// Desolvation and score grids, `scratch[slot]`.
+    scratch: &'a [Staged<EpilogueGrids>],
     rotation_indices: &'a [usize],
     weights: EnergyWeights,
     n_terms: usize,
@@ -493,11 +523,13 @@ impl BlockKernel for FusedEpilogueKernel<'_> {
         if slot >= self.rotation_indices.len() {
             return;
         }
-        let terms = &self.results[slot * self.n_terms..(slot + 1) * self.n_terms];
-        let desolv = filter::accumulate_desolvation(terms, self.n_desolv);
-        let scores = filter::score_grid(terms, &desolv, &self.weights, self.n_desolv);
+        let terms = &self.spectra[slot * self.n_terms..(slot + 1) * self.n_terms];
+        let mut grids = self.scratch[slot].write();
+        let EpilogueGrids { desolv, scores } = &mut *grids;
+        filter::accumulate_desolvation_into(terms, self.n_desolv, desolv);
+        filter::score_grid_into(terms, desolv, &self.weights, self.n_desolv, scores);
         let selected = filter::filter_top_k(
-            &scores,
+            scores,
             self.k,
             self.exclusion_radius,
             self.rotation_indices[slot],
@@ -593,6 +625,60 @@ mod tests {
         assert_eq!(inline_poses, spread_poses);
         assert_eq!(inline_bytes, spread_bytes, "transfer bytes");
         assert_eq!(inline_ledger, spread_ledger, "ledger counters");
+    }
+
+    #[test]
+    fn dirty_kept_buffers_never_leak_into_results() {
+        // A device whose `f64` and `Complex` free lists hold NaN, `-0.0`,
+        // `-1e300` and wrong-length buffers must give the same poses, ledger
+        // stats and counters as a fresh one — and again once every buffer
+        // comes back from a previous batch.
+        let (receptor, probe) = setup(16);
+        let batch = ligands_for(&probe, &RotationSet::uniform(6));
+        let indices: Vec<usize> = (0..batch.len()).collect();
+        let run = |device: &Device| {
+            let engine = BatchedFftEngine::new(device, &receptor);
+            let out = engine.dock_batch(&batch, &indices, &EnergyWeights::default(), 4, 5, 2);
+            let poses: Vec<_> = out
+                .poses
+                .iter()
+                .flatten()
+                .map(|p| (p.rotation_index, p.translation, p.score.to_bits()))
+                .collect();
+            let ledger: Vec<_> = out
+                .ledger
+                .phases()
+                .map(|(phase, stats)| {
+                    let shape = (stats.blocks, stats.threads_per_block);
+                    let modeled = stats.modeled_time_s.to_bits();
+                    (phase.to_string(), out.ledger.launches(phase), shape, stats.counters, modeled)
+                })
+                .collect();
+            (poses, ledger, out.upload_s.to_bits(), out.download_s.to_bits())
+        };
+
+        let dirty = Device::tesla_c1060();
+        let n3 = 16 * 16 * 16;
+        let reals: Vec<Vec<f64>> = (0..200).map(|_| dirty.result_buffer(1)).collect();
+        dirty.recycle_result_buffers(reals.into_iter().enumerate().map(|(i, _)| match i % 4 {
+            0 => vec![f64::NAN; n3],
+            1 => vec![-0.0; n3 + 37],
+            2 => vec![-1.0e300; n3],
+            _ => vec![f64::from_bits(0x7ff4_dead_beef_0001); 100],
+        }));
+        let spectra: Vec<Vec<Complex>> = (0..100).map(|_| dirty.result_buffer(1)).collect();
+        dirty.recycle_result_buffers(spectra.into_iter().enumerate().map(|(i, _)| match i % 4 {
+            0 => vec![Complex::new(f64::NAN, f64::NAN); n3],
+            1 => vec![Complex::new(-0.0, -0.0); n3 - 5],
+            2 => vec![Complex::new(-1.0e300, 1.0e300); n3],
+            _ => vec![Complex::new(-0.0, f64::NAN); 2 * n3],
+        }));
+
+        let fresh = run(&Device::tesla_c1060());
+        assert!(!fresh.0.is_empty() && fresh.1.len() == 4, "{:?}", fresh.1);
+        assert!(run(&dirty) == fresh, "a dirty free list changed a result");
+        // Second pass: every buffer now comes back from the previous batch.
+        assert!(run(&dirty) == fresh, "a reused kept buffer changed a result");
     }
 
     #[test]
@@ -732,13 +818,20 @@ mod tests {
                 let n = 8; // 8³ = 512 voxels
                 let mut results: Vec<Grid3<Real>> = (0..5).map(|_| Grid3::cubic(n)).collect();
                 results[4] = Grid3::from_vec(n, n, n, values.clone());
+                let spectra: Vec<Vec<Complex>> = results
+                    .iter()
+                    .map(|g| g.as_slice().iter().map(|&v| Complex::new(v, f64::NAN)).collect())
+                    .collect();
                 let weights =
                     EnergyWeights { shape_core: 0.0, shape_attr: 0.0, elec: 0.0, desolv: 1.0 };
 
                 let device = Device::tesla_c1060();
                 let poses: Staged<Vec<Vec<Pose>>> = Staged::new(vec![Vec::new(); 1]);
+                let garbage = || Grid3::from_vec(n, n, n, vec![f64::NAN; 512]);
+                let scratch = [Staged::new(EpilogueGrids { desolv: garbage(), scores: garbage() })];
                 let kernel = FusedEpilogueKernel {
-                    results: &results,
+                    spectra: &spectra,
+                    scratch: &scratch,
                     rotation_indices: &[rotation_index],
                     weights,
                     n_terms: 5,

@@ -42,9 +42,10 @@ impl FftCorrelationEngine {
     /// `N³` result grid per component.
     ///
     /// The ligand grid is zero-padded into the receptor dimensions with its footprint
-    /// anchored at the grid origin (by [`ftmap_math::fft::Fft3Plan::forward_real_padded`],
-    /// which skips the all-zero lines), so `result[d]` is the score of translating the
-    /// probe by `d` voxels (cyclic).
+    /// anchored at the grid origin (by
+    /// [`ftmap_math::fft::Fft3Plan::forward_real_padded_into`], which skips the
+    /// all-zero lines), so `result[d]` is the score of translating the probe by `d`
+    /// voxels (cyclic). One spectrum buffer serves every component.
     ///
     /// # Panics
     /// Panics if the ligand has a different number of components than the receptor.
@@ -52,18 +53,19 @@ impl FftCorrelationEngine {
         assert_eq!(ligand.n_terms(), self.n_terms(), "ligand term count must match receptor");
         let n = self.dim();
         let plan = self.transforms.plan();
+        let mut freq = Vec::new();
         ligand
             .terms
             .iter()
             .enumerate()
             .map(|(term_idx, lgrid)| {
-                let mut freq = plan.forward_real_padded(lgrid);
+                plan.forward_real_padded_into(lgrid, &mut freq);
                 // Correlation theorem: FFT(corr) = conj(FFT(ligand)) .* FFT(receptor).
                 for (l, r) in freq.iter_mut().zip(self.transforms.term_fft(term_idx)) {
                     *l = l.conj() * *r;
                 }
                 plan.transform_in_place(&mut freq, Direction::Inverse);
-                Grid3::from_vec(n, n, n, freq.into_iter().map(|c| c.re).collect())
+                Grid3::from_vec(n, n, n, freq.iter().map(|c| c.re).collect())
             })
             .collect()
     }

@@ -12,22 +12,35 @@
 
 use crate::grids::{term_kinds, term_weight, EnergyWeights, TermKind};
 use crate::pose::Pose;
-use ftmap_math::{Grid3, Real};
+use ftmap_math::{Complex, Grid3, Real};
 
 /// Sums the desolvation component results into a single grid.
 ///
 /// `term_results` must be ordered as [`term_kinds`]: the desolvation components start at
 /// index 4.
 pub fn accumulate_desolvation(term_results: &[Grid3<Real>], n_desolv: usize) -> Grid3<Real> {
-    assert_eq!(term_results.len(), 4 + n_desolv, "term result count must be 4 + n_desolv");
     let (nx, ny, nz) = term_results[0].dims();
     let mut total = Grid3::new(nx, ny, nz);
+    accumulate_desolvation_into(term_results, n_desolv, &mut total);
+    total
+}
+
+/// [`accumulate_desolvation`] into a kept grid of the results' size, with the same
+/// bits: `total` is reset to `+0.0` first, whatever it held.
+pub(crate) fn accumulate_desolvation_into<G: ResultGrid>(
+    term_results: &[G],
+    n_desolv: usize,
+    total: &mut Grid3<Real>,
+) {
+    assert_eq!(term_results.len(), 4 + n_desolv, "term result count must be 4 + n_desolv");
+    assert_eq!(total.len(), term_results[0].len(), "output grid size");
+    let total = total.as_mut_slice();
+    total.fill(0.0);
     for grid in &term_results[4..] {
-        for (dst, src) in total.as_mut_slice().iter_mut().zip(grid.as_slice()) {
-            *dst += *src;
+        for (dst, src) in total.iter_mut().zip(grid.reals()) {
+            *dst += src;
         }
     }
-    total
 }
 
 /// Computes the weighted pose-score grid of Equation (2) from the per-component
@@ -38,10 +51,26 @@ pub fn score_grid(
     weights: &EnergyWeights,
     n_desolv: usize,
 ) -> Grid3<Real> {
-    let kinds = term_kinds(n_desolv);
-    assert_eq!(term_results.len(), kinds.len(), "unexpected term count");
     let (nx, ny, nz) = term_results[0].dims();
     let mut scores = Grid3::new(nx, ny, nz);
+    score_grid_into(term_results, desolv_total, weights, n_desolv, &mut scores);
+    scores
+}
+
+/// [`score_grid`] into a kept grid of the results' size, with the same bits: `scores`
+/// is reset to `+0.0` first, whatever it held.
+pub(crate) fn score_grid_into<G: ResultGrid>(
+    term_results: &[G],
+    desolv_total: &Grid3<Real>,
+    weights: &EnergyWeights,
+    n_desolv: usize,
+    scores: &mut Grid3<Real>,
+) {
+    let kinds = term_kinds(n_desolv);
+    assert_eq!(term_results.len(), kinds.len(), "unexpected term count");
+    assert_eq!(scores.len(), term_results[0].len(), "output grid size");
+    let scores = scores.as_mut_slice();
+    scores.fill(0.0);
 
     // Shape and electrostatic components are weighted individually; the desolvation
     // components enter through the pre-accumulated total with the desolvation weight.
@@ -50,14 +79,44 @@ pub fn score_grid(
             TermKind::Desolvation(_) => continue,
             other => term_weight(*other, weights, n_desolv),
         };
-        for (dst, src) in scores.as_mut_slice().iter_mut().zip(grid.as_slice()) {
-            *dst += w * *src;
+        for (dst, src) in scores.iter_mut().zip(grid.reals()) {
+            *dst += w * src;
         }
     }
-    for (dst, src) in scores.as_mut_slice().iter_mut().zip(desolv_total.as_slice()) {
+    for (dst, src) in scores.iter_mut().zip(desolv_total.as_slice()) {
         *dst += weights.desolv * *src;
     }
-    scores
+}
+
+/// A correlation result grid as accumulation and scoring read it: one real value per
+/// voxel, in grid order.
+pub(crate) trait ResultGrid {
+    /// Number of voxels.
+    fn len(&self) -> usize;
+    /// The voxel values, in grid order.
+    fn reals(&self) -> impl Iterator<Item = Real> + '_;
+}
+
+impl ResultGrid for Grid3<Real> {
+    fn len(&self) -> usize {
+        Grid3::len(self)
+    }
+
+    fn reals(&self) -> impl Iterator<Item = Real> + '_ {
+        self.as_slice().iter().copied()
+    }
+}
+
+/// An inverse-transformed correlation spectrum, read in place: its real parts are
+/// the correlation grid.
+impl ResultGrid for Vec<Complex> {
+    fn len(&self) -> usize {
+        <[Complex]>::len(self)
+    }
+
+    fn reals(&self) -> impl Iterator<Item = Real> + '_ {
+        self.iter().map(|c| c.re)
+    }
 }
 
 /// Selects the `k` best (most negative) scores from the score grid, excluding all voxels
@@ -159,6 +218,39 @@ mod tests {
         // 1*2 + (-1)*3 + 0.5*1 + 0.5*1 + 0.25*4 = 1.0
         assert!((*scores.at(0, 0, 0) - 1.0).abs() < 1e-12);
         assert_eq!(*scores.at(1, 1, 1), 0.0);
+    }
+
+    #[test]
+    fn into_forms_overwrite_kept_grids_bit_for_bit() {
+        // Every term is `-0.0` or a value, so a sum that started from a kept
+        // `-0.0` (or any leftover) instead of a fresh `+0.0` shows in the bits.
+        let (n, n_desolv) = (4, 3);
+        let terms: Vec<Grid3<Real>> = (0..4 + n_desolv)
+            .map(|t| {
+                let values = (0..n * n * n).map(|i| if (i + t) % 4 == 0 { 0.5 } else { -0.0 });
+                Grid3::from_vec(n, n, n, values.collect())
+            })
+            .collect();
+        let weights = EnergyWeights::default();
+        let desolv = accumulate_desolvation(&terms, n_desolv);
+        let scores = score_grid(&terms, &desolv, &weights, n_desolv);
+        let bits = |g: &Grid3<Real>| g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for garbage in [-0.0, Real::NAN, -1e300] {
+            let mut kept = Grid3::from_vec(n, n, n, vec![garbage; n * n * n]);
+            accumulate_desolvation_into(&terms, n_desolv, &mut kept);
+            assert_eq!(bits(&kept), bits(&desolv), "accumulate over {garbage}");
+            kept.as_mut_slice().fill(garbage);
+            score_grid_into(&terms, &desolv, &weights, n_desolv, &mut kept);
+            assert_eq!(bits(&kept), bits(&scores), "score over {garbage}");
+        }
+        assert!(desolv.as_slice().iter().any(|v| v.to_bits() == 0), "a +0.0 sum is covered");
+    }
+
+    #[test]
+    #[should_panic(expected = "output grid size")]
+    fn into_forms_reject_a_kept_grid_of_another_size() {
+        let terms: Vec<Grid3<Real>> = (0..5).map(|_| Grid3::cubic(2)).collect();
+        accumulate_desolvation_into(&terms, 1, &mut Grid3::cubic(3));
     }
 
     #[test]

@@ -20,7 +20,8 @@
 //!
 //! The correlation and accumulation grids are device result buffers
 //! ([`Device::result_buffer`]), which [`crate::Docking`] hands back once a batch is
-//! scored. Each block zeroes its plane and writes straight into it.
+//! scored. Each block zeroes its plane and writes straight into it. The score grid
+//! is one too, handed back as soon as its filtering launch ends.
 //!
 //! Each method returns both the numerically exact results (computed by the block-
 //! parallel CPU execution) and the [`KernelStats`] whose modeled time feeds Table 1.
@@ -145,6 +146,9 @@ impl<'a> GpuDockingEngine<'a> {
         exclusion_radius: usize,
         rotation_index: usize,
     ) -> (Vec<Pose>, KernelStats) {
+        let (nx, ny, nz) = desolv_total.dims();
+        let scores =
+            Staged::new(Grid3::from_vec(nx, ny, nz, self.device.result_buffer(nx * ny * nz)));
         let poses = Staged::new(Vec::new());
         let kernel = ScoreFilterKernel {
             term_results,
@@ -154,11 +158,13 @@ impl<'a> GpuDockingEngine<'a> {
             k,
             exclusion_radius,
             rotation_index,
+            scores: &scores,
             poses: &poses,
         };
         // Single thread block, as in the paper.
         let stats =
             KernelLaunch::on(self.device).grid(1).threads(256).shared_mem_capped(256).run(&kernel);
+        self.device.recycle_result_buffers([scores.take().into_vec()]);
         let poses = poses.take();
         // Download only the retained poses.
         self.device.download_slice(&poses);
@@ -249,6 +255,8 @@ struct ScoreFilterKernel<'a> {
     k: usize,
     exclusion_radius: usize,
     rotation_index: usize,
+    /// The score grid, a device result buffer the kernel overwrites in full.
+    scores: &'a Staged<Grid3<Real>>,
     poses: &'a Staged<Vec<Pose>>,
 }
 
@@ -257,8 +265,9 @@ impl BlockKernel for ScoreFilterKernel<'_> {
         if ctx.block_idx != 0 {
             return;
         }
-        let scores =
-            filter::score_grid(self.term_results, self.desolv_total, &self.weights, self.n_desolv);
+        let mut scores = self.scores.write();
+        let (terms, desolv) = (self.term_results, self.desolv_total);
+        filter::score_grid_into(terms, desolv, &self.weights, self.n_desolv, &mut scores);
         let n3 = scores.len() as u64;
         // Weighted sum: 5 reads + ~6 flops per voxel, distributed over the block's threads.
         ctx.record_global_reads(5 * n3);
