@@ -207,7 +207,7 @@ mod tests {
                 },
                 None,
             );
-            handle.wait();
+            handle.wait().unwrap();
             sched.shutdown();
 
             let results = batch.take_results();

@@ -413,6 +413,11 @@ impl FtMapPipeline {
     /// Resets the pool's transfer accounting at the start of the run, so the
     /// pool must not be executing other work concurrently; grid residency
     /// survives the reset.
+    ///
+    /// # Panics
+    /// A panic in a probe's docking or minimization reaches the caller: in
+    /// [`PipelineMode::Sharded`] it fails the scheduler batch on a worker, and
+    /// `map` panics with the batch's index and the original message.
     pub fn map(&self, library: &ProbeLibrary) -> MappingResult {
         match self.config.mode {
             PipelineMode::Sharded { .. } => self.map_pipelined_traced(library, ftmap_trace::noop()),
@@ -449,6 +454,7 @@ impl FtMapPipeline {
         );
         let report = handle.wait();
         sched.shutdown();
+        let report = report.unwrap_or_else(|failed| panic!("{failed}"));
         let mut result = batch.take_results().pop().expect("one job in, one result out");
         result.profile.schedule = Some(Box::new(report));
         result

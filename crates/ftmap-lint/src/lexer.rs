@@ -271,12 +271,8 @@ impl Lexer {
             self.char_literal(String::new());
             return;
         }
-        let is_lifetime = match (self.peek(1), self.peek(2)) {
-            // 'x' → char; 'xy…  (no close) → lifetime
-            (Some(c1), Some('\'')) => !is_ident_start(c1) && c1 != '\'',
-            (Some(c1), _) => is_ident_start(c1),
-            _ => false,
-        };
+        // 'x' → char; 'xy…  (no close) → lifetime
+        let is_lifetime = self.peek(2) != Some('\'') && self.peek(1).is_some_and(is_ident_start);
         if is_lifetime {
             let line = self.line;
             self.bump(); // the quote
@@ -403,6 +399,17 @@ let b = b"Instant::now()";
         let ids = idents(src);
         assert!(ids.iter().all(|(t, _)| t != "x"));
         assert!(ids.iter().any(|(t, _)| t == "sep"));
+    }
+
+    #[test]
+    fn punctuation_char_literals_close() {
+        // `'.'` is a char literal, not a lifetime: lexing it as one would
+        // open a char literal at its closing quote and swallow code up to
+        // the next apostrophe (here, the one inside the string).
+        let src = "if ctx.punct_at(i, '.') && seen { x } let s = \"it's\"; let after = 1;";
+        let ids = idents(src);
+        assert!(ids.iter().any(|(t, _)| t == "seen"));
+        assert!(ids.iter().any(|(t, _)| t == "after"));
     }
 
     #[test]

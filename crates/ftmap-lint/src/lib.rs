@@ -6,8 +6,9 @@
 //! The workspace's architecture rests on invariants no compiler checks: the
 //! timeline is *modeled* (wall-clock reads are confined to the profiling
 //! layer), kernel launches and transfer accounting go through `gpu-sim`'s
-//! audited entry points, and the scheduler/serve hot paths fail through
-//! typed poison channels instead of unwinding. This crate enforces those
+//! audited entry points, and the scheduler/serve hot paths never panic
+//! themselves: a panic in a batch's own work fails that batch, every waiter
+//! resolves, and the pipeline keeps serving. This crate enforces those
 //! invariants with a dependency-free Rust lexer feeding a token-level rule
 //! engine — see [`RULES`] for the catalog and the README's *Correctness
 //! tooling* section for the suppression format. Two cross-file rules keep

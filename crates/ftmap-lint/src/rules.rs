@@ -107,7 +107,7 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         name: "no-panic-in-workers",
         summary: "unwrap/expect/panic!/unreachable!/todo!/unimplemented! banned in \
-                  scheduler and serve hot paths; use the typed error/poison paths",
+                  scheduler and serve hot paths; only a batch's own work may fail it",
     },
     RuleInfo {
         name: "justified-allows",
@@ -141,8 +141,8 @@ fn is_gpu_sim(path: &str) -> bool {
     path.starts_with("crates/gpu-sim/")
 }
 
-/// Files whose panics would strand batches or wedge the service: the phased
-/// scheduler's workers and everything the serve dispatcher runs.
+/// Files where a panic would be the scheduler's or the service's own, not a
+/// batch's: the phased scheduler's workers and everything the dispatcher runs.
 fn is_worker_hot_path(path: &str) -> bool {
     path.starts_with("crates/gpu-sim/src/sched/") || path.starts_with("crates/ftmap-serve/src/")
 }
@@ -480,9 +480,9 @@ fn no_panic_in_workers(ctx: &FileCtx<'_>, diags: &mut Vec<Diagnostic>) {
                 "no-panic-in-workers",
                 t.line,
                 format!(
-                    "`.{}()` in a scheduler/serve hot path; a panic here strands \
-                     batches — use `gpu_sim::sync::locked`/`wait_on` for locks and the \
-                     typed poison/strand paths for failures",
+                    "`.{}()` in a scheduler/serve hot path; a panic here is the \
+                     scheduler's own, not a batch's — use `gpu_sim::sync::locked`/`wait_on` \
+                     for locks and `Option`/`Result` control flow for failures",
                     t.text
                 ),
             );
@@ -494,8 +494,8 @@ fn no_panic_in_workers(ctx: &FileCtx<'_>, diags: &mut Vec<Diagnostic>) {
                 "no-panic-in-workers",
                 t.line,
                 format!(
-                    "`{}!` in a scheduler/serve hot path; workers must fail through \
-                     the typed poison/strand channel, not unwind",
+                    "`{}!` in a scheduler/serve hot path; only a batch's own work may \
+                     panic, failing that batch while every waiter resolves",
                     t.text
                 ),
             );

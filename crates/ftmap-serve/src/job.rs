@@ -19,6 +19,10 @@ pub enum JobStatus {
     Running,
     /// Finished; the report is available.
     Completed,
+    /// Its batch failed: a panic in the batch's set-up, docking,
+    /// minimization or result assembly. [`JobHandle::wait`] panics with the
+    /// batch index and the panic's message.
+    Failed,
 }
 
 /// What one batch did, shared by every job report from that batch: the
@@ -102,13 +106,14 @@ pub(crate) struct JobSlot {
 #[derive(Debug)]
 struct SlotState {
     status: JobStatus,
-    report: Option<Arc<JobReport>>,
+    /// The report, or why the job failed; empty until the job resolves.
+    outcome: Option<Result<Arc<JobReport>, String>>,
 }
 
 impl JobSlot {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(JobSlot {
-            state: Mutex::new(SlotState { status: JobStatus::Queued, report: None }),
+            state: Mutex::new(SlotState { status: JobStatus::Queued, outcome: None }),
             done: Condvar::new(),
         })
     }
@@ -118,10 +123,11 @@ impl JobSlot {
         state.status = JobStatus::Running;
     }
 
-    pub(crate) fn complete(&self, report: Arc<JobReport>) {
+    /// Resolves the job: its report, or why its batch failed.
+    pub(crate) fn resolve(&self, outcome: Result<Arc<JobReport>, String>) {
         let mut state = locked(&self.state);
-        state.status = JobStatus::Completed;
-        state.report = Some(report);
+        state.status = if outcome.is_ok() { JobStatus::Completed } else { JobStatus::Failed };
+        state.outcome = Some(outcome);
         self.done.notify_all();
     }
 
@@ -129,11 +135,11 @@ impl JobSlot {
         locked(&self.state).status
     }
 
-    fn wait(&self) -> Arc<JobReport> {
+    fn wait(&self) -> Result<Arc<JobReport>, String> {
         let mut state = locked(&self.state);
         loop {
-            if let Some(report) = state.report.as_ref() {
-                return Arc::clone(report);
+            if let Some(outcome) = &state.outcome {
+                return outcome.clone();
             }
             state = wait_on(&self.done, state);
         }
@@ -170,9 +176,16 @@ impl JobHandle {
         self.slot.status()
     }
 
-    /// Blocks until the job completes, returning its report.
+    /// Blocks until the job resolves, returning its report.
+    ///
+    /// # Panics
+    /// Panics, on the calling thread, if the job failed
+    /// ([`JobStatus::Failed`]); the message names the batch and carries the
+    /// original panic's message.
     pub fn wait(&self) -> Arc<JobReport> {
-        self.slot.wait()
+        // lint-allow(no-panic-in-workers): the client's thread, not a worker:
+        // a failed job surfaces here as the panic its batch caught.
+        self.slot.wait().unwrap_or_else(|message| panic!("{message}"))
     }
 }
 
@@ -230,9 +243,19 @@ mod tests {
         assert_eq!(handle.tag(), "t");
         slot.set_running();
         assert_eq!(handle.status(), JobStatus::Running);
-        slot.complete(dummy_report(JobId(3)));
+        slot.resolve(Ok(dummy_report(JobId(3))));
         assert_eq!(handle.status(), JobStatus::Completed);
         assert_eq!(handle.wait().job_id, JobId(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "batch 3 failed: boom")]
+    fn a_failed_job_reads_failed_and_its_wait_panics_with_the_message() {
+        let slot = JobSlot::new();
+        let handle = JobHandle::new(JobId(1), String::new(), Arc::clone(&slot));
+        slot.resolve(Err("batch 3 failed: boom".into()));
+        assert_eq!(handle.status(), JobStatus::Failed);
+        handle.wait();
     }
 
     #[test]
@@ -244,7 +267,7 @@ mod tests {
             std::thread::spawn(move || handle.wait().job_id)
         };
         std::thread::sleep(std::time::Duration::from_millis(20));
-        slot.complete(dummy_report(JobId(7)));
+        slot.resolve(Ok(dummy_report(JobId(7))));
         assert_eq!(waiter.join().expect("waiter"), JobId(7));
     }
 }

@@ -55,19 +55,22 @@ use crate::config::{AdmissionConfig, BatchConfig, QueueConfig, ServeConfig};
 use crate::job::{BatchSummary, JobHandle, JobId, JobReport, JobSlot};
 use crate::queue::{JobQueue, SubmitError};
 use crate::request::MappingRequest;
-use ftmap_core::{AppliedDegrade, FtMapConfig, FtMapPipeline, PhasedMapBatch};
+use ftmap_core::{AppliedDegrade, FtMapConfig, FtMapPipeline, MappingResult, PhasedMapBatch};
 use ftmap_energy::ReceptorHalf;
 use ftmap_molecule::{Atom, ForceField, Topology};
 use ftmap_trace::{
     Category, FlightRecorder, MetricsRegistry, MetricsSnapshot, SampleVerdict, SloEngine,
     SloReport, SloSpec, Tags, TraceEvent, TraceSink, Track,
 };
-use gpu_sim::sched::{BatchLabel, BatchReport, DevicePool, PhasePipeline, PhasedBatch, PhasedExec};
+use gpu_sim::sched::{
+    BatchFailed, BatchLabel, BatchReport, DevicePool, PhasePipeline, PhasedBatch, PhasedExec,
+};
 use gpu_sim::sync::{locked, wait_on};
 use gpu_sim::CacheStats;
 use piper_dock::{Docking, ReceptorGrids};
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
@@ -115,8 +118,10 @@ impl ClassLatency {
 pub struct ServeStats {
     /// Jobs admitted so far.
     pub jobs_submitted: usize,
-    /// Jobs completed so far.
+    /// Jobs completed so far (successes only).
     pub jobs_completed: usize,
+    /// Jobs whose batch failed so far ([`crate::JobStatus::Failed`]).
+    pub jobs_failed: usize,
     /// Batches formed and dispatched so far. A batch counts as soon as it is
     /// handed to the scheduler (its index is assigned then), so this can run
     /// ahead of completions while batches are in flight; completed-batch
@@ -404,6 +409,7 @@ const LATENCY_BOUNDS: [f64; 12] =
 /// [`ServeStats`].
 const JOBS_SUBMITTED: &str = "ftmap_serve_jobs_submitted_total";
 const JOBS_COMPLETED: &str = "ftmap_serve_jobs_completed_total";
+const JOBS_FAILED: &str = "ftmap_serve_jobs_failed_total";
 const BATCHES_FORMED: &str = "ftmap_serve_batches_formed_total";
 const DEADLINE_OUTCOMES: &str = "ftmap_serve_deadline_outcomes_total";
 const TRANSFER_SECONDS: &str = "ftmap_serve_transfer_modeled_seconds_total";
@@ -650,32 +656,44 @@ impl Shared {
                 1.0,
             );
         }
+        let at_v_s = summary.report.completed_v_s;
+        self.close_request(job, summary.batch_index, at_v_s, Some(latency_job_s), verdict.retain());
+        latency_job_s
+    }
+
+    /// Ends a resolved job's request: releases its in-flight slot, records
+    /// the `job-resolve` instant closing its causal tree — with the job's
+    /// modeled latency, or verdict `failed` — and then tells the flight
+    /// recorder whether to keep the tree (so a kept tree includes it).
+    fn close_request(
+        &self,
+        job: &Job,
+        batch_index: usize,
+        at_v_s: f64,
+        latency_s: Option<f64>,
+        keep: bool,
+    ) {
         locked(&self.admission).release_inflight(job.fingerprint, &job.tenant);
         self.slack.notify_all();
         if self.trace.enabled() {
             let tags = Tags {
-                batch_seq: Some(summary.batch_index as u64),
-                class: Some(class),
+                batch_seq: Some(batch_index as u64),
+                class: Some(job.class.name()),
                 trace: Some(job.trace_id),
                 ..Tags::default()
-            }
-            .with_num("latency_s", latency_job_s)
-            .with_num("admitted_v_s", job.admitted_v_s);
+            };
+            let tags = match latency_s {
+                Some(latency_s) => tags.with_num("latency_s", latency_s),
+                None => tags.with_verdict("failed"),
+            };
             self.trace.record(
-                TraceEvent::instant(
-                    Track::Queue,
-                    "job-resolve",
-                    Category::Serve,
-                    summary.report.completed_v_s,
-                )
-                .with_tags(tags),
+                TraceEvent::instant(Track::Queue, "job-resolve", Category::Serve, at_v_s)
+                    .with_tags(tags.with_num("admitted_v_s", job.admitted_v_s)),
             );
         }
-        // After the resolve instant, so a retained tree includes it.
         if let Some(flight) = &self.flight {
-            flight.note_request(job.trace_id, verdict.retain());
+            flight.note_request(job.trace_id, keep);
         }
-        latency_job_s
     }
 
     /// Batch-completion bookkeeping: completion counters, the per-class
@@ -1105,6 +1123,7 @@ impl BatchMappingService {
         ServeStats {
             jobs_submitted: class_total(&metrics, JOBS_SUBMITTED),
             jobs_completed: class_total(&metrics, JOBS_COMPLETED),
+            jobs_failed: class_total(&metrics, JOBS_FAILED),
             batches_run: class_total(&metrics, BATCHES_FORMED),
             interactive,
             bulk,
@@ -1125,8 +1144,9 @@ impl BatchMappingService {
     fn close_and_join(&mut self) {
         self.shared.queue.close();
         if let Some(dispatcher) = self.dispatcher.take() {
-            // A dispatcher panic (a job panicking inside the pipeline) is a
-            // service failure, but re-panicking here would abort the process
+            // A job's panic fails only its batch: every waiter resolves and
+            // the dispatcher keeps serving. A dispatcher panic is a bug in the
+            // service itself, and re-panicking here would abort the process
             // when it happens during Drop-while-unwinding; report and move on.
             if dispatcher.join().is_err() {
                 eprintln!("ftmap-serve: dispatcher thread panicked; unfinished jobs are stranded");
@@ -1206,10 +1226,23 @@ fn dispatch_loop(shared: &Arc<Shared>) {
     shared.sched.drain();
 }
 
+/// Runs one of the serve layer's own steps over a batch's inputs — receptor
+/// and pipeline set-up on the dispatcher, result assembly in the completion
+/// callback — turning a panic into its message (`panic!` payloads are a
+/// `String` or a `&str`), so the batch fails on the path a batch the
+/// scheduler failed takes.
+fn caught<T>(step: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(step)).map_err(|payload| match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => payload.downcast_ref::<&str>().map_or("non-string panic", |m| m).into(),
+    })
+}
+
 /// Hands the batch to the phased scheduler and returns as soon as flow
 /// control allows — completion (result assembly, job slots, accounting)
 /// happens in the scheduler's completion callback, while this thread goes
-/// back to forming the next batch.
+/// back to forming the next batch. A panic in the batch's set-up fails the
+/// batch here instead.
 fn submit_batch(shared: &Arc<Shared>, batch: Vec<Job>, batch_index: usize) {
     let sched = &shared.sched;
     // Flow control: keep at most `max_inflight_batches` on the pool — enough
@@ -1226,26 +1259,41 @@ fn submit_batch(shared: &Arc<Shared>, batch: Vec<Job>, batch_index: usize) {
     // instants).
     let tenant = batch[0].tenant.clone();
     shared.note_batch_formed(batch_index, &batch, class);
-    let (receptor, halves) = shared.receptor_for(batch[0].fingerprint, &batch);
-    let receptor_key = receptor.content_key();
-    // One pipeline per job (each job keeps its own config), all sharing the
-    // pool and the prebuilt receptor grids, and a receptor half with every
-    // job of equal protein and force field.
-    let jobs = batch
-        .iter()
-        .zip(halves)
-        .map(|(job, half)| {
-            let pipeline = FtMapPipeline::with_shared_resources(
-                job.request.protein.clone(),
-                job.request.ff.clone(),
-                job.request.config.clone(),
-                Arc::clone(sched.pool()),
-                Arc::clone(&receptor),
-                half,
-            );
-            (pipeline, job.request.library())
-        })
-        .collect();
+    let setup = caught(|| {
+        let (receptor, halves) = shared.receptor_for(batch[0].fingerprint, &batch);
+        // One pipeline per job (each job keeps its own config), all sharing
+        // the pool and the prebuilt receptor grids, and a receptor half with
+        // every job of equal protein and force field.
+        let jobs = batch
+            .iter()
+            .zip(halves)
+            .map(|(job, half)| {
+                let pipeline = FtMapPipeline::with_shared_resources(
+                    job.request.protein.clone(),
+                    job.request.ff.clone(),
+                    job.request.config.clone(),
+                    Arc::clone(sched.pool()),
+                    Arc::clone(&receptor),
+                    half,
+                );
+                (pipeline, job.request.library())
+            })
+            .collect();
+        (receptor.content_key(), PhasedMapBatch::new(jobs, shared.config.batch.pose_block))
+    });
+
+    // The batch leaves the admission controller's pending backlog: the
+    // scheduler projection covers it from here on, or it failed.
+    {
+        let mut admission = locked(&shared.admission);
+        for job in &batch {
+            admission.remove_pending(job.class.priority(), job.weight);
+        }
+    }
+    let (receptor_key, exec) = match setup {
+        Ok((receptor_key, exec)) => (receptor_key, Arc::new(exec)),
+        Err(message) => return fail_batch(shared, batch, batch_index, &message),
+    };
     // One trace id per `(job, probe)` dock entry: the scheduler stamps them
     // onto its dock/minimize item spans (and, via scope-tag inheritance,
     // their kernel / transfer / cache children), tying device work back to
@@ -1258,24 +1306,23 @@ fn submit_batch(shared: &Arc<Shared>, batch: Vec<Job>, batch_index: usize) {
     } else {
         Vec::new()
     };
-    let exec = Arc::new(PhasedMapBatch::new(jobs, shared.config.batch.pose_block));
-
-    // The batch is now the scheduler's: its jobs leave the admission
-    // controller's pending backlog (the scheduler projection covers them from
-    // here on).
-    {
-        let mut admission = locked(&shared.admission);
-        for job in &batch {
-            admission.remove_pending(job.class.priority(), job.weight);
-        }
-    }
 
     let callback = {
         let shared = Arc::clone(shared);
         let exec = Arc::clone(&exec);
-        Box::new(move |report: BatchReport| {
-            complete_batch(&shared, batch, &exec, receptor_key, batch_index, report);
-        }) as Box<dyn FnOnce(BatchReport) + Send>
+        Box::new(move |outcome: Result<BatchReport, BatchFailed>| {
+            // Result assembly clusters each job's poses under its own
+            // config, so it can fail on a job's inputs too.
+            let assembled = outcome
+                .map_err(|failed| failed.message)
+                .and_then(|report| caught(|| exec.take_results()).map(|results| (report, results)));
+            match assembled {
+                Ok((report, results)) => {
+                    complete_batch(&shared, batch, results, receptor_key, batch_index, report);
+                }
+                Err(message) => fail_batch(&shared, batch, batch_index, &message),
+            }
+        }) as Box<dyn FnOnce(Result<BatchReport, BatchFailed>) + Send>
     };
     sched.submit(
         PhasedBatch {
@@ -1290,13 +1337,26 @@ fn submit_batch(shared: &Arc<Shared>, batch: Vec<Job>, batch_index: usize) {
     );
 }
 
+/// Failure of a batch — a panic in its set-up, an item or its result
+/// assembly: each job releases its reservation, skips calibration, counts as
+/// failed, closes its trace tree and resolves as [`crate::JobStatus::Failed`].
+/// The trees close at the pool's makespan, after every item the batch ran.
+fn fail_batch(shared: &Shared, batch: Vec<Job>, batch_index: usize, message: &str) {
+    let at_v_s = shared.sched.makespan_modeled_s();
+    for job in batch {
+        shared.metrics.counter_add(JOBS_FAILED, &[("class", job.class.name())], 1.0);
+        shared.close_request(&job, batch_index, at_v_s, None, true);
+        job.slot.resolve(Err(format!("batch {batch_index} failed: {message}")));
+    }
+}
+
 /// Completion of a batch (runs on a scheduler worker): calibration, the
 /// batch's summary and counters, and each job's report — its own
-/// [`ftmap_core::MappingResult`] out of [`PhasedMapBatch::take_results`].
+/// [`MappingResult`] out of [`PhasedMapBatch::take_results`].
 fn complete_batch(
     shared: &Shared,
     batch: Vec<Job>,
-    exec: &PhasedMapBatch,
+    results: Vec<MappingResult>,
     receptor_key: u64,
     batch_index: usize,
     report: BatchReport,
@@ -1342,7 +1402,7 @@ fn complete_batch(
     // One registry snapshot for the whole batch: the SLO engine compares each
     // job against the long window as it stood *before* this batch completed.
     let slo_snapshot = shared.slo.as_ref().map(|_| shared.metrics.snapshot());
-    for (job, result) in batch.into_iter().zip(exec.take_results()) {
+    for (job, result) in batch.into_iter().zip(results) {
         let latency_job_s = shared.note_job_resolved(&job, &summary, slo_snapshot.as_ref());
         let report = Arc::new(JobReport {
             job_id: job.id,
@@ -1356,7 +1416,7 @@ fn complete_batch(
             estimated_latency_s: job.estimated_s,
             degrade: job.degrade,
         });
-        job.slot.complete(report);
+        job.slot.resolve(Ok(report));
     }
 }
 

@@ -9,7 +9,8 @@
 //! therefore one batch). [`sanitize`] re-derives that structure from the
 //! events alone — per-device lane program order plus dock→minimize
 //! dependency edges, summarized as vector clocks — and reports every event
-//! that contradicts it.
+//! that contradicts it. One serve-layer check rides along: every admitted
+//! request resolves exactly once, completed or failed.
 //!
 //! Input is any **resolved** event list: live from
 //! [`crate::Recorder::events`], or re-imported from an exported `trace.json`
@@ -43,6 +44,7 @@ pub const CHECKS: &[(&str, &str)] = &[
     ("unattributed-transfer", "every device transfer happens inside some item span"),
     ("double-attributed-transfer", "no transfer is contained by two item spans"),
     ("cross-batch-transfer", "a transfer's batch tag matches the batch of the item containing it"),
+    ("admit-resolved", "every admitted request (trace id) has exactly one job-resolve"),
 ];
 
 /// One invariant violation found while replaying the schedule.
@@ -417,6 +419,31 @@ pub fn sanitize(events: &[TraceEvent]) -> SanitizeReport {
         }
     }
 
+    // admit-resolved: per trace id, the admit instant and the admit and
+    // job-resolve counts; each admit needs exactly one resolve.
+    let mut requests: BTreeMap<u64, (f64, usize, usize)> = BTreeMap::new();
+    for event in events.iter().filter(|e| e.cat == Category::Serve) {
+        let Some(trace) = event.tags.trace else { continue };
+        match event.name.as_str() {
+            "admit" => {
+                let request = requests.entry(trace).or_insert((event.start_s, 0, 0));
+                request.0 = request.0.min(event.start_s);
+                request.1 += 1;
+            }
+            "job-resolve" => requests.entry(trace).or_insert((event.start_s, 0, 0)).2 += 1,
+            _ => {}
+        }
+    }
+    for (trace, (at_s, admits, resolves)) in requests {
+        if admits > 0 && resolves != admits {
+            violation(
+                "admit-resolved",
+                at_s,
+                format!("request {trace}: {admits} admit(s) but {resolves} job-resolve(s)"),
+            );
+        }
+    }
+
     violations.sort_by(|a, b| a.at_s.total_cmp(&b.at_s).then(a.check.cmp(b.check)));
     report.violations = violations;
     report
@@ -597,6 +624,47 @@ mod tests {
         assert!(fired.contains(&"double-attributed-transfer"), "fired: {fired:?}");
     }
 
+    fn request_edge(name: &'static str, at_s: f64, trace: u64) -> TraceEvent {
+        let tags = Tags { trace: Some(trace), ..Tags::default() };
+        TraceEvent::instant(Track::Queue, name, Category::Serve, at_s).with_tags(tags)
+    }
+
+    /// Two admitted requests, each resolved once.
+    fn resolved_requests() -> Vec<TraceEvent> {
+        let mut events = valid_stream();
+        events.extend([
+            request_edge("admit", 0.0, 7),
+            request_edge("admit", 0.0, 8),
+            request_edge("job-resolve", 0.5, 7),
+            request_edge("job-resolve", 0.5, 8),
+        ]);
+        events
+    }
+
+    #[test]
+    fn resolved_requests_are_clean() {
+        let report = sanitize(&resolved_requests());
+        assert!(report.is_clean(), "clean stream flagged: {:?}", report.violations);
+    }
+
+    #[test]
+    fn an_admit_without_a_resolve_is_flagged() {
+        let mut events = resolved_requests();
+        events.retain(|e| !(e.name == "job-resolve" && e.tags.trace == Some(8)));
+        let report = sanitize(&events);
+        let flagged: Vec<&str> = report.violations.iter().map(|v| v.message.as_str()).collect();
+        assert_eq!(flagged, ["request 8: 1 admit(s) but 0 job-resolve(s)"]);
+    }
+
+    #[test]
+    fn a_duplicated_resolve_is_flagged() {
+        let mut events = resolved_requests();
+        events.push(request_edge("job-resolve", 0.6, 7));
+        let report = sanitize(&events);
+        let flagged: Vec<&str> = report.violations.iter().map(|v| v.message.as_str()).collect();
+        assert_eq!(flagged, ["request 7: 1 admit(s) but 2 job-resolve(s)"]);
+    }
+
     #[test]
     fn violations_render_with_instant_and_check_name() {
         let mut events = valid_stream();
@@ -626,6 +694,7 @@ mod tests {
             "unattributed-transfer",
             "double-attributed-transfer",
             "cross-batch-transfer",
+            "admit-resolved",
         ] {
             assert!(catalog.contains(&name), "{name} missing from CHECKS");
         }

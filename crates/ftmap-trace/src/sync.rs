@@ -1,25 +1,17 @@
 //! Poison-tolerant synchronization helpers for scheduler and serve hot paths
 //! (also reachable as `gpu_sim::sync`).
 //!
-//! The scheduler layers carry their own explicit failure channel: a worker
-//! that panics mid-item trips the strand/poison flags (`gpu_sim::sched`'s
-//! `stranded` slots), and every waiter surfaces that as a loud, typed
-//! failure. `std`'s mutex poisoning is redundant next to that channel — and
-//! turning every `lock()` into `lock().expect(...)` plants a panic site in
-//! exactly the code that must never panic (the `no-panic-in-workers` lint
-//! rule). These helpers recover the guard from a poisoned lock instead:
-//! the data under the mutex is a scheduler bookkeeping structure whose
-//! consistency is re-established by the explicit poison flags, so recovery
-//! is safe and the *typed* path stays the only failure surface.
+//! The scheduler layers have one failure channel: a panic in a batch's own
+//! work is caught where that work runs, the batch fails, every waiter
+//! resolves, and the pipeline keeps serving (`gpu_sim::sched`'s
+//! `BatchFailed`). `std`'s mutex poisoning adds nothing to that channel, and
+//! turning every `lock()` into `lock().expect(...)` would plant a panic site
+//! in exactly the code that must never panic (the `no-panic-in-workers` lint
+//! rule). These helpers recover the guard from a poisoned lock instead.
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Locks `mutex`, recovering the guard if a previous holder panicked.
-///
-/// Poisoning is deliberately ignored: the callers' own strand/poison flags
-/// (set by panic guards around worker bodies) carry the failure to waiters
-/// as typed errors, which is strictly more informative than a propagated
-/// `PoisonError` panic.
 pub fn locked<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -46,7 +38,7 @@ mod tests {
         .join();
         assert!(mutex.is_poisoned());
         // A plain `lock().unwrap()` would panic here; `locked` hands the
-        // guard back so the typed poison paths stay in charge.
+        // guard back.
         assert_eq!(*locked(&mutex), 7);
         *locked(&mutex) = 8;
         assert_eq!(*locked(&mutex), 8);

@@ -44,8 +44,8 @@ pub mod stream;
 pub mod work;
 
 pub use pipeline::{
-    BatchHandle, BatchLabel, BatchReport, PhasePipeline, PhasedBatch, PhasedDeviceReport,
-    PhasedExec, ShardCtx,
+    BatchFailed, BatchHandle, BatchLabel, BatchReport, PhasePipeline, PhasedBatch,
+    PhasedDeviceReport, PhasedExec, ShardCtx,
 };
 pub use pool::{load_skew, makespan_s, utilizations, DevicePool};
 pub use shard::{DeviceShardReport, ShardOutcome, ShardQueue};

@@ -30,6 +30,14 @@
 //! at batch completion, so results are bit-identical to a single-device run
 //! no matter how batches interleave.
 //!
+//! Failure is **batch-scoped** too: a panic in an item's
+//! [`PhasedExec::dock`] / [`PhasedExec::minimize`] or in a batch's completion
+//! callback fails that batch alone. Its queued items are dropped, a dock of
+//! it still in flight unlocks no minimize items, and once its in-flight items
+//! return it resolves as [`BatchFailed`] — every waiter returns, and the
+//! worker, its device and the pipeline keep serving later batches. A failed
+//! item charges nothing to the virtual timeline.
+//!
 //! Accounting is **batch-scoped**: every item is bracketed by one before/after
 //! snapshot of the servicing device's monotone counters — transfer seconds
 //! ([`crate::TransferSnapshot`]) and raw/derived residency events
@@ -58,7 +66,9 @@ use crate::sync::{locked, wait_on};
 use crate::timing::{StreamOp, StreamStats};
 use ftmap_trace::{Category, ItemScope, Tags, TraceEvent, TraceSink, Track};
 use std::collections::BTreeMap;
+use std::fmt;
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -230,50 +240,51 @@ impl BatchReport {
     }
 }
 
-/// Shared completion slot between a [`BatchHandle`] and the workers.
-struct SlotState {
-    report: Option<BatchReport>,
-    /// Set when a worker panicked while this batch was in flight: the batch
-    /// can never complete, so waiters must fail loudly instead of hanging.
-    stranded: bool,
+/// Why a batch failed: the first panic in one of its items or in its
+/// completion callback.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BatchFailed {
+    /// The batch's submission sequence number.
+    pub seq: usize,
+    /// The panic's message.
+    pub message: String,
 }
 
-type BatchSlot = Arc<(Mutex<SlotState>, Condvar)>;
-
-fn new_slot() -> BatchSlot {
-    Arc::new((Mutex::new(SlotState { report: None, stranded: false }), Condvar::new()))
+impl fmt::Display for BatchFailed {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "phase-pipeline batch {} failed: {}", self.seq, self.message)
+    }
 }
+
+/// Runs `step`, turning a panic into its message (`panic!` payloads are a
+/// `String` or a `&str`).
+fn caught<T>(step: impl FnOnce() -> T) -> Result<T, String> {
+    catch_unwind(AssertUnwindSafe(step)).map_err(|payload| match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => payload.downcast_ref::<&str>().map_or("non-string panic", |m| m).into(),
+    })
+}
+
+/// Shared completion slot between a [`BatchHandle`] and the workers: empty
+/// until the batch resolves.
+type BatchSlot = Arc<(Mutex<Option<Result<BatchReport, BatchFailed>>>, Condvar)>;
 
 /// A waiter's view of one submitted batch.
 #[derive(Clone)]
 pub struct BatchHandle {
     slot: BatchSlot,
-    seq: usize,
 }
 
 impl BatchHandle {
-    /// Blocks until the batch completes, returning its report.
-    ///
-    /// # Panics
-    /// Panics if a scheduler worker panicked while the batch was in flight
-    /// (the batch is stranded and would otherwise never resolve).
-    pub fn wait(&self) -> BatchReport {
+    /// Blocks until the batch resolves: its report, or why it failed.
+    pub fn wait(&self) -> Result<BatchReport, BatchFailed> {
         let (lock, done) = &*self.slot;
-        let mut state = locked(lock);
+        let mut outcome = locked(lock);
         loop {
-            if let Some(report) = &state.report {
-                return report.clone();
+            if let Some(outcome) = &*outcome {
+                return outcome.clone();
             }
-            if state.stranded {
-                // Release the guard before panicking so the slot mutex stays
-                // usable for other waiters (they will observe `stranded` too).
-                drop(state);
-                // lint-allow(no-panic-in-workers): the documented loud-failure
-                // API for stranded batches — this runs on the *waiter's*
-                // thread, after the worker panic that poisoned the scheduler.
-                panic!("phase-pipeline worker panicked; batch {} is stranded", self.seq);
-            }
-            state = wait_on(done, state);
+            outcome = wait_on(done, outcome);
         }
     }
 }
@@ -305,8 +316,6 @@ struct BatchState {
     priority: u32,
     /// Items submitted but not yet completed (docks + generated blocks).
     outstanding: usize,
-    /// Dock items not yet completed — while nonzero, more blocks may appear.
-    docks_pending: usize,
     docks_done: usize,
     blocks_done: usize,
     submitted_v_s: f64,
@@ -319,9 +328,14 @@ struct BatchState {
     derived_cache: CacheStats,
     /// Trace identity the batch was submitted with.
     label: BatchLabel,
+    /// The first panic message of one of the batch's items, once one failed.
+    failed: Option<String>,
     slot: BatchSlot,
-    on_complete: Option<Box<dyn FnOnce(BatchReport) + Send>>,
+    on_complete: Option<OnComplete>,
 }
+
+/// A batch's completion callback.
+type OnComplete = Box<dyn FnOnce(Result<BatchReport, BatchFailed>) + Send>;
 
 /// Everything the workers share.
 struct SchedState {
@@ -345,9 +359,6 @@ struct SchedState {
     /// summed weights, items).
     completed: Vec<(f64, f64, usize)>,
     shutdown: bool,
-    /// Set when a worker panicked: in-flight batches are stranded and every
-    /// blocking entry point fails loudly instead of hanging.
-    poisoned: bool,
 }
 
 impl SchedState {
@@ -424,7 +435,6 @@ impl PhasePipeline {
                 device_clock: vec![0.0; n],
                 completed: vec![(0.0, 0.0, 0); n],
                 shutdown: false,
-                poisoned: false,
             }),
             work: Condvar::new(),
             settled: Condvar::new(),
@@ -445,31 +455,23 @@ impl PhasePipeline {
 
     /// Submits a batch; its dock items become claimable immediately. Returns
     /// a handle the caller may wait on; `on_complete` (if any) runs exactly
-    /// once, on the worker that finishes the batch's last item, before the
-    /// handle resolves.
+    /// once, with the batch's outcome, on the worker that finishes the
+    /// batch's last item, before the handle resolves. A panic in
+    /// `on_complete` resolves the handle as [`BatchFailed`].
     ///
     /// # Panics
     /// Panics if the pipeline has been shut down, or if `dock_weights` does
     /// not have `entries` elements.
-    pub fn submit(
-        &self,
-        batch: PhasedBatch,
-        on_complete: Option<Box<dyn FnOnce(BatchReport) + Send>>,
-    ) -> BatchHandle {
+    pub fn submit(&self, batch: PhasedBatch, on_complete: Option<OnComplete>) -> BatchHandle {
         assert_eq!(batch.dock_weights.len(), batch.entries, "dock_weights must cover every entry");
         assert!(
             batch.entry_traces.is_empty() || batch.entry_traces.len() == batch.entries,
             "entry_traces must be empty or cover every entry"
         );
-        let slot = new_slot();
+        let slot = BatchSlot::default();
         let exec = Arc::clone(&batch.exec);
         let mut state = locked(&self.shared.state);
         assert!(!state.shutdown, "submit after PhasePipeline::shutdown");
-        assert!(
-            !state.poisoned,
-            "submit to a poisoned PhasePipeline (a worker panicked; its device is gone \
-             and the claim gate would stall new work)"
-        );
         let seq = state.next_seq;
         state.next_seq += 1;
         state.unfinished += 1;
@@ -501,7 +503,6 @@ impl PhasePipeline {
             seq,
             priority: batch.priority,
             outstanding: entries,
-            docks_pending: entries,
             docks_done: 0,
             blocks_done: 0,
             submitted_v_s,
@@ -511,6 +512,7 @@ impl PhasePipeline {
             cache: CacheStats::default(),
             derived_cache: CacheStats::default(),
             label: batch.label,
+            failed: None,
             slot: Arc::clone(&slot),
             on_complete,
         };
@@ -518,20 +520,8 @@ impl PhasePipeline {
         // never enters the live-batch table at all.
         if entries == 0 {
             drop(state);
-            {
-                // A callback panic here unwinds the *submitting* thread —
-                // loud on its own, but `unfinished` would stay forever
-                // nonzero: poison the scheduler and strand the slot so later
-                // drain()/wait() calls fail instead of hanging.
-                let _poison_guard = PoisonGuard { shared: &self.shared };
-                let strand_guard = StrandGuard::new(&slot);
-                finish_batch(&self.shared, batch_state);
-                strand_guard.disarm();
-            }
-            locked(&self.shared.state).unfinished -= 1;
-            self.shared.settled.notify_all();
-            self.shared.work.notify_all();
-            return BatchHandle { slot, seq };
+            finish_batch(&self.shared, batch_state);
+            return BatchHandle { slot };
         }
         state.batches.insert(seq, batch_state);
         for entry in 0..entries {
@@ -554,42 +544,23 @@ impl PhasePipeline {
         }
         drop(state);
         self.shared.work.notify_all();
-        BatchHandle { slot, seq }
+        BatchHandle { slot }
     }
 
-    /// Blocks until fewer than `max_inflight` batches are incomplete — the
+    /// Blocks until fewer than `max_inflight` batches are unresolved — the
     /// dispatcher's flow control: keep batch N+1 docking under batch N, but
     /// never pile up unboundedly.
-    ///
-    /// # Panics
-    /// Panics if a scheduler worker panicked (capacity may never free up).
     pub fn wait_capacity(&self, max_inflight: usize) {
         let mut state = locked(&self.shared.state);
         while state.unfinished >= max_inflight.max(1) {
-            if state.poisoned {
-                drop(state); // keep the state mutex held by nobody while panicking
-                             // lint-allow(no-panic-in-workers): documented loud-failure API
-                             // on the caller's thread once the scheduler is poisoned.
-                panic!("phase-pipeline worker panicked; batches are stranded");
-            }
             state = wait_on(&self.shared.settled, state);
         }
     }
 
-    /// Blocks until every submitted batch has completed.
-    ///
-    /// # Panics
-    /// Panics if a scheduler worker panicked (stranded batches never
-    /// complete — hanging here silently would hide the failure).
+    /// Blocks until every submitted batch has resolved, completed or failed.
     pub fn drain(&self) {
         let mut state = locked(&self.shared.state);
         while state.unfinished > 0 {
-            if state.poisoned {
-                drop(state); // keep the state mutex held by nobody while panicking
-                             // lint-allow(no-panic-in-workers): documented loud-failure API
-                             // on the caller's thread once the scheduler is poisoned.
-                panic!("phase-pipeline worker panicked; batches are stranded");
-            }
             state = wait_on(&self.shared.settled, state);
         }
     }
@@ -661,17 +632,14 @@ impl PhasePipeline {
     }
 
     fn stop_and_join(&mut self) {
-        {
-            // `locked` recovers from a poisoned mutex: shutdown runs during
-            // Drop (and so possibly during a panic's cleanup), where a second
-            // panic would abort the process. The explicit `poisoned` flag —
-            // not mutex poisoning — is what guards scheduler invariants.
-            locked(&self.shared.state).shutdown = true;
-        }
+        // `locked` recovers from a poisoned mutex: shutdown runs during Drop
+        // (and so possibly during a panic's cleanup), where a second panic
+        // would abort the process.
+        locked(&self.shared.state).shutdown = true;
         self.shared.work.notify_all();
         for worker in self.workers.drain(..) {
             if worker.join().is_err() {
-                eprintln!("gpu-sim: phase-pipeline worker panicked; batches may be stranded");
+                eprintln!("gpu-sim: phase-pipeline worker panicked outside an item");
             }
         }
     }
@@ -683,9 +651,11 @@ impl Drop for PhasePipeline {
     }
 }
 
-/// Completes a batch: builds its report, runs the completion callback (if
-/// any), and resolves the handle slot. Called without the scheduler lock held
-/// — the callback may do real work (clustering, job-slot completion).
+/// Resolves a batch: builds its report, runs the completion callback (if
+/// any) under `catch_unwind`, resolves the handle slot, and stops counting
+/// the batch as unfinished. Called without the scheduler lock held — the
+/// callback may do real work (clustering, job-slot completion), and only
+/// after it returns can a drainer observe the batch as done.
 fn finish_batch(shared: &Shared, mut batch: BatchState) {
     let per_device = batch
         .streams
@@ -736,98 +706,22 @@ fn finish_batch(shared: &Shared, mut batch: BatchState) {
             .with_tags(tags),
         );
     }
+    let seq = batch.seq;
+    let mut outcome = match batch.failed.take() {
+        Some(message) => Err(BatchFailed { seq, message }),
+        None => Ok(report),
+    };
     if let Some(cb) = batch.on_complete.take() {
-        cb(report.clone());
+        if let (Err(message), Ok(_)) = (caught(|| cb(outcome.clone())), &outcome) {
+            outcome = Err(BatchFailed { seq, message });
+        }
     }
     let (lock, done) = &*batch.slot;
-    locked(lock).report = Some(report);
+    *locked(lock) = Some(outcome);
     done.notify_all();
-}
-
-/// Marks the scheduler poisoned after a worker panic: every in-flight batch's
-/// slot is stranded (its waiters fail loudly) and blocking entry points stop
-/// waiting. Runs from [`PoisonGuard::drop`] during unwinding, so it must not
-/// panic itself.
-fn poison(state: &mut SchedState) {
-    state.poisoned = true;
-    for batch in state.batches.values() {
-        let (lock, done) = &*batch.slot;
-        locked(lock).stranded = true;
-        done.notify_all();
-    }
-    // Every ready item belongs to a now-stranded batch; drop them so the
-    // surviving workers can drain to idle and exit at shutdown. (The dead
-    // worker's frozen clock also freezes the claim gate's pool minimum, so
-    // leaving items queued could gate every survivor forever.)
-    state.ready.clear();
-}
-
-/// Unwind sentinel around a [`finish_batch`] call: by then the batch has
-/// already left `state.batches`, so the thread-level [`PoisonGuard`] cannot
-/// reach its slot — if the completion callback panics, this guard strands the
-/// slot directly so `BatchHandle::wait` fails loudly instead of hanging.
-struct StrandGuard {
-    slot: Option<BatchSlot>,
-}
-
-impl StrandGuard {
-    fn new(slot: &BatchSlot) -> Self {
-        StrandGuard { slot: Some(Arc::clone(slot)) }
-    }
-
-    /// Disarms the guard: the batch finished cleanly.
-    fn disarm(mut self) {
-        self.slot = None;
-    }
-}
-
-impl Drop for StrandGuard {
-    fn drop(&mut self) {
-        let Some(slot) = &self.slot else { return };
-        if !std::thread::panicking() {
-            return;
-        }
-        let (lock, done) = &**slot;
-        locked(lock).stranded = true;
-        done.notify_all();
-    }
-}
-
-/// Unwind sentinel living on every worker's stack: if the worker panics —
-/// inside [`PhasedExec`] code, a completion callback, or the scheduler's own
-/// accounting — the drop handler poisons the scheduler so waiters fail
-/// loudly. Without it, a panicked item would leave its batch's `outstanding`
-/// forever nonzero and every `wait`/`drain`/`wait_capacity`/shutdown would
-/// hang silently.
-struct PoisonGuard<'a> {
-    shared: &'a Shared,
-}
-
-impl Drop for PoisonGuard<'_> {
-    fn drop(&mut self) {
-        if !std::thread::panicking() {
-            return;
-        }
-        eprintln!("gpu-sim: phase-pipeline worker panicked; stranding in-flight batches");
-        // The panicking stack released its state guard during unwinding (it
-        // may have poisoned the mutex); spin briefly in case another worker
-        // holds it right now.
-        for _ in 0..1024 {
-            match self.shared.state.try_lock() {
-                Ok(mut state) => {
-                    poison(&mut state);
-                    break;
-                }
-                Err(std::sync::TryLockError::Poisoned(recovered)) => {
-                    poison(&mut recovered.into_inner());
-                    break;
-                }
-                Err(std::sync::TryLockError::WouldBlock) => std::thread::yield_now(),
-            }
-        }
-        self.shared.work.notify_all();
-        self.shared.settled.notify_all();
-    }
+    locked(&shared.state).unfinished -= 1;
+    shared.settled.notify_all();
+    shared.work.notify_all();
 }
 
 /// One end of the per-item bracket: the servicing device's monotone transfer
@@ -850,11 +744,12 @@ impl ItemMark {
 }
 
 /// One persistent worker: claim the most urgent ready item (gated by the
-/// modeled-cost fairness rule), execute it, account it to its batch, generate
-/// follow-on minimize items, complete batches.
+/// modeled-cost fairness rule), execute it under `catch_unwind`, account it
+/// to its batch, generate follow-on minimize items, resolve batches. A
+/// panicking item fails its batch (see the [module docs](self)) and the
+/// worker moves on to the next item.
 fn worker_loop(shared: &Shared, device_index: usize) {
     let device: &Arc<Device> = shared.pool.device(device_index);
-    let _poison_guard = PoisonGuard { shared };
     loop {
         // --- Claim.
         let claimed = {
@@ -863,13 +758,7 @@ fn worker_loop(shared: &Shared, device_index: usize) {
                 if !state.ready.is_empty() && state.may_claim(device_index) {
                     break;
                 }
-                // After a worker panic, stranded batches never finish — exit
-                // once the remaining runnable work is gone so shutdown can
-                // still join everyone.
-                if state.shutdown
-                    && state.ready.is_empty()
-                    && (state.unfinished == 0 || state.poisoned)
-                {
+                if state.shutdown && state.ready.is_empty() && state.unfinished == 0 {
                     return;
                 }
                 state = wait_on(&shared.work, state);
@@ -908,85 +797,95 @@ fn worker_loop(shared: &Shared, device_index: usize) {
         });
         let before = ItemMark::of(device);
         let batch_slot = item.batch_slot;
-        let (kernel_s, unlocked) = match item.phase {
+        let ran = caught(|| match item.phase {
             Phase::Dock => item.exec.dock(&ctx, item.entry),
             Phase::Minimize => {
                 (item.exec.minimize(&ctx, item.entry, item.pose_range.clone()), Vec::new())
             }
-        };
+        });
         let after = ItemMark::of(device);
         let anchor = scope.as_ref().map(|s| s.anchor());
         drop(scope);
 
-        // --- Account, advance the virtual timeline, unlock dependents.
-        let (finished, start_v, actual_s) = {
-            let mut state = locked(&shared.state);
-            let op = {
-                let delta = after.transfer.delta_since(&before.transfer);
-                StreamOp::new(delta.upload_s, kernel_s, delta.download_s)
-            };
-            let actual_s = op.serialized_s();
-            let start_v = state.device_clock[device_index].max(item.ready_v_s);
-            let completion_v = start_v + actual_s;
-            state.device_clock[device_index] = completion_v;
-            let tally = &mut state.completed[device_index];
-            tally.0 += actual_s;
-            tally.1 += item.weight;
-            tally.2 += 1;
-
-            let Some(batch) = state.batches.get_mut(&batch_slot) else {
-                // A live item's batch has vanished: a scheduler invariant is
-                // broken. Route it through the typed poison path (strand the
-                // remaining batches loudly) instead of panicking mid-lock.
-                poison(&mut state);
-                drop(state);
-                shared.work.notify_all();
-                shared.settled.notify_all();
-                continue;
-            };
-            let phase_idx = match item.phase {
-                Phase::Dock => 0,
-                Phase::Minimize => 1,
-            };
-            batch.streams[device_index][phase_idx].record(op);
-            batch.cache.accumulate(&after.cache.delta_since(&before.cache));
-            batch.derived_cache.accumulate(&after.derived_cache.delta_since(&before.derived_cache));
-            batch.started_v_s = batch.started_v_s.min(start_v);
-            batch.completed_v_s = batch.completed_v_s.max(completion_v);
+        // --- Account, advance the virtual timeline, unlock dependents; or
+        // fail the batch.
+        let (finished, span) = {
+            let mut guard = locked(&shared.state);
+            let state = &mut *guard;
+            // Every claimed item counts in its batch's `outstanding`, so the
+            // batch stays live until this item is accounted.
+            let Some(batch) = state.batches.get_mut(&batch_slot) else { continue };
             batch.outstanding -= 1;
-            match item.phase {
-                Phase::Dock => {
-                    batch.docks_pending -= 1;
-                    batch.docks_done += 1;
+            let span = match ran {
+                Ok((kernel_s, unlocked)) => {
+                    let op = {
+                        let delta = after.transfer.delta_since(&before.transfer);
+                        StreamOp::new(delta.upload_s, kernel_s, delta.download_s)
+                    };
+                    let actual_s = op.serialized_s();
+                    let start_v = state.device_clock[device_index].max(item.ready_v_s);
+                    let completion_v = start_v + actual_s;
+                    state.device_clock[device_index] = completion_v;
+                    let tally = &mut state.completed[device_index];
+                    tally.0 += actual_s;
+                    tally.1 += item.weight;
+                    tally.2 += 1;
+
+                    let phase_idx = match item.phase {
+                        Phase::Dock => 0,
+                        Phase::Minimize => 1,
+                    };
+                    batch.streams[device_index][phase_idx].record(op);
+                    batch.cache.accumulate(&after.cache.delta_since(&before.cache));
+                    batch
+                        .derived_cache
+                        .accumulate(&after.derived_cache.delta_since(&before.derived_cache));
+                    batch.started_v_s = batch.started_v_s.min(start_v);
+                    batch.completed_v_s = batch.completed_v_s.max(completion_v);
+                    match item.phase {
+                        Phase::Dock => batch.docks_done += 1,
+                        Phase::Minimize => batch.blocks_done += 1,
+                    }
+                    // A failed batch runs no further work: its in-flight docks
+                    // unlock nothing.
+                    if batch.failed.is_none() {
+                        batch.outstanding += unlocked.len();
+                        for (pose_range, weight) in unlocked {
+                            let order = state.next_order;
+                            state.next_order += 1;
+                            state.ready.insert(
+                                (batch.priority, batch.seq, order),
+                                ReadyItem {
+                                    batch_slot,
+                                    exec: Arc::clone(&item.exec),
+                                    phase: Phase::Minimize,
+                                    entry: item.entry,
+                                    pose_range,
+                                    weight,
+                                    ready_v_s: completion_v,
+                                    class: item.class,
+                                    trace: item.trace,
+                                },
+                            );
+                        }
+                    }
+                    Some((start_v, actual_s, kernel_s))
                 }
-                Phase::Minimize => batch.blocks_done += 1,
-            }
-            let priority = batch.priority;
-            let seq = batch.seq;
-            batch.outstanding += unlocked.len();
-            let done = batch.outstanding == 0;
-            for (pose_range, weight) in unlocked {
-                let order = state.next_order;
-                state.next_order += 1;
-                state.ready.insert(
-                    (priority, seq, order),
-                    ReadyItem {
-                        batch_slot,
-                        exec: Arc::clone(&item.exec),
-                        phase: Phase::Minimize,
-                        entry: item.entry,
-                        pose_range,
-                        weight,
-                        ready_v_s: completion_v,
-                        class: item.class,
-                        trace: item.trace,
-                    },
-                );
-            }
-            let finished = if done { state.batches.remove(&batch_slot) } else { None };
-            (finished, start_v, actual_s)
+                Err(message) => {
+                    // The batch fails: drop its queued items; its in-flight
+                    // ones finish, and the last to return resolves it.
+                    batch.failed.get_or_insert(message);
+                    let queued = state.ready.len();
+                    state.ready.retain(|_, ready| ready.batch_slot != batch_slot);
+                    batch.outstanding -= queued - state.ready.len();
+                    None
+                }
+            };
+            let finished =
+                if batch.outstanding == 0 { state.batches.remove(&batch_slot) } else { None };
+            (finished, span)
         };
-        if let Some(tags) = item_tags {
+        if let (Some(tags), Some((start_v, actual_s, kernel_s))) = (item_tags, span) {
             let name = match item.phase {
                 Phase::Dock => "dock",
                 Phase::Minimize => "minimize",
@@ -1007,14 +906,7 @@ fn worker_loop(shared: &Shared, device_index: usize) {
         if let Some(batch) = finished {
             // Report assembly + completion callback run outside the state
             // lock (the callback may do real work: clustering, job slots).
-            // Only afterwards does the batch stop counting as unfinished —
-            // so drainers can't observe completion while the callback still
-            // borrows caller state (and, transitively, this scheduler).
-            let strand_guard = StrandGuard::new(&batch.slot);
             finish_batch(shared, batch);
-            strand_guard.disarm();
-            locked(&shared.state).unfinished -= 1;
-            shared.settled.notify_all();
         }
         shared.work.notify_all();
     }
@@ -1090,7 +982,7 @@ mod tests {
         let pipeline = PhasePipeline::new(pool);
         let exec = Arc::new(TestExec::new(5, 4));
         let handle = submit_test_batch(&pipeline, &exec, 0);
-        let report = handle.wait();
+        let report = handle.wait().unwrap();
         assert_eq!(report.docks, 5);
         assert_eq!(report.blocks, 20);
         assert_eq!(exec.violations.load(Ordering::SeqCst), 0);
@@ -1119,7 +1011,7 @@ mod tests {
         let execs: Vec<Arc<TestExec>> = (0..3).map(|_| Arc::new(TestExec::new(3, 3))).collect();
         let handles: Vec<BatchHandle> =
             execs.iter().map(|e| submit_test_batch(&pipeline, e, 1)).collect();
-        let reports: Vec<BatchReport> = handles.iter().map(BatchHandle::wait).collect();
+        let reports: Vec<BatchReport> = handles.iter().map(|h| h.wait().unwrap()).collect();
         pipeline.drain();
         let pipelined = pipeline.makespan_modeled_s();
         let barrier: f64 = reports.iter().map(BatchReport::barrier_equivalent_s).sum();
@@ -1145,8 +1037,9 @@ mod tests {
             bulk.iter().map(|e| submit_test_batch(&pipeline, e, 1)).collect();
         let interactive = Arc::new(TestExec::new(1, 1));
         let interactive_handle = submit_test_batch(&pipeline, &interactive, 0);
-        let interactive_report = interactive_handle.wait();
-        let bulk_reports: Vec<BatchReport> = bulk_handles.iter().map(BatchHandle::wait).collect();
+        let interactive_report = interactive_handle.wait().unwrap();
+        let bulk_reports: Vec<BatchReport> =
+            bulk_handles.iter().map(|h| h.wait().unwrap()).collect();
         let last_bulk = bulk_reports.iter().map(|r| r.completed_v_s).fold(0.0, f64::max);
         assert!(
             interactive_report.completed_v_s < last_bulk,
@@ -1173,12 +1066,12 @@ mod tests {
                 dock_weights: vec![1.0; 2],
                 exec: Arc::clone(&exec) as Arc<dyn PhasedExec>,
             },
-            Some(Box::new(move |report: BatchReport| {
-                assert_eq!(report.docks, 2);
+            Some(Box::new(move |report: Result<BatchReport, BatchFailed>| {
+                assert_eq!(report.unwrap().docks, 2);
                 fired_cb.fetch_add(1, Ordering::SeqCst);
             })),
         );
-        handle.wait();
+        handle.wait().unwrap();
         assert_eq!(fired.load(Ordering::SeqCst), 1);
         pipeline.shutdown();
     }
@@ -1189,7 +1082,7 @@ mod tests {
         let pipeline = PhasePipeline::new(pool);
         let exec = Arc::new(TestExec::new(0, 0));
         let handle = submit_test_batch(&pipeline, &exec, 0);
-        let report = handle.wait();
+        let report = handle.wait().unwrap();
         assert_eq!(report.docks, 0);
         assert_eq!(report.blocks, 0);
         assert_eq!(report.span_modeled_s(), 0.0);
@@ -1211,120 +1104,131 @@ mod tests {
         pipeline.shutdown();
     }
 
+    fn submit_exec(
+        pipeline: &PhasePipeline,
+        exec: Arc<dyn PhasedExec>,
+        entries: usize,
+        on_complete: Option<OnComplete>,
+    ) -> BatchHandle {
+        pipeline.submit(
+            PhasedBatch {
+                label: Default::default(),
+                entry_traces: Vec::new(),
+                priority: 0,
+                entries,
+                dock_weights: vec![1.0; entries],
+                exec,
+            },
+            on_complete,
+        )
+    }
+
+    /// Every blocking entry point returns once the only batch resolved.
+    fn assert_nothing_blocks(pipeline: &PhasePipeline) {
+        pipeline.drain();
+        pipeline.wait_capacity(1);
+    }
+
     #[test]
-    fn exec_panic_strands_the_batch_loudly_instead_of_hanging() {
-        // A panic inside PhasedExec code must not leave waiters blocked
-        // forever: the worker's poison guard strands in-flight batches, so
-        // wait()/drain() fail with a message and shutdown still joins.
-        struct PanickingExec;
-        impl PhasedExec for PanickingExec {
-            fn dock(&self, _: &ShardCtx<'_>, _: usize) -> (f64, Vec<(Range<usize>, f64)>) {
-                panic!("exec bug");
+    fn exec_panic_fails_only_its_batch_and_an_inflight_dock_unlocks_nothing() {
+        // Entry 0's dock panics while entry 1's dock is in flight on the
+        // other device. The batch fails with the panic's message; entry 1's
+        // dock still returns and is accounted, but unlocks no minimize items.
+        struct FailWhileDocking {
+            both_docking: std::sync::Barrier,
+            release: std::sync::atomic::AtomicBool,
+            minimized: AtomicUsize,
+        }
+        impl PhasedExec for FailWhileDocking {
+            fn dock(&self, _: &ShardCtx<'_>, entry: usize) -> (f64, Vec<(Range<usize>, f64)>) {
+                self.both_docking.wait();
+                assert!(entry != 0, "exec bug on entry 0");
+                while !self.release.load(Ordering::SeqCst) {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                (1e-3, vec![(0..1, 1.0), (1..2, 1.0)])
             }
             fn minimize(&self, _: &ShardCtx<'_>, _: usize, _: Range<usize>) -> f64 {
-                unreachable!()
+                self.minimized.fetch_add(1, Ordering::SeqCst);
+                1e-3
             }
         }
-        let pool = Arc::new(DevicePool::tesla(2));
-        let pipeline = PhasePipeline::new(pool);
-        let handle = pipeline.submit(
-            PhasedBatch {
-                label: Default::default(),
-                entry_traces: Vec::new(),
-                priority: 0,
-                entries: 1,
-                dock_weights: vec![1.0],
-                exec: Arc::new(PanickingExec),
-            },
-            None,
-        );
-        let waited = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.wait()));
-        assert!(waited.is_err(), "wait() must fail loudly on a stranded batch");
-        let drained = {
-            let pipeline = &pipeline;
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| pipeline.drain()))
-        };
-        assert!(drained.is_err(), "drain() must fail loudly on a stranded batch");
-        // Shutdown must still terminate (surviving workers exit despite the
-        // stranded batch).
+        let pipeline = PhasePipeline::new(Arc::new(DevicePool::tesla(2)));
+        let exec = Arc::new(FailWhileDocking {
+            both_docking: std::sync::Barrier::new(2),
+            release: std::sync::atomic::AtomicBool::new(false),
+            minimized: AtomicUsize::new(0),
+        });
+        let handle = submit_exec(&pipeline, Arc::clone(&exec) as Arc<dyn PhasedExec>, 2, None);
+        let failed =
+            || locked(&pipeline.shared.state).batches.get(&0).is_some_and(|b| b.failed.is_some());
+        while !failed() {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        exec.release.store(true, Ordering::SeqCst);
+        let failed = handle.wait().unwrap_err();
+        assert_eq!(failed, BatchFailed { seq: 0, message: "exec bug on entry 0".into() });
+        assert_eq!(failed.to_string(), "phase-pipeline batch 0 failed: exec bug on entry 0");
+        assert_eq!(exec.minimized.load(Ordering::SeqCst), 0);
+        assert_nothing_blocks(&pipeline);
+        // Entry 1's dock ran, so it charged its device's clock; entry 0's
+        // failed item charged nothing.
+        assert_eq!(locked(&pipeline.shared.state).completed.iter().map(|t| t.2).sum::<usize>(), 1);
         pipeline.shutdown();
     }
 
     #[test]
-    fn callback_panic_strands_waiters_loudly() {
-        // The batch leaves `state.batches` before its completion callback
-        // runs, so the thread-level poison guard alone cannot strand its
-        // slot: the StrandGuard around finish_batch must, or wait() would
-        // hang forever on a callback bug.
-        let pool = Arc::new(DevicePool::tesla(1));
-        let pipeline = PhasePipeline::new(pool);
+    fn callback_panic_fails_the_waiter() {
+        let pipeline = PhasePipeline::new(Arc::new(DevicePool::tesla(1)));
         let exec = Arc::new(TestExec::new(1, 0));
-        let handle = pipeline.submit(
-            PhasedBatch {
-                label: Default::default(),
-                entry_traces: Vec::new(),
-                priority: 0,
-                entries: 1,
-                dock_weights: vec![1.0],
-                exec: Arc::clone(&exec) as Arc<dyn PhasedExec>,
-            },
-            Some(Box::new(|_report: BatchReport| panic!("callback bug"))),
+        let handle = submit_exec(
+            &pipeline,
+            exec,
+            1,
+            Some(Box::new(|outcome: Result<BatchReport, BatchFailed>| {
+                assert!(outcome.is_ok());
+                panic!("callback bug");
+            })),
         );
-        let waited = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.wait()));
-        assert!(waited.is_err(), "a callback panic must fail the waiter, not hang it");
+        assert_eq!(handle.wait(), Err(BatchFailed { seq: 0, message: "callback bug".into() }));
+        assert_nothing_blocks(&pipeline);
         pipeline.shutdown();
     }
 
     #[test]
-    fn exec_panic_with_survivors_still_drains_and_joins() {
-        // The harder variant: a multi-entry batch where only one item
-        // panics. The surviving worker must neither claim the stranded
-        // batch's leftovers (the dead worker's frozen clock freezes the
-        // claim gate's minimum) nor spin forever — poison clears the ready
-        // set, so shutdown drains and joins promptly.
-        struct PanicOnEntryZero;
+    fn pipeline_keeps_serving_after_a_failed_batch() {
+        // On one device, entry 0 docks first and panics: entry 1, still
+        // queued, is dropped and never runs, and the failed item charges
+        // nothing. A later batch then reports exactly what it reports on a
+        // fresh pipeline whose first batch was empty.
+        struct PanicOnEntryZero(AtomicUsize);
         impl PhasedExec for PanicOnEntryZero {
             fn dock(&self, _: &ShardCtx<'_>, entry: usize) -> (f64, Vec<(Range<usize>, f64)>) {
                 assert!(entry != 0, "exec bug on entry 0");
-                std::thread::sleep(std::time::Duration::from_micros(200));
+                self.0.fetch_add(1, Ordering::SeqCst);
                 (1e-3, Vec::new())
             }
             fn minimize(&self, _: &ShardCtx<'_>, _: usize, _: Range<usize>) -> f64 {
                 unreachable!()
             }
         }
-        let pool = Arc::new(DevicePool::tesla(2));
-        let pipeline = PhasePipeline::new(pool);
-        let handle = pipeline.submit(
-            PhasedBatch {
-                label: Default::default(),
-                entry_traces: Vec::new(),
-                priority: 0,
-                entries: 6,
-                dock_weights: vec![1.0; 6],
-                exec: Arc::new(PanicOnEntryZero),
-            },
-            None,
-        );
-        let waited = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| handle.wait()));
-        assert!(waited.is_err(), "stranded batch must fail its waiter");
-        // Submissions after the poison are refused loudly instead of stalling.
-        let resubmit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pipeline.submit(
-                PhasedBatch {
-                    label: Default::default(),
-                    entry_traces: Vec::new(),
-                    priority: 0,
-                    entries: 1,
-                    dock_weights: vec![1.0],
-                    exec: Arc::new(PanicOnEntryZero),
-                },
-                None,
-            )
-        }));
-        assert!(resubmit.is_err(), "submit to a poisoned scheduler must be refused");
-        // The real assertion: this returns instead of hanging on the join.
+        let later_batch = |pipeline: &PhasePipeline| {
+            submit_test_batch(pipeline, &Arc::new(TestExec::new(3, 2)), 0).wait().unwrap()
+        };
+        let pipeline = PhasePipeline::new(Arc::new(DevicePool::tesla(1)));
+        let failing = Arc::new(PanicOnEntryZero(AtomicUsize::new(0)));
+        let handle = submit_exec(&pipeline, Arc::clone(&failing) as Arc<dyn PhasedExec>, 2, None);
+        assert_eq!(handle.wait().unwrap_err().message, "exec bug on entry 0");
+        assert_eq!(failing.0.load(Ordering::SeqCst), 0, "the queued entry never ran");
+        assert_nothing_blocks(&pipeline);
+        let after_failure = later_batch(&pipeline);
         pipeline.shutdown();
+
+        let fresh = PhasePipeline::new(Arc::new(DevicePool::tesla(1)));
+        submit_exec(&fresh, Arc::new(TestExec::new(0, 0)), 0, None).wait().unwrap();
+        assert_eq!(after_failure, later_batch(&fresh));
+        assert_eq!(after_failure.seq, 1);
+        fresh.shutdown();
     }
 
     #[test]
@@ -1338,7 +1242,8 @@ mod tests {
         let execs: Vec<Arc<TestExec>> = (0..2).map(|_| Arc::new(TestExec::new(4, 2))).collect();
         let handles: Vec<BatchHandle> =
             execs.iter().map(|e| submit_test_batch(&pipeline, e, 1)).collect();
-        let total_batches: f64 = handles.iter().map(|h| h.wait().transfer_modeled_s()).sum();
+        let total_batches: f64 =
+            handles.iter().map(|h| h.wait().unwrap().transfer_modeled_s()).sum();
         pipeline.shutdown();
         let pool_total = pool.total_transfer_time();
         assert!(pool_total > 0.0);
@@ -1365,7 +1270,7 @@ mod tests {
             },
             None,
         );
-        handle.wait();
+        handle.wait().unwrap();
         pipeline.shutdown();
         let events = recorder.events();
         for trace_id in [100u64, 101, 102] {
@@ -1408,7 +1313,7 @@ mod tests {
         assert_eq!(pipeline.projected_completion_v_s(None), vec![0.0, 0.0]);
         let exec = Arc::new(TestExec::new(4, 3));
         let handle = submit_test_batch(&pipeline, &exec, 1);
-        handle.wait();
+        handle.wait().unwrap();
         pipeline.drain();
         // Drained: the ready set is empty again, so projections collapse to
         // the device clocks regardless of the cutoff.

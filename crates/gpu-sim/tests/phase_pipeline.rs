@@ -91,7 +91,7 @@ proptest! {
                 )
             })
             .collect();
-        let reports: Vec<_> = handles.iter().map(BatchHandle::wait).collect();
+        let reports: Vec<_> = handles.iter().map(|h| h.wait().unwrap()).collect();
         pipeline.drain();
         let pipelined_makespan = pipeline.makespan_modeled_s();
         pipeline.shutdown();
@@ -146,7 +146,7 @@ fn run_one_batch(pool: DevicePool, entries: usize, exec: Arc<dyn PhasedExec>) ->
         },
         None,
     );
-    let report = handle.wait();
+    let report = handle.wait().unwrap();
     pipeline.shutdown();
     report
 }
@@ -296,7 +296,7 @@ fn overlapping_batches_report_exactly_their_own_residency_events() {
             )
         })
         .collect();
-    let reports: Vec<BatchReport> = handles.iter().map(BatchHandle::wait).collect();
+    let reports: Vec<BatchReport> = handles.iter().map(|h| h.wait().unwrap()).collect();
     pipeline.shutdown();
 
     let mut batch_total = gpu_sim::CacheStats::default();
