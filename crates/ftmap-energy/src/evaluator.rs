@@ -577,22 +577,37 @@ mod tests {
 
     #[test]
     fn electrostatics_dominates_evaluation_time() {
-        // Fig. 3(b): electrostatics ~94 %, vdW ~5 %, bonded ~0.2 %. The exact numbers
-        // depend on the machine; the ordering must hold.
-        let (complex, neighbors, evaluator) = small_system();
-        // Average over a few evaluations to stabilize timings.
-        let mut elec = 0.0;
-        let mut vdw = 0.0;
-        let mut bonded = 0.0;
-        for _ in 0..5 {
-            let eval = evaluator.evaluate(&complex, &neighbors);
-            elec += eval.breakdown.elec_time_s;
-            vdw += eval.breakdown.vdw_time_s;
-            bonded += eval.breakdown.bonded_time_s;
-        }
-        assert!(elec > vdw, "elec {elec} vs vdw {vdw}");
-        assert!(vdw > 0.0);
-        assert!(elec > bonded, "elec {elec} vs bonded {bonded}");
+        // Fig. 3(b): electrostatics ~94 %, vdW ~5 %, bonded ~0.2 % of the
+        // evaluation. The ordering is asserted on work the code counts, not
+        // on the breakdown's wall-clock seconds, which move with the host's
+        // load.
+        let (mut complex, neighbors, evaluator) = small_system();
+        let breakdown = evaluator.evaluate(&complex, &neighbors).breakdown;
+        assert!(breakdown.electrostatics != 0.0 && breakdown.vdw != 0.0);
+        assert!(breakdown.bonded != 0.0);
+
+        // Elec > vdW > 0 on the GPU kernels' flop counters: the self-energy
+        // kernel is electrostatics alone (Born and ACE), the pairwise one
+        // holds all of van der Waals beside the GB pairs.
+        let device = gpu_sim::Device::tesla_c1060();
+        let ff = ForceField::charmm_like();
+        let gpu = crate::gpu::GpuMinimizationEngine::new(&device, ff, &neighbors);
+        let result = gpu.evaluate(&complex);
+        let elec_flops = result.self_energy_stats().counters.flops;
+        let pair_flops = result.pairwise_vdw_stats().counters.flops;
+        assert!(elec_flops > pair_flops, "elec {elec_flops} vs GB + vdW {pair_flops} flops");
+        assert!(pair_flops > 0);
+
+        // Elec > bonded on the term evaluations the host loops run: with
+        // every atom immobile, the record holds one value per evaluation
+        // (the Born sum, then each pair's ACE and GB terms; each bonded
+        // term).
+        complex.probe_offset = complex.n_atoms();
+        let (_, rigid) = evaluator.energy_recording(&complex, &neighbors);
+        let [elec, vdw, bonded] = rigid.streams.each_ref().map(Vec::len);
+        assert_eq!((elec, vdw), (1 + neighbors.n_pairs(), neighbors.n_pairs()));
+        assert!(elec > bonded, "{elec} electrostatic vs {bonded} bonded evaluations");
+        assert!(bonded > 0);
     }
 
     #[test]

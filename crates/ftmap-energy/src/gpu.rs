@@ -28,7 +28,8 @@ use crate::terms::{self, PairGeometry};
 use ftmap_math::{Real, Vec3};
 use ftmap_molecule::{Atom, Complex, ForceField, NeighborList};
 use gpu_sim::{
-    BlockContext, BlockKernel, BlockOrder, Device, KernelLaunch, KernelStats, Staged, StatsLedger,
+    BlockContext, BlockKernel, BlockOrder, Device, KernelLaunch, KernelStats, QueuedLaunch, Staged,
+    StatsLedger,
 };
 
 /// Ledger phase names for the kernels of one GPU minimization iteration.
@@ -162,12 +163,9 @@ impl<'a> GpuMinimizationEngine<'a> {
     }
 
     /// The launch of one pass of a pair kernel over `table` (one block per
-    /// table block, one thread per row, shared memory for the row results).
+    /// table block, one thread per row).
     fn table_pass_launch(&self, table: &AssignmentTable) -> KernelLaunch<'a> {
-        KernelLaunch::on(self.device)
-            .grid(table.n_blocks())
-            .threads(THREADS_PER_BLOCK)
-            .shared_mem_words(THREADS_PER_BLOCK * 2)
+        KernelLaunch::on(self.device).grid(table.n_blocks()).threads(THREADS_PER_BLOCK)
     }
 
     /// Runs one full GPU iteration: self-energy kernel, pairwise+vdW kernel (each as a
@@ -199,7 +197,28 @@ impl<'a> GpuMinimizationEngine<'a> {
         let energies: Staged<Vec<Real>> = Staged::zeroed(n);
         let forces: Staged<Vec<Vec3>> = Staged::zeroed(n);
         let outputs = Outputs { energies: &energies, forces: &forces, first: first_output };
+        let ledger = self.with_launches(complex, outputs, |launches, launch_phases| {
+            let mut stats = [KernelStats::zero(); 6];
+            let stats = &mut stats[..launches.len()];
+            self.device.launch_sequence(launches, stats);
+            let mut ledger = StatsLedger::new();
+            for (phase, stats) in launch_phases.iter().zip(stats.iter()) {
+                ledger.record(phase, stats);
+            }
+            ledger
+        });
+        GpuIterationResult { atom_energies: energies.take(), forces: forces.take(), ledger }
+    }
 
+    /// Builds the launches of the iteration writing `outputs` and hands them,
+    /// with the phase each is recorded under, to `run`.
+    fn with_launches<R>(
+        &self,
+        complex: &Complex,
+        outputs: Outputs<'_>,
+        run: impl FnOnce(&[QueuedLaunch<'_>], &[&'static str]) -> R,
+    ) -> R {
+        let n = complex.n_atoms();
         // Kernel (a): atom self energies. The Born term is per-atom; the ACE pairwise
         // corrections come from the two table passes. Kernel (b): pairwise GB + van
         // der Waals, two more passes. Kernel (c): force update — per-atom pass
@@ -229,14 +248,7 @@ impl<'a> GpuMinimizationEngine<'a> {
         }
         (launches[len], launch_phases[len]) = (per_atom.queue(&force), phases::FORCE_UPDATE);
         len += 1;
-
-        let mut stats = [KernelStats::zero(); 6];
-        self.device.launch_sequence(&launches[..len], &mut stats[..len]);
-        let mut ledger = StatsLedger::new();
-        for (phase, stats) in launch_phases.iter().zip(&stats[..len]) {
-            ledger.record(phase, stats);
-        }
-        GpuIterationResult { atom_energies: energies.take(), forces: forces.take(), ledger }
+        run(&launches[..len], &launch_phases[..len])
     }
 
     // ------------------------------------------------------------------
@@ -264,11 +276,7 @@ impl<'a> GpuMinimizationEngine<'a> {
             order: &order,
         };
         // One block per first atom — heavily uneven work, under-filled blocks.
-        let stats = KernelLaunch::on(self.device)
-            .grid(n.max(1))
-            .threads(32)
-            .shared_mem_words(512)
-            .run(&kernel);
+        let stats = KernelLaunch::on(self.device).grid(n.max(1)).threads(32).run(&kernel);
         (energies.take(), stats)
     }
 
@@ -374,6 +382,11 @@ impl BlockKernel for BornSelfKernel<'_> {
             out[i] += terms::born_self_energy(&self.complex.atoms[i], self.ff);
         }
     }
+
+    /// One row per atom whose slot is read.
+    fn host_rows(&self) -> Option<u64> {
+        Some(self.complex.n_atoms().saturating_sub(self.outputs.first) as u64)
+    }
 }
 
 /// Kernel: one assignment-table block pass (the paper's final scheme).
@@ -390,6 +403,9 @@ struct TablePassKernel<'a> {
     /// blocks; committing in block order keeps that sum reproducible. Its
     /// turns start at `first_block`.
     order: BlockOrder,
+    /// The work rows of blocks `first_block..`: the most rows the host
+    /// evaluates in a pass.
+    host_rows: u64,
 }
 
 impl<'a> TablePassKernel<'a> {
@@ -404,7 +420,8 @@ impl<'a> TablePassKernel<'a> {
     ) -> Self {
         let first_block = table.first_block_from(outputs.first);
         let order = BlockOrder::starting_at(first_block);
-        TablePassKernel { complex, ff, term, table, outputs, first_block, order }
+        let host_rows = table.work_rows_from(first_block) as u64;
+        TablePassKernel { complex, ff, term, table, outputs, first_block, order, host_rows }
     }
 }
 
@@ -461,6 +478,10 @@ impl BlockKernel for TablePassKernel<'_> {
             }
         });
     }
+
+    fn host_rows(&self) -> Option<u64> {
+        Some(self.host_rows)
+    }
 }
 
 /// Kernel: per-atom force update (kernel (c) of §IV).
@@ -476,6 +497,11 @@ impl BlockKernel for ForceUpdateKernel {
         ctx.record_global_reads(4 * range.len() as u64);
         ctx.record_flops(6 * range.len() as u64);
         ctx.record_global_writes(3 * range.len() as u64);
+    }
+
+    /// No rows: the kernel only records counters.
+    fn host_rows(&self) -> Option<u64> {
+        Some(0)
     }
 }
 
@@ -640,18 +666,45 @@ mod tests {
         }
     }
 
+    /// The host width [`Device::launch_sequence`] gives `engine`'s
+    /// evaluation of the slots of atoms `first..`.
+    fn evaluation_width(engine: &GpuMinimizationEngine, complex: &Complex, first: usize) -> usize {
+        let n = complex.n_atoms();
+        let (energies, forces) = (Staged::zeroed(n), Staged::zeroed(n));
+        let outputs = Outputs { energies: &energies, forces: &forces, first };
+        engine.with_launches(complex, outputs, |launches, _| engine.device.sequence_width(launches))
+    }
+
+    #[test]
+    fn the_mobile_evaluation_runs_inline_and_the_full_one_spreads() {
+        // The probe's rows are few, so the minimizer's evaluation runs on the
+        // caller alone however many launch workers the device has; the full
+        // evaluation states every pair's rows, enough for more than one
+        // worker whenever the device has them.
+        let (complex, neighbors, ff) = system();
+        let device = Device::tesla_c1060();
+        let gpu = GpuMinimizationEngine::new(&device, ff, &neighbors);
+        assert_eq!(evaluation_width(&gpu, &complex, complex.probe_offset), 1);
+        let full = evaluation_width(&gpu, &complex, 0);
+        assert_eq!(full > 1, device.worker_threads() > 1, "{full} of {}", device.worker_threads());
+    }
+
     #[test]
     fn evaluation_is_invariant_to_the_launch_worker_count() {
         // One worker (every launch sequence inline on the caller) and the full
         // device must give the same bits and the same counters, for the full
         // evaluation and for the mobile-only one the minimizer runs; only the
-        // modeled seconds differ, because the specs do.
+        // modeled seconds differ, because the specs do. The full evaluation
+        // has rows enough that the full device really spreads it.
         let (complex, neighbors, ff) = system();
         let one_worker =
             Device::new(gpu_sim::DeviceSpec { sm_count: 1, ..gpu_sim::DeviceSpec::tesla_c1060() });
         let full = Device::tesla_c1060();
         let inline_engine = GpuMinimizationEngine::new(&one_worker, ff.clone(), &neighbors);
         let spread_engine = GpuMinimizationEngine::new(&full, ff, &neighbors);
+        let spread = evaluation_width(&spread_engine, &complex, 0);
+        assert_eq!(spread > 1, full.worker_threads() > 1, "the full device spreads");
+        assert_eq!(evaluation_width(&inline_engine, &complex, 0), 1);
 
         let energy_bits = |r: &GpuIterationResult| -> Vec<u64> {
             r.atom_energies.iter().map(|e| e.to_bits()).collect()

@@ -296,7 +296,12 @@ impl AssignmentTable {
 
     /// Number of non-padding rows (total pairs covered).
     pub(crate) fn work_rows(&self) -> usize {
-        self.blocks.iter().map(|b| b.work_rows).sum()
+        self.work_rows_from(0)
+    }
+
+    /// Number of non-padding rows in blocks `block..`.
+    pub(crate) fn work_rows_from(&self, block: usize) -> usize {
+        self.blocks[block..].iter().map(|b| b.work_rows).sum()
     }
 
     /// Size of the table in f64-equivalent words when transferred to the device

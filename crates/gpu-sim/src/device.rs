@@ -14,10 +14,14 @@
 //! `std::thread::scope` spawns. A device's worker count is a share of the
 //! host's CPUs: at most one per simulated SM, at most the CPU count for a
 //! stand-alone device, and at most the device's even share of them in a
-//! [`crate::sched::DevicePool`]. A sequence spawns its extra workers once and
-//! runs its launches one after another, with a barrier in between; a single
-//! launch is the one-element sequence. A one-block launch, or any launch on a
-//! one-worker device, runs inline on the caller and spawns nothing.
+//! [`crate::sched::DevicePool`]. A sequence's width comes from its own work:
+//! when its kernels state their host rows ([`BlockKernel::host_rows`]), it
+//! runs on one worker per 3 000 rows, and otherwise on one per block, within
+//! the device's count either way. A sequence spawns its
+//! extra workers once and runs its launches one after another, with a barrier
+//! in between; a single launch is the one-element sequence. A one-block
+//! launch, a sequence with little stated work, or any launch on a one-worker
+//! device runs inline on the caller and spawns nothing.
 //! For each launch, each worker owns one shared-memory arena, zeroed per block, and
 //! one counter set summed when the launch ends; the cost model converts the totals
 //! into modeled times.
@@ -132,7 +136,7 @@ impl DeviceSpec {
     }
 
     /// Shared-memory capacity per SM in f64 words.
-    pub fn shared_mem_words(&self) -> usize {
+    pub(crate) fn shared_mem_words(&self) -> usize {
         self.shared_mem_bytes / std::mem::size_of::<f64>()
     }
 
@@ -426,6 +430,20 @@ impl Device {
         stats[0]
     }
 
+    /// How many host workers [`Device::launch_sequence`] runs `launches` on:
+    /// `min(worker_threads, widest launch's blocks, max(1, ⌈rows ÷ W⌉))`,
+    /// where `rows` is the sum of every launch's [`BlockKernel::host_rows`]
+    /// and `W` is 3 000 (`HOST_ROWS_PER_WORKER`); if any launch's rows are
+    /// unknown, the last term drops out. The rows are a deterministic
+    /// estimate made before the sequence runs (not asked for at all on a
+    /// one-worker device), so no width depends on a clock.
+    pub fn sequence_width(&self, launches: &[QueuedLaunch<'_>]) -> usize {
+        let widest = launches.iter().map(|launch| launch.config.grid_blocks).max().unwrap_or(1);
+        host_width(self.worker_threads.min(widest), || {
+            launches.iter().map(|launch| launch.kernel.host_rows()).sum()
+        })
+    }
+
     /// Runs `launches` in order, as one launch sequence, and writes each one's
     /// statistics into the matching slot of `stats`.
     ///
@@ -443,12 +461,15 @@ impl Device {
     /// calls, and only `wall_time_s` differs.
     ///
     /// The whole sequence runs on one set of workers: the calling thread plus
-    /// `min(worker_threads, widest launch's blocks) − 1` scoped spawns, all
-    /// running the same worker loop. So a one-block launch, or any sequence on
-    /// a one-worker device, runs inline on the caller and spawns nothing. A
-    /// barrier separates consecutive launches, as the device's stream
-    /// separates dependent kernels: no block of a launch starts before every
-    /// block of the one before it has finished.
+    /// `width − 1` scoped spawns, all running the same worker loop, where the
+    /// width is [`Device::sequence_width`]. A one-block launch, a sequence
+    /// stating at most 3 000 host rows, or any sequence on a one-worker
+    /// device runs inline on the caller and spawns nothing. Since blocks
+    /// claim in index order and commit their sums in turn, no output bit,
+    /// counter or modeled second depends on the width. A barrier separates
+    /// consecutive launches, as the device's stream separates dependent
+    /// kernels: no block of a launch starts before every block of the one
+    /// before it has finished.
     ///
     /// # Panics
     /// Panics if `stats` and `launches` differ in length, or if a launch
@@ -468,12 +489,12 @@ impl Device {
                 self.spec.shared_mem_bytes
             );
         }
-        let Some(widest) = launches.iter().map(|launch| launch.config.grid_blocks).max() else {
+        if launches.is_empty() {
             return;
-        };
+        }
         stats.fill(KernelStats::zero());
 
-        let workers = self.worker_threads.min(widest);
+        let workers = self.sequence_width(launches);
         let barrier = LaunchBarrier::new(workers, stats);
         run_on_workers(workers - 1, || {
             for (index, launch) in launches.iter().enumerate() {
@@ -562,6 +583,37 @@ impl<'s> LaunchBarrier<'s> {
     }
 }
 
+/// Rows of host arithmetic that pay for one more launch worker.
+///
+/// Going wide costs a spawn, a join and a barrier per launch. On a 2-vCPU
+/// x86-64 host an empty 64-block launch takes ~37 µs on two workers against
+/// ~0.9 µs inline (`gpu-sim.launch_empty_64blocks.us`), and an empty
+/// six-launch sequence ~48 µs against ~4.7 µs. A row costs ~32 ns there: a
+/// full minimization evaluation of an 800-atom complex states 197 k rows and
+/// takes 6.4 ms inline. Splitting `r` rows over two workers saves
+/// `r × 32 / 2` ns, which beats ~45 µs of going wide only above ~2 800
+/// rows. So a sequence stating up to this many rows runs inline, and each
+/// further this many rows buys it one more worker.
+const HOST_ROWS_PER_WORKER: u64 = 3_000;
+
+/// How many host workers a launch sequence runs on: at most `cap` (the
+/// device's worker count and the widest launch's block count), and one per
+/// [`HOST_ROWS_PER_WORKER`] rows of the sequence's stated host work, at
+/// least one. Unknown work (`None`) keeps `cap`. `rows` is not called when
+/// `cap` is 1.
+fn host_width(cap: usize, rows: impl FnOnce() -> Option<u64>) -> usize {
+    if cap <= 1 {
+        return 1;
+    }
+    match rows() {
+        None => cap,
+        Some(rows) => {
+            let wanted = rows.div_ceil(HOST_ROWS_PER_WORKER).max(1);
+            cap.min(usize::try_from(wanted).unwrap_or(usize::MAX))
+        }
+    }
+}
+
 /// The host's CPU count (1 when it cannot be read).
 pub(crate) fn host_cpus() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
@@ -601,8 +653,9 @@ pub(crate) fn wait_until(ready: impl Fn() -> bool) -> bool {
 /// Runs `run` on the caller and on `spawns` scoped threads beside it, and
 /// returns once all of them have finished. This is the one place [`Device`]
 /// puts block work on host threads: a launch sequence, however many launches
-/// it holds, spawns once, and the caller is one of its workers, so a
-/// one-worker run spawns nothing.
+/// it holds, spawns once — its width less one, the width coming from its
+/// stated host rows ([`host_width`]) — and the caller is one of its workers,
+/// so a one-worker run spawns nothing.
 /// A worker whose block panics — the caller's included — raises the
 /// sequence's abort flag (through [`launch_aborted`] the others stop claiming
 /// blocks, leave the barrier, and blocks waiting on a turn give up); the
@@ -816,59 +869,137 @@ mod tests {
         assert!(device.residency().contains(99));
     }
 
-    #[test]
-    fn launches_run_on_the_caller_and_at_most_workers_minus_one_spawns() {
-        use std::collections::HashSet;
-        use std::thread::ThreadId;
-        // The caller is one of a sequence's workers. Returns the threads that
-        // ran blocks of a five-launch sequence of `blocks`-block launches. In
-        // the first launch, blocks below `hold` keep their worker until that
-        // many distinct threads have run a block, so each of them is claimed
-        // by a different worker: with `hold` = the worker count, every worker
-        // (the caller included) must run one, or the sequence hangs.
-        fn threads_of(device: &Device, blocks: usize, hold: usize) -> HashSet<ThreadId> {
-            let ran_on = Mutex::new(HashSet::new());
-            let kernel = |ctx: &mut BlockContext| {
+    /// A kernel that states `rows` of host work per launch and runs `run`.
+    struct Stated<F> {
+        rows: Option<u64>,
+        run: F,
+    }
+
+    impl<F: Fn(&mut BlockContext) + Sync> BlockKernel for Stated<F> {
+        fn execute_block(&self, ctx: &mut BlockContext) {
+            (self.run)(ctx)
+        }
+
+        fn host_rows(&self) -> Option<u64> {
+            self.rows
+        }
+    }
+
+    /// The threads that ran blocks of a five-launch sequence of `blocks`-block
+    /// launches, each stating `rows` of host work. The caller is one of a
+    /// sequence's workers. In the first launch, blocks below `hold` keep their
+    /// worker until that many distinct threads have run a block, so each of
+    /// them is claimed by a different worker: with `hold` = the sequence's
+    /// width, every worker (the caller included) must run one, or the
+    /// sequence hangs.
+    fn threads_of(
+        device: &Device,
+        blocks: usize,
+        hold: usize,
+        rows: Option<u64>,
+    ) -> std::collections::HashSet<std::thread::ThreadId> {
+        let ran_on = Mutex::new(std::collections::HashSet::new());
+        let kernel = Stated {
+            rows,
+            run: |ctx: &mut BlockContext| {
                 locked(&ran_on).insert(std::thread::current().id());
                 if ctx.block_idx < hold {
                     wait_until(|| locked(&ran_on).len() >= hold);
                 }
-            };
-            let launch = KernelLaunch::on(device).grid(blocks);
-            let mut stats = [KernelStats::zero(); 5];
-            device.launch_sequence(&[launch.queue(&kernel); 5], &mut stats);
-            assert!(stats.iter().all(|s| s.blocks == blocks));
-            ran_on.into_inner().unwrap()
-        }
-        let spec = DeviceSpec::tesla_c1060();
+            },
+        };
+        let launches = [KernelLaunch::on(device).grid(blocks).queue(&kernel); 5];
+        let mut stats = [KernelStats::zero(); 5];
+        device.launch_sequence(&launches, &mut stats);
+        assert!(stats.iter().all(|s| s.blocks == blocks));
+        let width = device.sequence_width(&launches);
+        let ran_on = ran_on.into_inner().unwrap();
+        assert!(ran_on.len() <= width, "{} threads, wider than {width}", ran_on.len());
+        ran_on
+    }
+
+    /// Runs `check` on a fresh thread, failing with `what` if it does not
+    /// finish within 10 s (a sequence with fewer workers than a test holds
+    /// for hangs).
+    fn within_10s(what: &str, check: impl FnOnce() + Send + 'static) {
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            check();
+            let _ = done.send(());
+        });
+        outcome
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("{what}"));
+    }
+
+    #[test]
+    fn launches_run_on_the_caller_and_at_most_workers_minus_one_spawns() {
+        // A kernel that states no host rows keeps one worker per block, up
+        // to the device's worker count.
         for workers in [1, 2, 3, 4] {
-            let (done, outcome) = std::sync::mpsc::channel();
-            let spec = spec.clone();
-            std::thread::spawn(move || {
+            within_10s(&format!("a {workers}-worker sequence had too few workers"), move || {
                 let caller = std::thread::current().id();
-                let device = Device::with_cpus(spec, workers);
+                let device = Device::with_cpus(DeviceSpec::tesla_c1060(), workers);
                 assert_eq!(device.worker_threads(), workers);
                 // A one-block launch, and anything on a one-worker device,
                 // runs on the caller alone.
-                assert_eq!(threads_of(&device, 1, 0), [caller].into(), "one block spawns");
-                let wide = threads_of(&device, 40, workers);
+                assert_eq!(threads_of(&device, 1, 0, None), [caller].into(), "one block spawns");
+                let wide = threads_of(&device, 40, workers, None);
                 assert!(wide.contains(&caller), "the caller is a worker");
                 assert_eq!(wide.len(), workers, "the caller plus {} spawns", workers - 1);
-                let _ = done.send(());
             });
-            outcome
-                .recv_timeout(std::time::Duration::from_secs(10))
-                .unwrap_or_else(|_| panic!("a {workers}-worker sequence had too few workers"));
         }
         // Without holds, a device runs a sequence on at most its worker
         // count of threads, the caller included: one spawn set per sequence
         // (thread ids are never reused, so five sets would show).
         let caller = std::thread::current().id();
         let full = Device::tesla_c1060();
-        let ran_on = threads_of(&full, 40, 0);
+        let ran_on = threads_of(&full, 40, 0, None);
         let spawned = ran_on.iter().filter(|&&id| id != caller).count();
         assert!(ran_on.len() <= full.worker_threads(), "{} threads", ran_on.len());
         assert!(spawned < full.worker_threads(), "{spawned} spawns");
+    }
+
+    #[test]
+    fn a_sequence_is_as_wide_as_its_stated_host_rows() {
+        // Five launches of 40 blocks on a four-worker device. Stating at most
+        // `W` rows in all runs the sequence inline; stating more than `W`
+        // rows gives it one worker per `W`, up to the worker count.
+        const W: u64 = HOST_ROWS_PER_WORKER;
+        within_10s("a sequence had fewer workers than its rows ask for", || {
+            let caller = std::thread::current().id();
+            let device = Device::with_cpus(DeviceSpec::tesla_c1060(), 4);
+            for per_launch in [0, 1, W / 5] {
+                let ran_on = threads_of(&device, 40, 0, Some(per_launch));
+                assert_eq!(ran_on, [caller].into(), "{per_launch} rows per launch spawned");
+            }
+            for (per_launch, width) in [(W / 5 + 1, 2), (2 * W / 5 + 1, 3), (W, 4), (100 * W, 4)] {
+                let ran_on = threads_of(&device, 40, width, Some(per_launch));
+                assert!(ran_on.contains(&caller), "the caller is a worker");
+                assert_eq!(ran_on.len(), width, "{per_launch} rows per launch");
+            }
+        });
+    }
+
+    #[test]
+    fn host_width_follows_the_stated_rows() {
+        const W: u64 = HOST_ROWS_PER_WORKER;
+        // Unknown work keeps the cap: the device's workers or the widest grid.
+        for cap in [1, 2, 4, 30] {
+            assert_eq!(host_width(cap, || None), cap);
+        }
+        // Zero work, and up to `W` rows, run inline.
+        assert_eq!(host_width(4, || Some(0)), 1);
+        assert_eq!(host_width(4, || Some(1)), 1);
+        assert_eq!(host_width(4, || Some(W)), 1);
+        // Each worker past the first needs more than another `W` rows.
+        assert_eq!(host_width(4, || Some(W + 1)), 2);
+        assert_eq!(host_width(4, || Some(2 * W)), 2);
+        assert_eq!(host_width(4, || Some(2 * W + 1)), 3);
+        assert_eq!(host_width(4, || Some(4 * W + 1)), 4, "capped");
+        assert_eq!(host_width(2, || Some(u64::MAX)), 2);
+        // A one-worker cap never asks for the rows.
+        assert_eq!(host_width(1, || unreachable!("rows asked for at width 1")), 1);
     }
 
     /// Three dependent launches: squares of the input, a block-ordered float
@@ -908,7 +1039,7 @@ mod tests {
             *scaled.write() = *sum.write() / 7.0;
         };
         let wide = KernelLaunch::on(device).grid(37).threads(32);
-        let staging = wide.clone().shared_mem_words(32);
+        let staging = wide.clone().shared_mem_capped(32);
         let single = KernelLaunch::on(device).threads(128);
         let stats = if as_sequence {
             let mut stats = [KernelStats::zero(); 3];

@@ -158,9 +158,27 @@ impl BlockContext {
 /// threads; output buffers are therefore captured behind interior-mutable containers
 /// (e.g. a mutex-protected `Vec`, or disjoint atomic slots), mirroring the way CUDA
 /// blocks write disjoint regions of global memory.
+///
+/// A launch's host width comes from its own work: when every kernel of a
+/// [`crate::Device::launch_sequence`] states its [`BlockKernel::host_rows`],
+/// the sequence gets one host worker per few thousand rows (so a sequence
+/// with little arithmetic runs inline on the caller, however many blocks it
+/// has). A kernel that states nothing keeps the sequence at one worker per
+/// block, up to the device's worker count.
 pub trait BlockKernel: Sync {
     /// Executes one block of the kernel.
     fn execute_block(&self, ctx: &mut BlockContext);
+
+    /// How many rows of arithmetic the host runs for a launch of this kernel,
+    /// summed over its blocks — known before the launch runs, and a pure
+    /// function of the kernel's own problem (never a wall-clock reading), so
+    /// the width it picks is deterministic. A row is one thread's unit of
+    /// real work, e.g. one pair evaluated; a block that only records its
+    /// counters runs none. `None` (the default) means unknown: the launch
+    /// keeps the width its block count gives it.
+    fn host_rows(&self) -> Option<u64> {
+        None
+    }
 }
 
 impl<F: Fn(&mut BlockContext) + Sync> BlockKernel for F {

@@ -119,13 +119,6 @@ impl<'d> KernelLaunch<'d> {
         }
     }
 
-    /// Requests `words` f64 words of per-block shared memory. The request is
-    /// validated against the device's capacity at launch.
-    pub fn shared_mem_words(mut self, words: usize) -> Self {
-        self.shared_mem_words = words;
-        self
-    }
-
     /// Requests `words` f64 words of per-block shared memory, capped at the
     /// device's per-SM capacity — the "use as much shared memory as the part
     /// has" pattern the paper's kernels rely on.
@@ -428,7 +421,7 @@ mod tests {
     #[test]
     fn builder_assembles_config() {
         let device = Device::tesla_c1060();
-        let launch = KernelLaunch::on(&device).grid(12).threads(128).shared_mem_words(256);
+        let launch = KernelLaunch::on(&device).grid(12).threads(128).shared_mem_capped(256);
         let config = launch.config();
         assert_eq!(config.grid_blocks, 12);
         assert_eq!(config.threads_per_block, 128);
