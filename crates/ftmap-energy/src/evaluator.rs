@@ -13,7 +13,13 @@
 //! long as the protein does. `Evaluator::energy_recording` records those values in
 //! a `RigidTerms` once; `Evaluator::energy_cached` re-adds them in loop order and
 //! computes only the terms that touch the probe: bit for bit [`Evaluator::energy`],
-//! for the cost of the probe's terms plus one add per recorded term.
+//! for the cost of the probe's terms plus one add per recorded term. The pair
+//! loops walk the list atom by atom. An immobile atom's run holds its immobile
+//! partners first (ascending partners, the probe's atoms last), so its rigid
+//! pairs are one prefix of the run, found by a binary search and replayed as
+//! one slice of recorded values with no per-pair test; only the run's mobile
+//! suffix is computed. Each stream stays one left fold in list order, and a
+//! replay asserts that it consumed its stream exactly.
 
 use crate::terms::{self, PairGeometry};
 use ftmap_math::{Real, Vec3};
@@ -85,9 +91,12 @@ pub(crate) struct RigidTerms {
 impl RigidTerms {
     /// The three streams, replaying.
     fn replay(&self) -> [TermCache<'_>; 3] {
-        self.streams.each_ref().map(|values| TermCache::Replay(values.iter()))
+        self.streams.each_ref().map(|values| TermCache::Replay(values))
     }
 }
+
+/// Why a replay ran out of recorded values.
+const RECORD_TOO_SHORT: &str = "the rigid-term record holds fewer terms than the list";
 
 /// One term loop's side of a [`RigidTerms`] cache.
 enum TermCache<'a> {
@@ -95,8 +104,9 @@ enum TermCache<'a> {
     Off,
     /// Each rigid term's computed value is appended.
     Record(&'a mut Vec<Real>),
-    /// A rigid term's value is the next recorded one.
-    Replay(std::slice::Iter<'a, Real>),
+    /// The recorded values not yet replayed: a rigid term's value is the
+    /// first of them.
+    Replay(&'a [Real]),
 }
 
 impl TermCache<'_> {
@@ -104,10 +114,17 @@ impl TermCache<'_> {
     const OFF: [TermCache<'static>; 3] = [TermCache::Off, TermCache::Off, TermCache::Off];
 
     /// The recorded value of the next term, if it is rigid and recorded.
+    ///
+    /// # Panics
+    /// Panics if a replay has no value left.
     #[inline]
     fn replay(&mut self, rigid: bool) -> Option<Real> {
         match self {
-            TermCache::Replay(values) if rigid => values.next().copied(),
+            TermCache::Replay(values) if rigid => {
+                let (&value, rest) = values.split_first().expect(RECORD_TOO_SHORT);
+                *values = rest;
+                Some(value)
+            }
             _ => None,
         }
     }
@@ -117,6 +134,50 @@ impl TermCache<'_> {
     fn record(&mut self, rigid: bool, value: Real) {
         if let (TermCache::Record(values), true) = (self, rigid) {
             values.push(value);
+        }
+    }
+
+    /// `sum` plus the values of the rigid terms `terms`, in order: the next
+    /// `terms.len()` recorded values when replaying — one add each, the
+    /// terms unread — and otherwise `value(term)` of each, recorded when
+    /// recording.
+    ///
+    /// # Panics
+    /// Panics if a replay has fewer values left than `terms`.
+    #[inline]
+    fn add_rigid<T: Copy>(
+        &mut self,
+        sum: Real,
+        terms: &[T],
+        mut value: impl FnMut(T) -> Real,
+    ) -> Real {
+        match self {
+            TermCache::Off => terms.iter().fold(sum, |sum, &term| sum + value(term)),
+            TermCache::Record(values) => terms.iter().fold(sum, |sum, &term| {
+                let e = value(term);
+                values.push(e);
+                sum + e
+            }),
+            TermCache::Replay(values) => {
+                let (replayed, rest) =
+                    values.split_at_checked(terms.len()).expect(RECORD_TOO_SHORT);
+                *values = rest;
+                replayed.iter().fold(sum, |sum, &e| sum + e)
+            }
+        }
+    }
+
+    /// Ends the loop: a replay must have consumed its stream exactly.
+    ///
+    /// # Panics
+    /// Panics if a replay left recorded values over.
+    fn finish(self) {
+        if let TermCache::Replay(values) = self {
+            assert!(
+                values.is_empty(),
+                "the rigid-term record holds more terms than the list: {} left over",
+                values.len()
+            );
         }
     }
 }
@@ -209,6 +270,17 @@ impl Evaluator {
         // Atom `i` is mobile iff `i >= first_mobile`.
         let first_mobile = complex.probe_offset;
         let all_rigid = |atoms: &[usize]| CACHED && atoms.iter().all(|&a| a < first_mobile);
+        // Atom `i`'s run, as its rigid pairs' partners and its mobile ones:
+        // partners ascend and the mobile atoms come last, so an immobile
+        // atom's rigid partners are a prefix, and a mobile atom has none.
+        let runs = || {
+            (0..neighbors.n_atoms()).map(move |i| {
+                let run = neighbors.neighbors(i);
+                let rigid =
+                    if i < first_mobile { run.partition_point(|&j| j < first_mobile) } else { 0 };
+                (i, run.split_at(rigid))
+            })
+        };
 
         // --- Electrostatics: Born self term per atom, ACE pair corrections and GB pairs.
         let (elec, elec_wall_s) = wall_timed(|| {
@@ -225,12 +297,7 @@ impl Evaluator {
             };
             elec =
                 self.add_born(elec, complex, first_mobile..complex.n_atoms(), &mut atom_energies);
-            for (i, j) in neighbors.iter_pairs() {
-                let rigid = all_rigid(&[i, j]);
-                if let Some(e) = elec_cache.replay(rigid) {
-                    elec += e;
-                    continue;
-                }
+            let mut pair = |i: usize, j: usize| {
                 let ai = &complex.atoms[i];
                 let aj = &complex.atoms[j];
                 let geom = PairGeometry::new(ai.position, aj.position);
@@ -240,10 +307,6 @@ impl Evaluator {
                     terms::ace_pair_self_energies(ai, aj, geom.r, &self.ff);
                 // GB pairwise interaction, shared half-and-half between the two atoms.
                 let (e_gb, d_gb) = terms::gb_pair_energy(ai, aj, geom.r, &self.ff);
-                let e = e_ik + e_ki + e_gb;
-                elec_cache.record(rigid, e);
-                elec += e;
-
                 if FORCES {
                     atom_energies[i] += e_ik + 0.5 * e_gb;
                     atom_energies[j] += e_ki + 0.5 * e_gb;
@@ -251,27 +314,27 @@ impl Evaluator {
                     forces[i] += f;
                     forces[j] -= f;
                 }
+                e_ik + e_ki + e_gb
+            };
+            for (i, (rigid, mobile)) in runs() {
+                elec = elec_cache.add_rigid(elec, rigid, |j| pair(i, j));
+                for &j in mobile {
+                    elec += pair(i, j);
+                }
             }
             elec
         });
+        elec_cache.finish();
         breakdown.electrostatics = elec;
         breakdown.elec_time_s = elec_wall_s;
 
         // --- van der Waals over the same pairs.
         let (vdw, vdw_wall_s) = wall_timed(|| {
-            let mut vdw = 0.0;
-            for (i, j) in neighbors.iter_pairs() {
-                let rigid = all_rigid(&[i, j]);
-                if let Some(e) = vdw_cache.replay(rigid) {
-                    vdw += e;
-                    continue;
-                }
+            let mut pair = |i: usize, j: usize| {
                 let ai = &complex.atoms[i];
                 let aj = &complex.atoms[j];
                 let geom = PairGeometry::new(ai.position, aj.position);
                 let (e, de_dr) = terms::vdw_pair_energy(ai, aj, geom.r, &self.ff);
-                vdw_cache.record(rigid, e);
-                vdw += e;
                 if FORCES {
                     atom_energies[i] += 0.5 * e;
                     atom_energies[j] += 0.5 * e;
@@ -279,9 +342,18 @@ impl Evaluator {
                     forces[i] += f;
                     forces[j] -= f;
                 }
+                e
+            };
+            let mut vdw = 0.0;
+            for (i, (rigid, mobile)) in runs() {
+                vdw = vdw_cache.add_rigid(vdw, rigid, |j| pair(i, j));
+                for &j in mobile {
+                    vdw += pair(i, j);
+                }
             }
             vdw
         });
+        vdw_cache.finish();
         breakdown.vdw = vdw;
         breakdown.vdw_time_s = vdw_wall_s;
 
@@ -359,6 +431,7 @@ impl Evaluator {
             }
             bonded
         });
+        bonded_cache.finish();
         breakdown.bonded = bonded;
         breakdown.bonded_time_s = bonded_wall_s;
 
@@ -573,6 +646,35 @@ mod tests {
         assert_eq!(rigid.streams[0].len(), 1 + protein_pairs);
         let protein_bonds = complex.topology.bonds().iter().filter(|b| b.j < offset).count();
         assert!(rigid.streams[2].len() >= protein_bonds && protein_bonds > 0);
+    }
+
+    /// The small system with its full list, and the same list with one
+    /// protein–protein pair dropped (excluded).
+    fn list_and_list_less_one_protein_pair() -> (Complex, NeighborList, NeighborList, Evaluator) {
+        let (complex, neighbors, evaluator) = small_system();
+        let offset = complex.probe_offset;
+        let dropped = neighbors.iter_pairs().filter(|&(_, j)| j < offset).nth(100).unwrap();
+        let mut excluded = complex.topology.excluded_pairs();
+        excluded.insert(dropped);
+        let fewer = NeighborList::build(&complex.atoms, evaluator.ff.cutoff, &excluded);
+        assert_eq!(fewer.n_pairs() + 1, neighbors.n_pairs());
+        (complex, neighbors, fewer, evaluator)
+    }
+
+    #[test]
+    #[should_panic(expected = "the rigid-term record holds fewer terms than the list")]
+    fn replaying_a_record_of_fewer_protein_pairs_panics() {
+        let (complex, neighbors, fewer, evaluator) = list_and_list_less_one_protein_pair();
+        let rigid = record(&evaluator, &complex, &fewer);
+        let _ = evaluator.energy_cached(&complex, &neighbors, &rigid);
+    }
+
+    #[test]
+    #[should_panic(expected = "the rigid-term record holds more terms than the list: 1 left over")]
+    fn replaying_a_record_of_more_protein_pairs_panics() {
+        let (complex, neighbors, fewer, evaluator) = list_and_list_less_one_protein_pair();
+        let rigid = record(&evaluator, &complex, &neighbors);
+        let _ = evaluator.energy_cached(&complex, &fewer, &rigid);
     }
 
     #[test]

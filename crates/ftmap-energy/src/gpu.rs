@@ -20,16 +20,19 @@
 //! simulation may skip output slots its caller never reads
 //! (`GpuMinimizationEngine::evaluate_mobile`) without moving a modeled second. The
 //! tables ascend by first atom and the probe's atoms come last, so the rows a
-//! mobile-only caller reads are a suffix of each table: the blocks before it record
-//! their counters and stop, and the block order's turns start where the suffix does.
+//! mobile-only caller reads are a suffix of each table. The blocks before it are
+//! not run at all: the pass states them as counted blocks
+//! ([`BlockKernel::counted_blocks`]) with their summed counters, which the table
+//! keeps as running totals, and the block order's turns start where the suffix
+//! does.
 
 use crate::pairs::{AssignmentTable, BlockTotals, PairsList};
 use crate::terms::{self, PairGeometry};
 use ftmap_math::{Real, Vec3};
 use ftmap_molecule::{Atom, Complex, ForceField, NeighborList};
 use gpu_sim::{
-    BlockContext, BlockKernel, BlockOrder, Device, KernelLaunch, KernelStats, QueuedLaunch, Staged,
-    StatsLedger,
+    BlockContext, BlockKernel, BlockOrder, Device, KernelLaunch, KernelStats, MemoryCounters,
+    QueuedLaunch, Staged, StatsLedger,
 };
 
 /// Ledger phase names for the kernels of one GPU minimization iteration.
@@ -61,6 +64,24 @@ fn flops_per_pair(term: PairTerm) -> u64 {
     match term {
         PairTerm::AceSelf => 60,
         PairTerm::PairwiseAndVdw => 45,
+    }
+}
+
+/// The counters of `blocks` table-pass blocks of `term` holding `totals`,
+/// the same for every block whether or not the host runs it: every work row
+/// reads its table row and two atoms' data from global, computes, and stores
+/// to shared; after the block's barrier each master reads its group from
+/// shared (the groups cover the work rows) and writes the energy and force
+/// sums to global.
+pub(crate) fn pass_counters(term: PairTerm, totals: BlockTotals, blocks: usize) -> MemoryCounters {
+    let (work, masters) = (totals.work_rows as u64, totals.master_rows as u64);
+    MemoryCounters {
+        flops: work * flops_per_pair(term),
+        global_reads: work * 13,
+        global_writes: masters * 2,
+        shared_accesses: work * 3,
+        constant_reads: 0,
+        barriers: blocks as u64,
     }
 }
 
@@ -182,7 +203,7 @@ impl<'a> GpuMinimizationEngine<'a> {
     /// iteration's — the modeled device still evaluates every pair; the host
     /// simulation skips the pairs whose results land only in slots nobody reads,
     /// and the table-pass blocks before the first block holding a mobile atom's
-    /// row only record their counters.
+    /// row are counted from the table's running totals, never run.
     pub(crate) fn evaluate_mobile(&self, complex: &Complex) -> GpuIterationResult {
         self.evaluate_from(complex, complex.probe_offset)
     }
@@ -397,15 +418,12 @@ struct TablePassKernel<'a> {
     table: &'a AssignmentTable,
     outputs: Outputs<'a>,
     /// The first block holding a row whose slot is read: the blocks before it
-    /// record their counters and neither compute nor commit.
+    /// are counted, not run.
     first_block: usize,
     /// An atom with more rows than a block has threads is summed by several
     /// blocks; committing in block order keeps that sum reproducible. Its
     /// turns start at `first_block`.
     order: BlockOrder,
-    /// The work rows of blocks `first_block..`: the most rows the host
-    /// evaluates in a pass.
-    host_rows: u64,
 }
 
 impl<'a> TablePassKernel<'a> {
@@ -420,33 +438,19 @@ impl<'a> TablePassKernel<'a> {
     ) -> Self {
         let first_block = table.first_block_from(outputs.first);
         let order = BlockOrder::starting_at(first_block);
-        let host_rows = table.work_rows_from(first_block) as u64;
-        TablePassKernel { complex, ff, term, table, outputs, first_block, order, host_rows }
+        TablePassKernel { complex, ff, term, table, outputs, first_block, order }
     }
 }
 
 impl BlockKernel for TablePassKernel<'_> {
     fn execute_block(&self, ctx: &mut BlockContext) {
-        // The device's work, the same for every block whether or not it is
-        // simulated: every work row reads its table row and two atoms' data
-        // from global, computes, and stores to shared; each master then reads
-        // its group from shared (the groups cover the work rows) and writes
-        // the energy and force sums to global.
-        let BlockTotals { work_rows, master_rows, .. } = self.table.block_totals(ctx.block_idx);
-        let (work, masters) = (work_rows as u64, master_rows as u64);
-        ctx.record_global_reads(work * 13);
-        ctx.record_flops(work * flops_per_pair(self.term));
-        ctx.record_shared_accesses(work * 2);
-        ctx.sync_threads();
-        ctx.record_shared_accesses(work);
-        ctx.record_global_writes(masters * 2);
-        if ctx.block_idx < self.first_block {
-            return;
-        }
+        debug_assert!(ctx.block_idx >= self.first_block, "a counted block was run");
+        let totals = self.table.block_totals(ctx.block_idx);
+        ctx.counters.merge(&pass_counters(self.term, totals, 1));
 
         // Phase 1: every thread computes its pair's energy into shared memory;
         // only rows whose slot is read are simulated.
-        let rows = &self.table.block_rows(ctx.block_idx)[..work_rows];
+        let rows = &self.table.block_rows(ctx.block_idx)[..totals.work_rows];
         let mut shared_energy = [0.0; THREADS_PER_BLOCK];
         let mut shared_force = [Vec3::ZERO; THREADS_PER_BLOCK];
         for (slot, row) in rows.iter().enumerate() {
@@ -479,8 +483,16 @@ impl BlockKernel for TablePassKernel<'_> {
         });
     }
 
+    /// The work rows of blocks `first_block..`: the most rows the host
+    /// evaluates in a pass.
     fn host_rows(&self) -> Option<u64> {
-        Some(self.host_rows)
+        Some(self.table.work_rows_from(self.first_block) as u64)
+    }
+
+    /// The blocks before `first_block`, with the table's totals for them.
+    fn counted_blocks(&self) -> (usize, MemoryCounters) {
+        let totals = self.table.totals_before(self.first_block);
+        (self.first_block, pass_counters(self.term, totals, self.first_block))
     }
 }
 
@@ -800,6 +812,43 @@ mod tests {
             assert_eq!((a.blocks, a.threads_per_block), (b.blocks, b.threads_per_block));
             assert_eq!(a.modeled_time_s.to_bits(), b.modeled_time_s.to_bits(), "{phase}");
             assert_eq!(full.ledger.launches(phase), mobile.ledger.launches(phase));
+        }
+    }
+
+    #[test]
+    fn a_table_pass_counts_what_running_its_leading_blocks_records() {
+        // Every block of a full pass runs in order, one one-block launch at a
+        // time; after blocks `..b` the summed counters are what a pass whose
+        // first `b` blocks are counted states for them.
+        struct Block<'k>(&'k TablePassKernel<'k>, usize);
+        impl BlockKernel for Block<'_> {
+            fn execute_block(&self, ctx: &mut BlockContext) {
+                ctx.block_idx = self.1;
+                self.0.execute_block(ctx);
+            }
+        }
+        let (complex, neighbors, ff) = system();
+        let device = Device::tesla_c1060();
+        let gpu = GpuMinimizationEngine::new(&device, ff.clone(), &neighbors);
+        let n = complex.n_atoms();
+        let (energies, forces) = (Staged::zeroed(n), Staged::zeroed(n));
+        let outputs = Outputs { energies: &energies, forces: &forces, first: 0 };
+        for table in [&gpu.forward_table, &gpu.reverse_table] {
+            for term in [PairTerm::AceSelf, PairTerm::PairwiseAndVdw] {
+                let pass = |first_block| TablePassKernel {
+                    first_block,
+                    order: BlockOrder::starting_at(first_block),
+                    ..TablePassKernel::new(&complex, &ff, term, table, outputs)
+                };
+                let full = pass(0);
+                let mut ran = MemoryCounters::new();
+                for b in 0..=table.n_blocks() {
+                    assert_eq!(pass(b).counted_blocks(), (b, ran), "{term:?}: blocks ..{b}");
+                    if b < table.n_blocks() {
+                        ran.merge(&KernelLaunch::on(&device).run(&Block(&full, b)).counters);
+                    }
+                }
+            }
         }
     }
 

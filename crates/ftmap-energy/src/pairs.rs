@@ -153,21 +153,22 @@ pub struct AssignmentTable {
     pub threads_per_block: usize,
     /// Number of atoms in the system.
     pub n_atoms: usize,
-    /// Each block's totals, counted while the rows are placed.
-    blocks: Vec<BlockTotals>,
+    /// Running totals, counted while the rows are placed: entry `b` holds
+    /// those of blocks `..=b`.
+    sums: Vec<BlockTotals>,
 }
 
-/// What one block of an [`AssignmentTable`] holds, for kernels that record a
-/// block's work without walking its rows. A block's work rows come first and
-/// its padding last. Its groups cover exactly its work rows, so the group
-/// sizes of its masters sum to `work_rows`.
+/// What a run of blocks of an [`AssignmentTable`] holds, for kernels that
+/// record the blocks' work without walking their rows. A block's work rows
+/// come first and its padding last. Its groups cover exactly its work rows,
+/// so the group sizes of its masters sum to `work_rows`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct BlockTotals {
     /// Non-padding rows.
     pub(crate) work_rows: usize,
     /// Master rows: one per group chunk.
     pub(crate) master_rows: usize,
-    /// The first atom of its last work row.
+    /// The first atom of the last work row (0 for no block).
     pub(crate) last_first_atom: usize,
 }
 
@@ -245,12 +246,13 @@ impl AssignmentTable {
             .flat_map(|(_, seconds)| chunks(seconds.len()))
             .fold(0, |cursor, len| place(cursor, len) + len);
         let mut rows = vec![AssignmentRow::padding(); end.next_multiple_of(tpb)];
-        let mut blocks = vec![BlockTotals::default(); rows.len() / tpb];
+        // Each block's own totals, summed once every row is placed.
+        let mut sums = vec![BlockTotals::default(); rows.len() / tpb];
         let (mut cursor, mut pair_index) = (0, 0);
         for (first, mut seconds) in groups() {
             for group_size in chunks(seconds.len()) {
                 cursor = place(cursor, group_size);
-                let block = &mut blocks[cursor / tpb];
+                let block = &mut sums[cursor / tpb];
                 block.work_rows += group_size;
                 block.master_rows += 1;
                 block.last_first_atom = first;
@@ -267,12 +269,16 @@ impl AssignmentTable {
                 cursor += group_size;
             }
         }
-        AssignmentTable { rows, threads_per_block, n_atoms, blocks }
+        for b in 1..sums.len() {
+            sums[b].work_rows += sums[b - 1].work_rows;
+            sums[b].master_rows += sums[b - 1].master_rows;
+        }
+        AssignmentTable { rows, threads_per_block, n_atoms, sums }
     }
 
     /// Number of thread blocks the table spans.
     pub fn n_blocks(&self) -> usize {
-        self.blocks.len()
+        self.sums.len()
     }
 
     /// The rows of block `b`.
@@ -283,7 +289,17 @@ impl AssignmentTable {
 
     /// The totals of block `b`.
     pub(crate) fn block_totals(&self, b: usize) -> BlockTotals {
-        self.blocks[b]
+        let (before, through) = (self.totals_before(b), self.sums[b]);
+        BlockTotals {
+            work_rows: through.work_rows - before.work_rows,
+            master_rows: through.master_rows - before.master_rows,
+            last_first_atom: through.last_first_atom,
+        }
+    }
+
+    /// The totals of blocks `..b`, for `b` up to `n_blocks()`.
+    pub(crate) fn totals_before(&self, b: usize) -> BlockTotals {
+        b.checked_sub(1).map_or_else(BlockTotals::default, |last| self.sums[last])
     }
 
     /// The first block holding a row whose first atom is `atom` or later
@@ -291,7 +307,7 @@ impl AssignmentTable {
     /// first atoms, provided the rows ascend by first atom — as the split
     /// lists' tables do, both lists being grouped in atom order.
     pub(crate) fn first_block_from(&self, atom: usize) -> usize {
-        self.blocks.partition_point(|block| block.last_first_atom < atom)
+        self.sums.partition_point(|through| through.last_first_atom < atom)
     }
 
     /// Number of non-padding rows (total pairs covered).
@@ -301,7 +317,7 @@ impl AssignmentTable {
 
     /// Number of non-padding rows in blocks `block..`.
     pub(crate) fn work_rows_from(&self, block: usize) -> usize {
-        self.blocks[block..].iter().map(|b| b.work_rows).sum()
+        self.totals_before(self.n_blocks()).work_rows - self.totals_before(block).work_rows
     }
 
     /// Size of the table in f64-equivalent words when transferred to the device
@@ -394,10 +410,27 @@ mod tests {
 
     #[test]
     fn block_totals_equal_a_row_walk() {
+        use crate::gpu::{pass_counters, PairTerm};
         let nl = neighbor_list();
         for tpb in [16, 32, 64] {
             for table in AssignmentTable::forward_and_reverse(&nl, tpb) {
-                for b in 0..table.n_blocks() {
+                // The running totals of blocks `..b` as a walk over their rows
+                // sees them, and the counters a table pass states for them.
+                let mut before = BlockTotals::default();
+                let mut counted = [PairTerm::AceSelf, PairTerm::PairwiseAndVdw]
+                    .map(|term| (term, gpu_sim::MemoryCounters::new()));
+                for b in 0..=table.n_blocks() {
+                    assert_eq!(table.totals_before(b), before, "tpb {tpb}: blocks ..{b}");
+                    let rows_after: usize =
+                        table.rows[b * tpb..].iter().filter(|r| !is_padding(r)).count();
+                    assert_eq!(table.work_rows_from(b), rows_after, "tpb {tpb}: blocks {b}..");
+                    for (term, counters) in &counted {
+                        assert_eq!(pass_counters(*term, before, b), *counters, "tpb {tpb}: ..{b}");
+                    }
+                    if b == table.n_blocks() {
+                        break;
+                    }
+
                     let rows = table.block_rows(b);
                     let work = rows.iter().filter(|r| !is_padding(r)).count();
                     let masters: Vec<_> = rows.iter().filter(|r| r.master).collect();
@@ -412,7 +445,16 @@ mod tests {
                     assert_eq!(totals, walk, "tpb {tpb} block {b}");
                     assert_eq!(group_rows, work, "tpb {tpb} block {b}: groups cover the work rows");
                     assert!(rows[..work].iter().all(|r| !is_padding(r)), "padding trails");
+                    before = BlockTotals {
+                        work_rows: before.work_rows + work,
+                        master_rows: before.master_rows + masters.len(),
+                        last_first_atom,
+                    };
+                    for (term, counters) in &mut counted {
+                        counters.merge(&pass_counters(*term, walk, 1));
+                    }
                 }
+                assert_eq!(table.work_rows(), table.work_rows_from(0));
             }
         }
     }

@@ -24,7 +24,9 @@
 //! device runs inline on the caller and spawns nothing.
 //! For each launch, each worker owns one shared-memory arena, zeroed per block, and
 //! one counter set summed when the launch ends; the cost model converts the totals
-//! into modeled times.
+//! into modeled times. Leading blocks a kernel counts without running
+//! ([`BlockKernel::counted_blocks`]) are never claimed, and their stated counters
+//! join the launch's.
 
 use crate::cost::CostModel;
 use crate::kernel::{BlockContext, BlockKernel, LaunchConfig};
@@ -448,7 +450,10 @@ impl Device {
     /// statistics into the matching slot of `stats`.
     ///
     /// Each launch hands its blocks out in increasing index order from its own
-    /// claim counter. Each worker gives it a fresh [`BlockContext`]: the
+    /// claim counter, which starts past the blocks its kernel counts without
+    /// running ([`BlockKernel::counted_blocks`]); their stated counters start
+    /// the launch's own, and nothing per launch is allocated for them. Each
+    /// worker gives it a fresh [`BlockContext`]: the
     /// shared-memory arena is zeroed before every block, and the counters
     /// accumulate over the worker's blocks of that launch and are summed once
     /// it ends — integer sums, so the totals do not depend on which worker ran
@@ -458,7 +463,9 @@ impl Device {
     /// modeled time from its own counters and emits its own `ftmap_trace`
     /// kernel event, in launch order, under the kernel's type name: `stats`
     /// and the trace are bit for bit those of separate [`Device::launch`]
-    /// calls, and only `wall_time_s` differs.
+    /// calls, and only `wall_time_s` differs. Counters are integer sums, so a
+    /// launch whose kernel counts blocks has the statistics and trace event
+    /// of the same kernel running every block.
     ///
     /// The whole sequence runs on one set of workers: the calling thread plus
     /// `width − 1` scoped spawns, all running the same worker loop, where the
@@ -495,7 +502,7 @@ impl Device {
         stats.fill(KernelStats::zero());
 
         let workers = self.sequence_width(launches);
-        let barrier = LaunchBarrier::new(workers, stats);
+        let barrier = LaunchBarrier::new(workers, launches, stats);
         run_on_workers(workers - 1, || {
             for (index, launch) in launches.iter().enumerate() {
                 if !wait_until(|| barrier.current.load(Ordering::Acquire) == index) {
@@ -532,15 +539,16 @@ impl Device {
 
 /// The state the workers of one launch sequence share: the launch being run,
 /// its block claim counter, and the barrier between consecutive launches.
-struct LaunchBarrier<'s> {
+struct LaunchBarrier<'s, 'k> {
     /// Index of the launch whose blocks are being claimed. The last worker
-    /// to finish a launch advances it (Release, after resetting
-    /// `next_block`); workers waiting to start the next launch read it
-    /// (Acquire), so they see the reset counter.
+    /// to finish a launch advances it (Release, after opening the next
+    /// launch's `next_block`); workers waiting to start the next launch read
+    /// it (Acquire), so they see the opened counter.
     current: AtomicUsize,
     /// The current launch's next unclaimed block.
     next_block: AtomicUsize,
     workers: usize,
+    launches: &'s [QueuedLaunch<'k>],
     arrivals: Mutex<Arrivals<'s>>,
 }
 
@@ -552,12 +560,16 @@ struct Arrivals<'s> {
     stats: &'s mut [KernelStats],
 }
 
-impl<'s> LaunchBarrier<'s> {
-    fn new(workers: usize, stats: &'s mut [KernelStats]) -> Self {
+impl<'s, 'k> LaunchBarrier<'s, 'k> {
+    /// The barrier of a sequence of `launches` on `workers` workers, with
+    /// the first launch open.
+    fn new(workers: usize, launches: &'s [QueuedLaunch<'k>], stats: &'s mut [KernelStats]) -> Self {
+        let first_block = open_launch(&launches[0], &mut stats[0]);
         LaunchBarrier {
             current: AtomicUsize::new(0),
-            next_block: AtomicUsize::new(0),
+            next_block: AtomicUsize::new(first_block),
             workers,
+            launches,
             arrivals: Mutex::new(Arrivals { finished: 0, started: Instant::now(), stats }),
         }
     }
@@ -573,7 +585,10 @@ impl<'s> LaunchBarrier<'s> {
             arrivals.stats[index].wall_time_s = (now - arrivals.started).as_secs_f64();
             arrivals.started = now;
             arrivals.finished = 0;
-            self.next_block.store(0, Ordering::Relaxed);
+            if let Some(next) = self.launches.get(index + 1) {
+                let first_block = open_launch(next, &mut arrivals.stats[index + 1]);
+                self.next_block.store(first_block, Ordering::Relaxed);
+            }
             self.current.store(index + 1, Ordering::Release);
         }
     }
@@ -581,6 +596,23 @@ impl<'s> LaunchBarrier<'s> {
     fn into_stats(self) -> &'s mut [KernelStats] {
         self.arrivals.into_inner().unwrap_or_else(PoisonError::into_inner).stats
     }
+}
+
+/// Opens `launch`: adds the counters of the blocks its kernel counts
+/// without running ([`BlockKernel::counted_blocks`]) to its `stats`, and
+/// returns the first block its workers claim.
+///
+/// # Panics
+/// Panics if the kernel counts more blocks than the launch has.
+fn open_launch(launch: &QueuedLaunch<'_>, stats: &mut KernelStats) -> usize {
+    let (counted, counters) = launch.kernel.counted_blocks();
+    assert!(
+        counted <= launch.config.grid_blocks,
+        "kernel counts {counted} blocks of a {}-block launch",
+        launch.config.grid_blocks
+    );
+    stats.counters.merge(&counters);
+    counted
 }
 
 /// Rows of host arithmetic that pay for one more launch worker.
@@ -1100,6 +1132,128 @@ mod tests {
                 (b.start_s.to_bits(), b.dur_s.to_bits())
             );
         }
+    }
+
+    /// A kernel whose block `b` records `Counted::counters_of(b)` and adds
+    /// `b` into `sum` in block order; it states its first `counted` blocks
+    /// instead of running them, and its block `fail` panics.
+    struct Counted {
+        counted: usize,
+        fail: Option<usize>,
+        calls: AtomicUsize,
+        order: BlockOrder,
+        sum: Staged<f64>,
+    }
+
+    impl Counted {
+        fn new(counted: usize, fail: Option<usize>) -> Self {
+            let (calls, sum) = (AtomicUsize::new(0), Staged::new(0.0));
+            Counted { counted, fail, calls, order: BlockOrder::starting_at(counted), sum }
+        }
+
+        fn counters_of(b: usize) -> MemoryCounters {
+            let b = b as u64;
+            MemoryCounters {
+                flops: 3 * b + 1,
+                global_reads: b % 7,
+                global_writes: 2,
+                shared_accesses: b * b,
+                constant_reads: b / 4,
+                barriers: 1,
+            }
+        }
+    }
+
+    impl BlockKernel for Counted {
+        fn execute_block(&self, ctx: &mut BlockContext) {
+            let b = ctx.block_idx;
+            assert!(b >= self.counted, "counted block {b} was run");
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            assert!(self.fail != Some(b), "block {b} failed");
+            ctx.counters.merge(&Counted::counters_of(b));
+            self.order.in_turn(b, || *self.sum.write() += b as f64);
+        }
+
+        fn counted_blocks(&self) -> (usize, MemoryCounters) {
+            let mut counters = MemoryCounters::new();
+            for b in 0..self.counted {
+                counters.merge(&Counted::counters_of(b));
+            }
+            (self.counted, counters)
+        }
+    }
+
+    #[test]
+    fn counted_blocks_are_never_run_and_keep_the_stats_and_trace_of_running_them() {
+        use ftmap_trace::{ItemScope, Recorder, Tags, TraceSink, Track};
+        const GRID: usize = 37;
+        // A two-launch sequence of `counted`-prefix kernels: the stats, the
+        // trace events and how often each kernel's blocks ran.
+        let run = |device: &Device, counted: usize| {
+            let kernels = [Counted::new(counted, None), Counted::new(counted, None)];
+            let launch = KernelLaunch::on(device).grid(GRID).threads(32);
+            let mut stats = [KernelStats::zero(); 2];
+            let recorder = Arc::new(Recorder::new());
+            let sink: Arc<dyn TraceSink> = Arc::clone(&recorder) as _;
+            let scope = ItemScope::enter(&sink, Track::Device(0), Tags::device(0));
+            device.launch_sequence(&kernels.each_ref().map(|k| launch.queue(k)), &mut stats);
+            drop(scope);
+            let calls = kernels.each_ref().map(|k| k.calls.load(Ordering::Relaxed));
+            let sums = kernels.map(|k| k.sum.take());
+            (stats, recorder.drain_raw(), calls, sums)
+        };
+        for device in [
+            Device::new(DeviceSpec { sm_count: 1, ..DeviceSpec::tesla_c1060() }),
+            Device::with_cpus(DeviceSpec::tesla_c1060(), 4),
+        ] {
+            let (every, every_events, _, _) = run(&device, 0);
+            for counted in [0, 1, GRID - 1, GRID] {
+                let (stats, events, calls, sums) = run(&device, counted);
+                assert_eq!(calls, [GRID - counted; 2], "{counted} counted blocks");
+                // Blocks commit in order from the first run block.
+                let run_sum = (counted..GRID).sum::<usize>() as f64;
+                assert_eq!(sums, [run_sum; 2], "{counted} counted blocks");
+                for (a, b) in every.iter().zip(&stats) {
+                    assert_eq!((a.blocks, a.threads_per_block), (b.blocks, b.threads_per_block));
+                    assert_eq!(a.counters, b.counters, "{counted} counted blocks");
+                    assert_eq!(a.modeled_time_s.to_bits(), b.modeled_time_s.to_bits());
+                }
+                assert_eq!(events.len(), 2);
+                for (a, b) in every_events.iter().zip(&events) {
+                    assert_eq!((&a.name, a.cat, &a.tags.nums), (&b.name, b.cat, &b.tags.nums));
+                    assert_eq!(
+                        (a.start_s.to_bits(), a.dur_s.to_bits()),
+                        (b.start_s.to_bits(), b.dur_s.to_bits())
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_block_after_the_counted_ones_still_fails_the_launch() {
+        for workers in [1, 4] {
+            within_10s("a panic after counted blocks hung the launch", move || {
+                let device = Device::with_cpus(DeviceSpec::tesla_c1060(), workers);
+                let launch = KernelLaunch::on(&device).grid(16);
+                // A failing block among the counted ones is never run.
+                let _ = launch.run(&Counted::new(5, Some(2)));
+                for fail in [5, 11] {
+                    let kernel = Counted::new(5, Some(fail));
+                    let run = std::panic::catch_unwind(AssertUnwindSafe(|| launch.run(&kernel)));
+                    let panic = run.expect_err("the launch fails");
+                    let text = panic.downcast::<String>().map(|text| *text).unwrap_or_default();
+                    assert_eq!(text, format!("block {fail} failed"), "{workers} workers");
+                }
+            });
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "kernel counts 17 blocks of a 16-block launch")]
+    fn counting_more_blocks_than_the_launch_has_panics() {
+        let device = Device::tesla_c1060();
+        let _ = KernelLaunch::on(&device).grid(16).run(&Counted::new(17, None));
     }
 
     #[test]

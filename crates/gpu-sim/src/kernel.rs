@@ -165,6 +165,11 @@ impl BlockContext {
 /// with little arithmetic runs inline on the caller, however many blocks it
 /// has). A kernel that states nothing keeps the sequence at one worker per
 /// block, up to the device's worker count.
+///
+/// A kernel whose leading blocks would only record counters states them
+/// instead ([`BlockKernel::counted_blocks`]): the device never runs them on
+/// the host and adds their stated counters to the launch's, so the launch's
+/// statistics and trace are those of running every block.
 pub trait BlockKernel: Sync {
     /// Executes one block of the kernel.
     fn execute_block(&self, ctx: &mut BlockContext);
@@ -173,11 +178,21 @@ pub trait BlockKernel: Sync {
     /// summed over its blocks — known before the launch runs, and a pure
     /// function of the kernel's own problem (never a wall-clock reading), so
     /// the width it picks is deterministic. A row is one thread's unit of
-    /// real work, e.g. one pair evaluated; a block that only records its
-    /// counters runs none. `None` (the default) means unknown: the launch
-    /// keeps the width its block count gives it.
+    /// real work, e.g. one pair evaluated; a counted block
+    /// ([`BlockKernel::counted_blocks`]) runs none. `None` (the default)
+    /// means unknown: the launch keeps the width its block count gives it.
     fn host_rows(&self) -> Option<u64> {
         None
+    }
+
+    /// The leading blocks of a launch that need no host execution, as
+    /// `(n, counters)`: blocks `0..n` are never passed to
+    /// [`BlockKernel::execute_block`], and `counters` is the sum of what
+    /// they would have recorded, which the device adds to the launch's
+    /// counters. `n` may be the whole grid. The default counts none,
+    /// `(0, zero)`: every block runs.
+    fn counted_blocks(&self) -> (usize, MemoryCounters) {
+        (0, MemoryCounters::new())
     }
 }
 
