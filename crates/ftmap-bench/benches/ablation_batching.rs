@@ -6,7 +6,7 @@ use ftmap_math::RotationSet;
 use gpu_sim::Device;
 use piper_dock::direct::SparseLigand;
 use piper_dock::gpu::GpuDockingEngine;
-use piper_dock::grids::{GridSpec, LigandGrids, ReceptorGrids};
+use piper_dock::grids::{EnergyWeights, GridSpec, LigandGrids, ReceptorGrids};
 use std::time::Duration;
 
 fn bench_batching(c: &mut Criterion) {
@@ -27,7 +27,9 @@ fn bench_batching(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(batch), &batch, |b, &batch| {
             b.iter(|| {
                 for chunk in ligands.chunks(batch) {
-                    std::hint::black_box(gpu.correlate_batch(chunk));
+                    let indices: Vec<usize> = (0..chunk.len()).collect();
+                    let weights = EnergyWeights::default();
+                    std::hint::black_box(gpu.dock_batch(chunk, &indices, &weights, 4, 4, 3));
                 }
             })
         });

@@ -15,7 +15,7 @@ use ftmap_molecule::{ForceField, ProbeLibrary, ProbeType, ProteinSpec, Synthetic
 use gpu_sim::Device;
 use piper_dock::direct::SparseLigand;
 use piper_dock::gpu::GpuDockingEngine;
-use piper_dock::grids::{GridSpec, LigandGrids, ReceptorGrids};
+use piper_dock::grids::{EnergyWeights, GridSpec, LigandGrids, ReceptorGrids};
 use piper_dock::DockingEngineKind;
 
 /// An experiment: the names that select it and the function that runs it.
@@ -185,8 +185,9 @@ fn batching() {
     for batch in [1usize, 2, 4, 8] {
         let mut total = 0.0;
         for chunk in ligands.chunks(batch) {
-            let out = gpu.correlate_batch(chunk);
-            total += out.stats.modeled_time_s + out.upload_time_s;
+            let indices: Vec<usize> = (0..chunk.len()).collect();
+            let out = gpu.dock_batch(chunk, &indices, &EnergyWeights::default(), 4, 4, 3);
+            total += out.correlation.modeled_time_s + out.upload_s;
         }
         let per_rot = 1e3 * total / ligands.len() as f64;
         if batch == 1 {

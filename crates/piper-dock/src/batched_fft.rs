@@ -526,8 +526,9 @@ impl BlockKernel for FusedEpilogueKernel<'_> {
         let terms = &self.spectra[slot * self.n_terms..(slot + 1) * self.n_terms];
         let mut grids = self.scratch[slot].write();
         let EpilogueGrids { desolv, scores } = &mut *grids;
-        filter::accumulate_desolvation_into(terms, self.n_desolv, desolv);
-        filter::score_grid_into(terms, desolv, &self.weights, self.n_desolv, scores);
+        filter::accumulate_desolvation_into(terms, self.n_desolv, desolv.as_mut_slice());
+        let desolv = desolv.as_slice();
+        filter::score_grid_into(terms, desolv, &self.weights, self.n_desolv, scores.as_mut_slice());
         let selected = filter::filter_top_k(
             scores,
             self.k,

@@ -19,7 +19,7 @@ use crate::gpu::GpuDockingEngine;
 use crate::grids::{EnergyWeights, GridSpec, LigandGrids, ReceptorGrids};
 use crate::pose::{sort_best_first, Pose};
 use ftmap_math::rotations::FTMAP_ROTATION_COUNT;
-use ftmap_math::{Grid3, Real, RotationSet};
+use ftmap_math::{Real, RotationSet};
 use ftmap_molecule::{Atom, Probe};
 use gpu_sim::{wall_timed, CostModel, Device, DeviceSpec, MemoryCounters};
 use std::sync::Arc;
@@ -506,23 +506,28 @@ impl Docking {
 
         // Build all sparse ligands up-front per batch (host work, matching the paper:
         // "the ligand grid is rotated on the host and remapped").
-        let rotations: Vec<_> = self.rotations.rotations().to_vec();
+        let rotations = self.rotations.rotations();
+        let sparse_ligand = |rot_idx: usize| {
+            let ligand = LigandGrids::build(
+                &probe.atoms,
+                &rotations[rot_idx],
+                self.config.spacing,
+                self.config.n_desolv,
+            );
+            SparseLigand::from_grids(&ligand)
+        };
+        // A ligand that did not fit in constant memory beside its batch opens the next.
+        let mut carried: Option<SparseLigand> = None;
         let mut rot_idx = 0usize;
         while rot_idx < rotations.len() {
             let ((batch, batch_indices), build_wall_s) = wall_timed(|| {
                 let mut batch = Vec::new();
                 let mut batch_indices = Vec::new();
                 while rot_idx < rotations.len() && batch.len() < requested_batch {
-                    let ligand = LigandGrids::build(
-                        &probe.atoms,
-                        &rotations[rot_idx],
-                        self.config.spacing,
-                        self.config.n_desolv,
-                    );
-                    let sparse = SparseLigand::from_grids(&ligand);
+                    let sparse = carried.take().unwrap_or_else(|| sparse_ligand(rot_idx));
                     // Respect the constant-memory capacity limit.
-                    let max_batch = gpu.max_batch(&sparse);
-                    if batch.len() >= max_batch {
+                    if batch.len() >= gpu.max_batch(&sparse) {
+                        carried = Some(sparse);
                         break;
                     }
                     batch.push(sparse);
@@ -535,39 +540,27 @@ impl Docking {
             modeled.rotation_grid_s +=
                 batch.len() as f64 * self.xeon.serial_time(&rotation_counters);
 
-            // Device correlation for the whole batch.
-            let (corr, corr_wall_s) = wall_timed(|| gpu.correlate_batch(&batch));
-            wall.correlation_s += corr_wall_s;
-            modeled.correlation_s += corr.stats.modeled_time_s + corr.upload_time_s;
-            modeled_transfer_s += corr.upload_time_s;
-
-            // Device accumulation + scoring/filtering per rotation in the batch.
-            for (slot, &orig_rot) in batch_indices.iter().enumerate() {
-                let results = &corr.results[slot];
-                let ((desolv, acc_stats), acc_wall_s) =
-                    wall_timed(|| gpu.accumulate_desolvation(results, self.config.n_desolv));
-                wall.accumulation_s += acc_wall_s;
-                modeled.accumulation_s += acc_stats.modeled_time_s;
-
-                let ((selected, score_stats), score_wall_s) = wall_timed(|| {
-                    gpu.score_and_filter(
-                        results,
-                        &desolv,
-                        &self.config.weights,
-                        self.config.n_desolv,
-                        self.config.poses_per_rotation,
-                        self.config.exclusion_radius,
-                        orig_rot,
-                    )
-                });
-                wall.scoring_filtering_s += score_wall_s;
-                modeled.scoring_filtering_s += score_stats.modeled_time_s;
-                poses.extend(selected);
-                self.device.recycle_result_buffers([desolv.into_vec()]);
+            // Correlation, accumulation and scoring share one pass over each x-plane,
+            // so their wall is booked under correlation; each launch keeps its own
+            // modeled step.
+            let (out, dock_wall_s) = wall_timed(|| {
+                gpu.dock_batch(
+                    &batch,
+                    &batch_indices,
+                    &self.config.weights,
+                    self.config.n_desolv,
+                    self.config.poses_per_rotation,
+                    self.config.exclusion_radius,
+                )
+            });
+            wall.correlation_s += dock_wall_s;
+            modeled.correlation_s += out.correlation.modeled_time_s + out.upload_s;
+            modeled_transfer_s += out.upload_s;
+            for (accumulation, scoring) in out.accumulation.iter().zip(&out.scoring) {
+                modeled.accumulation_s += accumulation.modeled_time_s;
+                modeled.scoring_filtering_s += scoring.modeled_time_s;
             }
-            // The batch is scored: its result grids go back to the device.
-            let grids = corr.results.into_iter().flatten().map(Grid3::into_vec);
-            self.device.recycle_result_buffers(grids);
+            poses.extend(out.poses.into_iter().flatten());
         }
         sort_best_first(&mut poses);
         DockingRun {
@@ -804,6 +797,40 @@ mod tests {
             gpu.modeled.correlation_s,
             fft.modeled.correlation_s
         );
+    }
+
+    #[test]
+    fn constant_memory_capped_batches_dock_the_same_poses() {
+        // A device with room for about three ligands in constant memory closes
+        // batches early, and the ligand that did not fit opens the next batch:
+        // every rotation is docked once, to the same poses as on the C1060.
+        let protein = protein();
+        let probe = probe();
+        let mut config = DockingConfig::small_test(DockingEngineKind::Gpu { batch: 8 });
+        config.n_rotations = 9;
+        let rotations = RotationSet::uniform(config.n_rotations);
+        let words = SparseLigand::from_grids(&LigandGrids::build(
+            &probe.atoms,
+            &rotations.rotations()[0],
+            config.spacing,
+            config.n_desolv,
+        ))
+        .constant_mem_words();
+        let small =
+            DeviceSpec { constant_mem_bytes: 3 * words * 8 + 8, ..DeviceSpec::tesla_c1060() };
+        let run_on = |spec: DeviceSpec| {
+            Docking::with_device(&protein.atoms, config.clone(), Arc::new(Device::new(spec)))
+                .run(&probe)
+        };
+        let capped = run_on(small);
+        let full = run_on(DeviceSpec::tesla_c1060());
+        let bits = |run: &DockingRun| -> Vec<_> {
+            run.poses.iter().map(|p| (p.rotation_index, p.translation, p.score.to_bits())).collect()
+        };
+        assert_eq!(capped.poses.len(), 9 * config.poses_per_rotation);
+        assert_eq!(bits(&capped), bits(&full));
+        // More, smaller batches: one ligand upload each.
+        assert!(capped.modeled_transfer_s > full.modeled_transfer_s);
     }
 
     #[test]

@@ -10,31 +10,31 @@
 //!    neighbourhood of each selected score so a single deep pocket does not claim every
 //!    retained pose (Fig. 5).
 
-use crate::grids::{term_kinds, term_weight, EnergyWeights, TermKind};
+use crate::grids::{term_weight, EnergyWeights, WEIGHTED_TERMS};
 use crate::pose::Pose;
 use ftmap_math::{Complex, Grid3, Real};
 
 /// Sums the desolvation component results into a single grid.
 ///
-/// `term_results` must be ordered as [`term_kinds`]: the desolvation components start at
-/// index 4.
+/// `term_results` must be ordered as [`crate::grids::term_kinds`]: the desolvation
+/// components start at index 4.
 pub fn accumulate_desolvation(term_results: &[Grid3<Real>], n_desolv: usize) -> Grid3<Real> {
     let (nx, ny, nz) = term_results[0].dims();
     let mut total = Grid3::new(nx, ny, nz);
-    accumulate_desolvation_into(term_results, n_desolv, &mut total);
+    accumulate_desolvation_into(term_results, n_desolv, total.as_mut_slice());
     total
 }
 
-/// [`accumulate_desolvation`] into a kept grid of the results' size, with the same
-/// bits: `total` is reset to `+0.0` first, whatever it held.
+/// [`accumulate_desolvation`] into a kept grid (or the same span of every result,
+/// such as one x-plane) of the results' size, with the same bits: `total` is reset
+/// to `+0.0` first, whatever it held.
 pub(crate) fn accumulate_desolvation_into<G: ResultGrid>(
     term_results: &[G],
     n_desolv: usize,
-    total: &mut Grid3<Real>,
+    total: &mut [Real],
 ) {
     assert_eq!(term_results.len(), 4 + n_desolv, "term result count must be 4 + n_desolv");
     assert_eq!(total.len(), term_results[0].len(), "output grid size");
-    let total = total.as_mut_slice();
     total.fill(0.0);
     for grid in &term_results[4..] {
         for (dst, src) in total.iter_mut().zip(grid.reals()) {
@@ -53,37 +53,40 @@ pub fn score_grid(
 ) -> Grid3<Real> {
     let (nx, ny, nz) = term_results[0].dims();
     let mut scores = Grid3::new(nx, ny, nz);
-    score_grid_into(term_results, desolv_total, weights, n_desolv, &mut scores);
+    score_grid_into(
+        term_results,
+        desolv_total.as_slice(),
+        weights,
+        n_desolv,
+        scores.as_mut_slice(),
+    );
     scores
 }
 
-/// [`score_grid`] into a kept grid of the results' size, with the same bits: `scores`
-/// is reset to `+0.0` first, whatever it held.
+/// [`score_grid`] into a kept grid (or the same span of every result, such as one
+/// x-plane) of the results' size, with the same bits: `scores` is reset to `+0.0`
+/// first, whatever it held.
 pub(crate) fn score_grid_into<G: ResultGrid>(
     term_results: &[G],
-    desolv_total: &Grid3<Real>,
+    desolv_total: &[Real],
     weights: &EnergyWeights,
     n_desolv: usize,
-    scores: &mut Grid3<Real>,
+    scores: &mut [Real],
 ) {
-    let kinds = term_kinds(n_desolv);
-    assert_eq!(term_results.len(), kinds.len(), "unexpected term count");
+    assert_eq!(term_results.len(), WEIGHTED_TERMS.len() + n_desolv, "unexpected term count");
     assert_eq!(scores.len(), term_results[0].len(), "output grid size");
-    let scores = scores.as_mut_slice();
     scores.fill(0.0);
 
     // Shape and electrostatic components are weighted individually; the desolvation
     // components enter through the pre-accumulated total with the desolvation weight.
-    for (kind, grid) in kinds.iter().zip(term_results) {
-        let w = match kind {
-            TermKind::Desolvation(_) => continue,
-            other => term_weight(*other, weights, n_desolv),
-        };
+    // (No list of kinds is built: this runs once per plane on the Gpu path.)
+    for (kind, grid) in WEIGHTED_TERMS.iter().zip(term_results) {
+        let w = term_weight(*kind, weights, n_desolv);
         for (dst, src) in scores.iter_mut().zip(grid.reals()) {
             *dst += w * src;
         }
     }
-    for (dst, src) in scores.iter_mut().zip(desolv_total.as_slice()) {
+    for (dst, src) in scores.iter_mut().zip(desolv_total) {
         *dst += weights.desolv * *src;
     }
 }
@@ -107,6 +110,17 @@ impl ResultGrid for Grid3<Real> {
     }
 }
 
+/// One span of a kept result grid, as a direct-correlation block writes it.
+impl ResultGrid for &mut [Real] {
+    fn len(&self) -> usize {
+        <[Real]>::len(self)
+    }
+
+    fn reals(&self) -> impl Iterator<Item = Real> + '_ {
+        self.iter().copied()
+    }
+}
+
 /// An inverse-transformed correlation spectrum, read in place: its real parts are
 /// the correlation grid.
 impl ResultGrid for Vec<Complex> {
@@ -122,6 +136,11 @@ impl ResultGrid for Vec<Complex> {
 /// Selects the `k` best (most negative) scores from the score grid, excluding all voxels
 /// within `exclusion_radius` (in voxels, Chebyshev distance) of an already-selected
 /// score. Returns poses tagged with `rotation_index`.
+///
+/// Each round is one scan that keeps the first non-excluded voxel and replaces it
+/// only by a strictly smaller one (so ties keep the earliest voxel, and a leading
+/// NaN is never replaced). A voxel is tested against the selected poses only when
+/// it would replace the best, so no exclusion mask is kept.
 pub fn filter_top_k(
     scores: &Grid3<Real>,
     k: usize,
@@ -129,40 +148,32 @@ pub fn filter_top_k(
     rotation_index: usize,
 ) -> Vec<Pose> {
     let (nx, ny, nz) = scores.dims();
-    let mut excluded = vec![false; scores.len()];
-    let mut selected = Vec::with_capacity(k);
+    // The neighbourhood wraps cyclically, matching the correlation convention.
+    let near = |a: usize, b: usize, n: usize| {
+        let d = a.abs_diff(b);
+        d.min(n - d) <= exclusion_radius
+    };
+    let mut selected: Vec<Pose> = Vec::with_capacity(k);
 
     for _ in 0..k {
-        // Find the best non-excluded score.
-        let mut best: Option<(usize, Real)> = None;
-        for (idx, &v) in scores.as_slice().iter().enumerate() {
-            if excluded[idx] {
-                continue;
-            }
-            match best {
-                None => best = Some((idx, v)),
-                Some((_, bv)) if v < bv => best = Some((idx, v)),
-                _ => {}
-            }
-        }
-        let Some((best_idx, best_score)) = best else {
+        let excluded = |idx: usize| {
+            let (x, y, z) = scores.coords(idx);
+            selected.iter().any(|pose| {
+                let (sx, sy, sz) = pose.translation;
+                near(x, sx, nx) && near(y, sy, ny) && near(z, sz, nz)
+            })
+        };
+        let values = scores.as_slice();
+        let Some(first) = (0..values.len()).find(|&idx| !excluded(idx)) else {
             break;
         };
-        let (bx, by, bz) = scores.coords(best_idx);
-        selected.push(Pose { rotation_index, translation: (bx, by, bz), score: best_score });
-
-        // Mark the neighbourhood (cyclically, matching the correlation convention).
-        let r = exclusion_radius as isize;
-        for dx in -r..=r {
-            for dy in -r..=r {
-                for dz in -r..=r {
-                    let x = (bx as isize + dx).rem_euclid(nx as isize) as usize;
-                    let y = (by as isize + dy).rem_euclid(ny as isize) as usize;
-                    let z = (bz as isize + dz).rem_euclid(nz as isize) as usize;
-                    excluded[scores.index(x, y, z)] = true;
-                }
+        let (mut best_idx, mut score) = (first, values[first]);
+        for (idx, &v) in values.iter().enumerate().skip(first + 1) {
+            if v < score && !excluded(idx) {
+                (best_idx, score) = (idx, v);
             }
         }
+        selected.push(Pose { rotation_index, translation: scores.coords(best_idx), score });
     }
     selected
 }
@@ -237,10 +248,10 @@ mod tests {
         let bits = |g: &Grid3<Real>| g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for garbage in [-0.0, Real::NAN, -1e300] {
             let mut kept = Grid3::from_vec(n, n, n, vec![garbage; n * n * n]);
-            accumulate_desolvation_into(&terms, n_desolv, &mut kept);
+            accumulate_desolvation_into(&terms, n_desolv, kept.as_mut_slice());
             assert_eq!(bits(&kept), bits(&desolv), "accumulate over {garbage}");
             kept.as_mut_slice().fill(garbage);
-            score_grid_into(&terms, &desolv, &weights, n_desolv, &mut kept);
+            score_grid_into(&terms, desolv.as_slice(), &weights, n_desolv, kept.as_mut_slice());
             assert_eq!(bits(&kept), bits(&scores), "score over {garbage}");
         }
         assert!(desolv.as_slice().iter().any(|v| v.to_bits() == 0), "a +0.0 sum is covered");
@@ -250,7 +261,7 @@ mod tests {
     #[should_panic(expected = "output grid size")]
     fn into_forms_reject_a_kept_grid_of_another_size() {
         let terms: Vec<Grid3<Real>> = (0..5).map(|_| Grid3::cubic(2)).collect();
-        accumulate_desolvation_into(&terms, 1, &mut Grid3::cubic(3));
+        accumulate_desolvation_into(&terms, 1, Grid3::cubic(3).as_mut_slice());
     }
 
     #[test]
@@ -296,5 +307,92 @@ mod tests {
     fn filter_zero_k_returns_empty() {
         let scores = grid_with(&[((0, 0, 0), -1.0)], 4);
         assert!(filter_top_k(&scores, 0, 1, 0).is_empty());
+    }
+
+    /// The exclusion-mask form of [`filter_top_k`], kept as its oracle: each
+    /// round scans the non-excluded voxels for the first smallest one, then
+    /// marks its cyclic `(2r+1)³` neighbourhood in an `N³` mask.
+    fn mask_filter_top_k(
+        scores: &Grid3<Real>,
+        k: usize,
+        exclusion_radius: usize,
+        rotation_index: usize,
+    ) -> Vec<Pose> {
+        let (nx, ny, nz) = scores.dims();
+        let mut excluded = vec![false; scores.len()];
+        let mut selected = Vec::with_capacity(k);
+        for _ in 0..k {
+            let mut best: Option<(usize, Real)> = None;
+            for (idx, &v) in scores.as_slice().iter().enumerate() {
+                if excluded[idx] {
+                    continue;
+                }
+                match best {
+                    None => best = Some((idx, v)),
+                    Some((_, bv)) if v < bv => best = Some((idx, v)),
+                    _ => {}
+                }
+            }
+            let Some((best_idx, best_score)) = best else {
+                break;
+            };
+            let (bx, by, bz) = scores.coords(best_idx);
+            selected.push(Pose { rotation_index, translation: (bx, by, bz), score: best_score });
+            let r = exclusion_radius as isize;
+            for dx in -r..=r {
+                for dy in -r..=r {
+                    for dz in -r..=r {
+                        let x = (bx as isize + dx).rem_euclid(nx as isize) as usize;
+                        let y = (by as isize + dy).rem_euclid(ny as isize) as usize;
+                        let z = (bz as isize + dz).rem_euclid(nz as isize) as usize;
+                        excluded[scores.index(x, y, z)] = true;
+                    }
+                }
+            }
+        }
+        selected
+    }
+
+    mod mask_free_filter {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Voxel values drawn by code: signed zeros, ties and a NaN.
+        const VALUES: [Real; 8] = [-0.0, 0.0, -1.0, -1.0, -2.0, 1.0, 0.5, Real::NAN];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// On grids of 1–5 voxels per axis, where the exclusion cube wraps
+            /// onto itself, with ties, `±0.0` and NaN values (optionally a
+            /// leading NaN), for every `k` from 0 to `n³ + 1` and every radius
+            /// from 0 to the largest axis, the mask-free filter selects the
+            /// mask filter's poses, bit for bit.
+            #[test]
+            fn filter_top_k_matches_the_mask_filter(
+                dims in prop::array::uniform3(1usize..6),
+                codes in prop::collection::vec(0usize..8, 125),
+                leading_nan in 0usize..2,
+                k in 0usize..127,
+                radius in 0usize..6,
+            ) {
+                let [nx, ny, nz] = dims;
+                let n3 = nx * ny * nz;
+                let mut values: Vec<Real> = codes[..n3].iter().map(|&c| VALUES[c]).collect();
+                if leading_nan == 1 {
+                    values[0] = Real::NAN;
+                }
+                let scores = Grid3::from_vec(nx, ny, nz, values);
+                let k = k % (n3 + 2);
+                let radius = radius % (nx.max(ny).max(nz) + 1);
+                let bits = |poses: Vec<Pose>| -> Vec<_> {
+                    poses.into_iter().map(|p| (p.rotation_index, p.translation, p.score.to_bits())).collect()
+                };
+                prop_assert_eq!(
+                    bits(filter_top_k(&scores, k, radius, 3)),
+                    bits(mask_filter_top_k(&scores, k, radius, 3))
+                );
+            }
+        }
     }
 }

@@ -1,37 +1,47 @@
 //! The paper's GPU mapping of rigid docking, on the device model (paper §III).
 //!
-//! Three kernels reproduce the structure of the CUDA implementation:
+//! [`GpuDockingEngine::dock_batch`] docks a batch of rotations with the three kernels
+//! of the CUDA implementation, launched in its order:
 //!
-//! * [`GpuDockingEngine::correlate_batch`] — **batched direct correlation**. The result
-//!   grid is divided into x-plane slabs, one per thread block (the paper's second
-//!   work-distribution scheme, Fig. 4). The sparse ligand entries of up to
-//!   `GpuDockingEngine::max_batch` rotations are staged in constant memory; for each
-//!   result voxel the receptor value at a given (term, offset) is fetched from global
-//!   memory **once** and reused by every rotation in the batch that touches that offset
-//!   — the data-reuse optimization that buys the reported 2.7× over one-rotation-at-a-
-//!   time correlation. The counters record that modeled pattern; the host simulation
-//!   runs the direct engines' row-wise slab routine per plane, with the same bits.
-//! * [`GpuDockingEngine::accumulate_desolvation`] — sums the desolvation component
-//!   results on the device (Table 1's "Accum. desolvation terms" row).
-//! * `GpuDockingEngine::score_and_filter` — weighted scoring plus top-K filtering with
-//!   region exclusion, run on a **single block** ("distribution across multiple
+//! * `CorrelationKernel` — **batched direct correlation**. The result grid is divided
+//!   into x-plane slabs, one per thread block (the paper's second work-distribution
+//!   scheme, Fig. 4). The sparse ligand entries of up to `GpuDockingEngine::max_batch`
+//!   rotations are staged in constant memory; for each result voxel the receptor value
+//!   at a given (term, offset) is fetched from global memory **once** and reused by
+//!   every rotation in the batch that touches that offset — the data-reuse
+//!   optimization that buys the reported 2.7× over one-rotation-at-a-time correlation.
+//!   The counters record that modeled pattern.
+//! * `AccumulationKernel` — sums the desolvation component results on the device
+//!   (Table 1's "Accum. desolvation terms" row), one launch per rotation.
+//! * `ScoreFilterKernel` — weighted scoring plus top-K filtering with region
+//!   exclusion, run on a **single block** ("distribution across multiple
 //!   multiprocessors would incur large communication overhead", §III.B), which is why
-//!   its speedup is modest.
+//!   its speedup is modest. Only the retained poses are downloaded.
 //!
-//! The correlation and accumulation grids are device result buffers
-//! ([`Device::result_buffer`]), which [`crate::Docking`] hands back once a batch is
-//! scored. Each block zeroes its plane and writes straight into it. The score grid
-//! is one too, handed back as soon as its filtering launch ends.
+//! The host simulation streams each x-plane once. For each rotation of the batch,
+//! block `x` runs the direct engines' slab routine into plane `x` of the kept term
+//! grids, then folds that plane into plane `x` of the desolvation total and of the
+//! rotation's score grid with [`filter`]'s own per-voxel arithmetic, so the scores
+//! are bit for bit those of the separate steps. The next rotation reuses the term
+//! planes, so no `N³` term grid is kept per rotation. The accumulation launch
+//! therefore has no host work left: every block is
+//! counted ([`gpu_sim::BlockKernel::counted_blocks`]) with the counters it would
+//! record. The score launch runs only the filter and still records the scoring's
+//! counters. So the modeled times and the trace are those of the three kernels.
 //!
-//! Each method returns both the numerically exact results (computed by the block-
-//! parallel CPU execution) and the [`KernelStats`] whose modeled time feeds Table 1.
+//! Every grid is a kept device buffer ([`Device::result_buffer`]): the term grids and
+//! the desolvation total, shared by the batch's rotations and handed back once the
+//! batch is docked, and one score grid per rotation, handed back after its filter
+//! launch.
 
 use crate::direct::{chunk_slots, correlate_slab, SparseLigand};
 use crate::filter;
 use crate::grids::{EnergyWeights, ReceptorGrids};
 use crate::pose::Pose;
 use ftmap_math::{Grid3, Real};
-use gpu_sim::{BlockContext, BlockKernel, Device, KernelLaunch, KernelStats, Staged};
+use gpu_sim::{
+    BlockContext, BlockKernel, Device, KernelLaunch, KernelStats, MemoryCounters, Staged,
+};
 use std::collections::HashSet;
 
 /// GPU-mapped rigid docking over a fixed receptor.
@@ -42,14 +52,19 @@ pub struct GpuDockingEngine<'a> {
     threads_per_block: usize,
 }
 
-/// Results of correlating one batch of rotations on the device.
-pub struct BatchCorrelationResult {
-    /// Per-rotation, per-term result grids (`results[rotation][term]`).
-    pub results: Vec<Vec<Grid3<Real>>>,
-    /// Kernel statistics (merged over the launch).
-    pub stats: KernelStats,
-    /// Modeled time spent uploading the batch's ligand entries to constant memory.
-    pub upload_time_s: f64,
+/// Outcome of docking one batch of rotations on the device.
+pub struct GpuDockOutcome {
+    /// Retained poses per batch slot, in batch order, tagged with the slot's rotation
+    /// index.
+    pub poses: Vec<Vec<Pose>>,
+    /// The batch's correlation launch.
+    pub correlation: KernelStats,
+    /// Each slot's accumulation launch, in batch order.
+    pub accumulation: Vec<KernelStats>,
+    /// Each slot's scoring + filtering launch, in batch order.
+    pub scoring: Vec<KernelStats>,
+    /// Modeled seconds uploading the batch's ligand entries to constant memory.
+    pub upload_s: f64,
 }
 
 impl<'a> GpuDockingEngine<'a> {
@@ -69,106 +84,93 @@ impl<'a> GpuDockingEngine<'a> {
         (self.device.spec().constant_mem_words() / words).clamp(1, 8)
     }
 
-    /// Direct correlation of a batch of rotations (already reduced to sparse ligands).
-    pub fn correlate_batch(&self, batch: &[SparseLigand]) -> BatchCorrelationResult {
+    /// Docks one batch of rotations (already reduced to sparse ligands): uploads
+    /// their entries, runs the correlation launch, then each slot's accumulation
+    /// and scoring + filtering launches, downloading only the retained poses.
+    ///
+    /// `batch[slot]` is correlated as rotation `rotation_indices[slot]`; the
+    /// returned `poses[slot]` are tagged accordingly.
+    ///
+    /// # Panics
+    /// Panics if the batch is empty, the index list has a different length, or
+    /// the receptor does not have `4 + n_desolv` terms.
+    pub fn dock_batch(
+        &self,
+        batch: &[SparseLigand],
+        rotation_indices: &[usize],
+        weights: &EnergyWeights,
+        n_desolv: usize,
+        k: usize,
+        exclusion_radius: usize,
+    ) -> GpuDockOutcome {
         assert!(!batch.is_empty(), "correlation batch must not be empty");
+        assert_eq!(batch.len(), rotation_indices.len(), "one rotation index per batch slot");
         let n = self.receptor.spec.dim;
         let n_terms = self.receptor.n_terms();
+        assert_eq!(n_terms, 4 + n_desolv, "term result count must be 4 + n_desolv");
 
         // Upload the batch's ligand entries (constant memory).
         let upload_words: usize = batch.iter().map(|l| l.constant_mem_words()).sum();
-        let upload_time_s =
+        let upload_s =
             self.device.upload_bytes((upload_words * std::mem::size_of::<Real>()) as u64);
 
         // The set of distinct (term, offset) pairs across the batch: each is fetched
         // from global memory once per result voxel and reused across rotations.
         let unique_fetches: HashSet<(usize, (usize, usize, usize))> =
             batch.iter().flat_map(|l| l.entries.iter().map(|e| (e.term, e.offset))).collect();
-        let unique_fetches_per_voxel = unique_fetches.len() as u64;
-        let entries_per_voxel: u64 = batch.iter().map(|l| l.len() as u64).sum();
 
-        // Output: per rotation, per term, from the device's result buffers.
-        // Block `x` owns plane `x` of every grid and writes it in place.
-        let mut buffers: Vec<Vec<Real>> =
-            (0..batch.len() * n_terms).map(|_| self.device.result_buffer(n * n * n)).collect();
-        let kernel = CorrelationKernel {
-            receptor: self.receptor,
-            batch,
-            planes: plane_slots(&mut buffers, n),
-            unique_fetches_per_voxel,
-            entries_per_voxel,
-        };
-        let stats = KernelLaunch::on(self.device)
+        // Kept grids: the term grids, the desolvation total, then one score grid per
+        // slot. Block `x` owns plane `x` of every grid and writes it in place.
+        let mut grids: Vec<Vec<Real>> =
+            (0..n_terms + 1 + batch.len()).map(|_| self.device.result_buffer(n * n * n)).collect();
+        let correlation = KernelLaunch::on(self.device)
             .grid(n) // one block per x-plane (Fig. 4, second scheme)
             .threads(self.threads_per_block)
             .shared_mem_capped(batch.len() * n_terms)
-            .run(&kernel);
+            .run(&CorrelationKernel {
+                receptor: self.receptor,
+                batch,
+                weights: *weights,
+                n_desolv,
+                planes: plane_slots(&mut grids, n),
+                unique_fetches_per_voxel: unique_fetches.len() as u64,
+                entries_per_voxel: batch.iter().map(|l| l.len() as u64).sum(),
+            });
 
-        let mut grids = buffers.into_iter().map(|buffer| Grid3::from_vec(n, n, n, buffer));
-        let results = batch.iter().map(|_| grids.by_ref().take(n_terms).collect()).collect();
-        BatchCorrelationResult { results, stats, upload_time_s }
-    }
+        let mut poses = Vec::with_capacity(batch.len());
+        let mut accumulation = Vec::with_capacity(batch.len());
+        let mut scoring = Vec::with_capacity(batch.len());
+        let score_grids = grids.split_off(n_terms + 1);
+        for (scores, &rotation_index) in score_grids.into_iter().zip(rotation_indices) {
+            accumulation.push(
+                KernelLaunch::on(self.device)
+                    .grid(n)
+                    .threads(self.threads_per_block)
+                    .run(&AccumulationKernel { receptor: self.receptor, n_desolv }),
+            );
 
-    /// Device-side accumulation of the desolvation component results into one grid
-    /// (a device result buffer, like the correlation grids).
-    pub fn accumulate_desolvation(
-        &self,
-        term_results: &[Grid3<Real>],
-        n_desolv: usize,
-    ) -> (Grid3<Real>, KernelStats) {
-        assert_eq!(term_results.len(), 4 + n_desolv, "unexpected term count");
-        let n = self.receptor.spec.dim;
-        let mut buffer = [self.device.result_buffer(n * n * n)];
-        let kernel =
-            AccumulationKernel { term_results, n_desolv, planes: plane_slots(&mut buffer, n) };
-        let stats =
-            KernelLaunch::on(self.device).grid(n).threads(self.threads_per_block).run(&kernel);
-        let [buffer] = buffer;
-        (Grid3::from_vec(n, n, n, buffer), stats)
-    }
-
-    /// Device-side scoring + filtering on a single block.
-    ///
-    /// Only the retained poses are transferred back to the host (one of the benefits the
-    /// paper cites for filtering on the device); the returned stats include the modeled
-    /// kernel time, and the pose download is charged to the device transfer accounting.
-    // lint-allow(justified-allows): mirrors the host filter pipeline's
-    // parameter list (weights, desolvation depth, top-K, exclusion radius)
-    // so the two paths stay diffable side by side.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn score_and_filter(
-        &self,
-        term_results: &[Grid3<Real>],
-        desolv_total: &Grid3<Real>,
-        weights: &EnergyWeights,
-        n_desolv: usize,
-        k: usize,
-        exclusion_radius: usize,
-        rotation_index: usize,
-    ) -> (Vec<Pose>, KernelStats) {
-        let (nx, ny, nz) = desolv_total.dims();
-        let scores =
-            Staged::new(Grid3::from_vec(nx, ny, nz, self.device.result_buffer(nx * ny * nz)));
-        let poses = Staged::new(Vec::new());
-        let kernel = ScoreFilterKernel {
-            term_results,
-            desolv_total,
-            weights: *weights,
-            n_desolv,
-            k,
-            exclusion_radius,
-            rotation_index,
-            scores: &scores,
-            poses: &poses,
-        };
-        // Single thread block, as in the paper.
-        let stats =
-            KernelLaunch::on(self.device).grid(1).threads(256).shared_mem_capped(256).run(&kernel);
-        self.device.recycle_result_buffers([scores.take().into_vec()]);
-        let poses = poses.take();
-        // Download only the retained poses.
-        self.device.download_slice(&poses);
-        (poses, stats)
+            let scores = Grid3::from_vec(n, n, n, scores);
+            let selected = Staged::new(Vec::new());
+            // Single thread block, as in the paper.
+            scoring.push(
+                KernelLaunch::on(self.device).grid(1).threads(256).shared_mem_capped(256).run(
+                    &ScoreFilterKernel {
+                        scores: &scores,
+                        k,
+                        exclusion_radius,
+                        rotation_index,
+                        poses: &selected,
+                    },
+                ),
+            );
+            self.device.recycle_result_buffers([scores.into_vec()]);
+            let selected = selected.take();
+            // Download only the retained poses.
+            self.device.download_slice(&selected);
+            poses.push(selected);
+        }
+        self.device.recycle_result_buffers(grids);
+        GpuDockOutcome { poses, correlation, accumulation, scoring, upload_s }
     }
 }
 
@@ -181,12 +183,15 @@ fn plane_slots(buffers: &mut [Vec<Real>], n: usize) -> Vec<Staged<Vec<&mut [Real
         .collect()
 }
 
-/// Batched direct-correlation kernel: block `b` computes x-plane `b` of every rotation's
-/// result grids.
+/// Batched direct-correlation kernel: block `b` correlates x-plane `b` of every
+/// rotation and folds it into the rotation's score plane.
 struct CorrelationKernel<'a> {
     receptor: &'a ReceptorGrids,
     batch: &'a [SparseLigand],
-    /// Plane slots of the result grids, rotation-major ([`plane_slots`]).
+    weights: EnergyWeights,
+    n_desolv: usize,
+    /// Plane slots of the term grids, the desolvation total and the score grids,
+    /// in that order ([`plane_slots`]).
     planes: Vec<Staged<Vec<&'a mut [Real]>>>,
     unique_fetches_per_voxel: u64,
     entries_per_voxel: u64,
@@ -198,65 +203,68 @@ impl BlockKernel for CorrelationKernel<'_> {
             return;
         };
         let n = self.receptor.spec.dim;
+        let n_terms = self.receptor.n_terms();
         let voxels = (n * n) as u64;
         // Accounting, per result voxel of the plane: one global fetch per distinct
         // (term, offset), reused across the rotations of the batch; every entry costs
-        // a constant-memory read and a multiply-accumulate.
+        // a constant-memory read and a multiply-accumulate; every rotation writes
+        // every term.
         ctx.record_global_reads(voxels * self.unique_fetches_per_voxel);
         ctx.record_constant_reads(voxels * self.entries_per_voxel);
         ctx.record_flops(voxels * 2 * self.entries_per_voxel);
+        ctx.record_global_writes(voxels * (self.batch.len() * n_terms) as u64);
 
         let mut planes = slot.write();
-        ctx.record_global_writes(voxels * planes.len() as u64);
-        for (ligand, grids) in self.batch.iter().zip(planes.chunks_mut(self.receptor.n_terms())) {
-            correlate_slab(self.receptor, ligand, ctx.block_idx, grids);
+        let (terms, rest) = planes.split_at_mut(n_terms);
+        let (desolv, scores) = rest.split_first_mut().expect("a desolvation plane");
+        for (ligand, scores) in self.batch.iter().zip(scores) {
+            correlate_slab(self.receptor, ligand, ctx.block_idx, terms);
+            filter::accumulate_desolvation_into(terms, self.n_desolv, desolv);
+            filter::score_grid_into(terms, desolv, &self.weights, self.n_desolv, scores);
         }
         ctx.sync_threads();
     }
 }
 
 /// Desolvation accumulation kernel: block `b` sums the desolvation components over
-/// x-plane `b`.
+/// x-plane `b`. The correlation blocks did that sum already, so every block is
+/// counted and none runs.
 struct AccumulationKernel<'a> {
-    term_results: &'a [Grid3<Real>],
+    receptor: &'a ReceptorGrids,
     n_desolv: usize,
-    /// Plane slots of the one output grid ([`plane_slots`]).
-    planes: Vec<Staged<Vec<&'a mut [Real]>>>,
 }
 
 impl BlockKernel for AccumulationKernel<'_> {
-    fn execute_block(&self, ctx: &mut BlockContext) {
-        let Some(slot) = self.planes.get(ctx.block_idx) else {
-            return;
+    fn execute_block(&self, _ctx: &mut BlockContext) {}
+
+    fn host_rows(&self) -> Option<u64> {
+        Some(0)
+    }
+
+    fn counted_blocks(&self) -> (usize, MemoryCounters) {
+        let n = self.receptor.spec.dim;
+        // Per block: read each desolvation component over the plane, add, write
+        // the total.
+        let (blocks, voxels) = (n as u64, (n * n) as u64);
+        let counters = MemoryCounters {
+            global_reads: blocks * self.n_desolv as u64 * voxels,
+            flops: blocks * self.n_desolv as u64 * voxels,
+            global_writes: blocks * voxels,
+            ..MemoryCounters::new()
         };
-        let mut planes = slot.write();
-        let out = &mut *planes[0];
-        let voxels = out.len();
-        let plane = ctx.block_idx * voxels..(ctx.block_idx + 1) * voxels;
-        out.fill(0.0);
-        for grid in &self.term_results[4..4 + self.n_desolv] {
-            for (o, &v) in out.iter_mut().zip(&grid.as_slice()[plane.clone()]) {
-                *o += v;
-            }
-        }
-        ctx.record_global_reads((self.n_desolv * voxels) as u64);
-        ctx.record_flops((self.n_desolv * voxels) as u64);
-        ctx.record_global_writes(voxels as u64);
+        (n, counters)
     }
 }
 
 /// Scoring + filtering kernel, run as a single block: threads partition the score grid,
-/// each finds its local best, a master thread gathers and excludes (Fig. 6).
+/// each finds its local best, a master thread gathers and excludes (Fig. 6). The
+/// host runs only the filter: the correlation blocks computed the scores.
 struct ScoreFilterKernel<'a> {
-    term_results: &'a [Grid3<Real>],
-    desolv_total: &'a Grid3<Real>,
-    weights: EnergyWeights,
-    n_desolv: usize,
+    /// The rotation's score grid.
+    scores: &'a Grid3<Real>,
     k: usize,
     exclusion_radius: usize,
     rotation_index: usize,
-    /// The score grid, a device result buffer the kernel overwrites in full.
-    scores: &'a Staged<Grid3<Real>>,
     poses: &'a Staged<Vec<Pose>>,
 }
 
@@ -265,10 +273,7 @@ impl BlockKernel for ScoreFilterKernel<'_> {
         if ctx.block_idx != 0 {
             return;
         }
-        let mut scores = self.scores.write();
-        let (terms, desolv) = (self.term_results, self.desolv_total);
-        filter::score_grid_into(terms, desolv, &self.weights, self.n_desolv, &mut scores);
-        let n3 = scores.len() as u64;
+        let n3 = self.scores.len() as u64;
         // Weighted sum: 5 reads + ~6 flops per voxel, distributed over the block's threads.
         ctx.record_global_reads(5 * n3);
         ctx.record_flops(6 * n3);
@@ -277,7 +282,7 @@ impl BlockKernel for ScoreFilterKernel<'_> {
         ctx.sync_threads();
 
         let selected =
-            filter::filter_top_k(&scores, self.k, self.exclusion_radius, self.rotation_index);
+            filter::filter_top_k(self.scores, self.k, self.exclusion_radius, self.rotation_index);
         // Each filtering round rescans the candidate array and marks the exclusion
         // neighbourhood in a global-memory exclusion array (it does not fit in shared
         // memory at N = 128, §III.B).
@@ -311,28 +316,64 @@ mod tests {
         SparseLigand::from_grids(&lig)
     }
 
+    fn batch_of(probe: &Probe, rotations: usize) -> Vec<SparseLigand> {
+        RotationSet::uniform(rotations).iter().map(|r| sparse_for(probe, r)).collect()
+    }
+
+    /// Docks `batch` as rotations `0..` with the default weights, 4 desolvation
+    /// terms, `k` poses per rotation and exclusion radius 2.
+    fn dock(gpu: &GpuDockingEngine<'_>, batch: &[SparseLigand], k: usize) -> GpuDockOutcome {
+        let indices: Vec<usize> = (0..batch.len()).collect();
+        gpu.dock_batch(batch, &indices, &EnergyWeights::default(), 4, k, 2)
+    }
+
+    /// The host path for one rotation: serial direct correlation, accumulation,
+    /// scoring and filtering.
+    fn host_poses(
+        receptor: &ReceptorGrids,
+        sparse: &SparseLigand,
+        k: usize,
+        rot: usize,
+    ) -> Vec<Pose> {
+        let results = DirectCorrelationEngine::new(receptor).correlate_rotation_serial(sparse);
+        let desolv = filter::accumulate_desolvation(&results, 4);
+        let scores = filter::score_grid(&results, &desolv, &EnergyWeights::default(), 4);
+        filter::filter_top_k(&scores, k, 2, rot)
+    }
+
+    /// Poses as comparable bits.
+    fn pose_bits(poses: &[Vec<Pose>]) -> Vec<(usize, (usize, usize, usize), u64)> {
+        poses
+            .iter()
+            .flatten()
+            .map(|p| (p.rotation_index, p.translation, p.score.to_bits()))
+            .collect()
+    }
+
+    /// Every launch's statistics, in launch order.
+    fn launches(out: &GpuDockOutcome) -> Vec<KernelStats> {
+        let per_slot = out.accumulation.iter().zip(&out.scoring).flat_map(|(a, s)| [*a, *s]);
+        std::iter::once(out.correlation).chain(per_slot).collect()
+    }
+
     #[test]
     fn gpu_correlation_matches_host_direct_correlation() {
+        // Each slot's poses, scores included, are bit for bit those of the host
+        // direct path followed by the host accumulation, scoring and filter.
         let (receptor, probe) = setup(16);
         let device = Device::tesla_c1060();
         let gpu = GpuDockingEngine::new(&device, &receptor);
-        let rotations = RotationSet::uniform(3);
-        let batch: Vec<SparseLigand> = rotations.iter().map(|r| sparse_for(&probe, r)).collect();
+        let batch = batch_of(&probe, 3);
 
-        let gpu_out = gpu.correlate_batch(&batch);
-        assert_eq!(gpu_out.results.len(), 3);
-        let host = DirectCorrelationEngine::new(&receptor);
-        for (rot_idx, sparse) in batch.iter().enumerate() {
-            let host_results = host.correlate_rotation_serial(sparse);
-            for (hg, gg) in host_results.iter().zip(&gpu_out.results[rot_idx]) {
-                for (a, b) in hg.as_slice().iter().zip(gg.as_slice()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "host {a:e} vs gpu {b:e}");
-                }
-            }
+        let out = dock(&gpu, &batch, 4);
+        assert_eq!(out.poses.len(), 3);
+        for (rot, sparse) in batch.iter().enumerate() {
+            let want = host_poses(&receptor, sparse, 4, rot);
+            assert_eq!(pose_bits(&out.poses[rot..=rot]), pose_bits(&[want]), "rotation {rot}");
         }
-        assert!(gpu_out.stats.modeled_time_s > 0.0);
-        assert!(gpu_out.upload_time_s > 0.0);
-        assert!(gpu_out.stats.counters.constant_reads > 0);
+        assert!(out.correlation.modeled_time_s > 0.0);
+        assert!(out.upload_s > 0.0);
+        assert!(out.correlation.counters.constant_reads > 0);
     }
 
     #[test]
@@ -341,14 +382,12 @@ mod tests {
         let (receptor, probe) = setup(16);
         let device = Device::tesla_c1060();
         let gpu = GpuDockingEngine::new(&device, &receptor);
-        let rotations = RotationSet::uniform(8);
-        let batch: Vec<SparseLigand> = rotations.iter().map(|r| sparse_for(&probe, r)).collect();
+        let batch = batch_of(&probe, 8);
 
-        let one_at_a_time: u64 = batch
-            .iter()
-            .map(|l| gpu.correlate_batch(std::slice::from_ref(l)).stats.counters.global_reads)
-            .sum();
-        let batched = gpu.correlate_batch(&batch).stats.counters.global_reads;
+        let reads = |out: GpuDockOutcome| out.correlation.counters.global_reads;
+        let one_at_a_time: u64 =
+            batch.iter().map(|l| reads(dock(&gpu, std::slice::from_ref(l), 4))).sum();
+        let batched = reads(dock(&gpu, &batch, 4));
         assert!(
             batched < one_at_a_time,
             "batched reads {batched} should be below unbatched {one_at_a_time}"
@@ -370,19 +409,25 @@ mod tests {
 
     #[test]
     fn gpu_accumulation_matches_host() {
+        // Each rotation's accumulation launch is fully counted: it spans one block
+        // per x-plane and states what summing 4 desolvation components over the
+        // grid records, once per block.
         let (receptor, probe) = setup(16);
         let device = Device::tesla_c1060();
         let gpu = GpuDockingEngine::new(&device, &receptor);
-        let sparse = sparse_for(&probe, &Rotation::identity());
-        let host_results =
-            DirectCorrelationEngine::new(&receptor).correlate_rotation_serial(&sparse);
-
-        let (gpu_total, stats) = gpu.accumulate_desolvation(&host_results, 4);
-        let host_total = filter::accumulate_desolvation(&host_results, 4);
-        for (a, b) in gpu_total.as_slice().iter().zip(host_total.as_slice()) {
-            assert!((a - b).abs() < 1e-12);
+        let out = dock(&gpu, &batch_of(&probe, 2), 4);
+        let n3 = 16 * 16 * 16;
+        for stats in &out.accumulation {
+            assert_eq!((stats.blocks, stats.threads_per_block), (16, 64));
+            let expect = MemoryCounters {
+                global_reads: 4 * n3,
+                flops: 4 * n3,
+                global_writes: n3,
+                ..MemoryCounters::new()
+            };
+            assert_eq!(stats.counters, expect);
+            assert!(stats.modeled_time_s > 0.0);
         }
-        assert!(stats.modeled_time_s > 0.0);
     }
 
     #[test]
@@ -391,53 +436,35 @@ mod tests {
         let device = Device::tesla_c1060();
         let gpu = GpuDockingEngine::new(&device, &receptor);
         let sparse = sparse_for(&probe, &Rotation::identity());
-        let results = DirectCorrelationEngine::new(&receptor).correlate_rotation_serial(&sparse);
-        let desolv = filter::accumulate_desolvation(&results, 4);
-        let weights = EnergyWeights::default();
 
-        let (gpu_poses, stats) = gpu.score_and_filter(&results, &desolv, &weights, 4, 4, 2, 5);
-        let scores = filter::score_grid(&results, &desolv, &weights, 4);
-        let host_poses = filter::filter_top_k(&scores, 4, 2, 5);
-        assert_eq!(gpu_poses, host_poses);
+        let out =
+            gpu.dock_batch(std::slice::from_ref(&sparse), &[5], &EnergyWeights::default(), 4, 4, 2);
+        assert_eq!(out.poses, [host_poses(&receptor, &sparse, 4, 5)]);
+        let stats = out.scoring[0];
         assert!(stats.modeled_time_s > 0.0);
-        // Single-block launch.
+        // Single-block launch, whose counters still state the weighted sum.
         assert_eq!(stats.blocks, 1);
+        assert!(stats.counters.flops >= 6 * 16 * 16 * 16);
     }
 
     #[test]
     fn kernels_are_invariant_to_the_launch_worker_count() {
         // One worker (every launch inline on the caller) and the full device
-        // must give the same bits, poses and counters; only the modeled
-        // seconds differ, because the specs do.
+        // must give the same poses and counters; only the modeled seconds
+        // differ, because the specs do.
         let (receptor, probe) = setup(16);
         let one_worker =
             Device::new(gpu_sim::DeviceSpec { sm_count: 1, ..gpu_sim::DeviceSpec::tesla_c1060() });
         let full = Device::tesla_c1060();
-        let batch: Vec<SparseLigand> =
-            RotationSet::uniform(8).iter().map(|r| sparse_for(&probe, r)).collect();
-        let bits = |grid: &Grid3<Real>| -> Vec<u64> {
-            grid.as_slice().iter().map(|v| v.to_bits()).collect()
-        };
+        let batch = batch_of(&probe, 8);
 
         let run = |device: &Device| {
-            let gpu = GpuDockingEngine::new(device, &receptor);
-            let correlated = gpu.correlate_batch(&batch);
-            let terms = &correlated.results[3];
-            let (desolv, accumulate) = gpu.accumulate_desolvation(terms, 4);
-            let (poses, filter) =
-                gpu.score_and_filter(terms, &desolv, &EnergyWeights::default(), 4, 6, 2, 3);
-            let grids: Vec<Vec<u64>> =
-                correlated.results.iter().flatten().chain([&desolv]).map(bits).collect();
-            let poses: Vec<_> = poses
-                .iter()
-                .map(|p| (p.rotation_index, p.translation, p.score.to_bits()))
-                .collect();
-            let counters = [correlated.stats.counters, accumulate.counters, filter.counters];
-            (grids, poses, counters)
+            let out = dock(&GpuDockingEngine::new(device, &receptor), &batch, 6);
+            let counters: Vec<_> = launches(&out).iter().map(|s| s.counters).collect();
+            (pose_bits(&out.poses), counters)
         };
-        let (inline_grids, inline_poses, inline_counters) = run(&one_worker);
-        let (spread_grids, spread_poses, spread_counters) = run(&full);
-        assert!(inline_grids == spread_grids, "result grids differ bitwise");
+        let (inline_poses, inline_counters) = run(&one_worker);
+        let (spread_poses, spread_counters) = run(&full);
         assert_eq!(inline_poses, spread_poses);
         assert_eq!(inline_counters, spread_counters);
     }
@@ -445,36 +472,17 @@ mod tests {
     #[test]
     fn dirty_result_buffers_never_leak_into_results() {
         // A device whose free list holds NaN, garbage and wrong-length
-        // buffers must give the same bits, poses and counters as a fresh one.
+        // buffers must give the same poses, statistics and transfers as a
+        // fresh one.
         let (receptor, probe) = setup(16);
-        let batch: Vec<SparseLigand> =
-            RotationSet::uniform(8).iter().map(|r| sparse_for(&probe, r)).collect();
+        let batch = batch_of(&probe, 8);
         let run = |device: &Device| {
-            let gpu = GpuDockingEngine::new(device, &receptor);
-            let correlated = gpu.correlate_batch(&batch);
-            let mut grids: Vec<Vec<u64>> = Vec::new();
-            let mut poses = Vec::new();
-            let mut counters = vec![correlated.stats.counters];
-            for (slot, terms) in correlated.results.iter().enumerate() {
-                let (desolv, accumulate) = gpu.accumulate_desolvation(terms, 4);
-                let (selected, filter) =
-                    gpu.score_and_filter(terms, &desolv, &EnergyWeights::default(), 4, 6, 2, slot);
-                grids.extend(
-                    terms
-                        .iter()
-                        .chain([&desolv])
-                        .map(|g| g.as_slice().iter().map(|v| v.to_bits()).collect()),
-                );
-                poses.extend(
-                    selected.iter().map(|p| (p.rotation_index, p.translation, p.score.to_bits())),
-                );
-                counters.extend([accumulate.counters, filter.counters]);
-                device.recycle_result_buffers([desolv.into_vec()]);
-            }
-            device.recycle_result_buffers(
-                correlated.results.into_iter().flatten().map(Grid3::into_vec),
-            );
-            (grids, poses, counters)
+            let out = dock(&GpuDockingEngine::new(device, &receptor), &batch, 6);
+            let stats: Vec<_> = launches(&out)
+                .iter()
+                .map(|s| (s.blocks, s.threads_per_block, s.counters, s.modeled_time_s.to_bits()))
+                .collect();
+            (pose_bits(&out.poses), stats, out.upload_s.to_bits())
         };
 
         let dirty = Device::tesla_c1060();
@@ -499,6 +507,6 @@ mod tests {
         let (receptor, _) = setup(16);
         let device = Device::tesla_c1060();
         let gpu = GpuDockingEngine::new(&device, &receptor);
-        let _ = gpu.correlate_batch(&[]);
+        let _ = dock(&gpu, &[], 4);
     }
 }

@@ -97,17 +97,14 @@ pub enum TermKind {
     Desolvation(usize),
 }
 
+/// The individually weighted term kinds, which lead every term list in this order.
+pub(crate) const WEIGHTED_TERMS: [TermKind; 4] =
+    [TermKind::ShapeCore, TermKind::ShapeAttraction, TermKind::ElecCoulomb, TermKind::ElecScreened];
+
 /// Builds the ordered list of term kinds for a run with `n_desolv` desolvation terms.
 pub fn term_kinds(n_desolv: usize) -> Vec<TermKind> {
-    let mut kinds = vec![
-        TermKind::ShapeCore,
-        TermKind::ShapeAttraction,
-        TermKind::ElecCoulomb,
-        TermKind::ElecScreened,
-    ];
-    for k in 0..n_desolv {
-        kinds.push(TermKind::Desolvation(k));
-    }
+    let mut kinds = WEIGHTED_TERMS.to_vec();
+    kinds.extend((0..n_desolv).map(TermKind::Desolvation));
     kinds
 }
 

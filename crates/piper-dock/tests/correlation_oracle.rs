@@ -6,13 +6,16 @@
 //! `out_t[d] = Σ_{x,y,z} L_t[x, y, z] · R_t[(x + dx) % N, (y + dy) % N, (z + dz) % N]`,
 //! summed from `+0.0` over the footprint in storage order.
 //!
-//! * `DirectSerial`, `DirectMulticore` and `Gpu` must match it **bitwise**.
+//! * `DirectSerial` and `DirectMulticore` must match it **bitwise**.
 //!   They add a translation's products in the same order — ligand entries are
 //!   the footprint voxels in storage order — and only skip voxels whose value
 //!   is `±0.0`. Skipping those changes no bit: their product with a finite
 //!   receptor value is a signed zero, and adding a signed zero to an
 //!   accumulator that starts at `+0.0` leaves it unchanged (a sum that cancels
 //!   exactly is `+0.0` in round-to-nearest, so the accumulator is never `-0.0`).
+//! * `Gpu` runs the same slab routine but keeps only its retained poses: each
+//!   must carry, bitwise, the score the naive grids give its translation, and
+//!   the pose list must be `filter::filter_top_k` over the naive score grid.
 //! * `FftSerial` and `BatchedFft` evaluate the same sum through the
 //!   convolution theorem, so they match within [`fft_tolerance`].
 
@@ -24,7 +27,7 @@ use piper_dock::fft_engine::FftCorrelationEngine;
 use piper_dock::filter;
 use piper_dock::gpu::GpuDockingEngine;
 use piper_dock::grids::{term_kinds, GridSpec};
-use piper_dock::{BatchedFftEngine, EnergyWeights, LigandGrids, ReceptorGrids};
+use piper_dock::{BatchedFftEngine, EnergyWeights, LigandGrids, Pose, ReceptorGrids};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -164,6 +167,38 @@ fn hand_built_ligand(n: usize, n_terms: usize, rng: &mut SmallRng) -> SparseLiga
     SparseLigand { dim: n, n_terms, entries }
 }
 
+/// The Equation (2) score grid of one rotation's term results.
+fn score_grid(terms: &[Grid3<Real>], weights: &EnergyWeights) -> Grid3<Real> {
+    let desolv = filter::accumulate_desolvation(terms, N_DESOLV);
+    filter::score_grid(terms, &desolv, weights, N_DESOLV)
+}
+
+/// Docks `ligands` as one Gpu batch (3 poses per rotation, exclusion radius 1)
+/// and checks every slot's poses against its naive score grid, bitwise.
+fn check_gpu(receptor: &ReceptorGrids, ligands: &[SparseLigand], naive: &[Vec<Grid3<Real>>]) {
+    let device = Device::tesla_c1060();
+    let weights = EnergyWeights::default();
+    let indices: Vec<usize> = (0..ligands.len()).collect();
+    let out = GpuDockingEngine::new(&device, receptor)
+        .dock_batch(ligands, &indices, &weights, N_DESOLV, 3, 1);
+    let bits = |poses: &[Pose]| -> Vec<_> {
+        poses.iter().map(|p| (p.rotation_index, p.translation, p.score.to_bits())).collect()
+    };
+    for (slot, terms) in naive.iter().enumerate() {
+        let scores = score_grid(terms, &weights);
+        for pose in &out.poses[slot] {
+            let (x, y, z) = pose.translation;
+            let want = *scores.at(x, y, z);
+            assert!(
+                pose.score.to_bits() == want.to_bits(),
+                "Gpu slot {slot}: {pose:?} vs {want:e}"
+            );
+        }
+        let want = filter::filter_top_k(&scores, 3, 1, slot);
+        assert_eq!(bits(&out.poses[slot]), bits(&want), "Gpu slot {slot}");
+    }
+}
+
 fn assert_bitwise(engine: &str, got: &[Grid3<Real>], want: &[Grid3<Real>]) {
     assert_eq!(got.len(), want.len(), "{engine}: term count");
     for (t, (g, w)) in got.iter().zip(want).enumerate() {
@@ -186,11 +221,7 @@ fn check_engines(receptor: &ReceptorGrids, ligands: &[LigandGrids]) {
         assert_bitwise("DirectMulticore", &direct.correlate_rotation_multicore(s, 3), want);
     }
 
-    let device = Device::tesla_c1060();
-    let gpu = GpuDockingEngine::new(&device, receptor).correlate_batch(&sparse);
-    for (got, want) in gpu.results.iter().zip(&naive) {
-        assert_bitwise("Gpu", got, want);
-    }
+    check_gpu(receptor, &sparse, &naive);
 
     let fft = FftCorrelationEngine::new(receptor);
     for (ligand, want) in ligands.iter().zip(&naive) {
@@ -209,11 +240,10 @@ fn check_engines(receptor: &ReceptorGrids, ligands: &[LigandGrids]) {
     // tolerances; the factor 2 covers the rounding of the scoring sums.
     let weights = EnergyWeights::default();
     let indices: Vec<usize> = (0..ligands.len()).collect();
-    let batched = BatchedFftEngine::new(&device, receptor)
+    let batched = BatchedFftEngine::new(&Device::tesla_c1060(), receptor)
         .dock_batch(ligands, &indices, &weights, N_DESOLV, 3, 1);
     for (slot, ligand) in ligands.iter().enumerate() {
-        let desolv = filter::accumulate_desolvation(&naive[slot], N_DESOLV);
-        let scores = filter::score_grid(&naive[slot], &desolv, &weights, N_DESOLV);
+        let scores = score_grid(&naive[slot], &weights);
         let tol: Real = ligand
             .terms
             .iter()
@@ -252,7 +282,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Hand-built sparse ligands over random 8³ receptor grids: every direct
-    /// engine must equal the per-voxel entry-order loop bitwise.
+    /// engine must equal the per-voxel entry-order loop bitwise, and the Gpu
+    /// engine must retain the poses of its score grids.
     #[test]
     fn direct_engines_match_the_per_voxel_loop_on_hand_built_ligands(seed in 0u64..u64::MAX) {
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -271,11 +302,7 @@ proptest! {
                 assert_bitwise("DirectMulticore", &got, want);
             }
         }
-        let device = Device::tesla_c1060();
-        let gpu = GpuDockingEngine::new(&device, &receptor).correlate_batch(&ligands);
-        for (got, want) in gpu.results.iter().zip(&want) {
-            assert_bitwise("Gpu", got, want);
-        }
+        check_gpu(&receptor, &ligands, &want);
     }
 }
 

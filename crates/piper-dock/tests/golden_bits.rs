@@ -7,18 +7,24 @@
 //! That rewrite promises identical bits — same butterflies, same order per
 //! element — and these hashes are what holds it to that promise. The
 //! direct-correlation runs were recorded later, before the public API was
-//! pruned to what the workspace references, under the same promise.
+//! pruned to what the workspace references, under the same promise. The Gpu
+//! engine's per-launch records were recorded before its correlation blocks
+//! took over accumulation and scoring, which promises the same launches.
 
 use ftmap_math::fft::{Direction, Fft3Plan};
 use ftmap_math::{Complex, Grid3, Real, RotationSet};
 use ftmap_molecule::{ForceField, Probe, ProbeType, ProteinSpec, SyntheticProtein};
-use gpu_sim::{Device, Fnv1a, StatsLedger};
+use ftmap_trace::{Category, ItemScope, Recorder, Tags, TraceSink, Track};
+use gpu_sim::{Device, Fnv1a, KernelStats, MemoryCounters, StatsLedger};
+use piper_dock::direct::SparseLigand;
 use piper_dock::fft_engine::FftCorrelationEngine;
+use piper_dock::gpu::GpuDockingEngine;
 use piper_dock::grids::GridSpec;
 use piper_dock::{
     BatchedFftEngine, Docking, DockingConfig, DockingEngineKind, EnergyWeights, LigandGrids, Pose,
     ReceptorGrids,
 };
+use std::sync::Arc;
 
 /// A fixed pseudo-random complex signal (SplitMix64) with values in
 /// `[-1, 1)`, where every 13th real part is `-0.0` and every 17th imaginary
@@ -70,23 +76,21 @@ fn write_poses(hash: &mut Fnv1a, poses: &[Pose]) {
     }
 }
 
+fn write_counters(hash: &mut Fnv1a, c: &MemoryCounters) {
+    for v in
+        [c.flops, c.global_reads, c.global_writes, c.shared_accesses, c.constant_reads, c.barriers]
+    {
+        hash.write_u64(v);
+    }
+}
+
 fn write_ledger(hash: &mut Fnv1a, ledger: &StatsLedger) {
     for (phase, stats) in ledger.phases() {
         hash.write(phase.as_bytes());
         hash.write_u64(ledger.launches(phase) as u64);
         hash.write_u64(stats.blocks as u64);
         hash.write_u64(stats.threads_per_block as u64);
-        let c = stats.counters;
-        for v in [
-            c.flops,
-            c.global_reads,
-            c.global_writes,
-            c.shared_accesses,
-            c.constant_reads,
-            c.barriers,
-        ] {
-            hash.write_u64(v);
-        }
+        write_counters(hash, &stats.counters);
         hash.write_f64(stats.modeled_time_s);
     }
 }
@@ -225,4 +229,64 @@ fn direct_docking_runs_are_unchanged() {
         (DockingEngineKind::DirectMulticore(3), 0xb38c_8748_f3bc_99fb),
         (DockingEngineKind::Gpu { batch: 8 }, 0x8db5_eab1_5811_52cb),
     ]));
+}
+
+/// Docks 10 acetone rotations at `dim³` on the Gpu engine in batches of 8 (the
+/// C1060's constant-memory batch for this probe), 4 poses per rotation, and
+/// hashes every launch's record in launch order — the kernel name its trace
+/// event carries, blocks, threads, counters and modeled seconds — and,
+/// separately, the ligand uploads and retained poses.
+fn gpu_launch_hashes(dim: usize, spacing: Real) -> (u64, u64) {
+    let (receptor, probe) = receptor_and_probe(dim, spacing);
+    let device = Device::tesla_c1060();
+    let gpu = GpuDockingEngine::new(&device, &receptor);
+    let recorder = Arc::new(Recorder::new());
+    let sink: Arc<dyn TraceSink> = recorder.clone();
+    let scope = ItemScope::enter(&sink, Track::Device(0), Tags::default());
+    let mut launches: Vec<KernelStats> = Vec::new();
+    let mut poses = Fnv1a::new();
+    let rotations = RotationSet::uniform(10);
+    for (chunk_idx, chunk) in rotations.rotations().chunks(8).enumerate() {
+        let batch: Vec<SparseLigand> = chunk
+            .iter()
+            .map(|r| SparseLigand::from_grids(&LigandGrids::build(&probe.atoms, r, spacing, 4)))
+            .collect();
+        let indices: Vec<usize> = (chunk_idx * 8..chunk_idx * 8 + batch.len()).collect();
+        let out = gpu.dock_batch(&batch, &indices, &EnergyWeights::default(), 4, 4, 2);
+        launches.push(out.correlation);
+        poses.write_f64(out.upload_s);
+        for (slot, slot_poses) in out.poses.iter().enumerate() {
+            write_poses(&mut poses, slot_poses);
+            launches.extend([out.accumulation[slot], out.scoring[slot]]);
+        }
+    }
+    drop(scope);
+
+    let kernels: Vec<_> =
+        recorder.drain_raw().into_iter().filter(|e| e.cat == Category::Kernel).collect();
+    assert_eq!(kernels.len(), launches.len(), "one kernel event per launch");
+    let mut hash = Fnv1a::new();
+    for (event, stats) in kernels.iter().zip(&launches) {
+        assert_eq!(event.dur_s.to_bits(), stats.modeled_time_s.to_bits(), "{}", event.name);
+        hash.write(event.name.as_bytes());
+        hash.write_u64(stats.blocks as u64);
+        hash.write_u64(stats.threads_per_block as u64);
+        write_counters(&mut hash, &stats.counters);
+        hash.write_f64(stats.modeled_time_s);
+    }
+    (hash.finish(), poses.finish())
+}
+
+#[test]
+fn gpu_launch_records_are_unchanged() {
+    let mut hashes = Vec::new();
+    for (dim, spacing, launches, poses) in [
+        (16, 2.0, 0xb188_99d7_895d_3ce4, 0xc8d9_5124_2f36_ed58),
+        (32, 1.5, 0x75c5_21e7_4d17_3e1b, 0x9113_2648_c750_a760),
+    ] {
+        let (got_launches, got_poses) = gpu_launch_hashes(dim, spacing);
+        hashes.push((format!("Gpu launches at {dim}³"), got_launches, launches));
+        hashes.push((format!("Gpu uploads and poses at {dim}³"), got_poses, poses));
+    }
+    assert_golden(&hashes);
 }
