@@ -157,7 +157,7 @@ impl Grid3<Real> {
 impl Grid3<Real> {
     /// Copies this grid into the lower corner of a zero-padded grid of dimensions
     /// `(nx, ny, nz)`: the reference the footprint-aware
-    /// `Fft3Plan::forward_real_padded` is checked against.
+    /// `Fft3Plan::forward_real_padded_into` is checked against.
     ///
     /// # Panics
     /// Panics if the target dimensions are smaller than the source dimensions.

@@ -25,21 +25,32 @@
 //!    transfer-accounted, and the full `N³` score grids never cross the
 //!    modeled PCIe link.
 //!
-//! Per rotation, the arithmetic is identical to
+//! Per term, both FFT engines run one routine,
+//! [`ReceptorTransforms::correlate_term`]: a real-input forward transform of the
+//! zero-padded ligand grid into its half spectrum (`N × N × (N/2 + 1)` bins,
+//! [`Fft3Plan::forward_real_padded_into`]), the conjugate product with the
+//! receptor's half spectrum, and a real-output inverse into an `N³` grid. This
+//! engine runs its three steps one launch each, and the epilogue scores with the
+//! host filter's per-voxel arithmetic, so retained poses are bit-identical to
 //! `FftCorrelationEngine::correlate_rotation` followed by the host
-//! accumulate/score/filter tail, so retained poses are bit-identical to the
-//! per-rotation path.
+//! accumulate/score/filter tail.
+//!
+//! **Modeled side.** The launches, their counters, the upload and download
+//! bytes, [`TransformResidency`]'s seconds and
+//! [`ReceptorTransforms::resident_bytes`] all price the paper's *complex*
+//! transforms of full `N³` grids; the half spectrum is the host simulation's
+//! arithmetic, not the modeled device's.
 //!
 //! A batch's grid-sized buffers are kept device buffers
-//! ([`Device::result_buffer`]), so a warm batch allocates none: the spectra,
-//! whose real parts are read in place as the correlation grids once inverted,
-//! and the epilogue's desolvation and score grids. All of them go back to the
-//! device after the epilogue, the last launch that reads them.
+//! ([`Device::result_buffer`]), so a warm batch allocates none: per (slot,
+//! term) a half spectrum and a real correlation grid, and per slot the
+//! epilogue's score grid. All of them go back to the device after the
+//! epilogue, the last launch that reads them.
 
 use crate::filter;
 use crate::grids::{EnergyWeights, LigandGrids, ReceptorGrids};
 use crate::pose::Pose;
-use ftmap_math::fft::{Direction, Fft3Plan};
+use ftmap_math::fft::Fft3Plan;
 use ftmap_math::{Complex, Grid3, Real};
 use gpu_sim::{BlockContext, BlockKernel, Device, KernelLaunch, Residency, Staged, StatsLedger};
 use std::sync::Arc;
@@ -61,12 +72,12 @@ pub(crate) const PHASE_INVERSE_FFT: &str = "inverse_fft";
 pub(crate) const PHASE_FUSED_EPILOGUE: &str = "fused_epilogue";
 
 /// The receptor-side state the batched engine shares across constructions: the
-/// forward FFT of each receptor component grid plus the twiddle-table plan
-/// that produced them (reused for the ligand-side transforms, so every
-/// transform in a docking run replays the same table arithmetic).
+/// half spectrum of each receptor component grid plus the twiddle-table plan
+/// that produced them, and the per-term correlation routine every FFT engine
+/// runs ([`ReceptorTransforms::correlate_term`], or its three steps one launch
+/// at a time), so every transform in a docking run replays the same arithmetic.
 pub struct ReceptorTransforms {
     dim: usize,
-    n_terms: usize,
     plan: Fft3Plan,
     term_ffts: Vec<Vec<Complex>>,
 }
@@ -74,18 +85,37 @@ pub struct ReceptorTransforms {
 impl ReceptorTransforms {
     /// Forward-transforms every receptor component grid with a fresh plan.
     ///
-    /// [`crate::fft_engine::FftCorrelationEngine::new`] calls this too, so
-    /// the per-rotation and batched paths start from the same spectra by
-    /// construction. The receptor grids are full-size, so
-    /// [`Fft3Plan::forward_real_padded`] pads and skips nothing.
+    /// [`crate::fft_engine::FftCorrelationEngine::new`] calls this; the batched
+    /// engine makes the same [`Fft3Plan::forward_real_padded_into`] call per
+    /// term, one block each, so both paths start from the same spectra by
+    /// construction. The
+    /// receptor grids are full-size, so the forward pads and skips nothing.
     ///
     /// # Panics
     /// Panics if the receptor grid dimension is not a power of two.
     pub(crate) fn compute(receptor: &ReceptorGrids) -> Self {
+        let plan = Self::plan_for(receptor);
+        let term_ffts = receptor
+            .terms
+            .iter()
+            .map(|grid| {
+                let mut spectrum = Vec::new();
+                plan.forward_real_padded_into(grid, &mut spectrum);
+                spectrum
+            })
+            .collect();
+        Self::from_parts(receptor, plan, term_ffts)
+    }
+
+    /// The plan for the receptor's `N³` grids.
+    fn plan_for(receptor: &ReceptorGrids) -> Fft3Plan {
         let dim = receptor.spec.dim;
-        let plan = Fft3Plan::new(dim, dim, dim);
-        let term_ffts = receptor.terms.iter().map(|grid| plan.forward_real_padded(grid)).collect();
-        ReceptorTransforms { dim, n_terms: receptor.n_terms(), plan, term_ffts }
+        Fft3Plan::new(dim, dim, dim)
+    }
+
+    fn from_parts(receptor: &ReceptorGrids, plan: Fft3Plan, term_ffts: Vec<Vec<Complex>>) -> Self {
+        assert_eq!(term_ffts.len(), receptor.n_terms(), "one spectrum per receptor term");
+        ReceptorTransforms { dim: receptor.spec.dim, plan, term_ffts }
     }
 
     /// Grid dimension `N`.
@@ -95,27 +125,64 @@ impl ReceptorTransforms {
 
     /// Number of energy components.
     pub fn n_terms(&self) -> usize {
-        self.n_terms
+        self.term_ffts.len()
     }
 
-    /// The shared FFT plan (immutable: [`Fft3Plan::transform_in_place`] takes
-    /// `&self`, so one cached plan serves every consumer without cloning).
-    pub fn plan(&self) -> &Fft3Plan {
-        &self.plan
-    }
-
-    /// The forward transform of receptor component `term`.
+    /// The half spectrum of receptor component `term`, laid out as
+    /// [`Fft3Plan::forward_real_padded_into`] writes it.
     pub fn term_fft(&self, term: usize) -> &[Complex] {
         &self.term_ffts[term]
     }
 
-    /// Device bytes this payload occupies: the complex transform grids plus
-    /// the plan's twiddle tables — what the residency cache charges against
-    /// the memory budget for the derived entry.
+    /// Device bytes this payload occupies, as the residency cache charges it
+    /// against the memory budget for the derived entry: `n_terms` complex
+    /// `N³` transform grids plus the plan's twiddle tables. Like every modeled
+    /// figure, this prices the paper's complex transforms; the host keeps only
+    /// the half spectra.
     pub fn resident_bytes(&self) -> usize {
-        let grids: usize =
-            self.term_ffts.iter().map(|t| t.len() * std::mem::size_of::<Complex>()).sum();
+        let grids = self.n_terms() * self.plan.len() * std::mem::size_of::<Complex>();
         grids + self.plan.table_bytes()
+    }
+
+    /// Floating-point work of one modeled transform (the paper's complex FFT).
+    pub(crate) fn flops_per_transform(&self) -> u64 {
+        self.plan.flops_per_transform()
+    }
+
+    /// Step 1 of a term's correlation: the half spectrum of the ligand grid,
+    /// zero-padded into the plan's dimensions, into a kept buffer — the call
+    /// that transformed the receptor grids.
+    pub(crate) fn forward_ligand(&self, ligand: &Grid3<Real>, spectrum: &mut Vec<Complex>) {
+        self.plan.forward_real_padded_into(ligand, spectrum);
+    }
+
+    /// Step 2: `spectrum = conj(spectrum) .* receptor_fft[term]` over the half
+    /// spectrum (the correlation theorem).
+    pub(crate) fn conj_multiply(&self, term: usize, spectrum: &mut [Complex]) {
+        for (l, r) in spectrum.iter_mut().zip(&self.term_ffts[term]) {
+            *l = l.conj() * *r;
+        }
+    }
+
+    /// Step 3: the real correlation grid of a product spectrum, into a kept
+    /// buffer; the spectrum is the inverse's workspace.
+    pub(crate) fn inverse(&self, spectrum: &mut [Complex], correlation: &mut Vec<Real>) {
+        self.plan.inverse_real_into(spectrum, correlation);
+    }
+
+    /// One term's correlation, the three steps in a row: ligand grid `ligand`
+    /// against receptor component `term`, into `correlation`, with `spectrum`
+    /// as workspace.
+    pub(crate) fn correlate_term(
+        &self,
+        term: usize,
+        ligand: &Grid3<Real>,
+        spectrum: &mut Vec<Complex>,
+        correlation: &mut Vec<Real>,
+    ) {
+        self.forward_ligand(ligand, spectrum);
+        self.conj_multiply(term, spectrum);
+        self.inverse(spectrum, correlation);
     }
 }
 
@@ -222,19 +289,21 @@ impl<'a> BatchedFftEngine<'a> {
         BatchedFftEngine { device, transforms, residency, threads_per_block: 64 }
     }
 
-    /// Runs the modeled forward-transform launch over the receptor grids (one
-    /// block per component) and returns the transforms with its modeled time.
+    /// Runs the modeled forward-transform launch over the receptor grids (block
+    /// `b` transforms component `b` through a plan built before the launch) and
+    /// returns the transforms with its modeled time.
     fn transform_receptor(
         device: &Device,
         receptor: &ReceptorGrids,
     ) -> (Arc<ReceptorTransforms>, f64) {
-        let dim = receptor.spec.dim;
-        let flops_per_transform = Fft3Plan::new(dim, dim, dim).flops_per_transform();
-        let output: Staged<Option<ReceptorTransforms>> = Staged::new(None);
+        let plan = ReceptorTransforms::plan_for(receptor);
+        let spectra: Vec<Staged<Vec<Complex>>> =
+            receptor.terms.iter().map(|_| Staged::new(Vec::new())).collect();
         ftmap_trace::hook::mark(PHASE_RECEPTOR_FFT);
-        let kernel = ReceptorTransformKernel { receptor, flops_per_transform, output: &output };
+        let kernel = ReceptorTransformKernel { receptor, plan: &plan, spectra: &spectra };
         let stats = KernelLaunch::on(device).grid(receptor.n_terms()).threads(64).run(&kernel);
-        let transforms = output.take().expect("transform kernel produced output");
+        let term_ffts = spectra.into_iter().map(Staged::take).collect();
+        let transforms = ReceptorTransforms::from_parts(receptor, plan, term_ffts);
         (Arc::new(transforms), stats.modeled_time_s)
     }
 
@@ -290,16 +359,28 @@ impl<'a> BatchedFftEngine<'a> {
             .sum();
         let upload_s = self.device.upload_bytes(ligand_bytes as u64);
 
-        // Frequency-domain workspace: one complex grid per (slot, term), a
-        // kept device buffer that the forward kernel sizes and overwrites in
-        // full. After the inverse it holds the slot's correlation grid.
-        let freq: Vec<Staged<Vec<Complex>>> =
-            (0..n_grids).map(|_| Staged::new(self.device.result_buffer(0))).collect();
+        // Kept device buffers: per (slot, term) a half spectrum, which the
+        // forward kernel sizes and overwrites in full, and the real correlation
+        // grid the inverse writes; per slot the epilogue's score grid.
+        let n3 = n * n * n;
+        let kept = || TermGrids {
+            spectrum: self.device.result_buffer(0),
+            correlation: self.device.result_buffer(n3),
+        };
+        let grids = BatchGrids {
+            slots: (0..batch.len())
+                .map(|_| {
+                    let terms = (0..n_terms).map(|_| kept()).collect();
+                    let scores = Grid3::from_vec(n, n, n, self.device.result_buffer(n3));
+                    Staged::new(SlotGrids { terms, scores })
+                })
+                .collect(),
+            n_terms,
+        };
 
         // 1. One batched forward transform over every ligand grid.
         ftmap_trace::hook::mark(PHASE_LIGAND_FFT);
-        let forward =
-            LigandForwardKernel { batch, plan: &self.transforms, freq: &freq, n, n_terms };
+        let forward = LigandForwardKernel { batch, transforms: &self.transforms, grids: &grids, n };
         KernelLaunch::on(self.device).grid(n_grids).threads(self.threads_per_block).run_recorded(
             &mut ledger,
             PHASE_LIGAND_FFT,
@@ -309,39 +390,30 @@ impl<'a> BatchedFftEngine<'a> {
         // 2. One pointwise conjugate-multiply pass against the resident
         //    receptor transforms.
         ftmap_trace::hook::mark(PHASE_CONJ_MULTIPLY);
-        let multiply = ConjMultiplyKernel { transforms: &self.transforms, freq: &freq, n, n_terms };
+        let multiply = ConjMultiplyKernel { transforms: &self.transforms, grids: &grids, n };
         KernelLaunch::on(self.device).grid(n_grids).threads(self.threads_per_block).run_recorded(
             &mut ledger,
             PHASE_CONJ_MULTIPLY,
             &multiply,
         );
 
-        // 3. One batched inverse transform, in place: the real parts of each
-        //    spectrum are its correlation grid.
+        // 3. One batched inverse transform into the real correlation grids.
         ftmap_trace::hook::mark(PHASE_INVERSE_FFT);
-        let inverse = InverseKernel { plan: &self.transforms, freq: &freq };
+        let inverse = InverseKernel { transforms: &self.transforms, grids: &grids, n };
         KernelLaunch::on(self.device).grid(n_grids).threads(self.threads_per_block).run_recorded(
             &mut ledger,
             PHASE_INVERSE_FFT,
             &inverse,
         );
-        let spectra: Vec<Vec<Complex>> = freq.into_iter().map(Staged::take).collect();
 
         // 4. Fused epilogue: accumulate + score + filter per rotation, one
         //    block per batch slot, before anything is downloaded.
         ftmap_trace::hook::mark(PHASE_FUSED_EPILOGUE);
-        let n3 = n * n * n;
-        let kept_grid = || Grid3::from_vec(n, n, n, self.device.result_buffer(n3));
-        let scratch: Vec<Staged<EpilogueGrids>> = (0..batch.len())
-            .map(|_| Staged::new(EpilogueGrids { desolv: kept_grid(), scores: kept_grid() }))
-            .collect();
         let poses: Staged<Vec<Vec<Pose>>> = Staged::new(vec![Vec::new(); batch.len()]);
         let epilogue = FusedEpilogueKernel {
-            spectra: &spectra,
-            scratch: &scratch,
+            slots: &grids.slots,
             rotation_indices,
             weights: *weights,
-            n_terms,
             n_desolv,
             k,
             exclusion_radius,
@@ -353,11 +425,15 @@ impl<'a> BatchedFftEngine<'a> {
             .shared_mem_capped(256 * (k + 1))
             .run_recorded(&mut ledger, PHASE_FUSED_EPILOGUE, &epilogue);
         let poses = poses.take();
-        // The epilogue was the last reader of the spectra and scratch grids.
-        self.device.recycle_result_buffers(spectra);
-        self.device.recycle_result_buffers(
-            scratch.into_iter().map(Staged::take).flat_map(EpilogueGrids::into_vecs),
-        );
+        // The epilogue was the last launch to read the batch's buffers.
+        for slot in grids.slots {
+            let SlotGrids { mut terms, scores } = slot.take();
+            self.device
+                .recycle_result_buffers(terms.iter_mut().map(|t| std::mem::take(&mut t.spectrum)));
+            self.device.recycle_result_buffers(
+                terms.into_iter().map(|t| t.correlation).chain([scores.into_vec()]),
+            );
+        }
 
         // Download only the retained poses — never the N³ score grids.
         let mut download_s = 0.0;
@@ -369,90 +445,124 @@ impl<'a> BatchedFftEngine<'a> {
     }
 }
 
-/// One-time receptor forward transforms: block `b` transforms component `b`.
-/// The whole pass (plan construction included) executes in block 0's write
-/// window so the produced plan is the one shared by every later transform.
+/// One-time receptor forward transforms: block `b` transforms component `b`
+/// through the plan built before the launch, which every later transform
+/// shares.
 struct ReceptorTransformKernel<'a> {
     receptor: &'a ReceptorGrids,
-    flops_per_transform: u64,
-    output: &'a Staged<Option<ReceptorTransforms>>,
+    plan: &'a Fft3Plan,
+    spectra: &'a [Staged<Vec<Complex>>],
 }
 
 impl BlockKernel for ReceptorTransformKernel<'_> {
     fn execute_block(&self, ctx: &mut BlockContext) {
-        let n3 = self.receptor.spec.len() as u64;
-        if ctx.block_idx == 0 {
-            let transforms = ReceptorTransforms::compute(self.receptor);
-            *self.output.write() = Some(transforms);
-        }
+        let Some(grid) = self.receptor.terms.get(ctx.block_idx) else {
+            return;
+        };
+        self.plan.forward_real_padded_into(grid, &mut self.spectra[ctx.block_idx].write());
         // Accounting per component: read the real grid, run one forward
         // transform, write the complex result.
+        let n3 = self.receptor.spec.len() as u64;
         ctx.record_global_reads(n3);
-        ctx.record_flops(self.flops_per_transform);
+        ctx.record_flops(self.plan.flops_per_transform());
         ctx.record_global_writes(2 * n3);
         ctx.sync_threads();
+    }
+}
+
+/// One (slot, term) pair's kept buffers: its half spectrum and its real
+/// correlation grid.
+#[derive(Default)]
+struct TermGrids {
+    spectrum: Vec<Complex>,
+    correlation: Vec<Real>,
+}
+
+/// The epilogue reads a term's correlation grid.
+impl filter::ResultGrid for TermGrids {
+    fn values(&self) -> &[Real] {
+        &self.correlation
+    }
+}
+
+/// One batch slot's kept buffers: its terms' buffers and its score grid.
+struct SlotGrids {
+    terms: Vec<TermGrids>,
+    scores: Grid3<Real>,
+}
+
+/// A batch's kept buffers, shared by its four launches. Block
+/// `g = slot * n_terms + term` of a transform launch works on
+/// `slots[slot].terms[term]`.
+struct BatchGrids {
+    slots: Vec<Staged<SlotGrids>>,
+    n_terms: usize,
+}
+
+impl BatchGrids {
+    /// Runs `work` on block `g`'s term buffers, if the batch has a block `g`.
+    /// The slot's other terms are other blocks' work, so its lock is held only
+    /// to take the buffers out and to put them back.
+    fn with_term(&self, g: usize, work: impl FnOnce(&mut TermGrids)) -> bool {
+        let Some(slot) = self.slots.get(g / self.n_terms) else {
+            return false;
+        };
+        let term = g % self.n_terms;
+        let mut grids = std::mem::take(&mut slot.write().terms[term]);
+        work(&mut grids);
+        slot.write().terms[term] = grids;
+        true
     }
 }
 
 /// Batched ligand forward transform: block `g` forward-transforms ligand grid
 /// `g = slot * n_terms + term` zero-padded into the receptor dimensions, into
-/// its kept spectrum ([`Fft3Plan::forward_real_padded_into`], the per-rotation
-/// path's call).
+/// its kept half spectrum (step 1 of [`ReceptorTransforms::correlate_term`]).
 struct LigandForwardKernel<'a> {
     batch: &'a [LigandGrids],
-    plan: &'a ReceptorTransforms,
-    freq: &'a [Staged<Vec<Complex>>],
+    transforms: &'a ReceptorTransforms,
+    grids: &'a BatchGrids,
     n: usize,
-    n_terms: usize,
 }
 
 impl BlockKernel for LigandForwardKernel<'_> {
     fn execute_block(&self, ctx: &mut BlockContext) {
         let g = ctx.block_idx;
-        if g >= self.freq.len() {
+        let n_terms = self.grids.n_terms;
+        let Some(ligand) = self.batch.get(g / n_terms).map(|l| &l.terms[g % n_terms]) else {
             return;
-        }
-        let (slot, term) = (g / self.n_terms, g % self.n_terms);
-        let n = self.n;
-        let ligand = &self.batch[slot].terms[term];
-        self.plan.plan().forward_real_padded_into(ligand, &mut self.freq[g].write());
+        };
+        self.grids.with_term(g, |t| self.transforms.forward_ligand(ligand, &mut t.spectrum));
 
-        let n3 = (n * n * n) as u64;
+        let n3 = (self.n * self.n * self.n) as u64;
         // Read the compact ligand entries, scatter into the padded complex
         // grid, one forward transform, write the spectrum.
-        ctx.record_global_reads(self.batch[slot].terms[term].len() as u64);
+        ctx.record_global_reads(ligand.len() as u64);
         ctx.record_global_writes(2 * n3);
-        ctx.record_flops(self.plan.plan().flops_per_transform());
+        ctx.record_flops(self.transforms.flops_per_transform());
         ctx.sync_threads();
     }
 }
 
 /// Pointwise conjugate-multiply: block `g` computes
-/// `freq[g] = conj(freq[g]) .* receptor_fft[term]` (the correlation theorem).
+/// `spectrum = conj(spectrum) .* receptor_fft[term]` over its half spectrum
+/// (step 2 of [`ReceptorTransforms::correlate_term`]).
 struct ConjMultiplyKernel<'a> {
     transforms: &'a ReceptorTransforms,
-    freq: &'a [Staged<Vec<Complex>>],
+    grids: &'a BatchGrids,
     n: usize,
-    n_terms: usize,
 }
 
 impl BlockKernel for ConjMultiplyKernel<'_> {
     fn execute_block(&self, ctx: &mut BlockContext) {
-        let g = ctx.block_idx;
-        if g >= self.freq.len() {
+        let term = ctx.block_idx % self.grids.n_terms;
+        let multiply = |t: &mut TermGrids| self.transforms.conj_multiply(term, &mut t.spectrum);
+        if !self.grids.with_term(ctx.block_idx, multiply) {
             return;
         }
-        let term = g % self.n_terms;
-        let receptor_fft = self.transforms.term_fft(term);
-        {
-            let mut data = self.freq[g].write();
-            for (l, r) in data.iter_mut().zip(receptor_fft) {
-                *l = l.conj() * *r;
-            }
-        }
         let n3 = (self.n * self.n * self.n) as u64;
-        // Per voxel: read both complex values, one complex multiply (6 flops),
-        // write the complex product.
+        // Per voxel of the modeled complex grid: read both complex values, one
+        // complex multiply (6 flops), write the complex product.
         ctx.record_global_reads(4 * n3);
         ctx.record_flops(6 * n3);
         ctx.record_global_writes(2 * n3);
@@ -460,57 +570,41 @@ impl BlockKernel for ConjMultiplyKernel<'_> {
     }
 }
 
-/// Batched inverse transform: block `g` inverse-transforms its spectrum in
-/// place, whose real parts are then the correlation grid — it stays in device
-/// global memory for the epilogue; it is never downloaded.
+/// Batched inverse transform: block `g` inverse-transforms its product spectrum
+/// into its real correlation grid (step 3 of
+/// [`ReceptorTransforms::correlate_term`]), which stays in device global memory
+/// for the epilogue; it is never downloaded.
 struct InverseKernel<'a> {
-    plan: &'a ReceptorTransforms,
-    freq: &'a [Staged<Vec<Complex>>],
+    transforms: &'a ReceptorTransforms,
+    grids: &'a BatchGrids,
+    n: usize,
 }
 
 impl BlockKernel for InverseKernel<'_> {
     fn execute_block(&self, ctx: &mut BlockContext) {
-        let g = ctx.block_idx;
-        if g >= self.freq.len() {
+        let inverse =
+            |t: &mut TermGrids| self.transforms.inverse(&mut t.spectrum, &mut t.correlation);
+        if !self.grids.with_term(ctx.block_idx, inverse) {
             return;
         }
-        let mut data = self.freq[g].write();
-        self.plan.plan().transform_in_place(&mut data, Direction::Inverse);
-
-        let n3 = data.len() as u64;
+        let n3 = (self.n * self.n * self.n) as u64;
         ctx.record_global_reads(2 * n3);
-        ctx.record_flops(self.plan.plan().flops_per_transform());
+        ctx.record_flops(self.transforms.flops_per_transform());
         ctx.record_global_writes(n3);
         ctx.sync_threads();
     }
 }
 
-/// One batch slot's epilogue grids, kept device buffers the epilogue
-/// overwrites in full.
-struct EpilogueGrids {
-    desolv: Grid3<Real>,
-    scores: Grid3<Real>,
-}
-
-impl EpilogueGrids {
-    fn into_vecs(self) -> [Vec<Real>; 2] {
-        [self.desolv.into_vec(), self.scores.into_vec()]
-    }
-}
-
 /// Fused scoring epilogue: block `s` accumulates the desolvation components,
-/// applies the Equation (2) weights and runs top-K filtering with region
-/// exclusion for batch slot `s` — exact [`crate::filter`] arithmetic, entirely
-/// on the device side of the modeled link.
+/// applies the Equation (2) weights ([`filter::score_into`], one pass per
+/// voxel) and runs top-K filtering with region exclusion for batch slot `s` —
+/// exact [`crate::filter`] arithmetic, entirely on the device side of the
+/// modeled link.
 struct FusedEpilogueKernel<'a> {
-    /// Inverse-transformed spectra, `spectra[slot * n_terms + term]`; their
-    /// real parts are the correlation grids.
-    spectra: &'a [Vec<Complex>],
-    /// Desolvation and score grids, `scratch[slot]`.
-    scratch: &'a [Staged<EpilogueGrids>],
+    /// Each batch slot's correlation and score grids.
+    slots: &'a [Staged<SlotGrids>],
     rotation_indices: &'a [usize],
     weights: EnergyWeights,
-    n_terms: usize,
     n_desolv: usize,
     k: usize,
     exclusion_radius: usize,
@@ -523,12 +617,9 @@ impl BlockKernel for FusedEpilogueKernel<'_> {
         if slot >= self.rotation_indices.len() {
             return;
         }
-        let terms = &self.spectra[slot * self.n_terms..(slot + 1) * self.n_terms];
-        let mut grids = self.scratch[slot].write();
-        let EpilogueGrids { desolv, scores } = &mut *grids;
-        filter::accumulate_desolvation_into(terms, self.n_desolv, desolv.as_mut_slice());
-        let desolv = desolv.as_slice();
-        filter::score_grid_into(terms, desolv, &self.weights, self.n_desolv, scores.as_mut_slice());
+        let mut grids = self.slots[slot].write();
+        let SlotGrids { terms, scores } = &mut *grids;
+        filter::score_into(terms, &self.weights, self.n_desolv, scores.as_mut_slice());
         let selected = filter::filter_top_k(
             scores,
             self.k,
@@ -819,23 +910,21 @@ mod tests {
                 let n = 8; // 8³ = 512 voxels
                 let mut results: Vec<Grid3<Real>> = (0..5).map(|_| Grid3::cubic(n)).collect();
                 results[4] = Grid3::from_vec(n, n, n, values.clone());
-                let spectra: Vec<Vec<Complex>> = results
+                let terms = results
                     .iter()
-                    .map(|g| g.as_slice().iter().map(|&v| Complex::new(v, f64::NAN)).collect())
+                    .map(|g| TermGrids { spectrum: Vec::new(), correlation: g.as_slice().to_vec() })
                     .collect();
                 let weights =
                     EnergyWeights { shape_core: 0.0, shape_attr: 0.0, elec: 0.0, desolv: 1.0 };
 
                 let device = Device::tesla_c1060();
                 let poses: Staged<Vec<Vec<Pose>>> = Staged::new(vec![Vec::new(); 1]);
-                let garbage = || Grid3::from_vec(n, n, n, vec![f64::NAN; 512]);
-                let scratch = [Staged::new(EpilogueGrids { desolv: garbage(), scores: garbage() })];
+                let scores = Grid3::from_vec(n, n, n, vec![f64::NAN; 512]);
+                let slots = [Staged::new(SlotGrids { terms, scores })];
                 let kernel = FusedEpilogueKernel {
-                    spectra: &spectra,
-                    scratch: &scratch,
+                    slots: &slots,
                     rotation_indices: &[rotation_index],
                     weights,
-                    n_terms: 5,
                     n_desolv: 1,
                     k,
                     exclusion_radius,

@@ -585,8 +585,7 @@ impl Docking {
         // one modeled launch on a miss (then cached for the next run).
         modeled.correlation_s += engine.transform_residency().modeled_s();
 
-        let rotations: Vec<_> = self.rotations.rotations().to_vec();
-        for (chunk_idx, chunk) in rotations.chunks(requested_batch).enumerate() {
+        for (chunk_idx, chunk) in self.rotations.rotations().chunks(requested_batch).enumerate() {
             let base = chunk_idx * requested_batch;
 
             let (batch, build_wall_s) = wall_timed(|| -> Vec<LigandGrids> {

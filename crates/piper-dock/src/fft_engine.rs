@@ -5,10 +5,17 @@
 //! once), and inverse-transforms the product to obtain that component's correlation
 //! over all `N³` translations — `O(N³ log N)` per component instead of `O(N⁶)`.
 //! Fig. 2(b) shows this step dominating the per-rotation cost at ~93 %.
+//!
+//! The grids are real, so each term runs on half spectra
+//! ([`ReceptorTransforms::correlate_term`]: a real-input forward, the conjugate
+//! product over the `nz/2 + 1` stored z-bins, and a real-output inverse). The
+//! batched engine runs the same routine one step per launch, so the two engines'
+//! correlation grids are equal bit for bit by construction. The modeled figures
+//! ([`FftCorrelationEngine::flops_per_rotation`]) still price the paper's complex
+//! transforms.
 
 use crate::batched_fft::ReceptorTransforms;
 use crate::grids::{LigandGrids, ReceptorGrids};
-use ftmap_math::fft::Direction;
 use ftmap_math::{Grid3, Real};
 
 /// The FFT correlation engine. Owns the receptor transforms (computed once) and the
@@ -52,26 +59,23 @@ impl FftCorrelationEngine {
     pub fn correlate_rotation(&self, ligand: &LigandGrids) -> Vec<Grid3<Real>> {
         assert_eq!(ligand.n_terms(), self.n_terms(), "ligand term count must match receptor");
         let n = self.dim();
-        let plan = self.transforms.plan();
-        let mut freq = Vec::new();
+        let mut spectrum = Vec::new();
         ligand
             .terms
             .iter()
             .enumerate()
-            .map(|(term_idx, lgrid)| {
-                plan.forward_real_padded_into(lgrid, &mut freq);
-                // Correlation theorem: FFT(corr) = conj(FFT(ligand)) .* FFT(receptor).
-                for (l, r) in freq.iter_mut().zip(self.transforms.term_fft(term_idx)) {
-                    *l = l.conj() * *r;
-                }
-                plan.transform_in_place(&mut freq, Direction::Inverse);
-                Grid3::from_vec(n, n, n, freq.iter().map(|c| c.re).collect())
+            .map(|(term, grid)| {
+                let mut correlation = Vec::new();
+                self.transforms.correlate_term(term, grid, &mut spectrum, &mut correlation);
+                Grid3::from_vec(n, n, n, correlation)
             })
             .collect()
     }
 
     /// Estimated floating-point work of correlating one rotation (used for modeled
     /// serial times): `n_terms × (2 forward/inverse transforms + N³ modulation)`.
+    /// It prices the paper's complex transforms and products over all `N³`
+    /// points, not the host's half-spectrum arithmetic.
     ///
     /// This is the **warm-transform** figure: the receptor's forward FFTs are
     /// amortized to zero per rotation, matching a batched-engine construction
@@ -81,13 +85,13 @@ impl FftCorrelationEngine {
     /// the batched path only on a derived-cache miss).
     pub fn flops_per_rotation(&self) -> u64 {
         let n3 = self.dim().pow(3) as u64;
-        self.n_terms() as u64 * (2 * self.transforms.plan().flops_per_transform() + 6 * n3)
+        self.n_terms() as u64 * (2 * self.transforms.flops_per_transform() + 6 * n3)
     }
 
     /// Floating-point work of the one-time receptor forward transforms this
     /// constructor performed: `n_terms × one forward transform`.
     pub(crate) fn receptor_transform_flops(&self) -> u64 {
-        self.n_terms() as u64 * self.transforms.plan().flops_per_transform()
+        self.n_terms() as u64 * self.transforms.flops_per_transform()
     }
 }
 

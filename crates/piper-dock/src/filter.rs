@@ -12,35 +12,22 @@
 
 use crate::grids::{term_weight, EnergyWeights, WEIGHTED_TERMS};
 use crate::pose::Pose;
-use ftmap_math::{Complex, Grid3, Real};
+use ftmap_math::{Grid3, Real};
 
 /// Sums the desolvation component results into a single grid.
 ///
 /// `term_results` must be ordered as [`crate::grids::term_kinds`]: the desolvation
 /// components start at index 4.
 pub fn accumulate_desolvation(term_results: &[Grid3<Real>], n_desolv: usize) -> Grid3<Real> {
+    assert_eq!(term_results.len(), 4 + n_desolv, "term result count must be 4 + n_desolv");
     let (nx, ny, nz) = term_results[0].dims();
     let mut total = Grid3::new(nx, ny, nz);
-    accumulate_desolvation_into(term_results, n_desolv, total.as_mut_slice());
-    total
-}
-
-/// [`accumulate_desolvation`] into a kept grid (or the same span of every result,
-/// such as one x-plane) of the results' size, with the same bits: `total` is reset
-/// to `+0.0` first, whatever it held.
-pub(crate) fn accumulate_desolvation_into<G: ResultGrid>(
-    term_results: &[G],
-    n_desolv: usize,
-    total: &mut [Real],
-) {
-    assert_eq!(term_results.len(), 4 + n_desolv, "term result count must be 4 + n_desolv");
-    assert_eq!(total.len(), term_results[0].len(), "output grid size");
-    total.fill(0.0);
     for grid in &term_results[4..] {
-        for (dst, src) in total.iter_mut().zip(grid.reals()) {
+        for (dst, src) in total.as_mut_slice().iter_mut().zip(grid.as_slice()) {
             *dst += src;
         }
     }
+    total
 }
 
 /// Computes the weighted pose-score grid of Equation (2) from the per-component
@@ -51,85 +38,87 @@ pub fn score_grid(
     weights: &EnergyWeights,
     n_desolv: usize,
 ) -> Grid3<Real> {
+    assert_eq!(term_results.len(), WEIGHTED_TERMS.len() + n_desolv, "unexpected term count");
     let (nx, ny, nz) = term_results[0].dims();
     let mut scores = Grid3::new(nx, ny, nz);
-    score_grid_into(
-        term_results,
-        desolv_total.as_slice(),
-        weights,
-        n_desolv,
-        scores.as_mut_slice(),
-    );
+    // Shape and electrostatic components are weighted individually; the desolvation
+    // components enter through the pre-accumulated total with the desolvation weight.
+    for (kind, grid) in WEIGHTED_TERMS.iter().zip(term_results) {
+        let w = term_weight(*kind, weights, n_desolv);
+        for (dst, src) in scores.as_mut_slice().iter_mut().zip(grid.as_slice()) {
+            *dst += w * src;
+        }
+    }
+    for (dst, src) in scores.as_mut_slice().iter_mut().zip(desolv_total.as_slice()) {
+        *dst += weights.desolv * *src;
+    }
     scores
 }
 
-/// [`score_grid`] into a kept grid (or the same span of every result, such as one
-/// x-plane) of the results' size, with the same bits: `scores` is reset to `+0.0`
-/// first, whatever it held.
-pub(crate) fn score_grid_into<G: ResultGrid>(
+/// Voxels per chunk of [`score_into`]: its desolvation totals live on the stack.
+const SCORE_CHUNK: usize = 256;
+
+/// [`accumulate_desolvation`] then [`score_grid`] in one pass over the voxels, into
+/// a kept grid (or the same span of every result, such as one x-plane) of the
+/// results' size, with the same bits.
+///
+/// Per voxel it sums the desolvation terms from `+0.0`, then adds the weighted
+/// terms from `+0.0` and `w_desolv · desolv` last — the two-step order. It works
+/// through the voxels a chunk at a time, so every term value is read once and the
+/// desolvation totals never leave the stack. `scores` is overwritten in full,
+/// whatever it held.
+pub(crate) fn score_into<G: ResultGrid>(
     term_results: &[G],
-    desolv_total: &[Real],
     weights: &EnergyWeights,
     n_desolv: usize,
     scores: &mut [Real],
 ) {
     assert_eq!(term_results.len(), WEIGHTED_TERMS.len() + n_desolv, "unexpected term count");
-    assert_eq!(scores.len(), term_results[0].len(), "output grid size");
-    scores.fill(0.0);
-
-    // Shape and electrostatic components are weighted individually; the desolvation
-    // components enter through the pre-accumulated total with the desolvation weight.
-    // (No list of kinds is built: this runs once per plane on the Gpu path.)
-    for (kind, grid) in WEIGHTED_TERMS.iter().zip(term_results) {
-        let w = term_weight(*kind, weights, n_desolv);
-        for (dst, src) in scores.iter_mut().zip(grid.reals()) {
-            *dst += w * src;
+    let (weighted, desolvation) = term_results.split_at(WEIGHTED_TERMS.len());
+    assert!(
+        term_results.iter().all(|grid| grid.values().len() == scores.len()),
+        "output grid size"
+    );
+    let term_weights = WEIGHTED_TERMS.map(|kind| term_weight(kind, weights, n_desolv));
+    let mut totals = [0.0; SCORE_CHUNK];
+    for (chunk, out) in scores.chunks_mut(SCORE_CHUNK).enumerate() {
+        let span = chunk * SCORE_CHUNK..chunk * SCORE_CHUNK + out.len();
+        let totals = &mut totals[..out.len()];
+        totals.fill(0.0);
+        for grid in desolvation {
+            for (dst, src) in totals.iter_mut().zip(&grid.values()[span.clone()]) {
+                *dst += src;
+            }
         }
-    }
-    for (dst, src) in scores.iter_mut().zip(desolv_total) {
-        *dst += weights.desolv * *src;
+        out.fill(0.0);
+        for (grid, w) in weighted.iter().zip(term_weights) {
+            for (dst, src) in out.iter_mut().zip(&grid.values()[span.clone()]) {
+                *dst += w * src;
+            }
+        }
+        for (dst, total) in out.iter_mut().zip(totals.iter()) {
+            *dst += weights.desolv * total;
+        }
     }
 }
 
-/// A correlation result grid as accumulation and scoring read it: one real value per
-/// voxel, in grid order.
+/// A correlation result grid as [`score_into`] reads it: one real value per voxel,
+/// in grid order.
 pub(crate) trait ResultGrid {
-    /// Number of voxels.
-    fn len(&self) -> usize;
     /// The voxel values, in grid order.
-    fn reals(&self) -> impl Iterator<Item = Real> + '_;
+    fn values(&self) -> &[Real];
 }
 
 impl ResultGrid for Grid3<Real> {
-    fn len(&self) -> usize {
-        Grid3::len(self)
-    }
-
-    fn reals(&self) -> impl Iterator<Item = Real> + '_ {
-        self.as_slice().iter().copied()
+    fn values(&self) -> &[Real] {
+        self.as_slice()
     }
 }
 
 /// One span of a kept result grid, as a direct-correlation block writes it.
 impl ResultGrid for &mut [Real] {
-    fn len(&self) -> usize {
-        <[Real]>::len(self)
-    }
-
-    fn reals(&self) -> impl Iterator<Item = Real> + '_ {
-        self.iter().copied()
-    }
-}
-
-/// An inverse-transformed correlation spectrum, read in place: its real parts are
-/// the correlation grid.
-impl ResultGrid for Vec<Complex> {
-    fn len(&self) -> usize {
-        <[Complex]>::len(self)
-    }
-
-    fn reals(&self) -> impl Iterator<Item = Real> + '_ {
-        self.iter().map(|c| c.re)
+    fn values(&self) -> &[Real] {
+        self
     }
 }
 
@@ -233,35 +222,55 @@ mod tests {
 
     #[test]
     fn into_forms_overwrite_kept_grids_bit_for_bit() {
-        // Every term is `-0.0` or a value, so a sum that started from a kept
-        // `-0.0` (or any leftover) instead of a fresh `+0.0` shows in the bits.
-        let (n, n_desolv) = (4, 3);
-        let terms: Vec<Grid3<Real>> = (0..4 + n_desolv)
-            .map(|t| {
-                let values = (0..n * n * n).map(|i| if (i + t) % 4 == 0 { 0.5 } else { -0.0 });
-                Grid3::from_vec(n, n, n, values.collect())
-            })
-            .collect();
-        let weights = EnergyWeights::default();
-        let desolv = accumulate_desolvation(&terms, n_desolv);
-        let scores = score_grid(&terms, &desolv, &weights, n_desolv);
-        let bits = |g: &Grid3<Real>| g.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for garbage in [-0.0, Real::NAN, -1e300] {
-            let mut kept = Grid3::from_vec(n, n, n, vec![garbage; n * n * n]);
-            accumulate_desolvation_into(&terms, n_desolv, kept.as_mut_slice());
-            assert_eq!(bits(&kept), bits(&desolv), "accumulate over {garbage}");
-            kept.as_mut_slice().fill(garbage);
-            score_grid_into(&terms, desolv.as_slice(), &weights, n_desolv, kept.as_mut_slice());
-            assert_eq!(bits(&kept), bits(&scores), "score over {garbage}");
+        // The fused pass equals accumulation then scoring bit for bit, over kept
+        // grids of `-0.0`, NaN, huge or random leftovers. Every term is `-0.0`,
+        // `+0.0`, a value or (in the second case) NaN, so a sum that started from
+        // a kept `-0.0` (or any leftover) instead of a fresh `+0.0`, or added in
+        // another order, shows in the bits. 700 voxels span three chunks, the last
+        // one short.
+        let (nx, ny, nz, n_desolv) = (7, 10, 10, 3);
+        let n3 = nx * ny * nz;
+        let bits = |v: &[Real]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for with_nan in [false, true] {
+            let terms: Vec<Grid3<Real>> = (0..4 + n_desolv)
+                .map(|t| {
+                    let value = |i: usize| match (i * 7 + t * 3) % 6 {
+                        0 => 0.5,
+                        1 => 0.0,
+                        2 => -0.0,
+                        3 if with_nan && i.is_multiple_of(11) => Real::NAN,
+                        3 => (i as Real).sin(),
+                        4 => -1.25,
+                        _ => -0.0,
+                    };
+                    Grid3::from_vec(nx, ny, nz, (0..n3).map(value).collect())
+                })
+                .collect();
+            let weights =
+                EnergyWeights { shape_core: 0.25, shape_attr: -1.0, elec: 0.75, desolv: -0.5 };
+            let desolv = accumulate_desolvation(&terms, n_desolv);
+            let want = score_grid(&terms, &desolv, &weights, n_desolv);
+            let mut reals: Vec<Vec<Real>> = terms.iter().map(|g| g.as_slice().to_vec()).collect();
+            let spans: Vec<&mut [Real]> = reals.iter_mut().map(Vec::as_mut_slice).collect();
+            for garbage in [-0.0, Real::NAN, -1e300, 0.125] {
+                let mut kept = vec![garbage; n3];
+                score_into(&terms, &weights, n_desolv, &mut kept);
+                assert_eq!(bits(&kept), bits(want.as_slice()), "grids over {garbage}");
+                kept.fill(garbage);
+                score_into(&spans, &weights, n_desolv, &mut kept);
+                assert_eq!(bits(&kept), bits(want.as_slice()), "spans over {garbage}");
+            }
+            assert!(desolv.as_slice().iter().any(|v| v.to_bits() == 0), "a +0.0 sum is covered");
+            assert!(want.as_slice().iter().any(|v| v.to_bits() == 0), "a +0.0 score is covered");
+            assert_eq!(want.as_slice().iter().any(|v| v.is_nan()), with_nan);
         }
-        assert!(desolv.as_slice().iter().any(|v| v.to_bits() == 0), "a +0.0 sum is covered");
     }
 
     #[test]
     #[should_panic(expected = "output grid size")]
     fn into_forms_reject_a_kept_grid_of_another_size() {
         let terms: Vec<Grid3<Real>> = (0..5).map(|_| Grid3::cubic(2)).collect();
-        accumulate_desolvation_into(&terms, 1, Grid3::cubic(3).as_mut_slice());
+        score_into(&terms, &EnergyWeights::default(), 1, Grid3::cubic(3).as_mut_slice());
     }
 
     #[test]

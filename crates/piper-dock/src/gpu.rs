@@ -20,19 +20,18 @@
 //!
 //! The host simulation streams each x-plane once. For each rotation of the batch,
 //! block `x` runs the direct engines' slab routine into plane `x` of the kept term
-//! grids, then folds that plane into plane `x` of the desolvation total and of the
-//! rotation's score grid with [`filter`]'s own per-voxel arithmetic, so the scores
-//! are bit for bit those of the separate steps. The next rotation reuses the term
-//! planes, so no `N³` term grid is kept per rotation. The accumulation launch
-//! therefore has no host work left: every block is
+//! grids, then scores that plane into plane `x` of the rotation's score grid with
+//! [`filter`]'s fused per-voxel pass (desolvation total, then the weighted sum), so
+//! the scores are bit for bit those of the separate steps. The next rotation reuses
+//! the term planes, so no `N³` term grid is kept per rotation. The accumulation
+//! launch therefore has no host work left: every block is
 //! counted ([`gpu_sim::BlockKernel::counted_blocks`]) with the counters it would
 //! record. The score launch runs only the filter and still records the scoring's
 //! counters. So the modeled times and the trace are those of the three kernels.
 //!
-//! Every grid is a kept device buffer ([`Device::result_buffer`]): the term grids and
-//! the desolvation total, shared by the batch's rotations and handed back once the
-//! batch is docked, and one score grid per rotation, handed back after its filter
-//! launch.
+//! Every grid is a kept device buffer ([`Device::result_buffer`]): the term grids,
+//! shared by the batch's rotations and handed back once the batch is docked, and one
+//! score grid per rotation, handed back after its filter launch.
 
 use crate::direct::{chunk_slots, correlate_slab, SparseLigand};
 use crate::filter;
@@ -119,10 +118,10 @@ impl<'a> GpuDockingEngine<'a> {
         let unique_fetches: HashSet<(usize, (usize, usize, usize))> =
             batch.iter().flat_map(|l| l.entries.iter().map(|e| (e.term, e.offset))).collect();
 
-        // Kept grids: the term grids, the desolvation total, then one score grid per
-        // slot. Block `x` owns plane `x` of every grid and writes it in place.
+        // Kept grids: the term grids, then one score grid per slot. Block `x` owns
+        // plane `x` of every grid and writes it in place.
         let mut grids: Vec<Vec<Real>> =
-            (0..n_terms + 1 + batch.len()).map(|_| self.device.result_buffer(n * n * n)).collect();
+            (0..n_terms + batch.len()).map(|_| self.device.result_buffer(n * n * n)).collect();
         let correlation = KernelLaunch::on(self.device)
             .grid(n) // one block per x-plane (Fig. 4, second scheme)
             .threads(self.threads_per_block)
@@ -140,7 +139,7 @@ impl<'a> GpuDockingEngine<'a> {
         let mut poses = Vec::with_capacity(batch.len());
         let mut accumulation = Vec::with_capacity(batch.len());
         let mut scoring = Vec::with_capacity(batch.len());
-        let score_grids = grids.split_off(n_terms + 1);
+        let score_grids = grids.split_off(n_terms);
         for (scores, &rotation_index) in score_grids.into_iter().zip(rotation_indices) {
             accumulation.push(
                 KernelLaunch::on(self.device)
@@ -190,8 +189,8 @@ struct CorrelationKernel<'a> {
     batch: &'a [SparseLigand],
     weights: EnergyWeights,
     n_desolv: usize,
-    /// Plane slots of the term grids, the desolvation total and the score grids,
-    /// in that order ([`plane_slots`]).
+    /// Plane slots of the term grids and the score grids, in that order
+    /// ([`plane_slots`]).
     planes: Vec<Staged<Vec<&'a mut [Real]>>>,
     unique_fetches_per_voxel: u64,
     entries_per_voxel: u64,
@@ -215,12 +214,10 @@ impl BlockKernel for CorrelationKernel<'_> {
         ctx.record_global_writes(voxels * (self.batch.len() * n_terms) as u64);
 
         let mut planes = slot.write();
-        let (terms, rest) = planes.split_at_mut(n_terms);
-        let (desolv, scores) = rest.split_first_mut().expect("a desolvation plane");
+        let (terms, scores) = planes.split_at_mut(n_terms);
         for (ligand, scores) in self.batch.iter().zip(scores) {
             correlate_slab(self.receptor, ligand, ctx.block_idx, terms);
-            filter::accumulate_desolvation_into(terms, self.n_desolv, desolv);
-            filter::score_grid_into(terms, desolv, &self.weights, self.n_desolv, scores);
+            filter::score_into(terms, &self.weights, self.n_desolv, scores);
         }
         ctx.sync_threads();
     }

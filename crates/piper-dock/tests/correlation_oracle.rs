@@ -17,7 +17,8 @@
 //!   must carry, bitwise, the score the naive grids give its translation, and
 //!   the pose list must be `filter::filter_top_k` over the naive score grid.
 //! * `FftSerial` and `BatchedFft` evaluate the same sum through the
-//!   convolution theorem, so they match within [`fft_tolerance`].
+//!   convolution theorem, on real-input transforms over the half spectrum,
+//!   so they match within [`fft_tolerance`].
 
 use ftmap_math::{Grid3, Real, RotationSet};
 use ftmap_molecule::{ForceField, Probe, ProbeType, ProteinSpec, SyntheticProtein};
@@ -319,5 +320,16 @@ fn engines_match_the_naive_correlation_at_32() {
     for ligand in &ligands {
         assert!((3..=4).contains(&ligand.dim), "footprint {}", ligand.dim);
     }
+    check_engines(&receptor, &ligands);
+}
+
+#[test]
+fn engines_match_the_naive_correlation_on_noise_at_32() {
+    // The `map_fft` scale with noise in every receptor voxel and two random 4³
+    // footprints with `±0.0` voxels: the half-spectrum transforms must stay
+    // within `fft_tolerance` where every bin carries signal.
+    let mut rng = SmallRng::seed_from_u64(32);
+    let receptor = receptor(32, Some(rng.gen_range(0..u64::MAX)));
+    let ligands: Vec<LigandGrids> = (0..2).map(|_| random_ligand(4, &mut rng)).collect();
     check_engines(&receptor, &ligands);
 }

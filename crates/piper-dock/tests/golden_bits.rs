@@ -10,6 +10,15 @@
 //! pruned to what the workspace references, under the same promise. The Gpu
 //! engine's per-launch records were recorded before its correlation blocks
 //! took over accumulation and scoring, which promises the same launches.
+//!
+//! The hashes that carry FFT correlation values (the `FftCorrelationEngine`
+//! grids, the receptor transforms, the batched poses with their scores and
+//! both FFT docking runs) were re-recorded when the FFT path moved to
+//! real-input transforms over the half spectrum, whose arithmetic differs from
+//! the complex transform's in the last bits; the naive oracle in
+//! `correlation_oracle.rs` bounds those values. What that change promised to
+//! keep — which poses are retained, every modeled second and the ledger — is
+//! pinned by hashes recorded before it.
 
 use ftmap_math::fft::{Direction, Fft3Plan};
 use ftmap_math::{Complex, Grid3, Real, RotationSet};
@@ -73,6 +82,18 @@ fn write_poses(hash: &mut Fnv1a, poses: &[Pose]) {
             hash.write_u64(t as u64);
         }
         hash.write_f64(p.score);
+    }
+}
+
+/// Poses without their score bits: what a last-bit change in the
+/// correlation values must not move.
+fn write_pose_places(hash: &mut Fnv1a, poses: &[Pose]) {
+    hash.write_u64(poses.len() as u64);
+    for p in poses {
+        hash.write_u64(p.rotation_index as u64);
+        for t in [p.translation.0, p.translation.1, p.translation.2] {
+            hash.write_u64(t as u64);
+        }
     }
 }
 
@@ -142,7 +163,7 @@ fn fft3_plan_transforms_are_unchanged() {
 
 #[test]
 fn fft_correlation_grids_are_unchanged() {
-    let cases = [(16, 2.0, 0x8bbc_b629_9dcc_71e7), (32, 1.5, 0x6069_141f_52e4_51fb)];
+    let cases = [(16, 2.0, 0xd52d_2c6f_2391_4b7b), (32, 1.5, 0x8bb8_6d6b_e713_cb6a)];
     let hashes: Vec<_> = cases
         .into_iter()
         .map(|(dim, spacing, want)| {
@@ -186,8 +207,8 @@ fn batched_fft_transforms_poses_and_ledger_are_unchanged() {
     let mut ledger = Fnv1a::new();
     write_ledger(&mut ledger, &out.ledger);
     assert_golden(&[
-        ("receptor transforms".into(), transforms.finish(), 0x2ba7_4fb1_e075_bf88),
-        ("dock_batch poses and transfers".into(), poses.finish(), 0x044d_b83e_527e_f26e),
+        ("receptor transforms".into(), transforms.finish(), 0xa056_a0e9_cf9f_cb97),
+        ("dock_batch poses and transfers".into(), poses.finish(), 0x6c9e_de96_215d_36b5),
         ("dock_batch ledger".into(), ledger.finish(), 0x737e_f967_1f3f_4b7b),
     ]);
 }
@@ -217,9 +238,60 @@ fn docking_run_hashes(cases: &[(DockingEngineKind, u64)]) -> Vec<(String, u64, u
 #[test]
 fn fft_docking_runs_are_unchanged() {
     assert_golden(&docking_run_hashes(&[
-        (DockingEngineKind::FftSerial, 0x8e29_fcd1_fa31_4918),
-        (DockingEngineKind::BatchedFft { batch: 3 }, 0xd9a7_abcd_de1d_dc0f),
+        (DockingEngineKind::FftSerial, 0x3f31_531d_1693_f737),
+        (DockingEngineKind::BatchedFft { batch: 3 }, 0xf5e8_bc85_8e44_6698),
     ]));
+}
+
+/// The FFT path's invariants, recorded before it moved to real-input
+/// transforms over the half spectrum: that change moves correlation values in
+/// their last bits, but not which poses are retained, nor any modeled second.
+/// Hashed per case: the retained poses without their score bits, then the
+/// modeled step and transfer seconds (each docking run), or the upload,
+/// download and receptor-transform seconds (the 16³ `dock_batch`).
+#[test]
+fn fft_pose_places_and_modeled_seconds_are_unchanged() {
+    let ff = ForceField::charmm_like();
+    let protein = SyntheticProtein::generate(&ProteinSpec::small_test(), &ff);
+    let probe = Probe::new(ProbeType::Ethanol, &ff);
+    let mut hashes = Vec::new();
+    for (engine, want) in [
+        (DockingEngineKind::FftSerial, 0x1caf_a216_c605_b8e9),
+        (DockingEngineKind::BatchedFft { batch: 3 }, 0xd41e_03ec_d150_3092),
+    ] {
+        let run = Docking::new(&protein.atoms, DockingConfig::small_test(engine)).run(&probe);
+        let mut hash = Fnv1a::new();
+        write_pose_places(&mut hash, &run.poses);
+        let m = run.modeled;
+        for t in [m.rotation_grid_s, m.correlation_s, m.accumulation_s, m.scoring_filtering_s] {
+            hash.write_f64(t);
+        }
+        hash.write_f64(run.modeled_transfer_s);
+        hashes.push((format!("{engine:?} pose places and modeled seconds"), hash.finish(), want));
+    }
+
+    let (receptor, probe) = receptor_and_probe(16, 2.0);
+    let device = Device::tesla_c1060();
+    let engine = BatchedFftEngine::new(&device, &receptor);
+    let batch: Vec<LigandGrids> = RotationSet::uniform(5)
+        .iter()
+        .map(|r| LigandGrids::build(&probe.atoms, r, 2.0, 4))
+        .collect();
+    let indices: Vec<usize> = (0..batch.len()).collect();
+    let out = engine.dock_batch(&batch, &indices, &EnergyWeights::default(), 4, 3, 2);
+    let mut hash = Fnv1a::new();
+    for slot in &out.poses {
+        write_pose_places(&mut hash, slot);
+    }
+    hash.write_f64(out.upload_s);
+    hash.write_f64(out.download_s);
+    hash.write_f64(engine.transform_residency().modeled_s());
+    hashes.push((
+        "dock_batch pose places and modeled seconds".into(),
+        hash.finish(),
+        0x2186_c908_9508_ae5d,
+    ));
+    assert_golden(&hashes);
 }
 
 #[test]
