@@ -19,40 +19,53 @@
 //!    one pointwise conjugate-multiply against the resident receptor
 //!    transforms, one batched inverse — instead of per-rotation loops, so
 //!    launch count grows with batches, not rotations.
-//! 3. **Fused top-K epilogue.** Desolvation accumulation, weighted scoring
-//!    and top-K filtering (exact [`crate::filter`] semantics) run inside the
-//!    correlation epilogue *before any download*: only the retained poses are
-//!    transfer-accounted, and the full `N³` score grids never cross the
-//!    modeled PCIe link.
+//! 3. **Fused top-K epilogue.** Top-K filtering (exact [`crate::filter`]
+//!    semantics) runs inside the correlation epilogue *before any download*,
+//!    which also stands for the modeled accumulation and scoring: only the
+//!    retained poses are transfer-accounted, and the full `N³` score grids
+//!    never cross the modeled PCIe link.
 //!
-//! Per term, both FFT engines run one routine,
-//! [`ReceptorTransforms::correlate_term`]: a real-input forward transform of the
-//! zero-padded ligand grid into its half spectrum (`N × N × (N/2 + 1)` bins,
+//! Per rotation, both FFT engines run one score routine,
+//! [`ReceptorTransforms::score_rotation`]: a real-input forward transform of each
+//! zero-padded ligand term into its half spectrum (`N × N × (N/2 + 1)` bins,
 //! [`Fft3Plan::forward_real_padded_into`]), the conjugate product with the
-//! receptor's half spectrum, and a real-output inverse into an `N³` grid. This
-//! engine runs its three steps one launch each, and the epilogue scores with the
-//! host filter's per-voxel arithmetic, so retained poses are bit-identical to
-//! `FftCorrelationEngine::correlate_rotation` followed by the host
-//! accumulate/score/filter tail.
+//! receptor term's half spectrum, the Equation (2) sum of the products in the
+//! order of [`filter::score_into`] (desolvation products from `+0.0`, then the
+//! weighted terms from `+0.0`, then `w_desolv` times the desolvation sum), and
+//! **one** real-output inverse of that sum, which is the rotation's score grid.
+//! The inverse transform is linear, so the score needs no per-term correlation
+//! grid: per rotation, `n_terms − 1` inverses and their `N³` grids are never
+//! made. This engine runs the steps as its launches — forward, multiply, then
+//! sum and inverse in the inverse launch — and the epilogue filters the score
+//! grid, so its retained poses are bit-identical to `FftSerial`'s by
+//! construction. Against the per-term path
+//! ([`crate::fft_engine::FftCorrelationEngine::correlate_rotation`] followed by
+//! the host accumulate/score/filter tail) the scores differ in their last bits,
+//! within the naive oracle's tolerance, and on every case the tests check the
+//! retained pose places are the same.
 //!
-//! **Modeled side.** The launches, their counters, the upload and download
+//! **Modeled side.** The host uses linearity; the model still prices the
+//! paper's algorithm. The launches, their counters, the upload and download
 //! bytes, [`TransformResidency`]'s seconds and
-//! [`ReceptorTransforms::resident_bytes`] all price the paper's *complex*
-//! transforms of full `N³` grids; the half spectrum is the host simulation's
-//! arithmetic, not the modeled device's.
+//! [`ReceptorTransforms::resident_bytes`] all price *complex* transforms of full
+//! `N³` grids, with one inverse per (rotation, term): the inverse launch keeps
+//! its `batch × n_terms` blocks, of which the leading ones are counted
+//! ([`BlockKernel::counted_blocks`]) and the last `batch` do the host's work,
+//! and the epilogue still records accumulation and scoring.
 //!
 //! A batch's grid-sized buffers are kept device buffers
-//! ([`Device::result_buffer`]), so a warm batch allocates none: per (slot,
-//! term) a half spectrum and a real correlation grid, and per slot the
-//! epilogue's score grid. All of them go back to the device after the
-//! epilogue, the last launch that reads them.
+//! ([`Device::result_buffer`]), so a warm batch allocates none: per slot a half
+//! spectrum per term, their summed spectrum and one real score grid. All of them
+//! go back to the device after the epilogue, the last launch that reads them.
 
 use crate::filter;
 use crate::grids::{EnergyWeights, LigandGrids, ReceptorGrids};
 use crate::pose::Pose;
 use ftmap_math::fft::Fft3Plan;
 use ftmap_math::{Complex, Grid3, Real};
-use gpu_sim::{BlockContext, BlockKernel, Device, KernelLaunch, Residency, Staged, StatsLedger};
+use gpu_sim::{
+    BlockContext, BlockKernel, Device, KernelLaunch, MemoryCounters, Residency, Staged, StatsLedger,
+};
 use std::sync::Arc;
 
 /// Derivation tag for the receptor's forward transforms + FFT plan in the
@@ -73,9 +86,9 @@ pub(crate) const PHASE_FUSED_EPILOGUE: &str = "fused_epilogue";
 
 /// The receptor-side state the batched engine shares across constructions: the
 /// half spectrum of each receptor component grid plus the twiddle-table plan
-/// that produced them, and the per-term correlation routine every FFT engine
-/// runs ([`ReceptorTransforms::correlate_term`], or its three steps one launch
-/// at a time), so every transform in a docking run replays the same arithmetic.
+/// that produced them, and the score routine every FFT engine runs
+/// (`ReceptorTransforms::score_rotation`, or its steps one launch at a time),
+/// so every transform in a docking run replays the same arithmetic.
 pub struct ReceptorTransforms {
     dim: usize,
     plan: Fft3Plan,
@@ -164,15 +177,11 @@ impl ReceptorTransforms {
         }
     }
 
-    /// Step 3: the real correlation grid of a product spectrum, into a kept
-    /// buffer; the spectrum is the inverse's workspace.
-    pub(crate) fn inverse(&self, spectrum: &mut [Complex], correlation: &mut Vec<Real>) {
-        self.plan.inverse_real_into(spectrum, correlation);
-    }
-
-    /// One term's correlation, the three steps in a row: ligand grid `ligand`
-    /// against receptor component `term`, into `correlation`, with `spectrum`
-    /// as workspace.
+    /// One term's correlation grid, for
+    /// [`crate::fft_engine::FftCorrelationEngine::correlate_rotation`]: steps 1
+    /// and 2, then the real inverse of the product into `correlation`, with
+    /// `spectrum` as workspace. No docking engine calls it; they score through
+    /// [`ReceptorTransforms::score_rotation`].
     pub(crate) fn correlate_term(
         &self,
         term: usize,
@@ -182,7 +191,81 @@ impl ReceptorTransforms {
     ) {
         self.forward_ligand(ligand, spectrum);
         self.conj_multiply(term, spectrum);
-        self.inverse(spectrum, correlation);
+        self.plan.inverse_real_into(spectrum, correlation);
+    }
+
+    /// Steps 3 and 4 of a rotation's score, over the term products that steps 1
+    /// and 2 left in `buffers.spectra`: their Equation (2) sum into
+    /// `buffers.summed` ([`filter::score_into`] over the spectra: the
+    /// desolvation products from `+0.0`, then the weighted products from
+    /// `+0.0`, then `w_desolv` times the desolvation sum), then one real inverse
+    /// of the sum into `buffers.scores`, the rotation's score grid. The summed
+    /// spectrum is the inverse's workspace. Both buffers are overwritten in
+    /// full, whatever they held.
+    pub(crate) fn score_products(
+        &self,
+        weights: &EnergyWeights,
+        n_desolv: usize,
+        buffers: &mut RotationBuffers,
+    ) {
+        let RotationBuffers { spectra, summed, scores } = buffers;
+        summed.resize(spectra.first().map_or(0, Vec::len), Complex::ZERO);
+        filter::score_into(spectra, weights, n_desolv, summed);
+        self.plan.inverse_real_into(summed, scores);
+    }
+
+    /// One rotation's Equation (2) score grid, into `buffers.scores`: per term,
+    /// the ligand's half spectrum and its product with the receptor's (steps 1
+    /// and 2), then [`ReceptorTransforms::score_products`]. The batched engine
+    /// runs the same steps one launch at a time.
+    ///
+    /// # Panics
+    /// Panics if the ligand has a different number of terms than the receptor,
+    /// or `n_desolv` does not match the term count.
+    pub(crate) fn score_rotation(
+        &self,
+        ligand: &LigandGrids,
+        weights: &EnergyWeights,
+        n_desolv: usize,
+        buffers: &mut RotationBuffers,
+    ) {
+        assert_eq!(ligand.n_terms(), self.n_terms(), "ligand term count must match receptor");
+        buffers.spectra.resize_with(self.n_terms(), Vec::new);
+        for (term, (grid, spectrum)) in ligand.terms.iter().zip(&mut buffers.spectra).enumerate() {
+            self.forward_ligand(grid, spectrum);
+            self.conj_multiply(term, spectrum);
+        }
+        self.score_products(weights, n_desolv, buffers);
+    }
+}
+
+/// One rotation's kept buffers for [`ReceptorTransforms::score_rotation`]: a half
+/// spectrum per term, their Equation (2) sum and the real `N³` score grid. Every
+/// element is written before it is read, so they may hold anything.
+#[derive(Default)]
+pub(crate) struct RotationBuffers {
+    /// Per term: the ligand's half spectrum, then its product with the
+    /// receptor's.
+    pub(crate) spectra: Vec<Vec<Complex>>,
+    /// The Equation (2) sum of the products, then the inverse's workspace.
+    pub(crate) summed: Vec<Complex>,
+    /// The score grid, `N³` values in grid order.
+    pub(crate) scores: Vec<Real>,
+}
+
+impl RotationBuffers {
+    /// [`filter::filter_top_k`] over the `n³` score grid.
+    pub(crate) fn top_k(
+        &mut self,
+        n: usize,
+        k: usize,
+        exclusion_radius: usize,
+        rotation_index: usize,
+    ) -> Vec<Pose> {
+        let scores = Grid3::from_vec(n, n, n, std::mem::take(&mut self.scores));
+        let poses = filter::filter_top_k(&scores, k, exclusion_radius, rotation_index);
+        self.scores = scores.into_vec();
+        poses
     }
 }
 
@@ -318,9 +401,9 @@ impl<'a> BatchedFftEngine<'a> {
     }
 
     /// Docks one batch of rotations: upload compact ligand grids, one batched
-    /// forward transform, one conjugate-multiply pass, one batched inverse,
-    /// and the fused accumulate + score + top-K epilogue — downloading only
-    /// the retained poses.
+    /// forward transform, one conjugate-multiply pass, one batched inverse
+    /// (each slot's summed products into its score grid), and the fused top-K
+    /// epilogue — downloading only the retained poses.
     ///
     /// `batch[slot]` is correlated as rotation `rotation_indices[slot]`; the
     /// returned `poses[slot]` are tagged accordingly.
@@ -359,20 +442,18 @@ impl<'a> BatchedFftEngine<'a> {
             .sum();
         let upload_s = self.device.upload_bytes(ligand_bytes as u64);
 
-        // Kept device buffers: per (slot, term) a half spectrum, which the
-        // forward kernel sizes and overwrites in full, and the real correlation
-        // grid the inverse writes; per slot the epilogue's score grid.
-        let n3 = n * n * n;
-        let kept = || TermGrids {
-            spectrum: self.device.result_buffer(0),
-            correlation: self.device.result_buffer(n3),
-        };
+        // Kept device buffers, per slot: a half spectrum per term, which the
+        // forward kernel sizes and overwrites in full, the summed spectrum and
+        // the score grid, which the inverse kernel overwrites in full.
+        let (n3, bins) = (n * n * n, self.transforms.term_fft(0).len());
         let grids = BatchGrids {
             slots: (0..batch.len())
                 .map(|_| {
-                    let terms = (0..n_terms).map(|_| kept()).collect();
-                    let scores = Grid3::from_vec(n, n, n, self.device.result_buffer(n3));
-                    Staged::new(SlotGrids { terms, scores })
+                    Staged::new(RotationBuffers {
+                        spectra: (0..n_terms).map(|_| self.device.result_buffer(0)).collect(),
+                        summed: self.device.result_buffer(bins),
+                        scores: self.device.result_buffer(n3),
+                    })
                 })
                 .collect(),
             n_terms,
@@ -397,23 +478,30 @@ impl<'a> BatchedFftEngine<'a> {
             &multiply,
         );
 
-        // 3. One batched inverse transform into the real correlation grids.
+        // 3. One batched inverse launch: each slot's summed products into its
+        //    score grid.
         ftmap_trace::hook::mark(PHASE_INVERSE_FFT);
-        let inverse = InverseKernel { transforms: &self.transforms, grids: &grids, n };
+        let inverse = InverseKernel {
+            transforms: &self.transforms,
+            grids: &grids,
+            weights: *weights,
+            n_desolv,
+            n,
+        };
         KernelLaunch::on(self.device).grid(n_grids).threads(self.threads_per_block).run_recorded(
             &mut ledger,
             PHASE_INVERSE_FFT,
             &inverse,
         );
 
-        // 4. Fused epilogue: accumulate + score + filter per rotation, one
-        //    block per batch slot, before anything is downloaded.
+        // 4. Fused epilogue: top-K per rotation, one block per batch slot,
+        //    before anything is downloaded.
         ftmap_trace::hook::mark(PHASE_FUSED_EPILOGUE);
         let poses: Staged<Vec<Vec<Pose>>> = Staged::new(vec![Vec::new(); batch.len()]);
         let epilogue = FusedEpilogueKernel {
             slots: &grids.slots,
             rotation_indices,
-            weights: *weights,
+            n,
             n_desolv,
             k,
             exclusion_radius,
@@ -427,12 +515,9 @@ impl<'a> BatchedFftEngine<'a> {
         let poses = poses.take();
         // The epilogue was the last launch to read the batch's buffers.
         for slot in grids.slots {
-            let SlotGrids { mut terms, scores } = slot.take();
-            self.device
-                .recycle_result_buffers(terms.iter_mut().map(|t| std::mem::take(&mut t.spectrum)));
-            self.device.recycle_result_buffers(
-                terms.into_iter().map(|t| t.correlation).chain([scores.into_vec()]),
-            );
+            let RotationBuffers { spectra, summed, scores } = slot.take();
+            self.device.recycle_result_buffers(spectra.into_iter().chain([summed]));
+            self.device.recycle_result_buffers([scores]);
         }
 
         // Download only the retained poses — never the N³ score grids.
@@ -470,54 +555,33 @@ impl BlockKernel for ReceptorTransformKernel<'_> {
     }
 }
 
-/// One (slot, term) pair's kept buffers: its half spectrum and its real
-/// correlation grid.
-#[derive(Default)]
-struct TermGrids {
-    spectrum: Vec<Complex>,
-    correlation: Vec<Real>,
-}
-
-/// The epilogue reads a term's correlation grid.
-impl filter::ResultGrid for TermGrids {
-    fn values(&self) -> &[Real] {
-        &self.correlation
-    }
-}
-
-/// One batch slot's kept buffers: its terms' buffers and its score grid.
-struct SlotGrids {
-    terms: Vec<TermGrids>,
-    scores: Grid3<Real>,
-}
-
 /// A batch's kept buffers, shared by its four launches. Block
-/// `g = slot * n_terms + term` of a transform launch works on
-/// `slots[slot].terms[term]`.
+/// `g = slot * n_terms + term` of the forward and multiply launches works on
+/// `slots[slot].spectra[term]`.
 struct BatchGrids {
-    slots: Vec<Staged<SlotGrids>>,
+    slots: Vec<Staged<RotationBuffers>>,
     n_terms: usize,
 }
 
 impl BatchGrids {
-    /// Runs `work` on block `g`'s term buffers, if the batch has a block `g`.
-    /// The slot's other terms are other blocks' work, so its lock is held only
-    /// to take the buffers out and to put them back.
-    fn with_term(&self, g: usize, work: impl FnOnce(&mut TermGrids)) -> bool {
+    /// Runs `work` on block `g`'s spectrum, if the batch has a block `g`. The
+    /// slot's other terms are other blocks' work, so its lock is held only to
+    /// take the spectrum out and to put it back.
+    fn with_spectrum(&self, g: usize, work: impl FnOnce(&mut Vec<Complex>)) -> bool {
         let Some(slot) = self.slots.get(g / self.n_terms) else {
             return false;
         };
         let term = g % self.n_terms;
-        let mut grids = std::mem::take(&mut slot.write().terms[term]);
-        work(&mut grids);
-        slot.write().terms[term] = grids;
+        let mut spectrum = std::mem::take(&mut slot.write().spectra[term]);
+        work(&mut spectrum);
+        slot.write().spectra[term] = spectrum;
         true
     }
 }
 
 /// Batched ligand forward transform: block `g` forward-transforms ligand grid
 /// `g = slot * n_terms + term` zero-padded into the receptor dimensions, into
-/// its kept half spectrum (step 1 of [`ReceptorTransforms::correlate_term`]).
+/// its kept half spectrum (step 1 of [`ReceptorTransforms::score_rotation`]).
 struct LigandForwardKernel<'a> {
     batch: &'a [LigandGrids],
     transforms: &'a ReceptorTransforms,
@@ -532,7 +596,7 @@ impl BlockKernel for LigandForwardKernel<'_> {
         let Some(ligand) = self.batch.get(g / n_terms).map(|l| &l.terms[g % n_terms]) else {
             return;
         };
-        self.grids.with_term(g, |t| self.transforms.forward_ligand(ligand, &mut t.spectrum));
+        self.grids.with_spectrum(g, |spectrum| self.transforms.forward_ligand(ligand, spectrum));
 
         let n3 = (self.n * self.n * self.n) as u64;
         // Read the compact ligand entries, scatter into the padded complex
@@ -546,7 +610,7 @@ impl BlockKernel for LigandForwardKernel<'_> {
 
 /// Pointwise conjugate-multiply: block `g` computes
 /// `spectrum = conj(spectrum) .* receptor_fft[term]` over its half spectrum
-/// (step 2 of [`ReceptorTransforms::correlate_term`]).
+/// (step 2 of [`ReceptorTransforms::score_rotation`]).
 struct ConjMultiplyKernel<'a> {
     transforms: &'a ReceptorTransforms,
     grids: &'a BatchGrids,
@@ -556,8 +620,8 @@ struct ConjMultiplyKernel<'a> {
 impl BlockKernel for ConjMultiplyKernel<'_> {
     fn execute_block(&self, ctx: &mut BlockContext) {
         let term = ctx.block_idx % self.grids.n_terms;
-        let multiply = |t: &mut TermGrids| self.transforms.conj_multiply(term, &mut t.spectrum);
-        if !self.grids.with_term(ctx.block_idx, multiply) {
+        let multiply = |spectrum: &mut Vec<Complex>| self.transforms.conj_multiply(term, spectrum);
+        if !self.grids.with_spectrum(ctx.block_idx, multiply) {
             return;
         }
         let n3 = (self.n * self.n * self.n) as u64;
@@ -570,41 +634,72 @@ impl BlockKernel for ConjMultiplyKernel<'_> {
     }
 }
 
-/// Batched inverse transform: block `g` inverse-transforms its product spectrum
-/// into its real correlation grid (step 3 of
-/// [`ReceptorTransforms::correlate_term`]), which stays in device global memory
-/// for the epilogue; it is never downloaded.
+/// Batched inverse launch, modeled as one inverse per (slot, term). The host
+/// needs one per slot: the last `batch` blocks each sum their slot's products
+/// and inverse-transform the sum into the slot's score grid
+/// ([`ReceptorTransforms::score_products`]), which stays in device global
+/// memory for the epilogue. The leading blocks are counted
+/// ([`BlockKernel::counted_blocks`]) with the counters of the inverses they
+/// stand for.
 struct InverseKernel<'a> {
     transforms: &'a ReceptorTransforms,
     grids: &'a BatchGrids,
+    weights: EnergyWeights,
+    n_desolv: usize,
     n: usize,
+}
+
+impl InverseKernel<'_> {
+    /// What `blocks` modeled inverses record: each reads the complex spectrum,
+    /// runs one transform, writes the real grid and passes one barrier.
+    fn counters(&self, blocks: u64) -> MemoryCounters {
+        let n3 = (self.n * self.n * self.n) as u64;
+        MemoryCounters {
+            global_reads: blocks * 2 * n3,
+            flops: blocks * self.transforms.flops_per_transform(),
+            global_writes: blocks * n3,
+            barriers: blocks,
+            ..MemoryCounters::new()
+        }
+    }
+
+    /// The number of counted blocks: all but one per slot.
+    fn counted(&self) -> usize {
+        self.grids.slots.len() * (self.grids.n_terms - 1)
+    }
 }
 
 impl BlockKernel for InverseKernel<'_> {
     fn execute_block(&self, ctx: &mut BlockContext) {
-        let inverse =
-            |t: &mut TermGrids| self.transforms.inverse(&mut t.spectrum, &mut t.correlation);
-        if !self.grids.with_term(ctx.block_idx, inverse) {
+        let Some(slot) = ctx.block_idx.checked_sub(self.counted()) else {
             return;
-        }
-        let n3 = (self.n * self.n * self.n) as u64;
-        ctx.record_global_reads(2 * n3);
-        ctx.record_flops(self.transforms.flops_per_transform());
-        ctx.record_global_writes(n3);
+        };
+        let Some(buffers) = self.grids.slots.get(slot) else {
+            return;
+        };
+        self.transforms.score_products(&self.weights, self.n_desolv, &mut buffers.write());
+        let counters = self.counters(1);
+        ctx.record_global_reads(counters.global_reads);
+        ctx.record_flops(counters.flops);
+        ctx.record_global_writes(counters.global_writes);
         ctx.sync_threads();
+    }
+
+    fn counted_blocks(&self) -> (usize, MemoryCounters) {
+        (self.counted(), self.counters(self.counted() as u64))
     }
 }
 
-/// Fused scoring epilogue: block `s` accumulates the desolvation components,
-/// applies the Equation (2) weights ([`filter::score_into`], one pass per
-/// voxel) and runs top-K filtering with region exclusion for batch slot `s` —
-/// exact [`crate::filter`] arithmetic, entirely on the device side of the
-/// modeled link.
+/// Fused scoring epilogue: block `s` runs top-K filtering with region exclusion
+/// over batch slot `s`'s score grid — exact [`filter::filter_top_k`], entirely
+/// on the device side of the modeled link. It records the modeled desolvation
+/// accumulation and Equation (2) scoring too, which the inverse launch did on
+/// the host.
 struct FusedEpilogueKernel<'a> {
-    /// Each batch slot's correlation and score grids.
-    slots: &'a [Staged<SlotGrids>],
+    /// Each batch slot's buffers; the epilogue reads the score grid.
+    slots: &'a [Staged<RotationBuffers>],
     rotation_indices: &'a [usize],
-    weights: EnergyWeights,
+    n: usize,
     n_desolv: usize,
     k: usize,
     exclusion_radius: usize,
@@ -614,20 +709,13 @@ struct FusedEpilogueKernel<'a> {
 impl BlockKernel for FusedEpilogueKernel<'_> {
     fn execute_block(&self, ctx: &mut BlockContext) {
         let slot = ctx.block_idx;
-        if slot >= self.rotation_indices.len() {
+        let Some(&rotation_index) = self.rotation_indices.get(slot) else {
             return;
-        }
-        let mut grids = self.slots[slot].write();
-        let SlotGrids { terms, scores } = &mut *grids;
-        filter::score_into(terms, &self.weights, self.n_desolv, scores.as_mut_slice());
-        let selected = filter::filter_top_k(
-            scores,
-            self.k,
-            self.exclusion_radius,
-            self.rotation_indices[slot],
-        );
+        };
+        let selected =
+            self.slots[slot].write().top_k(self.n, self.k, self.exclusion_radius, rotation_index);
 
-        let n3 = scores.len() as u64;
+        let n3 = (self.n * self.n * self.n) as u64;
         // Accumulation reads the desolvation components; scoring reads the
         // weighted components + the accumulated total (as in the standalone
         // kernels this fuses), with no intermediate grid round-tripping
@@ -644,6 +732,54 @@ impl BlockKernel for FusedEpilogueKernel<'_> {
         ctx.record_global_writes(self.k as u64 * excl);
         ctx.record_global_writes(selected.len() as u64);
         self.poses.write()[slot] = selected;
+    }
+}
+
+/// The per-term path the FFT engines' score routine replaced, as a test
+/// reference: [`crate::fft_engine::FftCorrelationEngine::correlate_rotation`],
+/// then the host's accumulation, scoring and filtering.
+#[cfg(test)]
+pub(crate) mod per_term {
+    use super::*;
+    use crate::fft_engine::FftCorrelationEngine;
+
+    /// How far a score may lie from the per-term path's: twice the sum over
+    /// terms of the naive oracle's `8 · log2(N³) · ε · Σ|L| · max|R|`
+    /// (`tests/correlation_oracle.rs`), for weights at most 1 in magnitude.
+    pub(crate) fn score_tolerance(ligand: &LigandGrids, receptor: &ReceptorGrids) -> Real {
+        let per_term = |l: &Grid3<Real>, r: &Grid3<Real>| {
+            let l1: Real = l.as_slice().iter().map(|v| v.abs()).sum();
+            let r_max = r.as_slice().iter().fold(0.0, |m: Real, v| m.max(v.abs()));
+            8.0 * (r.len() as Real).log2() * Real::EPSILON * l1 * r_max
+        };
+        2.0 * ligand.terms.iter().zip(&receptor.terms).map(|(l, r)| per_term(l, r)).sum::<Real>()
+    }
+
+    /// The per-term path's retained poses for one rotation.
+    pub(crate) fn poses(
+        engine: &FftCorrelationEngine,
+        ligand: &LigandGrids,
+        weights: &EnergyWeights,
+        n_desolv: usize,
+        (k, exclusion_radius): (usize, usize),
+        rotation_index: usize,
+    ) -> Vec<Pose> {
+        let results = engine.correlate_rotation(ligand);
+        let desolv = filter::accumulate_desolvation(&results, n_desolv);
+        let scores = filter::score_grid(&results, &desolv, weights, n_desolv);
+        filter::filter_top_k(&scores, k, exclusion_radius, rotation_index)
+    }
+
+    /// Asserts that `got` retains `want`'s poses — the same rotations and
+    /// translations in the same order — with every score within `tol`.
+    pub(crate) fn assert_places_and_scores_near(got: &[Pose], want: &[Pose], tol: Real) {
+        let places = |poses: &[Pose]| -> Vec<_> {
+            poses.iter().map(|p| (p.rotation_index, p.translation)).collect()
+        };
+        assert_eq!(places(got), places(want), "pose places");
+        for (g, w) in got.iter().zip(want) {
+            assert!((g.score - w.score).abs() <= tol, "{g:?} vs {w:?} (±{tol:e})");
+        }
     }
 }
 
@@ -724,7 +860,11 @@ mod tests {
         // A device whose `f64` and `Complex` free lists hold NaN, `-0.0`,
         // `-1e300` and wrong-length buffers must give the same poses, ledger
         // stats and counters as a fresh one — and again once every buffer
-        // comes back from a previous batch.
+        // comes back from a previous batch. Every kept buffer (each term
+        // spectrum, each slot's summed spectrum and score grid) is drawn from
+        // the dirty lists, and the four poison kinds are rotated over the
+        // lists' positions, so each buffer starts as each kind in one of the
+        // four rounds.
         let (receptor, probe) = setup(16);
         let batch = ligands_for(&probe, &RotationSet::uniform(6));
         let indices: Vec<usize> = (0..batch.len()).collect();
@@ -749,28 +889,36 @@ mod tests {
             (poses, ledger, out.upload_s.to_bits(), out.download_s.to_bits())
         };
 
-        let dirty = Device::tesla_c1060();
-        let n3 = 16 * 16 * 16;
-        let reals: Vec<Vec<f64>> = (0..200).map(|_| dirty.result_buffer(1)).collect();
-        dirty.recycle_result_buffers(reals.into_iter().enumerate().map(|(i, _)| match i % 4 {
-            0 => vec![f64::NAN; n3],
-            1 => vec![-0.0; n3 + 37],
-            2 => vec![-1.0e300; n3],
-            _ => vec![f64::from_bits(0x7ff4_dead_beef_0001); 100],
-        }));
-        let spectra: Vec<Vec<Complex>> = (0..100).map(|_| dirty.result_buffer(1)).collect();
-        dirty.recycle_result_buffers(spectra.into_iter().enumerate().map(|(i, _)| match i % 4 {
-            0 => vec![Complex::new(f64::NAN, f64::NAN); n3],
-            1 => vec![Complex::new(-0.0, -0.0); n3 - 5],
-            2 => vec![Complex::new(-1.0e300, 1.0e300); n3],
-            _ => vec![Complex::new(-0.0, f64::NAN); 2 * n3],
-        }));
-
         let fresh = run(&Device::tesla_c1060());
         assert!(!fresh.0.is_empty() && fresh.1.len() == 4, "{:?}", fresh.1);
-        assert!(run(&dirty) == fresh, "a dirty free list changed a result");
-        // Second pass: every buffer now comes back from the previous batch.
-        assert!(run(&dirty) == fresh, "a reused kept buffer changed a result");
+        let n3 = 16 * 16 * 16;
+        // The batch keeps 6 × (8 + 1) spectra and 6 score grids.
+        let (n_reals, n_spectra) = (4 * 6, 4 * 6 * 9);
+        for shift in 0..4 {
+            let dirty = Device::tesla_c1060();
+            let reals: Vec<Vec<f64>> = (0..n_reals).map(|_| dirty.result_buffer(1)).collect();
+            dirty.recycle_result_buffers(reals.into_iter().enumerate().map(|(i, _)| {
+                match (i + shift) % 4 {
+                    0 => vec![f64::NAN; n3],
+                    1 => vec![-0.0; n3 + 37],
+                    2 => vec![-1.0e300; n3],
+                    _ => vec![f64::from_bits(0x7ff4_dead_beef_0001); 100],
+                }
+            }));
+            let spectra: Vec<Vec<Complex>> =
+                (0..n_spectra).map(|_| dirty.result_buffer(1)).collect();
+            dirty.recycle_result_buffers(spectra.into_iter().enumerate().map(|(i, _)| {
+                match (i + shift) % 4 {
+                    0 => vec![Complex::new(f64::NAN, f64::NAN); n3],
+                    1 => vec![Complex::new(-0.0, -0.0); n3 - 5],
+                    2 => vec![Complex::new(-1.0e300, 1.0e300); n3],
+                    _ => vec![Complex::new(-0.0, f64::NAN); 2 * n3],
+                }
+            }));
+            assert!(run(&dirty) == fresh, "a dirty free list changed a result (shift {shift})");
+            // Second pass: every buffer now comes back from the previous batch.
+            assert!(run(&dirty) == fresh, "a reused kept buffer changed a result");
+        }
     }
 
     #[test]
@@ -793,17 +941,22 @@ mod tests {
         let engine = BatchedFftEngine::new(&device, &shared);
         let out = engine.dock_batch(&batch, &indices, &weights, 4, 3, 2);
 
+        // The shared score routine, one rotation at a time, on its own buffers:
+        // bit-identical poses, scores included.
         let reference = FftCorrelationEngine::new(&shared);
+        let mut buffers = RotationBuffers::default();
         for (slot, ligand) in batch.iter().enumerate() {
-            let results = reference.correlate_rotation(ligand);
-            let desolv = filter::accumulate_desolvation(&results, 4);
-            let scores = filter::score_grid(&results, &desolv, &weights, 4);
-            let expect = filter::filter_top_k(&scores, 3, 2, slot);
-            assert_eq!(out.poses[slot], expect, "slot {slot}");
-            for pose in &out.poses[slot] {
-                // Bit-identical scores, not merely close.
-                assert!(expect.iter().any(|e| e.score.to_bits() == pose.score.to_bits()));
-            }
+            engine.transforms().score_rotation(ligand, &weights, 4, &mut buffers);
+            let expect = buffers.top_k(16, 3, 2, slot);
+            let bits = |poses: &[Pose]| -> Vec<_> {
+                poses.iter().map(|p| (p.rotation_index, p.translation, p.score.to_bits())).collect()
+            };
+            assert_eq!(bits(&out.poses[slot]), bits(&expect), "slot {slot}");
+            // The per-term path retains the same places, scores within the
+            // oracle's tolerance.
+            let per_term = per_term::poses(&reference, ligand, &weights, 4, (3, 2), slot);
+            let tol = per_term::score_tolerance(ligand, &shared);
+            per_term::assert_places_and_scores_near(&out.poses[slot], &per_term, tol);
         }
         assert!(out.upload_s > 0.0);
         assert!(out.download_s > 0.0);
@@ -896,10 +1049,12 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(32))]
 
             /// The fused on-device epilogue selects exactly the poses the
-            /// host-side `filter::filter_top_k` selects, for arbitrary score
-            /// grids, retention counts and exclusion radii. The arbitrary
-            /// grid enters as the sole desolvation component with all other
-            /// weights zeroed, so the score grid *is* the arbitrary data.
+            /// host-side `filter::filter_top_k` selects over the shared score
+            /// routine's grid, bit for bit, for arbitrary receptor values,
+            /// retention counts and exclusion radii; and the per-term path
+            /// retains the same places with scores within the oracle's
+            /// tolerance. The arbitrary values replace the receptor's shape
+            /// core term, whose weight is the only non-zero one.
             #[test]
             fn fused_epilogue_matches_host_filter(
                 values in prop::collection::vec(-100.0f64..100.0, 512),
@@ -908,24 +1063,24 @@ mod tests {
                 rotation_index in 0usize..500,
             ) {
                 let n = 8; // 8³ = 512 voxels
-                let mut results: Vec<Grid3<Real>> = (0..5).map(|_| Grid3::cubic(n)).collect();
-                results[4] = Grid3::from_vec(n, n, n, values.clone());
-                let terms = results
-                    .iter()
-                    .map(|g| TermGrids { spectrum: Vec::new(), correlation: g.as_slice().to_vec() })
-                    .collect();
+                let (mut receptor, probe) = setup(n);
+                receptor.terms[0] = Grid3::from_vec(n, n, n, values);
+                let ligand = LigandGrids::build(&probe.atoms, &RotationSet::uniform(1).rotations()[0], 2.0, 4);
                 let weights =
-                    EnergyWeights { shape_core: 0.0, shape_attr: 0.0, elec: 0.0, desolv: 1.0 };
+                    EnergyWeights { shape_core: 1.0, shape_attr: 0.0, elec: 0.0, desolv: 0.0 };
+                let transforms = ReceptorTransforms::compute(&receptor);
+                let mut buffers = RotationBuffers::default();
+                transforms.score_rotation(&ligand, &weights, 4, &mut buffers);
+                let scores = Grid3::from_vec(n, n, n, buffers.scores.clone());
 
                 let device = Device::tesla_c1060();
                 let poses: Staged<Vec<Vec<Pose>>> = Staged::new(vec![Vec::new(); 1]);
-                let scores = Grid3::from_vec(n, n, n, vec![f64::NAN; 512]);
-                let slots = [Staged::new(SlotGrids { terms, scores })];
+                let slots = [Staged::new(buffers)];
                 let kernel = FusedEpilogueKernel {
                     slots: &slots,
                     rotation_indices: &[rotation_index],
-                    weights,
-                    n_desolv: 1,
+                    n,
+                    n_desolv: 4,
                     k,
                     exclusion_radius,
                     poses: &poses,
@@ -933,10 +1088,17 @@ mod tests {
                 KernelLaunch::on(&device).grid(1).threads(256).run(&kernel);
                 let device_poses = poses.take().remove(0);
 
-                let desolv = filter::accumulate_desolvation(&results, 1);
-                let scores = filter::score_grid(&results, &desolv, &weights, 1);
                 let host_poses = filter::filter_top_k(&scores, k, exclusion_radius, rotation_index);
-                prop_assert_eq!(device_poses, host_poses);
+                let bits = |poses: &[Pose]| -> Vec<_> {
+                    poses.iter().map(|p| (p.rotation_index, p.translation, p.score.to_bits())).collect()
+                };
+                prop_assert_eq!(bits(&device_poses), bits(&host_poses));
+
+                let engine = FftCorrelationEngine::new(&receptor);
+                let place = (k, exclusion_radius);
+                let want = per_term::poses(&engine, &ligand, &weights, 4, place, rotation_index);
+                let tol = per_term::score_tolerance(&ligand, &receptor);
+                per_term::assert_places_and_scores_near(&device_poses, &want, tol);
             }
         }
     }

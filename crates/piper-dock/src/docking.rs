@@ -11,7 +11,7 @@
 //!   times for the GPU engine — which is what the Table 1 / Fig. 2(b) reproduction
 //!   compares, since the original hardware is not available.
 
-use crate::batched_fft::{self, BatchedFftEngine};
+use crate::batched_fft::{self, BatchedFftEngine, RotationBuffers};
 use crate::direct::{DirectCorrelationEngine, SparseLigand};
 use crate::fft_engine::FftCorrelationEngine;
 use crate::filter;
@@ -392,11 +392,42 @@ impl Docking {
         poses.extend(selected);
     }
 
+    /// FFT docking on the host. Each rotation builds its ligand grids, runs the
+    /// FFT engines' score routine (`ReceptorTransforms::score_rotation`) and
+    /// filters the score grid. `FftMulticore(n)` scores contiguous chunks of the
+    /// rotations on `min(n, rotations)` scoped threads (the caller runs the
+    /// first) and merges their poses in rotation order, so its poses are
+    /// `FftSerial`'s bit for bit; its wall step times are summed over the
+    /// threads. Its modeled correlation still divides the serial time by `n`,
+    /// which ROADMAP items 4 and 9 replace with a modeled multicore schedule.
     fn run_fft(&self, probe: &Probe, n_threads: usize) -> DockingRun {
         let engine = FftCorrelationEngine::new(&self.receptor);
+        let rotations = self.rotations.rotations();
+        let chunk = rotations.len().div_ceil(n_threads).max(1);
+        let score_chunk = |(i, chunk_rotations): (usize, &[ftmap_math::Rotation])| {
+            self.score_fft_rotations(&engine, probe, i * chunk, chunk_rotations)
+        };
+        let chunks: Vec<(Vec<Pose>, StepTimes)> = std::thread::scope(|scope| {
+            let mut chunks = rotations.chunks(chunk).enumerate();
+            let first = chunks.next();
+            let spawned: Vec<_> = chunks.map(|c| scope.spawn(move || score_chunk(c))).collect();
+            first
+                .map(score_chunk)
+                .into_iter()
+                .chain(spawned.into_iter().map(|handle| {
+                    handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+                }))
+                .collect()
+        });
         let mut poses = Vec::new();
         let mut wall = StepTimes::default();
-        let mut modeled = StepTimes::default();
+        for (chunk_poses, chunk_wall) in chunks {
+            poses.extend(chunk_poses);
+            wall.rotation_grid_s += chunk_wall.rotation_grid_s;
+            wall.correlation_s += chunk_wall.correlation_s;
+            wall.scoring_filtering_s += chunk_wall.scoring_filtering_s;
+        }
+        sort_best_first(&mut poses);
 
         let fft_counters = MemoryCounters {
             flops: engine.flops_per_rotation(),
@@ -414,33 +445,16 @@ impl Docking {
             global_writes: 2 * self.receptor.n_terms() as u64 * self.receptor.spec.len() as u64,
             ..Default::default()
         };
-        modeled.correlation_s += self.xeon.serial_time(&transform_counters);
         let rotation_counters = self.rotation_grid_counters(probe);
-
-        for (rot_idx, rotation) in self.rotations.iter().enumerate() {
-            let (ligand, grid_wall_s) = wall_timed(|| {
-                LigandGrids::build(
-                    &probe.atoms,
-                    rotation,
-                    self.config.spacing,
-                    self.config.n_desolv,
-                )
-            });
-            wall.rotation_grid_s += grid_wall_s;
+        let (acc_counters, score_counters) = self.host_finish_counters();
+        let mut modeled = StepTimes::default();
+        modeled.correlation_s += self.xeon.serial_time(&transform_counters);
+        for _ in rotations {
             modeled.rotation_grid_s += self.xeon.serial_time(&rotation_counters);
-
-            let (results, corr_wall_s) = wall_timed(|| engine.correlate_rotation(&ligand));
-            wall.correlation_s += corr_wall_s;
-            // The multicore baseline distributes whole rotations over cores, so the
-            // modeled per-rotation time divides by the thread count.
             modeled.correlation_s += self.xeon.serial_time(&fft_counters) / n_threads as f64;
-
-            self.finish_rotation_on_host(rot_idx, &results, &mut poses, &mut wall, &mut modeled);
+            modeled.accumulation_s += self.xeon.serial_time(&acc_counters);
+            modeled.scoring_filtering_s += self.xeon.serial_time(&score_counters);
         }
-        if n_threads > 1 {
-            wall.correlation_s /= n_threads as f64;
-        }
-        sort_best_first(&mut poses);
         DockingRun {
             poses,
             n_rotations: self.rotations.len(),
@@ -449,6 +463,41 @@ impl Docking {
             modeled_transfer_s: 0.0,
             grid: self.receptor.spec,
         }
+    }
+
+    /// Scores `rotations`, the rotation set's entries from index `base` on,
+    /// through the FFT engine on one thread, reusing one set of buffers: the
+    /// retained poses and the wall step times. Accumulation and scoring are
+    /// part of the score routine, so their wall is booked under correlation.
+    fn score_fft_rotations(
+        &self,
+        engine: &FftCorrelationEngine,
+        probe: &Probe,
+        base: usize,
+        rotations: &[ftmap_math::Rotation],
+    ) -> (Vec<Pose>, StepTimes) {
+        let config = &self.config;
+        let mut buffers = RotationBuffers::default();
+        let mut poses = Vec::new();
+        let mut wall = StepTimes::default();
+        for (i, rotation) in rotations.iter().enumerate() {
+            let (ligand, grid_wall_s) = wall_timed(|| {
+                LigandGrids::build(&probe.atoms, rotation, config.spacing, config.n_desolv)
+            });
+            wall.rotation_grid_s += grid_wall_s;
+            let ((), corr_wall_s) = wall_timed(|| {
+                let transforms = engine.transforms();
+                transforms.score_rotation(&ligand, &config.weights, config.n_desolv, &mut buffers)
+            });
+            wall.correlation_s += corr_wall_s;
+            let (selected, score_wall_s) = wall_timed(|| {
+                let (k, radius) = (config.poses_per_rotation, config.exclusion_radius);
+                buffers.top_k(self.receptor.spec.dim, k, radius, base + i)
+            });
+            wall.scoring_filtering_s += score_wall_s;
+            poses.extend(selected);
+        }
+        (poses, wall)
     }
 
     fn run_direct(&self, probe: &Probe, n_threads: usize) -> DockingRun {
@@ -719,9 +768,9 @@ mod tests {
 
     #[test]
     fn batched_fft_is_bit_identical_to_per_rotation_fft() {
-        // The tentpole correctness claim: across batch sizes (smaller than,
-        // not dividing, and exceeding the rotation count) the batched engine
-        // retains bit-identical poses to the per-rotation FFT path.
+        // The FFT engines share one score routine: across batch sizes (smaller
+        // than, not dividing, and exceeding the rotation count) the batched
+        // engine retains bit-identical poses to the per-rotation FFT path.
         let protein = protein();
         let probe = probe();
         let reference =
@@ -740,6 +789,62 @@ mod tests {
                 assert_eq!(a.score.to_bits(), b.score.to_bits(), "batch {batch}");
             }
             assert!(run.modeled_transfer_s > 0.0);
+        }
+
+        // Against the per-term path (one inverse per term, then accumulation,
+        // scoring and filtering on the host), rotation by rotation: the same
+        // pose places, scores within the naive oracle's tolerance.
+        let docking =
+            Docking::new(&protein.atoms, DockingConfig::small_test(DockingEngineKind::FftSerial));
+        let config = docking.config();
+        let engine = FftCorrelationEngine::new(docking.receptor());
+        for (rot_idx, rotation) in docking.rotations().iter().enumerate() {
+            let ligand =
+                LigandGrids::build(&probe.atoms, rotation, config.spacing, config.n_desolv);
+            let place = (config.poses_per_rotation, config.exclusion_radius);
+            let mut want = batched_fft::per_term::poses(
+                &engine,
+                &ligand,
+                &config.weights,
+                config.n_desolv,
+                place,
+                rot_idx,
+            );
+            let mut got: Vec<Pose> =
+                reference.poses.iter().filter(|p| p.rotation_index == rot_idx).copied().collect();
+            for poses in [&mut got, &mut want] {
+                poses.sort_by_key(|p| p.translation);
+            }
+            let tol = batched_fft::per_term::score_tolerance(&ligand, docking.receptor());
+            batched_fft::per_term::assert_places_and_scores_near(&got, &want, tol);
+        }
+    }
+
+    #[test]
+    fn fft_multicore_poses_equal_fft_serial_bit_for_bit() {
+        // Thread counts that divide the rotations, do not, and exceed them:
+        // the chunks' poses merge to `FftSerial`'s, bit for bit, and the
+        // modeled seconds are unchanged by the real threads.
+        let protein = protein();
+        let probe = probe();
+        let mut config = DockingConfig::small_test(DockingEngineKind::FftSerial);
+        config.n_rotations = 5;
+        let run = |engine| {
+            Docking::new(&protein.atoms, DockingConfig { engine, ..config.clone() }).run(&probe)
+        };
+        let bits = |run: &DockingRun| -> Vec<_> {
+            run.poses.iter().map(|p| (p.rotation_index, p.translation, p.score.to_bits())).collect()
+        };
+        let serial = run(DockingEngineKind::FftSerial);
+        assert_eq!(serial.poses.len(), 5 * config.poses_per_rotation);
+        for n in [2, 3, 5, 8] {
+            let multicore = run(DockingEngineKind::FftMulticore(n));
+            assert_eq!(bits(&multicore), bits(&serial), "FftMulticore({n})");
+            let steps =
+                |t: &StepTimes| [t.rotation_grid_s, t.accumulation_s, t.scoring_filtering_s];
+            assert_eq!(steps(&multicore.modeled), steps(&serial.modeled), "FftMulticore({n})");
+            assert!(multicore.modeled.correlation_s < serial.modeled.correlation_s);
+            assert!(multicore.wall.correlation_s > 0.0);
         }
     }
 

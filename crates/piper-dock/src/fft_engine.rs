@@ -6,16 +6,27 @@
 //! over all `N³` translations — `O(N³ log N)` per component instead of `O(N⁶)`.
 //! Fig. 2(b) shows this step dominating the per-rotation cost at ~93 %.
 //!
-//! The grids are real, so each term runs on half spectra
-//! ([`ReceptorTransforms::correlate_term`]: a real-input forward, the conjugate
-//! product over the `nz/2 + 1` stored z-bins, and a real-output inverse). The
-//! batched engine runs the same routine one step per launch, so the two engines'
-//! correlation grids are equal bit for bit by construction. The modeled figures
-//! ([`FftCorrelationEngine::flops_per_rotation`]) still price the paper's complex
-//! transforms.
+//! The grids are real, so every transform runs on half spectra (a real-input
+//! forward, the conjugate product over the `nz/2 + 1` stored z-bins, a
+//! real-output inverse). The pose score of Equation (2) is a fixed weighted sum of
+//! the term correlations and the inverse transform is linear, so the docking
+//! engines sum the weighted term products in the half spectrum and run **one**
+//! inverse per rotation, into the score grid
+//! ([`FftCorrelationEngine::rotation_score_grid`], the routine
+//! `ReceptorTransforms::score_rotation`). The batched engine runs the same
+//! routine one step per launch, so the two engines' poses are equal bit for bit
+//! by construction. [`FftCorrelationEngine::correlate_rotation`] keeps the
+//! per-term correlation grids as a capability of its own, built from the same
+//! steps; no docking engine calls it.
+//!
+//! **Modeled side.** The host uses linearity; the model prices the paper's
+//! algorithm: per rotation and term a complex forward transform, an `N³`
+//! modulation and a complex inverse
+//! ([`FftCorrelationEngine::flops_per_rotation`]), then accumulation and
+//! scoring over `N³` grids.
 
-use crate::batched_fft::ReceptorTransforms;
-use crate::grids::{LigandGrids, ReceptorGrids};
+use crate::batched_fft::{ReceptorTransforms, RotationBuffers};
+use crate::grids::{EnergyWeights, LigandGrids, ReceptorGrids};
 use ftmap_math::{Grid3, Real};
 
 /// The FFT correlation engine. Owns the receptor transforms (computed once) and the
@@ -72,10 +83,36 @@ impl FftCorrelationEngine {
             .collect()
     }
 
+    /// One rotation's Equation (2) score grid, through the score routine both
+    /// FFT docking engines run: one inverse transform of the weighted sum of the
+    /// term products, not one per term. `FftSerial` retains
+    /// [`crate::filter::filter_top_k`] of this grid.
+    ///
+    /// # Panics
+    /// Panics if the ligand has a different number of components than the
+    /// receptor, or `n_desolv` does not match the component count.
+    pub fn rotation_score_grid(
+        &self,
+        ligand: &LigandGrids,
+        weights: &EnergyWeights,
+        n_desolv: usize,
+    ) -> Grid3<Real> {
+        let mut buffers = RotationBuffers::default();
+        self.transforms.score_rotation(ligand, weights, n_desolv, &mut buffers);
+        let n = self.dim();
+        Grid3::from_vec(n, n, n, buffers.scores)
+    }
+
+    /// The receptor transforms and the score routine they run.
+    pub(crate) fn transforms(&self) -> &ReceptorTransforms {
+        &self.transforms
+    }
+
     /// Estimated floating-point work of correlating one rotation (used for modeled
     /// serial times): `n_terms × (2 forward/inverse transforms + N³ modulation)`.
     /// It prices the paper's complex transforms and products over all `N³`
-    /// points, not the host's half-spectrum arithmetic.
+    /// points and one inverse per term, not the host's arithmetic, which runs
+    /// over half spectra and inverse-transforms only the summed score.
     ///
     /// This is the **warm-transform** figure: the receptor's forward FFTs are
     /// amortized to zero per rotation, matching a batched-engine construction

@@ -12,7 +12,8 @@
 
 use crate::grids::{term_weight, EnergyWeights, WEIGHTED_TERMS};
 use crate::pose::Pose;
-use ftmap_math::{Grid3, Real};
+use ftmap_math::{Complex, Grid3, Real};
+use std::ops::{AddAssign, Mul};
 
 /// Sums the desolvation component results into a single grid.
 ///
@@ -67,11 +68,15 @@ const SCORE_CHUNK: usize = 256;
 /// through the voxels a chunk at a time, so every term value is read once and the
 /// desolvation totals never leave the stack. `scores` is overwritten in full,
 /// whatever it held.
-pub(crate) fn score_into<G: ResultGrid>(
+///
+/// The voxels may also be the bins of the terms' correlation spectra: Equation (2)
+/// is linear, so the same sum over spectra is the spectrum of the score grid
+/// ([`crate::batched_fft::ReceptorTransforms::score_products`]).
+pub(crate) fn score_into<T: Voxel, G: ResultGrid<T>>(
     term_results: &[G],
     weights: &EnergyWeights,
     n_desolv: usize,
-    scores: &mut [Real],
+    scores: &mut [T],
 ) {
     assert_eq!(term_results.len(), WEIGHTED_TERMS.len() + n_desolv, "unexpected term count");
     let (weighted, desolvation) = term_results.split_at(WEIGHTED_TERMS.len());
@@ -80,44 +85,60 @@ pub(crate) fn score_into<G: ResultGrid>(
         "output grid size"
     );
     let term_weights = WEIGHTED_TERMS.map(|kind| term_weight(kind, weights, n_desolv));
-    let mut totals = [0.0; SCORE_CHUNK];
+    let mut totals = [T::default(); SCORE_CHUNK];
     for (chunk, out) in scores.chunks_mut(SCORE_CHUNK).enumerate() {
         let span = chunk * SCORE_CHUNK..chunk * SCORE_CHUNK + out.len();
         let totals = &mut totals[..out.len()];
-        totals.fill(0.0);
+        totals.fill(T::default());
         for grid in desolvation {
             for (dst, src) in totals.iter_mut().zip(&grid.values()[span.clone()]) {
-                *dst += src;
+                *dst += *src;
             }
         }
-        out.fill(0.0);
+        out.fill(T::default());
         for (grid, w) in weighted.iter().zip(term_weights) {
             for (dst, src) in out.iter_mut().zip(&grid.values()[span.clone()]) {
-                *dst += w * src;
+                *dst += *src * w;
             }
         }
         for (dst, total) in out.iter_mut().zip(totals.iter()) {
-            *dst += weights.desolv * total;
+            *dst += *total * weights.desolv;
         }
     }
 }
 
-/// A correlation result grid as [`score_into`] reads it: one real value per voxel,
-/// in grid order.
-pub(crate) trait ResultGrid {
-    /// The voxel values, in grid order.
-    fn values(&self) -> &[Real];
+/// A value [`score_into`] sums: a real voxel, or a complex spectrum bin. Its
+/// default is `+0.0`, and scaling by a weight is IEEE multiplication, so the
+/// two orders of a product give the same bits.
+pub(crate) trait Voxel: Copy + Default + AddAssign + Mul<Real, Output = Self> {}
+
+impl Voxel for Real {}
+
+impl Voxel for Complex {}
+
+/// A correlation result as [`score_into`] reads it: one value per voxel (or
+/// spectrum bin), in grid order.
+pub(crate) trait ResultGrid<T> {
+    /// The values, in grid order.
+    fn values(&self) -> &[T];
 }
 
-impl ResultGrid for Grid3<Real> {
+impl ResultGrid<Real> for Grid3<Real> {
     fn values(&self) -> &[Real] {
         self.as_slice()
     }
 }
 
 /// One span of a kept result grid, as a direct-correlation block writes it.
-impl ResultGrid for &mut [Real] {
-    fn values(&self) -> &[Real] {
+impl<T> ResultGrid<T> for &mut [T] {
+    fn values(&self) -> &[T] {
+        self
+    }
+}
+
+/// A kept spectrum, as the FFT engines' score routine sums it.
+impl<T> ResultGrid<T> for Vec<T> {
+    fn values(&self) -> &[T] {
         self
     }
 }

@@ -18,7 +18,10 @@
 //!   the pose list must be `filter::filter_top_k` over the naive score grid.
 //! * `FftSerial` and `BatchedFft` evaluate the same sum through the
 //!   convolution theorem, on real-input transforms over the half spectrum,
-//!   so they match within [`fft_tolerance`].
+//!   so they match within [`fft_tolerance`]. Docking, both score a rotation
+//!   with one inverse transform of the weighted sum of the term products, so
+//!   their scores match the naive score grid within twice the sum of the
+//!   per-term tolerances.
 
 use ftmap_math::{Grid3, Real, RotationSet};
 use ftmap_molecule::{ForceField, Probe, ProbeType, ProteinSpec, SyntheticProtein};
@@ -261,6 +264,66 @@ fn check_engines(receptor: &ReceptorGrids, ligands: &[LigandGrids]) {
     }
 }
 
+/// Checks `FftSerial`'s retained poses — `filter::filter_top_k` over the
+/// engine's score routine, 3 poses per rotation, exclusion radius 1 — the way
+/// `check_engines` checks `BatchedFft`'s: each must carry the score the naive
+/// grids give its translation, within twice the per-term tolerances' sum.
+fn check_fft_serial_poses(receptor: &ReceptorGrids, ligands: &[LigandGrids]) {
+    let weights = EnergyWeights::default();
+    let fft = FftCorrelationEngine::new(receptor);
+    for (slot, ligand) in ligands.iter().enumerate() {
+        let scores = score_grid(&naive_rotation(ligand, receptor), &weights);
+        let tol = score_tolerance(ligand, receptor);
+        let routine = fft.rotation_score_grid(ligand, &weights, N_DESOLV);
+        let poses = filter::filter_top_k(&routine, 3, 1, slot);
+        assert_eq!(poses.len(), 3, "slot {slot}");
+        for pose in &poses {
+            let (x, y, z) = pose.translation;
+            let want = *scores.at(x, y, z);
+            assert!((pose.score - want).abs() <= tol, "FftSerial slot {slot}: {pose:?} vs {want}");
+        }
+    }
+}
+
+/// Twice the sum over terms of [`fft_tolerance`]: how far an FFT engine's
+/// Equation (2) score may lie from the naive grids' (every default weight is
+/// at most 1 in magnitude; the factor 2 covers the rounding of the sums).
+fn score_tolerance(ligand: &LigandGrids, receptor: &ReceptorGrids) -> Real {
+    let per_term = ligand.terms.iter().zip(&receptor.terms).map(|(l, r)| fft_tolerance(l, r));
+    per_term.sum::<Real>() * 2.0
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Random 3³ and 4³ footprints (with `±0.0` voxels) over random 16³
+    /// receptor grids: the FFT engines' score routine, which sums the weighted
+    /// term products in the half spectrum and inverse-transforms once, stays
+    /// within twice the per-term tolerances' sum of the naive score grid at
+    /// every voxel, and `FftSerial`'s retained poses carry naive scores.
+    #[test]
+    fn fft_score_routine_matches_the_naive_score_grid_at_16(
+        seed in 0u64..u64::MAX,
+        footprints in prop::collection::vec(3usize..5, 2),
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let receptor = receptor(16, Some(rng.gen_range(0..u64::MAX)));
+        let ligands: Vec<LigandGrids> =
+            footprints.iter().map(|&dim| random_ligand(dim, &mut rng)).collect();
+        let weights = EnergyWeights::default();
+        let fft = FftCorrelationEngine::new(&receptor);
+        for ligand in &ligands {
+            let want = score_grid(&naive_rotation(ligand, &receptor), &weights);
+            let got = fft.rotation_score_grid(ligand, &weights, N_DESOLV);
+            let tol = score_tolerance(ligand, &receptor);
+            for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                prop_assert!((a - b).abs() <= tol, "voxel {}: {} vs {} (±{})", i, a, b, tol);
+            }
+        }
+        check_fft_serial_poses(&receptor, &ligands);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -321,6 +384,7 @@ fn engines_match_the_naive_correlation_at_32() {
         assert!((3..=4).contains(&ligand.dim), "footprint {}", ligand.dim);
     }
     check_engines(&receptor, &ligands);
+    check_fft_serial_poses(&receptor, &ligands);
 }
 
 #[test]
@@ -332,4 +396,5 @@ fn engines_match_the_naive_correlation_on_noise_at_32() {
     let receptor = receptor(32, Some(rng.gen_range(0..u64::MAX)));
     let ligands: Vec<LigandGrids> = (0..2).map(|_| random_ligand(4, &mut rng)).collect();
     check_engines(&receptor, &ligands);
+    check_fft_serial_poses(&receptor, &ligands);
 }

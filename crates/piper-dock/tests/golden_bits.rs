@@ -18,7 +18,11 @@
 //! the complex transform's in the last bits; the naive oracle in
 //! `correlation_oracle.rs` bounds those values. What that change promised to
 //! keep — which poses are retained, every modeled second and the ledger — is
-//! pinned by hashes recorded before it.
+//! pinned by hashes recorded before it. The three hashes that carry pose scores
+//! (the batched poses and both FFT docking runs) were re-recorded once more
+//! when the FFT engines began to sum the weighted term products in the half
+//! spectrum and inverse-transform only the score grid; the pose places,
+//! modeled seconds and ledger held.
 
 use ftmap_math::fft::{Direction, Fft3Plan};
 use ftmap_math::{Complex, Grid3, Real, RotationSet};
@@ -208,7 +212,7 @@ fn batched_fft_transforms_poses_and_ledger_are_unchanged() {
     write_ledger(&mut ledger, &out.ledger);
     assert_golden(&[
         ("receptor transforms".into(), transforms.finish(), 0xa056_a0e9_cf9f_cb97),
-        ("dock_batch poses and transfers".into(), poses.finish(), 0x6c9e_de96_215d_36b5),
+        ("dock_batch poses and transfers".into(), poses.finish(), 0x2bfb_c484_d13b_2238),
         ("dock_batch ledger".into(), ledger.finish(), 0x737e_f967_1f3f_4b7b),
     ]);
 }
@@ -238,8 +242,8 @@ fn docking_run_hashes(cases: &[(DockingEngineKind, u64)]) -> Vec<(String, u64, u
 #[test]
 fn fft_docking_runs_are_unchanged() {
     assert_golden(&docking_run_hashes(&[
-        (DockingEngineKind::FftSerial, 0x3f31_531d_1693_f737),
-        (DockingEngineKind::BatchedFft { batch: 3 }, 0xf5e8_bc85_8e44_6698),
+        (DockingEngineKind::FftSerial, 0x170b_b4d3_c5f7_e4b0),
+        (DockingEngineKind::BatchedFft { batch: 3 }, 0x2c51_ad8d_c4bf_71d7),
     ]));
 }
 
