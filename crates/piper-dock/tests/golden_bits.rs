@@ -22,7 +22,9 @@
 //! (the batched poses and both FFT docking runs) were re-recorded once more
 //! when the FFT engines began to sum the weighted term products in the half
 //! spectrum and inverse-transform only the score grid; the pose places,
-//! modeled seconds and ledger held.
+//! modeled seconds and ledger held. The `FftMulticore(3)` run, whose modeled
+//! correlation divides by its thread count, was recorded before the engines
+//! were brought under one docking driver.
 
 use ftmap_math::fft::{Direction, Fft3Plan};
 use ftmap_math::{Complex, Grid3, Real, RotationSet};
@@ -243,6 +245,7 @@ fn docking_run_hashes(cases: &[(DockingEngineKind, u64)]) -> Vec<(String, u64, u
 fn fft_docking_runs_are_unchanged() {
     assert_golden(&docking_run_hashes(&[
         (DockingEngineKind::FftSerial, 0x170b_b4d3_c5f7_e4b0),
+        (DockingEngineKind::FftMulticore(3), 0xc13b_2b58_21a0_05f1),
         (DockingEngineKind::BatchedFft { batch: 3 }, 0x2c51_ad8d_c4bf_71d7),
     ]));
 }
