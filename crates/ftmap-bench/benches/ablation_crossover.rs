@@ -4,8 +4,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ftmap_bench::DockingWorkload;
 use ftmap_math::Rotation;
 use piper_dock::direct::{DirectCorrelationEngine, SparseLigand};
-use piper_dock::fft_engine::FftCorrelationEngine;
 use piper_dock::grids::{GridSpec, LigandGrids, ReceptorGrids};
+use piper_dock::ReceptorTransforms;
 use std::time::Duration;
 
 fn bench_crossover(c: &mut Criterion) {
@@ -13,7 +13,7 @@ fn bench_crossover(c: &mut Criterion) {
     let spec = GridSpec::centered_on(&w.protein.atoms, ftmap_bench::BENCH_GRID_DIM, 1.5);
     let receptor = ReceptorGrids::build(&w.protein.atoms, spec, 4);
     let direct = DirectCorrelationEngine::new(&receptor);
-    let fft = FftCorrelationEngine::new(&receptor);
+    let fft = ReceptorTransforms::new(&receptor);
 
     let mut group = c.benchmark_group("ablation_correlation_crossover");
     group.sample_size(10).measurement_time(Duration::from_secs(4));
@@ -28,7 +28,7 @@ fn bench_crossover(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("direct", format!("footprint_{}", ligand.dim)),
             &sparse,
-            |b, sparse| b.iter(|| std::hint::black_box(direct.correlate_rotation_serial(sparse))),
+            |b, sparse| b.iter(|| std::hint::black_box(direct.correlate_rotation(sparse))),
         );
         group.bench_with_input(
             BenchmarkId::new("fft", format!("footprint_{}", ligand.dim)),

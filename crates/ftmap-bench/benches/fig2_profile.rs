@@ -4,15 +4,15 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use ftmap_bench::DockingWorkload;
 use ftmap_math::Rotation;
 use piper_dock::direct::SparseLigand;
-use piper_dock::fft_engine::FftCorrelationEngine;
 use piper_dock::grids::{GridSpec, LigandGrids, ReceptorGrids};
+use piper_dock::ReceptorTransforms;
 use std::time::Duration;
 
 fn bench_fig2(c: &mut Criterion) {
     let w = DockingWorkload::standard();
     let spec = GridSpec::centered_on(&w.protein.atoms, ftmap_bench::BENCH_GRID_DIM, 1.5);
     let receptor = ReceptorGrids::build(&w.protein.atoms, spec, 4);
-    let fft = FftCorrelationEngine::new(&receptor);
+    let fft = ReceptorTransforms::new(&receptor);
     let ligand = LigandGrids::build(&w.probe.atoms, &Rotation::identity(), 1.5, 4);
 
     let mut group = c.benchmark_group("fig2_docking_steps");

@@ -6,7 +6,7 @@
 //! * **Warm-receptor speedup** — with the receptor's forward transforms and
 //!   FFT plan resident (derived residency hit), the batched engine's modeled
 //!   per-rotation time must stay ≥ 2× below the per-rotation
-//!   `FftCorrelationEngine` path, which recomputes the receptor transforms
+//!   `FftSerial` path, which recomputes the receptor transforms
 //!   every run and correlates one rotation per pass.
 //! * **Download reduction** — the fused epilogue scores and top-K-filters on
 //!   the device before any download, so only retained poses are

@@ -216,7 +216,7 @@ pub fn crossover_sweep() -> Vec<(usize, usize, f64, f64)> {
     let protein = SyntheticProtein::generate(&ProteinSpec::medium(), &ff);
     let spec = GridSpec::centered_on(&protein.atoms, BENCH_GRID_DIM, 1.5);
     let receptor = ReceptorGrids::build(&protein.atoms, spec, 4);
-    let fft = piper_dock::fft_engine::FftCorrelationEngine::new(&receptor);
+    let fft = piper_dock::ReceptorTransforms::new(&receptor);
     let direct = piper_dock::direct::DirectCorrelationEngine::new(&receptor);
     let xeon = CostModel::new(DeviceSpec::xeon_core());
     let fft_ms = 1e3

@@ -521,7 +521,7 @@ impl FtMapPipeline {
         // transfer time it folded into its modeled steps, so those seconds are
         // counted by the transfer stages, not the compute stage.
         let kernel_modeled_s = run.modeled.total() - run.modeled_transfer_s;
-        let rotations = Arc::clone(docking.rotations_arc());
+        let rotations = Arc::clone(docking.rotations());
         DockedProbe { probe: probe.clone(), run, rotations, profile, kernel_modeled_s }
     }
 

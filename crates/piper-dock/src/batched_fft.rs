@@ -1,57 +1,49 @@
-//! Batched FFT docking with receptor-transform residency and a fused top-K
-//! epilogue.
+//! FFT correlation, the original PIPER scoring engine: on the host
+//! ([`ReceptorTransforms`], which `FftSerial` and `FftMulticore` dock through) and
+//! batched on the device model ([`BatchedFftEngine`]).
 //!
-//! The per-rotation FFT path ([`crate::fft_engine::FftCorrelationEngine`])
-//! launches one correlation per rotation and materializes full `N³` score
-//! grids on the host before filtering. This engine restructures the same
-//! mathematics around three bandwidth disciplines:
+//! Per rotation and term, PIPER forward-transforms the ligand grid, multiplies it
+//! with the conjugate of the receptor grid's transform (computed once) and
+//! inverse-transforms the product: the correlation over all `N³` translations in
+//! `O(N³ log N)`, the step that takes ~93 % of a rotation in Fig. 2(b). The batched
+//! engine adds three bandwidth disciplines:
 //!
-//! 1. **Receptor-transform residency.** The forward FFTs of the receptor
-//!    component grids (and the twiddle-table plan that produced them) are a
-//!    pure function of the resident receptor grids, so they are cached as a
-//!    *derived* payload next to the raw grids in the device's
+//! 1. **Receptor-transform residency.** The receptor's transforms and their plan
+//!    are cached as a *derived* payload next to the raw grids in the device's
 //!    [`gpu_sim::ResidencyCache`] (keyed by
-//!    [`ResidencyCache::derived_key`](gpu_sim::ResidencyCache::derived_key)
-//!    under [`RECEPTOR_TRANSFORM_TAG`]). A warm receptor skips straight to
-//!    ligand-side transforms: zero upload bytes *and* zero transform flops.
-//! 2. **Batched launches.** Many rotations are packed into single large
-//!    modeled launches — one batched forward transform over all ligand grids,
-//!    one pointwise conjugate-multiply against the resident receptor
-//!    transforms, one batched inverse — instead of per-rotation loops, so
-//!    launch count grows with batches, not rotations.
+//!    [`ResidencyCache::derived_key`](gpu_sim::ResidencyCache::derived_key) under
+//!    [`RECEPTOR_TRANSFORM_TAG`]): a warm receptor costs zero upload bytes and
+//!    zero transform flops.
+//! 2. **Batched launches.** One forward, one conjugate-multiply and one inverse
+//!    launch per batch of rotations, so launch count grows with batches.
 //! 3. **Fused top-K epilogue.** Top-K filtering (exact [`crate::filter`]
-//!    semantics) runs inside the correlation epilogue *before any download*,
-//!    which also stands for the modeled accumulation and scoring: only the
-//!    retained poses are transfer-accounted, and the full `N³` score grids
-//!    never cross the modeled PCIe link.
+//!    semantics) runs before any download, so only the retained poses cross the
+//!    modeled PCIe link, never the `N³` score grids.
 //!
-//! Per rotation, both FFT engines run one score routine,
+//! Both engines run one score routine per rotation,
 //! [`ReceptorTransforms::score_rotation`]: a real-input forward transform of each
 //! zero-padded ligand term into its half spectrum (`N × N × (N/2 + 1)` bins,
 //! [`Fft3Plan::forward_real_padded_into`]), the conjugate product with the
 //! receptor term's half spectrum, the Equation (2) sum of the products in the
 //! order of [`filter::score_into`] (desolvation products from `+0.0`, then the
 //! weighted terms from `+0.0`, then `w_desolv` times the desolvation sum), and
-//! **one** real-output inverse of that sum, which is the rotation's score grid.
-//! The inverse transform is linear, so the score needs no per-term correlation
-//! grid: per rotation, `n_terms − 1` inverses and their `N³` grids are never
-//! made. This engine runs the steps as its launches — forward, multiply, then
-//! sum and inverse in the inverse launch — and the epilogue filters the score
-//! grid, so its retained poses are bit-identical to `FftSerial`'s by
-//! construction. Against the per-term path
-//! ([`crate::fft_engine::FftCorrelationEngine::correlate_rotation`] followed by
+//! **one** real-output inverse of that sum, the rotation's score grid: the
+//! inverse is linear, so no per-term correlation grid is made. The batched engine
+//! runs the steps as its launches, so its poses are `FftSerial`'s bit for bit.
+//! Against the per-term path ([`ReceptorTransforms::correlate_rotation`], then
 //! the host accumulate/score/filter tail) the scores differ in their last bits,
-//! within the naive oracle's tolerance, and on every case the tests check the
-//! retained pose places are the same.
+//! within the naive oracle's tolerance, and the tests check the retained pose
+//! places are the same.
 //!
-//! **Modeled side.** The host uses linearity; the model still prices the
-//! paper's algorithm. The launches, their counters, the upload and download
-//! bytes, [`TransformResidency`]'s seconds and
-//! [`ReceptorTransforms::resident_bytes`] all price *complex* transforms of full
-//! `N³` grids, with one inverse per (rotation, term): the inverse launch keeps
-//! its `batch × n_terms` blocks, of which the leading ones are counted
-//! ([`BlockKernel::counted_blocks`]) and the last `batch` do the host's work,
-//! and the epilogue still records accumulation and scoring.
+//! **Modeled side.** The model prices the paper's algorithm, not the host's: per
+//! rotation and term a complex forward transform, an `N³` modulation and a
+//! complex inverse ([`ReceptorTransforms::flops_per_rotation`]), then accumulation
+//! and scoring over `N³` grids. The batched launches, their counters, the
+//! transfers, [`TransformResidency`]'s seconds and
+//! [`ReceptorTransforms::resident_bytes`] price complex `N³` transforms too: the
+//! inverse launch keeps its `batch × n_terms` blocks, of which the leading ones
+//! are counted ([`BlockKernel::counted_blocks`]) and the last `batch` do the
+//! host's work, and the epilogue still records accumulation and scoring.
 //!
 //! A batch's grid-sized buffers are kept device buffers
 //! ([`Device::result_buffer`]), so a warm batch allocates none: per slot a half
@@ -84,11 +76,11 @@ pub(crate) const PHASE_INVERSE_FFT: &str = "inverse_fft";
 /// Ledger phase name for the fused accumulate + score + top-K epilogue.
 pub(crate) const PHASE_FUSED_EPILOGUE: &str = "fused_epilogue";
 
-/// The receptor-side state the batched engine shares across constructions: the
-/// half spectrum of each receptor component grid plus the twiddle-table plan
-/// that produced them, and the score routine every FFT engine runs
-/// (`ReceptorTransforms::score_rotation`, or its steps one launch at a time),
-/// so every transform in a docking run replays the same arithmetic.
+/// The host FFT engine, and the receptor-side state the batched engine shares
+/// across constructions: the half spectrum of each receptor component grid plus
+/// the twiddle-table plan that produced them, and the score routine every FFT
+/// engine runs (`ReceptorTransforms::score_rotation`, or its steps one launch at
+/// a time), so every transform in a docking run replays the same arithmetic.
 pub struct ReceptorTransforms {
     dim: usize,
     plan: Fft3Plan,
@@ -96,17 +88,15 @@ pub struct ReceptorTransforms {
 }
 
 impl ReceptorTransforms {
-    /// Forward-transforms every receptor component grid with a fresh plan.
-    ///
-    /// [`crate::fft_engine::FftCorrelationEngine::new`] calls this; the batched
-    /// engine makes the same [`Fft3Plan::forward_real_padded_into`] call per
-    /// term, one block each, so both paths start from the same spectra by
-    /// construction. The
-    /// receptor grids are full-size, so the forward pads and skips nothing.
+    /// Forward-transforms every receptor component grid with a fresh plan: the
+    /// host FFT engine. The batched engine makes the same
+    /// [`Fft3Plan::forward_real_padded_into`] call per term, one block each, so
+    /// both paths start from the same spectra by construction. The receptor
+    /// grids are full-size, so the forward pads and skips nothing.
     ///
     /// # Panics
     /// Panics if the receptor grid dimension is not a power of two.
-    pub(crate) fn compute(receptor: &ReceptorGrids) -> Self {
+    pub fn new(receptor: &ReceptorGrids) -> Self {
         let plan = Self::plan_for(receptor);
         let term_ffts = receptor
             .terms
@@ -162,6 +152,17 @@ impl ReceptorTransforms {
         self.plan.flops_per_transform()
     }
 
+    /// Estimated floating-point work of correlating one rotation, for modeled
+    /// serial times: `n_terms × (2 forward/inverse transforms + N³ modulation)`.
+    /// It prices the paper's complex transforms and products over all `N³`
+    /// points and one inverse per term, not the host's half-spectrum arithmetic,
+    /// and counts the receptor's transforms as done (the warm figure the batched
+    /// engine shares; the host charges them once per docking run).
+    pub fn flops_per_rotation(&self) -> u64 {
+        let n3 = self.dim.pow(3) as u64;
+        self.n_terms() as u64 * (2 * self.flops_per_transform() + 6 * n3)
+    }
+
     /// Step 1 of a term's correlation: the half spectrum of the ligand grid,
     /// zero-padded into the plan's dimensions, into a kept buffer — the call
     /// that transformed the receptor grids.
@@ -177,21 +178,43 @@ impl ReceptorTransforms {
         }
     }
 
-    /// One term's correlation grid, for
-    /// [`crate::fft_engine::FftCorrelationEngine::correlate_rotation`]: steps 1
-    /// and 2, then the real inverse of the product into `correlation`, with
-    /// `spectrum` as workspace. No docking engine calls it; they score through
-    /// [`ReceptorTransforms::score_rotation`].
-    pub(crate) fn correlate_term(
+    /// One `N³` correlation grid per component of the ligand, `result[d]` the
+    /// score of translating the probe by `d` voxels (cyclic): per term, steps 1
+    /// and 2 and the real inverse of the product. The per-term reference the
+    /// tests and benches compare with; no docking engine calls it.
+    ///
+    /// # Panics
+    /// Panics if the ligand has a different number of components than the receptor.
+    pub fn correlate_rotation(&self, ligand: &LigandGrids) -> Vec<Grid3<Real>> {
+        assert_eq!(ligand.n_terms(), self.n_terms(), "ligand term count must match receptor");
+        let n = self.dim;
+        let mut spectrum = Vec::new();
+        let correlate = |(term, grid): (usize, &Grid3<Real>)| {
+            self.forward_ligand(grid, &mut spectrum);
+            self.conj_multiply(term, &mut spectrum);
+            let mut correlation = Vec::new();
+            self.plan.inverse_real_into(&mut spectrum, &mut correlation);
+            Grid3::from_vec(n, n, n, correlation)
+        };
+        ligand.terms.iter().enumerate().map(correlate).collect()
+    }
+
+    /// One rotation's Equation (2) score grid, by the FFT engines' score routine
+    /// (`ReceptorTransforms::score_rotation`) on fresh buffers.
+    ///
+    /// # Panics
+    /// Panics if the ligand has a different number of components than the
+    /// receptor, or `n_desolv` does not match the component count.
+    pub fn rotation_score_grid(
         &self,
-        term: usize,
-        ligand: &Grid3<Real>,
-        spectrum: &mut Vec<Complex>,
-        correlation: &mut Vec<Real>,
-    ) {
-        self.forward_ligand(ligand, spectrum);
-        self.conj_multiply(term, spectrum);
-        self.plan.inverse_real_into(spectrum, correlation);
+        ligand: &LigandGrids,
+        weights: &EnergyWeights,
+        n_desolv: usize,
+    ) -> Grid3<Real> {
+        let mut buffers = RotationBuffers::default();
+        self.score_rotation(ligand, weights, n_desolv, &mut buffers);
+        let n = self.dim;
+        Grid3::from_vec(n, n, n, buffers.scores)
     }
 
     /// Steps 3 and 4 of a rotation's score, over the term products that steps 1
@@ -442,15 +465,16 @@ impl<'a> BatchedFftEngine<'a> {
             .sum();
         let upload_s = self.device.upload_bytes(ligand_bytes as u64);
 
-        // Kept device buffers, per slot: a half spectrum per term, which the
-        // forward kernel sizes and overwrites in full, the summed spectrum and
-        // the score grid, which the inverse kernel overwrites in full.
+        // Kept device buffers at their working lengths, per slot: a half
+        // spectrum per term, which the forward kernel resets and overwrites in
+        // full, the summed spectrum and the score grid, which the inverse
+        // kernel overwrites in full.
         let (n3, bins) = (n * n * n, self.transforms.term_fft(0).len());
         let grids = BatchGrids {
             slots: (0..batch.len())
                 .map(|_| {
                     Staged::new(RotationBuffers {
-                        spectra: (0..n_terms).map(|_| self.device.result_buffer(0)).collect(),
+                        spectra: (0..n_terms).map(|_| self.device.result_buffer(bins)).collect(),
                         summed: self.device.result_buffer(bins),
                         scores: self.device.result_buffer(n3),
                     })
@@ -736,12 +760,11 @@ impl BlockKernel for FusedEpilogueKernel<'_> {
 }
 
 /// The per-term path the FFT engines' score routine replaced, as a test
-/// reference: [`crate::fft_engine::FftCorrelationEngine::correlate_rotation`],
+/// reference: [`ReceptorTransforms::correlate_rotation`],
 /// then the host's accumulation, scoring and filtering.
 #[cfg(test)]
 pub(crate) mod per_term {
     use super::*;
-    use crate::fft_engine::FftCorrelationEngine;
 
     /// How far a score may lie from the per-term path's: twice the sum over
     /// terms of the naive oracle's `8 · log2(N³) · ε · Σ|L| · max|R|`
@@ -757,7 +780,7 @@ pub(crate) mod per_term {
 
     /// The per-term path's retained poses for one rotation.
     pub(crate) fn poses(
-        engine: &FftCorrelationEngine,
+        engine: &ReceptorTransforms,
         ligand: &LigandGrids,
         weights: &EnergyWeights,
         n_desolv: usize,
@@ -786,9 +809,8 @@ pub(crate) mod per_term {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fft_engine::FftCorrelationEngine;
     use crate::grids::GridSpec;
-    use ftmap_math::RotationSet;
+    use ftmap_math::{Rotation, RotationSet, Vec3};
     use ftmap_molecule::{ForceField, Probe, ProbeType, ProteinSpec, SyntheticProtein};
 
     fn setup(dim: usize) -> (ReceptorGrids, Probe) {
@@ -943,7 +965,7 @@ mod tests {
 
         // The shared score routine, one rotation at a time, on its own buffers:
         // bit-identical poses, scores included.
-        let reference = FftCorrelationEngine::new(&shared);
+        let reference = ReceptorTransforms::new(&shared);
         let mut buffers = RotationBuffers::default();
         for (slot, ligand) in batch.iter().enumerate() {
             engine.transforms().score_rotation(ligand, &weights, 4, &mut buffers);
@@ -1068,7 +1090,7 @@ mod tests {
                 let ligand = LigandGrids::build(&probe.atoms, &RotationSet::uniform(1).rotations()[0], 2.0, 4);
                 let weights =
                     EnergyWeights { shape_core: 1.0, shape_attr: 0.0, elec: 0.0, desolv: 0.0 };
-                let transforms = ReceptorTransforms::compute(&receptor);
+                let transforms = ReceptorTransforms::new(&receptor);
                 let mut buffers = RotationBuffers::default();
                 transforms.score_rotation(&ligand, &weights, 4, &mut buffers);
                 let scores = Grid3::from_vec(n, n, n, buffers.scores.clone());
@@ -1094,13 +1116,72 @@ mod tests {
                 };
                 prop_assert_eq!(bits(&device_poses), bits(&host_poses));
 
-                let engine = FftCorrelationEngine::new(&receptor);
                 let place = (k, exclusion_radius);
-                let want = per_term::poses(&engine, &ligand, &weights, 4, place, rotation_index);
+                let want = per_term::poses(&transforms, &ligand, &weights, 4, place, rotation_index);
                 let tol = per_term::score_tolerance(&ligand, &receptor);
                 per_term::assert_places_and_scores_near(&device_poses, &want, tol);
             }
         }
+    }
+
+    #[test]
+    fn result_grids_have_receptor_dimensions() {
+        let (receptor, probe) = setup(16);
+        let ligand = LigandGrids::build(&probe.atoms, &Rotation::identity(), 2.0, 4);
+        let engine = ReceptorTransforms::new(&receptor);
+        assert_eq!(engine.dim(), 16);
+        assert_eq!(engine.n_terms(), 8);
+        let results = engine.correlate_rotation(&ligand);
+        assert_eq!(results.len(), 8);
+        for r in &results {
+            assert_eq!(r.dims(), (16, 16, 16));
+        }
+    }
+
+    #[test]
+    fn correlation_of_unit_ligand_voxel_reproduces_receptor() {
+        // A ligand grid with a single 1.0 at its origin correlates to (a copy of) the
+        // receptor grid itself — the delta-function identity of correlation.
+        let (receptor, probe) = setup(16);
+        let engine = ReceptorTransforms::new(&receptor);
+        let mut ligand = LigandGrids::build(&probe.atoms, &Rotation::identity(), 2.0, 4);
+        for term in &mut ligand.terms {
+            term.clear();
+        }
+        *ligand.terms[0].at_mut(0, 0, 0) = 1.0;
+
+        let results = engine.correlate_rotation(&ligand);
+        for x in 0..16 {
+            for y in 0..16 {
+                for z in 0..16 {
+                    let expect = *receptor.terms[0].at(x, y, z);
+                    let got = *results[0].at(x, y, z);
+                    assert!((expect - got).abs() < 1e-6, "({x},{y},{z}): {expect} vs {got}");
+                }
+            }
+        }
+        // Terms with an all-zero ligand grid give an all-zero result.
+        assert!(results[2].as_slice().iter().all(|v| v.abs() < 1e-6));
+    }
+
+    #[test]
+    #[should_panic(expected = "term count")]
+    fn mismatched_term_count_panics() {
+        let (receptor, probe) = setup(16);
+        let ligand = LigandGrids::build(&probe.atoms, &Rotation::identity(), 2.0, 2);
+        let _ = ReceptorTransforms::new(&receptor).correlate_rotation(&ligand);
+    }
+
+    #[test]
+    fn flops_estimate_scales_with_terms_and_size() {
+        let (receptor, _) = setup(16);
+        let ff = ForceField::charmm_like();
+        let protein = SyntheticProtein::generate(&ProteinSpec::small_test(), &ff);
+        let spec = GridSpec { dim: 32, spacing: 1.5, origin: Vec3::splat(-24.0) };
+        let receptor32 = ReceptorGrids::build(&protein.atoms, spec, 4);
+        let (engine16, engine32) =
+            (ReceptorTransforms::new(&receptor), ReceptorTransforms::new(&receptor32));
+        assert!(engine32.flops_per_rotation() > engine16.flops_per_rotation());
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! `O(N³ · n³)` direct sum beats the `O(N³ log N)` FFT: it parallelizes trivially, all
 //! components can be evaluated in one pass over the receptor grid, several rotations
 //! can share each receptor fetch, and there is no transform overhead (paper §III, and
-//! the earlier FPGA/GPU PIPER studies it cites). This module provides the serial and
-//! multicore host implementations; the device-model version lives in [`crate::gpu`].
+//! the earlier FPGA/GPU PIPER studies it cites). This module provides the host engine,
+//! which `DirectSerial` and `DirectMulticore` dock through (the multicore kind scores
+//! contiguous rotation chunks on host threads, [`crate::docking`]); the device-model
+//! version lives in [`crate::gpu`].
 //!
-//! All three run one slab routine, a sparse `conv3d` with its loops inverted: per
+//! Both run one slab routine, a sparse `conv3d` with its loops inverted: per
 //! ligand entry, `value × receptor row` is added into each output row, as two
 //! segments split at the cyclic `z` wrap. Each voxel still sums in entry order from
 //! `+0.0`, so the bits are those of the per-voxel sum. The GPU kernel's counters
@@ -83,49 +85,29 @@ impl<'a> DirectCorrelationEngine<'a> {
         DirectCorrelationEngine { receptor }
     }
 
-    /// The receptor grid dimension.
-    pub fn dim(&self) -> usize {
-        self.receptor.spec.dim
-    }
-
-    /// Correlates one rotation serially, returning one result grid per component.
+    /// Correlates one rotation, returning one result grid per component.
     /// `result_t[d] = Σ_v L_t[v] · R_t[(v + d) mod N]`, matching the FFT engine's
     /// cyclic convention exactly.
-    pub fn correlate_rotation_serial(&self, ligand: &SparseLigand) -> Vec<Grid3<Real>> {
-        self.correlate_rotation_multicore(ligand, 1)
+    pub fn correlate_rotation(&self, ligand: &SparseLigand) -> Vec<Grid3<Real>> {
+        let mut results = Vec::new();
+        self.correlate_into(ligand, &mut results);
+        results
     }
 
-    /// Correlates one rotation with the receptor-grid passes split over `n_threads`
-    /// host threads (the multicore comparison baseline of §V.A).
-    pub fn correlate_rotation_multicore(
-        &self,
-        ligand: &SparseLigand,
-        n_threads: usize,
-    ) -> Vec<Grid3<Real>> {
-        assert!(n_threads >= 1, "need at least one thread");
-        let n = self.dim();
-        let mut results: Vec<Grid3<Real>> = (0..ligand.n_terms).map(|_| Grid3::cubic(n)).collect();
-        // `Grid3` is x-major: thread `t` owns the contiguous x-planes
-        // `t · planes ..` of every term grid.
-        let planes = n.div_ceil(n_threads);
-        let mut slabs = chunk_slots(results.iter_mut().map(Grid3::as_mut_slice), planes * n * n);
-        if let [slab] = &mut slabs[..] {
-            correlate_slab(self.receptor, ligand, 0, slab);
-            return results;
-        }
-        std::thread::scope(|scope| {
-            for (t, mut slab) in slabs.into_iter().enumerate() {
-                scope.spawn(move || correlate_slab(self.receptor, ligand, t * planes, &mut slab));
-            }
-        });
-        results
+    /// [`DirectCorrelationEngine::correlate_rotation`] into kept grids: `results`
+    /// is resized to one grid per component, and every voxel of a grid of the
+    /// receptor's size is overwritten, whatever it held.
+    pub(crate) fn correlate_into(&self, ligand: &SparseLigand, results: &mut Vec<Grid3<Real>>) {
+        let n = self.receptor.spec.dim;
+        results.resize_with(ligand.n_terms, || Grid3::cubic(n));
+        let mut grids: Vec<&mut [Real]> = results.iter_mut().map(Grid3::as_mut_slice).collect();
+        correlate_slab(self.receptor, ligand, 0, &mut grids);
     }
 
     /// Estimated floating-point work for correlating one rotation directly:
     /// 2 flops per (translation, occupied ligand voxel) pair.
     pub fn flops_per_rotation(&self, ligand: &SparseLigand) -> u64 {
-        let n3 = (self.dim() * self.dim() * self.dim()) as u64;
-        2 * n3 * ligand.len() as u64
+        2 * self.receptor.spec.len() as u64 * ligand.len() as u64
     }
 }
 
@@ -187,7 +169,7 @@ pub(crate) fn correlate_slab(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fft_engine::FftCorrelationEngine;
+    use crate::batched_fft::ReceptorTransforms;
     use crate::grids::{GridSpec, LigandGrids, ReceptorGrids};
     use ftmap_math::Rotation;
     use ftmap_molecule::{ForceField, Probe, ProbeType, ProteinSpec, SyntheticProtein};
@@ -222,8 +204,8 @@ mod tests {
         let (receptor, ligand) = setup(16);
         let sparse = SparseLigand::from_grids(&ligand);
         let direct = DirectCorrelationEngine::new(&receptor);
-        let direct_results = direct.correlate_rotation_serial(&sparse);
-        let fft = FftCorrelationEngine::new(&receptor);
+        let direct_results = direct.correlate_rotation(&sparse);
+        let fft = ReceptorTransforms::new(&receptor);
         let fft_results = fft.correlate_rotation(&ligand);
         assert_eq!(direct_results.len(), fft_results.len());
         for (dg, fg) in direct_results.iter().zip(&fft_results) {
@@ -231,32 +213,6 @@ mod tests {
                 assert!((a - b).abs() < 1e-6, "direct {a} vs fft {b}");
             }
         }
-    }
-
-    #[test]
-    fn multicore_matches_serial() {
-        let (receptor, ligand) = setup(16);
-        let sparse = SparseLigand::from_grids(&ligand);
-        let engine = DirectCorrelationEngine::new(&receptor);
-        let serial = engine.correlate_rotation_serial(&sparse);
-        // 5 does not divide the 16 planes; 17 is more threads than planes.
-        for threads in [1, 2, 4, 5, 17] {
-            let parallel = engine.correlate_rotation_multicore(&sparse, threads);
-            for (s, p) in serial.iter().zip(&parallel) {
-                for (a, b) in s.as_slice().iter().zip(p.as_slice()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{threads} threads: {a:e} vs {b:e}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one thread")]
-    fn zero_threads_panics() {
-        let (receptor, ligand) = setup(16);
-        let sparse = SparseLigand::from_grids(&ligand);
-        let engine = DirectCorrelationEngine::new(&receptor);
-        let _ = engine.correlate_rotation_multicore(&sparse, 0);
     }
 
     #[test]

@@ -10,18 +10,25 @@
 //! * **modeled** per step — Xeon-core modeled times for host engines, device-model
 //!   times for the GPU engine — which is what the Table 1 / Fig. 2(b) reproduction
 //!   compares, since the original hardware is not available.
+//!
+//! Every engine docks through one batch loop, which owns the rotation order, the
+//! ligand builds (grids, or their occupied voxels), the batches (closed early when the
+//! Gpu's constant memory is full, the ligand that did not fit opening the next), the
+//! threads (contiguous rotation chunks; only the multicore kinds have more than one)
+//! and the booking: an engine docks the batch it is given and states its modeled
+//! seconds as terms, which the loop adds on the caller in rotation order.
 
-use crate::batched_fft::{self, BatchedFftEngine, RotationBuffers};
+use crate::batched_fft::{self, BatchedFftEngine, ReceptorTransforms, RotationBuffers};
 use crate::direct::{DirectCorrelationEngine, SparseLigand};
-use crate::fft_engine::FftCorrelationEngine;
 use crate::filter;
 use crate::gpu::GpuDockingEngine;
 use crate::grids::{EnergyWeights, GridSpec, LigandGrids, ReceptorGrids};
 use crate::pose::{sort_best_first, Pose};
 use ftmap_math::rotations::FTMAP_ROTATION_COUNT;
-use ftmap_math::{Real, RotationSet};
+use ftmap_math::{Grid3, Real, RotationSet};
 use ftmap_molecule::{Atom, Probe};
 use gpu_sim::{wall_timed, CostModel, Device, DeviceSpec, MemoryCounters};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Which engine scores the rotations.
@@ -29,11 +36,13 @@ use std::sync::Arc;
 pub enum DockingEngineKind {
     /// Original PIPER: serial FFT correlation on the host.
     FftSerial,
-    /// FFT correlation with rotations distributed over host threads.
+    /// FFT correlation with contiguous rotation chunks scored on `min(n, rotations)`
+    /// host threads.
     FftMulticore(usize),
     /// Direct correlation, serial on the host.
     DirectSerial,
-    /// Direct correlation with the receptor passes split over host threads.
+    /// Direct correlation with contiguous rotation chunks scored on
+    /// `min(n, rotations)` host threads.
     DirectMulticore(usize),
     /// The paper's GPU mapping: batched direct correlation + device-side
     /// accumulation, scoring and filtering.
@@ -158,7 +167,11 @@ pub struct DockingRun {
     pub poses: Vec<Pose>,
     /// Number of rotations scored.
     pub n_rotations: usize,
-    /// Measured wall-clock step times on this machine.
+    /// Measured wall-clock step times on this machine, summed over the threads of
+    /// a multicore run. `rotation_grid_s` is the ligand builds and
+    /// `scoring_filtering_s` the host engines' top-K filter; `correlation_s` is
+    /// everything else an engine does (the device engines' accumulation, scoring
+    /// and filtering launches too), so `accumulation_s` is 0 on every engine.
     pub wall: StepTimes,
     /// Modeled step times (Xeon core for host engines, C1060 device model for the GPU
     /// engine).
@@ -308,389 +321,353 @@ impl Docking {
         &self.config
     }
 
-    /// The rotation set scored by [`Docking::run`].
-    pub fn rotations(&self) -> &RotationSet {
-        &self.rotations
-    }
-
-    /// The shared handle to the rotation set — for consumers that outlive
-    /// this context (pose-block minimization reuses one run's rotations
+    /// The rotation set scored by [`Docking::run`], shared with consumers that
+    /// outlive this context (pose-block minimization reuses one run's rotations
     /// across blocks serviced by different devices).
-    pub fn rotations_arc(&self) -> &Arc<RotationSet> {
+    pub fn rotations(&self) -> &Arc<RotationSet> {
         &self.rotations
     }
 
-    /// Runs rigid docking of `probe` with the configured engine.
+    /// Runs rigid docking of `probe` with the configured engine, through the
+    /// batch loop (see the module docs): the host engines one rotation per
+    /// batch, the device engines on the caller alone.
     pub fn run(&self, probe: &Probe) -> DockingRun {
+        let (receptor, device) = (&*self.receptor, &*self.device);
+        let fft = || ReceptorTransforms::new(receptor);
+        let direct = DirectCorrelationEngine::new(receptor);
+        let gpu = GpuDockingEngine::new(device, receptor);
+        let batched = || BatchedFftEngine::new(device, receptor);
         match self.config.engine {
-            DockingEngineKind::FftSerial => self.run_fft(probe, 1),
-            DockingEngineKind::FftMulticore(n) => self.run_fft(probe, n.max(1)),
-            DockingEngineKind::DirectSerial => self.run_direct(probe, 1),
-            DockingEngineKind::DirectMulticore(n) => self.run_direct(probe, n.max(1)),
-            DockingEngineKind::Gpu { batch } => self.run_gpu(probe, batch.max(1)),
-            DockingEngineKind::BatchedFft { batch } => self.run_batched_fft(probe, batch.max(1)),
+            DockingEngineKind::FftSerial => self.dock(&fft(), probe, 1, 1),
+            DockingEngineKind::FftMulticore(n) => self.dock(&fft(), probe, 1, n.max(1)),
+            DockingEngineKind::DirectSerial => self.dock(&direct, probe, 1, 1),
+            DockingEngineKind::DirectMulticore(n) => self.dock(&direct, probe, 1, n.max(1)),
+            DockingEngineKind::Gpu { batch } => self.dock(&gpu, probe, batch.max(1), 1),
+            DockingEngineKind::BatchedFft { batch } => {
+                self.dock(&batched(), probe, batch.max(1), 1)
+            }
         }
     }
 
-    /// Modeled serial-CPU counters for building one rotation's ligand grids.
-    fn rotation_grid_counters(&self, probe: &Probe) -> MemoryCounters {
-        let atoms = probe.n_atoms() as u64;
-        MemoryCounters {
-            flops: 60 * atoms + 200,
-            global_reads: 20 * atoms,
-            global_writes: 10 * atoms,
-            ..Default::default()
-        }
+    /// Modeled seconds on one Xeon core of work with these counters.
+    fn xeon_s(&self, flops: u64, global_reads: u64, global_writes: u64) -> f64 {
+        let counters = MemoryCounters { flops, global_reads, global_writes, ..Default::default() };
+        self.xeon.serial_time(&counters)
     }
 
-    fn host_finish_counters(&self) -> (MemoryCounters, MemoryCounters) {
-        let n3 = self.receptor.spec.len() as u64;
-        let n_desolv = self.config.n_desolv as u64;
-        let accumulation = MemoryCounters {
-            flops: n_desolv * n3,
-            global_reads: (n_desolv + 1) * n3,
-            global_writes: n3,
-            ..Default::default()
-        };
-        let scoring = MemoryCounters {
-            flops: 7 * n3,
-            global_reads: 6 * n3,
-            global_writes: n3 / 16,
-            ..Default::default()
-        };
-        (accumulation, scoring)
-    }
-
-    /// Shared host-side tail of a rotation: accumulation, scoring, filtering.
-    fn finish_rotation_on_host(
+    /// The batch loop every engine docks through (see the module docs): batches
+    /// of at most `batch` rotations over contiguous chunks on
+    /// `min(threads, rotations)` scoped threads, the caller running the first.
+    /// Every second is added on the caller, in rotation order. A multicore
+    /// kind's modeled correlation is its serial time divided by `threads`.
+    fn dock<E: BatchEngine>(
         &self,
-        rot_idx: usize,
-        results: &[ftmap_math::Grid3<Real>],
-        poses: &mut Vec<Pose>,
-        wall: &mut StepTimes,
-        modeled: &mut StepTimes,
-    ) {
-        let (acc_counters, score_counters) = self.host_finish_counters();
-
-        let (desolv, accumulate_wall_s) =
-            wall_timed(|| filter::accumulate_desolvation(results, self.config.n_desolv));
-        wall.accumulation_s += accumulate_wall_s;
-        modeled.accumulation_s += self.xeon.serial_time(&acc_counters);
-
-        let (selected, score_wall_s) = wall_timed(|| {
-            let scores =
-                filter::score_grid(results, &desolv, &self.config.weights, self.config.n_desolv);
-            filter::filter_top_k(
-                &scores,
-                self.config.poses_per_rotation,
-                self.config.exclusion_radius,
-                rot_idx,
-            )
-        });
-        wall.scoring_filtering_s += score_wall_s;
-        modeled.scoring_filtering_s += self.xeon.serial_time(&score_counters);
-        poses.extend(selected);
-    }
-
-    /// FFT docking on the host. Each rotation builds its ligand grids, runs the
-    /// FFT engines' score routine (`ReceptorTransforms::score_rotation`) and
-    /// filters the score grid. `FftMulticore(n)` scores contiguous chunks of the
-    /// rotations on `min(n, rotations)` scoped threads (the caller runs the
-    /// first) and merges their poses in rotation order, so its poses are
-    /// `FftSerial`'s bit for bit; its wall step times are summed over the
-    /// threads. Its modeled correlation still divides the serial time by `n`,
-    /// which ROADMAP items 4 and 9 replace with a modeled multicore schedule.
-    fn run_fft(&self, probe: &Probe, n_threads: usize) -> DockingRun {
-        let engine = FftCorrelationEngine::new(&self.receptor);
-        let rotations = self.rotations.rotations();
-        let chunk = rotations.len().div_ceil(n_threads).max(1);
-        let score_chunk = |(i, chunk_rotations): (usize, &[ftmap_math::Rotation])| {
-            self.score_fft_rotations(&engine, probe, i * chunk, chunk_rotations)
-        };
-        let chunks: Vec<(Vec<Pose>, StepTimes)> = std::thread::scope(|scope| {
-            let mut chunks = rotations.chunks(chunk).enumerate();
-            let first = chunks.next();
-            let spawned: Vec<_> = chunks.map(|c| scope.spawn(move || score_chunk(c))).collect();
-            first
-                .map(score_chunk)
-                .into_iter()
-                .chain(spawned.into_iter().map(|handle| {
-                    handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                }))
-                .collect()
-        });
-        let mut poses = Vec::new();
-        let mut wall = StepTimes::default();
-        for (chunk_poses, chunk_wall) in chunks {
-            poses.extend(chunk_poses);
-            wall.rotation_grid_s += chunk_wall.rotation_grid_s;
-            wall.correlation_s += chunk_wall.correlation_s;
-            wall.scoring_filtering_s += chunk_wall.scoring_filtering_s;
-        }
-        sort_best_first(&mut poses);
-
-        let fft_counters = MemoryCounters {
-            flops: engine.flops_per_rotation(),
-            global_reads: 3 * self.receptor.n_terms() as u64 * self.receptor.spec.len() as u64,
-            global_writes: self.receptor.n_terms() as u64 * self.receptor.spec.len() as u64,
-            ..Default::default()
-        };
-        // One-time receptor forward transforms: the host path recomputes them
-        // every construction (there is no host-side residency), charged once
-        // here so the per-rotation figure stays the warm-transform number the
-        // batched engine shares.
-        let transform_counters = MemoryCounters {
-            flops: engine.receptor_transform_flops(),
-            global_reads: self.receptor.n_terms() as u64 * self.receptor.spec.len() as u64,
-            global_writes: 2 * self.receptor.n_terms() as u64 * self.receptor.spec.len() as u64,
-            ..Default::default()
-        };
-        let rotation_counters = self.rotation_grid_counters(probe);
-        let (acc_counters, score_counters) = self.host_finish_counters();
-        let mut modeled = StepTimes::default();
-        modeled.correlation_s += self.xeon.serial_time(&transform_counters);
-        for _ in rotations {
-            modeled.rotation_grid_s += self.xeon.serial_time(&rotation_counters);
-            modeled.correlation_s += self.xeon.serial_time(&fft_counters) / n_threads as f64;
-            modeled.accumulation_s += self.xeon.serial_time(&acc_counters);
-            modeled.scoring_filtering_s += self.xeon.serial_time(&score_counters);
-        }
-        DockingRun {
-            poses,
-            n_rotations: self.rotations.len(),
-            wall,
-            modeled,
-            modeled_transfer_s: 0.0,
-            grid: self.receptor.spec,
-        }
-    }
-
-    /// Scores `rotations`, the rotation set's entries from index `base` on,
-    /// through the FFT engine on one thread, reusing one set of buffers: the
-    /// retained poses and the wall step times. Accumulation and scoring are
-    /// part of the score routine, so their wall is booked under correlation.
-    fn score_fft_rotations(
-        &self,
-        engine: &FftCorrelationEngine,
+        engine: &E,
         probe: &Probe,
-        base: usize,
-        rotations: &[ftmap_math::Rotation],
-    ) -> (Vec<Pose>, StepTimes) {
-        let config = &self.config;
-        let mut buffers = RotationBuffers::default();
-        let mut poses = Vec::new();
-        let mut wall = StepTimes::default();
-        for (i, rotation) in rotations.iter().enumerate() {
-            let (ligand, grid_wall_s) = wall_timed(|| {
-                LigandGrids::build(&probe.atoms, rotation, config.spacing, config.n_desolv)
+        batch: usize,
+        threads: usize,
+    ) -> DockingRun {
+        let n_rotations = self.rotations.len();
+        let chunk = n_rotations.div_ceil(threads).max(1);
+        let dock_chunk = |start: usize| {
+            self.dock_chunk(engine, probe, start..n_rotations.min(start + chunk), batch)
+        };
+        let chunks: Vec<Vec<BatchOut>> = std::thread::scope(|scope| {
+            let mut starts = (0..n_rotations).step_by(chunk);
+            let first = starts.next();
+            let spawned: Vec<_> = starts.map(|s| scope.spawn(move || dock_chunk(s))).collect();
+            let joined = spawned.into_iter().map(|handle| {
+                handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
             });
-            wall.rotation_grid_s += grid_wall_s;
-            let ((), corr_wall_s) = wall_timed(|| {
-                let transforms = engine.transforms();
-                transforms.score_rotation(&ligand, &config.weights, config.n_desolv, &mut buffers)
-            });
-            wall.correlation_s += corr_wall_s;
-            let (selected, score_wall_s) = wall_timed(|| {
-                let (k, radius) = (config.poses_per_rotation, config.exclusion_radius);
-                buffers.top_k(self.receptor.spec.dim, k, radius, base + i)
-            });
-            wall.scoring_filtering_s += score_wall_s;
-            poses.extend(selected);
-        }
-        (poses, wall)
-    }
+            first.map(dock_chunk).into_iter().chain(joined).collect()
+        });
 
-    fn run_direct(&self, probe: &Probe, n_threads: usize) -> DockingRun {
-        let engine = DirectCorrelationEngine::new(&self.receptor);
-        let mut poses = Vec::new();
-        let mut wall = StepTimes::default();
-        let mut modeled = StepTimes::default();
-        let rotation_counters = self.rotation_grid_counters(probe);
-
-        for (rot_idx, rotation) in self.rotations.iter().enumerate() {
-            let (sparse, grid_wall_s) = wall_timed(|| {
-                let ligand = LigandGrids::build(
-                    &probe.atoms,
-                    rotation,
-                    self.config.spacing,
-                    self.config.n_desolv,
-                );
-                SparseLigand::from_grids(&ligand)
-            });
-            wall.rotation_grid_s += grid_wall_s;
-            modeled.rotation_grid_s += self.xeon.serial_time(&rotation_counters);
-
-            let direct_counters = MemoryCounters {
-                flops: engine.flops_per_rotation(&sparse),
-                global_reads: self.receptor.spec.len() as u64 * sparse.len() as u64,
-                global_writes: self.receptor.n_terms() as u64 * self.receptor.spec.len() as u64,
-                ..Default::default()
-            };
-
-            let (results, corr_wall_s) =
-                wall_timed(|| engine.correlate_rotation_multicore(&sparse, n_threads));
-            wall.correlation_s += corr_wall_s;
-            modeled.correlation_s += self.xeon.serial_time(&direct_counters) / n_threads as f64;
-
-            self.finish_rotation_on_host(rot_idx, &results, &mut poses, &mut wall, &mut modeled);
-        }
-        sort_best_first(&mut poses);
-        DockingRun {
-            poses,
-            n_rotations: self.rotations.len(),
-            wall,
-            modeled,
+        let atoms = probe.n_atoms() as u64;
+        let rotation_grid_s = self.xeon_s(60 * atoms + 200, 20 * atoms, 10 * atoms);
+        let mut run = DockingRun {
+            poses: Vec::new(),
+            n_rotations,
+            wall: StepTimes::default(),
+            modeled: StepTimes::default(),
             modeled_transfer_s: 0.0,
             grid: self.receptor.spec,
+        };
+        run.modeled.correlation_s += engine.setup_s(self);
+        for out in chunks.into_iter().flatten() {
+            run.wall.rotation_grid_s += out.wall.rotation_grid_s;
+            run.wall.correlation_s += out.wall.correlation_s;
+            run.wall.scoring_filtering_s += out.wall.scoring_filtering_s;
+            run.modeled.rotation_grid_s += out.rotations as f64 * rotation_grid_s;
+            for term in &out.modeled {
+                run.modeled.correlation_s += term.correlation_s / threads as f64;
+                run.modeled.accumulation_s += term.accumulation_s;
+                run.modeled.scoring_filtering_s += term.scoring_filtering_s;
+            }
+            run.modeled_transfer_s += out.transfer_s;
+            run.poses.extend(out.poses);
         }
+        sort_best_first(&mut run.poses);
+        run
     }
 
-    fn run_gpu(&self, probe: &Probe, requested_batch: usize) -> DockingRun {
-        let gpu = GpuDockingEngine::new(&self.device, &self.receptor);
-        let mut poses = Vec::new();
-        let mut wall = StepTimes::default();
-        let mut modeled = StepTimes::default();
-        let mut modeled_transfer_s = 0.0;
-        let rotation_counters = self.rotation_grid_counters(probe);
-
-        // Build all sparse ligands up-front per batch (host work, matching the paper:
-        // "the ligand grid is rotated on the host and remapped").
-        let rotations = self.rotations.rotations();
-        let sparse_ligand = |rot_idx: usize| {
-            let ligand = LigandGrids::build(
-                &probe.atoms,
-                &rotations[rot_idx],
-                self.config.spacing,
-                self.config.n_desolv,
-            );
-            SparseLigand::from_grids(&ligand)
-        };
-        // A ligand that did not fit in constant memory beside its batch opens the next.
-        let mut carried: Option<SparseLigand> = None;
-        let mut rot_idx = 0usize;
-        while rot_idx < rotations.len() {
-            let ((batch, batch_indices), build_wall_s) = wall_timed(|| {
+    /// Docks the rotations of `range` on this thread, batch by batch, reusing
+    /// one set of the engine's buffers.
+    fn dock_chunk<E: BatchEngine>(
+        &self,
+        engine: &E,
+        probe: &Probe,
+        range: Range<usize>,
+        batch_size: usize,
+    ) -> Vec<BatchOut> {
+        let (spacing, n_desolv) = (self.config.spacing, self.config.n_desolv);
+        let build = |i| LigandGrids::build(&probe.atoms, self.rotations.get(i), spacing, n_desolv);
+        let mut scratch = E::Scratch::default();
+        let mut batches = Vec::new();
+        // A ligand that did not fit beside its batch opens the next.
+        let mut carried = None;
+        let mut next = range.start;
+        while next < range.end {
+            let first = next;
+            let (batch, build_wall_s) = wall_timed(|| {
                 let mut batch = Vec::new();
-                let mut batch_indices = Vec::new();
-                while rot_idx < rotations.len() && batch.len() < requested_batch {
-                    let sparse = carried.take().unwrap_or_else(|| sparse_ligand(rot_idx));
-                    // Respect the constant-memory capacity limit.
-                    if batch.len() >= gpu.max_batch(&sparse) {
-                        carried = Some(sparse);
+                while next < range.end && batch.len() < batch_size {
+                    let ligand = carried.take().unwrap_or_else(|| engine.ligand(build(next)));
+                    if batch.len() >= engine.batch_cap(&ligand) {
+                        carried = Some(ligand);
                         break;
                     }
-                    batch.push(sparse);
-                    batch_indices.push(rot_idx);
-                    rot_idx += 1;
+                    batch.push(ligand);
+                    next += 1;
                 }
-                (batch, batch_indices)
+                batch
             });
-            wall.rotation_grid_s += build_wall_s;
-            modeled.rotation_grid_s +=
-                batch.len() as f64 * self.xeon.serial_time(&rotation_counters);
-
-            // Correlation, accumulation and scoring share one pass over each x-plane,
-            // so their wall is booked under correlation; each launch keeps its own
-            // modeled step.
-            let (out, dock_wall_s) = wall_timed(|| {
-                gpu.dock_batch(
-                    &batch,
-                    &batch_indices,
-                    &self.config.weights,
-                    self.config.n_desolv,
-                    self.config.poses_per_rotation,
-                    self.config.exclusion_radius,
-                )
-            });
-            wall.correlation_s += dock_wall_s;
-            modeled.correlation_s += out.correlation.modeled_time_s + out.upload_s;
-            modeled_transfer_s += out.upload_s;
-            for (accumulation, scoring) in out.accumulation.iter().zip(&out.scoring) {
-                modeled.accumulation_s += accumulation.modeled_time_s;
-                modeled.scoring_filtering_s += scoring.modeled_time_s;
-            }
-            poses.extend(out.poses.into_iter().flatten());
+            let (mut out, dock_wall_s) =
+                wall_timed(|| engine.dock(self, &batch, first, &mut scratch));
+            out.rotations = batch.len();
+            out.wall.rotation_grid_s = build_wall_s;
+            out.wall.correlation_s = dock_wall_s - out.wall.scoring_filtering_s;
+            batches.push(out);
         }
-        sort_best_first(&mut poses);
-        DockingRun {
-            poses,
-            n_rotations: self.rotations.len(),
-            wall,
-            modeled,
-            modeled_transfer_s,
-            grid: self.receptor.spec,
-        }
+        batches
     }
 
-    fn run_batched_fft(&self, probe: &Probe, requested_batch: usize) -> DockingRun {
-        let engine = BatchedFftEngine::new(&self.device, &self.receptor);
-        let mut poses = Vec::new();
-        let mut wall = StepTimes::default();
-        let mut modeled = StepTimes::default();
-        let mut modeled_transfer_s = 0.0;
-        let rotation_counters = self.rotation_grid_counters(probe);
-
-        // One-time receptor transform work: zero on a derived-residency hit,
-        // one modeled launch on a miss (then cached for the next run).
-        modeled.correlation_s += engine.transform_residency().modeled_s();
-
-        for (chunk_idx, chunk) in self.rotations.rotations().chunks(requested_batch).enumerate() {
-            let base = chunk_idx * requested_batch;
-
-            let (batch, build_wall_s) = wall_timed(|| -> Vec<LigandGrids> {
-                chunk
-                    .iter()
-                    .map(|rotation| {
-                        LigandGrids::build(
-                            &probe.atoms,
-                            rotation,
-                            self.config.spacing,
-                            self.config.n_desolv,
-                        )
-                    })
-                    .collect()
-            });
-            let indices: Vec<usize> = (base..base + batch.len()).collect();
-            wall.rotation_grid_s += build_wall_s;
-            modeled.rotation_grid_s +=
-                batch.len() as f64 * self.xeon.serial_time(&rotation_counters);
-
-            let (out, dock_wall_s) = wall_timed(|| {
-                engine.dock_batch(
-                    &batch,
-                    &indices,
-                    &self.config.weights,
-                    self.config.n_desolv,
-                    self.config.poses_per_rotation,
-                    self.config.exclusion_radius,
-                )
-            });
-            wall.correlation_s += dock_wall_s;
-
-            // Correlation: the three batched transform launches + the ligand
-            // upload; scoring/filtering: the fused epilogue + the pose-only
-            // download. Accumulation is fused into the epilogue (0 by itself).
-            let correlation_kernels_s =
-                out.ledger.phase(batched_fft::PHASE_LIGAND_FFT).modeled_time_s
-                    + out.ledger.phase(batched_fft::PHASE_CONJ_MULTIPLY).modeled_time_s
-                    + out.ledger.phase(batched_fft::PHASE_INVERSE_FFT).modeled_time_s;
-            modeled.correlation_s += correlation_kernels_s + out.upload_s;
-            modeled.scoring_filtering_s +=
-                out.ledger.phase(batched_fft::PHASE_FUSED_EPILOGUE).modeled_time_s + out.download_s;
-            modeled_transfer_s += out.upload_s + out.download_s;
-
-            for slot_poses in out.poses {
-                poses.extend(slot_poses);
-            }
+    /// Docks a host batch: per rotation, `score` leaves the score grid in
+    /// `buffers.scores` and returns its modeled correlation seconds, then the
+    /// top-K filter keeps the poses. Accumulation and scoring are modeled over
+    /// `N³` grids.
+    fn dock_on_host<L>(
+        &self,
+        batch: &[L],
+        first: usize,
+        buffers: &mut RotationBuffers,
+        mut score: impl FnMut(&L, &mut RotationBuffers) -> f64,
+    ) -> BatchOut {
+        let (n, n3) = (self.receptor.spec.dim, self.receptor.spec.len() as u64);
+        let n_desolv = self.config.n_desolv as u64;
+        let finish = StepTimes {
+            accumulation_s: self.xeon_s(n_desolv * n3, (n_desolv + 1) * n3, n3),
+            scoring_filtering_s: self.xeon_s(7 * n3, 6 * n3, n3 / 16),
+            ..StepTimes::default()
+        };
+        let (k, radius) = (self.config.poses_per_rotation, self.config.exclusion_radius);
+        let mut out = BatchOut::default();
+        for (i, ligand) in batch.iter().enumerate() {
+            let correlation_s = score(ligand, buffers);
+            let (poses, filter_wall_s) = wall_timed(|| buffers.top_k(n, k, radius, first + i));
+            out.poses.extend(poses);
+            out.wall.scoring_filtering_s += filter_wall_s;
+            out.modeled.push(StepTimes { correlation_s, ..finish });
         }
-        sort_best_first(&mut poses);
-        DockingRun {
-            poses,
-            n_rotations: self.rotations.len(),
-            wall,
-            modeled,
-            modeled_transfer_s,
-            grid: self.receptor.spec,
+        out
+    }
+}
+
+/// One docking engine as the batch loop of [`Docking::run`] drives it: the loop
+/// owns the rotations, ligands, batches, threads and seconds; the engine docks
+/// the batch it is given.
+trait BatchEngine: Sync {
+    /// What a batch holds per rotation: its ligand grids, or their occupied voxels.
+    type Ligand;
+    /// Working buffers one thread reuses from batch to batch.
+    type Scratch: Default;
+
+    /// The form a batch holds of one rotation's ligand grids.
+    fn ligand(&self, grids: LigandGrids) -> Self::Ligand;
+
+    /// How many ligands a batch may hold when `next` would join it.
+    fn batch_cap(&self, _next: &Self::Ligand) -> usize {
+        usize::MAX
+    }
+
+    /// Modeled correlation seconds charged once per run, before any rotation.
+    fn setup_s(&self, _docking: &Docking) -> f64 {
+        0.0
+    }
+
+    /// Docks `batch` as rotations `first..` of a run.
+    fn dock(
+        &self,
+        docking: &Docking,
+        batch: &[Self::Ligand],
+        first: usize,
+        scratch: &mut Self::Scratch,
+    ) -> BatchOut;
+}
+
+/// One docked batch, as the loop merges and books it.
+#[derive(Default)]
+struct BatchOut {
+    /// The retained poses, in rotation order.
+    poses: Vec<Pose>,
+    /// The modeled correlation (on one thread), accumulation and scoring
+    /// seconds, as terms the loop adds in order (a zero adds nothing).
+    modeled: Vec<StepTimes>,
+    /// The modeled transfer seconds folded into `modeled`, as one term.
+    transfer_s: f64,
+    /// The rotations docked, set by the loop.
+    rotations: usize,
+    /// Wall seconds: the host engines' top-K filter under scoring, then the
+    /// ligand builds and the rest of the batch, set by the loop.
+    wall: StepTimes,
+}
+
+/// `FftSerial` and `FftMulticore`: the FFT engines' score routine per rotation.
+impl BatchEngine for ReceptorTransforms {
+    type Ligand = LigandGrids;
+    type Scratch = RotationBuffers;
+
+    fn ligand(&self, grids: LigandGrids) -> LigandGrids {
+        grids
+    }
+
+    /// The receptor's forward transforms, which the host recomputes every run
+    /// (it has no residency), so the per-rotation figure is the warm one the
+    /// batched engine shares.
+    fn setup_s(&self, docking: &Docking) -> f64 {
+        let (n_terms, n3) = (self.n_terms() as u64, docking.receptor.spec.len() as u64);
+        docking.xeon_s(n_terms * self.flops_per_transform(), n_terms * n3, 2 * n_terms * n3)
+    }
+
+    fn dock(
+        &self,
+        docking: &Docking,
+        batch: &[LigandGrids],
+        first: usize,
+        buffers: &mut RotationBuffers,
+    ) -> BatchOut {
+        let (n_terms, n3) = (self.n_terms() as u64, docking.receptor.spec.len() as u64);
+        let (weights, n_desolv) = (&docking.config.weights, docking.config.n_desolv);
+        docking.dock_on_host(batch, first, buffers, |ligand, buffers| {
+            self.score_rotation(ligand, weights, n_desolv, buffers);
+            docking.xeon_s(self.flops_per_rotation(), 3 * n_terms * n3, n_terms * n3)
+        })
+    }
+}
+
+/// `DirectSerial` and `DirectMulticore`: per rotation, the direct slab routine
+/// over whole term grids, then [`filter::score_into`], as the Gpu blocks score.
+impl BatchEngine for DirectCorrelationEngine<'_> {
+    type Ligand = SparseLigand;
+    /// The term grids, and the score grid among the buffers.
+    type Scratch = (Vec<Grid3<Real>>, RotationBuffers);
+
+    fn ligand(&self, grids: LigandGrids) -> SparseLigand {
+        SparseLigand::from_grids(&grids)
+    }
+
+    fn dock(
+        &self,
+        docking: &Docking,
+        batch: &[SparseLigand],
+        first: usize,
+        (terms, buffers): &mut Self::Scratch,
+    ) -> BatchOut {
+        let (n_terms, n3) = (docking.receptor.n_terms() as u64, docking.receptor.spec.len());
+        let (weights, n_desolv) = (&docking.config.weights, docking.config.n_desolv);
+        docking.dock_on_host(batch, first, buffers, |ligand, buffers| {
+            self.correlate_into(ligand, terms);
+            buffers.scores.resize(n3, 0.0);
+            filter::score_into(terms, weights, n_desolv, &mut buffers.scores);
+            let n3 = n3 as u64;
+            docking.xeon_s(self.flops_per_rotation(ligand), n3 * ligand.len() as u64, n_terms * n3)
+        })
+    }
+}
+
+/// `Gpu`: per batch, the correlation launch and ligand upload as one term,
+/// then each slot's accumulation and scoring launches.
+impl BatchEngine for GpuDockingEngine<'_> {
+    type Ligand = SparseLigand;
+    type Scratch = ();
+
+    fn ligand(&self, grids: LigandGrids) -> SparseLigand {
+        SparseLigand::from_grids(&grids)
+    }
+
+    /// What fits in constant memory beside `next`.
+    fn batch_cap(&self, next: &SparseLigand) -> usize {
+        self.max_batch(next)
+    }
+
+    fn dock(
+        &self,
+        docking: &Docking,
+        batch: &[SparseLigand],
+        first: usize,
+        _: &mut (),
+    ) -> BatchOut {
+        let c = &docking.config;
+        let indices: Vec<usize> = (first..first + batch.len()).collect();
+        let (weights, k, radius) = (&c.weights, c.poses_per_rotation, c.exclusion_radius);
+        let out = self.dock_batch(batch, &indices, weights, c.n_desolv, k, radius);
+        let correlation_s = out.correlation.modeled_time_s + out.upload_s;
+        let slots = out.accumulation.iter().zip(&out.scoring).map(|(a, s)| StepTimes {
+            accumulation_s: a.modeled_time_s,
+            scoring_filtering_s: s.modeled_time_s,
+            ..StepTimes::default()
+        });
+        let correlation = StepTimes { correlation_s, ..StepTimes::default() };
+        BatchOut {
+            poses: out.poses.into_iter().flatten().collect(),
+            modeled: std::iter::once(correlation).chain(slots).collect(),
+            transfer_s: out.upload_s,
+            ..BatchOut::default()
+        }
+    }
+}
+
+/// `BatchedFft`: per batch, the three transform launches and the ligand upload
+/// as correlation, the fused epilogue (accumulation, scoring and filtering)
+/// and the pose-only download as scoring and filtering.
+impl BatchEngine for BatchedFftEngine<'_> {
+    type Ligand = LigandGrids;
+    type Scratch = ();
+
+    fn ligand(&self, grids: LigandGrids) -> LigandGrids {
+        grids
+    }
+
+    /// Zero on a derived-residency hit, one modeled launch on a miss.
+    fn setup_s(&self, _docking: &Docking) -> f64 {
+        self.transform_residency().modeled_s()
+    }
+
+    fn dock(&self, docking: &Docking, batch: &[LigandGrids], first: usize, _: &mut ()) -> BatchOut {
+        let c = &docking.config;
+        let indices: Vec<usize> = (first..first + batch.len()).collect();
+        let (weights, k, radius) = (&c.weights, c.poses_per_rotation, c.exclusion_radius);
+        let out = self.dock_batch(batch, &indices, weights, c.n_desolv, k, radius);
+        let phase_s = |phase| out.ledger.phase(phase).modeled_time_s;
+        let correlation_s = phase_s(batched_fft::PHASE_LIGAND_FFT)
+            + phase_s(batched_fft::PHASE_CONJ_MULTIPLY)
+            + phase_s(batched_fft::PHASE_INVERSE_FFT)
+            + out.upload_s;
+        let scoring_filtering_s = phase_s(batched_fft::PHASE_FUSED_EPILOGUE) + out.download_s;
+        BatchOut {
+            modeled: vec![StepTimes { correlation_s, scoring_filtering_s, ..StepTimes::default() }],
+            transfer_s: out.upload_s + out.download_s,
+            poses: out.poses.into_iter().flatten().collect(),
+            ..BatchOut::default()
         }
     }
 }
@@ -714,6 +691,7 @@ mod tests {
         let probe = probe();
         for engine in [
             DockingEngineKind::FftSerial,
+            DockingEngineKind::FftMulticore(3),
             DockingEngineKind::DirectSerial,
             DockingEngineKind::DirectMulticore(2),
             DockingEngineKind::Gpu { batch: 4 },
@@ -738,32 +716,69 @@ mod tests {
 
     #[test]
     fn engines_agree_on_best_pose() {
-        // The FFT, direct and GPU engines implement the same mathematics; their retained
-        // best poses must coincide.
+        // Every engine kind over 5 rotations: thread counts that divide the
+        // rotations, do not, and exceed them; batches of one, some and more
+        // than all. Within each family the poses are the serial kind's bit for
+        // bit, a multicore kind's modeled seconds are its serial kind's apart
+        // from the correlation it divides by its threads, and the two families
+        // keep the same best pose.
         let protein = protein();
         let probe = probe();
-        let fft =
-            Docking::new(&protein.atoms, DockingConfig::small_test(DockingEngineKind::FftSerial))
-                .run(&probe);
-        let direct = Docking::new(
-            &protein.atoms,
-            DockingConfig::small_test(DockingEngineKind::DirectSerial),
-        )
-        .run(&probe);
-        let gpu = Docking::new(
-            &protein.atoms,
-            DockingConfig::small_test(DockingEngineKind::Gpu { batch: 8 }),
-        )
-        .run(&probe);
-
-        let f = fft.poses.first().unwrap();
-        let d = direct.poses.first().unwrap();
-        let g = gpu.poses.first().unwrap();
-        assert_eq!(d.translation, g.translation);
-        assert_eq!(d.rotation_index, g.rotation_index);
-        assert!((d.score - g.score).abs() < 1e-6);
-        assert_eq!(f.translation, d.translation);
-        assert!((f.score - d.score).abs() < 1e-4);
+        let config = DockingConfig {
+            n_rotations: 5,
+            ..DockingConfig::small_test(DockingEngineKind::FftSerial)
+        };
+        let run = |engine| {
+            Docking::new(&protein.atoms, DockingConfig { engine, ..config.clone() }).run(&probe)
+        };
+        let bits = |run: &DockingRun| -> Vec<_> {
+            run.poses.iter().map(|p| (p.rotation_index, p.translation, p.score.to_bits())).collect()
+        };
+        let steps = |t: &StepTimes| [t.rotation_grid_s, t.accumulation_s, t.scoring_filtering_s];
+        let families = [
+            (
+                DockingEngineKind::DirectSerial,
+                DockingEngineKind::DirectMulticore as fn(usize) -> DockingEngineKind,
+                [
+                    DockingEngineKind::Gpu { batch: 1 },
+                    DockingEngineKind::Gpu { batch: 3 },
+                    DockingEngineKind::Gpu { batch: 8 },
+                ],
+            ),
+            (
+                DockingEngineKind::FftSerial,
+                DockingEngineKind::FftMulticore,
+                [
+                    DockingEngineKind::BatchedFft { batch: 1 },
+                    DockingEngineKind::BatchedFft { batch: 7 },
+                    DockingEngineKind::BatchedFft { batch: 64 },
+                ],
+            ),
+        ];
+        let best: Vec<Pose> = families
+            .into_iter()
+            .map(|(serial_kind, multicore, device_kinds)| {
+                let serial = run(serial_kind);
+                assert_eq!(serial.poses.len(), 5 * config.poses_per_rotation, "{serial_kind:?}");
+                for n in [2, 3, 5, 8] {
+                    let kind = multicore(n);
+                    let multicore = run(kind);
+                    assert_eq!(bits(&multicore), bits(&serial), "{kind:?}");
+                    assert_eq!(steps(&multicore.modeled), steps(&serial.modeled), "{kind:?}");
+                    assert!(multicore.modeled.correlation_s < serial.modeled.correlation_s);
+                }
+                for kind in device_kinds {
+                    assert_eq!(bits(&run(kind)), bits(&serial), "{kind:?}");
+                }
+                serial.poses[0]
+            })
+            .collect();
+        let (direct, fft) = (best[0], best[1]);
+        assert_eq!(
+            (fft.rotation_index, fft.translation),
+            (direct.rotation_index, direct.translation)
+        );
+        assert!((fft.score - direct.score).abs() < 1e-4);
     }
 
     #[test]
@@ -797,7 +812,7 @@ mod tests {
         let docking =
             Docking::new(&protein.atoms, DockingConfig::small_test(DockingEngineKind::FftSerial));
         let config = docking.config();
-        let engine = FftCorrelationEngine::new(docking.receptor());
+        let engine = ReceptorTransforms::new(docking.receptor());
         for (rot_idx, rotation) in docking.rotations().iter().enumerate() {
             let ligand =
                 LigandGrids::build(&probe.atoms, rotation, config.spacing, config.n_desolv);
@@ -817,34 +832,6 @@ mod tests {
             }
             let tol = batched_fft::per_term::score_tolerance(&ligand, docking.receptor());
             batched_fft::per_term::assert_places_and_scores_near(&got, &want, tol);
-        }
-    }
-
-    #[test]
-    fn fft_multicore_poses_equal_fft_serial_bit_for_bit() {
-        // Thread counts that divide the rotations, do not, and exceed them:
-        // the chunks' poses merge to `FftSerial`'s, bit for bit, and the
-        // modeled seconds are unchanged by the real threads.
-        let protein = protein();
-        let probe = probe();
-        let mut config = DockingConfig::small_test(DockingEngineKind::FftSerial);
-        config.n_rotations = 5;
-        let run = |engine| {
-            Docking::new(&protein.atoms, DockingConfig { engine, ..config.clone() }).run(&probe)
-        };
-        let bits = |run: &DockingRun| -> Vec<_> {
-            run.poses.iter().map(|p| (p.rotation_index, p.translation, p.score.to_bits())).collect()
-        };
-        let serial = run(DockingEngineKind::FftSerial);
-        assert_eq!(serial.poses.len(), 5 * config.poses_per_rotation);
-        for n in [2, 3, 5, 8] {
-            let multicore = run(DockingEngineKind::FftMulticore(n));
-            assert_eq!(bits(&multicore), bits(&serial), "FftMulticore({n})");
-            let steps =
-                |t: &StepTimes| [t.rotation_grid_s, t.accumulation_s, t.scoring_filtering_s];
-            assert_eq!(steps(&multicore.modeled), steps(&serial.modeled), "FftMulticore({n})");
-            assert!(multicore.modeled.correlation_s < serial.modeled.correlation_s);
-            assert!(multicore.wall.correlation_s > 0.0);
         }
     }
 
@@ -1058,7 +1045,7 @@ mod tests {
                 run.grid.spacing,
                 (run.grid.dim, run.grid.dim, run.grid.dim),
             );
-            let helper = run.place_pose(docking.rotations_arc(), &centered, i);
+            let helper = run.place_pose(docking.rotations(), &centered, i);
             assert_eq!(manual, helper, "pose {i}");
         }
     }

@@ -332,7 +332,7 @@ mod tests {
         k: usize,
         rot: usize,
     ) -> Vec<Pose> {
-        let results = DirectCorrelationEngine::new(receptor).correlate_rotation_serial(sparse);
+        let results = DirectCorrelationEngine::new(receptor).correlate_rotation(sparse);
         let desolv = filter::accumulate_desolvation(&results, 4);
         let scores = filter::score_grid(&results, &desolv, &EnergyWeights::default(), 4);
         filter::filter_top_k(&scores, k, 2, rot)

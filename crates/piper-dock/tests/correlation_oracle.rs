@@ -6,8 +6,8 @@
 //! `out_t[d] = Σ_{x,y,z} L_t[x, y, z] · R_t[(x + dx) % N, (y + dy) % N, (z + dz) % N]`,
 //! summed from `+0.0` over the footprint in storage order.
 //!
-//! * `DirectSerial` and `DirectMulticore` must match it **bitwise**.
-//!   They add a translation's products in the same order — ligand entries are
+//! * The host direct engine (`DirectSerial`, and `DirectMulticore` on rotation
+//!   chunks) must match it **bitwise**. It adds a translation's products in the same order — ligand entries are
 //!   the footprint voxels in storage order — and only skip voxels whose value
 //!   is `±0.0`. Skipping those changes no bit: their product with a finite
 //!   receptor value is a signed zero, and adding a signed zero to an
@@ -27,11 +27,12 @@ use ftmap_math::{Grid3, Real, RotationSet};
 use ftmap_molecule::{ForceField, Probe, ProbeType, ProteinSpec, SyntheticProtein};
 use gpu_sim::Device;
 use piper_dock::direct::{DirectCorrelationEngine, SparseEntry, SparseLigand};
-use piper_dock::fft_engine::FftCorrelationEngine;
 use piper_dock::filter;
 use piper_dock::gpu::GpuDockingEngine;
 use piper_dock::grids::{term_kinds, GridSpec};
-use piper_dock::{BatchedFftEngine, EnergyWeights, LigandGrids, Pose, ReceptorGrids};
+use piper_dock::{
+    BatchedFftEngine, EnergyWeights, LigandGrids, Pose, ReceptorGrids, ReceptorTransforms,
+};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -221,13 +222,12 @@ fn check_engines(receptor: &ReceptorGrids, ligands: &[LigandGrids]) {
 
     let direct = DirectCorrelationEngine::new(receptor);
     for (want, s) in naive.iter().zip(&sparse) {
-        assert_bitwise("DirectSerial", &direct.correlate_rotation_serial(s), want);
-        assert_bitwise("DirectMulticore", &direct.correlate_rotation_multicore(s, 3), want);
+        assert_bitwise("DirectSerial", &direct.correlate_rotation(s), want);
     }
 
     check_gpu(receptor, &sparse, &naive);
 
-    let fft = FftCorrelationEngine::new(receptor);
+    let fft = ReceptorTransforms::new(receptor);
     for (ligand, want) in ligands.iter().zip(&naive) {
         let got = fft.correlate_rotation(ligand);
         for (t, (g, w)) in got.iter().zip(want).enumerate() {
@@ -270,7 +270,7 @@ fn check_engines(receptor: &ReceptorGrids, ligands: &[LigandGrids]) {
 /// grids give its translation, within twice the per-term tolerances' sum.
 fn check_fft_serial_poses(receptor: &ReceptorGrids, ligands: &[LigandGrids]) {
     let weights = EnergyWeights::default();
-    let fft = FftCorrelationEngine::new(receptor);
+    let fft = ReceptorTransforms::new(receptor);
     for (slot, ligand) in ligands.iter().enumerate() {
         let scores = score_grid(&naive_rotation(ligand, receptor), &weights);
         let tol = score_tolerance(ligand, receptor);
@@ -311,7 +311,7 @@ proptest! {
         let ligands: Vec<LigandGrids> =
             footprints.iter().map(|&dim| random_ligand(dim, &mut rng)).collect();
         let weights = EnergyWeights::default();
-        let fft = FftCorrelationEngine::new(&receptor);
+        let fft = ReceptorTransforms::new(&receptor);
         for ligand in &ligands {
             let want = score_grid(&naive_rotation(ligand, &receptor), &weights);
             let got = fft.rotation_score_grid(ligand, &weights, N_DESOLV);
@@ -360,11 +360,7 @@ proptest! {
 
         let direct = DirectCorrelationEngine::new(&receptor);
         for (ligand, want) in ligands.iter().zip(&want) {
-            assert_bitwise("DirectSerial", &direct.correlate_rotation_serial(ligand), want);
-            for threads in [3, 9] {
-                let got = direct.correlate_rotation_multicore(ligand, threads);
-                assert_bitwise("DirectMulticore", &got, want);
-            }
+            assert_bitwise("DirectSerial", &direct.correlate_rotation(ligand), want);
         }
         check_gpu(&receptor, &ligands, &want);
     }

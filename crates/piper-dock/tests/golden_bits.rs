@@ -11,8 +11,8 @@
 //! engine's per-launch records were recorded before its correlation blocks
 //! took over accumulation and scoring, which promises the same launches.
 //!
-//! The hashes that carry FFT correlation values (the `FftCorrelationEngine`
-//! grids, the receptor transforms, the batched poses with their scores and
+//! The hashes that carry FFT correlation values (the per-term correlation
+//! grids of `ReceptorTransforms::correlate_rotation`, the receptor transforms, the batched poses with their scores and
 //! both FFT docking runs) were re-recorded when the FFT path moved to
 //! real-input transforms over the half spectrum, whose arithmetic differs from
 //! the complex transform's in the last bits; the naive oracle in
@@ -32,12 +32,11 @@ use ftmap_molecule::{ForceField, Probe, ProbeType, ProteinSpec, SyntheticProtein
 use ftmap_trace::{Category, ItemScope, Recorder, Tags, TraceSink, Track};
 use gpu_sim::{Device, Fnv1a, KernelStats, MemoryCounters, StatsLedger};
 use piper_dock::direct::SparseLigand;
-use piper_dock::fft_engine::FftCorrelationEngine;
 use piper_dock::gpu::GpuDockingEngine;
 use piper_dock::grids::GridSpec;
 use piper_dock::{
     BatchedFftEngine, Docking, DockingConfig, DockingEngineKind, EnergyWeights, LigandGrids, Pose,
-    ReceptorGrids,
+    ReceptorGrids, ReceptorTransforms,
 };
 use std::sync::Arc;
 
@@ -174,13 +173,13 @@ fn fft_correlation_grids_are_unchanged() {
         .into_iter()
         .map(|(dim, spacing, want)| {
             let (receptor, probe) = receptor_and_probe(dim, spacing);
-            let engine = FftCorrelationEngine::new(&receptor);
+            let engine = ReceptorTransforms::new(&receptor);
             let mut hash = Fnv1a::new();
             for rotation in RotationSet::uniform(3).iter() {
                 let ligand = LigandGrids::build(&probe.atoms, rotation, spacing, 4);
                 write_grids(&mut hash, &engine.correlate_rotation(&ligand));
             }
-            (format!("FftCorrelationEngine at {dim}³"), hash.finish(), want)
+            (format!("ReceptorTransforms::correlate_rotation at {dim}³"), hash.finish(), want)
         })
         .collect();
     assert_golden(&hashes);

@@ -1,14 +1,17 @@
 //! Direct vs FFT correlation crossover (paper §III): direct correlation wins when the
 //! ligand grid is small, FFT wins when it grows. This example sweeps the ligand
 //! footprint and prints, for both approaches, the modeled serial cost on the paper's
-//! Xeon core and the measured host wall time of one rotation (best of
-//! [`WALL_REPS`] runs of `correlate_rotation_serial` and `correlate_rotation`).
+//! Xeon core and the measured host wall time of one rotation's per-term correlation
+//! grids (best of [`WALL_REPS`] runs of `DirectCorrelationEngine::correlate_rotation`
+//! and `ReceptorTransforms::correlate_rotation`, the engines `DirectSerial` and
+//! `FftSerial` dock through; `FftSerial` itself inverse-transforms only the summed
+//! score).
 //!
 //! Run with: `cargo run --release --example correlation_crossover`
 
 use ftmap::dock::direct::{DirectCorrelationEngine, SparseLigand};
-use ftmap::dock::fft_engine::FftCorrelationEngine;
 use ftmap::dock::grids::{GridSpec, LigandGrids, ReceptorGrids};
+use ftmap::dock::ReceptorTransforms;
 use ftmap::gpu::{wall_timed, CostModel, DeviceSpec, MemoryCounters};
 use ftmap::prelude::*;
 
@@ -26,7 +29,7 @@ fn main() {
     let spec = GridSpec::centered_on(&protein.atoms, 64, 1.0);
     let receptor = ReceptorGrids::build(&protein.atoms, spec, 4);
 
-    let fft = FftCorrelationEngine::new(&receptor);
+    let fft = ReceptorTransforms::new(&receptor);
     let direct = DirectCorrelationEngine::new(&receptor);
     let xeon = CostModel::new(DeviceSpec::xeon_core());
 
@@ -54,7 +57,7 @@ fn main() {
         let direct_counters =
             MemoryCounters { flops: direct.flops_per_rotation(&sparse), ..Default::default() };
         let direct_time = xeon.serial_time(&direct_counters);
-        let direct_wall = best_wall_s(|| direct.correlate_rotation_serial(&sparse));
+        let direct_wall = best_wall_s(|| direct.correlate_rotation(&sparse));
         let fft_wall = best_wall_s(|| fft.correlate_rotation(&ligand));
         let winner = |direct_s: f64, fft_s: f64| if direct_s < fft_s { "direct" } else { "FFT" };
         println!(
