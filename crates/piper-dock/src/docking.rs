@@ -36,13 +36,13 @@ use std::sync::Arc;
 pub enum DockingEngineKind {
     /// Original PIPER: serial FFT correlation on the host.
     FftSerial,
-    /// FFT correlation with contiguous rotation chunks scored on `min(n, rotations)`
-    /// host threads.
+    /// FFT correlation with contiguous rotation chunks of `⌈rotations / n⌉`, one host
+    /// thread each (at most `min(n, rotations)`).
     FftMulticore(usize),
     /// Direct correlation, serial on the host.
     DirectSerial,
-    /// Direct correlation with contiguous rotation chunks scored on
-    /// `min(n, rotations)` host threads.
+    /// Direct correlation with contiguous rotation chunks of `⌈rotations / n⌉`, one
+    /// host thread each (at most `min(n, rotations)`).
     DirectMulticore(usize),
     /// The paper's GPU mapping: batched direct correlation + device-side
     /// accumulation, scoring and filtering.
@@ -356,8 +356,8 @@ impl Docking {
     }
 
     /// The batch loop every engine docks through (see the module docs): batches
-    /// of at most `batch` rotations over contiguous chunks on
-    /// `min(threads, rotations)` scoped threads, the caller running the first.
+    /// of at most `batch` rotations over contiguous chunks of
+    /// `⌈rotations / threads⌉`, one scoped thread each, the caller running the first.
     /// Every second is added on the caller, in rotation order. A multicore
     /// kind's modeled correlation is its serial time divided by `threads`.
     fn dock<E: BatchEngine>(
@@ -404,7 +404,7 @@ impl Docking {
                 run.modeled.scoring_filtering_s += term.scoring_filtering_s;
             }
             run.modeled_transfer_s += out.transfer_s;
-            run.poses.extend(out.poses);
+            run.poses.extend(out.poses.into_iter().flatten());
         }
         sort_best_first(&mut run.poses);
         run
@@ -474,7 +474,7 @@ impl Docking {
         for (i, ligand) in batch.iter().enumerate() {
             let correlation_s = score(ligand, buffers);
             let (poses, filter_wall_s) = wall_timed(|| buffers.top_k(n, k, radius, first + i));
-            out.poses.extend(poses);
+            out.poses.push(poses);
             out.wall.scoring_filtering_s += filter_wall_s;
             out.modeled.push(StepTimes { correlation_s, ..finish });
         }
@@ -517,8 +517,8 @@ trait BatchEngine: Sync {
 /// One docked batch, as the loop merges and books it.
 #[derive(Default)]
 struct BatchOut {
-    /// The retained poses, in rotation order.
-    poses: Vec<Pose>,
+    /// The retained poses of each rotation, in rotation order.
+    poses: Vec<Vec<Pose>>,
     /// The modeled correlation (on one thread), accumulation and scoring
     /// seconds, as terms the loop adds in order (a zero adds nothing).
     modeled: Vec<StepTimes>,
@@ -628,7 +628,7 @@ impl BatchEngine for GpuDockingEngine<'_> {
         });
         let correlation = StepTimes { correlation_s, ..StepTimes::default() };
         BatchOut {
-            poses: out.poses.into_iter().flatten().collect(),
+            poses: out.poses,
             modeled: std::iter::once(correlation).chain(slots).collect(),
             transfer_s: out.upload_s,
             ..BatchOut::default()
@@ -666,7 +666,7 @@ impl BatchEngine for BatchedFftEngine<'_> {
         BatchOut {
             modeled: vec![StepTimes { correlation_s, scoring_filtering_s, ..StepTimes::default() }],
             transfer_s: out.upload_s + out.download_s,
-            poses: out.poses.into_iter().flatten().collect(),
+            poses: out.poses,
             ..BatchOut::default()
         }
     }

@@ -7,12 +7,13 @@
 //! summed from `+0.0` over the footprint in storage order.
 //!
 //! * The host direct engine (`DirectSerial`, and `DirectMulticore` on rotation
-//!   chunks) must match it **bitwise**. It adds a translation's products in the same order — ligand entries are
-//!   the footprint voxels in storage order — and only skip voxels whose value
-//!   is `±0.0`. Skipping those changes no bit: their product with a finite
-//!   receptor value is a signed zero, and adding a signed zero to an
-//!   accumulator that starts at `+0.0` leaves it unchanged (a sum that cancels
-//!   exactly is `+0.0` in round-to-nearest, so the accumulator is never `-0.0`).
+//!   chunks) must match it **bitwise**. It adds a translation's products in the
+//!   same order — ligand entries are the footprint voxels in storage order —
+//!   and only skips voxels whose value is `±0.0`. Skipping those changes no
+//!   bit: their product with a finite receptor value is a signed zero, and
+//!   adding a signed zero to an accumulator that starts at `+0.0` leaves it
+//!   unchanged (a sum that cancels exactly is `+0.0` in round-to-nearest, so
+//!   the accumulator is never `-0.0`).
 //! * `Gpu` runs the same slab routine but keeps only its retained poses: each
 //!   must carry, bitwise, the score the naive grids give its translation, and
 //!   the pose list must be `filter::filter_top_k` over the naive score grid.

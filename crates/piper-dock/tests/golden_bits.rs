@@ -11,20 +11,20 @@
 //! engine's per-launch records were recorded before its correlation blocks
 //! took over accumulation and scoring, which promises the same launches.
 //!
-//! The hashes that carry FFT correlation values (the per-term correlation
-//! grids of `ReceptorTransforms::correlate_rotation`, the receptor transforms, the batched poses with their scores and
-//! both FFT docking runs) were re-recorded when the FFT path moved to
-//! real-input transforms over the half spectrum, whose arithmetic differs from
-//! the complex transform's in the last bits; the naive oracle in
-//! `correlation_oracle.rs` bounds those values. What that change promised to
-//! keep — which poses are retained, every modeled second and the ledger — is
-//! pinned by hashes recorded before it. The three hashes that carry pose scores
-//! (the batched poses and both FFT docking runs) were re-recorded once more
-//! when the FFT engines began to sum the weighted term products in the half
-//! spectrum and inverse-transform only the score grid; the pose places,
-//! modeled seconds and ledger held. The `FftMulticore(3)` run, whose modeled
-//! correlation divides by its thread count, was recorded before the engines
-//! were brought under one docking driver.
+//! The hashes that carry FFT correlation values (the per-term correlation grids
+//! of `ReceptorTransforms::correlate_rotation`, the receptor transforms, the
+//! batched poses with their scores and both FFT docking runs) were re-recorded
+//! when the FFT path moved to real-input transforms over the half spectrum,
+//! whose arithmetic differs from the complex transform's in the last bits; the
+//! naive oracle in `correlation_oracle.rs` bounds those values. What that
+//! change promised to keep — which poses are retained, every modeled second and
+//! the ledger — is pinned by hashes recorded before it. The three hashes that
+//! carry pose scores (the batched poses and both FFT docking runs) were
+//! re-recorded once more when the FFT engines began to sum the weighted term
+//! products in the half spectrum and inverse-transform only the score grid; the
+//! pose places, modeled seconds and ledger held. The `FftMulticore(3)` run,
+//! whose modeled correlation divides by its thread count, was recorded before
+//! the engines were brought under one docking driver.
 
 use ftmap_math::fft::{Direction, Fft3Plan};
 use ftmap_math::{Complex, Grid3, Real, RotationSet};
