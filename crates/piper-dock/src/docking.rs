@@ -782,6 +782,34 @@ mod tests {
     }
 
     #[test]
+    fn fft_multicore_poses_equal_fft_serial_bit_for_bit() {
+        // Thread counts that divide the rotations, do not, and exceed them:
+        // the chunks' poses merge to `FftSerial`'s, bit for bit, and the
+        // modeled seconds are unchanged by the real threads.
+        let protein = protein();
+        let probe = probe();
+        let mut config = DockingConfig::small_test(DockingEngineKind::FftSerial);
+        config.n_rotations = 5;
+        let run = |engine| {
+            Docking::new(&protein.atoms, DockingConfig { engine, ..config.clone() }).run(&probe)
+        };
+        let bits = |run: &DockingRun| -> Vec<_> {
+            run.poses.iter().map(|p| (p.rotation_index, p.translation, p.score.to_bits())).collect()
+        };
+        let serial = run(DockingEngineKind::FftSerial);
+        assert_eq!(serial.poses.len(), 5 * config.poses_per_rotation);
+        for n in [2, 3, 5, 8] {
+            let multicore = run(DockingEngineKind::FftMulticore(n));
+            assert_eq!(bits(&multicore), bits(&serial), "FftMulticore({n})");
+            let steps =
+                |t: &StepTimes| [t.rotation_grid_s, t.accumulation_s, t.scoring_filtering_s];
+            assert_eq!(steps(&multicore.modeled), steps(&serial.modeled), "FftMulticore({n})");
+            assert!(multicore.modeled.correlation_s < serial.modeled.correlation_s);
+            assert!(multicore.wall.correlation_s > 0.0);
+        }
+    }
+
+    #[test]
     fn batched_fft_is_bit_identical_to_per_rotation_fft() {
         // The FFT engines share one score routine: across batch sizes (smaller
         // than, not dividing, and exceeding the rotation count) the batched
